@@ -595,8 +595,8 @@ pub fn repr_field_program(engine: Engine) -> Program {
     program
 }
 
-/// The source of [`repr_field_program`], public so the `bytecode_vs_plan`
-/// bench can recompile it with the bytecode pass toggled.
+/// The source of [`repr_field_program`], public so other harnesses can
+/// compile it with their own settings.
 pub const REPR_FIELD_SOURCE: &str = r#"
         class Point {
             int x0;
@@ -626,26 +626,6 @@ pub const REPR_FIELD_SOURCE: &str = r#"
             return total;
         }
     "#;
-
-/// Compiles `source` on the plan engine with the bytecode pass toggled —
-/// the before/after axis of the `bytecode_vs_plan` bench (`before` walks
-/// the goal trees and statement plans, `after` runs the flat register
-/// bytecode).
-pub fn plan_program_bytecode(source: &str, bytecode: bool) -> Program {
-    let program = Workspace::new()
-        .verify(false)
-        .max_expansion_depth(2)
-        .engine(Engine::Plan)
-        .bytecode(bytecode)
-        .compile(source)
-        .expect("bench program parses");
-    assert!(
-        program.diagnostics().errors.is_empty(),
-        "{:?}",
-        program.diagnostics().errors
-    );
-    program
-}
 
 /// Compiles `source` on the plan engine with the static-analysis pass
 /// toggled — the before/after axis of the `analysis_overhead` bench
@@ -819,13 +799,11 @@ pub fn repr_deconstruct_workload(program: &Program, n: i64) -> i64 {
 // ---------------------------------------------------------------------------
 
 /// The OR-parallel scaling workload: a complete binary tree whose `vals`
-/// method enumerates every leaf left-to-right, so the choice tree is a
-/// full binary tree — maximally branchy, the shape work stealing splits
-/// best. Identical to the `tests/parallel.rs` workload.
-/// The parallel-scaling workload source: a complete binary tree whose
-/// `vals` method enumerates the leaves left-to-right, one two-way choice
-/// point per `Node`. Public so tests can recompile it with non-default
-/// compiler knobs (e.g. bytecode off) against the same workload.
+/// method enumerates every leaf left-to-right, one two-way choice point
+/// per `Node`, so the choice tree is a full binary tree — maximally
+/// branchy, the shape work stealing splits best. Identical to the
+/// `tests/parallel.rs` workload; public so tests can compile it on either
+/// engine.
 pub const PARALLEL_TREE_SOURCE: &str = r#"
     interface Tree {
         constructor leaf(int v) returns(v);

@@ -588,7 +588,7 @@ fn prune_switch_cases(cases: &mut Vec<CasePlan>, out: &mut Vec<Prune>) {
 fn prune_stmts(stmts: &mut [StmtPlan], out: &mut Vec<Prune>) {
     for s in stmts.iter_mut() {
         match s {
-            StmtPlan::Let(g) => simplify_goal(g, out),
+            StmtPlan::Let(g) => simplify_goal(&mut g.goal, out),
             StmtPlan::Switch {
                 cases,
                 bodies,
@@ -607,9 +607,9 @@ fn prune_stmts(stmts: &mut [StmtPlan], out: &mut Vec<Prune>) {
                 let before = arms.len();
                 let mut removed = 0;
                 arms.retain_mut(|(g, body)| {
-                    simplify_goal(g, out);
+                    simplify_goal(&mut g.goal, out);
                     prune_stmts(body, out);
-                    let dead = matches!(g, Goal::Fail);
+                    let dead = matches!(g.goal, Goal::Fail);
                     removed += usize::from(dead);
                     !dead
                 });
@@ -624,18 +624,18 @@ fn prune_stmts(stmts: &mut [StmtPlan], out: &mut Vec<Prune>) {
                 }
             }
             StmtPlan::If { cond, then, els } => {
-                simplify_goal(cond, out);
+                simplify_goal(&mut cond.goal, out);
                 prune_stmts(then, out);
                 if let Some(e) = els {
                     prune_stmts(e, out);
                 }
             }
             StmtPlan::Foreach { goal, body, .. } => {
-                simplify_goal(goal, out);
+                simplify_goal(&mut goal.goal, out);
                 prune_stmts(body, out);
             }
             StmtPlan::While { cond, body } => {
-                simplify_goal(cond, out);
+                simplify_goal(&mut cond.goal, out);
                 prune_stmts(body, out);
             }
             StmtPlan::Block(b) => prune_stmts(b, out),
@@ -760,7 +760,7 @@ fn collect_slot_types(form: &SolvedForm, method: Option<&MethodPlan>) -> Vec<Opt
             PExpr::Tuple(es) => es.iter().for_each(|e| walk_expr(e, put)),
             PExpr::Where(p, g) => {
                 walk_expr(p, put);
-                walk_goal(g, put);
+                walk_goal(&g.goal, put);
             }
             _ => {}
         }
@@ -1052,7 +1052,7 @@ impl FormCx<'_> {
             }
             PExpr::Where(inner, g) => {
                 let fi = self.pat_facts(inner, val_ty, env);
-                let fg = self.goal_facts(g, env);
+                let fg = self.goal_facts(&g.goal, env);
                 FormFacts {
                     card: fi.card.seq(fg.card),
                     no_err: fi.no_err && fg.no_err,
@@ -1506,7 +1506,7 @@ fn mark_may(g: &Goal, env: &mut Env) {
             PExpr::Tuple(es) => es.iter().for_each(|e| expr(e, env)),
             PExpr::Where(p, g) => {
                 expr(p, env);
-                mark_may(g, env);
+                mark_may(&g.goal, env);
             }
             _ => {}
         }
@@ -1565,7 +1565,7 @@ fn count_slots(g: &Goal, intro: &mut HashMap<SlotId, usize>, uses: &mut HashMap<
             PExpr::Tuple(es) => es.iter().for_each(|e| expr(e, intro, uses)),
             PExpr::Where(p, g) => {
                 expr(p, intro, uses);
-                count_slots(g, intro, uses);
+                count_slots(&g.goal, intro, uses);
             }
             _ => {}
         }
@@ -1690,7 +1690,7 @@ fn collect_invokes(g: &Goal, out: &mut Vec<(String, u32)>) {
             PExpr::Tuple(es) => es.iter().for_each(|e| expr(e, out)),
             PExpr::Where(p, g) => {
                 expr(p, out);
-                collect_invokes(g, out);
+                collect_invokes(&g.goal, out);
             }
             _ => {}
         }
@@ -1822,7 +1822,7 @@ fn goal_callees(g: &Goal, dispatch: &[DispatchTable], out: &mut Vec<PlanId>) {
             PExpr::Tuple(es) => es.iter().for_each(|e| expr(e, dispatch, out)),
             PExpr::Where(p, g) => {
                 expr(p, dispatch, out);
-                goal_callees(g, dispatch, out);
+                goal_callees(&g.goal, dispatch, out);
             }
             _ => {}
         }
@@ -1859,7 +1859,7 @@ fn goal_callees(g: &Goal, dispatch: &[DispatchTable], out: &mut Vec<PlanId>) {
 fn stmt_callees(stmts: &[StmtPlan], dispatch: &[DispatchTable], out: &mut Vec<PlanId>) {
     for s in stmts {
         match s {
-            StmtPlan::Let(g) => goal_callees(g, dispatch, out),
+            StmtPlan::Let(g) => goal_callees(&g.goal, dispatch, out),
             StmtPlan::Switch {
                 scrutinees,
                 cases,
@@ -1883,7 +1883,7 @@ fn stmt_callees(stmts: &[StmtPlan], dispatch: &[DispatchTable], out: &mut Vec<Pl
             }
             StmtPlan::Cond { arms, else_arm } => {
                 for (g, b) in arms {
-                    goal_callees(g, dispatch, out);
+                    goal_callees(&g.goal, dispatch, out);
                     stmt_callees(b, dispatch, out);
                 }
                 if let Some(e) = else_arm {
@@ -1891,18 +1891,18 @@ fn stmt_callees(stmts: &[StmtPlan], dispatch: &[DispatchTable], out: &mut Vec<Pl
                 }
             }
             StmtPlan::If { cond, then, els } => {
-                goal_callees(cond, dispatch, out);
+                goal_callees(&cond.goal, dispatch, out);
                 stmt_callees(then, dispatch, out);
                 if let Some(e) = els {
                     stmt_callees(e, dispatch, out);
                 }
             }
             StmtPlan::Foreach { goal, body, .. } => {
-                goal_callees(goal, dispatch, out);
+                goal_callees(&goal.goal, dispatch, out);
                 stmt_callees(body, dispatch, out);
             }
             StmtPlan::While { cond, body } => {
-                goal_callees(cond, dispatch, out);
+                goal_callees(&cond.goal, dispatch, out);
                 stmt_callees(body, dispatch, out);
             }
             StmtPlan::Return(Some(e))

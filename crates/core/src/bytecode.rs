@@ -1,27 +1,31 @@
-//! Flat register bytecode compiled from the [`lower`](crate::lower) plan IR.
+//! Flat register bytecode compiled from the [`lower`](crate::lower) plan IR
+//! — the one form the plan engines execute.
 //!
-//! The plan evaluator and the resumable machine both used to *walk* the
-//! boxed [`Goal`]/[`PExpr`] tree per step: every conjunct was an enum
-//! dispatch plus a pointer chase, every `while` re-interpreted its condition
-//! node, and every `switch` scanned its case guards linearly. This module
-//! lowers one level further — the fourth materialization pass of
-//! [`ProgramPlan::compile`](crate::lower::ProgramPlan::compile) — into two
-//! dense instruction streams:
+//! The fourth materialization pass of
+//! [`ProgramPlan::compile`](crate::lower::ProgramPlan::compile) lowers the
+//! boxed [`Goal`]/[`StmtPlan`] trees into two dense instruction streams:
 //!
-//! - **[`BcBody`]** — threaded code for one mode-specialized solved form.
-//!   Every instruction carries the *pc of its continuation* explicitly
-//!   (`next`), so conjunction is a fall-through field instead of a
-//!   `Seq` vector walk, and disjunction is a [`Instr::Choice`] whose
-//!   alternatives are entry pcs. The stream is compiled right-to-left:
-//!   `emit(goal, next)` appends the instructions of `goal` and returns its
-//!   entry pc, so no jump patching is ever needed and pc `0` is always the
-//!   shared [`Instr::Emit`] solution boundary.
+//! - **[`BcBody`]** — threaded code for one goal: a mode-specialized
+//!   solved form, a `where` refinement, or the goal of a `let` / `if` /
+//!   `cond` / `foreach` / `while` statement ([`GoalPlan`]). Every
+//!   instruction carries the *pc of its continuation* explicitly (`next`),
+//!   so conjunction is a fall-through field instead of a `Seq` vector walk,
+//!   and disjunction is a [`Instr::Choice`] whose alternatives are entry
+//!   pcs. The stream is compiled right-to-left: `emit(goal, next)` appends
+//!   the instructions of `goal` and returns its entry pc, so no jump
+//!   patching is ever needed and pc `0` is always the shared
+//!   [`Instr::Emit`] solution boundary. Negation and run-time scheduled
+//!   conjunctions are in-stream sub-chains that also end at pc `0`: the
+//!   executor runs a sub-chain under its own continuation (a closure in
+//!   the recursive evaluator, the continuation stack in the machine).
 //! - **[`BcBlock`]** — register code for one imperative body. Expression
 //!   temporaries live in a flat register file indexed by [`Reg`] instead of
 //!   re-walking `PExpr` trees; `switch` lowers to a [`SwitchTable`] jump
 //!   table over the PR 4 [`CaseGuard`] class tags (one array load selects
 //!   the candidate arms for a scrutinee's type index); `while` loops whose
-//!   condition is a comparison become a `CmpJump`/`LoopJump` pair.
+//!   condition is a comparison become a `CmpJump`/`LoopJump` pair. Other
+//!   statements run through the statement interpreter, whose goals are
+//!   again [`BcBody`]s.
 //!
 //! # Register model
 //!
@@ -38,40 +42,44 @@
 //! The compiler resolves everything a choice point needs *at compile time*:
 //! a [`Instr::Choice`]'s alternatives are instruction addresses, so the
 //! machine saves `(pc, alternative index)` instead of a boxed continuation
-//! chain, and a `par.rs` task prefix stays the same dense `Vec<u32>` path of
-//! alternative indices as before. Two invariants make the bytecode
-//! transcript- and path-compatible with the plan walker, and both are load
-//! bearing:
+//! chain, and a `par.rs` task prefix is a dense `Vec<u32>` path of
+//! alternative indices. Two invariants keep those paths meaningful and are
+//! load bearing:
 //!
-//! 1. **Choice arity is preserved exactly.** `Any([])` compiles to `Fail`,
-//!    `Any([g])` inlines `g` with *no* choice instruction (the machine
-//!    creates no choice point for single branches), and `Any(n ≥ 2)`
-//!    compiles to one `Choice` with exactly `n` alternatives in source
-//!    order. Guides recorded by either engine therefore replay identically
-//!    on the other, and `split_oldest` prefixes serialize to the same size.
-//! 2. **Trail discipline is unchanged.** The bytecode binds frame slots
-//!    through the same trail the plan walker uses; an alternative's
-//!    `trail_mark`/`frames_mark` rollback needs no bytecode-specific state
-//!    beyond the saved pc.
+//! 1. **Choice arity follows the source disjunctions exactly.** `Any([])`
+//!    compiles to `Fail`, `Any([g])` inlines `g` with *no* choice
+//!    instruction (the machine creates no choice point for single
+//!    branches), and `Any(n ≥ 2)` compiles to one `Choice` with exactly `n`
+//!    alternatives in source order, so a recorded guide replays on any
+//!    machine over the same plan.
+//! 2. **Trail discipline is uniform.** The bytecode binds frame slots
+//!    through the machine's trail; an alternative's `trail_mark` /
+//!    `frames_mark` rollback needs no bytecode-specific state beyond the
+//!    saved pc.
 //!
 //! # Unify modes
 //!
-//! The plan walker decides the direction of every equation at run time with
+//! A tree walk decides the direction of every equation at run time with
 //! two [`ground`]-tree walks. The bytecode compiler runs a must-bound
-//! dataflow analysis over the solved form (seeded with the mode's bound
-//! parameter slots) and bakes the direction into the instruction as a
-//! [`UnifyMode`] when it is statically forced; only equations whose
-//! direction genuinely depends on run-time values keep the dynamic check.
-//! The analysis is sound, not complete: `must ⊆ bound` always holds, and
-//! anything unprovable degrades to [`UnifyMode::Dynamic`], which behaves
-//! exactly like the tree walk.
+//! dataflow analysis over the goal (seeded with the mode's bound parameter
+//! slots) and bakes the direction into the instruction as a [`UnifyMode`]
+//! when it is statically forced; only equations whose direction genuinely
+//! depends on run-time values keep the dynamic check. The analysis is
+//! sound, not complete: `must ⊆ bound ⊆ may` always holds, and anything
+//! unprovable degrades to [`UnifyMode::Dynamic`]. Sub-chains stay sound on
+//! the same terms — a negated chain starts from the facts at its position,
+//! every run-time scheduled item starts from the outer must-set with every
+//! item's binders added to its may-set, and a `where` or statement goal,
+//! whose entry bindings are unknown, starts with nothing must-bound and
+//! everything may-bound.
 //!
 //! [`ground`]: crate::lower::PExpr
 
 use crate::intern::Sym;
 use crate::lower::{
     BlockPlan, BodyPlan, CallKind, CaseGuard, CasePlan, CaseTarget, ClassCheck, DispatchId,
-    DispatchTable, Goal, MethodPlan, PExpr, PlanId, SlotId, SolvedForm, StmtPlan,
+    DispatchTable, Goal, GoalPlan, MethodPlan, PExpr, PlanId, ReadyCheck, SlotId, SolvedForm,
+    StmtPlan,
 };
 use crate::table::ClassLayout;
 use jmatch_syntax::ast::{BinOp, CmpOp};
@@ -82,8 +90,6 @@ use std::fmt;
 pub type Pc = u32;
 /// Index into a stream's [`PExpr`] pool.
 pub type ExprId = u32;
-/// Index into a stream's [`Goal`] pool.
-pub type GoalId = u32;
 /// Index into a [`BcBlock`]'s [`StmtPlan`] pool.
 pub type StmtId = u32;
 /// A register in a [`BcBlock`]'s register file.
@@ -162,37 +168,44 @@ pub enum Instr {
         /// Continuation.
         next: Pc,
     },
-    /// Negation as failure over a pooled goal (executed by the recursive
-    /// existence check, exactly like the plan walker).
+    /// Negation as failure: continue at `next` iff the sub-chain at
+    /// `inner` (ending at the pc-0 [`Instr::Emit`]) has no solution. The
+    /// sub-chain's bindings are undone either way.
     Not {
-        /// The negated goal (goal-pool index).
-        goal: GoalId,
+        /// Entry pc of the negated sub-chain.
+        inner: Pc,
         /// Continuation.
         next: Pc,
     },
-    /// A dynamically scheduled conjunction, delegated whole to the
-    /// ready-check machinery (goal-pool index holds the `Goal::DynSeq`).
+    /// A conjunction scheduled at run time: repeatedly run the first item
+    /// whose [`ReadyCheck`] holds on the current bindings, each item a
+    /// sub-chain ending at the pc-0 [`Instr::Emit`], then continue at
+    /// `next` once every item has run.
     DynSeq {
-        /// The pooled `Goal::DynSeq`.
-        goal: GoalId,
+        /// Readiness test and sub-chain entry pc of each conjunct, in
+        /// source order.
+        items: Box<[(ReadyCheck, Pc)]>,
         /// Continuation.
         next: Pc,
     },
 }
 
-/// Threaded bytecode for one mode-specialized solved form.
-#[derive(Debug, Clone)]
+/// Threaded bytecode for one goal: a mode-specialized solved form, a
+/// `where` refinement, or a statement goal.
+#[derive(Debug, Clone, PartialEq)]
 pub struct BcBody {
-    /// Entry pc of the form's goal.
+    /// Entry pc of the goal.
     pub entry: Pc,
     /// The instruction stream; `instrs[0]` is [`Instr::Emit`].
     pub instrs: Vec<Instr>,
     /// Leaf expression pool (instructions hold [`ExprId`]s into it).
     pub exprs: Vec<PExpr>,
-    /// Subgoal pool for `Not` / `DynSeq` delegation.
-    pub goals: Vec<Goal>,
     /// Invoked-name pool.
     pub names: Vec<String>,
+    /// Whether a solution can leave any frame slot bound. A body that binds
+    /// nothing — comparisons, tests, negations — can commit its first
+    /// solution without snapshotting the frame.
+    pub binds: bool,
 }
 
 impl BcBody {
@@ -252,27 +265,27 @@ fn binders(pat: &PExpr, out: &mut HashSet<SlotId>) {
 /// [`ground`](crate::lower) walk is guaranteed to say `true`. The
 /// field-of-`this` fallback is deliberately excluded — it depends on the
 /// receiver's run-time class — so equations relying on it stay `Dynamic`.
-fn must_ground(e: &PExpr, must: &HashSet<SlotId>, this_known: bool) -> bool {
+fn must_ground(e: &PExpr, must: &HashSet<SlotId>, this_must: bool) -> bool {
     match e {
         PExpr::Int(_) | PExpr::Bool(_) | PExpr::Str(_) | PExpr::Null => true,
-        PExpr::This => this_known,
+        PExpr::This => this_must,
         PExpr::Result(s) => must.contains(s),
         PExpr::Name {
             slot, class_ref, ..
         } => must.contains(slot) || *class_ref,
-        PExpr::Field(b, _, _) => must_ground(b, must, this_known),
+        PExpr::Field(b, _, _) => must_ground(b, must, this_must),
         PExpr::Call { receiver, args, .. } => {
             receiver
                 .as_deref()
-                .map(|r| must_ground(r, must, this_known))
+                .map(|r| must_ground(r, must, this_must))
                 .unwrap_or(true)
-                && args.iter().all(|a| must_ground(a, must, this_known))
+                && args.iter().all(|a| must_ground(a, must, this_must))
         }
         PExpr::Index(a, b) | PExpr::Binary(_, a, b) => {
-            must_ground(a, must, this_known) && must_ground(b, must, this_known)
+            must_ground(a, must, this_must) && must_ground(b, must, this_must)
         }
-        PExpr::NewArray(_, a) | PExpr::Neg(a) => must_ground(a, must, this_known),
-        PExpr::Tuple(xs) => xs.iter().all(|x| must_ground(x, must, this_known)),
+        PExpr::NewArray(_, a) | PExpr::Neg(a) => must_ground(a, must, this_must),
+        PExpr::Tuple(xs) => xs.iter().all(|x| must_ground(x, must, this_must)),
         PExpr::Wildcard | PExpr::Decl(..) | PExpr::As(..) | PExpr::OrPat(..) | PExpr::Where(..) => {
             false
         }
@@ -299,7 +312,7 @@ fn may_binders(pat: &PExpr, out: &mut HashSet<SlotId>) {
         }
         PExpr::Where(p, g) => {
             may_binders(p, out);
-            goal_may(g, out);
+            goal_may(&g.goal, out);
         }
         PExpr::Call { args, .. } => {
             for a in args {
@@ -344,35 +357,45 @@ fn goal_may(goal: &Goal, out: &mut HashSet<SlotId>) {
     }
 }
 
+/// What is known about `this` where a goal runs: `must` when it is
+/// certainly in scope, `may` when it possibly is. A solved form knows
+/// exactly; a `where` or statement goal does not (argument patterns are
+/// matched without `this`), so it assumes the weakest facts.
+#[derive(Clone, Copy)]
+struct ThisScope {
+    must: bool,
+    may: bool,
+}
+
 /// Conservative "provably never ground": `true` only when the run-time walk
 /// is guaranteed to say `false` — a `_`/declaration in a conjunctive
 /// position, or a variable no earlier goal can possibly have bound whose
 /// field-of-`this` fallback is statically dead (`this` absent, or the name
 /// is no declared field anywhere).
-fn never_ground(e: &PExpr, may: &HashSet<SlotId>, this_known: bool) -> bool {
+fn never_ground(e: &PExpr, may: &HashSet<SlotId>, this_may: bool) -> bool {
     match e {
         PExpr::Wildcard | PExpr::Decl(..) => true,
-        PExpr::This => !this_known,
+        PExpr::This => !this_may,
         PExpr::Name {
             slot,
             field_sym,
             class_ref,
             ..
-        } => !*class_ref && !may.contains(slot) && (!this_known || field_sym.is_none()),
+        } => !*class_ref && !may.contains(slot) && (!this_may || field_sym.is_none()),
         PExpr::Result(s) => !may.contains(s),
-        PExpr::Field(b, _, _) => never_ground(b, may, this_known),
+        PExpr::Field(b, _, _) => never_ground(b, may, this_may),
         PExpr::Call { receiver, args, .. } => {
             receiver
                 .as_deref()
-                .is_some_and(|r| never_ground(r, may, this_known))
-                || args.iter().any(|a| never_ground(a, may, this_known))
+                .is_some_and(|r| never_ground(r, may, this_may))
+                || args.iter().any(|a| never_ground(a, may, this_may))
         }
         PExpr::Index(a, b) | PExpr::Binary(_, a, b) | PExpr::As(a, b) | PExpr::OrPat(a, b) => {
-            never_ground(a, may, this_known) || never_ground(b, may, this_known)
+            never_ground(a, may, this_may) || never_ground(b, may, this_may)
         }
-        PExpr::NewArray(_, a) | PExpr::Neg(a) => never_ground(a, may, this_known),
-        PExpr::Tuple(xs) => xs.iter().any(|x| never_ground(x, may, this_known)),
-        PExpr::Where(p, _) => never_ground(p, may, this_known),
+        PExpr::NewArray(_, a) | PExpr::Neg(a) => never_ground(a, may, this_may),
+        PExpr::Tuple(xs) => xs.iter().any(|x| never_ground(x, may, this_may)),
+        PExpr::Where(p, _) => never_ground(p, may, this_may),
         _ => false,
     }
 }
@@ -386,20 +409,27 @@ fn analyze(
     goal: &Goal,
     must: &mut HashSet<SlotId>,
     may: &mut HashSet<SlotId>,
-    this_known: bool,
+    this: ThisScope,
     modes: &mut Vec<UnifyMode>,
 ) {
     match goal {
         Goal::True | Goal::Trivial | Goal::Fail | Goal::Test(_) | Goal::Compare(..) => {}
-        // `Not` binds nothing and its inner goal runs through the recursive
-        // existence check, not the instruction stream: no modes inside.
-        Goal::Not(_) => {}
-        // Delegated whole; its bindings are not must-known afterwards, but
-        // they are possible.
-        Goal::DynSeq(_) => goal_may(goal, may),
+        // The inner chain runs at this point and its bindings are undone
+        // afterwards: analyze it on copies.
+        Goal::Not(inner) => analyze(inner, &mut must.clone(), &mut may.clone(), this, modes),
+        // The items run in a run-time order: each starts from the outer
+        // must-set (whatever ran before it only adds bindings) and sees
+        // every item's possible bindings in its may-set. Afterwards no
+        // binding is claimed as certain.
+        Goal::DynSeq(items) => {
+            goal_may(goal, may);
+            for (_, g) in items {
+                analyze(g, &mut must.clone(), &mut may.clone(), this, modes);
+            }
+        }
         Goal::Seq(gs) => {
             for g in gs {
-                analyze(g, must, may, this_known, modes);
+                analyze(g, must, may, this, modes);
             }
         }
         Goal::Any(gs) => {
@@ -409,7 +439,7 @@ fn analyze(
             for g in gs {
                 let mut bmust = entry_must.clone();
                 let mut bmay = entry_may.clone();
-                analyze(g, &mut bmust, &mut bmay, this_known, modes);
+                analyze(g, &mut bmust, &mut bmay, this, modes);
                 may.extend(bmay);
                 exit = Some(match exit {
                     None => bmust,
@@ -421,13 +451,13 @@ fn analyze(
             }
         }
         Goal::Unify(l, r) => {
-            let lg = must_ground(l, must, this_known);
-            let rg = must_ground(r, must, this_known);
+            let lg = must_ground(l, must, this.must);
+            let rg = must_ground(r, must, this.must);
             let mode = if lg && rg {
                 UnifyMode::EvalEval
-            } else if lg && never_ground(r, may, this_known) {
+            } else if lg && never_ground(r, may, this.may) {
                 UnifyMode::EvalMatch
-            } else if rg && never_ground(l, may, this_known) {
+            } else if rg && never_ground(l, may, this.may) {
                 UnifyMode::MatchEval
             } else {
                 UnifyMode::Dynamic
@@ -459,7 +489,6 @@ fn analyze(
 struct BodyCompiler {
     instrs: Vec<Instr>,
     exprs: Vec<PExpr>,
-    goals: Vec<Goal>,
     names: Vec<String>,
     /// Modes from pass A, popped from the back.
     modes: Vec<UnifyMode>,
@@ -475,12 +504,6 @@ impl BodyCompiler {
     fn expr(&mut self, e: &PExpr) -> ExprId {
         let id = self.exprs.len() as ExprId;
         self.exprs.push(e.clone());
-        id
-    }
-
-    fn goal(&mut self, g: Goal) -> GoalId {
-        let id = self.goals.len() as GoalId;
-        self.goals.push(g);
         id
     }
 
@@ -544,13 +567,23 @@ impl BodyCompiler {
                 let expr = self.expr(e);
                 self.push(Instr::Test { expr, next })
             }
-            Goal::Not(inner) => {
-                let goal = self.goal((**inner).clone());
-                self.push(Instr::Not { goal, next })
+            // Sub-chains end at the shared pc-0 `Emit`; the executor runs
+            // them under their own continuation.
+            Goal::Not(g) => {
+                let inner = self.emit(g, 0);
+                self.push(Instr::Not { inner, next })
             }
-            Goal::DynSeq(_) => {
-                let goal = self.goal(g.clone());
-                self.push(Instr::DynSeq { goal, next })
+            Goal::DynSeq(items) => {
+                let mut entries: Vec<(ReadyCheck, Pc)> = items
+                    .iter()
+                    .rev()
+                    .map(|(check, g)| (check.clone(), self.emit(g, 0)))
+                    .collect();
+                entries.reverse();
+                self.push(Instr::DynSeq {
+                    items: entries.into(),
+                    next,
+                })
             }
             Goal::Invoke {
                 receiver,
@@ -577,37 +610,181 @@ impl BodyCompiler {
     }
 }
 
+/// Compiles one goal under the given entry facts.
+fn compile(
+    goal: &Goal,
+    mut must: HashSet<SlotId>,
+    mut may: HashSet<SlotId>,
+    this: ThisScope,
+) -> BcBody {
+    let mut modes = Vec::new();
+    analyze(goal, &mut must, &mut may, this, &mut modes);
+    let mut c = BodyCompiler {
+        instrs: Vec::new(),
+        exprs: Vec::new(),
+        names: Vec::new(),
+        modes,
+    };
+    c.push(Instr::Emit);
+    let entry = c.emit(goal, 0);
+    debug_assert!(c.modes.is_empty(), "unify modes left over after emission");
+    let mut bound = HashSet::new();
+    goal_may(goal, &mut bound);
+    BcBody {
+        entry,
+        instrs: c.instrs,
+        exprs: c.exprs,
+        names: c.names,
+        binds: !bound.is_empty(),
+    }
+}
+
 /// Compiles one solved form's goal to threaded bytecode. `entry_must` are
 /// the slots the mode seeds as bound (parameters for the forward mode, the
 /// first parameter for `equals_bound`, the caller-bound names for a
 /// standalone form, nothing for the matching mode).
 pub fn compile_body(form: &SolvedForm, entry_must: &[SlotId]) -> BcBody {
-    let mut must: HashSet<SlotId> = entry_must.iter().copied().collect();
-    let mut may = must.clone();
-    let mut modes = Vec::new();
-    analyze(
-        &form.goal,
-        &mut must,
-        &mut may,
-        form.this_present,
-        &mut modes,
-    );
-    let mut c = BodyCompiler {
-        instrs: Vec::new(),
-        exprs: Vec::new(),
-        goals: Vec::new(),
-        names: Vec::new(),
-        modes,
+    let must: HashSet<SlotId> = entry_must.iter().copied().collect();
+    let this = ThisScope {
+        must: form.this_present,
+        may: form.this_present,
     };
-    c.push(Instr::Emit);
-    let entry = c.emit(&form.goal, 0);
-    debug_assert!(c.modes.is_empty(), "unify modes left over after emission");
-    BcBody {
-        entry,
-        instrs: c.instrs,
-        exprs: c.exprs,
-        goals: c.goals,
-        names: c.names,
+    compile(&form.goal, must.clone(), must, this)
+}
+
+// ---------------------------------------------------------------------------
+// Goal positions outside a solved form's stream
+// ---------------------------------------------------------------------------
+
+/// Compiles a `where` or statement goal running in a frame of `nslots`
+/// slots. Nothing is known about the frame on entry, so every slot may be
+/// bound, none must be, and `this` may or may not be in scope: directions
+/// the analysis cannot prove stay [`UnifyMode::Dynamic`].
+fn compile_goal_plan(gp: &mut GoalPlan, nslots: usize) {
+    goal_wheres(&mut gp.goal, nslots);
+    let may = (0..nslots as SlotId).collect();
+    let this = ThisScope {
+        must: false,
+        may: true,
+    };
+    gp.bc = Some(compile(&gp.goal, HashSet::new(), may, this));
+}
+
+/// Compiles every `where` goal inside `e`, innermost first.
+fn expr_wheres(e: &mut PExpr, nslots: usize) {
+    match e {
+        PExpr::Where(p, g) => {
+            expr_wheres(p, nslots);
+            compile_goal_plan(g, nslots);
+        }
+        PExpr::Field(a, _, _) | PExpr::NewArray(_, a) | PExpr::Neg(a) => expr_wheres(a, nslots),
+        PExpr::Index(a, b) | PExpr::Binary(_, a, b) | PExpr::As(a, b) | PExpr::OrPat(a, b) => {
+            expr_wheres(a, nslots);
+            expr_wheres(b, nslots);
+        }
+        PExpr::Call { receiver, args, .. } => {
+            for e in receiver.iter_mut().map(|r| &mut **r).chain(args) {
+                expr_wheres(e, nslots);
+            }
+        }
+        PExpr::Tuple(xs) => xs.iter_mut().for_each(|x| expr_wheres(x, nslots)),
+        _ => {}
+    }
+}
+
+/// Compiles every `where` goal inside a goal's expressions. Readiness
+/// checks only test groundness and never run a `where`, so they are left
+/// alone.
+fn goal_wheres(g: &mut Goal, nslots: usize) {
+    match g {
+        Goal::Seq(gs) | Goal::Any(gs) => gs.iter_mut().for_each(|g| goal_wheres(g, nslots)),
+        Goal::DynSeq(items) => items.iter_mut().for_each(|(_, g)| goal_wheres(g, nslots)),
+        Goal::Not(g) => goal_wheres(g, nslots),
+        Goal::Unify(a, b) | Goal::Compare(_, a, b) => {
+            expr_wheres(a, nslots);
+            expr_wheres(b, nslots);
+        }
+        Goal::Invoke { receiver, args, .. } => {
+            for e in receiver.iter_mut().chain(args) {
+                expr_wheres(e, nslots);
+            }
+        }
+        Goal::Test(e) => expr_wheres(e, nslots),
+        Goal::True | Goal::Fail | Goal::Trivial => {}
+    }
+}
+
+/// Compiles every statement goal and `where` goal of a statement list.
+fn stmt_goals(stmts: &mut [StmtPlan], nslots: usize) {
+    for s in stmts {
+        match s {
+            StmtPlan::Let(g) => compile_goal_plan(g, nslots),
+            StmtPlan::Switch {
+                scrutinees,
+                cases,
+                bodies,
+                default,
+            } => {
+                for e in scrutinees
+                    .iter_mut()
+                    .chain(cases.iter_mut().flat_map(|c| &mut c.patterns))
+                {
+                    expr_wheres(e, nslots);
+                }
+                for b in bodies.iter_mut().chain(default) {
+                    stmt_goals(b, nslots);
+                }
+            }
+            StmtPlan::Cond { arms, else_arm } => {
+                for (g, body) in arms {
+                    compile_goal_plan(g, nslots);
+                    stmt_goals(body, nslots);
+                }
+                if let Some(b) = else_arm {
+                    stmt_goals(b, nslots);
+                }
+            }
+            StmtPlan::If { cond, then, els } => {
+                compile_goal_plan(cond, nslots);
+                for b in std::iter::once(then).chain(els) {
+                    stmt_goals(b, nslots);
+                }
+            }
+            StmtPlan::Foreach { goal: g, body, .. } | StmtPlan::While { cond: g, body } => {
+                compile_goal_plan(g, nslots);
+                stmt_goals(body, nslots);
+            }
+            StmtPlan::Return(Some(e))
+            | StmtPlan::Assign(_, e)
+            | StmtPlan::AssignUnsupported(e)
+            | StmtPlan::Expr(e) => expr_wheres(e, nslots),
+            StmtPlan::Return(None) => {}
+            StmtPlan::Block(b) => stmt_goals(b, nslots),
+        }
+    }
+}
+
+/// Compiles the `where` goals of a solved form's goal in place, so the
+/// form's own stream (compiled next) pools expressions that carry them.
+pub(crate) fn compile_form_goals(form: &mut SolvedForm) {
+    goal_wheres(&mut form.goal, form.frame.len());
+}
+
+/// The first step of pass 4 for one body: every `where` goal and every
+/// statement goal gets its own compiled [`BcBody`], in place.
+pub(crate) fn compile_goal_positions(body: &mut BodyPlan) {
+    match body {
+        BodyPlan::Formula {
+            forward,
+            matching,
+            equals_bound,
+        } => {
+            for form in [forward, matching].into_iter().chain(equals_bound) {
+                compile_form_goals(form);
+            }
+        }
+        BodyPlan::Block(bp) => stmt_goals(&mut bp.stmts, bp.frame.len()),
+        BodyPlan::Absent => {}
     }
 }
 
@@ -1674,7 +1851,7 @@ impl<'a> BlockCompiler<'a> {
             StmtPlan::Return(None) => {
                 self.push(SInstr::RetNull);
             }
-            StmtPlan::While { cond, body } => match cond {
+            StmtPlan::While { cond, body } => match &cond.goal {
                 Goal::Compare(op, l, r) => {
                     let guard = self.nguards;
                     self.nguards += 1;
@@ -2201,8 +2378,17 @@ impl fmt::Display for BcBody {
                 Instr::Test { expr, next } => {
                     writeln!(f, "test {} -> {next}", PE(&self.exprs[*expr as usize]))?;
                 }
-                Instr::Not { goal, next } => writeln!(f, "not goal#{goal} -> {next}")?,
-                Instr::DynSeq { goal, next } => writeln!(f, "dynseq goal#{goal} -> {next}")?,
+                Instr::Not { inner, next } => writeln!(f, "not {inner} -> {next}")?,
+                Instr::DynSeq { items, next } => {
+                    write!(f, "dynseq [")?;
+                    for (i, (_, pc)) in items.iter().enumerate() {
+                        if i > 0 {
+                            write!(f, ", ")?;
+                        }
+                        write!(f, "{pc}")?;
+                    }
+                    writeln!(f, "] -> {next}")?;
+                }
             }
         }
         Ok(())

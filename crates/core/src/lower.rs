@@ -7,8 +7,8 @@
 //! time. This module is that translation for the reproduction: it runs after
 //! class-table/mode resolution and compiles every method body — declarative
 //! formulas, `switch` dispatch, `foreach` enumeration, imperative blocks —
-//! into a [`Plan`] IR that `jmatch-runtime`'s plan evaluator executes
-//! directly.
+//! into a [`Plan`] IR, whose fourth pass compiles every goal and body to
+//! the [`crate::bytecode`] streams `jmatch-runtime`'s plan engine executes.
 //!
 //! The lowering performs three jobs the tree-walking interpreter used to
 //! redo on every call:
@@ -361,8 +361,9 @@ pub enum PExpr {
     As(Box<PExpr>, Box<PExpr>),
     /// `p1 # p2` / `p1 | p2` pattern disjunction.
     OrPat(Box<PExpr>, Box<PExpr>),
-    /// `p where (f)` — the formula is lowered to a goal.
-    Where(Box<PExpr>, Box<Goal>),
+    /// `p where (f)` — the formula is lowered to a goal that runs, in the
+    /// pattern's frame, after the pattern matched.
+    Where(Box<PExpr>, Box<GoalPlan>),
 }
 
 // ---------------------------------------------------------------------------
@@ -432,6 +433,38 @@ pub enum Goal {
     Trivial,
 }
 
+/// A goal outside a solved form's own instruction stream — a `where`
+/// refinement or the goal of a `let` / `if` / `cond` / `foreach` / `while`
+/// statement — together with the threaded bytecode pass 4 compiles it to.
+/// The goal tree is what analysis rewrites and pass 4 compiles from; the
+/// engines run only the bytecode.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GoalPlan {
+    /// The lowered goal.
+    pub goal: Goal,
+    /// Its threaded bytecode (`None` until pass 4 runs).
+    pub bc: Option<crate::bytecode::BcBody>,
+}
+
+impl GoalPlan {
+    fn new(goal: Goal) -> Self {
+        GoalPlan { goal, bc: None }
+    }
+
+    /// The compiled bytecode; see [`SolvedForm::code`].
+    pub fn code(&self) -> &crate::bytecode::BcBody {
+        code_of(&self.bc)
+    }
+}
+
+/// Unwraps pass-4 output for execution. Every plan an engine runs was
+/// compiled with [`PlanOptions::bytecode`] on; a plan that stopped before
+/// pass 4 exists only for compile-time measurement.
+fn code_of<T>(bc: &Option<T>) -> &T {
+    bc.as_ref()
+        .expect("plan compiled with `PlanOptions { bytecode: false }` cannot run")
+}
+
 // ---------------------------------------------------------------------------
 // Statements
 // ---------------------------------------------------------------------------
@@ -466,7 +499,7 @@ pub struct CasePlan {
 #[derive(Debug, Clone)]
 pub enum StmtPlan {
     /// `let f;` — commit to the first solution of the goal.
-    Let(Goal),
+    Let(GoalPlan),
     /// A `switch` with its dispatch plan.
     Switch {
         /// Scrutinee expressions.
@@ -481,14 +514,14 @@ pub enum StmtPlan {
     /// `cond { (f) {s} ... else {s} }`.
     Cond {
         /// The arms in order.
-        arms: Vec<(Goal, Vec<StmtPlan>)>,
+        arms: Vec<(GoalPlan, Vec<StmtPlan>)>,
         /// The `else` arm.
         else_arm: Option<Vec<StmtPlan>>,
     },
     /// `if (f) s else s`.
     If {
         /// Condition goal.
-        cond: Goal,
+        cond: GoalPlan,
         /// Then branch.
         then: Vec<StmtPlan>,
         /// Else branch.
@@ -497,7 +530,7 @@ pub enum StmtPlan {
     /// `foreach (f) { s }`.
     Foreach {
         /// The iterated goal.
-        goal: Goal,
+        goal: GoalPlan,
         /// Slots of variables the formula *declares* (used for the
         /// outer-update merge semantics).
         declared: Vec<SlotId>,
@@ -507,7 +540,7 @@ pub enum StmtPlan {
     /// `while (f) { s }`.
     While {
         /// Loop condition goal.
-        cond: Goal,
+        cond: GoalPlan,
         /// Loop body.
         body: Vec<StmtPlan>,
     },
@@ -550,8 +583,20 @@ pub struct SolvedForm {
     /// `false` when the analysis is disabled.
     pub det: bool,
     /// The form's threaded bytecode (pass 4 of [`ProgramPlan::compile`];
-    /// `None` when bytecode emission is disabled).
+    /// `None` only in a plan that stopped before pass 4).
     pub bc: Option<crate::bytecode::BcBody>,
+}
+
+impl SolvedForm {
+    /// The form's threaded bytecode: the one form the engines execute.
+    ///
+    /// # Panics
+    ///
+    /// When the plan was compiled with [`PlanOptions::bytecode`] off; such
+    /// a plan is for compile-time measurement and cannot run.
+    pub fn code(&self) -> &crate::bytecode::BcBody {
+        code_of(&self.bc)
+    }
 }
 
 /// A lowered imperative body.
@@ -564,8 +609,15 @@ pub struct BlockPlan {
     /// Slot of each declared parameter, in declaration order.
     pub param_slots: Vec<SlotId>,
     /// The body's register bytecode (pass 4 of [`ProgramPlan::compile`];
-    /// `None` when bytecode emission is disabled).
+    /// `None` only in a plan that stopped before pass 4).
     pub bc: Option<crate::bytecode::BcBlock>,
+}
+
+impl BlockPlan {
+    /// The body's register bytecode; see [`SolvedForm::code`].
+    pub fn code(&self) -> &crate::bytecode::BcBlock {
+        code_of(&self.bc)
+    }
 }
 
 /// The lowered body of one method.
@@ -616,8 +668,8 @@ pub struct MethodPlan {
     pub owner_layout: Option<Arc<ClassLayout>>,
     /// Pass-4 projection-constructor specialization: when the forward form
     /// is a pure `field = expr(params)` conjunction, forward construction
-    /// fills the layout straight from the arguments (`None` when bytecode
-    /// emission is disabled or the form needs the solver).
+    /// fills the layout straight from the arguments (`None` before pass 4
+    /// or when the form needs the solver).
     pub fast_ctor: Option<crate::bytecode::FastCtor>,
     /// Plans whose *bodies* this method's bytecode specialized against
     /// (inlined returned expressions, projection-switch shapes), recorded
@@ -714,9 +766,9 @@ impl DispatchRegistry {
 /// Options of [`ProgramPlan::compile_with`]: which optional passes run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanOptions {
-    /// Emit flat bytecode for every lowered body (pass 4). On by default;
-    /// the plan-walking baseline of the `bytecode_vs_plan` bench turns it
-    /// off.
+    /// Run pass 4, which compiles every goal and body to the bytecode the
+    /// engines execute. On by default. Off stops before pass 4: the plan is
+    /// for compile-time measurement and cannot run.
     pub bytecode: bool,
     /// Run the static-analysis pipeline (pass 3.5, [`crate::analysis`]):
     /// dead-alternative pruning, determinism inference, IR lints. On by
@@ -775,19 +827,6 @@ impl ProgramPlan {
     /// [`crate::bytecode`]).
     pub fn compile(table: Arc<ClassTable>) -> Arc<ProgramPlan> {
         Self::compile_with(table, PlanOptions::default())
-    }
-
-    /// [`ProgramPlan::compile`] with bytecode emission switchable — the
-    /// plan-walking baseline of the `bytecode_vs_plan` bench compiles with
-    /// `bytecode: false` so both configurations share every other pass.
-    pub fn compile_opts(table: Arc<ClassTable>, bytecode: bool) -> Arc<ProgramPlan> {
-        Self::compile_with(
-            table,
-            PlanOptions {
-                bytecode,
-                ..PlanOptions::default()
-            },
-        )
     }
 
     /// [`ProgramPlan::compile`] with every optional pass switchable.
@@ -1016,17 +1055,24 @@ impl ProgramPlan {
 
     /// Pass 4: emit the flat bytecode of every lowered body for which
     /// `need[pid]` holds (all bodies when `need` is `None`). The plan stays
-    /// alongside as the lowering source and the differential oracle. Block
-    /// bodies compile against the whole program (methods + dispatch tables)
-    /// so monomorphic call sites and field-projection switch arms can be
-    /// specialized, which is why the bytecode of all bodies is computed
-    /// first and attached after; the plans consulted along the way are
-    /// recorded as [`MethodPlan::bc_deps`].
+    /// alongside as the lowering source. Goal positions outside a solved
+    /// form's own stream (`where` refinements, statement goals) compile
+    /// first, in place, so every pooled copy of them carries its bytecode.
+    /// Block bodies then compile against the whole program (methods +
+    /// dispatch tables) so monomorphic call sites and field-projection
+    /// switch arms can be specialized, which is why the bytecode of all
+    /// bodies is computed first and attached after; the plans consulted
+    /// along the way are recorded as [`MethodPlan::bc_deps`].
     fn emit_bytecode(
         methods: &mut [Arc<MethodPlan>],
         dispatch: &[DispatchTable],
         need: Option<&[bool]>,
     ) {
+        for (pid, mp) in methods.iter_mut().enumerate() {
+            if need.is_none_or(|n| n[pid]) {
+                crate::bytecode::compile_goal_positions(&mut Arc::make_mut(mp).body);
+            }
+        }
         type Compiled = (
             Option<crate::bytecode::BcBlock>,
             Option<crate::bytecode::FastCtor>,
@@ -1575,7 +1621,7 @@ impl<'t> Lowerer<'t> {
                 let bp = self.pat_binds(p);
                 inner.apply(&bp);
                 let goal = self.lower_formula(f, &mut inner);
-                PExpr::Where(Box::new(lp), Box::new(goal))
+                PExpr::Where(Box::new(lp), Box::new(GoalPlan::new(goal)))
             }
         }
     }
@@ -1958,7 +2004,7 @@ impl<'t> Lowerer<'t> {
 
     fn lower_stmt(&mut self, stmt: &Stmt, st: &mut SlotState) -> StmtPlan {
         match stmt {
-            Stmt::Let(f) => StmtPlan::Let(self.lower_formula(f, st)),
+            Stmt::Let(f) => StmtPlan::Let(GoalPlan::new(self.lower_formula(f, st))),
             Stmt::Switch {
                 scrutinees,
                 cases,
@@ -2006,7 +2052,7 @@ impl<'t> Lowerer<'t> {
                     .iter()
                     .map(|(f, body)| {
                         let mut inner = st.clone();
-                        let goal = self.lower_formula(f, &mut inner);
+                        let goal = GoalPlan::new(self.lower_formula(f, &mut inner));
                         (goal, self.lower_block(body, &mut inner))
                     })
                     .collect();
@@ -2036,7 +2082,7 @@ impl<'t> Lowerer<'t> {
                     plan
                 });
                 StmtPlan::If {
-                    cond: goal,
+                    cond: GoalPlan::new(goal),
                     then: lowered_then,
                     els: lowered_else,
                 }
@@ -2051,7 +2097,7 @@ impl<'t> Lowerer<'t> {
                     .collect();
                 let lowered_body = self.lower_block(body, &mut inner);
                 StmtPlan::Foreach {
-                    goal,
+                    goal: GoalPlan::new(goal),
                     declared,
                     body: lowered_body,
                 }
@@ -2067,7 +2113,7 @@ impl<'t> Lowerer<'t> {
                     }
                 }
                 StmtPlan::While {
-                    cond: goal,
+                    cond: GoalPlan::new(goal),
                     body: lowered_body,
                 }
             }
@@ -2285,6 +2331,7 @@ pub fn lower_standalone(
         form.det = crate::analysis::standalone_facts(plan, &form, &bound_slots, this_class).det();
     }
     if plan.bytecode_enabled() {
+        crate::bytecode::compile_form_goals(&mut form);
         form.bc = Some(crate::bytecode::compile_body(&form, &bound_slots));
     }
     form
@@ -2366,7 +2413,7 @@ mod tests {
         let BodyPlan::Block(block) = &m.body else {
             panic!()
         };
-        let StmtPlan::Let(goal) = &block.stmts[0] else {
+        let StmtPlan::Let(GoalPlan { goal, .. }) = &block.stmts[0] else {
             panic!()
         };
         // Conjunct 0 (`int x = int y`) is never must-ready, so scheduling

@@ -10,9 +10,9 @@
 //! solution, not of the whole enumeration.
 //!
 //! ```text
-//! Compiler ──compile──▶ Program ──method/ctor──▶ MethodRef / CtorRef
-//!                          │                          │
-//!                          └──deconstruct/solve──▶ Query ──solutions──▶ Solutions
+//! Workspace ──compile──▶ Program ──method/ctor──▶ MethodRef / CtorRef
+//!                           │                          │
+//!                           └──deconstruct/solve──▶ Query ──solutions──▶ Solutions
 //! ```
 //!
 //! [`Program`] is cheap to clone and `Send + Sync`, so one compilation can
@@ -24,16 +24,15 @@
 //! one solution ahead of the consumer.
 
 use crate::eval::{Budget, Ev, Frame, MAX_DEPTH};
-use crate::machine::{Machine, MachineCode};
+use crate::machine::Machine;
 use crate::par::{self, ParJob, ParMode};
 use crate::tree::TreeWalker;
 use crate::{Bindings, Engine, RtError, RtResult, Value};
 use jmatch_core::diag::Diagnostics;
 use jmatch_core::lower::{BodyPlan, FrameLayout, PlanId, ProgramPlan, SlotId, SolvedForm};
 use jmatch_core::table::ClassTable;
-use jmatch_core::{CompileOptions, Warning};
+use jmatch_core::Warning;
 use jmatch_syntax::ast::{Formula, MethodBody, Param, Type};
-use jmatch_syntax::ParseError;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -76,143 +75,6 @@ impl Default for Limits {
             max_depth: MAX_DEPTH,
             max_steps: u64::MAX,
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Compiler
-// ---------------------------------------------------------------------------
-
-/// One-shot builder, superseded by [`Workspace`](crate::Workspace).
-///
-/// `Compiler` compiles one source string and forgets everything, so every
-/// edit pays a whole-program rebuild. [`Workspace`](crate::Workspace) has
-/// the same fluent setters and defaults but keeps fingerprints, plans and
-/// solver sessions across edits, rebuilding only what changed — this type
-/// is now a thin shim over it (one-shot build == a workspace with a single
-/// generation) and will be removed in a future release.
-///
-/// Migration is mechanical:
-///
-/// ```
-/// use jmatch_runtime::{args, Value, Workspace};
-///
-/// let mut ws = Workspace::new().verify(false);
-/// let program = ws.compile(
-///     "class Box {
-///          int v;
-///          constructor of(int n) returns(n) ( v = n )
-///      }
-///      static int unbox(Box b) {
-///          switch (b) { case of(int n): return n; }
-///      }",
-/// )?;
-/// let of = program.ctor("Box", "of")?;
-/// let unbox = program.free_method("unbox")?;
-/// let boxed = of.construct(args![7])?;
-/// assert_eq!(unbox.call(None, args![boxed])?, Value::Int(7));
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Workspace` (same setters; `Workspace::new().compile(src)` one-shot, \
-            `load`/`update_source`/`update_method` incremental) — see the README migration table"
-)]
-#[derive(Debug, Clone)]
-pub struct Compiler {
-    verify: bool,
-    engine: Engine,
-    bytecode: bool,
-    analysis: bool,
-    max_expansion_depth: u32,
-    limits: Limits,
-}
-
-#[allow(deprecated)]
-impl Compiler {
-    /// A compiler with verification on, the plan engine, and default
-    /// limits.
-    pub fn new() -> Self {
-        Compiler {
-            verify: true,
-            engine: Engine::Plan,
-            bytecode: true,
-            analysis: true,
-            max_expansion_depth: CompileOptions::default().max_expansion_depth,
-            limits: Limits::default(),
-        }
-    }
-
-    /// Whether to run the static verification passes (exhaustiveness,
-    /// redundancy, totality, disjointness, multiplicity).
-    pub fn verify(mut self, on: bool) -> Self {
-        self.verify = on;
-        self
-    }
-
-    /// Which execution engine queries and calls run on.
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Whether lowering's fourth materialization pass compiles each solved
-    /// form to flat register bytecode (on by default). With it off, the
-    /// plan engines walk the goal trees and statement plans directly —
-    /// same solutions, same order, same errors; `tests/differential.rs`
-    /// holds either way.
-    pub fn bytecode(mut self, on: bool) -> Self {
-        self.bytecode = on;
-        self
-    }
-
-    /// Whether lowering runs the plan-analysis pass
-    /// ([`jmatch_core::analysis`], on by default): determinism inference
-    /// (so the engines commit instead of keeping choice points),
-    /// dead-alternative pruning, and the IR lints behind
-    /// [`Program::lints`]. With it off the unanalyzed plan runs as the
-    /// differential oracle — same solutions, same order, same errors.
-    pub fn analysis(mut self, on: bool) -> Self {
-        self.analysis = on;
-        self
-    }
-
-    /// Iterative-deepening bound for the verifier's lazy expansion (§6.2).
-    pub fn max_expansion_depth(mut self, depth: u32) -> Self {
-        self.max_expansion_depth = depth;
-        self
-    }
-
-    /// Default work ceilings for every query and call of the program.
-    pub fn limits(mut self, limits: Limits) -> Self {
-        self.limits = limits;
-        self
-    }
-
-    /// Parses, resolves, (optionally) verifies, and lowers `source` into a
-    /// [`Program`] — now literally a single-generation
-    /// [`Workspace`](crate::Workspace) build.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ParseError`] if the source is not syntactically valid;
-    /// semantic problems are reported through [`Program::diagnostics`].
-    pub fn compile(&self, source: &str) -> Result<Program, ParseError> {
-        crate::Workspace::new()
-            .verify(self.verify)
-            .engine(self.engine)
-            .bytecode(self.bytecode)
-            .analysis(self.analysis)
-            .max_expansion_depth(self.max_expansion_depth)
-            .limits(self.limits)
-            .compile(source)
-    }
-}
-
-#[allow(deprecated)]
-impl Default for Compiler {
-    fn default() -> Self {
-        Compiler::new()
     }
 }
 
@@ -294,7 +156,7 @@ impl Program {
     /// The plan-analysis lints ([`jmatch_core::analysis`]): unused
     /// bindings, always-failing invokes, dead modes, unbounded left
     /// recursion. Empty when compiled with
-    /// [`Compiler::analysis`]`(false)`.
+    /// [`Workspace::analysis`](crate::Workspace::analysis)`(false)`.
     pub fn lints(&self) -> &[Warning] {
         self.plan
             .analysis()
@@ -303,7 +165,8 @@ impl Program {
     }
 
     /// The full plan-analysis report (facts, prunes, lints), or `None`
-    /// when compiled with [`Compiler::analysis`]`(false)`.
+    /// when compiled with
+    /// [`Workspace::analysis`](crate::Workspace::analysis)`(false)`.
     pub fn analysis(&self) -> Option<&jmatch_core::AnalysisReport> {
         self.plan.analysis()
     }
@@ -369,8 +232,8 @@ impl Program {
     /// imperative one. Pass `class: None` for free-standing methods.
     ///
     /// The text is the stable [`std::fmt::Display`] form of
-    /// [`jmatch_core::bytecode::BcBody`] / [`jmatch_core::bytecode::BcBlock`]
-    /// and is empty when the program was compiled without bytecode.
+    /// [`jmatch_core::bytecode::BcBody`] / [`jmatch_core::bytecode::BcBlock`];
+    /// a method without a body disassembles to the empty string.
     ///
     /// # Errors
     ///
@@ -403,17 +266,15 @@ impl Program {
                     ("equals-bound", equals_bound.as_ref()),
                 ];
                 for (label, form) in forms {
-                    if let Some(bc) = form.and_then(|f| f.bc.as_ref()) {
+                    if let Some(form) = form {
                         let _ = writeln!(out, "; {qual} [{label}]");
-                        let _ = write!(out, "{bc}");
+                        let _ = write!(out, "{}", form.code());
                     }
                 }
             }
             BodyPlan::Block(bp) => {
-                if let Some(bc) = &bp.bc {
-                    let _ = writeln!(out, "; {qual} [block]");
-                    let _ = write!(out, "{bc}");
-                }
+                let _ = writeln!(out, "; {qual} [block]");
+                let _ = write!(out, "{}", bp.code());
             }
             BodyPlan::Absent => {}
         }
@@ -1185,7 +1046,7 @@ impl Query<'_> {
                 };
                 let machine = Machine::new(
                     plan,
-                    MachineCode::of_form(matching),
+                    matching.code(),
                     vec![None; matching.frame.len()],
                     Some(value.clone()),
                     self.limits.max_depth,
@@ -1211,7 +1072,7 @@ impl Query<'_> {
                 }
                 let machine = Machine::new(
                     plan,
-                    MachineCode::of_form(form),
+                    form.code(),
                     root,
                     this.clone(),
                     self.limits.max_depth,

@@ -1,21 +1,26 @@
 //! The plan evaluator: executes the query plans produced by
-//! [`jmatch_core::lower`].
+//! [`jmatch_core::lower`], compiled to [`jmatch_core::bytecode`].
 //!
 //! Where the legacy tree-walker re-derives a solving order for every formula
 //! at every call and clones a `HashMap` environment per emitted solution,
-//! the evaluator runs a [`SolvedForm`]'s
-//! goal over a flat frame of variable slots (`Vec<Option<Value>>`):
+//! the evaluator runs a goal's threaded [`BcBody`] over a flat frame of
+//! variable slots (`Vec<Option<Value>>`). Every goal runs this way — solved
+//! forms, `where` refinements and statement goals alike:
 //!
 //! * **bindings** are slot writes, undone by scope when a choice point is
 //!   exhausted (the moral equivalent of a trail in a WAM-style machine);
-//! * **conjunctions** follow the statically scheduled order of
-//!   [`Goal::Seq`], falling back to run-time selection only for
-//!   [`Goal::DynSeq`];
+//! * **conjunctions** thread through the statically scheduled `next` pcs,
+//!   falling back to run-time selection only for [`Instr::DynSeq`];
 //! * **calls** resolve through the plan's precompiled dispatch indices
 //!   instead of walking the supertype chain;
 //! * **choice points** (disjunctions, constructor matches) are explored by
-//!   enumerating each branch against the continuation, so deeper frames
-//!   stack explicitly per invocation rather than per cloned environment.
+//!   enumerating each alternative against the continuation closure, so
+//!   deeper frames stack explicitly per invocation rather than per cloned
+//!   environment.
+//!
+//! Imperative bodies run as [`BcBlock`] register code; statements without a
+//! register lowering go through the statement interpreter
+//! ([`Ev::exec_stmt`]), whose goals are again bytecode.
 //!
 //! The observable behavior — values, bindings, enumeration order, and
 //! failures — is kept identical to the tree-walker's; `tests/differential.rs`
@@ -25,7 +30,7 @@ use crate::{Bindings, Flow, Object, RtError, RtResult, Value};
 use jmatch_core::bytecode::{BcBlock, BcBody, Const as BcConst, Instr, Pc, SInstr, UnifyMode};
 use jmatch_core::intern::Sym;
 use jmatch_core::lower::{
-    BodyPlan, CallKind, CaseGuard, CaseTarget, ClassCheck, ClassRef, DispatchId, Goal, PExpr,
+    BodyPlan, CallKind, CaseGuard, CaseTarget, ClassCheck, ClassRef, DispatchId, GoalPlan, PExpr,
     PlanId, ProgramPlan, ReadyCheck, SlotId, SolvedForm, StmtPlan,
 };
 use jmatch_core::table::ClassTable;
@@ -231,94 +236,6 @@ impl Default for Budget {
     }
 }
 
-/// The plan-based execution engine.
-#[derive(Debug, Clone)]
-pub struct PlanInterp {
-    plan: Arc<ProgramPlan>,
-}
-
-impl PlanInterp {
-    /// Creates an engine over a compiled program plan.
-    pub fn new(plan: Arc<ProgramPlan>) -> Self {
-        PlanInterp { plan }
-    }
-
-    /// The compiled program plan.
-    pub fn plan(&self) -> &Arc<ProgramPlan> {
-        &self.plan
-    }
-
-    /// Invokes a named or class constructor of `class` in the forward mode.
-    pub fn construct(&self, class: &str, ctor: &str, args: Vec<Value>) -> RtResult<Value> {
-        let mut budget = Budget::default();
-        Ev::new(&self.plan, &mut budget).construct(class, ctor, args)
-    }
-
-    /// Calls a free-standing (top-level) method.
-    pub fn call_free(&self, name: &str, args: Vec<Value>) -> RtResult<Value> {
-        let mut budget = Budget::default();
-        Ev::new(&self.plan, &mut budget).call_free(name, args)
-    }
-
-    /// Calls an instance method in the forward mode.
-    pub fn call_method(&self, receiver: &Value, name: &str, args: Vec<Value>) -> RtResult<Value> {
-        let mut budget = Budget::default();
-        Ev::new(&self.plan, &mut budget).call_method(receiver, name, args)
-    }
-
-    /// Enumerates the solutions of matching `value` against the named
-    /// constructor `ctor` (the backward mode).
-    pub fn deconstruct(&self, value: &Value, ctor: &str) -> RtResult<Vec<Vec<Value>>> {
-        let mut budget = Budget::default();
-        Ev::new(&self.plan, &mut budget).deconstruct(value, ctor)
-    }
-
-    /// Tests whether `value` matches the named constructor `ctor`.
-    pub fn matches_constructor(&self, value: &Value, ctor: &str) -> RtResult<bool> {
-        let mut budget = Budget::default();
-        Ev::new(&self.plan, &mut budget).matches_constructor(value, ctor)
-    }
-
-    /// Deep equality, using equality constructors across implementations.
-    pub fn values_equal(&self, a: &Value, b: &Value) -> RtResult<bool> {
-        let mut budget = Budget::default();
-        Ev::new(&self.plan, &mut budget).values_equal(a, b)
-    }
-
-    /// Enumerates the solutions of an ad-hoc formula: the formula is lowered
-    /// on the fly against the entry bindings (a standalone solved form) and
-    /// run by the plan evaluator.
-    pub fn solve(
-        &self,
-        env: &Bindings,
-        this: Option<&Value>,
-        f: &Formula,
-        emit: &mut dyn FnMut(&Bindings) -> bool,
-    ) -> RtResult<()> {
-        let bound: Vec<&str> = env.keys().map(String::as_str).collect();
-        let this_class = this.map(|t| t.class().unwrap_or(""));
-        let form = jmatch_core::lower::lower_standalone(&self.plan, f, &bound, this_class);
-        let mut fr: Frame = vec![None; form.frame.len()];
-        for (name, v) in env {
-            if let Some(s) = form.frame.slot_of(name) {
-                fr[s as usize] = Some(v.clone());
-            }
-        }
-        let mut budget = Budget::default();
-        let mut ev = Ev::new(&self.plan, &mut budget);
-        ev.solve_form(&mut fr, this, &form, &mut |_, fr| {
-            let mut out = Bindings::new();
-            for (i, v) in fr.iter().enumerate() {
-                if let Some(v) = v {
-                    out.insert(form.frame.name_of(i as SlotId).to_owned(), v.clone());
-                }
-            }
-            Ok(emit(&out))
-        })?;
-        Ok(())
-    }
-}
-
 /// One evaluation session: borrows the plan and a work budget, and tracks
 /// the recursion guard.
 pub(crate) struct Ev<'p, 'b> {
@@ -429,23 +346,6 @@ impl<'p, 'b> Ev<'p, 'b> {
             declared
         };
         self.run_forward(pid, None, args)
-    }
-
-    pub(crate) fn call_free(&mut self, name: &str, args: Vec<Value>) -> RtResult<Value> {
-        let pid = self
-            .plan
-            .lookup_free(name)
-            .ok_or_else(|| RtError::method_not_found("<toplevel>", name))?;
-        self.run_forward(pid, None, args)
-    }
-
-    pub(crate) fn call_method(
-        &mut self,
-        receiver: &Value,
-        name: &str,
-        args: Vec<Value>,
-    ) -> RtResult<Value> {
-        self.dispatch_method(receiver, name, None, args)
     }
 
     /// Forward call dispatched on the receiver's runtime class, through the
@@ -761,10 +661,7 @@ impl<'p, 'b> Ev<'p, 'b> {
                 for (&s, v) in bp.param_slots.iter().zip(args) {
                     fr[s as usize] = Some(v);
                 }
-                let flow = match &bp.bc {
-                    Some(bc) => self.exec_bc_block(&mut fr, this.as_ref(), bc)?,
-                    None => self.exec_block(&mut fr, this.as_ref(), &bp.stmts)?,
-                };
+                let flow = self.exec_bc_block(&mut fr, this.as_ref(), bp.code())?;
                 self.recycle_frame(fr);
                 match flow {
                     Flow::Return(v) => Ok(v),
@@ -898,9 +795,8 @@ impl<'p, 'b> Ev<'p, 'b> {
     // Bytecode execution (threaded formula code)
     // ------------------------------------------------------------------
 
-    /// Enumerates the solutions of a solved form: through its threaded
-    /// bytecode when the plan's pass 4 emitted one, through the goal tree
-    /// otherwise. Both produce identical solutions in identical order.
+    /// Enumerates the solutions of a solved form through its threaded
+    /// bytecode.
     ///
     /// Forms the determinism analysis annotated `det` commit: after the
     /// first solution the remaining search is abandoned, which the
@@ -921,16 +817,21 @@ impl<'p, 'b> Ev<'p, 'b> {
                 keep = emit(ev, fr)?;
                 Ok(false) // commit: the analysis proved no further solutions
             };
-            match &form.bc {
-                Some(bc) => self.solve_bc(fr, this, bc, bc.entry, &mut det_emit)?,
-                None => self.solve(fr, this, &form.goal, &mut det_emit)?,
-            };
+            self.solve_goal(fr, this, form.code(), &mut det_emit)?;
             return Ok(if emitted { keep } else { true });
         }
-        match &form.bc {
-            Some(bc) => self.solve_bc(fr, this, bc, bc.entry, emit),
-            None => self.solve(fr, this, &form.goal, emit),
-        }
+        self.solve_goal(fr, this, form.code(), emit)
+    }
+
+    /// Enumerates the solutions of a compiled goal from its entry.
+    fn solve_goal(
+        &mut self,
+        fr: &mut Frame,
+        this: Option<&Value>,
+        bc: &BcBody,
+        emit: Emit<'_>,
+    ) -> RtResult<bool> {
+        self.solve_bc(fr, this, bc, bc.entry, emit)
     }
 
     /// Runs threaded bytecode from `pc`: one budget step and one depth
@@ -1120,9 +1021,9 @@ impl<'p, 'b> Ev<'p, 'b> {
                         }
                     }
                 }
-                Instr::Not { goal, next } => {
+                Instr::Not { inner, next } => {
                     let mut found = false;
-                    self.solve(fr, this, &bc.goals[*goal as usize], &mut |_, _| {
+                    self.solve_bc(fr, this, bc, *inner, &mut |_, _| {
                         found = true;
                         Ok(false)
                     })?;
@@ -1132,200 +1033,28 @@ impl<'p, 'b> Ev<'p, 'b> {
                     }
                     return Ok(true);
                 }
-                Instr::DynSeq { goal, next } => {
-                    let next = *next;
-                    return self.solve(fr, this, &bc.goals[*goal as usize], &mut |ev, fr| {
-                        ev.solve_bc(fr, this, bc, next, &mut *emit)
-                    });
+                Instr::DynSeq { items, next } => {
+                    let remaining: Vec<usize> = (0..items.len()).collect();
+                    return self.run_ready(fr, this, bc, items, &remaining, *next, emit);
                 }
             }
         }
     }
 
-    // ------------------------------------------------------------------
-    // Goal solving
-    // ------------------------------------------------------------------
-
-    /// Enumerates the solutions of a goal. Returns `Ok(false)` when the
-    /// continuation asked to stop.
-    pub(crate) fn solve(
+    /// The run-time scheduling of an [`Instr::DynSeq`]: runs the first
+    /// remaining item whose readiness check holds on the *current*
+    /// bindings, re-selecting after every solution of it, and continues at
+    /// `next` once no item remains — exactly the tree-walker's "first ready
+    /// conjunct" rule.
+    #[allow(clippy::too_many_arguments)]
+    fn run_ready(
         &mut self,
         fr: &mut Frame,
         this: Option<&Value>,
-        g: &Goal,
-        emit: Emit<'_>,
-    ) -> RtResult<bool> {
-        self.budget.step()?;
-        self.depth += 1;
-        if self.depth > self.budget.max_depth {
-            self.depth -= 1;
-            return Err(RtError::limit(
-                "depth",
-                self.budget.max_depth as u64,
-                "solver recursion limit exceeded",
-            ));
-        }
-        let r = self.solve_inner(fr, this, g, emit);
-        self.depth -= 1;
-        r
-    }
-
-    fn solve_inner(
-        &mut self,
-        fr: &mut Frame,
-        this: Option<&Value>,
-        g: &Goal,
-        emit: Emit<'_>,
-    ) -> RtResult<bool> {
-        match g {
-            Goal::True | Goal::Trivial => emit(self, fr),
-            Goal::Fail => Ok(true),
-            Goal::Seq(goals) => self.solve_seq(fr, this, goals, emit),
-            Goal::DynSeq(items) => {
-                let remaining: Vec<usize> = (0..items.len()).collect();
-                self.solve_dynseq(fr, this, items, &remaining, emit)
-            }
-            Goal::Any(branches) => {
-                for b in branches {
-                    if !self.solve(fr, this, b, emit)? {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
-            }
-            Goal::Not(inner) => {
-                let mut found = false;
-                self.solve(fr, this, inner, &mut |_, _| {
-                    found = true;
-                    Ok(false)
-                })?;
-                if !found {
-                    emit(self, fr)
-                } else {
-                    Ok(true)
-                }
-            }
-            Goal::Unify(lhs, rhs) => {
-                let lg = self.ground(fr, this, lhs);
-                let rg = self.ground(fr, this, rhs);
-                match (lg, rg) {
-                    (true, true) => {
-                        let a = self.eval(fr, this, lhs)?;
-                        let b = self.eval(fr, this, rhs)?;
-                        if self.values_equal(&a, &b)? {
-                            emit(self, fr)
-                        } else {
-                            Ok(true)
-                        }
-                    }
-                    (true, false) => {
-                        let v = self.eval(fr, this, lhs)?;
-                        self.match_pat(fr, this, rhs, &v, emit)
-                    }
-                    (false, true) => {
-                        let v = self.eval(fr, this, rhs)?;
-                        self.match_pat(fr, this, lhs, &v, emit)
-                    }
-                    (false, false) => Err(RtError::new(format!(
-                        "equation with unknowns on both sides is not solvable: {lhs:?} = {rhs:?}"
-                    ))),
-                }
-            }
-            Goal::Compare(op, lhs, rhs) => {
-                let a = self.eval(fr, this, lhs)?;
-                let b = self.eval(fr, this, rhs)?;
-                let (x, y) = match (a.as_int(), b.as_int()) {
-                    (Some(x), Some(y)) => (x, y),
-                    _ => {
-                        if *op == CmpOp::Ne {
-                            if !self.values_equal(&a, &b)? {
-                                return emit(self, fr);
-                            }
-                            return Ok(true);
-                        }
-                        return Err(RtError::new("ordering comparison on non-integers"));
-                    }
-                };
-                let holds = match op {
-                    CmpOp::Le => x <= y,
-                    CmpOp::Lt => x < y,
-                    CmpOp::Ge => x >= y,
-                    CmpOp::Gt => x > y,
-                    CmpOp::Ne => x != y,
-                    CmpOp::Eq => x == y,
-                };
-                if holds {
-                    emit(self, fr)
-                } else {
-                    Ok(true)
-                }
-            }
-            Goal::Invoke {
-                receiver,
-                name,
-                args,
-                dispatch,
-            } => {
-                let subject: Value = match receiver {
-                    Some(r) if self.ground(fr, this, r) => self.eval(fr, this, r)?,
-                    None => this
-                        .cloned()
-                        .ok_or_else(|| RtError::new("predicate call without a receiver"))?,
-                    Some(_) => {
-                        return Err(RtError::new("predicate receiver is not ground"));
-                    }
-                };
-                match &subject {
-                    Value::Obj(o) => {
-                        let Some(pid) = self.resolve_dispatch(*dispatch, o, name) else {
-                            return Err(RtError::method_not_found(o.class(), name));
-                        };
-                        self.match_constructor(fr, &subject, pid, args, emit)
-                    }
-                    Value::Bool(b) => {
-                        if *b {
-                            emit(self, fr)
-                        } else {
-                            Ok(true)
-                        }
-                    }
-                    other => Err(RtError::new(format!(
-                        "cannot use `{other}` as a predicate receiver"
-                    ))),
-                }
-            }
-            Goal::Test(e) => {
-                let v = self.eval(fr, this, e)?;
-                if v.as_bool() == Some(true) {
-                    emit(self, fr)
-                } else {
-                    Ok(true)
-                }
-            }
-        }
-    }
-
-    fn solve_seq(
-        &mut self,
-        fr: &mut Frame,
-        this: Option<&Value>,
-        goals: &[Goal],
-        emit: Emit<'_>,
-    ) -> RtResult<bool> {
-        match goals.split_first() {
-            None => emit(self, fr),
-            Some((g, rest)) => self.solve(fr, this, g, &mut |ev, fr| {
-                ev.solve_seq(fr, this, rest, emit)
-            }),
-        }
-    }
-
-    fn solve_dynseq(
-        &mut self,
-        fr: &mut Frame,
-        this: Option<&Value>,
-        items: &[(ReadyCheck, Goal)],
+        bc: &BcBody,
+        items: &[(ReadyCheck, Pc)],
         remaining: &[usize],
+        next: Pc,
         emit: Emit<'_>,
     ) -> RtResult<bool> {
         let Some(&chosen) = remaining
@@ -1333,15 +1062,15 @@ impl<'p, 'b> Ev<'p, 'b> {
             .find(|&&i| self.check_ready(fr, this, &items[i].0))
         else {
             if remaining.is_empty() {
-                return emit(self, fr);
+                return self.solve_bc(fr, this, bc, next, emit);
             }
             return Err(RtError::new(
                 "formula is not solvable: no conjunct can run with the current bindings",
             ));
         };
         let rest: Vec<usize> = remaining.iter().copied().filter(|&i| i != chosen).collect();
-        self.solve(fr, this, &items[chosen].1, &mut |ev, fr| {
-            ev.solve_dynseq(fr, this, items, &rest, emit)
+        self.solve_bc(fr, this, bc, items[chosen].1, &mut |ev, fr| {
+            ev.run_ready(fr, this, bc, items, &rest, next, emit)
         })
     }
 
@@ -1444,7 +1173,7 @@ impl<'p, 'b> Ev<'p, 'b> {
                 self.match_pat(fr, this, b, value, emit)
             }
             PExpr::Where(p, goal) => self.match_pat(fr, this, p, value, &mut |ev, fr| {
-                ev.solve(fr, this, goal, emit)
+                ev.solve_goal(fr, this, goal.code(), emit)
             }),
             PExpr::Call {
                 receiver,
@@ -1879,15 +1608,15 @@ impl<'p, 'b> Ev<'p, 'b> {
         Ok(Flow::Normal)
     }
 
-    /// First solution of a goal, as a frame snapshot.
+    /// First solution of a statement goal, as a frame snapshot.
     fn first_solution(
         &mut self,
         fr: &mut Frame,
         this: Option<&Value>,
-        goal: &Goal,
+        goal: &GoalPlan,
     ) -> RtResult<Option<Frame>> {
         let mut sol = None;
-        self.solve(fr, this, goal, &mut |_, f| {
+        self.solve_goal(fr, this, goal.code(), &mut |_, f| {
             sol = Some(f.clone());
             Ok(false)
         })?;
@@ -1895,21 +1624,19 @@ impl<'p, 'b> Ev<'p, 'b> {
     }
 
     /// Commits the first solution of a goal into `fr` (the `let` / `while`
-    /// semantics), returning whether one existed. Goals that bind nothing
-    /// — comparisons, ground tests, negation — skip the frame snapshot
-    /// entirely: the common `while (i < n)` shape costs no allocation.
+    /// semantics), returning whether one existed. Goals whose bytecode
+    /// binds nothing — comparisons, ground tests, negation — skip the frame
+    /// snapshot entirely: the common `while (i < n)` shape costs no
+    /// allocation.
     fn commit_first(
         &mut self,
         fr: &mut Frame,
         this: Option<&Value>,
-        goal: &Goal,
+        goal: &GoalPlan,
     ) -> RtResult<bool> {
-        if matches!(
-            goal,
-            Goal::Compare(..) | Goal::Test(_) | Goal::Not(_) | Goal::True | Goal::Fail
-        ) {
+        if !goal.code().binds {
             let mut found = false;
-            self.solve(fr, this, goal, &mut |_, _| {
+            self.solve_goal(fr, this, goal.code(), &mut |_, _| {
                 found = true;
                 Ok(false)
             })?;
@@ -1927,7 +1654,7 @@ impl<'p, 'b> Ev<'p, 'b> {
     /// Runs an imperative body through its register bytecode. Statement
     /// shapes without a register lowering delegate to [`Ev::exec_stmt`],
     /// so the observable semantics (solution-frame scoping, error order)
-    /// match [`Ev::exec_block`] exactly.
+    /// are the statement interpreter's.
     fn exec_bc_block(
         &mut self,
         fr: &mut Frame,
@@ -2331,7 +2058,7 @@ impl<'p, 'b> Ev<'p, 'b> {
                 body,
             } => {
                 let mut solutions: Vec<Frame> = Vec::new();
-                self.solve(fr, this, goal, &mut |_, f| {
+                self.solve_goal(fr, this, goal.code(), &mut |_, f| {
                     solutions.push(f.clone());
                     Ok(true)
                 })?;

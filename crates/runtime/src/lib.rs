@@ -6,9 +6,11 @@
 //! through the corresponding two-stage pipeline:
 //!
 //! 1. [`jmatch_core::lower`] compiles every method body into a
-//!    mode-specialized query plan (one-time work per program), and
-//! 2. the **plan evaluator** ([`PlanInterp`]) runs those plans over flat
-//!    slot frames with explicit choice points.
+//!    mode-specialized query plan and then into threaded bytecode
+//!    ([`jmatch_core::bytecode`]; one-time work per program), and
+//! 2. the **plan engine** runs that bytecode over flat slot frames with
+//!    explicit choice points — a recursive evaluator for calls and a
+//!    resumable stack machine behind [`Solutions`].
 //!
 //! The original **tree-walking interpreter** ([`TreeWalker`]) — which
 //! re-discovers the solving order for every formula at every call — remains
@@ -93,17 +95,14 @@
 #![forbid(unsafe_code)]
 
 mod api;
-pub mod eval;
+mod eval;
 mod machine;
 mod par;
 pub mod serve;
 pub mod tree;
 pub mod workspace;
 
-#[allow(deprecated)]
-pub use api::Compiler;
 pub use api::{CtorRef, Limits, MethodRef, Program, Query, Solutions};
-pub use eval::PlanInterp;
 pub use tree::TreeWalker;
 pub use workspace::{Generation, RebuildReport, Workspace};
 

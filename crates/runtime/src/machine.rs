@@ -1,4 +1,4 @@
-//! The resumable solver: an explicit stack machine over lowered goals.
+//! The resumable solver: an explicit stack machine over threaded bytecode.
 //!
 //! The paper compiles JMatch to Java_yield — coroutines that *lazily* yield
 //! one solution at a time, so a `foreach` over a backward-mode method does
@@ -8,13 +8,14 @@
 //! the caller gets *pushed* solutions and the only way to stop is to refuse
 //! them after the work is done.
 //!
-//! This module is the pull-based counterpart. The choice-point recursion of
-//! the evaluator is reified into explicit machine state:
+//! This module is the pull-based counterpart. It runs the same
+//! [`BcBody`] instruction streams, with the choice-point recursion of the
+//! evaluator reified into explicit machine state:
 //!
 //! * a **continuation stack** ([`Step`]s linked through persistent
 //!   [`Rc`] nodes, so choice points capture it in O(1)),
 //! * a **choice-point stack** recording the untried alternatives of each
-//!   disjunction / or-pattern,
+//!   `Choice` instruction / or-pattern,
 //! * a **trail** of slot writes plus a frame-arena mark per choice point, so
 //!   backtracking undoes bindings without cloning frames, and
 //! * a **frame arena** holding one flat slot frame per active constructor
@@ -33,10 +34,11 @@
 //! recursive evaluator ([`Ev`]) on the shared [`Budget`]: they produce a
 //! single answer and never need to be resumed, so reifying them would buy
 //! nothing. The enumeration *spine* (conjunction scheduling, disjunction
-//! branches, constructor matching, pattern disjunction) is what the machine
-//! makes resumable, and its observable behavior — values, bindings,
-//! enumeration order, failures — is kept identical to the recursive
-//! evaluator's and the tree-walker's; `tests/differential.rs` asserts it.
+//! branches, constructor matching, pattern disjunction, `where` goals) is
+//! what the machine makes resumable, and its observable behavior — values,
+//! bindings, enumeration order, failures — is kept identical to the
+//! recursive evaluator's and the tree-walker's; `tests/differential.rs`
+//! asserts it.
 //!
 //! The explicit choice-point stack is also what the OR-parallel executor
 //! ([`crate::par`]) exploits: every multi-alternative choice point is
@@ -53,46 +55,23 @@ use crate::eval::{Budget, Ev, Frame};
 use crate::{RtError, RtResult, Value};
 use jmatch_core::bytecode::{BcBody, Instr, Pc, UnifyMode};
 use jmatch_core::lower::{
-    BodyPlan, CallKind, DispatchId, Goal, PExpr, PlanId, ProgramPlan, ReadyCheck, SlotId,
-    SolvedForm,
+    BodyPlan, CallKind, DispatchId, PExpr, PlanId, ProgramPlan, ReadyCheck, SlotId,
 };
 use jmatch_syntax::ast::{BinOp, CmpOp};
 use std::rc::Rc;
 
-/// The executable form of one solved form: threaded bytecode when the
-/// plan's pass 4 emitted it, the goal tree otherwise. Choice-point arity
-/// and order are identical either way (a bytecode `Choice` mirrors its
-/// `Goal::Any` exactly), so guides and choice paths recorded by one form
-/// replay on the other.
-#[derive(Clone, Copy)]
-pub(crate) enum MachineCode<'g> {
-    /// Walk the goal tree.
-    Goal(&'g Goal),
-    /// Thread the compiled instruction stream.
-    Bc(&'g BcBody),
-}
-
-impl<'g> MachineCode<'g> {
-    /// The preferred executable form of `form`.
-    pub(crate) fn of_form(form: &'g SolvedForm) -> Self {
-        match &form.bc {
-            Some(bc) => MachineCode::Bc(bc),
-            None => MachineCode::Goal(&form.goal),
-        }
-    }
-}
-
 /// One pending unit of work on the continuation stack.
 #[derive(Clone)]
 enum Step<'g> {
-    /// Solve a goal in frame `fi`.
-    Goal { fi: usize, goal: &'g Goal },
-    /// Run threaded bytecode from `pc` in frame `fi`.
+    /// Run threaded bytecode from `pc` in frame `fi`; reaching the pc-0
+    /// `Emit` ends the step and hands over to the rest of the stack.
     Bc { fi: usize, body: &'g BcBody, pc: Pc },
-    /// A dynamically scheduled conjunction with the conjuncts still to run.
+    /// A run-time scheduled conjunction with the items still to run (each
+    /// a sub-chain of `body`).
     DynSeq {
         fi: usize,
-        items: &'g [(ReadyCheck, Goal)],
+        body: &'g BcBody,
+        items: &'g [(ReadyCheck, Pc)],
         remaining: Vec<usize>,
     },
     /// Match a pattern against a known value in frame `fi`.
@@ -131,12 +110,6 @@ type ContRef<'g> = Option<Rc<Cont<'g>>>;
 
 /// The untried alternatives of one choice point.
 enum Alt<'g> {
-    /// Remaining branches of a `Goal::Any`, starting at `next`.
-    Branches {
-        fi: usize,
-        branches: &'g [Goal],
-        next: usize,
-    },
     /// The right branch of an or-pattern.
     OrPat {
         fi: usize,
@@ -205,7 +178,7 @@ pub(crate) enum RunOutcome {
     Paused,
 }
 
-/// The resumable goal-solving machine. See the module docs.
+/// The resumable bytecode machine. See the module docs.
 pub(crate) struct Machine<'g> {
     plan: &'g ProgramPlan,
     budget: Budget,
@@ -246,7 +219,7 @@ impl<'g> Machine<'g> {
     /// root frame seeded by the caller, with `this` in scope.
     pub(crate) fn new(
         plan: &'g ProgramPlan,
-        code: MachineCode<'g>,
+        code: &'g BcBody,
         root: Frame,
         this: Option<Value>,
         max_depth: usize,
@@ -269,7 +242,7 @@ impl<'g> Machine<'g> {
     /// reconstructs the donor's frames, trail, and bindings exactly.
     pub(crate) fn with_budget(
         plan: &'g ProgramPlan,
-        code: MachineCode<'g>,
+        code: &'g BcBody,
         root: Frame,
         this: Option<Value>,
         budget: Budget,
@@ -290,14 +263,11 @@ impl<'g> Machine<'g> {
             created: 0,
             root_det: false,
         };
-        match code {
-            MachineCode::Goal(goal) => m.push(Step::Goal { fi: 0, goal }),
-            MachineCode::Bc(body) => m.push(Step::Bc {
-                fi: 0,
-                body,
-                pc: body.entry,
-            }),
-        }
+        m.push(Step::Bc {
+            fi: 0,
+            body: code,
+            pc: code.entry,
+        });
         m
     }
 
@@ -416,14 +386,6 @@ impl<'g> Machine<'g> {
         self.donated += 1;
         let prefix = &self.path[..ch.path_mark];
         match ch.alt {
-            Alt::Branches { branches, next, .. } => (next..branches.len())
-                .map(|k| {
-                    let mut p = Vec::with_capacity(prefix.len() + 1);
-                    p.extend_from_slice(prefix);
-                    p.push(k as u32);
-                    p
-                })
-                .collect(),
             Alt::OrPat { .. } => {
                 let mut p = Vec::with_capacity(prefix.len() + 1);
                 p.extend_from_slice(prefix);
@@ -511,15 +473,6 @@ impl<'g> Machine<'g> {
         let path_mark = ch.path_mark;
         let cont = ch.cont.clone();
         let (step, decision, exhausted) = match &mut ch.alt {
-            Alt::Branches { fi, branches, next } => {
-                let step = Step::Goal {
-                    fi: *fi,
-                    goal: &branches[*next],
-                };
-                let decision = *next as u32;
-                *next += 1;
-                (step, decision, *next >= branches.len())
-            }
             Alt::OrPat { fi, pat, value } => (
                 Step::Match {
                     fi: *fi,
@@ -608,9 +561,10 @@ impl<'g> Machine<'g> {
         }
     }
 
-    /// Existence check for negation-as-failure: runs the recursive solver
-    /// over a scratch copy of the frame.
-    fn exists(&mut self, fi: usize, goal: &Goal) -> RtResult<bool> {
+    /// Existence check for negation-as-failure: runs the negated sub-chain
+    /// at `inner` on the recursive evaluator over a scratch copy of the
+    /// frame.
+    fn exists(&mut self, fi: usize, body: &BcBody, inner: Pc) -> RtResult<bool> {
         let Machine {
             plan,
             budget,
@@ -621,7 +575,7 @@ impl<'g> Machine<'g> {
         let mut scratch = f.slots.clone();
         let this = f.this.clone();
         let mut found = false;
-        Ev::new(plan, budget).solve(&mut scratch, this.as_ref(), goal, &mut |_, _| {
+        Ev::new(plan, budget).solve_bc(&mut scratch, this.as_ref(), body, inner, &mut |_, _| {
             found = true;
             Ok(false)
         })?;
@@ -639,13 +593,13 @@ impl<'g> Machine<'g> {
     fn exec(&mut self, step: Step<'g>) -> RtResult<()> {
         self.budget.step()?;
         match step {
-            Step::Goal { fi, goal } => self.exec_goal(fi, goal),
             Step::Bc { fi, body, pc } => self.exec_bc(fi, body, pc),
             Step::DynSeq {
                 fi,
+                body,
                 items,
                 remaining,
-            } => self.exec_dynseq(fi, items, remaining),
+            } => self.exec_dynseq(fi, body, items, remaining),
             Step::Match { fi, pat, value } => self.exec_match(fi, pat, value),
             Step::CollectRow {
                 caller,
@@ -657,177 +611,18 @@ impl<'g> Machine<'g> {
         }
     }
 
-    fn exec_goal(&mut self, fi: usize, goal: &'g Goal) -> RtResult<()> {
-        match goal {
-            Goal::True | Goal::Trivial => Ok(()),
-            Goal::Fail => {
-                self.fail();
-                Ok(())
-            }
-            Goal::Seq(goals) => {
-                for g in goals.iter().rev() {
-                    self.push(Step::Goal { fi, goal: g });
-                }
-                Ok(())
-            }
-            Goal::DynSeq(items) => self.exec_dynseq(fi, items, (0..items.len()).collect()),
-            Goal::Any(branches) => {
-                match branches.len() {
-                    0 => self.fail(),
-                    1 => self.push(Step::Goal {
-                        fi,
-                        goal: &branches[0],
-                    }),
-                    _ => {
-                        if let Some(d) = self.next_guide() {
-                            debug_assert!((d as usize) < branches.len(), "bad replay guide");
-                            self.push(Step::Goal {
-                                fi,
-                                goal: &branches[d as usize],
-                            });
-                        } else {
-                            self.choice(Alt::Branches {
-                                fi,
-                                branches,
-                                next: 1,
-                            });
-                            self.push(Step::Goal {
-                                fi,
-                                goal: &branches[0],
-                            });
-                        }
-                    }
-                }
-                Ok(())
-            }
-            Goal::Not(inner) => {
-                if self.exists(fi, inner)? {
-                    self.fail();
-                }
-                Ok(())
-            }
-            Goal::Unify(lhs, rhs) => {
-                let lg = self.ground(fi, lhs);
-                let rg = self.ground(fi, rhs);
-                match (lg, rg) {
-                    (true, true) => {
-                        let a = self.eval_expr(fi, lhs)?;
-                        let b = self.eval_expr(fi, rhs)?;
-                        if !self.values_equal(&a, &b)? {
-                            self.fail();
-                        }
-                        Ok(())
-                    }
-                    (true, false) => {
-                        let v = self.eval_expr(fi, lhs)?;
-                        self.push(Step::Match {
-                            fi,
-                            pat: rhs,
-                            value: v,
-                        });
-                        Ok(())
-                    }
-                    (false, true) => {
-                        let v = self.eval_expr(fi, rhs)?;
-                        self.push(Step::Match {
-                            fi,
-                            pat: lhs,
-                            value: v,
-                        });
-                        Ok(())
-                    }
-                    (false, false) => Err(RtError::new(format!(
-                        "equation with unknowns on both sides is not solvable: {lhs:?} = {rhs:?}"
-                    ))),
-                }
-            }
-            Goal::Compare(op, lhs, rhs) => {
-                let a = self.eval_expr(fi, lhs)?;
-                let b = self.eval_expr(fi, rhs)?;
-                let (x, y) = match (a.as_int(), b.as_int()) {
-                    (Some(x), Some(y)) => (x, y),
-                    _ => {
-                        if *op == CmpOp::Ne {
-                            if self.values_equal(&a, &b)? {
-                                self.fail();
-                            }
-                            return Ok(());
-                        }
-                        return Err(RtError::new("ordering comparison on non-integers"));
-                    }
-                };
-                let holds = match op {
-                    CmpOp::Le => x <= y,
-                    CmpOp::Lt => x < y,
-                    CmpOp::Ge => x >= y,
-                    CmpOp::Gt => x > y,
-                    CmpOp::Ne => x != y,
-                    CmpOp::Eq => x == y,
-                };
-                if !holds {
-                    self.fail();
-                }
-                Ok(())
-            }
-            Goal::Invoke {
-                receiver,
-                name,
-                args,
-                dispatch,
-            } => {
-                let subject: Value = match receiver {
-                    Some(r) if self.ground(fi, r) => self.eval_expr(fi, r)?,
-                    None => self.frames[fi]
-                        .this
-                        .clone()
-                        .ok_or_else(|| RtError::new("predicate call without a receiver"))?,
-                    Some(_) => {
-                        return Err(RtError::new("predicate receiver is not ground"));
-                    }
-                };
-                match &subject {
-                    Value::Obj(_) => {
-                        let Some(pid) = self.resolve_dispatch(*dispatch, &subject, name, false)
-                        else {
-                            return Err(RtError::method_not_found(
-                                subject.class().unwrap_or_default(),
-                                name,
-                            ));
-                        };
-                        self.enter_constructor(fi, subject.clone(), pid, args)
-                    }
-                    Value::Bool(b) => {
-                        if !*b {
-                            self.fail();
-                        }
-                        Ok(())
-                    }
-                    other => Err(RtError::new(format!(
-                        "cannot use `{other}` as a predicate receiver"
-                    ))),
-                }
-            }
-            Goal::Test(e) => {
-                let v = self.eval_expr(fi, e)?;
-                if v.as_bool() != Some(true) {
-                    self.fail();
-                }
-                Ok(())
-            }
-        }
-    }
-
     /// Threads the compiled instruction stream from `pc`. Deterministic
     /// instructions (comparisons, tests, ground unifications, boolean
     /// predicates, failed negations) continue inline at their compile-time
     /// `next` pc without touching the continuation stack; only operations
     /// that need a resumption boundary — pattern matches, constructor
-    /// entries, dynamic conjunctions — push a [`Step::Bc`] continuation.
+    /// entries, run-time scheduled conjunctions — push a [`Step::Bc`]
+    /// continuation.
     /// The inline loop terminates because bodies are emitted right-to-left:
     /// every `next` (and every `Choice` alternative) is strictly smaller
     /// than the pc of the instruction holding it. One budget step is
-    /// charged per [`Step`], same as the goal walker — the inline chain is
-    /// bounded by the body length.
+    /// charged per [`Step`] — the inline chain is bounded by the body
+    /// length.
     fn exec_bc(&mut self, fi: usize, body: &'g BcBody, mut pc: Pc) -> RtResult<()> {
         loop {
             match &body.instrs[pc as usize] {
@@ -998,36 +793,34 @@ impl<'g> Machine<'g> {
                         }
                     }
                 }
-                Instr::Not { goal, next } => {
-                    if self.exists(fi, &body.goals[*goal as usize])? {
+                Instr::Not { inner, next } => {
+                    if self.exists(fi, body, *inner)? {
                         self.fail();
                         return Ok(());
                     }
                     pc = *next;
                 }
-                Instr::DynSeq { goal, next } => {
-                    let Goal::DynSeq(items) = &body.goals[*goal as usize] else {
-                        return Err(RtError::new("corrupt bytecode: DynSeq pool entry"));
-                    };
+                Instr::DynSeq { items, next } => {
                     self.push(Step::Bc {
                         fi,
                         body,
                         pc: *next,
                     });
-                    return self.exec_dynseq(fi, items, (0..items.len()).collect());
+                    return self.exec_dynseq(fi, body, items, (0..items.len()).collect());
                 }
             }
         }
     }
 
-    /// Selects the first ready conjunct against the *current* bindings and
-    /// re-queues the rest — the run-time scheduling of `Goal::DynSeq`,
-    /// re-evaluated after every solution of every earlier conjunct exactly
+    /// Selects the first ready item against the *current* bindings and
+    /// re-queues the rest — the run-time scheduling of [`Instr::DynSeq`],
+    /// re-evaluated after every solution of every earlier item exactly
     /// like the recursive evaluator (and the tree-walker) do.
     fn exec_dynseq(
         &mut self,
         fi: usize,
-        items: &'g [(ReadyCheck, Goal)],
+        body: &'g BcBody,
+        items: &'g [(ReadyCheck, Pc)],
         remaining: Vec<usize>,
     ) -> RtResult<()> {
         if remaining.is_empty() {
@@ -1056,13 +849,15 @@ impl<'g> Machine<'g> {
         if !rest.is_empty() {
             self.push(Step::DynSeq {
                 fi,
+                body,
                 items,
                 remaining: rest,
             });
         }
-        self.push(Step::Goal {
+        self.push(Step::Bc {
             fi,
-            goal: &items[chosen].1,
+            body,
+            pc: items[chosen].1,
         });
         Ok(())
     }
@@ -1120,7 +915,12 @@ impl<'g> Machine<'g> {
                 Ok(())
             }
             PExpr::Where(p, goal) => {
-                self.push(Step::Goal { fi, goal });
+                let body = goal.code();
+                self.push(Step::Bc {
+                    fi,
+                    body,
+                    pc: body.entry,
+                });
                 self.push(Step::Match { fi, pat: p, value });
                 Ok(())
             }
@@ -1291,14 +1091,12 @@ impl<'g> Machine<'g> {
             args,
             commit,
         });
-        match MachineCode::of_form(matching) {
-            MachineCode::Goal(goal) => self.push(Step::Goal { fi: callee, goal }),
-            MachineCode::Bc(body) => self.push(Step::Bc {
-                fi: callee,
-                body,
-                pc: body.entry,
-            }),
-        }
+        let body = matching.code();
+        self.push(Step::Bc {
+            fi: callee,
+            body,
+            pc: body.entry,
+        });
         Ok(())
     }
 
@@ -1423,114 +1221,6 @@ impl Drop for Machine<'_> {
                     Err(_) => break,
                 }
             }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::args;
-    use crate::workspace::Workspace;
-
-    /// The `parallel_scaling` workload: `vals` enumerates a complete binary
-    /// tree's leaves left-to-right, so every `Node` activation is one
-    /// two-way choice point — the densest choice-path shape the OR-parallel
-    /// splitter sees.
-    const TREE_SRC: &str = r#"
-        interface Tree {
-            constructor leaf(int v) returns(v);
-            constructor node(Tree l, Tree r) returns(l, r);
-            boolean vals(int x) iterates(x);
-        }
-        class Leaf implements Tree {
-            int val;
-            constructor leaf(int v) returns(v) ( val = v )
-            constructor node(Tree l, Tree r) returns(l, r) ( false )
-            boolean vals(int x) iterates(x) ( leaf(x) )
-        }
-        class Node implements Tree {
-            Tree left;
-            Tree right;
-            constructor leaf(int v) returns(v) ( false )
-            constructor node(Tree l, Tree r) returns(l, r) ( left = l && right = r )
-            boolean vals(int x) iterates(x) ( node(Tree l, _) && l.vals(x) || node(_, Tree r) && r.vals(x) )
-        }
-    "#;
-
-    fn complete_tree(program: &crate::Program, depth: u32, next: &mut i64) -> Value {
-        let leaf = program.ctor("Leaf", "leaf").unwrap();
-        let node = program.ctor("Node", "node").unwrap();
-        fn build(
-            leaf: &crate::CtorRef,
-            node: &crate::CtorRef,
-            depth: u32,
-            next: &mut i64,
-        ) -> Value {
-            if depth == 0 {
-                let v = leaf.construct(args![*next]).unwrap();
-                *next += 1;
-                v
-            } else {
-                let l = build(leaf, node, depth - 1, next);
-                let r = build(leaf, node, depth - 1, next);
-                node.construct(args![l, r]).unwrap()
-            }
-        }
-        build(&leaf, &node, depth, next)
-    }
-
-    /// Runs `vals` over a 4096-leaf tree to the first solution, then drains
-    /// the machine's choice points through [`Machine::split_oldest`],
-    /// returning every exported replay prefix in donation order.
-    fn donated_prefixes(bytecode: bool) -> Vec<Vec<u32>> {
-        let program = Workspace::new()
-            .verify(false)
-            .bytecode(bytecode)
-            .compile(TREE_SRC)
-            .unwrap();
-        let mut next = 0i64;
-        let tree = complete_tree(&program, 12, &mut next);
-        let plan = program.plan();
-        let pid = plan.lookup_impl("Node", "vals").unwrap();
-        let BodyPlan::Formula { matching, .. } = &plan.method(pid).body else {
-            panic!("vals has a declarative body");
-        };
-        let mut machine = Machine::new(
-            plan,
-            MachineCode::of_form(matching),
-            vec![None; matching.frame.len()],
-            Some(tree),
-            10_000,
-            u64::MAX,
-        );
-        assert!(machine.next_solution().unwrap());
-        let mut prefixes = Vec::new();
-        while machine.can_split() {
-            prefixes.extend(machine.split_oldest());
-        }
-        prefixes
-    }
-
-    /// Replacing boxed-continuation path replay with pc-based choice
-    /// restoration must not grow the OR-parallel task descriptors: the
-    /// 4096-leaf tree's donated prefixes are required to be *identical*
-    /// under both code forms (the bytecode `Choice` mirrors its `Goal::Any`
-    /// one-to-one), so their serialized size — 4 bytes per decision — can
-    /// never be larger.
-    #[test]
-    fn bytecode_split_prefixes_match_goal_tree_prefixes() {
-        let bc = donated_prefixes(true);
-        let tree = donated_prefixes(false);
-        let size = |ps: &[Vec<u32>]| ps.iter().map(|p| 4 * p.len()).sum::<usize>();
-        assert_eq!(bc, tree, "donated replay prefixes diverged");
-        assert!(size(&bc) <= size(&tree));
-        // The first solution of a depth-12 enumeration holds one untried
-        // alternative per ancestor: 12 donatable prefixes, each one
-        // decision longer than the last.
-        assert_eq!(bc.len(), 12);
-        for (i, p) in bc.iter().enumerate() {
-            assert_eq!(p.len(), i + 1, "prefix {i} has wrong depth: {p:?}");
         }
     }
 }

@@ -4,8 +4,8 @@
 //! # The model
 //!
 //! Backtracking enumeration explores a **choice tree**: at every
-//! multi-alternative choice point (a `Goal::Any` disjunction or an
-//! or-pattern) the machine picks alternative 0 and leaves the rest for
+//! multi-alternative choice point (a bytecode `Choice` or an or-pattern)
+//! the machine picks alternative 0 and leaves the rest for
 //! backtracking. Execution is deterministic *between* choice points, so a
 //! node of the tree is fully identified by its **choice path** — the
 //! alternative indices taken at each choice point from the root, in
@@ -68,8 +68,9 @@
 
 use crate::api::{frame_bindings, param_row_bindings, Limits};
 use crate::eval::{Budget, Frame, SharedBudget};
-use crate::machine::{Machine, MachineCode, RunOutcome};
+use crate::machine::{Machine, RunOutcome};
 use crate::{Bindings, RtError, RtResult, Value};
+use jmatch_core::bytecode::BcBody;
 use jmatch_core::lower::{BodyPlan, PlanId, ProgramPlan, SlotId, SolvedForm};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -293,7 +294,7 @@ fn run_task(
 ) {
     let mut budget = Budget::new_shared(limits.max_depth, Arc::clone(pool));
     budget.set_interrupt(interrupt.map(Arc::clone));
-    let (code, root, this, root_det): (MachineCode, Frame, Option<Value>, bool) = match job {
+    let (code, root, this, root_det): (&BcBody, Frame, Option<Value>, bool) = match job {
         ParJob::Deconstruct { pid, value } => {
             let mp = plan.method(*pid);
             let BodyPlan::Formula { matching, .. } = &mp.body else {
@@ -308,7 +309,7 @@ fn run_task(
                 return;
             };
             (
-                MachineCode::of_form(matching),
+                matching.code(),
                 vec![None; matching.frame.len()],
                 Some(value.clone()),
                 matching.det,
@@ -319,7 +320,7 @@ fn run_task(
             for (s, v) in seed {
                 root[*s as usize] = Some(v.clone());
             }
-            (MachineCode::of_form(form), root, this.clone(), form.det)
+            (form.code(), root, this.clone(), form.det)
         }
     };
     let mut machine =

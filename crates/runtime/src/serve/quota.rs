@@ -1,7 +1,7 @@
 //! Per-tenant work quotas.
 //!
 //! Every tenant id maps to a [`Limits`] profile plus a windowed step pool
-//! backed by the same atomic [`SharedBudget`](crate::eval) the OR-parallel
+//! backed by the same atomic `SharedBudget` the OR-parallel
 //! workers meter themselves with: admission **reserves** a request's whole
 //! step ceiling from the tenant's pool up front, execution runs under that
 //! grant, and settlement returns whatever the enumeration did not use —

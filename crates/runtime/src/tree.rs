@@ -3,11 +3,11 @@
 //! This is the original runtime of the reproduction: it re-discovers the
 //! solving order of every declarative formula at every call by walking the
 //! AST with cloned `HashMap` environments. Since the lowering layer
-//! ([`jmatch_core::lower`]) landed, the plan evaluator ([`crate::eval`]) is
-//! the default engine; the walker is kept callable behind
+//! ([`jmatch_core::lower`]) landed, the bytecode-running plan engine is
+//! the default; the walker is kept callable behind
 //! [`Engine::TreeWalk`](crate::Engine::TreeWalk) as a differential-testing
 //! oracle — its behavior (values, bindings, enumeration order, failures) is
-//! the reference the plan evaluator is tested against.
+//! the reference the plan engine is tested against.
 
 use crate::{Bindings, Flow, Object, RtError, RtResult, Value};
 use jmatch_core::table::{ClassTable, MethodInfo};

@@ -1,11 +1,11 @@
 //! The incremental embedding surface: a [`Workspace`] holds a program
 //! across edits and rebuilds only what changed.
 //!
-//! [`Compiler`](crate::Compiler) compiles one source string into one
-//! [`Program`] and forgets everything. A `Workspace` is its long-lived
-//! successor: it keeps the previous generation's class table, query plans,
-//! verification results and solver sessions, so [`Workspace::update_source`]
-//! / [`Workspace::update_method`] produce the next [`Program`] generation by
+//! A one-shot build compiles one source string into one [`Program`] and
+//! forgets everything. A `Workspace` is long-lived instead: it keeps the
+//! previous generation's class table, query plans, verification results
+//! and solver sessions, so [`Workspace::update_source`] /
+//! [`Workspace::update_method`] produce the next [`Program`] generation by
 //! re-lowering, re-verifying, re-analyzing and re-compiling **only the
 //! methods the edit actually touched** — everything else is shared with the
 //! previous generation by `Arc`.
@@ -171,24 +171,22 @@ struct State {
     plan_opts: PlanOptions,
 }
 
-/// Fluent, long-lived successor to [`Compiler`](crate::Compiler): an
-/// editable program whose rebuilds are incremental.
+/// The compile entry point of the runtime: an editable program whose
+/// rebuilds are incremental.
 ///
-/// Configure it with the same fluent setters `Compiler` had (plus
-/// [`Workspace::verify_threads`]), [`Workspace::load`] the initial source,
-/// then feed edits through [`Workspace::update_source`] (whole new source)
-/// or [`Workspace::update_method`] (one method declaration). Every call
+/// Configure it with the fluent setters, [`Workspace::load`] the initial
+/// source, then feed edits through [`Workspace::update_source`] (whole new
+/// source) or [`Workspace::update_method`] (one method declaration). Every
+/// call
 /// returns a [`Generation`]; see the [module docs](self) for the red/green
 /// rules that decide how much of the program each edit rebuilds.
 ///
 /// One-shot compilation is [`Workspace::compile`] — a workspace with a
-/// single generation, which is exactly what the deprecated
-/// [`Compiler::compile`](crate::Compiler::compile) now does under the hood.
+/// single generation.
 #[derive(Debug)]
 pub struct Workspace {
     verify: bool,
     engine: Engine,
-    bytecode: bool,
     analysis: bool,
     max_expansion_depth: u32,
     limits: Limits,
@@ -199,12 +197,11 @@ pub struct Workspace {
 
 impl Workspace {
     /// A workspace with verification on, the plan engine, and default
-    /// limits — the same defaults `Compiler::new()` had.
+    /// limits.
     pub fn new() -> Self {
         Workspace {
             verify: true,
             engine: Engine::Plan,
-            bytecode: true,
             analysis: true,
             max_expansion_depth: CompileOptions::default().max_expansion_depth,
             limits: Limits::default(),
@@ -224,13 +221,6 @@ impl Workspace {
     /// Which execution engine queries and calls run on.
     pub fn engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Whether lowering compiles each solved form to flat register
-    /// bytecode (on by default).
-    pub fn bytecode(mut self, on: bool) -> Self {
-        self.bytecode = on;
         self
     }
 
@@ -282,8 +272,7 @@ impl Workspace {
     }
 
     /// One-shot convenience: [`Workspace::load`] and keep only the
-    /// program. This is the whole of what the deprecated
-    /// [`Compiler::compile`](crate::Compiler::compile) does.
+    /// program.
     ///
     /// # Errors
     ///
@@ -351,7 +340,6 @@ impl Workspace {
 
     fn plan_options(&self) -> PlanOptions {
         PlanOptions {
-            bytecode: self.bytecode,
             analysis: self.analysis,
             ..PlanOptions::default()
         }

@@ -115,8 +115,6 @@ pub use jmatch_runtime as runtime;
 pub use jmatch_smt as smt;
 pub use jmatch_syntax as syntax;
 
-#[allow(deprecated)]
-pub use jmatch_runtime::Compiler;
 pub use jmatch_runtime::{
     args, Bindings, CtorRef, Engine, Generation, Limits, MethodRef, Program, Query, RebuildReport,
     Solutions, Value, Workspace,

@@ -30,11 +30,10 @@ fn thread_counts() -> Vec<usize> {
     }
 }
 
-fn program_with(src: &str, analysis: bool, bytecode: bool) -> Program {
+fn program_with(src: &str, analysis: bool) -> Program {
     let program = Workspace::new()
         .verify(false)
         .analysis(analysis)
-        .bytecode(bytecode)
         .compile(src)
         .unwrap();
     assert!(program.diagnostics().errors.is_empty());
@@ -42,22 +41,16 @@ fn program_with(src: &str, analysis: bool, bytecode: bool) -> Program {
 }
 
 /// Every corpus program must be observation-equivalent with the analysis
-/// pass on (both machine representations) and off.
+/// pass on and off.
 #[test]
 fn every_corpus_program_agrees_with_the_unanalyzed_oracle() {
     for entry in jmatch::corpus::entries() {
         let src = entry.combined_jmatch();
-        let oracle = transcript(&program_with(&src, false, true));
-        let analyzed_bc = transcript(&program_with(&src, true, true));
-        let analyzed_tree = transcript(&program_with(&src, true, false));
+        let oracle = transcript(&program_with(&src, false));
+        let analyzed = transcript(&program_with(&src, true));
         assert_eq!(
-            oracle, analyzed_bc,
-            "{}: analyzed (bytecode) plan diverges from the unanalyzed oracle",
-            entry.name
-        );
-        assert_eq!(
-            oracle, analyzed_tree,
-            "{}: analyzed (goal-tree) plan diverges from the unanalyzed oracle",
+            oracle, analyzed,
+            "{}: analyzed plan diverges from the unanalyzed oracle",
             entry.name
         );
     }
@@ -231,7 +224,7 @@ fn left_chain(program: &Program, n: i64) -> Value {
 
 #[test]
 fn determinism_facts_are_inferred_where_expected() {
-    let tree = program_with(TREE, true, true);
+    let tree = program_with(TREE, true);
     let report = tree.analysis().expect("analysis ran");
     let min = tree.plan().lookup_impl("Node", "min").unwrap();
     let facts = report.matching_facts(min).expect("min has matching facts");
@@ -241,7 +234,7 @@ fn determinism_facts_are_inferred_where_expected() {
     );
 
     // An iterative mode that genuinely enumerates must NOT be Det.
-    let list = program_with(LIST, true, true);
+    let list = program_with(LIST, true);
     let report = list.analysis().expect("analysis ran");
     let elem = list.plan().lookup_impl("Cons", "elem").unwrap();
     let facts = report
@@ -303,7 +296,7 @@ fn det_workload_agrees_across_analysis_and_thread_counts() {
 #[test]
 fn corpus_is_lint_clean() {
     for entry in jmatch::corpus::entries() {
-        let program = program_with(&entry.combined_jmatch(), true, true);
+        let program = program_with(&entry.combined_jmatch(), true);
         assert!(
             program.lints().is_empty(),
             "{}: unexpected lints: {:?}",

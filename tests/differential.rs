@@ -11,7 +11,7 @@
 //! the same `Limits` (the legacy `Interp::solve` honored `depth` on one
 //! engine and ignored it on the other).
 
-use jmatch::{args, Bindings, Engine, Limits, Program, Value, Workspace};
+use jmatch::{args, Bindings, Engine, Limits, Program, Solutions, Value, Workspace};
 
 mod harness;
 use harness::transcript;
@@ -257,4 +257,237 @@ fn limits_are_honored_identically_by_both_engines() {
             "{name}: {err:?}"
         );
     }
+}
+
+/// The goal positions that compile to in-stream sub-chains or to their own
+/// bytecode bodies: negation in solved forms and statements, a conjunction
+/// only schedulable at run time, `where` refinements at the top of a
+/// pattern and nested inside constructor arguments, and `let` / `if` /
+/// `cond` / `foreach` / `while` over goals that are not comparisons.
+const GOAL_POSITIONS: &str = r#"
+    interface List {
+        constructor nil() returns();
+        constructor cons(int h, List t) returns(h, t);
+        boolean has(int x) iterates(x);
+        boolean odd(int x) iterates(x);
+        boolean rising(int a, int b) iterates(a, b);
+    }
+    class Nil implements List {
+        constructor nil() returns() ( true )
+        constructor cons(int h, List t) returns(h, t) ( false )
+        boolean has(int x) iterates(x) ( false )
+        boolean odd(int x) iterates(x) ( false )
+        boolean rising(int a, int b) iterates(a, b) ( false )
+    }
+    class Cons implements List {
+        int head;
+        List tail;
+        constructor nil() returns() ( false )
+        constructor cons(int h, List t) returns(h, t) ( head = h && tail = t )
+        boolean has(int x) iterates(x) ( x = head || tail.has(x) )
+        boolean odd(int x) iterates(x) ( has(x) && !(x = 2 * (x / 2)) )
+        boolean rising(int a, int b) iterates(a, b)
+            ( cons(a, cons(int c where (c > a && !(c = a + 1)), _)) && b = c
+              || tail.rising(a, b) )
+    }
+    static int firstOdd(List l) {
+        let (l.odd(int x));
+        return x;
+    }
+    static int classify(List l) {
+        switch (l) {
+            case cons(int h, cons(int k where (k > h), _)) where (!(h = 0)): return 3;
+            case cons(int h where (!(h = 0)), _): return 2;
+            case cons(_, _): return 1;
+            default: return 0;
+        }
+    }
+    static int sumOdds(List l) {
+        int acc = 0;
+        foreach (l.odd(int x)) { acc = acc * 10 + x; }
+        return acc;
+    }
+    static int walk(List l) {
+        int n = 0;
+        List cur = l;
+        while (cur = cons(int h, List rest)) { n = n * 10 + h; cur = rest; }
+        return n;
+    }
+    static int probe(List l, int v) {
+        if (l.has(v) && !(v = 0)) { return 1; } else { return 0; }
+    }
+    static int shape(List l) {
+        cond {
+            (l = cons(int h, nil())) { return h; }
+            (l = cons(int h, cons(int k, _)) && !(h = k)) { return h - k; }
+            else { return -1; }
+        }
+    }
+    static int sched(int k) {
+        int acc = 0;
+        foreach ((y = k || true) && int x = y + 1 && y = 5) { acc = acc * 10 + x; }
+        return acc;
+    }
+"#;
+
+/// Raw query formulas over the same program: a run-time scheduled
+/// conjunction with a disjunction inside one of its items, one whose
+/// schedule gets stuck (an error both engines must raise), and a `where`
+/// plus negation over an iterative call.
+const GOAL_POSITION_QUERIES: &[&str] = &[
+    "(y = k || true) && int x = y + 1 && y = 5",
+    "int x = int y && int y = k",
+    "l.rising(int a, int b) && !(b = a + 2)",
+    "l.has(int x where (!(x = k)))",
+];
+
+fn goal_position_lists(program: &Program) -> Vec<Value> {
+    let nil = program.ctor("Nil", "nil").unwrap();
+    let cons = program.ctor("Cons", "cons").unwrap();
+    [
+        &[][..],
+        &[0],
+        &[5],
+        &[4, 4],
+        &[3, 4, 7, 2, 9],
+        &[1, 2, 3, 6, 5, 8],
+        &[0, 2, 4],
+    ]
+    .iter()
+    .map(|xs| {
+        let mut l = nil.construct(args![]).unwrap();
+        for &x in xs.iter().rev() {
+            l = cons.construct(args![x, l]).unwrap();
+        }
+        l
+    })
+    .collect()
+}
+
+/// A solution stream as text: sorted `name=value` pairs per solution, and
+/// a trailing `err` when the stream ended in an error.
+fn solutions_text(mut solutions: Solutions<'_>) -> String {
+    let mut rows: Vec<String> = solutions
+        .by_ref()
+        .map(|b| {
+            let mut pairs: Vec<String> = b.iter().map(|(k, v)| format!("{k}={v}")).collect();
+            pairs.sort();
+            pairs.join(",")
+        })
+        .collect();
+    if solutions.take_error().is_some() {
+        rows.push("err".into());
+    }
+    rows.join(";")
+}
+
+/// One line per operation: forward calls (the recursive evaluator),
+/// iterative and raw-formula queries (the resumable machine), and the raw
+/// queries again through ordered `par_solutions` at every swept width.
+fn goal_position_transcript(program: &Program) -> Vec<String> {
+    let mut log = Vec::new();
+    let lists = goal_position_lists(program);
+    let outcome = |r: jmatch::runtime::RtResult<Value>| match r {
+        Ok(v) => v.to_string(),
+        Err(_) => "err".to_owned(),
+    };
+    for (i, l) in lists.iter().enumerate() {
+        for name in ["firstOdd", "classify", "sumOdds", "walk", "shape"] {
+            let f = program.free_method(name).unwrap();
+            log.push(format!(
+                "{name} #{i} -> {}",
+                outcome(f.call(None, args![l.clone()]))
+            ));
+        }
+        for v in 0..4i64 {
+            let f = program.free_method("probe").unwrap();
+            let r = f.call(None, args![l.clone(), v]);
+            log.push(format!("probe #{i} {v} -> {}", outcome(r)));
+        }
+        let Some(class) = l.class().map(str::to_owned) else {
+            continue;
+        };
+        // Forward mode: every parameter known, so `!` and nested `where`
+        // run on the recursive evaluator.
+        for x in 0..10i64 {
+            let odd = program.method(&class, "odd").unwrap();
+            let r = odd.call(Some(l), args![x]);
+            log.push(format!("odd #{i} {x} -> {}", outcome(r)));
+            let rising = program.method(&class, "rising").unwrap();
+            let r = rising.call(Some(l), args![x, x + 3]);
+            log.push(format!("rising #{i} {x} -> {}", outcome(r)));
+        }
+        // Iterative mode: the same goals on the machine.
+        for name in ["has", "odd", "rising"] {
+            let m = program.method(&class, name).unwrap();
+            let query = m.iterate(Some(l), &Bindings::new()).unwrap();
+            log.push(format!(
+                "iterate {name} #{i} -> {}",
+                solutions_text(query.solutions())
+            ));
+        }
+    }
+    for k in 0..7i64 {
+        let f = program.free_method("sched").unwrap();
+        log.push(format!("sched {k} -> {}", outcome(f.call(None, args![k]))));
+    }
+    for (qi, text) in GOAL_POSITION_QUERIES.iter().enumerate() {
+        let formula = jmatch::syntax::parse_formula(text).unwrap();
+        for (i, l) in lists.iter().enumerate() {
+            for k in [2i64, 5] {
+                let mut env = Bindings::new();
+                env.insert("k".into(), Value::Int(k));
+                env.insert("l".into(), l.clone());
+                let query = program.solve(&formula, &env, None);
+                let seq = solutions_text(query.solutions());
+                for t in thread_counts() {
+                    assert_eq!(
+                        solutions_text(query.par_solutions(t)),
+                        seq,
+                        "query {qi} on #{i} (k={k}): ordered parallel at {t} threads diverges"
+                    );
+                }
+                log.push(format!("query {qi} #{i} k={k} -> {seq}"));
+            }
+        }
+    }
+    log
+}
+
+fn thread_counts() -> Vec<usize> {
+    match std::env::var("JMATCH_PAR_THREADS") {
+        Ok(v) => vec![v
+            .parse()
+            .expect("JMATCH_PAR_THREADS must be a thread count")],
+        Err(_) => vec![1, 2, 8],
+    }
+}
+
+#[test]
+fn goal_positions_agree_across_engines() {
+    let (plan, tree) = engines_for(GOAL_POSITIONS);
+    let got = goal_position_transcript(&plan);
+    let want = goal_position_transcript(&tree);
+    assert_eq!(got.len(), want.len());
+    for (g, w) in got.iter().zip(&want) {
+        assert_eq!(g, w, "engines diverge");
+    }
+    // The workload must exercise every shape, not just agree on errors.
+    for needle in [
+        "firstOdd #4 -> 3",
+        "sumOdds #4 -> 379",
+        "classify #4 -> 3",
+        "classify #6 -> 1",
+        "walk #4 -> 34729",
+        "sched 5 -> 66",
+        "sched 2 -> 6",
+    ] {
+        assert!(got.iter().any(|l| l == needle), "missing `{needle}`");
+    }
+    assert!(got
+        .iter()
+        .any(|l| l.starts_with("query 1") && l.ends_with("err")));
+    assert!(got
+        .iter()
+        .any(|l| l.starts_with("iterate rising #4") && l.contains("a=4,b=7")));
 }

@@ -82,14 +82,58 @@ regs: 3  guards: 1
     assert_eq!(text, expected, "ArrList.toCons bytecode drifted:\n{text}");
 }
 
+/// Negation and run-time scheduled conjunctions compile to in-stream
+/// sub-chains that end at the shared pc-0 `emit`: `not` names the negated
+/// chain's entry, `dynseq` one entry per conjunct in source order.
 #[test]
-fn disasm_is_empty_without_bytecode() {
-    let entry = corpus::entry("ZNat").unwrap();
-    let program = Workspace::new()
-        .verify(false)
-        .bytecode(false)
-        .compile(entry.jmatch_source)
-        .expect("parse");
-    assert!(program.disasm(Some("ZNat"), "succ").unwrap().is_empty());
-    assert!(program.disasm(None, "plus").unwrap().is_empty());
+fn negation_and_dynamic_conjunctions_disassemble_to_inline_chains() {
+    let program = program(
+        "class S {
+             int v;
+             boolean odd(int x) iterates(x) ( x = v && !(x = 2 * (x / 2)) )
+             boolean sched(int k, int x) iterates(x) ( (y = k || true) && int z = y + 1 && y = 5 && x = z )
+         }",
+    );
+    let text = program.disasm(Some("S"), "odd").unwrap();
+    let expected = "\
+; S.odd [forward]
+entry: 3
+   0: emit
+   1: unify.ee x@0 = (2 * (x@0 / 2)) -> 0
+   2: not 1 -> 0
+   3: unify.dyn x@0 = v@2 -> 2
+; S.odd [matching]
+entry: 3
+   0: emit
+   1: unify.dyn x@0 = (2 * (x@0 / 2)) -> 0
+   2: not 1 -> 0
+   3: unify.dyn x@0 = v@2 -> 2
+";
+    assert_eq!(text, expected, "S.odd bytecode drifted:\n{text}");
+    // Forward mode cannot pin the order (`y` is bound on one branch of the
+    // disjunction only), so the conjunction is scheduled at run time: four
+    // item chains, the first holding the disjunction's own choice, and
+    // every unification inside them left dynamic. Matching mode schedules
+    // statically.
+    let text = program.disasm(Some("S"), "sched").unwrap();
+    let expected = "\
+; S.sched [forward]
+entry: 6
+   0: emit
+   1: unify.dyn x@1 = z@5 -> 0
+   2: unify.dyn y@4 = 5 -> 0
+   3: unify.dyn decl@5 = (y@4 + 1) -> 0
+   4: unify.dyn y@4 = k@0 -> 0
+   5: choice [4, 0]
+   6: dynseq [5, 3, 2, 1] -> 0
+; S.sched [matching]
+entry: 5
+   0: emit
+   1: unify.me x@1 = z@5 -> 0
+   2: unify.me decl@5 = (y@4 + 1) -> 1
+   3: unify.em y@4 = k@0 -> 2
+   4: choice [3, 2]
+   5: unify.me y@4 = 5 -> 4
+";
+    assert_eq!(text, expected, "S.sched bytecode drifted:\n{text}");
 }

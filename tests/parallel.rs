@@ -511,69 +511,57 @@ fn tree_engine_par_solutions_falls_back_sequential() {
 }
 
 // ---------------------------------------------------------------------------
-// Bytecode vs goal-tree parity
+// Bytecode vs tree-walker parity
 // ---------------------------------------------------------------------------
 
 /// The bytecode machine's pc-based choice saves must not change what the
 /// OR-parallel executor observes. Two layers:
 ///
-/// * on the full 4096-leaf (depth-12) tree, the sequential transcripts of
-///   the bytecode and goal-tree code forms are identical — the choice
-///   structure the splitter carves up is the same tree either way (the
-///   replay-prefix *size* side is pinned by the machine's own
-///   `bytecode_split_prefixes_match_goal_tree_prefixes` unit test);
-/// * at 1, 2, and 8 threads, both code forms reproduce the sequential
-///   ordered transcript and unordered multiset exactly (on a 512-leaf
-///   tree, to keep the 12-way debug-mode sweep affordable).
+/// * on the full 4096-leaf (depth-12) tree, the machine's sequential
+///   transcript is identical to the tree-walking oracle's — the choice
+///   structure the splitter carves up enumerates the same leaves in the
+///   same order;
+/// * at 1, 2, and 8 threads, the machine reproduces the oracle's ordered
+///   transcript and unordered multiset exactly (on a 512-leaf tree, to
+///   keep the 6-way debug-mode sweep affordable).
 #[test]
-fn bytecode_parallel_transcripts_match_goal_tree() {
-    let bc_program = tree_program();
-    let plain_program = Workspace::new()
-        .verify(false)
-        .bytecode(false)
-        .compile(jmatch_bench::PARALLEL_TREE_SOURCE)
-        .unwrap();
-    assert!(bc_program.plan().bytecode_enabled());
-    assert!(!plain_program.plan().bytecode_enabled());
-    let bc_vals = vals_method(&bc_program);
-    let plain_vals = vals_method(&plain_program);
+fn bytecode_parallel_transcripts_match_tree_walker() {
+    let program = tree_program();
+    let walker = program.clone().with_engine(Engine::TreeWalk);
+    let vals = vals_method(&program);
+    let walker_vals = vals_method(&walker);
 
-    // Depth 12: cross-form sequential parity over all 4096 leaves.
-    let bc_tree = complete_tree(&bc_program, 12, 0);
-    let plain_tree = complete_tree(&plain_program, 12, 0);
-    let (big, big_err) = drain(vals_query(&bc_vals, &bc_tree).solutions());
+    // Depth 12: sequential parity with the oracle over all 4096 leaves.
+    let tree = complete_tree(&program, 12, 0);
+    let (big, big_err) = drain(vals_query(&vals, &tree).solutions());
     assert!(big_err.is_none(), "{big_err:?}");
     assert_eq!(big.len(), 1 << 12);
-    let (plain_big, plain_err) = drain(vals_query(&plain_vals, &plain_tree).solutions());
-    assert!(plain_err.is_none(), "{plain_err:?}");
+    let (oracle_big, oracle_err) = drain(vals_query(&walker_vals, &tree).solutions());
+    assert!(oracle_err.is_none(), "{oracle_err:?}");
     assert_eq!(
-        big, plain_big,
-        "sequential 4096-leaf transcripts diverge across code forms"
+        big, oracle_big,
+        "sequential 4096-leaf transcripts diverge from the tree walker"
     );
 
-    // Depth 9: both forms through both parallel modes at 1, 2, 8 threads.
-    let bc_tree = complete_tree(&bc_program, 9, 0);
-    let plain_tree = complete_tree(&plain_program, 9, 0);
-    let bc_query = vals_query(&bc_vals, &bc_tree);
-    let plain_query = vals_query(&plain_vals, &plain_tree);
-    let (seq, seq_err) = drain(bc_query.solutions());
-    assert!(seq_err.is_none(), "{seq_err:?}");
-    assert_eq!(seq.len(), 1 << 9);
+    // Depth 9: the machine through both parallel modes at 1, 2, 8 threads.
+    let tree = complete_tree(&program, 9, 0);
+    let query = vals_query(&vals, &tree);
+    let (oracle, oracle_err) = drain(vals_query(&walker_vals, &tree).solutions());
+    assert!(oracle_err.is_none(), "{oracle_err:?}");
+    assert_eq!(oracle.len(), 1 << 9);
     for t in [1, 2, 8] {
-        for (what, query) in [("bytecode", &bc_query), ("goal-tree", &plain_query)] {
-            let (ord, ord_err) = drain(query.par_solutions(t));
-            assert!(ord_err.is_none(), "{what} ({t} threads): {ord_err:?}");
-            assert_eq!(
-                ord, seq,
-                "{what}: ordered parallel ({t} threads) diverges from the sequential transcript"
-            );
-            let (unord, unord_err) = drain(query.par_solutions_unordered(t));
-            assert!(unord_err.is_none(), "{what} ({t} threads): {unord_err:?}");
-            assert_eq!(
-                sorted(unord),
-                sorted(seq.clone()),
-                "{what}: unordered parallel ({t} threads) diverges as a multiset"
-            );
-        }
+        let (ord, ord_err) = drain(query.par_solutions(t));
+        assert!(ord_err.is_none(), "{t} threads: {ord_err:?}");
+        assert_eq!(
+            ord, oracle,
+            "ordered parallel ({t} threads) diverges from the oracle transcript"
+        );
+        let (unord, unord_err) = drain(query.par_solutions_unordered(t));
+        assert!(unord_err.is_none(), "{t} threads: {unord_err:?}");
+        assert_eq!(
+            sorted(unord),
+            sorted(oracle.clone()),
+            "unordered parallel ({t} threads) diverges as a multiset"
+        );
     }
 }

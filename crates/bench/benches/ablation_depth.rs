@@ -2,7 +2,7 @@
 //! affects verification time on the recursive corpus entries.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use jmatch_core::{compile, CompileOptions};
+use jmatch_runtime::Workspace;
 
 fn bench_depth_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_depth");
@@ -13,14 +13,11 @@ fn bench_depth_ablation(c: &mut Criterion) {
         for depth in [1u32, 2, 3] {
             group.bench_function(format!("{name}/depth{depth}"), |b| {
                 b.iter(|| {
-                    compile(
-                        std::hint::black_box(&source),
-                        &CompileOptions {
-                            verify: true,
-                            max_expansion_depth: depth,
-                        },
-                    )
-                    .unwrap()
+                    Workspace::new()
+                        .max_expansion_depth(depth)
+                        .verify_threads(1)
+                        .compile(std::hint::black_box(&source))
+                        .unwrap()
                 })
             });
         }

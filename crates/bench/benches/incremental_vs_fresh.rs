@@ -1,38 +1,33 @@
 //! Criterion bench proving the incremental-session win: verifying the
-//! Table 1 corpus through **one shared solver session** (`push`/`pop` per VC
-//! query, persistent term store, lemma replay, canonical-formula result
-//! cache) versus rebuilding the solver and expander for **every individual
-//! VC query** (the pre-incremental architecture).
+//! Table 1 corpus through [`jmatch_core::VerifyEngine`]'s **per-method
+//! incremental sessions** (`push`/`pop` per VC query, persistent term
+//! store, lemma replay, canonical-formula result cache) versus rebuilding
+//! the solver and expander for **every individual VC query** (the
+//! pre-incremental architecture).
 //!
-//! `corpus/*` measures whole-corpus verification throughput — the headline
-//! comparison — and the per-row functions break the same comparison down for
-//! the expansion-heavy entries where session reuse matters most.
+//! Before timing, both modes must produce identical diagnostics on every
+//! corpus row. `corpus/*` measures whole-corpus verification throughput —
+//! the headline comparison — and the per-row functions break the same
+//! comparison down for the expansion-heavy entries where session reuse
+//! matters most.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use jmatch_bench::{verify_fresh_per_query, verify_shared_session};
-use jmatch_core::table::ClassTable;
-use jmatch_core::{compile, CompileOptions};
-use std::sync::Arc;
-
-fn corpus_tables() -> Vec<(&'static str, Arc<ClassTable>)> {
-    jmatch_corpus::entries()
-        .iter()
-        .map(|e| {
-            let compiled = compile(
-                &e.combined_jmatch(),
-                &CompileOptions {
-                    verify: false,
-                    max_expansion_depth: 2,
-                },
-            )
-            .expect("corpus entry must parse");
-            (e.name, compiled.table)
-        })
-        .collect()
-}
+use jmatch_bench::{resolve, verify_fresh_per_query, verify_incremental};
 
 fn bench_incremental_vs_fresh(c: &mut Criterion) {
-    let tables = corpus_tables();
+    let tables: Vec<_> = jmatch_corpus::entries()
+        .iter()
+        .map(|e| (e.name, resolve(&e.combined_jmatch())))
+        .collect();
+
+    // The oracle: session reuse must not change a single verdict.
+    for (name, table) in &tables {
+        assert_eq!(
+            verify_incremental(table, 2),
+            verify_fresh_per_query(table, 2),
+            "{name}: incremental sessions and fresh-per-query disagree"
+        );
+    }
 
     let mut group = c.benchmark_group("incremental_vs_fresh");
     group.sample_size(10);
@@ -42,7 +37,7 @@ fn bench_incremental_vs_fresh(c: &mut Criterion) {
     group.bench_function("corpus/incremental", |b| {
         b.iter(|| {
             for (_, table) in &tables {
-                std::hint::black_box(verify_shared_session(table, 2));
+                std::hint::black_box(verify_incremental(table, 2));
             }
         })
     });
@@ -62,7 +57,7 @@ fn bench_incremental_vs_fresh(c: &mut Criterion) {
             .expect("corpus row exists")
             .1;
         group.bench_function(format!("incremental/{name}"), |b| {
-            b.iter(|| std::hint::black_box(verify_shared_session(table, 2)))
+            b.iter(|| std::hint::black_box(verify_incremental(table, 2)))
         });
         group.bench_function(format!("fresh_per_query/{name}"), |b| {
             b.iter(|| std::hint::black_box(verify_fresh_per_query(table, 2)))

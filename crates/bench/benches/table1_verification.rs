@@ -1,8 +1,18 @@
 //! Criterion bench regenerating the compile-time columns of Table 1 (E2):
-//! compilation with and without the verification passes, per corpus row.
+//! a full `Workspace` build with and without the verification passes, per
+//! corpus row.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use jmatch_core::{compile, CompileOptions};
+use jmatch_runtime::{Program, Workspace};
+
+fn build(source: &str, verify: bool) -> Program {
+    Workspace::new()
+        .verify(verify)
+        .max_expansion_depth(2)
+        .verify_threads(1)
+        .compile(source)
+        .unwrap()
+}
 
 fn bench_verification_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("table1_verification");
@@ -22,28 +32,10 @@ fn bench_verification_overhead(c: &mut Criterion) {
     {
         let source = entry.combined_jmatch();
         group.bench_function(format!("without/{}", entry.name), |b| {
-            b.iter(|| {
-                compile(
-                    std::hint::black_box(&source),
-                    &CompileOptions {
-                        verify: false,
-                        max_expansion_depth: 2,
-                    },
-                )
-                .unwrap()
-            })
+            b.iter(|| build(std::hint::black_box(&source), false))
         });
         group.bench_function(format!("with/{}", entry.name), |b| {
-            b.iter(|| {
-                compile(
-                    std::hint::black_box(&source),
-                    &CompileOptions {
-                        verify: true,
-                        max_expansion_depth: 2,
-                    },
-                )
-                .unwrap()
-            })
+            b.iter(|| build(std::hint::black_box(&source), true))
         });
     }
     group.finish();

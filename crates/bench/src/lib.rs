@@ -14,11 +14,11 @@
 #![forbid(unsafe_code)]
 
 use jmatch_core::table::ClassTable;
-use jmatch_core::{compile, extract, CompileOptions, Diagnostics, Verifier, VerifyOptions};
+use jmatch_core::{extract, Diagnostics, Fingerprints, VerifyEngine, VerifyOptions};
 use jmatch_corpus::CorpusEntry;
 use jmatch_runtime::{args, Bindings, Engine, Program, Query, Value, Workspace};
 use jmatch_syntax::ast::{CmpOp, Expr, Formula};
-use jmatch_syntax::{count_tokens, parse_formula};
+use jmatch_syntax::{count_tokens, parse_formula, parse_program};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -33,9 +33,10 @@ pub struct Table1Row {
     pub java_tokens: usize,
     /// Token counts reported by the paper (JMatch, Java).
     pub paper_tokens: (usize, usize),
-    /// Measured compile time without verification.
+    /// Measured time of a full unverified build (parse, resolve, lower,
+    /// analyze, bytecode).
     pub time_without: Duration,
-    /// Measured compile time with verification.
+    /// Measured time of the same build with verification on one worker.
     pub time_with: Duration,
     /// Times reported by the paper in seconds (w/o, w/).
     pub paper_times: (f64, f64),
@@ -64,31 +65,34 @@ impl Table1Row {
     }
 }
 
-/// Measures one corpus entry (one Table 1 row).
+/// Measures one corpus entry (one Table 1 row): token counts, then the
+/// time of a full unverified [`Workspace`] build (lowering and bytecode
+/// included) and of a verified one on one verify worker.
+///
+/// # Panics
+///
+/// If either source of the row fails to lex or its JMatch program fails to
+/// parse; the message names the row.
 pub fn measure_entry(entry: &CorpusEntry, max_expansion_depth: u32) -> Table1Row {
-    let jmatch_tokens = count_tokens(entry.jmatch_source).unwrap_or(0);
-    let java_tokens = count_tokens(entry.java_source).unwrap_or(0);
+    let tokens = |source, lang| {
+        count_tokens(source)
+            .unwrap_or_else(|e| panic!("{}: {lang} source fails to lex: {e}", entry.name))
+    };
+    let jmatch_tokens = tokens(entry.jmatch_source, "JMatch");
+    let java_tokens = tokens(entry.java_source, "Java");
     let source = entry.combined_jmatch();
-
-    let start = Instant::now();
-    let _ = compile(
-        &source,
-        &CompileOptions {
-            verify: false,
-            max_expansion_depth,
-        },
-    );
-    let time_without = start.elapsed();
-
-    let start = Instant::now();
-    let compiled = compile(
-        &source,
-        &CompileOptions {
-            verify: true,
-            max_expansion_depth,
-        },
-    );
-    let time_with = start.elapsed();
+    let build = |verify| {
+        let start = Instant::now();
+        let program = Workspace::new()
+            .verify(verify)
+            .max_expansion_depth(max_expansion_depth)
+            .verify_threads(1)
+            .compile(&source)
+            .unwrap_or_else(|e| panic!("{}: JMatch program fails to parse: {e}", entry.name));
+        (start.elapsed(), program)
+    };
+    let (time_without, _) = build(false);
+    let (time_with, verified) = build(true);
 
     Table1Row {
         name: entry.name,
@@ -98,9 +102,7 @@ pub fn measure_entry(entry: &CorpusEntry, max_expansion_depth: u32) -> Table1Row
         time_without,
         time_with,
         paper_times: (entry.paper_time_without, entry.paper_time_with),
-        diagnostics: compiled
-            .map(|c| c.diagnostics)
-            .unwrap_or_else(|_| Diagnostics::new()),
+        diagnostics: verified.diagnostics().clone(),
     }
 }
 
@@ -155,92 +157,55 @@ pub fn render_table1(rows: &[Table1Row]) -> String {
         impl_avg * 100.0
     ));
     out.push_str(&format!(
-        "total compile time: {:.3}s without verification, {:.3}s with (paper overhead: 42.4% of a full javac-based compile; this front end has no bytecode backend, so absolute ratios are not comparable)\n",
+        "total compile time: {:.3}s without verification, {:.3}s with (paper overhead: 42.4% of a full javac-based compile; here \"without\" is a full unverified build down to this repo's bytecode, not javac, so absolute ratios are not comparable)\n",
         total_plain, total_verify
     ));
     out
 }
 
-/// Verifies a resolved program through **one shared solver session** (the
-/// production path): a single term store, solver, and expander carry learned
-/// clauses, Tseitin encodings, and expansion lemmas across every VC query,
-/// which are delimited by `push`/`pop` and memoized in the session's
-/// canonical-formula cache.
-pub fn verify_shared_session(table: &Arc<ClassTable>, max_expansion_depth: u32) -> Diagnostics {
-    verify_shared_session_with_stats(table, max_expansion_depth).0
+/// Parses and resolves `source`, without verifying it.
+///
+/// # Panics
+///
+/// If `source` fails to parse.
+pub fn resolve(source: &str) -> Arc<ClassTable> {
+    let program = parse_program(source).expect("bench program parses");
+    ClassTable::build(&program, &mut Diagnostics::new())
 }
 
-/// Like [`verify_shared_session`], also returning the session counters.
-pub fn verify_shared_session_with_stats(
-    table: &Arc<ClassTable>,
-    max_expansion_depth: u32,
-) -> (Diagnostics, jmatch_core::verify::SessionStats) {
-    let verifier = Verifier::new(
-        Arc::clone(table),
+/// Verifies a resolved program the way a [`Workspace`] build does:
+/// [`VerifyEngine`] on one worker, one incremental solver session per
+/// method (`push`/`pop` per VC query, persistent term store, lemma replay,
+/// canonical-formula result cache).
+pub fn verify_incremental(table: &Arc<ClassTable>, max_expansion_depth: u32) -> Diagnostics {
+    verify_with(
+        table,
         VerifyOptions {
             max_expansion_depth,
-            report_unknown: false,
-            session_reuse: true,
+            ..VerifyOptions::default()
         },
-    );
-    verifier.verify_program_with_stats()
+    )
 }
 
 /// Verifies a resolved program rebuilding the solver and expander for
-/// **every individual VC query** — the pre-incremental architecture (the
-/// seed's four `TermStore::new()` sites), and the baseline the
-/// `incremental_vs_fresh` bench measures the session against.
+/// **every individual VC query** — the pre-incremental architecture, and
+/// the baseline the `incremental_vs_fresh` bench measures the session
+/// against.
 pub fn verify_fresh_per_query(table: &Arc<ClassTable>, max_expansion_depth: u32) -> Diagnostics {
-    let verifier = Verifier::new(
-        Arc::clone(table),
+    verify_with(
+        table,
         VerifyOptions {
             max_expansion_depth,
-            report_unknown: false,
             session_reuse: false,
+            ..VerifyOptions::default()
         },
-    );
-    verifier.verify_program()
+    )
 }
 
-/// Verifies a resolved program with **fresh solver state per method**, an
-/// intermediate baseline: every method rebuilds its term store, solver, and
-/// expander from scratch, so no learned clause, encoding, or expanded lemma
-/// is ever reused across methods.
-pub fn verify_fresh_per_method(table: &Arc<ClassTable>, max_expansion_depth: u32) -> Diagnostics {
-    verify_fresh_per_method_with_stats(table, max_expansion_depth).0
-}
-
-/// Like [`verify_fresh_per_method`], also returning the aggregated counters
-/// of the per-method sessions.
-pub fn verify_fresh_per_method_with_stats(
-    table: &Arc<ClassTable>,
-    max_expansion_depth: u32,
-) -> (Diagnostics, jmatch_core::verify::SessionStats) {
-    let verifier = Verifier::new(
-        Arc::clone(table),
-        VerifyOptions {
-            max_expansion_depth,
-            report_unknown: false,
-            session_reuse: true,
-        },
-    );
-    let mut diags = Diagnostics::new();
-    let mut stats = jmatch_core::verify::SessionStats::default();
-    let mut run = |owner, minfo, diags: &mut Diagnostics| {
-        let mut sess = verifier.new_session();
-        verifier.verify_method_in(&mut sess, owner, minfo, diags);
-        stats.absorb(sess.stats());
-    };
-    let types: Vec<_> = table.types().cloned().collect();
-    for ty in &types {
-        for m in &ty.methods {
-            run(Some(ty), m, &mut diags);
-        }
-    }
-    for m in table.free_methods() {
-        run(None, m, &mut diags);
-    }
-    (diags, stats)
+fn verify_with(table: &Arc<ClassTable>, options: VerifyOptions) -> Diagnostics {
+    VerifyEngine::new(options)
+        .verify(table, &Fingerprints::of(table), 1)
+        .0
 }
 
 /// A point of Figure 8: whether `(n, result)` is in the relation / region.
@@ -277,21 +242,13 @@ pub fn figure8_points(range: std::ops::RangeInclusive<i64>) -> Vec<Figure8Point>
 /// The matching preconditions extracted from ZNat's `matches(n >= 0)` clause
 /// for the three modes discussed in §4.2–4.4, rendered as formulas.
 pub fn figure8_preconditions() -> Vec<(String, String)> {
-    let program = jmatch_corpus::entry("ZNat").unwrap().combined_jmatch();
-    let compiled = compile(
-        &program,
-        &CompileOptions {
-            verify: false,
-            ..CompileOptions::default()
-        },
-    )
-    .expect("ZNat corpus entry must compile");
+    let table = resolve(&jmatch_corpus::entry("ZNat").unwrap().combined_jmatch());
     let clause = parse_formula("n >= 0").unwrap();
-    let forward = extract(&compiled.table, &clause, &["n".into()], &["result".into()]);
-    let backward = extract(&compiled.table, &clause, &["result".into()], &["n".into()]);
+    let forward = extract(&table, &clause, &["n".into()], &["result".into()]);
+    let backward = extract(&table, &clause, &["result".into()], &["n".into()]);
     let clause_predicate = parse_formula("n >= 0 && notall(result, n)").unwrap();
     let predicate = extract(
-        &compiled.table,
+        &table,
         &clause_predicate,
         &["result".into(), "n".into()],
         &[],
@@ -321,6 +278,13 @@ impl EffectivenessReport {
 /// warning-free and its negative examples produce the expected warnings.
 pub fn effectiveness() -> EffectivenessReport {
     use jmatch_core::WarningKind;
+    let verdicts = |source: &str| {
+        Workspace::new()
+            .compile(source)
+            .expect("effectiveness program parses")
+            .diagnostics()
+            .clone()
+    };
     let mut checks = Vec::new();
 
     // Figure 6: the nested succ arm is redundant; zero() is not.
@@ -335,9 +299,7 @@ pub fn effectiveness() -> EffectivenessReport {
              }}
          }}"
     );
-    let d = compile(&fig6, &CompileOptions::default())
-        .unwrap()
-        .diagnostics;
+    let d = verdicts(&fig6);
     checks.push((
         "Figure 6: nested succ arm reported redundant".into(),
         true,
@@ -356,9 +318,7 @@ pub fn effectiveness() -> EffectivenessReport {
              switch (m) {{ case succ(Nat k): return k; }}
          }}"
     );
-    let d = compile(&missing, &CompileOptions::default())
-        .unwrap()
-        .diagnostics;
+    let d = verdicts(&missing);
     checks.push((
         "missing zero() case reported".into(),
         true,
@@ -377,9 +337,7 @@ pub fn effectiveness() -> EffectivenessReport {
              }}
          }}"
     );
-    let d = compile(&fig12, &CompileOptions::default())
-        .unwrap()
-        .diagnostics;
+    let d = verdicts(&fig12);
     checks.push((
         "Figure 12: cons arm after snoc reported redundant".into(),
         true,
@@ -388,9 +346,7 @@ pub fn effectiveness() -> EffectivenessReport {
 
     // ZNat verifies totality thanks to its private invariant.
     let znat = jmatch_corpus::entry("ZNat").unwrap().combined_jmatch();
-    let d = compile(&znat, &CompileOptions::default())
-        .unwrap()
-        .diagnostics;
+    let d = verdicts(&znat);
     checks.push((
         "ZNat class constructor verifies total".into(),
         false,
@@ -627,30 +583,10 @@ pub const REPR_FIELD_SOURCE: &str = r#"
         }
     "#;
 
-/// Compiles `source` on the plan engine with the static-analysis pass
-/// toggled — the before/after axis of the `analysis_overhead` bench
-/// (`oracle` keeps every choice point and unpruned arm, `analyzed` commits
-/// det modes and prunes dead alternatives).
-pub fn plan_program_analysis(source: &str, analysis: bool) -> Program {
-    let program = Workspace::new()
-        .verify(false)
-        .max_expansion_depth(2)
-        .engine(Engine::Plan)
-        .analysis(analysis)
-        .compile(source)
-        .expect("bench program parses");
-    assert!(
-        program.diagnostics().errors.is_empty(),
-        "{:?}",
-        program.diagnostics().errors
-    );
-    program
-}
-
 /// The determinism flagship: `min` walks the left spine of a binary tree;
 /// every matching mode is provably at-most-one and error-free, so the
-/// analyzed machine commits one choice point per spine node that the
-/// unanalyzed oracle keeps live. See `tests/laziness.rs` for the pinned
+/// analyzed machine commits one choice point per spine node that an
+/// uncommitted run keeps live. See `tests/laziness.rs` for the pinned
 /// choice-point counts on the same source.
 pub const DET_TREE_SOURCE: &str = r#"
     interface Tree {
@@ -944,27 +880,30 @@ mod tests {
         assert!(row.time_with >= Duration::from_nanos(1));
     }
 
+    #[test]
+    #[should_panic(expected = "Broken: JMatch program fails to parse")]
+    fn measure_entry_fails_loudly_on_a_malformed_row() {
+        let e = jmatch_corpus::CorpusEntry {
+            name: "Broken",
+            jmatch_source: "class C { int f( }",
+            ..jmatch_corpus::entry("Nat").unwrap()
+        };
+        measure_entry(&e, 2);
+    }
+
     /// Asserting inside `push`/`pop` scopes, popping, and re-asserting must
     /// give the same verdicts as fresh solvers on the same formulas — here
-    /// checked end-to-end: the shared session, fresh-per-query, and
-    /// fresh-per-method verification modes produce identical diagnostics.
+    /// checked end-to-end: incremental sessions and fresh-per-query
+    /// verification produce identical diagnostics.
     #[test]
     fn session_modes_agree_on_the_corpus() {
         for name in ["Nat", "ZNat", "List", "ConsList", "TreeLeaf"] {
-            let entry = jmatch_corpus::entry(name).unwrap();
-            let compiled = compile(
-                &entry.combined_jmatch(),
-                &CompileOptions {
-                    verify: false,
-                    max_expansion_depth: 2,
-                },
-            )
-            .unwrap();
-            let shared = verify_shared_session(&compiled.table, 2);
-            let per_query = verify_fresh_per_query(&compiled.table, 2);
-            let per_method = verify_fresh_per_method(&compiled.table, 2);
-            assert_eq!(shared, per_query, "{name}: shared vs fresh-per-query");
-            assert_eq!(shared, per_method, "{name}: shared vs fresh-per-method");
+            let table = resolve(&jmatch_corpus::entry(name).unwrap().combined_jmatch());
+            assert_eq!(
+                verify_incremental(&table, 2),
+                verify_fresh_per_query(&table, 2),
+                "{name}"
+            );
         }
     }
 }

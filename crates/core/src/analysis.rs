@@ -48,13 +48,13 @@
 //! A form is `Det` iff its cardinality is at most `AtMostOne` *and* it is
 //! `no_err`. Both halves are required: a form with one solution but a
 //! possibly-erroring abandoned alternative is not committable, because the
-//! unanalyzed oracle would have surfaced the error.
+//! unanalyzed program would have surfaced the error.
 //!
 //! # The observation-equivalence argument
 //!
 //! Every transformation and fact in this module is justified against the
-//! unanalyzed plan as a differential oracle (the `analysis(false)` knob of
-//! the embedding API keeps that oracle compilable):
+//! unanalyzed program; the tree-walking engine, which runs no plan, is the
+//! differential oracle that checks it:
 //!
 //! * Pruned `Any` branches and `cond` arms are literal [`Goal::Fail`]s:
 //!   they emit nothing and cannot error, so removing them changes neither
@@ -81,13 +81,14 @@
 //! [`ProgramPlan::compile`]: crate::lower::ProgramPlan::compile
 //! [`SolvedForm::det`]: crate::lower::SolvedForm
 
-use crate::diag::{Warning, WarningKind};
+use crate::diag::{Diagnostics, Warning, WarningKind};
+use crate::incremental::{Fingerprints, VerifyEngine};
 use crate::lower::{
     BodyPlan, CallKind, CaseGuard, CasePlan, CaseTarget, ClassCheck, DispatchTable, Goal,
     MethodPlan, PExpr, PlanId, ProgramPlan, SlotId, SolvedForm, StmtPlan,
 };
 use crate::table::ClassTable;
-use crate::verify::{Verifier, VerifyOptions};
+use crate::verify::VerifyOptions;
 use jmatch_syntax::ast::{BinOp, CmpOp, MethodKind, Type, Visibility};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -264,6 +265,9 @@ pub fn analyze_incremental(
     prev: Option<(&AnalysisReport, &[bool])>,
 ) -> AnalysisReport {
     let mut report = AnalysisReport::default();
+    // The §5 verifier's verdicts on the whole program, computed on the first
+    // prune that needs cross-checking.
+    let mut verdicts: Option<Diagnostics> = None;
 
     // Pass A: dead-alternative pruning (rewrites the plans).
     for pid in 0..methods.len() {
@@ -302,7 +306,15 @@ pub fn analyze_incremental(
             BodyPlan::Absent => {}
         }
         if !prunes.is_empty() && opts.smt {
-            let confirmed = smt_confirms_redundancy(table, &methods[pid]);
+            let verdicts = verdicts.get_or_insert_with(|| {
+                VerifyEngine::new(VerifyOptions::default())
+                    .verify(table, &Fingerprints::of(table), 1)
+                    .0
+            });
+            let confirmed = verdicts
+                .warnings_of(WarningKind::RedundantArm)
+                .iter()
+                .any(|w| w.context == ctx);
             for p in &mut prunes {
                 if matches!(
                     p.justification,
@@ -645,18 +657,6 @@ fn prune_stmts(stmts: &mut [StmtPlan], out: &mut Vec<Prune>) {
             | StmtPlan::Expr(_) => {}
         }
     }
-}
-
-/// Runs the §5 verifier on one method through the incremental SMT session
-/// and reports whether it flagged any arm redundant — the cross-check of
-/// [`AnalysisOptions::smt`].
-fn smt_confirms_redundancy(table: &Arc<ClassTable>, method: &MethodPlan) -> bool {
-    let verifier = Verifier::new(table.clone(), VerifyOptions::default());
-    let mut sess = verifier.new_session();
-    let mut diags = crate::diag::Diagnostics::new();
-    let owner = table.type_info(&method.info.owner);
-    verifier.verify_method_in(&mut sess, owner, &method.info, &mut diags);
-    diags.has_warning(WarningKind::RedundantArm)
 }
 
 // ---------------------------------------------------------------------------

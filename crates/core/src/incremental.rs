@@ -114,8 +114,8 @@ pub struct Fingerprints {
 
 /// All verification units of a table, in the canonical unit order: types in
 /// declaration order, each type's methods in declaration order, then the
-/// free-standing methods. This is exactly the order
-/// [`Verifier::verify_program_with_stats`] checks them in.
+/// free-standing methods. [`VerifyEngine::verify`] reports diagnostics in
+/// this order.
 pub fn units(table: &ClassTable) -> Vec<(Option<&TypeInfo>, &MethodInfo)> {
     let mut out = Vec::new();
     for ty in table.types() {

@@ -7,10 +7,17 @@
 //! `VF`/`VM`/`VP` translations of Figure 10), and the verification driver for
 //! exhaustiveness, redundancy, totality, disjointness and multiplicity.
 //!
+//! [`VerifyEngine`] is the one verification driver: it checks every method
+//! in its own solver session and caches the verdicts of unchanged methods
+//! across edits. The runnable build (parse, resolve, verify, lower) is
+//! `jmatch_runtime::Workspace`; code that only needs resolution calls
+//! [`jmatch_syntax::parse_program`] and [`ClassTable::build`] directly.
+//!
 //! ## Example
 //!
 //! ```
-//! use jmatch_core::{compile, CompileOptions, WarningKind};
+//! use jmatch_core::{ClassTable, Diagnostics, Fingerprints, VerifyEngine, VerifyOptions};
+//! use jmatch_core::WarningKind;
 //!
 //! let source = "
 //!     interface Nat {
@@ -24,10 +31,14 @@
 //!         }
 //!     }
 //! ";
-//! let result = compile(source, &CompileOptions::default())?;
+//! let program = jmatch_syntax::parse_program(source)?;
+//! let mut diagnostics = Diagnostics::new();
+//! let table = ClassTable::build(&program, &mut diagnostics);
+//! let (verdicts, _) = VerifyEngine::new(VerifyOptions::default())
+//!     .verify(&table, &Fingerprints::of(&table), 1);
 //! // The switch is missing the zero() case, and the verifier says so.
-//! assert!(result.diagnostics.has_warning(WarningKind::NonExhaustive)
-//!     || result.diagnostics.has_warning(WarningKind::Unknown));
+//! assert!(verdicts.has_warning(WarningKind::NonExhaustive)
+//!     || verdicts.has_warning(WarningKind::Unknown));
 //! # Ok::<(), jmatch_syntax::ParseError>(())
 //! ```
 
@@ -57,10 +68,8 @@ pub use table::{ClassLayout, ClassTable, MethodInfo, Mode, TypeInfo};
 pub use vc::{Env, Seq, VcGen, F};
 pub use verify::{Session, SessionStats, Verifier, VerifyOptions};
 
-use jmatch_syntax::{parse_program, ParseError, Program};
-use std::sync::Arc;
-
-/// Options for [`compile`].
+/// Options of a build: whether to verify, and how deep. `jmatch_runtime`'s
+/// `Workspace` keeps one and turns it into [`VerifyOptions`].
 #[derive(Debug, Clone)]
 pub struct CompileOptions {
     /// Whether to run the static verification passes (exhaustiveness,
@@ -75,107 +84,7 @@ impl Default for CompileOptions {
     fn default() -> Self {
         CompileOptions {
             verify: true,
-            max_expansion_depth: 3,
+            max_expansion_depth: VerifyOptions::default().max_expansion_depth,
         }
-    }
-}
-
-/// The result of compiling a JMatch program.
-#[derive(Debug, Clone)]
-pub struct Compilation {
-    /// The parsed program.
-    pub program: Program,
-    /// The resolved class table.
-    pub table: Arc<ClassTable>,
-    /// Warnings and errors produced by resolution and verification.
-    pub diagnostics: Diagnostics,
-}
-
-/// Parses, resolves, and (optionally) verifies a JMatch program.
-///
-/// Verification reuses **one incremental solver session** for the entire
-/// compilation (the paper's single-Z3-process architecture): every VC query
-/// runs inside a `push`/`pop` scope of a shared [`jmatch_smt::Solver`], with
-/// lemma replay and a canonical-formula result cache — see
-/// [`verify::Session`].
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] if the source is not syntactically valid; semantic
-/// problems are reported through [`Compilation::diagnostics`] instead.
-pub fn compile(source: &str, options: &CompileOptions) -> Result<Compilation, ParseError> {
-    let program = parse_program(source)?;
-    let mut diagnostics = Diagnostics::new();
-    let table = ClassTable::build(&program, &mut diagnostics);
-    if options.verify {
-        let verifier = Verifier::new(
-            Arc::clone(&table),
-            VerifyOptions {
-                max_expansion_depth: options.max_expansion_depth,
-                report_unknown: false,
-                session_reuse: true,
-            },
-        );
-        diagnostics.extend(verifier.verify_program());
-    }
-    Ok(Compilation {
-        program,
-        table,
-        diagnostics,
-    })
-}
-
-/// Compiles several source files as one program (they are concatenated; the
-/// dialect has no package system).
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] if any source fails to parse.
-pub fn compile_sources<'a>(
-    sources: impl IntoIterator<Item = &'a str>,
-    options: &CompileOptions,
-) -> Result<Compilation, ParseError> {
-    let combined: String = sources.into_iter().collect::<Vec<_>>().join("\n");
-    compile(&combined, options)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn compile_without_verification_reports_no_warnings() {
-        let src = "
-            interface Nat {
-                invariant(this = zero() | succ(_));
-                constructor zero() returns();
-                constructor succ(Nat n) returns(n);
-            }
-            static Nat pred(Nat m) {
-                switch (m) {
-                    case succ(Nat k): return k;
-                }
-            }
-        ";
-        let no_verify = compile(
-            src,
-            &CompileOptions {
-                verify: false,
-                ..CompileOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(no_verify.diagnostics.warnings.is_empty());
-        let verify = compile(src, &CompileOptions::default()).unwrap();
-        assert!(!verify.diagnostics.warnings.is_empty());
-    }
-
-    #[test]
-    fn compile_sources_concatenates() {
-        let a = "interface I { constructor mk() returns(); }";
-        let b = "class C implements I { constructor mk() returns() ( true ) }";
-        let c = compile_sources([a, b], &CompileOptions::default()).unwrap();
-        assert!(c.table.type_info("I").is_some());
-        assert!(c.table.type_info("C").is_some());
     }
 }

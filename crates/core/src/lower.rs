@@ -40,8 +40,8 @@
 //! unknown) the source order is already solved. The plan records both:
 //!
 //! ```
-//! use jmatch_core::{compile, CompileOptions};
 //! use jmatch_core::lower::{Goal, ProgramPlan};
+//! use jmatch_core::{ClassTable, Diagnostics};
 //!
 //! let source = r#"
 //!     interface Nat {
@@ -55,8 +55,9 @@
 //!         constructor succ(Nat n) returns(n) ( val >= 1 && ZNat(val - 1) = n )
 //!     }
 //! "#;
-//! let compiled = compile(source, &CompileOptions { verify: false, ..Default::default() })?;
-//! let plan = ProgramPlan::compile(compiled.table.clone());
+//! let program = jmatch_syntax::parse_program(source)?;
+//! let table = ClassTable::build(&program, &mut Diagnostics::new());
+//! let plan = ProgramPlan::compile(table);
 //! let succ = plan.method(plan.lookup_impl("ZNat", "succ").unwrap());
 //! let (forward, matching) = succ.body.solved_forms().unwrap();
 //!
@@ -772,8 +773,8 @@ pub struct PlanOptions {
     pub bytecode: bool,
     /// Run the static-analysis pipeline (pass 3.5, [`crate::analysis`]):
     /// dead-alternative pruning, determinism inference, IR lints. On by
-    /// default; `analysis: false` keeps the unanalyzed plan as the
-    /// differential oracle.
+    /// default; off only measures what the pass costs (the tree walker is
+    /// the differential oracle).
     pub analysis: bool,
     /// Cross-check every switch/cond-arm prune against the §5 verifier
     /// through the SMT session (see
@@ -911,14 +912,13 @@ impl ProgramPlan {
     /// Sharing is by `Arc`: clean plans are cloned pointers, the dispatch
     /// block is reused wholesale when no new name was registered, and
     /// bytecode is re-emitted only for changed plans and for plans whose
-    /// recorded [`MethodPlan::bc_deps`] intersect the changed set.
+    /// recorded [`MethodPlan::bc_deps`] intersect the changed set. Every
+    /// pass runs as under the default [`PlanOptions`].
     pub fn recompile(
         prev: &ProgramPlan,
         table: Arc<ClassTable>,
         dirty: &[bool],
-        opts: PlanOptions,
     ) -> Arc<ProgramPlan> {
-        let bytecode = opts.bytecode;
         let (maps, infos) = Self::build_maps(&table);
         assert_eq!(
             infos.len(),
@@ -971,32 +971,24 @@ impl ProgramPlan {
         // fact fixpoint and lints re-run globally, rewriting a clean plan's
         // determinism bits only when they actually changed (which marks it
         // changed for the bytecode pass below).
-        let analysis = if opts.analysis {
-            Some(crate::analysis::analyze_incremental(
-                &table,
-                &mut methods,
-                &dispatch,
-                &crate::analysis::AnalysisOptions {
-                    smt: opts.smt_prune_check,
-                },
-                prev.analysis.as_ref().map(|a| (a, dirty)),
-            ))
-        } else {
-            None
-        };
+        let analysis = crate::analysis::analyze_incremental(
+            &table,
+            &mut methods,
+            &dispatch,
+            &crate::analysis::AnalysisOptions::default(),
+            prev.analysis.as_ref().map(|a| (a, dirty)),
+        );
         // Pass 4': re-emit bytecode for changed plans and for plans whose
         // bytecode specialized against a changed plan's body.
-        if bytecode {
-            let changed: Vec<bool> = methods
-                .iter()
-                .zip(&prev.methods)
-                .map(|(a, b)| !Arc::ptr_eq(a, b))
-                .collect();
-            let need: Vec<bool> = (0..methods.len())
-                .map(|pid| changed[pid] || prev.methods[pid].bc_deps.iter().any(|&d| changed[d]))
-                .collect();
-            Self::emit_bytecode(&mut methods, &dispatch, Some(&need));
-        }
+        let changed: Vec<bool> = methods
+            .iter()
+            .zip(&prev.methods)
+            .map(|(a, b)| !Arc::ptr_eq(a, b))
+            .collect();
+        let need: Vec<bool> = (0..methods.len())
+            .map(|pid| changed[pid] || prev.methods[pid].bc_deps.iter().any(|&d| changed[d]))
+            .collect();
+        Self::emit_bytecode(&mut methods, &dispatch, Some(&need));
         let class_ctor_by_type: Box<[Option<PlanId>]> = type_names
             .iter()
             .map(|ty| maps.class_ctor(&table, ty))
@@ -1010,8 +1002,8 @@ impl ProgramPlan {
             dispatch,
             class_ctor_by_type,
             equals_dispatch,
-            bc_enabled: bytecode,
-            analysis,
+            bc_enabled: true,
+            analysis: Some(analysis),
         })
     }
 
@@ -2485,7 +2477,7 @@ mod tests {
             .map(|(a, b)| a.body != b.body)
             .collect();
         assert_eq!(dirty.iter().filter(|&&d| d).count(), 1);
-        let next = ProgramPlan::recompile(&prev, table, &dirty, PlanOptions::default());
+        let next = ProgramPlan::recompile(&prev, table, &dirty);
 
         // Every untouched plan is the same allocation; the edited method and
         // its bytecode dependents (`quad` inlines `twice`) are fresh.

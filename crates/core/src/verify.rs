@@ -19,18 +19,21 @@
 //! with the lazy [`crate::expand::JMatchExpander`] plugin, exactly as the
 //! paper discharges them with Z3.
 //!
-//! ## One solver session per compilation
+//! ## One solver session per method
 //!
 //! The paper keeps a single Z3 process alive across all queries (§6.2); this
-//! verifier does the same with [`jmatch_smt::Solver`]'s assertion scopes. A
-//! [`Session`] — one shared [`TermStore`], one solver, one
-//! [`JMatchExpander`] — is threaded through every per-method check, each VC
-//! query being delimited by `push`/`pop` so that learned clauses, Tseitin
+//! verifier does the same at method granularity with [`jmatch_smt::Solver`]'s
+//! assertion scopes. A [`Session`] — one [`TermStore`], one solver, one
+//! [`JMatchExpander`] — is threaded through every check of one method, each
+//! VC query being delimited by `push`/`pop` so that learned clauses, Tseitin
 //! encodings, and expanded invariant/`matches`/`ensures` lemmas carry over
 //! from query to query. On top of that, query results are memoized in a
-//! per-compilation cache keyed on the canonicalized (sorted, deduplicated)
-//! fact set — hash-consing in the shared store makes structurally equal
-//! formulas share a [`TermId`], so the key is canonical by construction.
+//! per-session cache keyed on the canonicalized (sorted, deduplicated) fact
+//! set — hash-consing in the store makes structurally equal formulas share a
+//! [`TermId`], so the key is canonical by construction. The driver,
+//! [`crate::incremental::VerifyEngine`], owns one session per method, keeps
+//! it across edits that leave the method's environment unchanged, and
+//! checks dirty methods on a worker pool.
 
 use crate::diag::{Diagnostics, WarningKind};
 use crate::expand::JMatchExpander;
@@ -50,10 +53,10 @@ pub struct VerifyOptions {
     /// Whether to emit [`WarningKind::Unknown`] warnings when the solver gives
     /// up rather than staying silent.
     pub report_unknown: bool,
-    /// Whether VC queries share one incremental solver session (the default,
-    /// mirroring the paper's single Z3 process). Turning this off rebuilds a
-    /// solver and expander for every individual query — the pre-incremental
-    /// architecture — and exists as the baseline for the
+    /// Whether a method's VC queries share one incremental solver session
+    /// (the default, mirroring the paper's single Z3 process). Turning this
+    /// off rebuilds a solver and expander for every individual query — the
+    /// pre-incremental architecture — and exists as the baseline for the
     /// `incremental_vs_fresh` bench.
     pub session_reuse: bool,
 }
@@ -75,9 +78,9 @@ pub struct Verifier {
     options: VerifyOptions,
 }
 
-/// The shared solver session threaded through a whole verification run: one
-/// term store, one incremental solver, one lazy expander, and a cache of VC
-/// query results keyed on canonicalized fact sets.
+/// The solver session threaded through the checks of one method: one term
+/// store, one incremental solver, one lazy expander, and a cache of VC query
+/// results keyed on canonicalized fact sets.
 #[derive(Debug)]
 pub struct Session {
     store: TermStore,
@@ -172,7 +175,7 @@ impl Verifier {
         }
     }
 
-    /// Creates the shared solver session used for one verification run.
+    /// Creates a fresh solver session for [`Verifier::verify_method_in`].
     pub fn new_session(&self) -> Session {
         Session {
             store: TermStore::new(),
@@ -186,40 +189,7 @@ impl Verifier {
         }
     }
 
-    /// Runs every check over the whole program.
-    pub fn verify_program(&self) -> Diagnostics {
-        self.verify_program_with_stats().0
-    }
-
-    /// Runs every check over the whole program, also returning the session's
-    /// query/cache counters.
-    pub fn verify_program_with_stats(&self) -> (Diagnostics, SessionStats) {
-        let mut diags = Diagnostics::new();
-        let mut sess = self.new_session();
-        let types: Vec<TypeInfo> = self.gen.table.types().cloned().collect();
-        for ty in &types {
-            for m in &ty.methods {
-                self.verify_method_in(&mut sess, Some(ty), m, &mut diags);
-            }
-        }
-        for m in self.gen.table.free_methods() {
-            self.verify_method_in(&mut sess, None, m, &mut diags);
-        }
-        (diags, sess.stats())
-    }
-
-    /// Verifies a single method (all applicable checks) in a fresh session.
-    pub fn verify_method(
-        &self,
-        owner: Option<&TypeInfo>,
-        minfo: &MethodInfo,
-        diags: &mut Diagnostics,
-    ) {
-        let mut sess = self.new_session();
-        self.verify_method_in(&mut sess, owner, minfo, diags);
-    }
-
-    /// Verifies a single method inside a shared session.
+    /// Verifies a single method (all applicable checks) inside `sess`.
     pub fn verify_method_in(
         &self,
         sess: &mut Session,
@@ -1088,15 +1058,18 @@ fn collect_formula_var_names(f: &Formula, out: &mut Vec<String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::incremental::{Fingerprints, VerifyEngine};
     use jmatch_syntax::parse_program;
 
     fn verify(src: &str) -> Diagnostics {
         let program = parse_program(src).unwrap();
         let mut diags = Diagnostics::new();
         let table = ClassTable::build(&program, &mut diags);
-        let verifier = Verifier::new(table, VerifyOptions::default());
-        let mut d = verifier.verify_program();
-        diags.extend(d.clone());
+        let (mut d, _) = VerifyEngine::new(VerifyOptions::default()).verify(
+            &table,
+            &Fingerprints::of(&table),
+            1,
+        );
         d.errors.extend(diags.errors);
         d
     }

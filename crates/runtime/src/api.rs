@@ -112,17 +112,6 @@ impl Program {
         }
     }
 
-    /// Wraps an already-resolved class table (for callers that drive
-    /// [`jmatch_core::compile`] themselves); lowering runs here, once.
-    pub fn from_table(table: Arc<ClassTable>, engine: Engine) -> Self {
-        Program {
-            plan: ProgramPlan::compile(table),
-            engine,
-            limits: Limits::default(),
-            diagnostics: Arc::new(Diagnostics::new()),
-        }
-    }
-
     /// The resolved class table.
     pub fn table(&self) -> &Arc<ClassTable> {
         self.plan.table()
@@ -155,20 +144,16 @@ impl Program {
 
     /// The plan-analysis lints ([`jmatch_core::analysis`]): unused
     /// bindings, always-failing invokes, dead modes, unbounded left
-    /// recursion. Empty when compiled with
-    /// [`Workspace::analysis`](crate::Workspace::analysis)`(false)`.
+    /// recursion.
     pub fn lints(&self) -> &[Warning] {
-        self.plan
-            .analysis()
-            .map(|a| a.lints.as_slice())
-            .unwrap_or(&[])
+        &self.analysis().lints
     }
 
-    /// The full plan-analysis report (facts, prunes, lints), or `None`
-    /// when compiled with
-    /// [`Workspace::analysis`](crate::Workspace::analysis)`(false)`.
-    pub fn analysis(&self) -> Option<&jmatch_core::AnalysisReport> {
-        self.plan.analysis()
+    /// The full plan-analysis report (facts, prunes, lints).
+    pub fn analysis(&self) -> &jmatch_core::AnalysisReport {
+        self.plan
+            .analysis()
+            .expect("every Workspace build runs the analysis pass")
     }
 
     /// The same program on a different engine (cheap).

@@ -564,18 +564,13 @@ pub enum Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jmatch_core::{compile, CompileOptions};
 
     fn program_for(src: &str, engine: Engine) -> Program {
-        let compiled = compile(
-            src,
-            &CompileOptions {
-                verify: false,
-                ..CompileOptions::default()
-            },
-        )
-        .unwrap();
-        Program::from_table(compiled.table, engine)
+        Workspace::new()
+            .verify(false)
+            .engine(engine)
+            .compile(src)
+            .unwrap()
     }
 
     fn both_engines(src: &str) -> [Program; 2] {

@@ -1,8 +1,10 @@
 //! The incremental embedding surface: a [`Workspace`] holds a program
 //! across edits and rebuilds only what changed.
 //!
-//! A one-shot build compiles one source string into one [`Program`] and
-//! forgets everything. A `Workspace` is long-lived instead: it keeps the
+//! `Workspace` is the one way to build a runnable program: parse, resolve,
+//! verify through [`VerifyEngine`], lower, analyze and emit bytecode. A
+//! one-shot build ([`Workspace::compile`]) is a workspace with a single
+//! generation. A `Workspace` can also be long-lived: it keeps the
 //! previous generation's class table, query plans, verification results
 //! and solver sessions, so [`Workspace::update_source`] /
 //! [`Workspace::update_method`] produce the next [`Program`] generation by
@@ -92,7 +94,7 @@ use crate::api::Limits;
 use crate::{Engine, Program, RtError, RtResult};
 use jmatch_core::diag::Diagnostics;
 use jmatch_core::incremental::Fingerprints;
-use jmatch_core::lower::{PlanOptions, ProgramPlan};
+use jmatch_core::lower::ProgramPlan;
 use jmatch_core::table::ClassTable;
 use jmatch_core::verify::VerifyOptions;
 use jmatch_core::{CompileOptions, SessionStats, VerifyEngine};
@@ -110,7 +112,7 @@ use std::sync::Arc;
 pub struct RebuildReport {
     /// `true` when the whole program was rebuilt from scratch (first load,
     /// or an edit that changed the program structure: signatures, types,
-    /// the method set, or compile options).
+    /// or the method set).
     pub full: bool,
     /// Qualified names of the methods whose compiled plan changed (re-
     /// lowered, re-analyzed, or bytecode re-emitted), in declaration order.
@@ -168,7 +170,6 @@ struct State {
     table: Arc<ClassTable>,
     plan: Arc<ProgramPlan>,
     fps: Fingerprints,
-    plan_opts: PlanOptions,
 }
 
 /// The compile entry point of the runtime: an editable program whose
@@ -185,10 +186,8 @@ struct State {
 /// single generation.
 #[derive(Debug)]
 pub struct Workspace {
-    verify: bool,
+    options: CompileOptions,
     engine: Engine,
-    analysis: bool,
-    max_expansion_depth: u32,
     limits: Limits,
     verify_threads: usize,
     state: Option<State>,
@@ -200,10 +199,8 @@ impl Workspace {
     /// limits.
     pub fn new() -> Self {
         Workspace {
-            verify: true,
+            options: CompileOptions::default(),
             engine: Engine::Plan,
-            analysis: true,
-            max_expansion_depth: CompileOptions::default().max_expansion_depth,
             limits: Limits::default(),
             verify_threads: 0,
             state: None,
@@ -214,7 +211,7 @@ impl Workspace {
     /// Whether to run the static verification passes (exhaustiveness,
     /// redundancy, totality, disjointness, multiplicity).
     pub fn verify(mut self, on: bool) -> Self {
-        self.verify = on;
+        self.options.verify = on;
         self
     }
 
@@ -224,16 +221,9 @@ impl Workspace {
         self
     }
 
-    /// Whether lowering runs the plan-analysis pass (determinism
-    /// inference, dead-alternative pruning, IR lints; on by default).
-    pub fn analysis(mut self, on: bool) -> Self {
-        self.analysis = on;
-        self
-    }
-
     /// Iterative-deepening bound for the verifier's lazy expansion (§6.2).
     pub fn max_expansion_depth(mut self, depth: u32) -> Self {
-        self.max_expansion_depth = depth;
+        self.options.max_expansion_depth = depth;
         self
     }
 
@@ -338,18 +328,10 @@ impl Workspace {
 
     // -- internals -----------------------------------------------------------
 
-    fn plan_options(&self) -> PlanOptions {
-        PlanOptions {
-            analysis: self.analysis,
-            ..PlanOptions::default()
-        }
-    }
-
     fn verify_options(&self) -> VerifyOptions {
         VerifyOptions {
-            max_expansion_depth: self.max_expansion_depth,
-            report_unknown: false,
-            session_reuse: true,
+            max_expansion_depth: self.options.max_expansion_depth,
+            ..VerifyOptions::default()
         }
     }
 
@@ -363,10 +345,9 @@ impl Workspace {
             None => ClassTable::build(&ast, &mut diagnostics),
         };
         let fps = Fingerprints::of(&table);
-        let plan_opts = self.plan_options();
         let mut report = RebuildReport::default();
 
-        if self.verify {
+        if self.options.verify {
             let want = self.verify_options();
             let reusable = matches!(&self.verifier, Some(v) if *v.options() == want);
             if !reusable {
@@ -382,9 +363,7 @@ impl Workspace {
             self.verifier = None;
         }
 
-        let incremental = prev
-            .as_ref()
-            .filter(|st| st.plan_opts == plan_opts && st.fps.structure == fps.structure);
+        let incremental = prev.as_ref().filter(|st| st.fps.structure == fps.structure);
         let plan = match incremental {
             Some(st) => {
                 let dirty: Vec<bool> = st
@@ -394,7 +373,7 @@ impl Workspace {
                     .zip(&fps.units)
                     .map(|(old, new)| old.body != new.body)
                     .collect();
-                let next = ProgramPlan::recompile(&st.plan, Arc::clone(&table), &dirty, plan_opts);
+                let next = ProgramPlan::recompile(&st.plan, Arc::clone(&table), &dirty);
                 for (pid, mp) in next.methods().iter().enumerate() {
                     if Arc::ptr_eq(mp, &st.plan.methods()[pid]) {
                         report.reused_plans += 1;
@@ -406,7 +385,7 @@ impl Workspace {
             }
             None => {
                 report.full = true;
-                let plan = ProgramPlan::compile_with(Arc::clone(&table), plan_opts);
+                let plan = ProgramPlan::compile(Arc::clone(&table));
                 report.recompiled = plan
                     .methods()
                     .iter()
@@ -427,7 +406,6 @@ impl Workspace {
             table,
             plan,
             fps,
-            plan_opts,
         });
         Generation { program, report }
     }

@@ -14,15 +14,18 @@
 //! | [`runtime`] | dynamic semantics: the plan evaluator plus the legacy tree-walking oracle |
 //! | [`corpus`] | the paper's Table 1 evaluation programs |
 //!
-//! ## One solver session per compilation
+//! ## One build path, one verification driver
 //!
-//! Just as the paper keeps a single Z3 process alive across its checks
-//! (§6.2), [`core::compile`] discharges **all** verification conditions of a
-//! compilation through one shared [`smt::Solver`] session: each VC query is
-//! delimited with `push`/`pop`, the hash-consed term store and atom
-//! encodings persist, invariant/`matches`/`ensures` expansion lemmas are
-//! replayed from a session cache instead of being re-derived, and query
-//! results are memoized by their canonicalized fact sets.
+//! [`Workspace`] is the one way to build a program: parse, resolve, verify,
+//! lower. Verification runs through [`core::VerifyEngine`], which, like the
+//! paper's single long-lived Z3 process (§6.2), discharges all verification
+//! conditions of a method through one incremental [`smt::Solver`] session:
+//! each VC query is delimited with `push`/`pop`, the hash-consed term store
+//! and atom encodings persist, invariant/`matches`/`ensures` expansion
+//! lemmas are replayed from a session cache instead of being re-derived,
+//! and query results are memoized by their canonicalized fact sets. Each
+//! method owns its session, so methods verify in parallel and an edit
+//! re-verifies only the methods it touched.
 //!
 //! ## One lowering pass per program
 //!
@@ -37,7 +40,8 @@
 //! ## Quick start
 //!
 //! ```
-//! use jmatch::core::{compile, CompileOptions, WarningKind};
+//! use jmatch::core::WarningKind;
+//! use jmatch::Workspace;
 //!
 //! let source = "
 //!     interface Nat {
@@ -51,9 +55,9 @@
 //!         }
 //!     }
 //! ";
-//! let compiled = compile(source, &CompileOptions::default())?;
-//! assert!(compiled.diagnostics.has_warning(WarningKind::NonExhaustive)
-//!     || compiled.diagnostics.has_warning(WarningKind::Unknown));
+//! let program = Workspace::new().compile(source)?;
+//! assert!(program.diagnostics().has_warning(WarningKind::NonExhaustive)
+//!     || program.diagnostics().has_warning(WarningKind::Unknown));
 //! # Ok::<(), jmatch::syntax::ParseError>(())
 //! ```
 //!

@@ -1,11 +1,12 @@
 //! Observation-equivalence of the plan-analysis pass (`jmatch_core::analysis`).
 //!
 //! The pass rewrites plans (dead-alternative pruning) and annotates forms
-//! (`Det` commits), so its correctness contract is differential: a program
-//! compiled with `analysis(false)` is the unanalyzed oracle, and every
-//! workload must produce an identical transcript — same values, same
-//! solution rows, same enumeration order, same failures — with the pass on
-//! or off, sequentially and across OR-parallel thread counts.
+//! (`Det` commits), so its correctness contract is differential: the
+//! tree-walking engine (`Engine::TreeWalk`), which runs no plan at all, is
+//! the oracle, and the analyzed plan must produce an identical transcript —
+//! same values, same solution rows, same enumeration order, same failures —
+//! sequentially and across OR-parallel thread counts. Whole-corpus
+//! agreement is `tests/differential.rs`.
 //!
 //! The pruning side is additionally cross-checked against the paper's §5
 //! verifier: every arm the analysis removes as `CatchAllDominated` or
@@ -15,11 +16,8 @@
 //! `Fail` admits no store).
 
 use jmatch::core::lower::{PlanOptions, ProgramPlan};
-use jmatch::core::{compile, CompileOptions, Justification, WarningKind};
-use jmatch::{args, Bindings, Limits, Program, Value, Workspace};
-
-mod harness;
-use harness::transcript;
+use jmatch::core::{ClassTable, Diagnostics, Justification, WarningKind};
+use jmatch::{args, Bindings, Engine, Limits, Program, Value, Workspace};
 
 fn thread_counts() -> Vec<usize> {
     match std::env::var("JMATCH_PAR_THREADS") {
@@ -30,46 +28,32 @@ fn thread_counts() -> Vec<usize> {
     }
 }
 
-fn program_with(src: &str, analysis: bool) -> Program {
+fn program_with(src: &str, engine: Engine) -> Program {
     let program = Workspace::new()
         .verify(false)
-        .analysis(analysis)
+        .engine(engine)
         .compile(src)
         .unwrap();
     assert!(program.diagnostics().errors.is_empty());
     program
 }
 
-/// Every corpus program must be observation-equivalent with the analysis
-/// pass on and off.
-#[test]
-fn every_corpus_program_agrees_with_the_unanalyzed_oracle() {
-    for entry in jmatch::corpus::entries() {
-        let src = entry.combined_jmatch();
-        let oracle = transcript(&program_with(&src, false));
-        let analyzed = transcript(&program_with(&src, true));
-        assert_eq!(
-            oracle, analyzed,
-            "{}: analyzed plan diverges from the unanalyzed oracle",
-            entry.name
-        );
-    }
-}
-
-/// Compiles through `jmatch_core` directly with the SMT prune cross-check
-/// enabled, returning the plan (with its analysis report) plus the full
-/// verifier diagnostics for the same source.
-fn plan_with_smt_check(src: &str) -> (std::sync::Arc<ProgramPlan>, jmatch::core::Diagnostics) {
-    let compiled = compile(src, &CompileOptions::default()).unwrap();
-    assert!(compiled.diagnostics.errors.is_empty());
+/// Lowers `src` with the SMT prune cross-check enabled, returning the plan
+/// (with its analysis report) plus the full verifier diagnostics of a
+/// verified `Workspace` build of the same source.
+fn plan_with_smt_check(src: &str) -> (std::sync::Arc<ProgramPlan>, Diagnostics) {
+    let program = jmatch::syntax::parse_program(src).unwrap();
+    let table = ClassTable::build(&program, &mut Diagnostics::new());
     let plan = ProgramPlan::compile_with(
-        compiled.table,
+        table,
         PlanOptions {
             smt_prune_check: true,
             ..PlanOptions::default()
         },
     );
-    (plan, compiled.diagnostics)
+    let diags = Workspace::new().compile(src).unwrap().diagnostics().clone();
+    assert!(diags.errors.is_empty());
+    (plan, diags)
 }
 
 /// Every pruned switch arm must be independently flagged `RedundantArm` by
@@ -139,12 +123,8 @@ fn pruned_arms_are_cross_checked_against_the_verifier() {
     assert_prunes_cross_checked("handcrafted", src);
 
     // The pruned program still computes the same results as the oracle.
-    for analysis in [true, false] {
-        let program = Workspace::new()
-            .verify(false)
-            .analysis(analysis)
-            .compile(src)
-            .unwrap();
+    for engine in [Engine::Plan, Engine::TreeWalk] {
+        let program = program_with(src, engine);
         let dup = program.free_method("dup").unwrap();
         assert_eq!(dup.call(None, args![0]).unwrap(), Value::Int(1));
         assert_eq!(dup.call(None, args![5]).unwrap(), Value::Int(3));
@@ -224,8 +204,8 @@ fn left_chain(program: &Program, n: i64) -> Value {
 
 #[test]
 fn determinism_facts_are_inferred_where_expected() {
-    let tree = program_with(TREE, true);
-    let report = tree.analysis().expect("analysis ran");
+    let tree = program_with(TREE, Engine::Plan);
+    let report = tree.analysis();
     let min = tree.plan().lookup_impl("Node", "min").unwrap();
     let facts = report.matching_facts(min).expect("min has matching facts");
     assert!(
@@ -234,8 +214,8 @@ fn determinism_facts_are_inferred_where_expected() {
     );
 
     // An iterative mode that genuinely enumerates must NOT be Det.
-    let list = program_with(LIST, true);
-    let report = list.analysis().expect("analysis ran");
+    let list = program_with(LIST, Engine::Plan);
+    let report = list.analysis();
     let elem = list.plan().lookup_impl("Cons", "elem").unwrap();
     let facts = report
         .matching_facts(elem)
@@ -248,20 +228,15 @@ fn determinism_facts_are_inferred_where_expected() {
 
 /// The determinism commit must not change what a query returns, in any
 /// execution mode: sequential, and OR-parallel at every swept thread
-/// count, ordered and unordered.
+/// count, compared against the tree-walking oracle.
 #[test]
 fn det_workload_agrees_across_analysis_and_thread_counts() {
     let deep = Limits {
         max_depth: 1_000_000,
         max_steps: u64::MAX,
     };
-    let run = |analysis: bool| -> (Vec<String>, Vec<Vec<String>>) {
-        let program = Workspace::new()
-            .verify(false)
-            .analysis(analysis)
-            .limits(deep)
-            .compile(TREE)
-            .unwrap();
+    let run = |engine: Engine| -> (Vec<String>, Vec<Vec<String>>) {
+        let program = program_with(TREE, engine).with_limits(deep);
         let t = left_chain(&program, 300);
         let min = program.method("Node", "min").unwrap();
         let query = min.iterate(Some(&t), &Bindings::new()).unwrap();
@@ -277,16 +252,19 @@ fn det_workload_agrees_across_analysis_and_thread_counts() {
             .collect();
         (seq, par)
     };
-    let (seq_on, par_on) = run(true);
-    let (seq_off, par_off) = run(false);
+    let (seq_plan, par_plan) = run(Engine::Plan);
+    let (seq_tree, par_tree) = run(Engine::TreeWalk);
     // `min` tries the recursive branch first, so it walks the left spine to
     // the deepest node (key 1299) — one solution, found after a full spine
     // of committed-away choice points. The local `lm` of the outermost call
     // is part of the solution row.
-    assert_eq!(seq_on, vec!["lm=1299,m=1299".to_owned()]);
-    assert_eq!(seq_on, seq_off, "sequential transcripts diverge");
-    for (t, (a, b)) in thread_counts().into_iter().zip(par_on.iter().zip(&par_off)) {
-        assert_eq!(&seq_on, a, "analyzed parallel ({t} threads) diverges");
+    assert_eq!(seq_plan, vec!["lm=1299,m=1299".to_owned()]);
+    assert_eq!(seq_plan, seq_tree, "sequential transcripts diverge");
+    for (t, (a, b)) in thread_counts()
+        .into_iter()
+        .zip(par_plan.iter().zip(&par_tree))
+    {
+        assert_eq!(&seq_plan, a, "analyzed parallel ({t} threads) diverges");
         assert_eq!(a, b, "parallel transcripts diverge at {t} threads");
     }
 }
@@ -296,7 +274,7 @@ fn det_workload_agrees_across_analysis_and_thread_counts() {
 #[test]
 fn corpus_is_lint_clean() {
     for entry in jmatch::corpus::entries() {
-        let program = program_with(&entry.combined_jmatch(), true);
+        let program = program_with(&entry.combined_jmatch(), Engine::Plan);
         assert!(
             program.lints().is_empty(),
             "{}: unexpected lints: {:?}",

@@ -3,8 +3,9 @@
 //! queries, constructor predicates, the deep-equality matrix, and forward
 //! calls with synthesized arguments, recording every operation and its
 //! outcome as a transcript line. Two programs agree iff their transcripts
-//! are identical line by line — `tests/differential.rs` compares engines,
-//! `tests/analysis_differential.rs` compares analyzed vs unanalyzed plans.
+//! are identical line by line — `tests/differential.rs` compares the plan
+//! engine with the tree-walking oracle, `tests/incremental.rs` compares
+//! incremental generations with scratch builds.
 
 use jmatch::core::table::ClassTable;
 use jmatch::syntax::ast::{MethodKind, Type};

@@ -6,9 +6,10 @@
 //! case deterministically (a strict superset of what random sampling covers).
 
 use jmatch::core::table::ClassTable;
-use jmatch::core::{compile, extract, CompileOptions, Diagnostics};
+use jmatch::core::{extract, Diagnostics};
 use jmatch::smt::{SatResult, Solver, Sort, TermStore};
 use jmatch::syntax::parse_formula;
+use jmatch::Workspace;
 
 /// The SMT substrate agrees with a brute-force evaluation on small bounded
 /// integer formulas: for every (a, b, c) in the grid, `-4 <= x <= 4 &&
@@ -93,15 +94,12 @@ fn verification_is_deterministic() {
     // Two runs over the same corpus entry produce identical warnings.
     let entry = jmatch::corpus::entry("ConsList").unwrap();
     let run = || {
-        compile(
-            &entry.combined_jmatch(),
-            &CompileOptions {
-                verify: true,
-                max_expansion_depth: 2,
-            },
-        )
-        .unwrap()
-        .diagnostics
+        Workspace::new()
+            .max_expansion_depth(2)
+            .compile(&entry.combined_jmatch())
+            .unwrap()
+            .diagnostics()
+            .clone()
     };
     let a = run();
     let b = run();

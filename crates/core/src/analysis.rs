@@ -600,7 +600,7 @@ fn prune_switch_cases(cases: &mut Vec<CasePlan>, out: &mut Vec<Prune>) {
 fn prune_stmts(stmts: &mut [StmtPlan], out: &mut Vec<Prune>) {
     for s in stmts.iter_mut() {
         match s {
-            StmtPlan::Let(g) => simplify_goal(&mut g.goal, out),
+            StmtPlan::Let(g) => simplify_goal(g, out),
             StmtPlan::Switch {
                 cases,
                 bodies,
@@ -619,9 +619,9 @@ fn prune_stmts(stmts: &mut [StmtPlan], out: &mut Vec<Prune>) {
                 let before = arms.len();
                 let mut removed = 0;
                 arms.retain_mut(|(g, body)| {
-                    simplify_goal(&mut g.goal, out);
+                    simplify_goal(g, out);
                     prune_stmts(body, out);
-                    let dead = matches!(g.goal, Goal::Fail);
+                    let dead = matches!(g, Goal::Fail);
                     removed += usize::from(dead);
                     !dead
                 });
@@ -636,18 +636,13 @@ fn prune_stmts(stmts: &mut [StmtPlan], out: &mut Vec<Prune>) {
                 }
             }
             StmtPlan::If { cond, then, els } => {
-                simplify_goal(&mut cond.goal, out);
-                prune_stmts(then, out);
-                if let Some(e) = els {
-                    prune_stmts(e, out);
-                }
+                simplify_goal(cond, out);
+                std::iter::once(then)
+                    .chain(els)
+                    .for_each(|b| prune_stmts(b, out));
             }
-            StmtPlan::Foreach { goal, body, .. } => {
-                simplify_goal(&mut goal.goal, out);
-                prune_stmts(body, out);
-            }
-            StmtPlan::While { cond, body } => {
-                simplify_goal(&mut cond.goal, out);
+            StmtPlan::Foreach { goal: g, body } | StmtPlan::While { cond: g, body } => {
+                simplify_goal(g, out);
                 prune_stmts(body, out);
             }
             StmtPlan::Block(b) => prune_stmts(b, out),
@@ -1859,21 +1854,17 @@ fn goal_callees(g: &Goal, dispatch: &[DispatchTable], out: &mut Vec<PlanId>) {
 fn stmt_callees(stmts: &[StmtPlan], dispatch: &[DispatchTable], out: &mut Vec<PlanId>) {
     for s in stmts {
         match s {
-            StmtPlan::Let(g) => goal_callees(&g.goal, dispatch, out),
+            StmtPlan::Let(g) => goal_callees(g, dispatch, out),
             StmtPlan::Switch {
                 scrutinees,
                 cases,
                 bodies,
                 default,
             } => {
-                let mut exprs = Vec::new();
                 for e in scrutinees
                     .iter()
                     .chain(cases.iter().flat_map(|c| &c.patterns))
                 {
-                    exprs.push(e.clone());
-                }
-                for e in &exprs {
                     goal_callees(&Goal::Test(e.clone()), dispatch, out);
                 }
                 bodies.iter().for_each(|b| stmt_callees(b, dispatch, out));
@@ -1883,7 +1874,7 @@ fn stmt_callees(stmts: &[StmtPlan], dispatch: &[DispatchTable], out: &mut Vec<Pl
             }
             StmtPlan::Cond { arms, else_arm } => {
                 for (g, b) in arms {
-                    goal_callees(&g.goal, dispatch, out);
+                    goal_callees(g, dispatch, out);
                     stmt_callees(b, dispatch, out);
                 }
                 if let Some(e) = else_arm {
@@ -1891,18 +1882,13 @@ fn stmt_callees(stmts: &[StmtPlan], dispatch: &[DispatchTable], out: &mut Vec<Pl
                 }
             }
             StmtPlan::If { cond, then, els } => {
-                goal_callees(&cond.goal, dispatch, out);
-                stmt_callees(then, dispatch, out);
-                if let Some(e) = els {
-                    stmt_callees(e, dispatch, out);
-                }
+                goal_callees(cond, dispatch, out);
+                std::iter::once(then)
+                    .chain(els)
+                    .for_each(|b| stmt_callees(b, dispatch, out));
             }
-            StmtPlan::Foreach { goal, body, .. } => {
-                goal_callees(&goal.goal, dispatch, out);
-                stmt_callees(body, dispatch, out);
-            }
-            StmtPlan::While { cond, body } => {
-                goal_callees(&cond.goal, dispatch, out);
+            StmtPlan::Foreach { goal: g, body } | StmtPlan::While { cond: g, body } => {
+                goal_callees(g, dispatch, out);
                 stmt_callees(body, dispatch, out);
             }
             StmtPlan::Return(Some(e))

@@ -6,26 +6,26 @@
 //! boxed [`Goal`]/[`StmtPlan`] trees into two dense instruction streams:
 //!
 //! - **[`BcBody`]** — threaded code for one goal: a mode-specialized
-//!   solved form, a `where` refinement, or the goal of a `let` / `if` /
-//!   `cond` / `foreach` / `while` statement ([`GoalPlan`]). Every
-//!   instruction carries the *pc of its continuation* explicitly (`next`),
-//!   so conjunction is a fall-through field instead of a `Seq` vector walk,
-//!   and disjunction is a [`Instr::Choice`] whose alternatives are entry
-//!   pcs. The stream is compiled right-to-left: `emit(goal, next)` appends
-//!   the instructions of `goal` and returns its entry pc, so no jump
-//!   patching is ever needed and pc `0` is always the shared
-//!   [`Instr::Emit`] solution boundary. Negation and run-time scheduled
-//!   conjunctions are in-stream sub-chains that also end at pc `0`: the
-//!   executor runs a sub-chain under its own continuation (a closure in
-//!   the recursive evaluator, the continuation stack in the machine).
-//! - **[`BcBlock`]** — register code for one imperative body. Expression
-//!   temporaries live in a flat register file indexed by [`Reg`] instead of
-//!   re-walking `PExpr` trees; `switch` lowers to a [`SwitchTable`] jump
-//!   table over the PR 4 [`CaseGuard`] class tags (one array load selects
-//!   the candidate arms for a scrutinee's type index); `while` loops whose
-//!   condition is a comparison become a `CmpJump`/`LoopJump` pair. Other
-//!   statements run through the statement interpreter, whose goals are
-//!   again [`BcBody`]s.
+//!   solved form, a `where` refinement ([`GoalPlan`](crate::lower::GoalPlan)),
+//!   or a statement goal. Every instruction carries the *pc of its
+//!   continuation* explicitly (`next`), so conjunction is a fall-through
+//!   field instead of a `Seq` vector walk, and disjunction is a
+//!   [`Instr::Choice`] whose alternatives are entry pcs. The stream is
+//!   compiled right-to-left: `emit(goal, next)` appends the instructions
+//!   of `goal` and returns its entry pc, so no jump patching is ever needed
+//!   and pc `0` is always the shared [`Instr::Emit`] solution boundary.
+//!   Negation and run-time scheduled conjunctions are in-stream sub-chains
+//!   that also end at pc `0`: the executor runs a sub-chain under its own
+//!   continuation (a closure in the recursive evaluator, the continuation
+//!   stack in the machine).
+//! - **[`BcBlock`]** — register code for one imperative body, every
+//!   statement included. Expression temporaries live in a flat register
+//!   file indexed by [`Reg`] instead of re-walking `PExpr` trees; `switch`
+//!   lowers to a [`SwitchTable`] jump table over the [`CaseGuard`]
+//!   class tags (one array load selects the candidate arms for a
+//!   scrutinee's type index); comparison-headed `while` loops become a
+//!   `CmpJump`/`LoopJump` pair. Statement goals live in the block's goal
+//!   pool, and the bodies of structured statements are sub-chains.
 //!
 //! # Register model
 //!
@@ -78,8 +78,7 @@
 use crate::intern::Sym;
 use crate::lower::{
     BlockPlan, BodyPlan, CallKind, CaseGuard, CasePlan, CaseTarget, ClassCheck, DispatchId,
-    DispatchTable, Goal, GoalPlan, MethodPlan, PExpr, PlanId, ReadyCheck, SlotId, SolvedForm,
-    StmtPlan,
+    DispatchTable, Goal, MethodPlan, PExpr, PlanId, ReadyCheck, SlotId, SolvedForm, StmtPlan,
 };
 use crate::table::ClassLayout;
 use jmatch_syntax::ast::{BinOp, CmpOp};
@@ -90,8 +89,6 @@ use std::fmt;
 pub type Pc = u32;
 /// Index into a stream's [`PExpr`] pool.
 pub type ExprId = u32;
-/// Index into a [`BcBlock`]'s [`StmtPlan`] pool.
-pub type StmtId = u32;
 /// A register in a [`BcBlock`]'s register file.
 pub type Reg = u16;
 
@@ -657,17 +654,19 @@ pub fn compile_body(form: &SolvedForm, entry_must: &[SlotId]) -> BcBody {
 // ---------------------------------------------------------------------------
 
 /// Compiles a `where` or statement goal running in a frame of `nslots`
-/// slots. Nothing is known about the frame on entry, so every slot may be
-/// bound, none must be, and `this` may or may not be in scope: directions
-/// the analysis cannot prove stay [`UnifyMode::Dynamic`].
-fn compile_goal_plan(gp: &mut GoalPlan, nslots: usize) {
-    goal_wheres(&mut gp.goal, nslots);
+/// slots, with the `where` goals inside it compiled on a copy. Nothing is
+/// known about the frame on entry, so every slot may be bound, none must
+/// be, and `this` may or may not be in scope: directions the analysis
+/// cannot prove stay [`UnifyMode::Dynamic`].
+fn compile_goal(goal: &Goal, nslots: usize) -> BcBody {
+    let mut goal = goal.clone();
+    goal_wheres(&mut goal, nslots);
     let may = (0..nslots as SlotId).collect();
     let this = ThisScope {
         must: false,
         may: true,
     };
-    gp.bc = Some(compile(&gp.goal, HashSet::new(), may, this));
+    compile(&goal, HashSet::new(), may, this)
 }
 
 /// Compiles every `where` goal inside `e`, innermost first.
@@ -675,7 +674,7 @@ fn expr_wheres(e: &mut PExpr, nslots: usize) {
     match e {
         PExpr::Where(p, g) => {
             expr_wheres(p, nslots);
-            compile_goal_plan(g, nslots);
+            g.bc = Some(compile_goal(&g.goal, nslots));
         }
         PExpr::Field(a, _, _) | PExpr::NewArray(_, a) | PExpr::Neg(a) => expr_wheres(a, nslots),
         PExpr::Index(a, b) | PExpr::Binary(_, a, b) | PExpr::As(a, b) | PExpr::OrPat(a, b) => {
@@ -714,77 +713,26 @@ fn goal_wheres(g: &mut Goal, nslots: usize) {
     }
 }
 
-/// Compiles every statement goal and `where` goal of a statement list.
-fn stmt_goals(stmts: &mut [StmtPlan], nslots: usize) {
-    for s in stmts {
-        match s {
-            StmtPlan::Let(g) => compile_goal_plan(g, nslots),
-            StmtPlan::Switch {
-                scrutinees,
-                cases,
-                bodies,
-                default,
-            } => {
-                for e in scrutinees
-                    .iter_mut()
-                    .chain(cases.iter_mut().flat_map(|c| &mut c.patterns))
-                {
-                    expr_wheres(e, nslots);
-                }
-                for b in bodies.iter_mut().chain(default) {
-                    stmt_goals(b, nslots);
-                }
-            }
-            StmtPlan::Cond { arms, else_arm } => {
-                for (g, body) in arms {
-                    compile_goal_plan(g, nslots);
-                    stmt_goals(body, nslots);
-                }
-                if let Some(b) = else_arm {
-                    stmt_goals(b, nslots);
-                }
-            }
-            StmtPlan::If { cond, then, els } => {
-                compile_goal_plan(cond, nslots);
-                for b in std::iter::once(then).chain(els) {
-                    stmt_goals(b, nslots);
-                }
-            }
-            StmtPlan::Foreach { goal: g, body, .. } | StmtPlan::While { cond: g, body } => {
-                compile_goal_plan(g, nslots);
-                stmt_goals(body, nslots);
-            }
-            StmtPlan::Return(Some(e))
-            | StmtPlan::Assign(_, e)
-            | StmtPlan::AssignUnsupported(e)
-            | StmtPlan::Expr(e) => expr_wheres(e, nslots),
-            StmtPlan::Return(None) => {}
-            StmtPlan::Block(b) => stmt_goals(b, nslots),
-        }
-    }
-}
-
 /// Compiles the `where` goals of a solved form's goal in place, so the
 /// form's own stream (compiled next) pools expressions that carry them.
 pub(crate) fn compile_form_goals(form: &mut SolvedForm) {
     goal_wheres(&mut form.goal, form.frame.len());
 }
 
-/// The first step of pass 4 for one body: every `where` goal and every
-/// statement goal gets its own compiled [`BcBody`], in place.
+/// The first step of pass 4 for one body: every `where` goal of a solved
+/// form gets its own compiled [`BcBody`], in place. A block compiles its
+/// goals on its own copies ([`compile_block`]).
 pub(crate) fn compile_goal_positions(body: &mut BodyPlan) {
-    match body {
-        BodyPlan::Formula {
-            forward,
-            matching,
-            equals_bound,
-        } => {
-            for form in [forward, matching].into_iter().chain(equals_bound) {
-                compile_form_goals(form);
-            }
-        }
-        BodyPlan::Block(bp) => stmt_goals(&mut bp.stmts, bp.frame.len()),
-        BodyPlan::Absent => {}
+    if let BodyPlan::Formula {
+        forward,
+        matching,
+        equals_bound,
+    } = body
+    {
+        [forward, matching]
+            .into_iter()
+            .chain(equals_bound)
+            .for_each(compile_form_goals);
     }
 }
 
@@ -806,15 +754,34 @@ pub enum Const {
 }
 
 /// The jump table of one lowered `switch`: candidate case indices (in
-/// source order) per scrutinee type index, plus the candidates for
-/// non-object / foreign scrutinees. Selecting the arms that can possibly
-/// match is one array load instead of a linear guard scan.
+/// source order) per type index of the first scrutinee, plus the
+/// candidates for every other scrutinee. Selecting the arms that can
+/// possibly match is one array load instead of a linear guard scan.
 #[derive(Debug, Clone)]
 pub struct SwitchTable {
-    /// Candidate case indices for objects, by dense type index.
+    /// Candidate case indices for objects, by dense type index (empty when
+    /// no case tests the first scrutinee's class).
     pub by_type: Vec<Box<[u16]>>,
-    /// Candidate case indices for values without a type index.
+    /// Candidate case indices for every other scrutinee: all cases.
     pub other: Box<[u16]>,
+    /// The cases, in source order.
+    pub cases: Vec<BcCase>,
+    /// The sub-chain run, unscoped, when no case matches: the `default`
+    /// body or a [`SInstr::Fail`].
+    pub default: Pc,
+}
+
+/// One case of a [`SwitchTable`].
+#[derive(Debug, Clone)]
+pub struct BcCase {
+    /// First of its patterns (one per scrutinee) in the expression pool.
+    pub patterns: ExprId,
+    /// One tag-dispatch guard per pattern, checked before its matcher runs.
+    pub guards: Box<[CaseGuard]>,
+    /// The sub-chain run in the case's scope once every pattern matched:
+    /// its body, the `default` body, or a [`SInstr::Fail`] for a case that
+    /// falls off the end.
+    pub body: Pc,
 }
 
 /// The pc table of a *natively* compiled `switch` ([`SInstr::SwitchJump`]):
@@ -1090,32 +1057,71 @@ pub enum SInstr {
         /// Jump-table index into [`BcBlock::jumps`].
         table: u32,
     },
-    /// Guarded-switch superinstruction: select the candidate case arms for
-    /// the scrutinee's type index through `switches[table]`, then run them
-    /// through the shared case-matching machinery.
+    /// Commit the first solution of `goals[goal]` to the frame, or jump to
+    /// `if_false`: a `let` (jumping to a [`SInstr::Fail`]) or a general
+    /// `while` condition.
+    Solve {
+        /// Goal-pool index.
+        goal: u32,
+        /// Taken when the goal has no solution.
+        if_false: Pc,
+    },
+    /// An if-then branch, a `cond` arm or a `{}` block: commit the goal's
+    /// first solution (else jump to `if_false`), run the body sub-chain at
+    /// the next pc as a scope, continue at `next`.
+    Scope {
+        /// Goal-pool index (`None` for a `{}` block).
+        goal: Option<u32>,
+        /// Taken when the goal has no solution.
+        if_false: Pc,
+        /// Continuation after the body.
+        next: Pc,
+    },
+    /// `foreach`: collect every solution of `goals[goal]`, then run the body
+    /// sub-chain at the next pc once per solution, as a scope entered with
+    /// the solution's values of the slots unbound on entry.
+    Foreach {
+        /// Goal-pool index.
+        goal: u32,
+        /// Continuation after the last iteration.
+        next: Pc,
+    },
+    /// Guarded switch: match the candidate cases of `switches[table]` in
+    /// order (first solution per pattern) and run the first match's body
+    /// as a scope entered with its bindings — or the `default`, unscoped.
     Switch {
-        /// Scrutinee register.
-        scrutinee: Reg,
+        /// First scrutinee register (scrutinees are contiguous).
+        scrutinees: Reg,
+        /// Number of scrutinees.
+        count: u16,
         /// Switch-table index.
         table: u32,
-        /// The pooled `StmtPlan::Switch` (cases, bodies, default).
-        stmt: StmtId,
+        /// Continuation after the switch.
+        next: Pc,
     },
-    /// Full statement fallback: statements with subtle solution-frame
-    /// semantics (`let`, `if`/`cond`, `foreach`, general `while`, nested
-    /// blocks) run through the existing statement interpreter.
-    ExecStmt {
-        /// Statement-pool index.
-        stmt: StmtId,
+    /// A statement's run-time failure.
+    Fail {
+        /// The error message.
+        msg: &'static str,
     },
     /// End of the block: normal fall-off.
     End,
 }
 
-/// Register bytecode for one imperative body.
+/// Register bytecode for one imperative body, run from pc 0. The bodies of
+/// structured statements are sub-chains of the stream, each ending in its
+/// own [`SInstr::End`]; the executor re-enters the stream to run one, so
+/// nested bodies share the register file.
+///
+/// **Scope rule.** The body of an if-then branch, a `cond` arm, a matched
+/// `switch` case, each `foreach` iteration and a `{}` block is a *scope*:
+/// on exit, every slot that was unbound on entry is unbound again, and
+/// every update to a slot that was bound on entry persists. Else branches,
+/// a `default` reached because no case matched, and `while` bodies are not
+/// scopes.
 #[derive(Debug, Clone)]
 pub struct BcBlock {
-    /// The instruction stream (entry at pc 0, terminated by [`SInstr::End`]).
+    /// The instruction stream.
     pub code: Vec<SInstr>,
     /// Register-file size (high-water mark).
     pub nregs: u16,
@@ -1123,10 +1129,10 @@ pub struct BcBlock {
     pub nguards: u16,
     /// Constant pool.
     pub consts: Vec<Const>,
-    /// Expression pool for [`SInstr::EvalExpr`].
+    /// Expression pool for [`SInstr::EvalExpr`] and switch patterns.
     pub exprs: Vec<PExpr>,
-    /// Statement pool for [`SInstr::ExecStmt`] / [`SInstr::Switch`].
-    pub stmts: Vec<StmtPlan>,
+    /// Statement-goal pool.
+    pub goals: Vec<BcBody>,
     /// Switch jump tables (guarded form).
     pub switches: Vec<SwitchTable>,
     /// Native switch pc tables ([`SInstr::SwitchJump`]).
@@ -1137,16 +1143,20 @@ pub struct BcBlock {
 
 struct BlockCompiler<'a> {
     ctx: &'a BcCtx<'a>,
+    /// Frame size, for compiling goals.
+    nslots: usize,
     code: Vec<SInstr>,
     nregs: u16,
     next_reg: u16,
     nguards: u16,
     consts: Vec<Const>,
     exprs: Vec<PExpr>,
-    stmts: Vec<StmtPlan>,
+    goals: Vec<BcBody>,
     switches: Vec<SwitchTable>,
     jumps: Vec<JumpTable>,
     names: Vec<String>,
+    /// `let` solves, patched to jump to the block's one `let` failure.
+    let_fails: Vec<Pc>,
     /// Per-statement slot-read cache: registers already holding a frame
     /// slot's value, so repeated reads of the same variable inside one
     /// statement reuse the register instead of re-loading. Sound because
@@ -1205,16 +1215,35 @@ impl<'a> BlockCompiler<'a> {
         id
     }
 
+    /// Pools a copy of `e` with its `where` goals compiled.
     fn pool_expr(&mut self, e: &PExpr) -> ExprId {
         let id = self.exprs.len() as ExprId;
-        self.exprs.push(e.clone());
+        let mut e = e.clone();
+        expr_wheres(&mut e, self.nslots);
+        self.exprs.push(e);
         id
     }
 
-    fn pool_stmt(&mut self, s: &StmtPlan) -> StmtId {
-        let id = self.stmts.len() as StmtId;
-        self.stmts.push(s.clone());
+    fn pool_goal(&mut self, g: &Goal) -> u32 {
+        let id = self.goals.len() as u32;
+        self.goals.push(compile_goal(g, self.nslots));
         id
+    }
+
+    fn here(&self) -> Pc {
+        self.code.len() as Pc
+    }
+
+    /// Points the forward jump of the instruction at `pc` to `target`.
+    fn patch(&mut self, pc: Pc, target: Pc) {
+        match &mut self.code[pc as usize] {
+            SInstr::CmpJump { if_false, .. }
+            | SInstr::TestJump { if_false, .. }
+            | SInstr::Solve { if_false, .. }
+            | SInstr::Scope { if_false, .. } => *if_false = target,
+            SInstr::Foreach { next, .. } | SInstr::Switch { next, .. } => *next = target,
+            other => unreachable!("no jump to patch in {other:?}"),
+        }
     }
 
     /// Compiles `e` into a fresh register and returns it. A variable whose
@@ -1841,6 +1870,15 @@ impl<'a> BlockCompiler<'a> {
         }
     }
 
+    /// Emits `stmts` as a sub-chain ending in [`SInstr::End`]; returns its
+    /// entry pc.
+    fn sub_chain(&mut self, stmts: &[StmtPlan]) -> Pc {
+        let pc = self.here();
+        stmts.iter().for_each(|s| self.stmt(s));
+        self.push(SInstr::End);
+        pc
+    }
+
     fn stmt(&mut self, s: &StmtPlan) {
         self.next_reg = 0;
         self.slot_regs.clear();
@@ -1851,120 +1889,184 @@ impl<'a> BlockCompiler<'a> {
             StmtPlan::Return(None) => {
                 self.push(SInstr::RetNull);
             }
-            StmtPlan::While { cond, body } => match &cond.goal {
-                Goal::Compare(op, l, r) => {
-                    let guard = self.nguards;
-                    self.nguards += 1;
-                    self.push(SInstr::ResetGuard { guard });
-                    let head = self.code.len() as Pc;
-                    self.next_reg = 0;
-                    let a = self.expr(l);
-                    let b = self.expr(r);
-                    let cmp = self.push(SInstr::CmpJump {
-                        op: *op,
-                        a,
-                        b,
-                        if_false: 0, // patched below
-                    });
-                    for s in body {
-                        self.stmt(s);
+            // The right-hand side still runs, so its errors come first.
+            StmtPlan::AssignUnsupported(e) => {
+                self.expr(e);
+                self.fail("unsupported assignment target");
+            }
+            StmtPlan::Let(g) => {
+                let goal = self.pool_goal(g);
+                let pc = self.push(SInstr::Solve { goal, if_false: 0 });
+                self.let_fails.push(pc);
+            }
+            StmtPlan::While { cond, body } => {
+                let guard = self.nguards;
+                self.nguards += 1;
+                self.push(SInstr::ResetGuard { guard });
+                let head = self.here();
+                let test = match cond {
+                    Goal::Compare(op, l, r) => {
+                        let a = self.expr(l);
+                        let b = self.expr(r);
+                        self.push(SInstr::CmpJump {
+                            op: *op,
+                            a,
+                            b,
+                            if_false: 0,
+                        })
                     }
-                    self.push(SInstr::LoopJump {
-                        target: head,
-                        guard,
-                    });
-                    let end = self.code.len() as Pc;
-                    if let SInstr::CmpJump { if_false, .. } = &mut self.code[cmp as usize] {
-                        *if_false = end;
+                    Goal::Test(e) => {
+                        let a = self.expr(e);
+                        self.push(SInstr::TestJump { a, if_false: 0 })
                     }
-                }
-                Goal::Test(e) => {
-                    let guard = self.nguards;
-                    self.nguards += 1;
-                    self.push(SInstr::ResetGuard { guard });
-                    let head = self.code.len() as Pc;
-                    self.next_reg = 0;
-                    let a = self.expr(e);
-                    let test = self.push(SInstr::TestJump { a, if_false: 0 });
-                    for s in body {
-                        self.stmt(s);
+                    g => {
+                        let goal = self.pool_goal(g);
+                        self.push(SInstr::Solve { goal, if_false: 0 })
                     }
-                    self.push(SInstr::LoopJump {
-                        target: head,
-                        guard,
-                    });
-                    let end = self.code.len() as Pc;
-                    if let SInstr::TestJump { if_false, .. } = &mut self.code[test as usize] {
-                        *if_false = end;
-                    }
-                }
-                _ => {
-                    let stmt = self.pool_stmt(s);
-                    self.push(SInstr::ExecStmt { stmt });
-                }
-            },
+                };
+                body.iter().for_each(|s| self.stmt(s));
+                self.push(SInstr::LoopJump {
+                    target: head,
+                    guard,
+                });
+                let end = self.here();
+                self.patch(test, end);
+            }
+            StmtPlan::If { cond, then, els } => {
+                self.arms([(Some(cond), &then[..])], Ok(els.as_deref().unwrap_or(&[])))
+            }
+            StmtPlan::Cond { arms, else_arm } => self.arms(
+                arms.iter().map(|(g, body)| (Some(g), &body[..])),
+                else_arm.as_deref().ok_or("non-exhaustive cond at run time"),
+            ),
+            StmtPlan::Block(stmts) => self.arms([(None, &stmts[..])], Ok(&[])),
+            StmtPlan::Foreach { goal, body } => {
+                let goal = self.pool_goal(goal);
+                let pc = self.push(SInstr::Foreach { goal, next: 0 });
+                self.sub_chain(body);
+                let next = self.here();
+                self.patch(pc, next);
+            }
             StmtPlan::Switch {
                 scrutinees,
                 cases,
                 bodies,
-                ..
-            } if scrutinees.len() == 1 => {
-                // Build the jump table from the PR 4 case guards; a switch
-                // whose guards are all `Any` gains nothing over the scan.
-                let num_types = cases.iter().find_map(|c| match &c.guards[0] {
-                    CaseGuard::Classes(mask) => Some(mask.len()),
-                    CaseGuard::Any => None,
-                });
-                match num_types {
-                    Some(n) => {
-                        let by_type: Vec<Box<[u16]>> = (0..n)
-                            .map(|t| {
-                                cases
-                                    .iter()
-                                    .enumerate()
-                                    .filter(|(_, c)| c.guards[0].admits(Some(t as u32)))
-                                    .map(|(i, _)| i as u16)
-                                    .collect()
-                            })
-                            .collect();
-                        let other: Box<[u16]> = cases
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, c)| c.guards[0].admits(None))
-                            .map(|(i, _)| i as u16)
-                            .collect();
-                        let table = self.switches.len() as u32;
-                        self.switches.push(SwitchTable { by_type, other });
-                        let scrutinee = self.expr(&scrutinees[0]);
-                        let stmt = self.pool_stmt(s);
-                        let arms = self.native_arms(cases, bodies, n);
-                        if let Some(arms) = arms {
-                            self.emit_native_switch(scrutinee, arms, n);
-                        }
-                        // The guarded form: the whole switch when no native
-                        // table was emitted, the `other` fallback (non-object
-                        // / foreign / unmatched scrutinees, `default`) when
-                        // one was.
-                        self.push(SInstr::Switch {
-                            scrutinee,
-                            table,
-                            stmt,
-                        });
-                    }
-                    None => {
-                        let stmt = self.pool_stmt(s);
-                        self.push(SInstr::ExecStmt { stmt });
-                    }
-                }
-            }
-            // Let / If / Cond / Foreach / nested Block / multi-scrutinee
-            // Switch / AssignUnsupported: the statement interpreter owns
-            // their solution-frame save/restore semantics.
-            _ => {
-                let stmt = self.pool_stmt(s);
-                self.push(SInstr::ExecStmt { stmt });
+                default,
+            } => self.switch(scrutinees, cases, bodies, default.as_deref()),
+        }
+    }
+
+    fn fail(&mut self, msg: &'static str) -> Pc {
+        self.push(SInstr::Fail { msg })
+    }
+
+    /// `if`, `cond` and `{}`: one [`SInstr::Scope`] per arm, each falling
+    /// to the next when its goal has no solution, then the unscoped `else`
+    /// code — or, for a `cond` without one, its failure.
+    fn arms<'p>(
+        &mut self,
+        arms: impl IntoIterator<Item = (Option<&'p Goal>, &'p [StmtPlan])>,
+        els: Result<&[StmtPlan], &'static str>,
+    ) {
+        let mut scopes = Vec::new();
+        for (g, body) in arms {
+            let goal = g.map(|g| self.pool_goal(g));
+            let pc = self.push(SInstr::Scope {
+                goal,
+                if_false: 0,
+                next: 0,
+            });
+            self.sub_chain(body);
+            let here = self.here();
+            self.patch(pc, here);
+            scopes.push(pc);
+        }
+        match els {
+            Ok(e) => e.iter().for_each(|s| self.stmt(s)),
+            Err(msg) => _ = self.fail(msg),
+        }
+        let end = self.here();
+        for pc in scopes {
+            if let SInstr::Scope { next, .. } = &mut self.code[pc as usize] {
+                *next = end;
             }
         }
+    }
+
+    /// Emits a `switch`: the scrutinees into contiguous registers, the
+    /// native [`SInstr::SwitchJump`] when every arm qualifies, the guarded
+    /// [`SInstr::Switch`] (the whole switch, or the native table's `other`
+    /// fallback), then the bodies and failures it jumps to.
+    fn switch(
+        &mut self,
+        scrutinees: &[PExpr],
+        cases: &[CasePlan],
+        bodies: &[Vec<StmtPlan>],
+        default: Option<&[StmtPlan]>,
+    ) {
+        let base = self.next_reg;
+        for _ in scrutinees {
+            self.alloc();
+        }
+        for (i, e) in scrutinees.iter().enumerate() {
+            self.expr_into(e, base + i as Reg);
+        }
+        // The candidates by type index come from the lowered case guards.
+        let n = cases.iter().find_map(|c| match &c.guards[0] {
+            CaseGuard::Classes(mask) => Some(mask.len()),
+            CaseGuard::Any => None,
+        });
+        let all = 0..cases.len() as u16;
+        let by_type = (0..n.unwrap_or(0) as u32).map(|t| {
+            let admits = |i: &u16| cases[*i as usize].guards[0].admits(Some(t));
+            all.clone().filter(admits).collect()
+        });
+        let table = self.switches.len();
+        self.switches.push(SwitchTable {
+            by_type: by_type.collect(),
+            other: all.collect(),
+            cases: Vec::new(),
+            default: 0,
+        });
+        if let (Some(n), 1) = (n, scrutinees.len()) {
+            if let Some(arms) = self.native_arms(cases, bodies, n) {
+                self.emit_native_switch(base, arms, n);
+            }
+        }
+        let sw = self.push(SInstr::Switch {
+            scrutinees: base,
+            count: scrutinees.len() as u16,
+            table: table as u32,
+            next: 0,
+        });
+        let body_pcs: Vec<Pc> = bodies.iter().map(|b| self.sub_chain(b)).collect();
+        let default = match default {
+            Some(d) => self.sub_chain(d),
+            None => self.fail("non-exhaustive switch at run time"),
+        };
+        let mut fell_off = None;
+        for c in cases {
+            let body = match c.target {
+                CaseTarget::Body(j) => body_pcs[j],
+                CaseTarget::Default => default,
+                CaseTarget::FellOff => {
+                    *fell_off.get_or_insert_with(|| self.fail("switch fell off the end"))
+                }
+            };
+            let patterns = self.exprs.len() as ExprId;
+            for p in &c.patterns {
+                self.pool_expr(p);
+            }
+            let guards = c.guards.clone().into();
+            self.switches[table].cases.push(BcCase {
+                patterns,
+                guards,
+                body,
+            });
+        }
+        self.switches[table].default = default;
+        let next = self.here();
+        self.patch(sw, next);
     }
 }
 
@@ -2177,40 +2279,39 @@ fn fast_expr_ok(e: &PExpr, params: &[SlotId]) -> bool {
 pub fn compile_block(bp: &BlockPlan, ctx: &BcCtx<'_>) -> BcBlock {
     let mut c = BlockCompiler {
         ctx,
+        nslots: bp.frame.len(),
         code: Vec::new(),
         nregs: 0,
         next_reg: 0,
         nguards: 0,
         consts: Vec::new(),
         exprs: Vec::new(),
-        stmts: Vec::new(),
+        goals: Vec::new(),
         switches: Vec::new(),
         jumps: Vec::new(),
         names: Vec::new(),
+        let_fails: Vec::new(),
         slot_regs: Vec::new(),
         spec: None,
     };
-    for s in &bp.stmts {
-        c.stmt(s);
+    c.sub_chain(&bp.stmts);
+    if !c.let_fails.is_empty() {
+        let fail = c.fail("let statement failed to match");
+        for pc in std::mem::take(&mut c.let_fails) {
+            c.patch(pc, fail);
+        }
     }
-    c.push(SInstr::End);
     BcBlock {
         code: c.code,
         nregs: c.nregs,
         nguards: c.nguards,
         consts: c.consts,
         exprs: c.exprs,
-        stmts: c.stmts,
+        goals: c.goals,
         switches: c.switches,
         jumps: c.jumps,
         names: c.names,
     }
-}
-
-/// The `PlanId` of a `CallStatic` (stored narrow in the instruction).
-#[inline]
-pub fn call_static_pid(pid: u32) -> PlanId {
-    pid as PlanId
 }
 
 // ---------------------------------------------------------------------------
@@ -2494,14 +2595,34 @@ impl fmt::Display for BcBlock {
                     }
                     writeln!(f, "] other {}", t.other)?;
                 }
+                SInstr::Solve { goal, if_false } => {
+                    writeln!(f, "solve goal#{goal} else jmp {if_false}")?
+                }
+                SInstr::Scope {
+                    goal,
+                    if_false,
+                    next,
+                } => match goal {
+                    Some(g) => writeln!(f, "scope goal#{g} else jmp {if_false} -> {next}")?,
+                    None => writeln!(f, "scope -> {next}")?,
+                },
+                SInstr::Foreach { goal, next } => writeln!(f, "foreach goal#{goal} -> {next}")?,
                 SInstr::Switch {
-                    scrutinee,
+                    scrutinees,
+                    count,
                     table,
-                    stmt,
-                } => writeln!(f, "switch r{scrutinee} table#{table} stmt#{stmt}")?,
-                SInstr::ExecStmt { stmt } => writeln!(f, "stmt#{stmt}")?,
+                    next,
+                } => writeln!(f, "switch r{scrutinees}..+{count} table#{table} -> {next}")?,
+                SInstr::Fail { msg } => writeln!(f, "fail {msg:?}")?,
                 SInstr::End => writeln!(f, "end")?,
             }
+        }
+        for (i, t) in self.switches.iter().enumerate() {
+            let bodies: Vec<Pc> = t.cases.iter().map(|c| c.body).collect();
+            writeln!(f, "table#{i}: cases -> {bodies:?} default -> {}", t.default)?;
+        }
+        for (i, g) in self.goals.iter().enumerate() {
+            write!(f, "goal#{i} {g}")?;
         }
         Ok(())
     }
@@ -2658,9 +2779,9 @@ mod tests {
             bc.code.iter().any(|i| matches!(i, SInstr::LoopJump { .. })),
             "{bc}"
         );
-        // The loop region (head through the back-jump) must not fall back to
-        // the statement interpreter. Leading declarations may still be
-        // ExecStmt — they run once, outside the loop.
+        // The loop region (head through the back-jump) is straight register
+        // code: no goal is solved in it. The leading declarations solve
+        // their goals once, outside the loop.
         let head = bc
             .code
             .iter()
@@ -2675,8 +2796,12 @@ mod tests {
         assert!(
             !bc.code[head..=back]
                 .iter()
-                .any(|i| matches!(i, SInstr::ExecStmt { .. })),
+                .any(|i| matches!(i, SInstr::Solve { .. } | SInstr::Scope { .. })),
             "{bc}"
+        );
+        assert!(
+            matches!(bc.code[0], SInstr::Solve { .. }),
+            "`int i;` solves its goal: {bc}"
         );
     }
 
@@ -2707,8 +2832,24 @@ mod tests {
         assert_eq!(bc.switches.len(), 1);
         // Every per-type candidate list is a subset of the case indices in
         // source order.
-        for cands in &bc.switches[0].by_type {
+        let table = &bc.switches[0];
+        for cands in &table.by_type {
             assert!(cands.windows(2).all(|w| w[0] < w[1]));
+        }
+        // Each case names its body's sub-chain, laid out after the guarded
+        // switch, as is the `default` body.
+        let sw = bc
+            .code
+            .iter()
+            .position(|i| matches!(i, SInstr::Switch { .. }))
+            .unwrap() as Pc;
+        assert_eq!(table.cases.len(), 2);
+        for pc in table.cases.iter().map(|c| c.body).chain([table.default]) {
+            assert!(pc > sw, "{bc}");
+            let exit = bc.code[pc as usize..]
+                .iter()
+                .find(|i| matches!(i, SInstr::Ret { .. } | SInstr::End));
+            assert!(matches!(exit, Some(SInstr::Ret { .. })), "{bc}");
         }
     }
 }

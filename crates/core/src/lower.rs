@@ -434,11 +434,9 @@ pub enum Goal {
     Trivial,
 }
 
-/// A goal outside a solved form's own instruction stream — a `where`
-/// refinement or the goal of a `let` / `if` / `cond` / `foreach` / `while`
-/// statement — together with the threaded bytecode pass 4 compiles it to.
-/// The goal tree is what analysis rewrites and pass 4 compiles from; the
-/// engines run only the bytecode.
+/// A `where` refinement together with the threaded bytecode pass 4
+/// compiles it to. The goal tree is what analysis rewrites and pass 4
+/// compiles from; the engines run only the bytecode.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GoalPlan {
     /// The lowered goal.
@@ -500,7 +498,7 @@ pub struct CasePlan {
 #[derive(Debug, Clone)]
 pub enum StmtPlan {
     /// `let f;` — commit to the first solution of the goal.
-    Let(GoalPlan),
+    Let(Goal),
     /// A `switch` with its dispatch plan.
     Switch {
         /// Scrutinee expressions.
@@ -515,14 +513,14 @@ pub enum StmtPlan {
     /// `cond { (f) {s} ... else {s} }`.
     Cond {
         /// The arms in order.
-        arms: Vec<(GoalPlan, Vec<StmtPlan>)>,
+        arms: Vec<(Goal, Vec<StmtPlan>)>,
         /// The `else` arm.
         else_arm: Option<Vec<StmtPlan>>,
     },
     /// `if (f) s else s`.
     If {
         /// Condition goal.
-        cond: GoalPlan,
+        cond: Goal,
         /// Then branch.
         then: Vec<StmtPlan>,
         /// Else branch.
@@ -531,17 +529,14 @@ pub enum StmtPlan {
     /// `foreach (f) { s }`.
     Foreach {
         /// The iterated goal.
-        goal: GoalPlan,
-        /// Slots of variables the formula *declares* (used for the
-        /// outer-update merge semantics).
-        declared: Vec<SlotId>,
+        goal: Goal,
         /// Loop body.
         body: Vec<StmtPlan>,
     },
     /// `while (f) { s }`.
     While {
         /// Loop condition goal.
-        cond: GoalPlan,
+        cond: Goal,
         /// Loop body.
         body: Vec<StmtPlan>,
     },
@@ -1047,10 +1042,9 @@ impl ProgramPlan {
 
     /// Pass 4: emit the flat bytecode of every lowered body for which
     /// `need[pid]` holds (all bodies when `need` is `None`). The plan stays
-    /// alongside as the lowering source. Goal positions outside a solved
-    /// form's own stream (`where` refinements, statement goals) compile
-    /// first, in place, so every pooled copy of them carries its bytecode.
-    /// Block bodies then compile against the whole program (methods +
+    /// alongside as the lowering source. Solved forms' `where` goals
+    /// compile first, in place; a block compiles its goals on its own
+    /// copies. Block bodies compile against the whole program (methods +
     /// dispatch tables) so monomorphic call sites and field-projection
     /// switch arms can be specialized, which is why the bytecode of all
     /// bodies is computed first and attached after; the plans consulted
@@ -1996,7 +1990,7 @@ impl<'t> Lowerer<'t> {
 
     fn lower_stmt(&mut self, stmt: &Stmt, st: &mut SlotState) -> StmtPlan {
         match stmt {
-            Stmt::Let(f) => StmtPlan::Let(GoalPlan::new(self.lower_formula(f, st))),
+            Stmt::Let(f) => StmtPlan::Let(self.lower_formula(f, st)),
             Stmt::Switch {
                 scrutinees,
                 cases,
@@ -2044,7 +2038,7 @@ impl<'t> Lowerer<'t> {
                     .iter()
                     .map(|(f, body)| {
                         let mut inner = st.clone();
-                        let goal = GoalPlan::new(self.lower_formula(f, &mut inner));
+                        let goal = self.lower_formula(f, &mut inner);
                         (goal, self.lower_block(body, &mut inner))
                     })
                     .collect();
@@ -2074,7 +2068,7 @@ impl<'t> Lowerer<'t> {
                     plan
                 });
                 StmtPlan::If {
-                    cond: GoalPlan::new(goal),
+                    cond: goal,
                     then: lowered_then,
                     els: lowered_else,
                 }
@@ -2082,17 +2076,8 @@ impl<'t> Lowerer<'t> {
             Stmt::Foreach { formula, body } => {
                 let mut inner = st.clone();
                 let goal = self.lower_formula(formula, &mut inner);
-                let declared = formula
-                    .declared_vars()
-                    .into_iter()
-                    .map(|(_, n)| self.slot(&n))
-                    .collect();
-                let lowered_body = self.lower_block(body, &mut inner);
-                StmtPlan::Foreach {
-                    goal: GoalPlan::new(goal),
-                    declared,
-                    body: lowered_body,
-                }
+                let body = self.lower_block(body, &mut inner);
+                StmtPlan::Foreach { goal, body }
             }
             Stmt::While { cond, body } => {
                 let mut inner = st.clone();
@@ -2105,7 +2090,7 @@ impl<'t> Lowerer<'t> {
                     }
                 }
                 StmtPlan::While {
-                    cond: GoalPlan::new(goal),
+                    cond: goal,
                     body: lowered_body,
                 }
             }
@@ -2405,7 +2390,7 @@ mod tests {
         let BodyPlan::Block(block) = &m.body else {
             panic!()
         };
-        let StmtPlan::Let(GoalPlan { goal, .. }) = &block.stmts[0] else {
+        let StmtPlan::Let(goal) = &block.stmts[0] else {
             panic!()
         };
         // Conjunct 0 (`int x = int y`) is never must-ready, so scheduling

@@ -18,9 +18,10 @@
 //!   deeper frames stack explicitly per invocation rather than per cloned
 //!   environment.
 //!
-//! Imperative bodies run as [`BcBlock`] register code; statements without a
-//! register lowering go through the statement interpreter
-//! ([`Ev::exec_stmt`]), whose goals are again bytecode.
+//! Imperative bodies run as [`BcBlock`] register code, every statement
+//! included: statement goals are again bytecode, and the bodies of
+//! structured statements are sub-chains of the block's stream that
+//! [`Ev::exec_bc_code`] re-enters, following the block's scope rule.
 //!
 //! The observable behavior — values, bindings, enumeration order, and
 //! failures — is kept identical to the tree-walker's; `tests/differential.rs`
@@ -30,8 +31,8 @@ use crate::{Bindings, Flow, Object, RtError, RtResult, Value};
 use jmatch_core::bytecode::{BcBlock, BcBody, Const as BcConst, Instr, Pc, SInstr, UnifyMode};
 use jmatch_core::intern::Sym;
 use jmatch_core::lower::{
-    BodyPlan, CallKind, CaseGuard, CaseTarget, ClassCheck, ClassRef, DispatchId, GoalPlan, PExpr,
-    PlanId, ProgramPlan, ReadyCheck, SlotId, SolvedForm, StmtPlan,
+    BodyPlan, CallKind, CaseGuard, ClassCheck, ClassRef, DispatchId, PExpr, PlanId, ProgramPlan,
+    ReadyCheck, SlotId, SolvedForm,
 };
 use jmatch_core::table::ClassTable;
 use jmatch_syntax::ast::{BinOp, CmpOp, Expr, Formula, MethodBody, Type};
@@ -1593,68 +1594,31 @@ impl<'p, 'b> Ev<'p, 'b> {
     // Statements
     // ------------------------------------------------------------------
 
-    fn exec_block(
-        &mut self,
-        fr: &mut Frame,
-        this: Option<&Value>,
-        stmts: &[StmtPlan],
-    ) -> RtResult<Flow> {
-        for stmt in stmts {
-            match self.exec_stmt(fr, this, stmt)? {
-                Flow::Normal => {}
-                r @ Flow::Return(_) => return Ok(r),
-            }
-        }
-        Ok(Flow::Normal)
-    }
-
-    /// First solution of a statement goal, as a frame snapshot.
-    fn first_solution(
-        &mut self,
-        fr: &mut Frame,
-        this: Option<&Value>,
-        goal: &GoalPlan,
-    ) -> RtResult<Option<Frame>> {
-        let mut sol = None;
-        self.solve_goal(fr, this, goal.code(), &mut |_, f| {
-            sol = Some(f.clone());
-            Ok(false)
-        })?;
-        Ok(sol)
-    }
-
-    /// Commits the first solution of a goal into `fr` (the `let` / `while`
-    /// semantics), returning whether one existed. Goals whose bytecode
-    /// binds nothing — comparisons, ground tests, negation — skip the frame
-    /// snapshot entirely: the common `while (i < n)` shape costs no
-    /// allocation.
+    /// Commits the first solution of a statement goal into `fr`, returning
+    /// whether one existed. Goals that bind nothing skip the frame
+    /// snapshot: the common `while (i < n)` shape costs no allocation.
     fn commit_first(
         &mut self,
         fr: &mut Frame,
         this: Option<&Value>,
-        goal: &GoalPlan,
+        goal: &BcBody,
     ) -> RtResult<bool> {
-        if !goal.code().binds {
-            let mut found = false;
-            self.solve_goal(fr, this, goal.code(), &mut |_, _| {
-                found = true;
-                Ok(false)
-            })?;
-            return Ok(found);
-        }
-        match self.first_solution(fr, this, goal)? {
-            Some(sol) => {
-                *fr = sol;
-                Ok(true)
+        let mut found = false;
+        let mut sol = None;
+        self.solve_goal(fr, this, goal, &mut |_, f| {
+            found = true;
+            if goal.binds {
+                sol = Some(f.clone());
             }
-            None => Ok(false),
+            Ok(false)
+        })?;
+        if let Some(sol) = sol {
+            *fr = sol;
         }
+        Ok(found)
     }
 
-    /// Runs an imperative body through its register bytecode. Statement
-    /// shapes without a register lowering delegate to [`Ev::exec_stmt`],
-    /// so the observable semantics (solution-frame scoping, error order)
-    /// are the statement interpreter's.
+    /// Runs an imperative body through its register bytecode.
     fn exec_bc_block(
         &mut self,
         fr: &mut Frame,
@@ -1663,11 +1627,44 @@ impl<'p, 'b> Ev<'p, 'b> {
     ) -> RtResult<Flow> {
         let mut regs = self.take_regs(bc.nregs as usize);
         let mut guards = vec![0u32; bc.nguards as usize];
-        let r = self.exec_bc_code(fr, this, bc, &mut regs, &mut guards);
+        let r = self.exec_bc_code(fr, this, bc, &mut regs, &mut guards, 0);
         self.recycle_regs(regs);
         r
     }
 
+    /// Matches one `switch` case's patterns left to right against the
+    /// scrutinee values (tag-dispatch guard first, first solution per
+    /// pattern only) and snapshots the frame of a full match into `sol`;
+    /// the nested `bind_then` scopes leave `fr` as they found it.
+    fn match_case(
+        &mut self,
+        fr: &mut Frame,
+        this: Option<&Value>,
+        patterns: &[PExpr],
+        guards: &[CaseGuard],
+        values: &[Value],
+        sol: &mut Option<Frame>,
+    ) -> RtResult<()> {
+        let (Some(pat), Some(value)) = (patterns.first(), values.first()) else {
+            *sol = Some(fr.clone());
+            return Ok(());
+        };
+        let index = match value {
+            Value::Obj(o) => self.obj_index(o),
+            _ => None,
+        };
+        if !guards[0].admits(index) {
+            return Ok(());
+        }
+        self.match_pat(fr, this, pat, value, &mut |ev, fr| {
+            ev.match_case(fr, this, &patterns[1..], &guards[1..], &values[1..], sol)?;
+            Ok(false)
+        })?;
+        Ok(())
+    }
+
+    /// Runs block code from `pc` to the first [`SInstr::End`] (the body's
+    /// end or a sub-chain's) or `return`.
     fn exec_bc_code(
         &mut self,
         fr: &mut Frame,
@@ -1675,8 +1672,9 @@ impl<'p, 'b> Ev<'p, 'b> {
         bc: &BcBlock,
         regs: &mut [Value],
         guards: &mut [u32],
+        pc: Pc,
     ) -> RtResult<Flow> {
-        let mut pc = 0usize;
+        let mut pc = pc as usize;
         loop {
             match &bc.code[pc] {
                 SInstr::Const { dst, k } => {
@@ -1832,8 +1830,11 @@ impl<'p, 'b> Ev<'p, 'b> {
                 }
                 SInstr::ResetGuard { guard } => guards[*guard as usize] = 0,
                 SInstr::LoopJump { target, guard } => {
-                    guards[*guard as usize] += 1;
-                    if guards[*guard as usize] > 1_000_000 {
+                    // Counts completed iterations: the condition is about to
+                    // run for the (count + 1)-th time.
+                    let count = &mut guards[*guard as usize];
+                    *count += 1;
+                    if *count >= crate::MAX_WHILE_CONDITIONS {
                         return Err(RtError::new("while loop exceeded iteration budget"));
                     }
                     pc = *target as usize;
@@ -1902,290 +1903,106 @@ impl<'p, 'b> Ev<'p, 'b> {
                     };
                     continue;
                 }
-                SInstr::Switch {
-                    scrutinee,
-                    table,
-                    stmt,
+                SInstr::Solve { goal, if_false } => {
+                    if !self.commit_first(fr, this, &bc.goals[*goal as usize])? {
+                        pc = *if_false as usize;
+                        continue;
+                    }
+                }
+                SInstr::Scope {
+                    goal,
+                    if_false,
+                    next,
                 } => {
-                    let StmtPlan::Switch {
-                        cases,
-                        bodies,
-                        default,
-                        ..
-                    } = &bc.stmts[*stmt as usize]
-                    else {
-                        return Err(RtError::new("corrupt switch bytecode"));
-                    };
-                    let values = [regs[*scrutinee as usize].clone()];
-                    let indices = [match &values[0] {
-                        Value::Obj(o) => self.obj_index(o),
-                        _ => None,
-                    }];
-                    let tbl = &bc.switches[*table as usize];
-                    let cands: &[u16] = match indices[0] {
-                        Some(i) if (i as usize) < tbl.by_type.len() => &tbl.by_type[i as usize],
-                        _ => &tbl.other,
-                    };
-                    let mut done = None;
-                    for &ci in cands {
-                        let case = &cases[ci as usize];
-                        let body: Option<&[StmtPlan]> = match case.target {
-                            CaseTarget::Body(j) => Some(&bodies[j]),
-                            CaseTarget::Default => Some(default.as_deref().unwrap_or(&[])),
-                            CaseTarget::FellOff => None,
-                        };
-                        if let Some(flow) = self.exec_case(
-                            fr,
-                            this,
-                            &case.patterns,
-                            &case.guards,
-                            &values,
-                            &indices,
-                            0,
-                            body,
-                        )? {
-                            done = Some(flow);
-                            break;
+                    let unbound = unbound_slots(fr);
+                    if let Some(g) = goal {
+                        if !self.commit_first(fr, this, &bc.goals[*g as usize])? {
+                            pc = *if_false as usize;
+                            continue;
                         }
                     }
-                    let flow = match done {
-                        Some(f) => f,
-                        None => match default {
-                            Some(d) => self.exec_block(fr, this, d)?,
-                            None => return Err(RtError::new("non-exhaustive switch at run time")),
-                        },
-                    };
+                    let flow = self.exec_bc_code(fr, this, bc, regs, guards, pc as Pc + 1)?;
+                    unbound.iter().for_each(|&s| fr[s] = None);
                     if let Flow::Return(v) = flow {
                         return Ok(Flow::Return(v));
                     }
+                    pc = *next as usize;
+                    continue;
                 }
-                SInstr::ExecStmt { stmt } => {
-                    if let Flow::Return(v) = self.exec_stmt(fr, this, &bc.stmts[*stmt as usize])? {
+                SInstr::Foreach { goal, next } => {
+                    // Every solution is collected before the first iteration:
+                    // its values of the slots unbound on entry, in one row.
+                    let unbound = unbound_slots(fr);
+                    let (mut rows, mut n) = (Vec::new(), 0);
+                    self.solve_goal(fr, this, &bc.goals[*goal as usize], &mut |_, f| {
+                        rows.extend(unbound.iter().map(|&s| f[s].clone()));
+                        n += 1;
+                        Ok(true)
+                    })?;
+                    let mut rows = rows.into_iter();
+                    for _ in 0..n {
+                        for &s in &unbound {
+                            fr[s] = rows.next().flatten();
+                        }
+                        let flow = self.exec_bc_code(fr, this, bc, regs, guards, pc as Pc + 1)?;
+                        unbound.iter().for_each(|&s| fr[s] = None);
+                        if let Flow::Return(v) = flow {
+                            return Ok(Flow::Return(v));
+                        }
+                    }
+                    pc = *next as usize;
+                    continue;
+                }
+                SInstr::Switch {
+                    scrutinees,
+                    count,
+                    table,
+                    next,
+                } => {
+                    let tbl = &bc.switches[*table as usize];
+                    let values = &regs[*scrutinees as usize..][..*count as usize];
+                    let index = match values.first() {
+                        Some(Value::Obj(o)) => self.obj_index(o),
+                        _ => None,
+                    };
+                    let cands = index.and_then(|i| tbl.by_type.get(i as usize));
+                    let (mut sol, mut body) = (None, tbl.default);
+                    for &c in cands.unwrap_or(&tbl.other).iter() {
+                        let case = &tbl.cases[c as usize];
+                        let patterns = &bc.exprs[case.patterns as usize..][..case.guards.len()];
+                        self.match_case(fr, this, patterns, &case.guards, values, &mut sol)?;
+                        if sol.is_some() {
+                            body = case.body;
+                            break;
+                        }
+                    }
+                    // Only a matched case's body is a scope, entered with
+                    // the case's bindings.
+                    let mut unbound = Vec::new();
+                    if let Some(sol) = sol {
+                        unbound = unbound_slots(fr);
+                        *fr = sol;
+                    }
+                    let flow = self.exec_bc_code(fr, this, bc, regs, guards, body)?;
+                    unbound.iter().for_each(|&s| fr[s] = None);
+                    if let Flow::Return(v) = flow {
                         return Ok(Flow::Return(v));
                     }
+                    pc = *next as usize;
+                    continue;
                 }
+                SInstr::Fail { msg } => return Err(RtError::new(*msg)),
                 SInstr::End => return Ok(Flow::Normal),
             }
             pc += 1;
         }
     }
+}
 
-    fn exec_stmt(
-        &mut self,
-        fr: &mut Frame,
-        this: Option<&Value>,
-        stmt: &StmtPlan,
-    ) -> RtResult<Flow> {
-        match stmt {
-            StmtPlan::Let(goal) => {
-                if self.commit_first(fr, this, goal)? {
-                    Ok(Flow::Normal)
-                } else {
-                    Err(RtError::new("let statement failed to match"))
-                }
-            }
-            StmtPlan::Switch {
-                scrutinees,
-                cases,
-                bodies,
-                default,
-            } => {
-                let values: RtResult<Vec<Value>> =
-                    scrutinees.iter().map(|s| self.eval(fr, this, s)).collect();
-                let values = values?;
-                // Resolve each scrutinee's class index once; the per-case
-                // tag-dispatch guards test against these.
-                let indices: Vec<Option<u32>> = values
-                    .iter()
-                    .map(|v| match v {
-                        Value::Obj(o) => self.obj_index(o),
-                        _ => None,
-                    })
-                    .collect();
-                for case in cases {
-                    let body: Option<&[StmtPlan]> = match case.target {
-                        CaseTarget::Body(j) => Some(&bodies[j]),
-                        CaseTarget::Default => Some(default.as_deref().unwrap_or(&[])),
-                        CaseTarget::FellOff => None,
-                    };
-                    if let Some(flow) = self.exec_case(
-                        fr,
-                        this,
-                        &case.patterns,
-                        &case.guards,
-                        &values,
-                        &indices,
-                        0,
-                        body,
-                    )? {
-                        return Ok(flow);
-                    }
-                }
-                if let Some(d) = default {
-                    return self.exec_block(fr, this, d);
-                }
-                Err(RtError::new("non-exhaustive switch at run time"))
-            }
-            StmtPlan::Cond { arms, else_arm } => {
-                for (goal, body) in arms {
-                    if let Some(sol) = self.first_solution(fr, this, goal)? {
-                        let save = std::mem::replace(fr, sol);
-                        let flow = self.exec_block(fr, this, body);
-                        *fr = save;
-                        return flow;
-                    }
-                }
-                if let Some(body) = else_arm {
-                    return self.exec_block(fr, this, body);
-                }
-                Err(RtError::new("non-exhaustive cond at run time"))
-            }
-            StmtPlan::If { cond, then, els } => match self.first_solution(fr, this, cond)? {
-                Some(sol) => {
-                    let save = std::mem::replace(fr, sol);
-                    let flow = self.exec_block(fr, this, then);
-                    *fr = save;
-                    flow
-                }
-                None => match els {
-                    Some(e) => self.exec_block(fr, this, e),
-                    None => Ok(Flow::Normal),
-                },
-            },
-            StmtPlan::Foreach {
-                goal,
-                declared,
-                body,
-            } => {
-                let mut solutions: Vec<Frame> = Vec::new();
-                self.solve_goal(fr, this, goal.code(), &mut |_, f| {
-                    solutions.push(f.clone());
-                    Ok(true)
-                })?;
-                for mut b in solutions {
-                    // The loop body sees the solution's bindings plus any
-                    // updates made by earlier iterations to outer variables;
-                    // outer updates win over stale solution copies, except
-                    // for variables the formula declares.
-                    for s in 0..fr.len() {
-                        match (&fr[s], &b[s]) {
-                            (Some(v), None) => b[s] = Some(v.clone()),
-                            (Some(v), Some(w)) if w != v && !declared.contains(&(s as SlotId)) => {
-                                b[s] = Some(v.clone())
-                            }
-                            _ => {}
-                        }
-                    }
-                    let flow = self.exec_block(&mut b, this, body)?;
-                    // Propagate updates to variables that already existed.
-                    for s in 0..fr.len() {
-                        if fr[s].is_some() {
-                            fr[s] = b[s].clone();
-                        }
-                    }
-                    if let Flow::Return(v) = flow {
-                        return Ok(Flow::Return(v));
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            StmtPlan::While { cond, body } => {
-                let mut guard = 0;
-                loop {
-                    guard += 1;
-                    if guard > 1_000_000 {
-                        return Err(RtError::new("while loop exceeded iteration budget"));
-                    }
-                    if self.commit_first(fr, this, cond)? {
-                        if let Flow::Return(v) = self.exec_block(fr, this, body)? {
-                            return Ok(Flow::Return(v));
-                        }
-                    } else {
-                        return Ok(Flow::Normal);
-                    }
-                }
-            }
-            StmtPlan::Return(e) => {
-                let v = match e {
-                    Some(expr) => self.eval(fr, this, expr)?,
-                    None => Value::Null,
-                };
-                Ok(Flow::Return(v))
-            }
-            StmtPlan::Assign(slot, e) => {
-                let v = self.eval(fr, this, e)?;
-                fr[*slot as usize] = Some(v);
-                Ok(Flow::Normal)
-            }
-            StmtPlan::AssignUnsupported(e) => {
-                let _ = self.eval(fr, this, e)?;
-                Err(RtError::new("unsupported assignment target"))
-            }
-            StmtPlan::Expr(e) => {
-                let _ = self.eval(fr, this, e)?;
-                Ok(Flow::Normal)
-            }
-            StmtPlan::Block(stmts) => {
-                // Record which slots were unbound instead of cloning the
-                // frame: inner-only bindings are dropped on exit, updates
-                // to outer variables persist.
-                let unbound: Vec<usize> = fr
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, v)| v.is_none().then_some(i))
-                    .collect();
-                let flow = self.exec_block(fr, this, stmts)?;
-                for s in unbound {
-                    fr[s] = None;
-                }
-                Ok(flow)
-            }
-        }
-    }
-
-    /// Matches one `switch` case's patterns left to right against the
-    /// scrutinee values (first solution per pattern, tag-dispatch guard
-    /// consulted before each matcher runs), executes `body` under the
-    /// accumulated bindings, and lets the nested `bind_then` scopes undo
-    /// the slot writes on the way out — the trail-style replacement for
-    /// the old whole-frame clone per tried case.
-    ///
-    /// Returns `Ok(None)` when the case does not match. `body` is `None`
-    /// for [`CaseTarget::FellOff`], which errors only once every pattern
-    /// matched (like the old code).
-    #[allow(clippy::too_many_arguments)]
-    fn exec_case(
-        &mut self,
-        fr: &mut Frame,
-        this: Option<&Value>,
-        patterns: &[PExpr],
-        guards: &[CaseGuard],
-        values: &[Value],
-        indices: &[Option<u32>],
-        i: usize,
-        body: Option<&[StmtPlan]>,
-    ) -> RtResult<Option<Flow>> {
-        if i >= patterns.len().min(values.len()) {
-            let Some(body) = body else {
-                return Err(RtError::new("switch fell off the end"));
-            };
-            // The case's bindings (and the body's own updates) are local
-            // to the body: run it on a scratch copy — the only frame clone
-            // of the whole switch, paid just for the case that matched.
-            let mut benv = fr.clone();
-            return self.exec_block(&mut benv, this, body).map(Some);
-        }
-        if !guards[i].admits(indices[i]) {
-            return Ok(None);
-        }
-        let mut out: Option<Flow> = None;
-        self.match_pat(fr, this, &patterns[i], &values[i], &mut |ev, fr| {
-            out = ev.exec_case(fr, this, patterns, guards, values, indices, i + 1, body)?;
-            // First solution per pattern only.
-            Ok(false)
-        })?;
-        Ok(out)
-    }
+/// The slots a scope entered here unbinds on exit (see [`BcBlock`]):
+/// updates to every other slot persist.
+fn unbound_slots(fr: &Frame) -> Vec<usize> {
+    (0..fr.len()).filter(|&s| fr[s].is_none()).collect()
 }
 
 /// Integer arithmetic shared by the `Bin` bytecode instruction and the

@@ -546,6 +546,11 @@ pub(crate) enum Flow {
     Return(Value),
 }
 
+/// How many times one run of a `while` loop may evaluate its condition;
+/// the evaluation past this fails with "while loop exceeded iteration
+/// budget" on every engine.
+pub(crate) const MAX_WHILE_CONDITIONS: u32 = 1_000_000;
+
 /// Which execution engine a [`Program`] uses.
 ///
 /// `#[non_exhaustive]`: future engines (e.g. a compiled backend) may be

@@ -1170,22 +1170,50 @@ impl TreeWalker {
         Ok(Flow::Normal)
     }
 
+    /// Runs a scoped body — an if-then branch, a `cond` arm, a matched
+    /// `switch` case, a `foreach` iteration, a `{}` block — on `inner`,
+    /// then writes back the variables `env` already had: updates to them
+    /// persist, variables introduced inside are dropped.
+    fn exec_scope(
+        &self,
+        env: &mut Bindings,
+        this: Option<&Value>,
+        mut inner: Bindings,
+        body: &[Stmt],
+    ) -> RtResult<Flow> {
+        let flow = self.exec_block(&mut inner, this, body)?;
+        for (k, v) in inner {
+            if let Some(slot) = env.get_mut(&k) {
+                *slot = v;
+            }
+        }
+        Ok(flow)
+    }
+
+    /// The first solution of a statement formula.
+    fn solve_once(
+        &self,
+        env: &Bindings,
+        this: Option<&Value>,
+        f: &Formula,
+    ) -> RtResult<Option<Bindings>> {
+        let mut solution = None;
+        self.solve(env, this, f, 0, &mut |b| {
+            solution = Some(b.clone());
+            false
+        })?;
+        Ok(solution)
+    }
+
     fn exec_stmt(&self, env: &mut Bindings, this: Option<&Value>, stmt: &Stmt) -> RtResult<Flow> {
         match stmt {
-            Stmt::Let(f) => {
-                let mut solution = None;
-                self.solve(env, this, f, 0, &mut |b| {
-                    solution = Some(b.clone());
-                    false
-                })?;
-                match solution {
-                    Some(b) => {
-                        *env = b;
-                        Ok(Flow::Normal)
-                    }
-                    None => Err(RtError::new("let statement failed to match")),
+            Stmt::Let(f) => match self.solve_once(env, this, f)? {
+                Some(b) => {
+                    *env = b;
+                    Ok(Flow::Normal)
                 }
-            }
+                None => Err(RtError::new("let statement failed to match")),
+            },
             Stmt::Switch {
                 scrutinees,
                 cases,
@@ -1215,8 +1243,7 @@ impl TreeWalker {
                         } else {
                             return Err(RtError::new("switch fell off the end"));
                         };
-                        let mut benv = b;
-                        return self.exec_block(&mut benv, this, body);
+                        return self.exec_scope(env, this, b, body);
                     }
                 }
                 if let Some(d) = default {
@@ -1226,13 +1253,8 @@ impl TreeWalker {
             }
             Stmt::Cond { arms, else_arm } => {
                 for (f, body) in arms {
-                    let mut solution = None;
-                    self.solve(env, this, f, 0, &mut |b| {
-                        solution = Some(b.clone());
-                        false
-                    })?;
-                    if let Some(mut b) = solution {
-                        return self.exec_block(&mut b, this, body);
+                    if let Some(b) = self.solve_once(env, this, f)? {
+                        return self.exec_scope(env, this, b, body);
                     }
                 }
                 if let Some(body) = else_arm {
@@ -1240,20 +1262,13 @@ impl TreeWalker {
                 }
                 Err(RtError::new("non-exhaustive cond at run time"))
             }
-            Stmt::If { cond, then, els } => {
-                let mut solution = None;
-                self.solve(env, this, cond, 0, &mut |b| {
-                    solution = Some(b.clone());
-                    false
-                })?;
-                match solution {
-                    Some(mut b) => self.exec_block(&mut b, this, then),
-                    None => match els {
-                        Some(e) => self.exec_block(env, this, e),
-                        None => Ok(Flow::Normal),
-                    },
-                }
-            }
+            Stmt::If { cond, then, els } => match self.solve_once(env, this, cond)? {
+                Some(b) => self.exec_scope(env, this, b, then),
+                None => match els {
+                    Some(e) => self.exec_block(env, this, e),
+                    None => Ok(Flow::Normal),
+                },
+            },
             Stmt::Foreach { formula, body } => {
                 let mut solutions = Vec::new();
                 self.solve(env, this, formula, 0, &mut |b| {
@@ -1261,26 +1276,13 @@ impl TreeWalker {
                     true
                 })?;
                 for solution in solutions {
-                    // The loop body sees the solution's bindings plus any
-                    // updates made by earlier iterations to outer variables.
-                    let mut b = solution;
-                    for (k, v) in env.iter() {
-                        b.entry(k.clone()).or_insert_with(|| v.clone());
+                    // The iteration sees the current values of the outer
+                    // variables plus the solution's new bindings.
+                    let mut b = env.clone();
+                    for (k, v) in solution {
+                        b.entry(k).or_insert(v);
                     }
-                    // Outer updates win over stale solution copies.
-                    for (k, v) in env.iter() {
-                        if b.get(k) != Some(v) && !formula_binds(formula, k) {
-                            b.insert(k.clone(), v.clone());
-                        }
-                    }
-                    let flow = self.exec_block(&mut b, this, body)?;
-                    // Propagate updates to variables that already existed.
-                    for (k, v) in b.iter() {
-                        if env.contains_key(k) {
-                            env.insert(k.clone(), v.clone());
-                        }
-                    }
-                    if let Flow::Return(v) = flow {
+                    if let Flow::Return(v) = self.exec_scope(env, this, b, body)? {
                         return Ok(Flow::Return(v));
                     }
                 }
@@ -1290,15 +1292,10 @@ impl TreeWalker {
                 let mut guard = 0;
                 loop {
                     guard += 1;
-                    if guard > 1_000_000 {
+                    if guard > crate::MAX_WHILE_CONDITIONS {
                         return Err(RtError::new("while loop exceeded iteration budget"));
                     }
-                    let mut solution = None;
-                    self.solve(env, this, cond, 0, &mut |b| {
-                        solution = Some(b.clone());
-                        false
-                    })?;
-                    match solution {
+                    match self.solve_once(env, this, cond)? {
                         Some(b) => {
                             *env = b;
                             if let Flow::Return(v) = self.exec_block(env, this, body)? {
@@ -1330,23 +1327,9 @@ impl TreeWalker {
                 let _ = self.eval(env, this, e)?;
                 Ok(Flow::Normal)
             }
-            Stmt::Block(stmts) => {
-                let mut inner = env.clone();
-                let flow = self.exec_block(&mut inner, this, stmts)?;
-                for (k, v) in inner.iter() {
-                    if env.contains_key(k) {
-                        env.insert(k.clone(), v.clone());
-                    }
-                }
-                Ok(flow)
-            }
+            Stmt::Block(stmts) => self.exec_scope(env, this, env.clone(), stmts),
         }
     }
-}
-
-/// Whether a formula declares (binds) the given variable name.
-fn formula_binds(f: &Formula, name: &str) -> bool {
-    f.declared_vars().iter().any(|(_, n)| n == name)
 }
 
 /// Flattens nested conjunctions into a list of conjuncts.

@@ -1,13 +1,13 @@
 //! Bytecode is the only executable plan form: every goal the engines can
 //! reach carries its compiled body. This walks whole plans — every solved
 //! form (forward, matching, `equals`-bound, and standalone forms lowered
-//! at query time), every imperative block, every statement goal, and every
-//! `where` refinement, including the copies pooled inside the compiled
-//! streams themselves — and requires pass 4's output on each.
+//! at query time), every imperative block and the statement goals in its
+//! goal pool, and every `where` refinement inside the expressions the
+//! compiled streams pool — and requires pass 4's output on each.
 
-use jmatch::core::bytecode::{BcBlock, BcBody};
+use jmatch::core::bytecode::{BcBlock, BcBody, SInstr};
 use jmatch::core::lower::{
-    lower_standalone, BodyPlan, Goal, GoalPlan, PExpr, ProgramPlan, SolvedForm, StmtPlan,
+    lower_standalone, BodyPlan, Goal, GoalPlan, PExpr, ProgramPlan, SolvedForm,
 };
 use jmatch::syntax::ast::MethodBody;
 use jmatch::Workspace;
@@ -126,58 +126,28 @@ impl Census {
         }
     }
 
-    fn block(&mut self, bc: &Option<BcBlock>, stmts: &[StmtPlan], at: &str) {
+    fn block(&mut self, bc: &Option<BcBlock>, at: &str) {
         self.blocks += 1;
         let bc = bc
             .as_ref()
             .unwrap_or_else(|| panic!("{at}: block has no bytecode"));
-        self.stmts(stmts, at);
-        // The statement interpreter runs the pooled copies, not the plan's.
-        self.stmts(&bc.stmts, at);
-        bc.exprs.iter().for_each(|e| self.expr(e, at));
-    }
-
-    fn stmts(&mut self, stmts: &[StmtPlan], at: &str) {
-        for s in stmts {
-            match s {
-                StmtPlan::Let(g) => self.goal_plan(g, at),
-                StmtPlan::Switch {
-                    scrutinees,
-                    cases,
-                    bodies,
-                    default,
-                } => {
-                    scrutinees.iter().for_each(|e| self.expr(e, at));
-                    cases
-                        .iter()
-                        .flat_map(|c| &c.patterns)
-                        .for_each(|p| self.expr(p, at));
-                    bodies.iter().chain(default).for_each(|b| self.stmts(b, at));
-                }
-                StmtPlan::Cond { arms, else_arm } => {
-                    for (g, body) in arms {
-                        self.goal_plan(g, at);
-                        self.stmts(body, at);
-                    }
-                    else_arm.iter().for_each(|b| self.stmts(b, at));
-                }
-                StmtPlan::If { cond, then, els } => {
-                    self.goal_plan(cond, at);
-                    self.stmts(then, at);
-                    els.iter().for_each(|b| self.stmts(b, at));
-                }
-                StmtPlan::Foreach { goal, body, .. } | StmtPlan::While { cond: goal, body } => {
-                    self.goal_plan(goal, at);
-                    self.stmts(body, at);
-                }
-                StmtPlan::Return(Some(e))
-                | StmtPlan::Assign(_, e)
-                | StmtPlan::AssignUnsupported(e)
-                | StmtPlan::Expr(e) => self.expr(e, at),
-                StmtPlan::Return(None) => {}
-                StmtPlan::Block(b) => self.stmts(b, at),
+        // Every statement goal the code names is a compiled body in the
+        // block's goal pool.
+        for i in &bc.code {
+            if let SInstr::Solve { goal, .. }
+            | SInstr::Foreach { goal, .. }
+            | SInstr::Scope {
+                goal: Some(goal), ..
+            } = i
+            {
+                assert!((*goal as usize) < bc.goals.len(), "{at}: goal#{goal}");
             }
         }
+        for g in &bc.goals {
+            self.goals += 1;
+            self.body(g, at);
+        }
+        bc.exprs.iter().for_each(|e| self.expr(e, at));
     }
 
     fn plan(&mut self, plan: &ProgramPlan, program: &str) {
@@ -193,7 +163,7 @@ impl Census {
                         self.form(form, &at);
                     }
                 }
-                BodyPlan::Block(bp) => self.block(&bp.bc, &bp.stmts, &at),
+                BodyPlan::Block(bp) => self.block(&bp.bc, &at),
                 BodyPlan::Absent => {}
             }
             // The standalone form `MethodRef::iterate` lowers at query time.

@@ -133,6 +133,190 @@ fn imperative_statements_agree_across_engines() {
             assert_eq!(a, b, "n={n}");
         }
     }
+
+    // Ground truth, not only parity: every statement shape with a
+    // hand-computed value or error on both engines.
+    let (plan, tree) = engines_for(STATEMENTS);
+    for &(name, args, want) in STATEMENT_CASES {
+        let args: Vec<Value> = args.iter().map(|&i| Value::Int(i)).collect();
+        for (engine, program) in [("plan", &plan), ("tree", &tree)] {
+            let got = program
+                .free_method(name)
+                .unwrap()
+                .call(None, args.clone())
+                .map_err(|e| e.message);
+            match (&got, want) {
+                (Ok(Value::Int(v)), Ok(w)) if *v == w => {}
+                (Err(msg), Err(w)) if msg.contains(w) => {}
+                _ => panic!("{engine}: {name}{args:?} = {got:?}, want {want:?}"),
+            }
+        }
+    }
+}
+
+/// One free method per statement shape. A scoped body (an if-then branch,
+/// a `cond` arm, a `switch` case, a `foreach` iteration, a `{}` block)
+/// keeps its updates to variables bound on entry and drops the variables
+/// it introduces.
+const STATEMENTS: &str = r#"
+    static int maxIf(int a, int b) { int m = b; if (a > b) { m = a; } return m; }
+    static int maxCond(int a, int b) {
+        int m = b;
+        cond { (a > b) { m = a; } else { } }
+        return m;
+    }
+    static int maxCase(int a, int b) {
+        int m = b;
+        switch (a - b) {
+            case 0: m = 0;
+            case int d where (d > 0): m = a;
+            default: m = m;
+        }
+        return m;
+    }
+    static int thenLocal(int n) { int s = 0; if (n > 0) { int t = n; s = t; } return s; }
+    static int thenLocalGone(int n) { if (n > 0) { int t = n; } return t; }
+    static int letFails(int n) { let (n = 1); return n; }
+    static int ifElse(int n) {
+        int r = 0;
+        if (n > 5) { return 1; } else { r = n; }
+        return r;
+    }
+    static int ifBinds(int n) {
+        if (int k = n - 1 && k > 2) { return k; } else { return 0 - n; }
+    }
+    static int ifBindsGone(int n) {
+        if (int k = n - 1 && k > 2) { n = 0; }
+        return k;
+    }
+    static int condPartial(int n) {
+        cond { (n > 10) { return 1; } (int k = n && k < 0) { return k; } }
+        return 0;
+    }
+    static int sumDoubles(int n) {
+        int s = 0;
+        foreach (int x = 1 # 2 # n) { int y = x * 2; s = s + y; }
+        return s;
+    }
+    static int foreachGone(int n) { foreach (int x = n) { } return x; }
+    static int shadow(int x) {
+        int s = 0;
+        foreach (int x = 1 # 2) { s = s + x; }
+        return s * 10 + x;
+    }
+    static int countUp(int n) {
+        int i = 0;
+        while (i < n && i >= 0) { i = i + 1; }
+        return i;
+    }
+    static int nested(int n) {
+        int s = 1;
+        { int t = n; s = s + t; { s = s * 2; } }
+        return s;
+    }
+    static int nestedGone(int n) { { int t = n; } return t; }
+    static int pair(int a, int b) {
+        switch (a, b) {
+            case (0, int y): return y;
+            case (int x, 0): return x + 100;
+            default: return -1;
+        }
+    }
+    static int fallThrough(int n) {
+        switch (n) {
+            case 1:
+            case 2: return 12;
+            case 3:
+            default: return 99;
+        }
+    }
+    static int fellOff(int n) {
+        switch (n) {
+            case 1: return 1;
+            case 2:
+        }
+    }
+    static int badAssign(int n) { n.f = 10 / n; return 0; }
+"#;
+
+/// `(method, arguments, value or error message)` for [`STATEMENTS`].
+type StatementCase = (&'static str, &'static [i64], Result<i64, &'static str>);
+
+const STATEMENT_CASES: &[StatementCase] = &[
+    ("maxIf", &[5, 3], Ok(5)),
+    ("maxIf", &[3, 5], Ok(5)),
+    ("maxCond", &[5, 3], Ok(5)),
+    ("maxCond", &[3, 5], Ok(5)),
+    ("maxCase", &[5, 3], Ok(5)),
+    ("maxCase", &[3, 3], Ok(0)),
+    ("maxCase", &[3, 5], Ok(5)),
+    ("thenLocal", &[3], Ok(3)),
+    ("thenLocal", &[-3], Ok(0)),
+    // A `foreach` solution binds only the slots unbound on entry: a
+    // redeclared outer variable keeps its value.
+    ("shadow", &[9], Ok(189)),
+    ("thenLocalGone", &[3], Err("unbound variable `t`")),
+    ("letFails", &[1], Ok(1)),
+    ("letFails", &[2], Err("let statement failed to match")),
+    ("ifElse", &[7], Ok(1)),
+    ("ifElse", &[4], Ok(4)),
+    ("ifBinds", &[7], Ok(6)),
+    ("ifBinds", &[2], Ok(-2)),
+    ("ifBindsGone", &[7], Err("unbound variable `k`")),
+    ("condPartial", &[11], Ok(1)),
+    ("condPartial", &[-4], Ok(-4)),
+    ("condPartial", &[4], Err("non-exhaustive cond at run time")),
+    ("sumDoubles", &[5], Ok(16)),
+    ("foreachGone", &[5], Err("unbound variable `x`")),
+    ("countUp", &[7], Ok(7)),
+    ("countUp", &[-1], Ok(0)),
+    ("nested", &[4], Ok(10)),
+    ("nestedGone", &[4], Err("unbound variable `t`")),
+    ("pair", &[0, 7], Ok(7)),
+    ("pair", &[8, 0], Ok(108)),
+    ("pair", &[0, 0], Ok(0)),
+    ("pair", &[1, 1], Ok(-1)),
+    ("fallThrough", &[1], Ok(12)),
+    ("fallThrough", &[2], Ok(12)),
+    ("fallThrough", &[3], Ok(99)),
+    ("fallThrough", &[5], Ok(99)),
+    ("fellOff", &[1], Ok(1)),
+    ("fellOff", &[2], Err("switch fell off the end")),
+    ("fellOff", &[3], Err("non-exhaustive switch at run time")),
+    // The right-hand side runs first, so its error wins.
+    ("badAssign", &[0], Err("division by zero")),
+    ("badAssign", &[2], Err("unsupported assignment target")),
+];
+
+/// Both engines stop a `while` loop when its condition would run for the
+/// 1,000,001st time, whether the condition compiles to a fused compare or
+/// to a general goal: 999,999 iterations pass, 1,000,000 do not.
+#[test]
+fn while_loops_share_one_iteration_budget() {
+    let src = r#"
+        static int cmpLoop(int n) { int i = 0; while (i < n) { i = i + 1; } return i; }
+        static int goalLoop(int n) {
+            int i = 0;
+            while (i < n && i >= 0) { i = i + 1; }
+            return i;
+        }
+    "#;
+    let (plan, tree) = engines_for(src);
+    for name in ["cmpLoop", "goalLoop"] {
+        for (engine, program) in [("plan", &plan), ("tree", &tree)] {
+            let f = program.free_method(name).unwrap();
+            assert_eq!(
+                f.call(None, args![999_999i64]).ok(),
+                Some(Value::Int(999_999)),
+                "{engine}: {name}"
+            );
+            let err = f.call(None, args![1_000_000i64]).unwrap_err();
+            assert_eq!(
+                err.message, "while loop exceeded iteration budget",
+                "{engine}: {name}"
+            );
+        }
+    }
 }
 
 /// A deep-recursion workload both engines can run out of budget on: `elem`

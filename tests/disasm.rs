@@ -53,15 +53,16 @@ fn arrlist_tocons_block_disassembles_to_pinned_text() {
     let program = program(&src);
     let text = program.disasm(Some("ArrList"), "toCons").unwrap();
     // The body is the corpus's hot imperative shape: the two declarations
-    // fall back to statement plans, then the `while` becomes a native
-    // counted loop — condition as a fused compare-and-branch, accumulator
-    // and index as register arithmetic, and only the constructor call
-    // leaving the register file.
+    // solve their goals (a failed `let` jumps to the block's one failure,
+    // laid out after the body), then the `while` becomes a native counted
+    // loop — condition as a fused compare-and-branch, accumulator and
+    // index as register arithmetic, and only the constructor call leaving
+    // the register file. The goal pool follows the code.
     let expected = "\
 ; ArrList.toCons [block]
 regs: 3  guards: 1
-   0: stmt#0
-   1: stmt#1
+   0: solve goal#0 else jmp 18
+   1: solve goal#1 else jmp 18
    2: guard 0 = 0
    3: r0 = slot 2 (i)
    4: r1 = slot 3 (count)
@@ -78,6 +79,13 @@ regs: 3  guards: 1
   15: r0 = slot 0 (out)
   16: ret r0
   17: end
+  18: fail \"let statement failed to match\"
+goal#0 entry: 1
+   0: emit
+   1: unify.me decl@0 = EmptyList@1.nil() -> 0
+goal#1 entry: 1
+   0: emit
+   1: unify.me decl@2 = 0 -> 0
 ";
     assert_eq!(text, expected, "ArrList.toCons bytecode drifted:\n{text}");
 }
@@ -136,4 +144,51 @@ entry: 5
    5: unify.me y@4 = 5 -> 4
 ";
     assert_eq!(text, expected, "S.sched bytecode drifted:\n{text}");
+}
+
+/// A structured statement is one instruction whose bodies are sub-chains
+/// ending in their own `end`. `AVLTree.member` switches over the tree; the
+/// branch case's body is a `cond` whose arms are scopes over pooled goals
+/// (`scope goal#g else jmp <next arm> -> <after the cond>`), with the
+/// `else` arm inline. The switch table names each case's body pc and the
+/// `default` target: here the failure of a switch no case matched.
+#[test]
+fn avltree_member_disassembles_to_pinned_sub_chains() {
+    let entry = corpus::entry("AVLTree").unwrap();
+    let program = program(&entry.combined_jmatch());
+    let text = program.disasm(Some("AVLTree"), "member").unwrap();
+    let expected = "\
+; AVLTree.member [block]
+regs: 3  guards: 0
+   0: r0 = slot 0 (t)
+   1: switch r0..+1 table#0 -> 21
+   2: r0 = const false
+   3: ret r0
+   4: end
+   5: scope goal#0 else jmp 9 -> 19
+   6: r0 = const true
+   7: ret r0
+   8: end
+   9: scope goal#1 else jmp 15 -> 19
+  10: r1 = slot 2 (l)
+  11: r2 = slot 1 (x)
+  12: r0 = this.member (r1..+2)
+  13: ret r0
+  14: end
+  15: r1 = slot 4 (r)
+  16: r2 = slot 1 (x)
+  17: r0 = this.member (r1..+2)
+  18: ret r0
+  19: end
+  20: fail \"non-exhaustive switch at run time\"
+  21: end
+table#0: cases -> [2, 5] default -> 20
+goal#0 entry: 1
+   0: emit
+   1: unify.dyn x@1 = v@3 -> 0
+goal#1 entry: 1
+   0: emit
+   1: cmp x@1 < v@3 -> 0
+";
+    assert_eq!(text, expected, "AVLTree.member bytecode drifted:\n{text}");
 }

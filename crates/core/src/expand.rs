@@ -21,19 +21,28 @@
 use crate::extract;
 use crate::table::MethodInfo;
 use crate::vc::{Env, Seq, VcGen, F};
-use jmatch_smt::{Expansion, LazyExpander, Sort, TermData, TermId, TermStore};
+use jmatch_smt::{Expansion, LazyExpander, Sort, Symbol, TermData, TermId, TermStore};
 use jmatch_syntax::ast::Type;
+use std::collections::HashMap;
 
 /// The lazy expander for JMatch specifications.
 #[derive(Debug, Clone)]
 pub struct JMatchExpander {
     gen: VcGen,
+    /// [`LazyExpander::can_expand`]'s answer per (predicate symbol,
+    /// polarity). The answer depends only on the symbol's name and the class
+    /// table, which is fixed for the expander's lifetime (a reload builds a
+    /// new expander).
+    expandable: HashMap<(Symbol, bool), bool>,
 }
 
 impl JMatchExpander {
     /// Creates an expander sharing the verifier's class table.
     pub fn new(gen: VcGen) -> Self {
-        JMatchExpander { gen }
+        JMatchExpander {
+            gen,
+            expandable: HashMap::new(),
+        }
     }
 
     fn atom_parts(&self, store: &TermStore, atom: TermId) -> Option<(String, Vec<TermId>)> {
@@ -123,7 +132,7 @@ impl JMatchExpander {
             }
             u
         };
-        let extracted = extract::extract(&self.gen.table, &clause, &knowns, &unknowns);
+        let extracted = extract::extract(&self.gen.table, clause, &knowns, &unknowns);
         if matches!(extracted.formula, jmatch_syntax::ast::Formula::Bool(false)) {
             // ¬ok ⇒ ¬false is trivial.
             return Vec::new();
@@ -154,7 +163,7 @@ impl JMatchExpander {
         // Remaining (solvable) unknowns become fresh variables.
         for u in &extracted.remaining_unknowns {
             if env.lookup(u).is_none() && u != "result" {
-                let ty = extract::declared_type_of(&clause, u)
+                let ty = extract::declared_type_of(clause, u)
                     .or_else(|| {
                         minfo
                             .decl
@@ -211,8 +220,8 @@ impl JMatchExpander {
         }
         let mut seq = Seq::new();
         self.gen
-            .declare_formula_vars(store, &mut env, &mut seq, &clause);
-        if self.gen.vf(store, &mut env, &mut seq, &clause).is_err() {
+            .declare_formula_vars(store, &mut env, &mut seq, clause);
+        if self.gen.vf(store, &mut env, &mut seq, clause).is_err() {
             return Vec::new();
         }
         let body = seq.close(F::True).lower(store);
@@ -236,41 +245,45 @@ impl JMatchExpander {
         Some((owner, mname))
     }
 
-    fn lookup(&self, owner: &str, name: &str) -> Option<MethodInfo> {
+    fn lookup(&self, owner: &str, name: &str) -> Option<&MethodInfo> {
         if owner == "<toplevel>" {
-            return self.gen.table.lookup_free_method(name).cloned();
+            return self.gen.table.lookup_free_method(name);
         }
-        self.gen.table.lookup_method(owner, name).cloned()
+        self.gen.table.lookup_method(owner, name)
+    }
+
+    /// Whether a predicate named `name` is expanded when assigned `value`.
+    fn is_expandable(&self, name: &str, value: bool) -> bool {
+        if let Some(ty) = name.strip_prefix("is$") {
+            return value && self.gen.table.type_info(ty).is_some();
+        }
+        if let Some((owner, mname, _)) = Self::parse_ok_name(name) {
+            return !value
+                && self
+                    .lookup(&owner, &mname)
+                    .is_some_and(|m| self.gen.matches_clause(&owner, m).is_some());
+        }
+        if let Some((owner, mname)) = Self::parse_ens_name(name) {
+            return value
+                && self
+                    .lookup(&owner, &mname)
+                    .is_some_and(|m| self.gen.ensures_clause(&owner, m).is_some());
+        }
+        false
     }
 }
 
 impl LazyExpander for JMatchExpander {
-    fn can_expand(&self, store: &TermStore, atom: TermId, value: bool) -> bool {
-        let Some((name, _)) = self.atom_parts(store, atom) else {
+    fn can_expand(&mut self, store: &TermStore, atom: TermId, value: bool) -> bool {
+        let TermData::App(sym, _, Sort::Bool) = store.data(atom) else {
             return false;
         };
-        if let Some(ty) = name.strip_prefix("is$") {
-            return value && self.gen.table.type_info(ty).is_some();
+        if let Some(&known) = self.expandable.get(&(*sym, value)) {
+            return known;
         }
-        if let Some((owner, mname, _)) = Self::parse_ok_name(&name) {
-            if value {
-                return false;
-            }
-            return self
-                .lookup(&owner, &mname)
-                .map(|m| self.gen.matches_clause(&owner, &m).is_some())
-                .unwrap_or(false);
-        }
-        if let Some((owner, mname)) = Self::parse_ens_name(&name) {
-            if !value {
-                return false;
-            }
-            return self
-                .lookup(&owner, &mname)
-                .map(|m| self.gen.ensures_clause(&owner, &m).is_some())
-                .unwrap_or(false);
-        }
-        false
+        let answer = self.is_expandable(store.symbol_name(*sym), value);
+        self.expandable.insert((*sym, value), answer);
+        answer
     }
 
     fn expand(
@@ -297,7 +310,7 @@ impl LazyExpander for JMatchExpander {
             let Some(minfo) = self.lookup(&owner, &mname) else {
                 return Expansion::Lemmas(Vec::new());
             };
-            return Expansion::Lemmas(self.expand_ok(store, atom, &owner, &minfo, mode_idx, &args));
+            return Expansion::Lemmas(self.expand_ok(store, atom, &owner, minfo, mode_idx, &args));
         }
         if let Some((owner, mname)) = Self::parse_ens_name(&name) {
             if !value {
@@ -306,7 +319,7 @@ impl LazyExpander for JMatchExpander {
             let Some(minfo) = self.lookup(&owner, &mname) else {
                 return Expansion::Lemmas(Vec::new());
             };
-            return Expansion::Lemmas(self.expand_ens(store, atom, &owner, &minfo, &args));
+            return Expansion::Lemmas(self.expand_ens(store, atom, &owner, minfo, &args));
         }
         Expansion::NotApplicable
     }

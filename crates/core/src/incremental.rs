@@ -567,6 +567,10 @@ fn stats_delta(after: SessionStats, before: SessionStats) -> SessionStats {
         sat_propagations: after
             .sat_propagations
             .saturating_sub(before.sat_propagations),
+        sat_ns: after.sat_ns.saturating_sub(before.sat_ns),
+        lia_ns: after.lia_ns.saturating_sub(before.lia_ns),
+        euf_ns: after.euf_ns.saturating_sub(before.euf_ns),
+        expand_ns: after.expand_ns.saturating_sub(before.expand_ns),
     }
 }
 

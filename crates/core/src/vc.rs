@@ -1208,27 +1208,29 @@ impl VcGen {
 
     /// The `matches` clause of a method, falling back to the declaration in a
     /// supertype (specification inheritance).
-    pub fn matches_clause(&self, owner: &str, minfo: &MethodInfo) -> Option<Formula> {
-        if minfo.decl.matches.is_some() {
-            return minfo.decl.matches.clone();
-        }
-        self.inherited_spec(owner, &minfo.decl.name, |m| m.decl.matches.clone())
+    pub fn matches_clause<'a>(&'a self, owner: &str, minfo: &'a MethodInfo) -> Option<&'a Formula> {
+        minfo
+            .decl
+            .matches
+            .as_ref()
+            .or_else(|| self.inherited_spec(owner, &minfo.decl.name, |m| m.decl.matches.as_ref()))
     }
 
     /// The `ensures` clause of a method, falling back to a supertype.
-    pub fn ensures_clause(&self, owner: &str, minfo: &MethodInfo) -> Option<Formula> {
-        if minfo.decl.ensures.is_some() {
-            return minfo.decl.ensures.clone();
-        }
-        self.inherited_spec(owner, &minfo.decl.name, |m| m.decl.ensures.clone())
+    pub fn ensures_clause<'a>(&'a self, owner: &str, minfo: &'a MethodInfo) -> Option<&'a Formula> {
+        minfo
+            .decl
+            .ensures
+            .as_ref()
+            .or_else(|| self.inherited_spec(owner, &minfo.decl.name, |m| m.decl.ensures.as_ref()))
     }
 
-    fn inherited_spec(
-        &self,
+    fn inherited_spec<'a>(
+        &'a self,
         owner: &str,
         name: &str,
-        get: impl Fn(&MethodInfo) -> Option<Formula> + Copy,
-    ) -> Option<Formula> {
+        get: impl Fn(&'a MethodInfo) -> Option<&'a Formula> + Copy,
+    ) -> Option<&'a Formula> {
         let info = self.table.type_info(owner)?;
         for sup in &info.supertypes {
             if let Some(m) = self.table.lookup_method(sup, name) {

@@ -40,7 +40,7 @@ use crate::expand::JMatchExpander;
 use crate::extract;
 use crate::table::{ClassTable, MethodInfo, TypeInfo};
 use crate::vc::{Env, Seq, VcGen, F};
-use jmatch_smt::{SatResult, Solver, SolverConfig, TermId, TermStore};
+use jmatch_smt::{SatResult, Solver, SolverConfig, SolverStats, TermId, TermStore};
 use jmatch_syntax::ast::*;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -91,6 +91,12 @@ pub struct Session {
 }
 
 /// Counters describing how a [`Session`] discharged its VC queries.
+///
+/// The counters are deterministic for a given program and expansion depth,
+/// whatever the worker count. The `*_ns` fields sum the solver's per-layer
+/// wall-clock times ([`jmatch_smt::SolverStats`]) and vary from run to run,
+/// so checks that demand exact repeats (perfbench's, the depth-3 pin in
+/// `tests/corpus_diagnostics.rs`) read only the counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// VC queries answered by actually running the solver.
@@ -109,6 +115,14 @@ pub struct SessionStats {
     pub sat_decisions: u64,
     /// CDCL unit propagations across the whole session.
     pub sat_propagations: u64,
+    /// Wall-clock nanoseconds in the CDCL core, across all queries.
+    pub sat_ns: u64,
+    /// Wall-clock nanoseconds in linear-arithmetic checks.
+    pub lia_ns: u64,
+    /// Wall-clock nanoseconds in congruence-closure checks.
+    pub euf_ns: u64,
+    /// Wall-clock nanoseconds in lazy expansion.
+    pub expand_ns: u64,
 }
 
 impl SessionStats {
@@ -123,6 +137,21 @@ impl SessionStats {
         self.sat_conflicts += other.sat_conflicts;
         self.sat_decisions += other.sat_decisions;
         self.sat_propagations += other.sat_propagations;
+        self.sat_ns += other.sat_ns;
+        self.lia_ns += other.lia_ns;
+        self.euf_ns += other.euf_ns;
+        self.expand_ns += other.expand_ns;
+    }
+
+    /// Folds in one solver query's statistics.
+    fn absorb_query(&mut self, qs: SolverStats) {
+        self.rounds += qs.rounds;
+        self.theory_conflicts += qs.theory_conflicts;
+        self.lemmas += qs.lemmas;
+        self.sat_ns += qs.sat_ns;
+        self.lia_ns += qs.lia_ns;
+        self.euf_ns += qs.euf_ns;
+        self.expand_ns += qs.expand_ns;
     }
 }
 
@@ -239,10 +268,7 @@ impl Verifier {
             }
             let mut expander = JMatchExpander::new(self.gen.clone());
             let result = solver.check_with_expander(&mut sess.store, &mut expander);
-            let qs = solver.stats();
-            sess.stats.rounds += qs.rounds;
-            sess.stats.theory_conflicts += qs.theory_conflicts;
-            sess.stats.lemmas += qs.lemmas;
+            sess.stats.absorb_query(solver.stats());
             let (c, d, p) = solver.sat_counters();
             sess.stats.sat_conflicts += c;
             sess.stats.sat_decisions += d;
@@ -262,10 +288,7 @@ impl Verifier {
             .solver
             .check_with_expander(&mut sess.store, &mut sess.expander);
         sess.solver.pop();
-        let qs = sess.solver.stats();
-        sess.stats.rounds += qs.rounds;
-        sess.stats.theory_conflicts += qs.theory_conflicts;
-        sess.stats.lemmas += qs.lemmas;
+        sess.stats.absorb_query(sess.solver.stats());
         sess.cache.insert(key, result.clone());
         result
     }

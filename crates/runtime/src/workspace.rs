@@ -128,7 +128,11 @@ pub struct RebuildReport {
     pub reused_verifications: usize,
     /// Solver work this rebuild spent (deltas, not session lifetime
     /// totals): `verify_stats.solver_queries` is the counter the
-    /// incremental tests assert on.
+    /// incremental tests assert on. Its `*_ns` fields say where the
+    /// verification time went (SAT, LIA, EUF, expansion); they are
+    /// wall-clock sums over all verification workers, so they vary from run
+    /// to run and with several workers may add up to more than the
+    /// rebuild's wall time.
     pub verify_stats: SessionStats,
 }
 

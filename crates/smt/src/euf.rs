@@ -6,17 +6,27 @@
 //! predicate-application assignments for consistency:
 //!
 //! * asserted equalities are merged with union-find,
-//! * congruence (`x = y  ⟹  f(x) = f(y)`) is propagated to a fixed point,
-//! * asserted disequalities and distinct integer constants must not end up in
-//!   the same class, and
-//! * congruent uninterpreted *predicate* applications must not be assigned
-//!   opposite truth values.
+//! * congruence (`x = y  ⟹  f(x) = f(y)`) is closed with a *signature
+//!   table* keyed by `(symbol, [class of each argument])` plus a *use list*
+//!   per class: merging two classes re-hashes only the applications on the
+//!   shorter of their use lists, so closure is one worklist pass, not a
+//!   fixed point over every application,
+//! * asserted disequalities must not end up in one class, and no class may
+//!   hold two distinct integer constants (one constant slot per class),
+//! * predicate applications are looked up in a second signature table after
+//!   closure: one signature assigned both truth values is a conflict.
+//!
+//! The work per check is `O(n log n)` in the number of subterms of the
+//! assigned atoms: an application is re-hashed only when its class is on
+//! the shorter use list of a merge.
 //!
 //! The check is used as a post-model filter in the DPLL(T) loop: a conflict
 //! produces a blocking clause over the participating atoms.
 
+use crate::sym::Symbol;
 use crate::term::{TermData, TermId, TermStore};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Result of an EUF consistency check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,30 +40,186 @@ pub enum EufResult {
 /// An assignment of a truth value to an equality or predicate atom.
 pub type AtomAssignment = (TermId, bool);
 
-#[derive(Debug, Default)]
-struct UnionFind {
-    parent: HashMap<TermId, TermId>,
+/// A multiplicative hasher for maps keyed by term ids, symbols and short
+/// vectors of them: the keys are small integers, so the default SipHash
+/// costs more than the table work it guards.
+#[derive(Debug, Default, Clone, Copy)]
+struct IdHasher(u64);
+
+impl IdHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
 }
 
-impl UnionFind {
-    fn find(&mut self, x: TermId) -> TermId {
-        let p = *self.parent.entry(x).or_insert(x);
-        if p == x {
-            return x;
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.mix(u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
         }
-        let root = self.find(p);
-        self.parent.insert(x, root);
+        for &b in chunks.remainder() {
+            self.mix(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.mix(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.mix(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Builds [`IdHasher`]s.
+type IdBuildHasher = BuildHasherDefault<IdHasher>;
+
+/// A congruence signature: function symbol and the class of each argument.
+type Signature = (Symbol, Vec<u32>);
+
+/// The subterms of a set of atoms, numbered densely, with a union-find over
+/// the numbers.
+#[derive(Debug, Default)]
+struct Classes {
+    /// Dense number of every collected subterm.
+    index: HashMap<TermId, u32, IdBuildHasher>,
+    /// The subterm behind each number.
+    terms: Vec<TermId>,
+    parent: Vec<u32>,
+}
+
+impl Classes {
+    /// Numbers `t` and, transitively, its subterms; returns `t`'s number.
+    fn collect(&mut self, store: &TermStore, t: TermId) -> u32 {
+        if let Some(&i) = self.index.get(&t) {
+            return i;
+        }
+        let i = self.terms.len() as u32;
+        self.index.insert(t, i);
+        self.terms.push(t);
+        self.parent.push(i);
+        match store.data(t) {
+            TermData::App(_, args, _) => {
+                for &a in args {
+                    self.collect(store, a);
+                }
+            }
+            TermData::Add(a, b)
+            | TermData::Sub(a, b)
+            | TermData::Le(a, b)
+            | TermData::Lt(a, b)
+            | TermData::Eq(a, b)
+            | TermData::Implies(a, b)
+            | TermData::Iff(a, b) => {
+                self.collect(store, *a);
+                self.collect(store, *b);
+            }
+            TermData::Neg(a) | TermData::MulConst(_, a) | TermData::Not(a) => {
+                self.collect(store, *a);
+            }
+            TermData::And(xs) | TermData::Or(xs) => {
+                for &x in xs {
+                    self.collect(store, x);
+                }
+            }
+            TermData::BoolConst(_) | TermData::IntConst(_) | TermData::Var(..) => {}
+        }
+        i
+    }
+
+    fn find(&mut self, mut x: u32) -> u32 {
+        let mut root = x;
+        while self.parent[root as usize] != root {
+            root = self.parent[root as usize];
+        }
+        while self.parent[x as usize] != root {
+            let next = self.parent[x as usize];
+            self.parent[x as usize] = root;
+            x = next;
+        }
         root
     }
 
-    fn union(&mut self, a: TermId, b: TermId) -> bool {
-        let ra = self.find(a);
-        let rb = self.find(b);
-        if ra == rb {
-            return false;
+    /// Merges the classes of `a` and `b`.
+    fn union(&mut self, a: u32, b: u32) {
+        let (ra, rb) = (self.find(a), self.find(b));
+        self.parent[ra as usize] = rb;
+    }
+
+    /// The signature of application `app` under the current classes.
+    fn signature(&mut self, store: &TermStore, app: u32) -> Option<Signature> {
+        let TermData::App(sym, args, _) = store.data(self.terms[app as usize]) else {
+            return None;
+        };
+        let mut classes: Vec<u32> = args.iter().map(|a| self.index[a]).collect();
+        for c in &mut classes {
+            *c = self.find(*c);
         }
-        self.parent.insert(ra, rb);
-        true
+        Some((*sym, classes))
+    }
+}
+
+/// Closes the asserted `equalities` under congruence over every
+/// application among `classes`' terms.
+fn close(store: &TermStore, classes: &mut Classes, equalities: &[(u32, u32)]) {
+    let n = classes.terms.len();
+    // `uses[c]`: the applications with an argument in class `c` (valid at
+    // roots); `table`: one application per signature.
+    let mut uses: Vec<Vec<u32>> = vec![Vec::new(); n];
+    let mut table: HashMap<Signature, u32, IdBuildHasher> = HashMap::default();
+    let mut pending: Vec<(u32, u32)> = equalities.to_vec();
+    for app in 0..n as u32 {
+        let Some(sig) = classes.signature(store, app) else {
+            continue;
+        };
+        for &c in &sig.1 {
+            uses[c as usize].push(app);
+        }
+        if let Some(&other) = table.get(&sig) {
+            pending.push((app, other));
+        } else {
+            table.insert(sig, app);
+        }
+    }
+    while let Some((a, b)) = pending.pop() {
+        let (ra, rb) = (classes.find(a), classes.find(b));
+        if ra == rb {
+            continue;
+        }
+        // Only the applications using the absorbed class change signature,
+        // so the class with the shorter use list is the one absorbed.
+        let (absorbed, survivor) = if uses[ra as usize].len() <= uses[rb as usize].len() {
+            (ra, rb)
+        } else {
+            (rb, ra)
+        };
+        classes.parent[absorbed as usize] = survivor;
+        let moved = std::mem::take(&mut uses[absorbed as usize]);
+        for &app in &moved {
+            let sig = classes
+                .signature(store, app)
+                .expect("use lists hold applications");
+            match table.get(&sig) {
+                Some(&other) => {
+                    if classes.find(other) != classes.find(app) {
+                        pending.push((app, other));
+                    }
+                }
+                None => {
+                    table.insert(sig, app);
+                }
+            }
+        }
+        uses[survivor as usize].extend(moved);
     }
 }
 
@@ -65,186 +231,91 @@ impl UnionFind {
 ///
 /// Other atoms are ignored so the caller can pass its full atom assignment.
 pub fn check(store: &TermStore, assignments: &[AtomAssignment]) -> EufResult {
-    let mut uf = UnionFind::default();
-    let mut equalities: Vec<(TermId, TermId, TermId)> = Vec::new(); // (a, b, origin atom)
-    let mut disequalities: Vec<(TermId, TermId, TermId)> = Vec::new();
-    let mut predicates: Vec<(TermId, bool)> = Vec::new();
-    let mut relevant_terms: HashSet<TermId> = HashSet::new();
-
+    let mut classes = Classes::default();
+    let mut equalities: Vec<(u32, u32)> = Vec::new();
+    let mut disequalities: Vec<(u32, u32)> = Vec::new();
+    let mut predicates: Vec<(u32, bool)> = Vec::new();
     for &(atom, value) in assignments {
         match store.data(atom) {
             TermData::Eq(a, b) => {
-                collect_subterms(store, *a, &mut relevant_terms);
-                collect_subterms(store, *b, &mut relevant_terms);
+                let pair = (classes.collect(store, *a), classes.collect(store, *b));
                 if value {
-                    equalities.push((*a, *b, atom));
+                    equalities.push(pair);
                 } else {
-                    disequalities.push((*a, *b, atom));
+                    disequalities.push(pair);
                 }
             }
-            TermData::App(..) => {
-                collect_subterms(store, atom, &mut relevant_terms);
-                predicates.push((atom, value));
-            }
+            TermData::App(..) => predicates.push((classes.collect(store, atom), value)),
             _ => {}
         }
     }
+    close(store, &mut classes, &equalities);
 
-    // Distinct integer constants are never equal; seed them as relevant so a
-    // merged class containing two different constants is detected.
-    let int_constants: Vec<TermId> = relevant_terms
-        .iter()
-        .copied()
-        .filter(|t| matches!(store.data(*t), TermData::IntConst(_)))
-        .collect();
-
-    // Assert the equalities.
-    for &(a, b, _) in &equalities {
-        uf.union(a, b);
-    }
-
-    // Congruence closure to a fixed point.
-    let apps: Vec<TermId> = relevant_terms
-        .iter()
-        .copied()
-        .filter(|t| matches!(store.data(*t), TermData::App(..)))
-        .collect();
-    loop {
-        let mut changed = false;
-        // Group applications by (symbol, arity, representative args).
-        let mut table: HashMap<(usize, Vec<TermId>), TermId> = HashMap::new();
-        for &app in &apps {
-            if let TermData::App(sym, args, _) = store.data(app) {
-                let key_args: Vec<TermId> = args.iter().map(|&a| uf.find(a)).collect();
-                let key = (sym.index(), key_args);
-                if let Some(&other) = table.get(&key) {
-                    if uf.find(other) != uf.find(app) {
-                        uf.union(other, app);
-                        changed = true;
-                    }
-                } else {
-                    table.insert(key, app);
-                }
-            }
-        }
-        if !changed {
-            break;
+    let inconsistent = || EufResult::Inconsistent(assignments.iter().map(|&(a, _)| a).collect());
+    for (a, b) in disequalities {
+        if classes.find(a) == classes.find(b) {
+            return inconsistent();
         }
     }
-
-    let involved: Vec<TermId> = assignments.iter().map(|&(a, _)| a).collect();
-
-    // Check disequalities.
-    for &(a, b, _) in &disequalities {
-        if uf.find(a) == uf.find(b) {
-            return EufResult::Inconsistent(involved);
-        }
-    }
-
-    // Check distinct integer constants.
-    for i in 0..int_constants.len() {
-        for j in (i + 1)..int_constants.len() {
-            if uf.find(int_constants[i]) == uf.find(int_constants[j]) {
-                return EufResult::Inconsistent(involved);
+    // Distinct integer constants are never equal: at most one per class.
+    let mut constant: Vec<Option<i64>> = vec![None; classes.terms.len()];
+    for i in 0..classes.terms.len() as u32 {
+        if let TermData::IntConst(n) = store.data(classes.terms[i as usize]) {
+            let slot = &mut constant[classes.find(i) as usize];
+            match *slot {
+                Some(m) if m != *n => return inconsistent(),
+                _ => *slot = Some(*n),
             }
         }
     }
-
-    // Check predicate congruence: two congruent predicate applications must
-    // not carry opposite truth values.
-    for i in 0..predicates.len() {
-        for j in (i + 1)..predicates.len() {
-            let (p, vp) = predicates[i];
-            let (q, vq) = predicates[j];
-            if vp != vq && congruent(store, &mut uf, p, q) {
-                return EufResult::Inconsistent(involved);
-            }
+    // Congruent predicate applications must not carry opposite truth values.
+    let mut truth: HashMap<Signature, bool, IdBuildHasher> = HashMap::default();
+    for (p, value) in predicates {
+        let sig = classes
+            .signature(store, p)
+            .expect("predicates are applications");
+        if *truth.entry(sig).or_insert(value) != value {
+            return inconsistent();
         }
     }
-
     EufResult::Consistent
 }
 
 /// Computes equivalence-class representatives for the object-sorted terms
 /// mentioned by a *consistent* set of assignments. Used for model building.
 pub fn classes(store: &TermStore, assignments: &[AtomAssignment]) -> HashMap<TermId, u32> {
-    let mut uf = UnionFind::default();
-    let mut relevant: HashSet<TermId> = HashSet::new();
+    let mut classes = Classes::default();
     for &(atom, value) in assignments {
-        if let TermData::Eq(a, b) = store.data(atom) {
-            collect_subterms(store, *a, &mut relevant);
-            collect_subterms(store, *b, &mut relevant);
-            if value {
-                uf.union(*a, *b);
+        match store.data(atom) {
+            TermData::Eq(a, b) => {
+                let (a, b) = (classes.collect(store, *a), classes.collect(store, *b));
+                if value {
+                    classes.union(a, b);
+                }
             }
-        } else if matches!(store.data(atom), TermData::App(..)) {
-            collect_subterms(store, atom, &mut relevant);
+            TermData::App(..) => {
+                classes.collect(store, atom);
+            }
+            _ => {}
         }
     }
-    let mut reps: HashMap<TermId, u32> = HashMap::new();
-    let mut next = 0u32;
-    let mut by_root: HashMap<TermId, u32> = HashMap::new();
-    let mut sorted: Vec<TermId> = relevant
-        .into_iter()
-        .filter(|t| store.sort(*t).is_obj())
+    // Number the classes in order of their smallest object-sorted term.
+    let mut sorted: Vec<(TermId, u32)> = classes
+        .terms
+        .iter()
+        .enumerate()
+        .filter(|(_, &t)| store.sort(t).is_obj())
+        .map(|(i, &t)| (t, i as u32))
         .collect();
-    sorted.sort();
-    for t in sorted {
-        let root = uf.find(t);
-        let class = *by_root.entry(root).or_insert_with(|| {
-            let c = next;
-            next += 1;
-            c
-        });
+    sorted.sort_unstable();
+    let mut number: HashMap<u32, u32> = HashMap::new();
+    let mut reps: HashMap<TermId, u32> = HashMap::with_capacity(sorted.len());
+    for (t, i) in sorted {
+        let next = number.len() as u32;
+        let class = *number.entry(classes.find(i)).or_insert(next);
         reps.insert(t, class);
     }
     reps
-}
-
-fn congruent(store: &TermStore, uf: &mut UnionFind, p: TermId, q: TermId) -> bool {
-    match (store.data(p).clone(), store.data(q).clone()) {
-        (TermData::App(sp, ap, _), TermData::App(sq, aq, _)) => {
-            sp == sq
-                && ap.len() == aq.len()
-                && ap
-                    .iter()
-                    .zip(aq.iter())
-                    .all(|(&x, &y)| uf.find(x) == uf.find(y))
-        }
-        _ => false,
-    }
-}
-
-fn collect_subterms(store: &TermStore, t: TermId, out: &mut HashSet<TermId>) {
-    if !out.insert(t) {
-        return;
-    }
-    match store.data(t).clone() {
-        TermData::App(_, args, _) => {
-            for a in args {
-                collect_subterms(store, a, out);
-            }
-        }
-        TermData::Add(a, b)
-        | TermData::Sub(a, b)
-        | TermData::Le(a, b)
-        | TermData::Lt(a, b)
-        | TermData::Eq(a, b)
-        | TermData::Implies(a, b)
-        | TermData::Iff(a, b) => {
-            collect_subterms(store, a, out);
-            collect_subterms(store, b, out);
-        }
-        TermData::Neg(a) | TermData::MulConst(_, a) | TermData::Not(a) => {
-            collect_subterms(store, a, out)
-        }
-        TermData::And(xs) | TermData::Or(xs) => {
-            for x in xs {
-                collect_subterms(store, x, out);
-            }
-        }
-        TermData::BoolConst(_) | TermData::IntConst(_) | TermData::Var(..) => {}
-    }
 }
 
 #[cfg(test)]

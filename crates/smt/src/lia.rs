@@ -8,13 +8,20 @@
 //! 1. every atom is normalized into `Σ aᵢ·xᵢ ≤ c` form with integer
 //!    coefficients (strict inequalities over integers become non-strict by
 //!    subtracting one),
-//! 2. rational feasibility is decided by Fourier–Motzkin elimination with
-//!    integer bound tightening,
-//! 3. a sample point is produced by back-substitution, preferring integral
+//! 2. the constraints are split into variable-connected components (a
+//!    union-find over the variables each constraint mentions); variable-free
+//!    constraints are checked on the spot,
+//! 3. rational feasibility of each component is decided by Fourier–Motzkin
+//!    elimination with integer bound tightening, eliminating the component's
+//!    variables in sorted order over rows only as wide as the component —
+//!    elimination never combines rows of two components, so the result is
+//!    the one elimination over the whole system would give,
+//! 4. a sample point is produced by back-substitution, preferring integral
 //!    values, and
-//! 4. branch-and-bound splits on fractional values and on violated
-//!    disequalities until an integer model is found or a branching budget is
-//!    exhausted.
+//! 5. branch-and-bound splits on fractional values (at the smallest
+//!    fractional variable, so the model never depends on hash order) and on
+//!    violated disequalities until an integer model is found or a branching
+//!    budget is exhausted.
 //!
 //! The branching budget makes the procedure incomplete in the usual way
 //! (Presburger-hard corner cases return [`LiaResult::Unknown`]); the JMatch
@@ -227,8 +234,10 @@ fn solve_rec(
     }
     let rational = fourier_motzkin(constraints)?;
 
-    // Try to round the rational model into an integer model.
-    let mut int_model: HashMap<TermId, i64> = HashMap::new();
+    // Try to round the rational model into an integer model. A fractional
+    // value is branched on at the smallest such variable, so the model does
+    // not depend on the hash map's iteration order.
+    let mut int_model: HashMap<TermId, i64> = HashMap::with_capacity(rational.len());
     let mut fractional: Option<(TermId, Rat)> = None;
     for (&var, &val) in &rational {
         match val.as_integer() {
@@ -236,7 +245,7 @@ fn solve_rec(
                 int_model.insert(var, i as i64);
             }
             None => {
-                if fractional.is_none() {
+                if fractional.is_none_or(|(first, _)| var < first) {
                     fractional = Some((var, val));
                 }
             }
@@ -302,37 +311,91 @@ fn single_var_ge(var: TermId, bound: i64) -> Constraint {
     }
 }
 
-/// Fourier–Motzkin elimination with integer tightening. Returns a rational
-/// model if the constraints are feasible over the rationals, `None` otherwise.
+/// A constraint row over the variables of one component: `coeffs[k]` is
+/// the coefficient of the component's `k`-th variable.
+#[derive(Clone, Debug)]
+struct Row {
+    coeffs: Vec<i64>,
+    bound: i64,
+}
+
+/// Rational feasibility with a rational model. The constraints are split
+/// into variable-connected components (union-find over the variables each
+/// row mentions), and each component is eliminated on its own. Returns
+/// `None` if the constraints are infeasible over the rationals.
+///
+/// Elimination never combines rows of different components, so the model is
+/// the one Fourier–Motzkin over the whole system would produce; splitting
+/// only keeps every row as narrow as its component.
 fn fourier_motzkin(constraints: &[Constraint]) -> Option<HashMap<TermId, Rat>> {
-    // Collect the variables in a deterministic order.
-    let mut vars: Vec<TermId> = Vec::new();
+    // The variables in a deterministic order.
+    let mut vars: Vec<TermId> = constraints
+        .iter()
+        .flat_map(|c| c.coeffs.keys().copied())
+        .collect();
+    vars.sort_unstable();
+    vars.dedup();
+    let position = |v: &TermId| vars.binary_search(v).expect("collected variable");
+
+    // Union-find over variable positions.
+    let mut parent: Vec<usize> = (0..vars.len()).collect();
+    fn find(parent: &mut [usize], mut x: usize) -> usize {
+        while parent[x] != x {
+            parent[x] = parent[parent[x]];
+            x = parent[x];
+        }
+        x
+    }
     for c in constraints {
-        for &v in c.coeffs.keys() {
-            if !vars.contains(&v) {
-                vars.push(v);
+        let mut keys = c.coeffs.keys().map(position);
+        if let Some(first) = keys.next() {
+            for k in keys {
+                let (a, b) = (find(&mut parent, first), find(&mut parent, k));
+                parent[a] = b;
             }
         }
     }
-    vars.sort();
 
-    // Working representation: (coeffs as Vec aligned with `vars`, bound).
-    #[derive(Clone, Debug)]
-    struct Row {
-        coeffs: Vec<i64>,
-        bound: i64,
+    // Each component's variables, in sorted order, keyed by root; and each
+    // variable's slot within its component.
+    let mut members: HashMap<usize, Vec<TermId>> = HashMap::new();
+    let mut slot: Vec<usize> = vec![0; vars.len()];
+    for (i, &v) in vars.iter().enumerate() {
+        let comp = members.entry(find(&mut parent, i)).or_default();
+        slot[i] = comp.len();
+        comp.push(v);
     }
-    let rows: Vec<Row> = constraints
-        .iter()
-        .map(|c| Row {
-            coeffs: vars
-                .iter()
-                .map(|v| c.coeffs.get(v).copied().unwrap_or(0))
-                .collect(),
+    let mut rows: HashMap<usize, Vec<Row>> = HashMap::new();
+    for c in constraints {
+        let Some(first) = c.coeffs.keys().next() else {
+            // Variable-free: `0 <= bound`.
+            if c.bound < 0 {
+                return None;
+            }
+            continue;
+        };
+        let root = find(&mut parent, position(first));
+        let mut coeffs = vec![0; members[&root].len()];
+        for (v, &k) in &c.coeffs {
+            coeffs[slot[position(v)]] = k;
+        }
+        rows.entry(root).or_default().push(Row {
+            coeffs,
             bound: c.bound,
-        })
-        .collect();
+        });
+    }
 
+    let mut model: HashMap<TermId, Rat> = HashMap::with_capacity(vars.len());
+    for (root, comp_rows) in rows {
+        eliminate(&members[&root], comp_rows, &mut model)?;
+    }
+    Some(model)
+}
+
+/// Fourier–Motzkin elimination with integer tightening over one component,
+/// eliminating `vars` in order. Adds the component's rational model to
+/// `model`, or returns `None` if the rows are infeasible.
+fn eliminate(vars: &[TermId], rows: Vec<Row>, model: &mut HashMap<TermId, Rat>) -> Option<()> {
     fn gcd(a: i64, b: i64) -> i64 {
         let (mut a, mut b) = (a.abs(), b.abs());
         while b != 0 {
@@ -359,44 +422,36 @@ fn fourier_motzkin(constraints: &[Constraint]) -> Option<HashMap<TermId, Rat>> {
 
     // Eliminate variables one at a time; remember the constraints mentioning
     // each eliminated variable for back-substitution.
-    let mut elimination_steps: Vec<(usize, Vec<Row>)> = Vec::new();
-    let mut current = rows.clone();
+    let mut elimination_steps: Vec<Vec<Row>> = Vec::with_capacity(vars.len());
+    let mut current = rows;
     for c in &mut current {
         tighten(c);
     }
 
     for vi in 0..vars.len() {
-        let mentioning: Vec<Row> = current
-            .iter()
-            .filter(|r| r.coeffs[vi] != 0)
-            .cloned()
-            .collect();
-        let mut next: Vec<Row> = current
-            .iter()
-            .filter(|r| r.coeffs[vi] == 0)
-            .cloned()
-            .collect();
-        let lowers: Vec<&Row> = mentioning.iter().filter(|r| r.coeffs[vi] < 0).collect();
-        let uppers: Vec<&Row> = mentioning.iter().filter(|r| r.coeffs[vi] > 0).collect();
-        for lo in &lowers {
-            for up in &uppers {
+        let (mentioning, mut next): (Vec<Row>, Vec<Row>) =
+            current.into_iter().partition(|r| r.coeffs[vi] != 0);
+        for lo in mentioning.iter().filter(|r| r.coeffs[vi] < 0) {
+            for up in mentioning.iter().filter(|r| r.coeffs[vi] > 0) {
                 // lo: -a*x + rest_lo <= b_lo (a > 0);  up: c*x + rest_up <= b_up (c > 0)
                 let a = -lo.coeffs[vi];
                 let c = up.coeffs[vi];
                 debug_assert!(a > 0 && c > 0);
                 let mut combined = Row {
-                    coeffs: vec![0; vars.len()],
+                    coeffs: lo
+                        .coeffs
+                        .iter()
+                        .zip(&up.coeffs)
+                        .map(|(&l, &u)| c * l + a * u)
+                        .collect(),
                     bound: c * lo.bound + a * up.bound,
                 };
-                for k in 0..vars.len() {
-                    combined.coeffs[k] = c * lo.coeffs[k] + a * up.coeffs[k];
-                }
                 debug_assert_eq!(combined.coeffs[vi], 0);
                 tighten(&mut combined);
                 next.push(combined);
             }
         }
-        elimination_steps.push((vi, mentioning));
+        elimination_steps.push(mentioning);
         current = next;
         // Cheap subsumption: drop duplicate rows to curb blowup.
         current.sort_by(|a, b| a.coeffs.cmp(&b.coeffs).then(a.bound.cmp(&b.bound)));
@@ -404,59 +459,44 @@ fn fourier_motzkin(constraints: &[Constraint]) -> Option<HashMap<TermId, Rat>> {
     }
 
     // All variables eliminated: remaining rows are `0 <= bound` facts.
-    for r in &current {
-        if r.bound < 0 {
-            return None;
-        }
+    if current.iter().any(|r| r.bound < 0) {
+        return None;
     }
 
     // Back-substitute in reverse elimination order.
-    let mut model: HashMap<TermId, Rat> = HashMap::new();
-    for (vi, mentioning) in elimination_steps.iter().rev() {
-        let var = vars[*vi];
+    let mut values: Vec<Rat> = vec![Rat::ZERO; vars.len()];
+    for (vi, mentioning) in elimination_steps.iter().enumerate().rev() {
         let mut lower: Option<Rat> = None;
         let mut upper: Option<Rat> = None;
         for row in mentioning {
             // coeff*x + rest <= bound
-            let coeff = row.coeffs[*vi];
+            let coeff = row.coeffs[vi];
             let mut rest = Rat::int(-(row.bound as i128));
-            for (k, (&coeff_k, var_k)) in row.coeffs.iter().zip(vars.iter()).enumerate() {
-                if k == *vi || coeff_k == 0 {
-                    continue;
+            // Only later variables are still in the row, and they already
+            // have their values.
+            for (&coeff_k, &val) in row.coeffs.iter().zip(&values).skip(vi + 1) {
+                if coeff_k != 0 {
+                    rest = rest + Rat::int(coeff_k as i128) * val;
                 }
-                let val = model.get(var_k).copied().unwrap_or(Rat::ZERO);
-                rest = rest + Rat::int(coeff_k as i128) * val;
             }
             // coeff*x <= -rest
             let limit = -rest / Rat::int(coeff as i128);
             if coeff > 0 {
                 upper = Some(match upper {
-                    None => limit,
-                    Some(u) => {
-                        if limit < u {
-                            limit
-                        } else {
-                            u
-                        }
-                    }
+                    Some(u) if u <= limit => u,
+                    _ => limit,
                 });
             } else {
                 lower = Some(match lower {
-                    None => limit,
-                    Some(l) => {
-                        if limit > l {
-                            limit
-                        } else {
-                            l
-                        }
-                    }
+                    Some(l) if l >= limit => l,
+                    _ => limit,
                 });
             }
         }
-        let value = choose_value(lower, upper);
-        model.insert(var, value);
+        values[vi] = choose_value(lower, upper);
     }
-    Some(model)
+    model.extend(vars.iter().copied().zip(values));
+    Some(())
 }
 
 /// Chooses a value within `[lower, upper]`, preferring small integers.
@@ -666,6 +706,43 @@ mod tests {
         match r {
             LiaResult::Feasible(m) => assert!(m[&h] == 0 || m[&h] == 1),
             other => panic!("expected feasible, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn fractional_branching_is_deterministic() {
+        // The rational model of this system has more than one fractional
+        // value, so branch and bound must pick one to split on. Picking by
+        // hash-map iteration order made repeated calls return different
+        // integer models ((-1, -1, -4) or (0, -2, -4)).
+        let mut s = TermStore::new();
+        let v: Vec<TermId> = (0..3).map(|i| int_var(&mut s, &format!("v{i}"))).collect();
+        let term = |s: &mut TermStore, coeffs: [i64; 3]| {
+            let mut t = s.int(0);
+            for (&c, &x) in coeffs.iter().zip(&v) {
+                let cx = s.mul_const(c, x);
+                t = s.add(t, cx);
+            }
+            t
+        };
+        let (a, b, c) = (
+            term(&mut s, [3, 3, -2]),
+            term(&mut s, [-2, -2, 1]),
+            term(&mut s, [-3, 1, 1]),
+        );
+        let (two, zero, one) = (s.int(2), s.int(0), s.int(1));
+        let atoms = [
+            (s.eq(a, two), true),
+            (s.le(b, zero), true),
+            (s.le(c, one), true),
+        ];
+        let model = |s: &TermStore| match check(s, &atoms) {
+            LiaResult::Feasible(m) => v.iter().map(|x| m[x]).collect::<Vec<i64>>(),
+            other => panic!("expected feasible, got {other:?}"),
+        };
+        let first = model(&s);
+        for _ in 0..20 {
+            assert_eq!(model(&s), first);
         }
     }
 

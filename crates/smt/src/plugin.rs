@@ -30,8 +30,9 @@ pub enum Expansion {
 /// A lazy axiom expander driven by the DPLL(T) loop.
 pub trait LazyExpander {
     /// Whether `atom` (a boolean application) is an interpreted predicate this
-    /// plugin knows how to expand when it is assigned `value`.
-    fn can_expand(&self, store: &TermStore, atom: TermId, value: bool) -> bool;
+    /// plugin knows how to expand when it is assigned `value`. The receiver
+    /// is mutable so a plugin can memoize the answer.
+    fn can_expand(&mut self, store: &TermStore, atom: TermId, value: bool) -> bool;
 
     /// Expands `atom` assigned `value` at unrolling depth `depth`.
     ///
@@ -47,7 +48,7 @@ pub trait LazyExpander {
 pub struct NoExpansion;
 
 impl LazyExpander for NoExpansion {
-    fn can_expand(&self, _store: &TermStore, _atom: TermId, _value: bool) -> bool {
+    fn can_expand(&mut self, _store: &TermStore, _atom: TermId, _value: bool) -> bool {
         false
     }
 

@@ -67,6 +67,7 @@ use crate::sat::{Lit, SatOutcome, SatSolver};
 use crate::sorts::Sort;
 use crate::term::{TermData, TermId, TermStore};
 use std::collections::{HashMap, HashSet};
+use std::time::Instant;
 
 /// Result of an SMT query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,7 +123,12 @@ impl Default for SolverConfig {
     }
 }
 
-/// Statistics accumulated across `check` calls.
+/// Statistics of the most recent `check` call.
+///
+/// The counters are deterministic: the same query against the same session
+/// state reproduces them exactly. The `*_ns` fields are wall-clock time
+/// spent in each layer of the loop and vary from run to run; they never
+/// influence the search.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// Number of candidate boolean models examined.
@@ -136,6 +142,17 @@ pub struct SolverStats {
     pub lemmas_replayed: u64,
     /// Deepest expansion level reached.
     pub max_depth_reached: u32,
+    /// Wall-clock nanoseconds in the CDCL core's `solve`.
+    pub sat_ns: u64,
+    /// Wall-clock nanoseconds in linear-arithmetic checks, conflict
+    /// minimization included.
+    pub lia_ns: u64,
+    /// Wall-clock nanoseconds in congruence-closure checks, conflict
+    /// minimization and model classes included.
+    pub euf_ns: u64,
+    /// Wall-clock nanoseconds in lazy expansion: plugin calls, lemma replay,
+    /// and encoding the lemmas into the SAT core.
+    pub expand_ns: u64,
 }
 
 /// An incremental SMT solver session.
@@ -345,9 +362,11 @@ impl Solver {
             if rounds > self.config.max_rounds {
                 return SatResult::Unknown;
             }
-            match self.sat.solve() {
-                SatOutcome::Unsat => return SatResult::Unsat,
-                SatOutcome::Sat => {}
+            let clock = Instant::now();
+            let outcome = self.sat.solve();
+            self.stats.sat_ns += elapsed_ns(clock);
+            if let SatOutcome::Unsat = outcome {
+                return SatResult::Unsat;
             }
 
             // Gather the relevant part of the atom assignment chosen by the
@@ -372,6 +391,7 @@ impl Solver {
                 .collect();
 
             // Linear integer arithmetic.
+            let clock = Instant::now();
             let mut lia_unknown = false;
             let mut lia_model: HashMap<TermId, i64> = HashMap::new();
             match lia::check(store, &arith) {
@@ -381,13 +401,16 @@ impl Solver {
                         matches!(lia::check(s, sub), LiaResult::Infeasible(_))
                     });
                     self.block(store, &core);
+                    self.stats.lia_ns += elapsed_ns(clock);
                     continue;
                 }
                 LiaResult::Unknown => lia_unknown = true,
                 LiaResult::Feasible(m) => lia_model = m,
             }
+            self.stats.lia_ns += elapsed_ns(clock);
 
             // Equality and uninterpreted functions.
+            let clock = Instant::now();
             match euf::check(store, &equality) {
                 EufResult::Inconsistent(_) => {
                     self.stats.theory_conflicts += 1;
@@ -395,15 +418,18 @@ impl Solver {
                         matches!(euf::check(s, sub), EufResult::Inconsistent(_))
                     });
                     self.block(store, &core);
+                    self.stats.euf_ns += elapsed_ns(clock);
                     continue;
                 }
                 EufResult::Consistent => {}
             }
+            self.stats.euf_ns += elapsed_ns(clock);
 
             // Lazy expansion of interpreted predicates. Guards already seen
             // by this session replay their cached lemmas without consulting
             // the plugin; new guards are expanded and their (polarity-
             // guarded) lemmas cached for the rest of the session.
+            let clock = Instant::now();
             let mut new_lemmas: Vec<(TermId, TermId, u32, bool)> = Vec::new();
             let mut beyond_depth = false;
             for &(atom, value) in &assignment {
@@ -488,8 +514,10 @@ impl Solver {
                     rel_sorted = relevant.iter().copied().collect();
                     rel_sorted.sort_unstable();
                 }
+                self.stats.expand_ns += elapsed_ns(clock);
                 continue;
             }
+            self.stats.expand_ns += elapsed_ns(clock);
 
             if beyond_depth || lia_unknown {
                 // Some fact could not be expanded within the depth budget (or
@@ -503,7 +531,9 @@ impl Solver {
                 model.bools.insert(t, v);
             }
             model.ints = lia_model;
+            let clock = Instant::now();
             model.object_classes = euf::classes(store, &equality);
+            self.stats.euf_ns += elapsed_ns(clock);
             return SatResult::Sat(model);
         }
     }
@@ -552,6 +582,11 @@ impl Solver {
             .collect();
         self.sat.add_clause(&clause);
     }
+}
+
+/// Nanoseconds since `clock`, saturated to `u64`.
+fn elapsed_ns(clock: Instant) -> u64 {
+    u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Extends `relevant` with every atom reachable from `frontier` through the
@@ -709,7 +744,7 @@ mod tests {
     /// expansion loop).
     struct EvenExpander;
     impl LazyExpander for EvenExpander {
-        fn can_expand(&self, store: &TermStore, atom: TermId, _value: bool) -> bool {
+        fn can_expand(&mut self, store: &TermStore, atom: TermId, _value: bool) -> bool {
             match store.data(atom) {
                 TermData::App(sym, _, _) => store.symbol_name(*sym) == "even",
                 _ => false,
@@ -882,7 +917,7 @@ mod tests {
         // the cached lemma, without calling the plugin again.
         struct CountingEven(u32);
         impl LazyExpander for CountingEven {
-            fn can_expand(&self, store: &TermStore, atom: TermId, value: bool) -> bool {
+            fn can_expand(&mut self, store: &TermStore, atom: TermId, value: bool) -> bool {
                 EvenExpander.can_expand(store, atom, value)
             }
             fn expand(

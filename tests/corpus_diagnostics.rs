@@ -17,6 +17,7 @@
 use jmatch::core::{Diagnostics, SessionStats, WarningKind};
 use jmatch::Workspace;
 use std::sync::OnceLock;
+use std::time::Instant;
 
 const GOLDEN: &str = include_str!("golden/corpus_diagnostics.txt");
 
@@ -119,6 +120,19 @@ fn depth3_verdicts_and_search_are_pinned() {
         "depth-3 solver counters moved: [queries, rounds, theory conflicts, \
          lemmas, SAT conflicts, SAT decisions, SAT propagations]"
     );
+}
+
+#[test]
+fn per_theory_times_are_reported_within_wall_time() {
+    let e = jmatch::corpus::entry("AVLTree").expect("AVLTree is a corpus row");
+    let source = e.combined_jmatch();
+    let clock = Instant::now();
+    let generation = Workspace::new().verify_threads(1).load(&source).unwrap();
+    let wall = clock.elapsed().as_nanos() as u64;
+    let s = generation.report().verify_stats;
+    let layers = [s.sat_ns, s.lia_ns, s.euf_ns, s.expand_ns];
+    assert!(layers.iter().all(|&ns| ns > 0), "{s:?}");
+    assert!(layers.iter().sum::<u64>() <= wall, "{s:?} vs {wall} ns");
 }
 
 #[test]

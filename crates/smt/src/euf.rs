@@ -26,7 +26,6 @@
 use crate::sym::Symbol;
 use crate::term::{TermData, TermId, TermStore};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Result of an EUF consistency check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,49 +39,6 @@ pub enum EufResult {
 /// An assignment of a truth value to an equality or predicate atom.
 pub type AtomAssignment = (TermId, bool);
 
-/// A multiplicative hasher for maps keyed by term ids, symbols and short
-/// vectors of them: the keys are small integers, so the default SipHash
-/// costs more than the table work it guards.
-#[derive(Debug, Default, Clone, Copy)]
-struct IdHasher(u64);
-
-impl IdHasher {
-    fn mix(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            self.mix(u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
-        }
-        for &b in chunks.remainder() {
-            self.mix(u64::from(b));
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.mix(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.mix(n);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.mix(n as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// Builds [`IdHasher`]s.
-type IdBuildHasher = BuildHasherDefault<IdHasher>;
-
 /// A congruence signature: function symbol and the class of each argument.
 type Signature = (Symbol, Vec<u32>);
 
@@ -91,7 +47,7 @@ type Signature = (Symbol, Vec<u32>);
 #[derive(Debug, Default)]
 struct Classes {
     /// Dense number of every collected subterm.
-    index: HashMap<TermId, u32, IdBuildHasher>,
+    index: HashMap<TermId, u32>,
     /// The subterm behind each number.
     terms: Vec<TermId>,
     parent: Vec<u32>,
@@ -175,7 +131,7 @@ fn close(store: &TermStore, classes: &mut Classes, equalities: &[(u32, u32)]) {
     // `uses[c]`: the applications with an argument in class `c` (valid at
     // roots); `table`: one application per signature.
     let mut uses: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut table: HashMap<Signature, u32, IdBuildHasher> = HashMap::default();
+    let mut table: HashMap<Signature, u32> = HashMap::new();
     let mut pending: Vec<(u32, u32)> = equalities.to_vec();
     for app in 0..n as u32 {
         let Some(sig) = classes.signature(store, app) else {
@@ -269,7 +225,7 @@ pub fn check(store: &TermStore, assignments: &[AtomAssignment]) -> EufResult {
         }
     }
     // Congruent predicate applications must not carry opposite truth values.
-    let mut truth: HashMap<Signature, bool, IdBuildHasher> = HashMap::default();
+    let mut truth: HashMap<Signature, bool> = HashMap::new();
     for (p, value) in predicates {
         let sig = classes
             .signature(store, p)

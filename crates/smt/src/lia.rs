@@ -712,9 +712,9 @@ mod tests {
     #[test]
     fn fractional_branching_is_deterministic() {
         // The rational model of this system has more than one fractional
-        // value, so branch and bound must pick one to split on. Picking by
-        // hash-map iteration order made repeated calls return different
-        // integer models ((-1, -1, -4) or (0, -2, -4)).
+        // value, so branch and bound must pick one to split on. Picking in
+        // hash-map iteration order would make repeated calls return
+        // different integer models ((-1, -1, -4) or (0, -2, -4)).
         let mut s = TermStore::new();
         let v: Vec<TermId> = (0..3).map(|i| int_var(&mut s, &format!("v{i}"))).collect();
         let term = |s: &mut TermStore, coeffs: [i64; 3]| {

@@ -356,16 +356,22 @@ fn fourier_motzkin(constraints: &[Constraint]) -> Option<HashMap<TermId, Rat>> {
         }
     }
 
-    // Each component's variables, in sorted order, keyed by root; and each
-    // variable's slot within its component.
-    let mut members: HashMap<usize, Vec<TermId>> = HashMap::new();
-    let mut slot: Vec<usize> = vec![0; vars.len()];
+    // Number the components in order of their smallest variable; list each
+    // component's variables in sorted order, and give each variable its
+    // slot within its component.
+    let mut number: Vec<Option<usize>> = vec![None; vars.len()];
+    let mut members: Vec<Vec<TermId>> = Vec::new();
+    let mut place: Vec<(usize, usize)> = Vec::with_capacity(vars.len());
     for (i, &v) in vars.iter().enumerate() {
-        let comp = members.entry(find(&mut parent, i)).or_default();
-        slot[i] = comp.len();
-        comp.push(v);
+        let root = find(&mut parent, i);
+        let comp = *number[root].get_or_insert_with(|| {
+            members.push(Vec::new());
+            members.len() - 1
+        });
+        place.push((comp, members[comp].len()));
+        members[comp].push(v);
     }
-    let mut rows: HashMap<usize, Vec<Row>> = HashMap::new();
+    let mut rows: Vec<Vec<Row>> = vec![Vec::new(); members.len()];
     for c in constraints {
         let Some(first) = c.coeffs.keys().next() else {
             // Variable-free: `0 <= bound`.
@@ -374,20 +380,20 @@ fn fourier_motzkin(constraints: &[Constraint]) -> Option<HashMap<TermId, Rat>> {
             }
             continue;
         };
-        let root = find(&mut parent, position(first));
-        let mut coeffs = vec![0; members[&root].len()];
+        let comp = place[position(first)].0;
+        let mut coeffs = vec![0; members[comp].len()];
         for (v, &k) in &c.coeffs {
-            coeffs[slot[position(v)]] = k;
+            coeffs[place[position(v)].1] = k;
         }
-        rows.entry(root).or_default().push(Row {
+        rows[comp].push(Row {
             coeffs,
             bound: c.bound,
         });
     }
 
     let mut model: HashMap<TermId, Rat> = HashMap::with_capacity(vars.len());
-    for (root, comp_rows) in rows {
-        eliminate(&members[&root], comp_rows, &mut model)?;
+    for (comp_vars, comp_rows) in members.iter().zip(rows) {
+        eliminate(comp_vars, comp_rows, &mut model)?;
     }
     Some(model)
 }

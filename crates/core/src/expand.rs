@@ -21,9 +21,9 @@
 use crate::extract;
 use crate::table::MethodInfo;
 use crate::vc::{Env, Seq, VcGen, F};
+use jmatch_smt::hash::IdMap;
 use jmatch_smt::{Expansion, LazyExpander, Sort, Symbol, TermData, TermId, TermStore};
 use jmatch_syntax::ast::Type;
-use std::collections::HashMap;
 
 /// The lazy expander for JMatch specifications.
 #[derive(Debug, Clone)]
@@ -33,7 +33,7 @@ pub struct JMatchExpander {
     /// polarity). The answer depends only on the symbol's name and the class
     /// table, which is fixed for the expander's lifetime (a reload builds a
     /// new expander).
-    expandable: HashMap<(Symbol, bool), bool>,
+    expandable: IdMap<(Symbol, bool), bool>,
 }
 
 impl JMatchExpander {
@@ -41,7 +41,7 @@ impl JMatchExpander {
     pub fn new(gen: VcGen) -> Self {
         JMatchExpander {
             gen,
-            expandable: HashMap::new(),
+            expandable: IdMap::default(),
         }
     }
 
@@ -87,14 +87,7 @@ impl JMatchExpander {
             }
         }
         // Membership implies the publicly visible invariants.
-        let invariants: Vec<_> = self
-            .gen
-            .table
-            .visible_invariants(ty, false)
-            .into_iter()
-            .cloned()
-            .collect();
-        for inv in invariants {
+        for inv in self.gen.table.visible_invariants(ty, false) {
             let mut env = Env::new();
             env.self_class = Some(ty.to_owned());
             env.this_term = Some(x);

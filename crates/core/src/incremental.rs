@@ -562,6 +562,7 @@ fn stats_delta(after: SessionStats, before: SessionStats) -> SessionStats {
             .theory_conflicts
             .saturating_sub(before.theory_conflicts),
         lemmas: after.lemmas.saturating_sub(before.lemmas),
+        euf_reused: after.euf_reused.saturating_sub(before.euf_reused),
         sat_conflicts: after.sat_conflicts.saturating_sub(before.sat_conflicts),
         sat_decisions: after.sat_decisions.saturating_sub(before.sat_decisions),
         sat_propagations: after

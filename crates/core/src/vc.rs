@@ -855,7 +855,7 @@ impl VcGen {
             .find_mode(&unknown_params, result_unknown)
             .or_else(|| minfo.find_mode(&unknown_params, !result_unknown))
             .unwrap_or(0);
-        let mode = minfo.modes[mode_idx].clone();
+        let mode = &minfo.modes[mode_idx];
 
         // Receiver value. For named constructors the receiver *is* the value
         // being matched (or the constructed result).
@@ -1016,12 +1016,12 @@ impl VcGen {
         receiver: Option<&Expr>,
         name: &str,
         match_target: &Option<(TermId, Type)>,
-    ) -> Option<(String, MethodInfo)> {
+    ) -> Option<(String, &MethodInfo)> {
         // Static receiver: `Class.name(...)`.
         if let Some(Expr::Var(class)) = receiver {
             if self.table.type_info(class).is_some() {
                 if let Some(m) = self.table.lookup_method(class, name) {
-                    return Some((class.clone(), m.clone()));
+                    return Some((class.clone(), m));
                 }
             }
         }
@@ -1029,37 +1029,37 @@ impl VcGen {
         if let Some(r) = receiver {
             if let Some(ty_name) = self.static_type_name(env, r) {
                 if let Some(m) = self.table.lookup_method(&ty_name, name) {
-                    return Some((ty_name, m.clone()));
+                    return Some((ty_name, m));
                 }
             }
         }
         // Matching a value: resolve through the value's static type.
         if let Some((_, Type::Named(ty_name))) = match_target {
             if let Some(m) = self.table.lookup_method(ty_name, name) {
-                return Some((ty_name.clone(), m.clone()));
+                return Some((ty_name.clone(), m));
             }
         }
         // Class constructor: `ZNat(...)`.
         if self.table.type_info(name).is_some() {
             if let Some(m) = self.table.lookup_class_constructor(name) {
-                return Some((name.to_owned(), m.clone()));
+                return Some((name.to_owned(), m));
             }
         }
         // Enclosing class.
         if let Some(c) = &env.self_class {
             if let Some(m) = self.table.lookup_method(c, name) {
-                return Some((m.owner.clone(), m.clone()));
+                return Some((m.owner.clone(), m));
             }
         }
         // Free-standing methods.
         if let Some(m) = self.table.lookup_free_method(name) {
-            return Some(("<toplevel>".into(), m.clone()));
+            return Some(("<toplevel>".into(), m));
         }
         // Any type declaring it (last resort, keeps modularity of naming by
         // using the declaring owner).
         for t in self.table.types() {
             if let Some(m) = t.methods.iter().find(|m| m.decl.name == name) {
-                return Some((m.owner.clone(), m.clone()));
+                return Some((m.owner.clone(), m));
             }
         }
         None

@@ -40,9 +40,10 @@ use crate::expand::JMatchExpander;
 use crate::extract;
 use crate::table::{ClassTable, MethodInfo, TypeInfo};
 use crate::vc::{Env, Seq, VcGen, F};
+use jmatch_smt::hash::IdMap;
 use jmatch_smt::{SatResult, Solver, SolverConfig, SolverStats, TermId, TermStore};
 use jmatch_syntax::ast::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Options controlling verification.
@@ -86,7 +87,7 @@ pub struct Session {
     store: TermStore,
     solver: Solver,
     expander: JMatchExpander,
-    cache: HashMap<Vec<TermId>, SatResult>,
+    cache: IdMap<Vec<TermId>, SatResult>,
     stats: SessionStats,
 }
 
@@ -109,6 +110,12 @@ pub struct SessionStats {
     pub theory_conflicts: u64,
     /// Lazy-expansion lemmas asserted across all queries.
     pub lemmas: u64,
+    /// Congruence-closure checks that extended the previous round's
+    /// closure instead of rebuilding it
+    /// ([`jmatch_smt::SolverStats::euf_reused`]). The EUF layer's cost
+    /// depends on this share of its checks; like the other counters it is
+    /// deterministic.
+    pub euf_reused: u64,
     /// CDCL conflicts across the whole session.
     pub sat_conflicts: u64,
     /// CDCL decisions across the whole session.
@@ -134,6 +141,7 @@ impl SessionStats {
         self.rounds += other.rounds;
         self.theory_conflicts += other.theory_conflicts;
         self.lemmas += other.lemmas;
+        self.euf_reused += other.euf_reused;
         self.sat_conflicts += other.sat_conflicts;
         self.sat_decisions += other.sat_decisions;
         self.sat_propagations += other.sat_propagations;
@@ -148,6 +156,7 @@ impl SessionStats {
         self.rounds += qs.rounds;
         self.theory_conflicts += qs.theory_conflicts;
         self.lemmas += qs.lemmas;
+        self.euf_reused += qs.euf_reused;
         self.sat_ns += qs.sat_ns;
         self.lia_ns += qs.lia_ns;
         self.euf_ns += qs.euf_ns;
@@ -213,7 +222,7 @@ impl Verifier {
                 ..SolverConfig::default()
             }),
             expander: JMatchExpander::new(self.gen.clone()),
-            cache: HashMap::new(),
+            cache: IdMap::default(),
             stats: SessionStats::default(),
         }
     }

@@ -23,10 +23,16 @@
 //! structure instead of dragging every previous query's definitions through
 //! the SAT core. Encoded outside any scope, definitions are permanent,
 //! matching the classic one-shot behavior.
+//!
+//! ## Tables
+//!
+//! Term ids and propositional variables are dense, so the literal cache and
+//! the atom-of-variable map are plain vectors indexed by [`TermId`] and
+//! [`PVar`] rather than hash maps, and the encoder reads each formula's
+//! operands in place instead of cloning them.
 
 use crate::sat::{Lit, PVar, SatSolver};
 use crate::term::{TermData, TermId, TermStore};
-use std::collections::HashMap;
 
 /// Persistent Tseitin encoder.
 ///
@@ -36,8 +42,10 @@ use std::collections::HashMap;
 /// encoded outside any scope) stays cached forever.
 #[derive(Debug, Default)]
 pub struct Encoder {
-    lit_of: HashMap<TermId, Lit>,
-    atom_of_var: HashMap<PVar, TermId>,
+    /// Cached literal of each encoded term, indexed by [`TermId`].
+    lit_of: Vec<Option<Lit>>,
+    /// The atom behind each propositional variable, indexed by [`PVar`].
+    atom_of_var: Vec<Option<TermId>>,
     true_lit: Option<Lit>,
     /// Composite formulas encoded per open scope (for cache purging).
     scope_log: Vec<Vec<TermId>>,
@@ -68,7 +76,7 @@ impl Encoder {
             .pop()
             .expect("Encoder::pop_scope without a matching push_scope");
         for t in retired {
-            self.lit_of.remove(&t);
+            self.lit_of[t.index()] = None;
         }
     }
 
@@ -76,12 +84,23 @@ impl Encoder {
         !self.scope_log.is_empty()
     }
 
+    fn cached(&self, t: TermId) -> Option<Lit> {
+        self.lit_of.get(t.index()).copied().flatten()
+    }
+
+    fn cache(&mut self, t: TermId, lit: Lit) {
+        if self.lit_of.len() <= t.index() {
+            self.lit_of.resize(t.index() + 1, None);
+        }
+        self.lit_of[t.index()] = Some(lit);
+    }
+
     /// Caches `lit` for `t`; inside a scope the entry is logged for purging
     /// at the matching `pop_scope`.
     fn remember(&mut self, t: TermId, lit: Lit) -> Lit {
-        self.lit_of.insert(t, lit);
-        if self.in_scope() {
-            self.scope_log.last_mut().expect("scope is open").push(t);
+        self.cache(t, lit);
+        if let Some(log) = self.scope_log.last_mut() {
+            log.push(t);
         }
         lit
     }
@@ -101,18 +120,22 @@ impl Encoder {
     /// Returns the propositional variable standing for a theory atom, if the
     /// atom has been encoded.
     pub fn var_for_atom(&self, atom: TermId) -> Option<PVar> {
-        self.lit_of.get(&atom).map(|l| l.var())
+        self.cached(atom).map(|l| l.var())
     }
 
     /// Returns the theory atom corresponding to a propositional variable, if
     /// that variable encodes an atom (rather than an internal Tseitin node).
     pub fn atom_for_var(&self, var: PVar) -> Option<TermId> {
-        self.atom_of_var.get(&var).copied()
+        self.atom_of_var.get(var as usize).copied().flatten()
     }
 
-    /// Iterates over all `(atom, var)` pairs encoded so far.
+    /// Iterates over all `(atom, var)` pairs encoded so far, in variable
+    /// order.
     pub fn atom_vars(&self) -> impl Iterator<Item = (TermId, PVar)> + '_ {
-        self.atom_of_var.iter().map(|(&v, &t)| (t, v))
+        self.atom_of_var
+            .iter()
+            .enumerate()
+            .filter_map(|(v, t)| t.map(|t| (t, v as PVar)))
     }
 
     /// Adds a definition clause with the lifetime of the current mode.
@@ -136,16 +159,16 @@ impl Encoder {
             "cannot encode non-boolean term {}",
             store.display(t)
         );
-        if let Some(&l) = self.lit_of.get(&t) {
+        if let Some(l) = self.cached(t) {
             return l;
         }
-        match store.data(t).clone() {
+        match store.data(t) {
             TermData::BoolConst(true) => self.true_literal(sat),
             TermData::BoolConst(false) => self.true_literal(sat).negate(),
             TermData::Not(inner) => {
                 // No clauses of its own: do not cache, so the lifetime is
                 // exactly the inner encoding's.
-                self.encode(store, sat, inner).negate()
+                self.encode(store, sat, *inner).negate()
             }
             TermData::Var(..)
             | TermData::App(..)
@@ -155,40 +178,44 @@ impl Encoder {
                 // Theory atoms have no defining clauses; their variables are
                 // allocated once and stay valid for the whole session.
                 let v = sat.new_var();
-                self.atom_of_var.insert(v, t);
+                if self.atom_of_var.len() <= v as usize {
+                    self.atom_of_var.resize(v as usize + 1, None);
+                }
+                self.atom_of_var[v as usize] = Some(t);
                 let lit = Lit::pos(v);
-                self.lit_of.insert(t, lit);
+                self.cache(t, lit);
                 lit
             }
             TermData::And(xs) => {
-                let ls: Vec<Lit> = xs.iter().map(|&x| self.encode(store, sat, x)).collect();
+                let mut ls = self.encode_all(store, sat, xs);
                 let p = Lit::pos(sat.new_var());
                 // p -> each x
                 for &l in &ls {
                     self.def_clause(sat, &[p.negate(), l]);
                 }
                 // all x -> p
-                let mut big: Vec<Lit> = ls.iter().map(|l| l.negate()).collect();
-                big.push(p);
-                self.def_clause(sat, &big);
+                for l in &mut ls {
+                    *l = l.negate();
+                }
+                ls.push(p);
+                self.def_clause(sat, &ls);
                 self.remember(t, p)
             }
             TermData::Or(xs) => {
-                let ls: Vec<Lit> = xs.iter().map(|&x| self.encode(store, sat, x)).collect();
+                let mut ls = self.encode_all(store, sat, xs);
                 let p = Lit::pos(sat.new_var());
                 // each x -> p
                 for &l in &ls {
                     self.def_clause(sat, &[l.negate(), p]);
                 }
                 // p -> some x
-                let mut big: Vec<Lit> = ls.clone();
-                big.push(p.negate());
-                self.def_clause(sat, &big);
+                ls.push(p.negate());
+                self.def_clause(sat, &ls);
                 self.remember(t, p)
             }
             TermData::Implies(a, b) => {
-                let la = self.encode(store, sat, a);
-                let lb = self.encode(store, sat, b);
+                let la = self.encode(store, sat, *a);
+                let lb = self.encode(store, sat, *b);
                 let p = Lit::pos(sat.new_var());
                 // p -> (a -> b)
                 self.def_clause(sat, &[p.negate(), la.negate(), lb]);
@@ -198,8 +225,8 @@ impl Encoder {
                 self.remember(t, p)
             }
             TermData::Iff(a, b) => {
-                let la = self.encode(store, sat, a);
-                let lb = self.encode(store, sat, b);
+                let la = self.encode(store, sat, *a);
+                let lb = self.encode(store, sat, *b);
                 let p = Lit::pos(sat.new_var());
                 self.def_clause(sat, &[p.negate(), la.negate(), lb]);
                 self.def_clause(sat, &[p.negate(), la, lb.negate()]);
@@ -213,6 +240,16 @@ impl Encoder {
                 store.display(t)
             ),
         }
+    }
+
+    /// Encodes every operand of an n-ary connective, leaving room for the
+    /// defining literal.
+    fn encode_all(&mut self, store: &TermStore, sat: &mut SatSolver, xs: &[TermId]) -> Vec<Lit> {
+        let mut ls = Vec::with_capacity(xs.len() + 1);
+        for &x in xs {
+            ls.push(self.encode(store, sat, x));
+        }
+        ls
     }
 
     /// Encodes `t` and asserts it as a permanent unit clause. Outside any

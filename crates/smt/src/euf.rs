@@ -3,26 +3,42 @@
 //! JMatch verification conditions use uninterpreted object sorts for every
 //! reference type and uninterpreted functions for method results that the
 //! verifier treats abstractly. This module checks a set of equality and
-//! predicate-application assignments for consistency:
+//! predicate-application assignments for consistency with one closure type,
+//! [`Closure`]:
 //!
-//! * asserted equalities are merged with union-find,
+//! * every subterm of the assigned atoms is numbered densely, and asserted
+//!   equalities are merged with union-find over the numbers,
 //! * congruence (`x = y  ⟹  f(x) = f(y)`) is closed with a *signature
 //!   table* keyed by `(symbol, [class of each argument])` plus a *use list*
 //!   per class: merging two classes re-hashes only the applications on the
 //!   shorter of their use lists, so closure is one worklist pass, not a
-//!   fixed point over every application,
+//!   fixed point over every application (Nieuwenhuis & Oliveras, *Fast
+//!   congruence closure and extensions*, 2007),
 //! * asserted disequalities must not end up in one class, and no class may
 //!   hold two distinct integer constants (one constant slot per class),
-//! * predicate applications are looked up in a second signature table after
-//!   closure: one signature assigned both truth values is a conflict.
+//! * congruent predicate applications share a class after closure, so one
+//!   class assigned both truth values is a conflict.
 //!
-//! The work per check is `O(n log n)` in the number of subterms of the
-//! assigned atoms: an application is re-hashed only when its class is on
-//! the shorter use list of a merge.
+//! The work to build a closure is `O(n log n)` in the number of subterms of
+//! the assigned atoms: an application is re-hashed only when its class is
+//! on the shorter use list of a merge.
 //!
-//! The check is used as a post-model filter in the DPLL(T) loop: a conflict
-//! produces a blocking clause over the participating atoms.
+//! ## Reuse across DPLL(T) rounds
+//!
+//! The closure remembers the sorted assignment it was built from (its
+//! *base*). A later [`Closure::check`] whose assignment holds every base
+//! atom with the same value, and only adds atoms, keeps the closure: it
+//! numbers the new subterms, queues the new equalities and keeps closing.
+//! Any other assignment clears the closure (keeping its capacity) and
+//! rebuilds it. Closure is confluent, so both paths reach the same
+//! partition. The disequality, constant and predicate checks run over the
+//! full assignment on every call, and an `Inconsistent` answer drops the
+//! base. The solver owns one closure for its whole session; [`check`] is a
+//! fresh closure's check, used for conflict minimization.
+//!
+//! The tables are keyed by solver-assigned ids and use [`IdMap`].
 
+use crate::hash::IdMap;
 use crate::sym::Symbol;
 use crate::term::{TermData, TermId, TermStore};
 use std::collections::HashMap;
@@ -42,33 +58,195 @@ pub type AtomAssignment = (TermId, bool);
 /// A congruence signature: function symbol and the class of each argument.
 type Signature = (Symbol, Vec<u32>);
 
-/// The subterms of a set of atoms, numbered densely, with a union-find over
-/// the numbers.
-#[derive(Debug, Default)]
-struct Classes {
-    /// Dense number of every collected subterm.
-    index: HashMap<TermId, u32>,
-    /// The subterm behind each number.
-    terms: Vec<TermId>,
-    parent: Vec<u32>,
+/// What the closure needs to know about a numbered subterm.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    /// An application: its symbol, and the start and length of its
+    /// arguments' numbers in `Closure::args`.
+    App(Symbol, u32, u32),
+    /// An integer constant.
+    Const(i64),
+    /// Anything else.
+    Other,
 }
 
-impl Classes {
-    /// Numbers `t` and, transitively, its subterms; returns `t`'s number.
+/// A congruence closure over the subterms of an atom assignment, kept
+/// across checks whose assignments extend the one it was built from (see
+/// the [module documentation](self)). Like a solver session, one closure
+/// must always be used with the same [`TermStore`].
+#[derive(Debug, Default)]
+pub struct Closure {
+    /// Dense number of every collected subterm.
+    index: IdMap<TermId, u32>,
+    /// The subterm behind each number, and its kind.
+    nodes: Vec<(TermId, Kind)>,
+    /// Argument numbers of the applications, back to back.
+    args: Vec<u32>,
+    parent: Vec<u32>,
+    /// `uses[c]`: the applications with an argument in class `c` (valid at
+    /// roots). Only the first `nodes.len()` entries are live; the rest keep
+    /// their capacity for the next rebuild.
+    uses: Vec<Vec<u32>>,
+    /// One application per signature.
+    table: IdMap<Signature, u32>,
+    /// Merges not yet closed.
+    pending: Vec<(u32, u32)>,
+    /// The sorted, deduplicated assignment the closure was built from.
+    base: Vec<AtomAssignment>,
+    /// The base's disequalities and predicate literals, numbered.
+    disequalities: Vec<(u32, u32)>,
+    predicates: Vec<(u32, bool)>,
+    /// Whether the last check extended a non-empty base.
+    reused: bool,
+}
+
+impl Closure {
+    /// Creates an empty closure.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Checks consistency of equality/predicate assignments, extending the
+    /// closure when `assignments` extends its base and rebuilding it
+    /// otherwise.
+    ///
+    /// `assignments` should contain:
+    /// * `Eq` atoms (of any sort) with their truth values, and
+    /// * boolean `App` atoms (uninterpreted predicates) with their truth values.
+    ///
+    /// Other atoms are ignored so the caller can pass its full atom
+    /// assignment.
+    pub fn check(&mut self, store: &TermStore, assignments: &[AtomAssignment]) -> EufResult {
+        let mut sorted: Vec<AtomAssignment> = assignments
+            .iter()
+            .copied()
+            .filter(|&(atom, _)| matches!(store.data(atom), TermData::Eq(..) | TermData::App(..)))
+            .collect();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let added = self.added_to_base(&sorted);
+        self.reused = added.is_some() && !self.base.is_empty();
+        if added.is_none() {
+            self.clear();
+        }
+        let first_new = self.nodes.len();
+        for &(atom, value) in added.as_deref().unwrap_or(&sorted) {
+            match store.data(atom) {
+                TermData::Eq(a, b) => {
+                    let pair = (self.collect(store, *a), self.collect(store, *b));
+                    if value {
+                        self.pending.push(pair);
+                    } else {
+                        self.disequalities.push(pair);
+                    }
+                }
+                _ => {
+                    let p = self.collect(store, atom);
+                    self.predicates.push((p, value));
+                }
+            }
+        }
+        for app in first_new as u32..self.nodes.len() as u32 {
+            let Some(sig) = self.signature(app) else {
+                continue;
+            };
+            for &c in &sig.1 {
+                self.uses[c as usize].push(app);
+            }
+            if let Some(&other) = self.table.get(&sig) {
+                self.pending.push((app, other));
+            } else {
+                self.table.insert(sig, app);
+            }
+        }
+        self.close();
+        self.base = sorted;
+
+        if self.consistent() {
+            EufResult::Consistent
+        } else {
+            self.clear();
+            EufResult::Inconsistent(assignments.iter().map(|&(a, _)| a).collect())
+        }
+    }
+
+    /// Whether the last [`Closure::check`] extended the closure of an
+    /// earlier assignment instead of building one from scratch.
+    pub fn reused(&self) -> bool {
+        self.reused
+    }
+
+    /// Equivalence-class numbers of the object-sorted terms of the last
+    /// (consistent) check, numbered in order of each class's smallest term.
+    /// Used for model building.
+    pub fn classes(&mut self, store: &TermStore) -> HashMap<TermId, u32> {
+        let mut sorted: Vec<(TermId, u32)> = self
+            .nodes
+            .iter()
+            .enumerate()
+            .filter(|(_, &(t, _))| store.sort(t).is_obj())
+            .map(|(i, &(t, _))| (t, i as u32))
+            .collect();
+        sorted.sort_unstable();
+        let mut number: IdMap<u32, u32> = IdMap::default();
+        let mut reps: HashMap<TermId, u32> = HashMap::with_capacity(sorted.len());
+        for (t, i) in sorted {
+            let next = number.len() as u32;
+            let class = *number.entry(self.find(i)).or_insert(next);
+            reps.insert(t, class);
+        }
+        reps
+    }
+
+    /// Forgets every subterm and the base, keeping the allocations.
+    fn clear(&mut self) {
+        for uses in &mut self.uses[..self.nodes.len()] {
+            uses.clear();
+        }
+        self.index.clear();
+        self.nodes.clear();
+        self.args.clear();
+        self.parent.clear();
+        self.table.clear();
+        self.pending.clear();
+        self.base.clear();
+        self.disequalities.clear();
+        self.predicates.clear();
+    }
+
+    /// The atoms of `sorted` beyond the base, if `sorted` holds every base
+    /// atom with its base value.
+    fn added_to_base(&self, sorted: &[AtomAssignment]) -> Option<Vec<AtomAssignment>> {
+        let mut matched = 0;
+        let mut added = Vec::new();
+        for &a in sorted {
+            if self.base.get(matched) == Some(&a) {
+                matched += 1;
+            } else {
+                added.push(a);
+            }
+        }
+        (matched == self.base.len()).then_some(added)
+    }
+
+    /// Numbers `t` and, transitively, its subterms (children first);
+    /// returns `t`'s number.
     fn collect(&mut self, store: &TermStore, t: TermId) -> u32 {
         if let Some(&i) = self.index.get(&t) {
             return i;
         }
-        let i = self.terms.len() as u32;
-        self.index.insert(t, i);
-        self.terms.push(t);
-        self.parent.push(i);
-        match store.data(t) {
-            TermData::App(_, args, _) => {
-                for &a in args {
+        let kind = match store.data(t) {
+            TermData::App(sym, xs, _) => {
+                for &a in xs {
                     self.collect(store, a);
                 }
+                let start = self.args.len() as u32;
+                for a in xs {
+                    self.args.push(self.index[a]);
+                }
+                Kind::App(*sym, start, xs.len() as u32)
             }
+            TermData::IntConst(n) => Kind::Const(*n),
             TermData::Add(a, b)
             | TermData::Sub(a, b)
             | TermData::Le(a, b)
@@ -78,16 +256,26 @@ impl Classes {
             | TermData::Iff(a, b) => {
                 self.collect(store, *a);
                 self.collect(store, *b);
+                Kind::Other
             }
             TermData::Neg(a) | TermData::MulConst(_, a) | TermData::Not(a) => {
                 self.collect(store, *a);
+                Kind::Other
             }
             TermData::And(xs) | TermData::Or(xs) => {
                 for &x in xs {
                     self.collect(store, x);
                 }
+                Kind::Other
             }
-            TermData::BoolConst(_) | TermData::IntConst(_) | TermData::Var(..) => {}
+            TermData::BoolConst(_) | TermData::Var(..) => Kind::Other,
+        };
+        let i = self.nodes.len() as u32;
+        self.index.insert(t, i);
+        self.nodes.push((t, kind));
+        self.parent.push(i);
+        if self.uses.len() == i as usize {
+            self.uses.push(Vec::new());
         }
         i
     }
@@ -105,173 +293,91 @@ impl Classes {
         root
     }
 
-    /// Merges the classes of `a` and `b`.
-    fn union(&mut self, a: u32, b: u32) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        self.parent[ra as usize] = rb;
-    }
-
     /// The signature of application `app` under the current classes.
-    fn signature(&mut self, store: &TermStore, app: u32) -> Option<Signature> {
-        let TermData::App(sym, args, _) = store.data(self.terms[app as usize]) else {
+    fn signature(&mut self, app: u32) -> Option<Signature> {
+        let Kind::App(sym, start, arity) = self.nodes[app as usize].1 else {
             return None;
         };
-        let mut classes: Vec<u32> = args.iter().map(|a| self.index[a]).collect();
-        for c in &mut classes {
-            *c = self.find(*c);
-        }
-        Some((*sym, classes))
+        let classes = (start..start + arity)
+            .map(|i| {
+                let arg = self.args[i as usize];
+                self.find(arg)
+            })
+            .collect();
+        Some((sym, classes))
     }
-}
 
-/// Closes the asserted `equalities` under congruence over every
-/// application among `classes`' terms.
-fn close(store: &TermStore, classes: &mut Classes, equalities: &[(u32, u32)]) {
-    let n = classes.terms.len();
-    // `uses[c]`: the applications with an argument in class `c` (valid at
-    // roots); `table`: one application per signature.
-    let mut uses: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut table: HashMap<Signature, u32> = HashMap::new();
-    let mut pending: Vec<(u32, u32)> = equalities.to_vec();
-    for app in 0..n as u32 {
-        let Some(sig) = classes.signature(store, app) else {
-            continue;
-        };
-        for &c in &sig.1 {
-            uses[c as usize].push(app);
-        }
-        if let Some(&other) = table.get(&sig) {
-            pending.push((app, other));
-        } else {
-            table.insert(sig, app);
-        }
-    }
-    while let Some((a, b)) = pending.pop() {
-        let (ra, rb) = (classes.find(a), classes.find(b));
-        if ra == rb {
-            continue;
-        }
-        // Only the applications using the absorbed class change signature,
-        // so the class with the shorter use list is the one absorbed.
-        let (absorbed, survivor) = if uses[ra as usize].len() <= uses[rb as usize].len() {
-            (ra, rb)
-        } else {
-            (rb, ra)
-        };
-        classes.parent[absorbed as usize] = survivor;
-        let moved = std::mem::take(&mut uses[absorbed as usize]);
-        for &app in &moved {
-            let sig = classes
-                .signature(store, app)
-                .expect("use lists hold applications");
-            match table.get(&sig) {
-                Some(&other) => {
-                    if classes.find(other) != classes.find(app) {
-                        pending.push((app, other));
+    /// Closes the pending merges under congruence.
+    fn close(&mut self) {
+        while let Some((a, b)) = self.pending.pop() {
+            let (ra, rb) = (self.find(a), self.find(b));
+            if ra == rb {
+                continue;
+            }
+            // Only the applications using the absorbed class change
+            // signature, so the class with the shorter use list is the one
+            // absorbed.
+            let (absorbed, survivor) =
+                if self.uses[ra as usize].len() <= self.uses[rb as usize].len() {
+                    (ra, rb)
+                } else {
+                    (rb, ra)
+                };
+            self.parent[absorbed as usize] = survivor;
+            let moved = std::mem::take(&mut self.uses[absorbed as usize]);
+            for &app in &moved {
+                let sig = self.signature(app).expect("use lists hold applications");
+                match self.table.get(&sig) {
+                    Some(&other) => {
+                        if self.find(other) != self.find(app) {
+                            self.pending.push((app, other));
+                        }
+                    }
+                    None => {
+                        self.table.insert(sig, app);
                     }
                 }
-                None => {
-                    table.insert(sig, app);
+            }
+            self.uses[survivor as usize].extend(moved);
+        }
+    }
+
+    /// The disequality, constant and predicate checks of the whole base
+    /// against the closed classes.
+    fn consistent(&mut self) -> bool {
+        for i in 0..self.disequalities.len() {
+            let (a, b) = self.disequalities[i];
+            if self.find(a) == self.find(b) {
+                return false;
+            }
+        }
+        let n = self.nodes.len();
+        // Distinct integer constants are never equal: at most one per class.
+        let mut constant: Vec<Option<i64>> = vec![None; n];
+        for i in 0..n as u32 {
+            if let Kind::Const(c) = self.nodes[i as usize].1 {
+                if *constant[self.find(i) as usize].get_or_insert(c) != c {
+                    return false;
                 }
             }
         }
-        uses[survivor as usize].extend(moved);
+        // Congruent predicate applications share a class and must not
+        // carry opposite truth values.
+        let mut truth: Vec<Option<bool>> = vec![None; n];
+        for i in 0..self.predicates.len() {
+            let (p, value) = self.predicates[i];
+            if *truth[self.find(p) as usize].get_or_insert(value) != value {
+                return false;
+            }
+        }
+        true
     }
 }
 
-/// Checks consistency of equality/predicate assignments.
-///
-/// `assignments` should contain:
-/// * `Eq` atoms (of any sort) with their truth values, and
-/// * boolean `App` atoms (uninterpreted predicates) with their truth values.
-///
-/// Other atoms are ignored so the caller can pass its full atom assignment.
+/// Checks consistency of equality/predicate assignments with a fresh
+/// [`Closure`] (see [`Closure::check`]).
 pub fn check(store: &TermStore, assignments: &[AtomAssignment]) -> EufResult {
-    let mut classes = Classes::default();
-    let mut equalities: Vec<(u32, u32)> = Vec::new();
-    let mut disequalities: Vec<(u32, u32)> = Vec::new();
-    let mut predicates: Vec<(u32, bool)> = Vec::new();
-    for &(atom, value) in assignments {
-        match store.data(atom) {
-            TermData::Eq(a, b) => {
-                let pair = (classes.collect(store, *a), classes.collect(store, *b));
-                if value {
-                    equalities.push(pair);
-                } else {
-                    disequalities.push(pair);
-                }
-            }
-            TermData::App(..) => predicates.push((classes.collect(store, atom), value)),
-            _ => {}
-        }
-    }
-    close(store, &mut classes, &equalities);
-
-    let inconsistent = || EufResult::Inconsistent(assignments.iter().map(|&(a, _)| a).collect());
-    for (a, b) in disequalities {
-        if classes.find(a) == classes.find(b) {
-            return inconsistent();
-        }
-    }
-    // Distinct integer constants are never equal: at most one per class.
-    let mut constant: Vec<Option<i64>> = vec![None; classes.terms.len()];
-    for i in 0..classes.terms.len() as u32 {
-        if let TermData::IntConst(n) = store.data(classes.terms[i as usize]) {
-            let slot = &mut constant[classes.find(i) as usize];
-            match *slot {
-                Some(m) if m != *n => return inconsistent(),
-                _ => *slot = Some(*n),
-            }
-        }
-    }
-    // Congruent predicate applications must not carry opposite truth values.
-    let mut truth: HashMap<Signature, bool> = HashMap::new();
-    for (p, value) in predicates {
-        let sig = classes
-            .signature(store, p)
-            .expect("predicates are applications");
-        if *truth.entry(sig).or_insert(value) != value {
-            return inconsistent();
-        }
-    }
-    EufResult::Consistent
-}
-
-/// Computes equivalence-class representatives for the object-sorted terms
-/// mentioned by a *consistent* set of assignments. Used for model building.
-pub fn classes(store: &TermStore, assignments: &[AtomAssignment]) -> HashMap<TermId, u32> {
-    let mut classes = Classes::default();
-    for &(atom, value) in assignments {
-        match store.data(atom) {
-            TermData::Eq(a, b) => {
-                let (a, b) = (classes.collect(store, *a), classes.collect(store, *b));
-                if value {
-                    classes.union(a, b);
-                }
-            }
-            TermData::App(..) => {
-                classes.collect(store, atom);
-            }
-            _ => {}
-        }
-    }
-    // Number the classes in order of their smallest object-sorted term.
-    let mut sorted: Vec<(TermId, u32)> = classes
-        .terms
-        .iter()
-        .enumerate()
-        .filter(|(_, &t)| store.sort(t).is_obj())
-        .map(|(i, &t)| (t, i as u32))
-        .collect();
-    sorted.sort_unstable();
-    let mut number: HashMap<u32, u32> = HashMap::new();
-    let mut reps: HashMap<TermId, u32> = HashMap::with_capacity(sorted.len());
-    for (t, i) in sorted {
-        let next = number.len() as u32;
-        let class = *number.entry(classes.find(i)).or_insert(next);
-        reps.insert(t, class);
-    }
-    reps
+    Closure::new().check(store, assignments)
 }
 
 #[cfg(test)]
@@ -373,5 +479,44 @@ mod tests {
         let le = s.le(x, zero);
         let r = check(&s, &[(le, true)]);
         assert_eq!(r, EufResult::Consistent);
+    }
+
+    #[test]
+    fn closure_extends_its_base_and_rebuilds_otherwise() {
+        let mut s = TermStore::new();
+        let so = obj_sort(&mut s);
+        let x = s.var("x", so);
+        let y = s.var("y", so);
+        let z = s.var("z", so);
+        let fx = s.app("f", vec![x], so);
+        let fz = s.app("f", vec![z], so);
+        let exy = s.eq(x, y);
+        let eyz = s.eq(y, z);
+        let efxz = s.eq(fx, fz);
+        let mut c = Closure::new();
+        assert_eq!(c.check(&s, &[(exy, true)]), EufResult::Consistent);
+        assert!(!c.reused(), "the first check builds from scratch");
+        // Adds y = z: the closure is extended, and congruence reaches f.
+        assert_eq!(
+            c.check(&s, &[(exy, true), (eyz, true), (efxz, false)]),
+            check(&s, &[(exy, true), (eyz, true), (efxz, false)])
+        );
+        assert!(c.reused());
+        // The inconsistent answer dropped the base.
+        assert_eq!(
+            c.check(&s, &[(exy, true), (eyz, false)]),
+            EufResult::Consistent
+        );
+        assert!(!c.reused());
+        // A flipped base atom forces a rebuild.
+        let pfx = s.app("p", vec![fx], Sort::Bool);
+        let pfz = s.app("p", vec![fz], Sort::Bool);
+        let flipped = [(exy, true), (eyz, true), (pfx, true), (pfz, true)];
+        assert_eq!(c.check(&s, &flipped), EufResult::Consistent);
+        assert!(!c.reused());
+        let classes = c.classes(&s);
+        assert_eq!(classes[&x], classes[&z]);
+        assert_eq!(classes[&fx], classes[&fz]);
+        assert_ne!(classes[&x], classes[&fx]);
     }
 }

@@ -42,6 +42,7 @@
 //! | [`cnf`] | incremental Tseitin encoding |
 //! | [`lia`] | linear integer arithmetic (Fourier–Motzkin + branch-and-bound) |
 //! | [`euf`] | congruence closure for equality and uninterpreted functions |
+//! | [`hash`] | the integer hasher of every solver-id-keyed table |
 //! | [`plugin`] | lazy expansion hooks (Z3 external-theory analog) |
 //! | [`pool`] | scoped worker pool for sharding independent solver sessions |
 //! | [`solver`] | the DPLL(T) loop with iterative deepening |
@@ -63,6 +64,7 @@
 
 pub mod cnf;
 pub mod euf;
+pub mod hash;
 pub mod lia;
 pub mod model;
 pub mod plugin;

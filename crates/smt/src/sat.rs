@@ -352,15 +352,12 @@ impl SatSolver {
     /// Outside any scope this is identical to [`SatSolver::add_clause`].
     /// Returns `false` if the clause set became trivially unsatisfiable.
     pub fn add_scoped_clause(&mut self, lits: &[Lit]) -> bool {
-        match self.scope_selectors.last().copied() {
-            None => self.add_clause(lits),
-            Some(selector) => {
-                let mut guarded = Vec::with_capacity(lits.len() + 1);
-                guarded.extend_from_slice(lits);
-                guarded.push(Lit::neg(selector));
-                self.add_clause(&guarded)
-            }
+        let mut buf = Vec::with_capacity(lits.len() + 1);
+        buf.extend_from_slice(lits);
+        if let Some(&selector) = self.scope_selectors.last() {
+            buf.push(Lit::neg(selector));
         }
+        self.add_clause_buf(buf)
     }
 
     fn lit_value(&self, lit: Lit) -> Option<bool> {
@@ -377,35 +374,32 @@ impl SatSolver {
     /// Clauses may be added between calls to [`SatSolver::solve`]; the solver
     /// backtracks to decision level zero first.
     pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
+        self.add_clause_buf(lits.to_vec())
+    }
+
+    /// [`SatSolver::add_clause`] over an owned buffer, which is normalized
+    /// in place and becomes the stored clause.
+    fn add_clause_buf(&mut self, mut ls: Vec<Lit>) -> bool {
         if self.unsat {
             return false;
         }
         self.cancel_until(0);
         // Normalize: sort, dedup, drop tautologies and false literals at level 0.
-        let mut ls: Vec<Lit> = lits.to_vec();
         ls.sort();
         ls.dedup();
-        let mut filtered = Vec::with_capacity(ls.len());
-        for (i, &l) in ls.iter().enumerate() {
-            if i + 1 < ls.len() && ls[i + 1] == l.negate() {
-                return true; // tautology: contains l and ~l
-            }
-            if i > 0 && ls[i - 1] == l.negate() {
-                return true;
-            }
-            match self.lit_value(l) {
-                Some(true) => return true, // already satisfied at level 0
-                Some(false) => {}          // drop the falsified literal
-                None => filtered.push(l),
-            }
+        // After sorting, `l` and `~l` are neighbours.
+        let tautology = ls.windows(2).any(|w| w[1] == w[0].negate());
+        if tautology || ls.iter().any(|&l| self.lit_value(l) == Some(true)) {
+            return true; // contains l and ~l, or already satisfied at level 0
         }
-        match filtered.len() {
+        ls.retain(|&l| self.lit_value(l).is_none());
+        match ls.len() {
             0 => {
                 self.unsat = true;
                 false
             }
             1 => {
-                self.enqueue(filtered[0], INVALID_CLAUSE);
+                self.enqueue(ls[0], INVALID_CLAUSE);
                 if self.propagate() != INVALID_CLAUSE {
                     self.unsat = true;
                     return false;
@@ -413,7 +407,7 @@ impl SatSolver {
                 true
             }
             _ => {
-                self.attach_clause(filtered, false);
+                self.attach_clause(ls, false);
                 true
             }
         }

@@ -57,16 +57,36 @@
 //! with the **same** [`TermStore`], and — since expansion state persists —
 //! with expanders that agree on the meaning of the interpreted predicates
 //! (e.g. one `JMatchExpander` per compiled program).
+//!
+//! ## One congruence closure per session
+//!
+//! Consecutive rounds mostly re-check the previous round's EUF assignment
+//! plus the atoms of newly asserted lemmas. The session therefore owns one
+//! [`Closure`]: a round whose assignment holds every atom of the last
+//! consistent assignment with the same value, and only adds atoms, extends
+//! that closure; any other round clears and rebuilds it, and an
+//! inconsistent round drops it. The partition, and so every answer and
+//! model, is the one a fresh closure computes.
+//! [`SolverStats::euf_reused`] counts the extended checks. Conflict
+//! minimization still runs [`euf::check`], a fresh closure per subset.
+//!
+//! Debug builds check every `Sat` model: each active assertion must
+//! evaluate to true under [`Model::eval_bool`].
+//!
+//! Every table keyed by solver-assigned ids (atom depths, the lemma cache,
+//! lemma atoms, the per-check expanded and relevant sets) uses the
+//! integer hasher of [`crate::hash`].
 
 use crate::cnf::Encoder;
-use crate::euf::{self, EufResult};
+use crate::euf::{self, Closure, EufResult};
+use crate::hash::{IdMap, IdSet};
 use crate::lia::{self, LiaResult};
 use crate::model::Model;
 use crate::plugin::{Expansion, LazyExpander, NoExpansion};
 use crate::sat::{Lit, SatOutcome, SatSolver};
 use crate::sorts::Sort;
 use crate::term::{TermData, TermId, TermStore};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// Result of an SMT query.
@@ -142,6 +162,10 @@ pub struct SolverStats {
     pub lemmas_replayed: u64,
     /// Deepest expansion level reached.
     pub max_depth_reached: u32,
+    /// Congruence-closure checks that extended the closure of the previous
+    /// check instead of rebuilding it (see [`Closure`]). Deterministic like
+    /// the other counters; the EUF layer's cost depends on this share.
+    pub euf_reused: u64,
     /// Wall-clock nanoseconds in the CDCL core's `solve`.
     pub sat_ns: u64,
     /// Wall-clock nanoseconds in linear-arithmetic checks, conflict
@@ -175,13 +199,16 @@ pub struct Solver {
     /// Polarity-guarded lemmas previously derived for each `(atom, polarity)`
     /// pair. Later queries replay these directly instead of calling the
     /// expander again — the session's semantic learning.
-    lemma_cache: HashMap<(TermId, bool), Vec<TermId>>,
+    lemma_cache: IdMap<(TermId, bool), Vec<TermId>>,
     /// Iterative-deepening depth at which each atom first appeared (0 for
     /// atoms of directly asserted formulas).
-    atom_depth: HashMap<TermId, u32>,
+    atom_depth: IdMap<TermId, u32>,
     /// For each expanded guard atom, the atoms its lemmas introduced — used
     /// to close each query's set of theory-relevant atoms.
-    lemma_atoms: HashMap<TermId, Vec<TermId>>,
+    lemma_atoms: IdMap<TermId, Vec<TermId>>,
+    /// The congruence closure of the last consistent EUF assignment, kept
+    /// across rounds and queries.
+    closure: Closure,
 }
 
 impl Default for Solver {
@@ -205,9 +232,10 @@ impl Solver {
             stats: SolverStats::default(),
             sat: SatSolver::new(),
             encoder: Encoder::new(),
-            lemma_cache: HashMap::new(),
-            atom_depth: HashMap::new(),
-            lemma_atoms: HashMap::new(),
+            lemma_cache: IdMap::default(),
+            atom_depth: IdMap::default(),
+            lemma_atoms: IdMap::default(),
+            closure: Closure::new(),
         }
     }
 
@@ -314,7 +342,7 @@ impl Solver {
         // Guard atoms whose lemmas were asserted during this check. Lemma
         // assertions are scoped, so the set is per-check: a later check in
         // the same session re-asserts them (cheaply, via the replay cache).
-        let mut expanded: HashSet<(TermId, bool)> = HashSet::new();
+        let mut expanded: IdSet<(TermId, bool)> = IdSet::default();
         let mut last = SatResult::Unknown;
         for depth in 1..=self.config.max_expansion_depth.max(1) {
             last = self.solve_round(store, expander, &mut expanded, depth);
@@ -332,14 +360,14 @@ impl Solver {
         &mut self,
         store: &mut TermStore,
         expander: &mut dyn LazyExpander,
-        expanded: &mut HashSet<(TermId, bool)>,
+        expanded: &mut IdSet<(TermId, bool)>,
         max_depth: u32,
     ) -> SatResult {
         // The atoms this query is about: those of the active assertions,
         // closed over the lemmas previously attached to them. Only these are
         // theory-checked and offered for expansion, so leftover atoms from
         // other queries in the same session cannot influence the verdict.
-        let mut relevant: HashSet<TermId> = HashSet::new();
+        let mut relevant: IdSet<TermId> = IdSet::default();
         let mut seed: Vec<TermId> = Vec::new();
         for &f in &self.assertions {
             for a in store.atoms(f) {
@@ -411,7 +439,11 @@ impl Solver {
 
             // Equality and uninterpreted functions.
             let clock = Instant::now();
-            match euf::check(store, &equality) {
+            let result = self.closure.check(store, &equality);
+            if self.closure.reused() {
+                self.stats.euf_reused += 1;
+            }
+            match result {
                 EufResult::Inconsistent(_) => {
                     self.stats.theory_conflicts += 1;
                     let core = self.minimize(store, &equality, |s, sub| {
@@ -532,8 +564,13 @@ impl Solver {
             }
             model.ints = lia_model;
             let clock = Instant::now();
-            model.object_classes = euf::classes(store, &equality);
+            // The closure was just checked on exactly `equality`.
+            model.object_classes = self.closure.classes(store);
             self.stats.euf_ns += elapsed_ns(clock);
+            debug_assert!(
+                self.assertions.iter().all(|&f| model.eval_bool(store, f)),
+                "Sat model falsifies an active assertion"
+            );
             return SatResult::Sat(model);
         }
     }
@@ -592,8 +629,8 @@ fn elapsed_ns(clock: Instant) -> u64 {
 /// Extends `relevant` with every atom reachable from `frontier` through the
 /// recorded guard-atom → lemma-atoms edges.
 fn close_over_lemmas(
-    lemma_atoms: &HashMap<TermId, Vec<TermId>>,
-    relevant: &mut HashSet<TermId>,
+    lemma_atoms: &IdMap<TermId, Vec<TermId>>,
+    relevant: &mut IdSet<TermId>,
     mut frontier: Vec<TermId>,
 ) {
     while let Some(a) = frontier.pop() {

@@ -6,10 +6,12 @@
 //! applications) all live in the same arena; a *formula* is simply a term of
 //! sort [`Sort::Bool`].
 
+use crate::hash::{IdMap, IdSet};
 use crate::sorts::Sort;
 use crate::sym::{Interner, Symbol};
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::{Entry, HashMap, RandomState};
 use std::fmt;
+use std::hash::BuildHasher;
 
 /// Handle to a term inside a [`TermStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -65,11 +67,19 @@ pub enum TermData {
 }
 
 /// Arena of hash-consed terms plus the symbol interner.
+///
+/// Hash-consing keeps each term's data once, in the arena: the table maps
+/// the std-keyed (`RandomState`) hash of a term's data to the newest term
+/// with that hash, older terms with the same hash are chained behind it,
+/// and a lookup compares data only along that chain.
 #[derive(Debug, Default, Clone)]
 pub struct TermStore {
     data: Vec<TermData>,
     sorts: Vec<Sort>,
-    cons: HashMap<TermData, TermId>,
+    hasher: RandomState,
+    cons: IdMap<u64, TermId>,
+    /// The next older term whose data has the same hash.
+    same_hash: Vec<Option<TermId>>,
     interner: Interner,
     fresh_counter: u64,
 }
@@ -111,11 +121,24 @@ impl TermStore {
     }
 
     fn mk(&mut self, data: TermData, sort: Sort) -> TermId {
-        if let Some(&id) = self.cons.get(&data) {
-            return id;
-        }
         let id = TermId(self.data.len() as u32);
-        self.cons.insert(data.clone(), id);
+        let older = match self.cons.entry(self.hasher.hash_one(&data)) {
+            Entry::Occupied(mut e) => {
+                let mut next = Some(*e.get());
+                while let Some(t) = next {
+                    if self.data[t.index()] == data {
+                        return t;
+                    }
+                    next = self.same_hash[t.index()];
+                }
+                Some(e.insert(id))
+            }
+            Entry::Vacant(e) => {
+                e.insert(id);
+                None
+            }
+        };
+        self.same_hash.push(older);
         self.data.push(data);
         self.sorts.push(sort);
         id
@@ -151,9 +174,10 @@ impl TermStore {
             self.fresh_counter += 1;
             let name = format!("{prefix}!{}", self.fresh_counter);
             let sym = self.interner.intern(&name);
-            let data = TermData::Var(sym, sort);
-            if !self.cons.contains_key(&data) {
-                return self.mk(data, sort);
+            let before = self.data.len();
+            let t = self.mk(TermData::Var(sym, sort), sort);
+            if self.data.len() > before {
+                return t;
             }
         }
     }
@@ -384,7 +408,7 @@ impl TermStore {
 
     /// Collects the free variables of a term (transitively).
     pub fn free_vars(&self, t: TermId) -> Vec<TermId> {
-        let mut seen = HashSet::new();
+        let mut seen = IdSet::default();
         let mut out = Vec::new();
         self.walk(t, &mut seen, &mut |store, id| {
             if matches!(store.data(id), TermData::Var(..)) && !out.contains(&id) {
@@ -396,13 +420,13 @@ impl TermStore {
 
     /// Collects all theory atoms appearing in a formula.
     pub fn atoms(&self, t: TermId) -> Vec<TermId> {
-        let mut seen = HashSet::new();
+        let mut seen = IdSet::default();
         let mut out = Vec::new();
         self.collect_atoms(t, &mut seen, &mut out);
         out
     }
 
-    fn collect_atoms(&self, t: TermId, seen: &mut HashSet<TermId>, out: &mut Vec<TermId>) {
+    fn collect_atoms(&self, t: TermId, seen: &mut IdSet<TermId>, out: &mut Vec<TermId>) {
         if !seen.insert(t) {
             return;
         }
@@ -412,29 +436,29 @@ impl TermStore {
             }
             return;
         }
-        match self.data(t).clone() {
-            TermData::Not(a) => self.collect_atoms(a, seen, out),
+        match self.data(t) {
+            TermData::Not(a) => self.collect_atoms(*a, seen, out),
             TermData::And(xs) | TermData::Or(xs) => {
-                for x in xs {
+                for &x in xs {
                     self.collect_atoms(x, seen, out);
                 }
             }
             TermData::Implies(a, b) | TermData::Iff(a, b) => {
-                self.collect_atoms(a, seen, out);
-                self.collect_atoms(b, seen, out);
+                self.collect_atoms(*a, seen, out);
+                self.collect_atoms(*b, seen, out);
             }
             _ => {}
         }
     }
 
-    fn walk(&self, t: TermId, seen: &mut HashSet<TermId>, f: &mut impl FnMut(&TermStore, TermId)) {
+    fn walk(&self, t: TermId, seen: &mut IdSet<TermId>, f: &mut impl FnMut(&TermStore, TermId)) {
         if !seen.insert(t) {
             return;
         }
         f(self, t);
-        match self.data(t).clone() {
+        match self.data(t) {
             TermData::App(_, args, _) => {
-                for a in args {
+                for &a in args {
                     self.walk(a, seen, f);
                 }
             }
@@ -445,12 +469,14 @@ impl TermStore {
             | TermData::Eq(a, b)
             | TermData::Implies(a, b)
             | TermData::Iff(a, b) => {
-                self.walk(a, seen, f);
-                self.walk(b, seen, f);
+                self.walk(*a, seen, f);
+                self.walk(*b, seen, f);
             }
-            TermData::Neg(a) | TermData::MulConst(_, a) | TermData::Not(a) => self.walk(a, seen, f),
+            TermData::Neg(a) | TermData::MulConst(_, a) | TermData::Not(a) => {
+                self.walk(*a, seen, f)
+            }
             TermData::And(xs) | TermData::Or(xs) => {
-                for x in xs {
+                for &x in xs {
                     self.walk(x, seen, f);
                 }
             }
@@ -594,6 +620,22 @@ mod tests {
         let a = s.add(x1, one);
         let b = s.add(x2, one);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn hash_collisions_fall_back_to_comparing_data() {
+        let mut s = TermStore::new();
+        let x = s.var("x", Sort::Int);
+        // Pretend `x` also has the hash of `y`'s data.
+        let y_data = TermData::Var(s.symbol("y"), Sort::Int);
+        let y_hash = s.hasher.hash_one(&y_data);
+        s.cons.insert(y_hash, x);
+        let y = s.var("y", Sort::Int);
+        assert_ne!(x, y);
+        assert_eq!(s.same_hash[y.index()], Some(x));
+        assert_eq!(s.var("y", Sort::Int), y);
+        assert_eq!(s.var("x", Sort::Int), x);
+        assert_eq!(s.len(), 2);
     }
 
     #[test]

@@ -4,13 +4,18 @@
 //! corpus via `--corpus`), runs the plan-analysis pass, and reports its
 //! lints: unused bindings, always-failing invokes, dead modes, unbounded
 //! left recursion. Verification is off by default (`--verify` turns it on,
-//! folding the §5 verifier warnings into the report).
+//! folding the §5 verifier warnings into the report). `--timings` (with
+//! `--verify`) verifies with one worker and reports, per input, the
+//! solver's deterministic counters and the wall-clock time of each solver
+//! layer (SAT, LIA, EUF, lazy expansion): the one-worker verification
+//! profile.
 //!
 //! Output is human-readable by default; `--json` emits one stable JSON
 //! document for the whole run (the CI `lint-corpus` golden uses this).
 
+use jmatch_core::SessionStats;
 use jmatch_runtime::serve::json::Json;
-use jmatch_runtime::{Program, Workspace};
+use jmatch_runtime::Workspace;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -25,6 +30,8 @@ OPTIONS:
     --json           emit one JSON document instead of human-readable lines
     --verify         also run the static verification passes (their
                      warnings are folded into the report)
+    --timings        with --verify: verify with one worker and report each
+                     input's solver counters and SAT/LIA/EUF/expansion ms
     -h, --help       print this help
 
 EXIT STATUS:
@@ -37,6 +44,7 @@ struct Options {
     corpus: bool,
     json: bool,
     verify: bool,
+    timings: bool,
     sources: Vec<(String, String)>,
 }
 
@@ -45,6 +53,7 @@ fn parse_args() -> Result<Options, String> {
         corpus: false,
         json: false,
         verify: false,
+        timings: false,
         sources: Vec::new(),
     };
     let mut args = std::env::args().skip(1);
@@ -53,6 +62,7 @@ fn parse_args() -> Result<Options, String> {
             "--corpus" => opts.corpus = true,
             "--json" => opts.json = true,
             "--verify" => opts.verify = true,
+            "--timings" => opts.timings = true,
             "--source" => {
                 let src = args.next().ok_or("--source needs an argument")?;
                 opts.sources.push(("<source>".to_owned(), src));
@@ -77,6 +87,9 @@ fn parse_args() -> Result<Options, String> {
                 .push((entry.name.to_owned(), entry.combined_jmatch()));
         }
     }
+    if opts.timings && !opts.verify {
+        return Err("--timings needs --verify".into());
+    }
     if opts.sources.is_empty() {
         return Err("nothing to lint: pass FILES, --source, or --corpus".into());
     }
@@ -84,12 +97,17 @@ fn parse_args() -> Result<Options, String> {
 }
 
 /// One input's lint report: analysis lints first, then (with `--verify`)
-/// the verifier's warnings, in production order.
-fn lint_one(name: &str, source: &str, verify: bool) -> Result<Vec<Json>, String> {
-    let program: Program = Workspace::new()
-        .verify(verify)
-        .compile(source)
+/// the verifier's warnings, in production order; plus the solver work its
+/// verification spent.
+fn lint_one(name: &str, source: &str, opts: &Options) -> Result<(Vec<Json>, SessionStats), String> {
+    let mut workspace = Workspace::new().verify(opts.verify);
+    if opts.timings {
+        workspace = workspace.verify_threads(1);
+    }
+    let generation = workspace
+        .load(source)
         .map_err(|e| format!("{name}: parse error: {e}"))?;
+    let program = generation.program();
     let errors = &program.diagnostics().errors;
     if !errors.is_empty() {
         return Err(format!("{name}: compile error: {}", errors[0]));
@@ -102,7 +120,38 @@ fn lint_one(name: &str, source: &str, verify: bool) -> Result<Vec<Json>, String>
             ("message", Json::Str(w.message.clone())),
         ]));
     }
-    Ok(out)
+    Ok((out, generation.report().verify_stats))
+}
+
+/// The `--timings` report of one input: the summed solver counters, then
+/// the per-layer wall-clock milliseconds.
+fn timings_json(s: &SessionStats) -> Json {
+    let count = |n: u64| Json::Int(n as i64);
+    let ms = |ns: u64| Json::Float((ns as f64 / 1e5).round() / 10.0);
+    Json::obj(vec![
+        ("solver_queries", count(s.solver_queries)),
+        ("cache_hits", count(s.cache_hits)),
+        ("rounds", count(s.rounds)),
+        ("theory_conflicts", count(s.theory_conflicts)),
+        ("lemmas", count(s.lemmas)),
+        ("euf_reused", count(s.euf_reused)),
+        ("sat_conflicts", count(s.sat_conflicts)),
+        ("sat_decisions", count(s.sat_decisions)),
+        ("sat_propagations", count(s.sat_propagations)),
+        ("sat_ms", ms(s.sat_ns)),
+        ("lia_ms", ms(s.lia_ns)),
+        ("euf_ms", ms(s.euf_ns)),
+        ("expand_ms", ms(s.expand_ns)),
+    ])
+}
+
+/// One human-readable `--timings` line: the fields of [`timings_json`].
+fn timings_line(name: &str, s: &SessionStats) -> String {
+    let Json::Obj(fields) = timings_json(s) else {
+        unreachable!("timings_json builds an object")
+    };
+    let fields: Vec<String> = fields.iter().map(|(k, v)| format!("{k} {v}")).collect();
+    format!("{name}: timings: {}", fields.join(", "))
 }
 
 fn main() -> ExitCode {
@@ -116,10 +165,12 @@ fn main() -> ExitCode {
     };
     let mut total = 0usize;
     let mut inputs = Vec::new();
+    let mut summed = SessionStats::default();
     for (name, source) in &opts.sources {
-        match lint_one(name, source, opts.verify) {
-            Ok(lints) => {
+        match lint_one(name, source, &opts) {
+            Ok((lints, stats)) => {
                 total += lints.len();
+                summed.absorb(stats);
                 if !opts.json {
                     for l in &lints {
                         let kind = l.get("kind").and_then(Json::as_str).unwrap_or("");
@@ -127,11 +178,18 @@ fn main() -> ExitCode {
                         let message = l.get("message").and_then(Json::as_str).unwrap_or("");
                         println!("{name}: warning[{kind}] {context}: {message}");
                     }
+                    if opts.timings {
+                        println!("{}", timings_line(name, &stats));
+                    }
                 }
-                inputs.push(Json::obj(vec![
+                let mut fields = vec![
                     ("name", Json::Str(name.clone())),
                     ("lints", Json::Arr(lints)),
-                ]));
+                ];
+                if opts.timings {
+                    fields.push(("timings", timings_json(&stats)));
+                }
+                inputs.push(Json::obj(fields));
             }
             Err(message) => {
                 eprintln!("jmatch-lint: {message}");
@@ -140,12 +198,18 @@ fn main() -> ExitCode {
         }
     }
     if opts.json {
-        let doc = Json::obj(vec![
+        let mut fields = vec![
             ("total", Json::Int(total as i64)),
             ("inputs", Json::Arr(inputs)),
-        ]);
-        println!("{doc}");
-    } else if total == 0 {
+        ];
+        if opts.timings {
+            fields.push(("timings", timings_json(&summed)));
+        }
+        println!("{}", Json::obj(fields));
+    } else if opts.timings {
+        println!("{}", timings_line("total", &summed));
+    }
+    if !opts.json && total == 0 {
         println!("jmatch-lint: clean ({} input(s))", opts.sources.len());
     }
     if total == 0 {

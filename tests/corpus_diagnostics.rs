@@ -12,7 +12,9 @@
 //! At depth 3 the summed solver counters of the rebuilds are pinned too
 //! ([`DEPTH3_SEARCH`]): a change that keeps every verdict but makes the
 //! solver search differently (other rounds, lemmas, conflicts, decisions
-//! or propagations) fails here as well.
+//! or propagations) fails here as well. So does one that changes how often
+//! the congruence closure is extended instead of rebuilt
+//! ([`DEPTH3_EUF_REUSED`]), the share the EUF layer's cost depends on.
 
 use jmatch::core::{Diagnostics, SessionStats, WarningKind};
 use jmatch::Workspace;
@@ -31,6 +33,11 @@ const DEPTH: u32 = 2;
 /// row: solver queries, rounds, theory conflicts, lemmas, SAT conflicts,
 /// SAT decisions, SAT propagations.
 const DEPTH3_SEARCH: [u64; 7] = [267, 992, 27, 11023, 261, 79630, 310343];
+
+/// The congruence-closure checks of the same rebuilds that extended the
+/// previous check's closure instead of rebuilding it
+/// (`SessionStats::euf_reused`).
+const DEPTH3_EUF_REUSED: u64 = 608;
 
 /// One verified rebuild per corpus row: its diagnostics and its solver
 /// counters.
@@ -119,6 +126,10 @@ fn depth3_verdicts_and_search_are_pinned() {
         search, DEPTH3_SEARCH,
         "depth-3 solver counters moved: [queries, rounds, theory conflicts, \
          lemmas, SAT conflicts, SAT decisions, SAT propagations]"
+    );
+    assert_eq!(
+        stats.euf_reused, DEPTH3_EUF_REUSED,
+        "depth-3 congruence-closure reuse moved"
     );
 }
 

@@ -14,13 +14,20 @@
 //!   function-free fragment it is also compared with brute force over
 //!   every assignment of the variables to a small domain (every partition
 //!   of the variables).
+//! * One persistent [`Closure`] is fed seeded sequences of assignments
+//!   (an extension, a flipped value, dropped atoms, an unrelated set). It
+//!   must answer every step as a fresh `euf::check` does, and after every
+//!   consistent step its model classes must be the reference's
+//!   congruence-closed partition.
+//! * The solver's model of `a = b ∧ p(f(a)) ∧ p(f(b))` puts `f(a)` and
+//!   `f(b)` in one object class.
 //!
 //! The generator is a fixed-seed xorshift, so every run checks the same
 //! instances.
 
-use jmatch::smt::euf::{self, EufResult};
+use jmatch::smt::euf::{self, Closure, EufResult};
 use jmatch::smt::lia::{self, LiaResult};
-use jmatch::smt::{Sort, TermData, TermId, TermStore};
+use jmatch::smt::{SatResult, Solver, Sort, TermData, TermId, TermStore};
 use std::collections::HashMap;
 
 /// Tiny deterministic xorshift generator (std only).
@@ -211,73 +218,98 @@ fn subterms(s: &TermStore, t: TermId, out: &mut Vec<TermId>) {
     }
 }
 
-/// Quadratic reference for `euf::check`: union-find by a plain parent
-/// vector, congruence by comparing every pair of applications until
-/// nothing changes, then every disequality, every pair of distinct integer
-/// constants and every pair of opposite predicate literals.
-fn reference_consistent(s: &TermStore, atoms: &[(TermId, bool)]) -> bool {
-    let mut terms = Vec::new();
-    for &(atom, _) in atoms {
-        match s.data(atom) {
-            TermData::Eq(a, b) => {
-                subterms(s, *a, &mut terms);
-                subterms(s, *b, &mut terms);
+/// The reference's subterms and their congruence-closed partition: union-
+/// find by a plain parent vector over the asserted equalities, then
+/// congruence by comparing every pair of applications until nothing
+/// changes.
+struct Reference {
+    terms: Vec<TermId>,
+    parent: Vec<usize>,
+}
+
+impl Reference {
+    fn new(s: &TermStore, atoms: &[(TermId, bool)]) -> Self {
+        let mut terms = Vec::new();
+        for &(atom, _) in atoms {
+            match s.data(atom) {
+                TermData::Eq(a, b) => {
+                    subterms(s, *a, &mut terms);
+                    subterms(s, *b, &mut terms);
+                }
+                TermData::App(..) => subterms(s, atom, &mut terms),
+                _ => {}
             }
-            TermData::App(..) => subterms(s, atom, &mut terms),
-            _ => {}
         }
+        let mut r = Reference {
+            parent: (0..terms.len()).collect(),
+            terms,
+        };
+        for &(atom, value) in atoms {
+            if let (TermData::Eq(a, b), true) = (s.data(atom), value) {
+                let (ra, rb) = (r.class(*a), r.class(*b));
+                r.parent[ra] = rb;
+            }
+        }
+        loop {
+            let mut changed = false;
+            for i in 0..r.terms.len() {
+                for j in 0..r.terms.len() {
+                    let (ri, rj) = (r.find(i), r.find(j));
+                    if ri != rj && r.congruent(s, r.terms[i], r.terms[j]) {
+                        r.parent[ri] = rj;
+                        changed = true;
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        r
     }
-    let idx = |t: TermId| terms.iter().position(|&x| x == t).unwrap();
-    let mut parent: Vec<usize> = (0..terms.len()).collect();
-    fn find(parent: &[usize], mut i: usize) -> usize {
-        while parent[i] != i {
-            i = parent[i];
+
+    fn find(&self, mut i: usize) -> usize {
+        while self.parent[i] != i {
+            i = self.parent[i];
         }
         i
     }
-    for &(atom, value) in atoms {
-        if let (TermData::Eq(a, b), true) = (s.data(atom), value) {
-            let (ra, rb) = (find(&parent, idx(*a)), find(&parent, idx(*b)));
-            parent[ra] = rb;
-        }
+
+    fn class(&self, t: TermId) -> usize {
+        self.find(self.terms.iter().position(|&x| x == t).unwrap())
     }
-    let congruent = |parent: &[usize], p: TermId, q: TermId| match (s.data(p), s.data(q)) {
-        (TermData::App(f, xs, _), TermData::App(g, ys, _)) => {
-            f == g
-                && xs.len() == ys.len()
-                && xs
-                    .iter()
-                    .zip(ys)
-                    .all(|(x, y)| find(parent, idx(*x)) == find(parent, idx(*y)))
-        }
-        _ => false,
-    };
-    loop {
-        let mut changed = false;
-        for i in 0..terms.len() {
-            for j in 0..terms.len() {
-                let (ri, rj) = (find(&parent, i), find(&parent, j));
-                if ri != rj && congruent(&parent, terms[i], terms[j]) {
-                    parent[ri] = rj;
-                    changed = true;
-                }
+
+    fn congruent(&self, s: &TermStore, p: TermId, q: TermId) -> bool {
+        match (s.data(p), s.data(q)) {
+            (TermData::App(f, xs, _), TermData::App(g, ys, _)) => {
+                f == g
+                    && xs.len() == ys.len()
+                    && xs
+                        .iter()
+                        .zip(ys)
+                        .all(|(x, y)| self.class(*x) == self.class(*y))
             }
-        }
-        if !changed {
-            break;
+            _ => false,
         }
     }
+}
+
+/// Quadratic reference for `euf::check`: the [`Reference`] partition, then
+/// every disequality, every pair of distinct integer constants and every
+/// pair of opposite predicate literals.
+fn reference_consistent(s: &TermStore, atoms: &[(TermId, bool)]) -> bool {
+    let r = Reference::new(s, atoms);
     for &(atom, value) in atoms {
         if let (TermData::Eq(a, b), false) = (s.data(atom), value) {
-            if find(&parent, idx(*a)) == find(&parent, idx(*b)) {
+            if r.class(*a) == r.class(*b) {
                 return false;
             }
         }
     }
-    for (i, &x) in terms.iter().enumerate() {
-        for (j, &y) in terms.iter().enumerate() {
+    for (i, &x) in r.terms.iter().enumerate() {
+        for (j, &y) in r.terms.iter().enumerate() {
             if let (TermData::IntConst(m), TermData::IntConst(n)) = (s.data(x), s.data(y)) {
-                if m != n && find(&parent, i) == find(&parent, j) {
+                if m != n && r.find(i) == r.find(j) {
                     return false;
                 }
             }
@@ -285,7 +317,7 @@ fn reference_consistent(s: &TermStore, atoms: &[(TermId, bool)]) -> bool {
     }
     for &(p, vp) in atoms {
         for &(q, vq) in atoms {
-            if vp != vq && congruent(&parent, p, q) {
+            if vp != vq && r.congruent(s, p, q) {
                 return false;
             }
         }
@@ -494,4 +526,110 @@ fn euf_agrees_with_brute_force_on_the_function_free_fragment() {
         }
     }
     assert!(yes > 200 && no > 200, "{yes} / {no}");
+}
+
+/// One step of a closure sequence: the assignment and what it is.
+fn closure_steps(
+    s: &mut TermStore,
+    rng: &mut XorShift,
+) -> Vec<(&'static str, Vec<(TermId, bool)>)> {
+    let full = euf_instance(s, rng, true);
+    let half = full.len() / 2;
+    let mut flipped = full.clone();
+    if !full.is_empty() {
+        let k = rng.range(0, full.len() as i64 - 1) as usize;
+        flipped[k].1 = !flipped[k].1;
+    }
+    let dropped: Vec<(TermId, bool)> = full.iter().copied().filter(|_| rng.chance(60)).collect();
+    let unrelated = euf_instance(s, rng, true);
+    vec![
+        ("prefix", full[..half].to_vec()),
+        ("extension", full.clone()),
+        ("extension again", full),
+        ("value flip", flipped),
+        ("dropped atoms", dropped),
+        ("unrelated set", unrelated),
+    ]
+}
+
+#[test]
+fn persistent_closure_agrees_with_fresh_checks_and_the_reference_partition() {
+    let mut rng = XorShift(0xc105_ed5e);
+    let (mut reused, mut rebuilt, mut partitions) = (0, 0, 0);
+    for i in 0..300 {
+        let mut s = TermStore::new();
+        let mut closure = Closure::new();
+        for (step, atoms) in closure_steps(&mut s, &mut rng) {
+            let rendered: Vec<String> = atoms
+                .iter()
+                .map(|&(a, v)| format!("{}={v}", s.display(a)))
+                .collect();
+            let answer = closure.check(&s, &atoms);
+            if closure.reused() {
+                reused += 1;
+            } else {
+                rebuilt += 1;
+            }
+            assert_eq!(
+                answer,
+                euf::check(&s, &atoms),
+                "sequence {i}, {step}: {rendered:?}"
+            );
+            if answer != EufResult::Consistent {
+                continue;
+            }
+            // Same class number exactly when the reference says congruent.
+            let r = Reference::new(&s, &atoms);
+            let classes = closure.classes(&s);
+            let objects: Vec<TermId> = r
+                .terms
+                .iter()
+                .copied()
+                .filter(|&t| s.sort(t).is_obj())
+                .collect();
+            assert_eq!(classes.len(), objects.len(), "sequence {i}, {step}");
+            for &x in &objects {
+                for &y in &objects {
+                    assert_eq!(
+                        classes[&x] == classes[&y],
+                        r.class(x) == r.class(y),
+                        "sequence {i}, {step}: {} vs {} in {rendered:?}",
+                        s.display(x),
+                        s.display(y)
+                    );
+                }
+            }
+            partitions += 1;
+        }
+    }
+    assert!(
+        reused > 400 && rebuilt > 400 && partitions > 1200,
+        "{reused} reused / {rebuilt} rebuilt / {partitions} partitions"
+    );
+}
+
+#[test]
+fn model_object_classes_respect_congruence() {
+    let mut s = TermStore::new();
+    let obj = Sort::Obj(s.symbol("Obj"));
+    let a = s.var("a", obj);
+    let b = s.var("b", obj);
+    let fa = s.app("f", vec![a], obj);
+    let fb = s.app("f", vec![b], obj);
+    let pfa = s.app("p", vec![fa], Sort::Bool);
+    let pfb = s.app("p", vec![fb], Sort::Bool);
+    let eab = s.eq(a, b);
+    let mut solver = Solver::new();
+    for f in [eab, pfa, pfb] {
+        solver.assert_formula(&s, f);
+    }
+    let SatResult::Sat(model) = solver.check(&mut s) else {
+        panic!("a = b, p(f(a)), p(f(b)) is satisfiable");
+    };
+    let efab = s.eq(fa, fb);
+    assert!(model.eval_bool(&s, efab), "a = b implies f(a) = f(b)");
+    assert_eq!(
+        model.display_for(&s, &[fa, fb]),
+        "f(a) = obj#1, f(b) = obj#1"
+    );
 }

@@ -16,8 +16,7 @@
 //!   and pc `0` is always the shared [`Instr::Emit`] solution boundary.
 //!   Negation and run-time scheduled conjunctions are in-stream sub-chains
 //!   that also end at pc `0`: the executor runs a sub-chain under its own
-//!   continuation (a closure in the recursive evaluator, the continuation
-//!   stack in the machine).
+//!   continuation (a nested run of the runtime's machine).
 //! - **[`BcBlock`]** — register code for one imperative body, every
 //!   statement included. Expression temporaries live in a flat register
 //!   file indexed by [`Reg`] instead of re-walking `PExpr` trees; `switch`

@@ -23,7 +23,7 @@
 //! behind a bounded (rendezvous) channel, so it can never race more than
 //! one solution ahead of the consumer.
 
-use crate::eval::{Budget, Ev, Frame, MAX_DEPTH};
+use crate::eval::{Budget, Frame, MAX_DEPTH};
 use crate::machine::Machine;
 use crate::par::{self, ParJob, ParMode};
 use crate::tree::TreeWalker;
@@ -45,9 +45,10 @@ use std::thread::JoinHandle;
 /// Work ceilings honored **identically by both engines** on every query and
 /// call.
 ///
-/// `max_depth` bounds solver nesting (goal recursion and constructor-match
-/// activation frames); `max_steps` bounds total solver steps. Either limit
-/// being hit ends the enumeration with an
+/// `max_depth` bounds solver nesting (on the plan engine: the machine's
+/// activation frames — the query's root, constructor matches and forward
+/// calls); `max_steps` bounds total solver steps. Either limit being hit
+/// ends the enumeration with an
 /// [`RtErrorKind::LimitExceeded`](crate::RtErrorKind::LimitExceeded) error.
 ///
 /// This replaces the pre-redesign interpreter's per-call `depth`
@@ -59,8 +60,13 @@ use std::thread::JoinHandle;
 /// fixed 10,000 budget (which reset at every constructor match, so it
 /// never bounded structural recursion at all); raise it with
 /// [`Program::with_limits`] / [`Query::limits`] for deeply recursive
-/// enumerations — the plan engine's machine keeps its activation frames on
-/// the heap, so large ceilings are safe there.
+/// enumerations. The plan engine keeps the frames of a query's own search
+/// on the heap, so a large ceiling is safe for constructor matching;
+/// forward calls inside expressions (and every recursion of the
+/// tree-walker) also recurse on the native stack, and a fixed-size guard
+/// on both engines ends them with `LimitExceeded` on `"depth"` before the
+/// stack overflows — on a thread of unknown size (assumed to have the
+/// 2 MiB std default) after a few hundred release-build levels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Limits {
     /// Ceiling on solver nesting depth.
@@ -459,8 +465,7 @@ impl Program {
     pub fn matches(&self, value: &Value, ctor: &str) -> RtResult<bool> {
         match self.engine {
             Engine::Plan => {
-                let mut budget = self.budget();
-                Ev::new(&self.plan, &mut budget).matches_constructor(value, ctor)
+                Machine::new(&self.plan, self.budget()).matches_constructor(value, ctor)
             }
             _ => self.walker().matches_constructor(value, ctor),
         }
@@ -470,10 +475,7 @@ impl Program {
     /// implementations of the same abstraction.
     pub fn values_equal(&self, a: &Value, b: &Value) -> RtResult<bool> {
         match self.engine {
-            Engine::Plan => {
-                let mut budget = self.budget();
-                Ev::new(&self.plan, &mut budget).values_equal(a, b)
-            }
+            Engine::Plan => Machine::new(&self.plan, self.budget()).values_equal(a, b),
             _ => self.walker().values_equal(a, b),
         }
     }
@@ -567,8 +569,8 @@ impl MethodRef {
     ) -> RtResult<Value> {
         match self.program.engine {
             Engine::Plan => {
-                let mut budget = Budget::new(limits.max_depth, limits.max_steps);
-                Ev::new(&self.program.plan, &mut budget).run_forward(
+                let budget = Budget::new(limits.max_depth, limits.max_steps);
+                Machine::new(&self.program.plan, budget).run_forward(
                     self.pid,
                     receiver.cloned(),
                     args,
@@ -610,12 +612,9 @@ impl MethodRef {
             Engine::Plan => {
                 let mut budget = Budget::new(limits.max_depth, limits.max_steps);
                 budget.set_interrupt(interrupt);
-                let outcome = Ev::new(&self.program.plan, &mut budget).run_forward(
-                    self.pid,
-                    receiver.cloned(),
-                    args,
-                );
-                (outcome, Some(budget.steps))
+                let mut machine = Machine::new(&self.program.plan, budget);
+                let outcome = machine.run_forward(self.pid, receiver.cloned(), args);
+                (outcome, Some(machine.steps()))
             }
             _ => {
                 let mut walker = self.program.walker_with(limits);
@@ -743,10 +742,11 @@ impl CtorRef {
     /// Invokes the constructor in the forward mode, producing an instance.
     pub fn construct(&self, args: Vec<Value>) -> RtResult<Value> {
         match self.program.engine {
-            Engine::Plan => {
-                let mut budget = self.program.budget();
-                Ev::new(&self.program.plan, &mut budget).run_forward(self.construct_pid, None, args)
-            }
+            Engine::Plan => Machine::new(&self.program.plan, self.program.budget()).run_forward(
+                self.construct_pid,
+                None,
+                args,
+            ),
             _ => self.program.walker().run_forward(
                 &self.program.plan.method(self.construct_pid).info,
                 None,
@@ -788,6 +788,12 @@ impl CtorRef {
 // ---------------------------------------------------------------------------
 // Query
 // ---------------------------------------------------------------------------
+
+/// Stack of the tree-walker's producer thread behind [`Query::solutions`]:
+/// the walker's native recursion is deep (one Rust frame chain per
+/// constructor match, fat in debug builds), so the producer gets the stack
+/// the main thread of a binary would have, times a margin.
+const TREE_PRODUCER_STACK: usize = 64 << 20;
 
 /// What a query enumerates.
 enum Source {
@@ -1021,6 +1027,10 @@ impl Query<'_> {
         }
     }
 
+    fn budget(&self) -> Budget {
+        Budget::new(self.limits.max_depth, self.limits.max_steps)
+    }
+
     fn plan_solutions(&self) -> Solutions<'_> {
         let plan = &*self.program.plan;
         let (machine, extract) = match &self.source {
@@ -1029,13 +1039,12 @@ impl Query<'_> {
                 let BodyPlan::Formula { matching, .. } = &mp.body else {
                     unreachable!("checked at query construction");
                 };
-                let machine = Machine::new(
+                let machine = Machine::query(
                     plan,
+                    self.budget(),
                     matching.code(),
                     vec![None; matching.frame.len()],
                     Some(value.clone()),
-                    self.limits.max_depth,
-                    self.limits.max_steps,
                 )
                 .with_root_det(matching.det)
                 .with_interrupt(self.interrupt.clone());
@@ -1055,16 +1064,9 @@ impl Query<'_> {
                         root[s as usize] = Some(v.clone());
                     }
                 }
-                let machine = Machine::new(
-                    plan,
-                    form.code(),
-                    root,
-                    this.clone(),
-                    self.limits.max_depth,
-                    self.limits.max_steps,
-                )
-                .with_root_det(form.det)
-                .with_interrupt(self.interrupt.clone());
+                let machine = Machine::query(plan, self.budget(), form.code(), root, this.clone())
+                    .with_root_det(form.det)
+                    .with_interrupt(self.interrupt.clone());
                 (machine, Extract::Slots(&form.frame))
             }
         };
@@ -1107,13 +1109,12 @@ impl Query<'_> {
                 this: this.clone(),
             },
         };
-        // The walker's native recursion is deep (one Rust frame chain per
-        // constructor match, fat in debug builds); give the producer the
-        // stack the main thread of a binary would have, times a margin.
         let producer = std::thread::Builder::new()
             .name("jmatch-tree-solutions".into())
-            .stack_size(64 << 20);
+            .stack_size(TREE_PRODUCER_STACK);
         let spawned = producer.spawn(move || {
+            crate::eval::declare_thread_stack(TREE_PRODUCER_STACK);
+            walker.mark_stack();
             let outcome = match job {
                 TreeJob::Formula { f, env, this } => {
                     walker.solve(&env, this.as_ref(), &f, 0, &mut |b| {
@@ -1374,20 +1375,23 @@ impl Solutions<'_> {
     }
 
     /// Solver steps spent so far, when the engine can report them (the
-    /// plan engine's stack machine; `None` on the tree-walker adapter and
-    /// on parallel enumerations, whose steps are spread across workers).
-    /// This is what the O(1)-first-solution laziness test measures.
+    /// plan engine's stack machine; `None` on the tree-walker adapter).
+    /// On a parallel enumeration this is the sum over the worker tasks
+    /// finished so far, replayed choice-path prefixes included — so after
+    /// exhaustion it is at least the sequential count. This is what the
+    /// O(1)-first-solution laziness test measures.
     pub fn steps(&self) -> Option<u64> {
         match &self.inner {
             Inner::Machine { machine, .. } => Some(machine.steps()),
-            Inner::Channel { .. } | Inner::Par(_) => None,
+            Inner::Par(stream) => Some(stream.work().steps),
+            Inner::Channel { .. } => None,
         }
     }
 
     /// Choice points currently live on the solver's choice stack, when the
-    /// engine can report them ([`Engine::Plan`] only). At a solution of a
-    /// `Det`-analyzed mode this is `Some(0)`: the determinism commit left
-    /// nothing to backtrack into.
+    /// engine can report them ([`Engine::Plan`], sequential enumerations
+    /// only). At a solution of a `Det`-analyzed mode this is `Some(0)`: the
+    /// determinism commit left nothing to backtrack into.
     pub fn choice_points(&self) -> Option<usize> {
         match &self.inner {
             Inner::Machine { machine, .. } => Some(machine.live_choices()),
@@ -1396,11 +1400,14 @@ impl Solutions<'_> {
     }
 
     /// Total choice points the solver created so far, when the engine can
-    /// report them ([`Engine::Plan`] only).
+    /// report them ([`Engine::Plan`] only; on a parallel enumeration, the
+    /// sum over the worker tasks finished so far, like
+    /// [`Solutions::steps`]).
     pub fn choice_points_created(&self) -> Option<u64> {
         match &self.inner {
             Inner::Machine { machine, .. } => Some(machine.choices_created()),
-            Inner::Channel { .. } | Inner::Par(_) => None,
+            Inner::Par(stream) => Some(stream.work().choice_points_created),
+            Inner::Channel { .. } => None,
         }
     }
 

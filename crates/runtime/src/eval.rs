@@ -1,54 +1,45 @@
-//! The plan evaluator: executes the query plans produced by
-//! [`jmatch_core::lower`], compiled to [`jmatch_core::bytecode`].
+//! Deterministic evaluation: the work of the plan engine that never
+//! enumerates — ground expressions, structural equality, dispatch
+//! resolution, class checks, forward-call set-up and imperative block
+//! code — written as further methods of the one [`Machine`].
 //!
-//! Where the legacy tree-walker re-derives a solving order for every formula
-//! at every call and clones a `HashMap` environment per emitted solution,
-//! the evaluator runs a goal's threaded [`BcBody`] over a flat frame of
-//! variable slots (`Vec<Option<Value>>`). Every goal runs this way — solved
-//! forms, `where` refinements and statement goals alike:
+//! Frames are addressed by index into the machine's frame arena, so a
+//! forward call inside an expression can push its own activation and run
+//! its body as a *nested run* of the machine already running (see
+//! [`crate::machine`]): the search rules exist once, in `machine.rs`.
 //!
-//! * **bindings** are slot writes, undone by scope when a choice point is
-//!   exhausted (the moral equivalent of a trail in a WAM-style machine);
-//! * **conjunctions** thread through the statically scheduled `next` pcs,
-//!   falling back to run-time selection only for [`Instr::DynSeq`];
+//! * **bindings** are slot writes in flat frames (`Vec<Option<Value>>`);
 //! * **calls** resolve through the plan's precompiled dispatch indices
 //!   instead of walking the supertype chain;
-//! * **choice points** (disjunctions, constructor matches) are explored by
-//!   enumerating each alternative against the continuation closure, so
-//!   deeper frames stack explicitly per invocation rather than per cloned
-//!   environment.
-//!
-//! Imperative bodies run as [`BcBlock`] register code, every statement
-//! included: statement goals are again bytecode, and the bodies of
-//! structured statements are sub-chains of the block's stream that
-//! [`Ev::exec_bc_code`] re-enters, following the block's scope rule.
+//! * **imperative bodies** run as [`BcBlock`] register code, every
+//!   statement included: statement goals, `foreach` goals and `switch`
+//!   case patterns are handed to the machine as nested runs, and the
+//!   bodies of structured statements are sub-chains of the block's stream
+//!   that [`Machine::exec_bc_code`] re-enters, following the block's scope
+//!   rule.
 //!
 //! The observable behavior — values, bindings, enumeration order, and
 //! failures — is kept identical to the tree-walker's; `tests/differential.rs`
 //! runs every corpus program through both engines and asserts it.
 
+use crate::machine::Machine;
 use crate::{Bindings, Flow, Object, RtError, RtResult, Value};
-use jmatch_core::bytecode::{BcBlock, BcBody, Const as BcConst, Instr, Pc, SInstr, UnifyMode};
+use jmatch_core::bytecode::{BcBlock, Const as BcConst, Pc, SInstr};
 use jmatch_core::intern::Sym;
 use jmatch_core::lower::{
-    BodyPlan, CallKind, CaseGuard, ClassCheck, ClassRef, DispatchId, PExpr, PlanId, ProgramPlan,
-    ReadyCheck, SlotId, SolvedForm,
+    BodyPlan, CallKind, ClassCheck, ClassRef, DispatchId, PExpr, PlanId, ProgramPlan, ReadyCheck,
+    SlotId,
 };
-use jmatch_core::table::ClassTable;
 use jmatch_syntax::ast::{BinOp, CmpOp, Expr, Formula, MethodBody, Type};
 use std::sync::Arc;
 
 /// A frame of variable slots.
 pub(crate) type Frame = Vec<Option<Value>>;
 
-/// The continuation invoked per solution; returns `Ok(true)` to keep
-/// enumerating.
-type Emit<'a> = &'a mut dyn FnMut(&mut Ev<'_, '_>, &mut Frame) -> RtResult<bool>;
-
-/// The work budget of one evaluation: a shared step counter plus the
-/// depth / step ceilings, so every entry point (the recursive evaluator and
-/// the resumable [`crate::Solutions`] machine) honors the same
-/// [`crate::Limits`].
+/// The work budget of one evaluation: a step counter plus the depth / step
+/// ceilings and the native-stack guard, so every entry point (forward
+/// calls, constructions and [`crate::Solutions`] queries, all run on one
+/// [`Machine`]) honors the same [`crate::Limits`].
 ///
 /// A budget is either **private** (the sequential case: the whole
 /// `max_steps` allowance is granted up front, so `step()` is a plain
@@ -58,13 +49,13 @@ type Emit<'a> = &'a mut dyn FnMut(&mut Ev<'_, '_>, &mut Frame) -> RtResult<bool>
 /// like it bounds a sequential run).
 #[derive(Debug, Clone)]
 pub(crate) struct Budget {
-    /// Steps spent so far (solver recursion plus machine steps).
+    /// Machine steps spent so far.
     pub(crate) steps: u64,
     /// Ceiling on `steps` (the configured [`crate::Limits::max_steps`];
     /// with a shared pool this is the pool's combined ceiling, kept here
     /// for error messages).
     pub(crate) max_steps: u64,
-    /// Ceiling on solver nesting depth.
+    /// Ceiling on the machine's activation frames.
     pub(crate) max_depth: usize,
     /// Steps this budget may spend before drawing on the shared pool
     /// again. Equals `max_steps` for a private budget.
@@ -76,6 +67,8 @@ pub(crate) struct Budget {
     /// polled every [`INTERRUPT_POLL_MASK`]+1 steps so a stuck run can be
     /// stopped from outside without per-step atomic traffic.
     interrupt: Option<Arc<std::sync::atomic::AtomicBool>>,
+    /// Trips before nested runs exhaust the native stack.
+    stack: StackGuard,
 }
 
 impl Budget {
@@ -87,6 +80,7 @@ impl Budget {
             granted: max_steps,
             shared: None,
             interrupt: None,
+            stack: StackGuard::new(),
         }
     }
 
@@ -100,6 +94,7 @@ impl Budget {
             granted: 0,
             shared: Some(shared),
             interrupt: None,
+            stack: StackGuard::new(),
         }
     }
 
@@ -107,6 +102,18 @@ impl Budget {
     /// [`RtError::interrupted`] at the next poll boundary.
     pub(crate) fn set_interrupt(&mut self, token: Option<Arc<std::sync::atomic::AtomicBool>>) {
         self.interrupt = token;
+    }
+
+    /// Re-anchors the native-stack guard at the caller's stack position:
+    /// the entry of a run, from where nested runs recurse.
+    pub(crate) fn mark_stack(&mut self) {
+        self.stack = StackGuard::new();
+    }
+
+    /// Errors with `LimitExceeded` on `"depth"` once the native stack used
+    /// since the entry point passes the guard (see [`StackGuard`]).
+    pub(crate) fn check_stack(&self) -> RtResult<()> {
+        self.stack.check(self.max_depth)
     }
 
     /// One unit of solver work; errors when the step ceiling is hit or an
@@ -230,98 +237,152 @@ impl SharedBudget {
 }
 
 impl Default for Budget {
-    /// Matches [`crate::Limits::default`]: see [`MAX_DEPTH`] for why the
-    /// depth ceiling must stay well below native stack exhaustion.
+    /// Matches [`crate::Limits::default`].
     fn default() -> Self {
         Budget::new(MAX_DEPTH, u64::MAX)
     }
 }
 
-/// One evaluation session: borrows the plan and a work budget, and tracks
-/// the recursion guard.
-pub(crate) struct Ev<'p, 'b> {
-    plan: &'p ProgramPlan,
-    table: &'p ClassTable,
-    depth: usize,
-    budget: &'b mut Budget,
+/// Default bound on the machine's activation frames: the query's root,
+/// each constructor match and each forward call hold one. Frames of the
+/// outermost search live on the heap, so this bounds memory, not the
+/// native stack; the native recursion of nested runs (forward calls
+/// inside expressions, equality constructors, negation, statement goals)
+/// is bounded separately by [`StackGuard`].
+pub(crate) const MAX_DEPTH: usize = 1_000;
+
+/// Native stack assumed for a thread the runtime did not spawn itself:
+/// the std default for spawned threads, which every `cargo test` thread
+/// also gets. Threads the runtime spawns with a larger stack declare it
+/// through [`declare_thread_stack`].
+const ASSUMED_THREAD_STACK: usize = 2 << 20;
+
+/// Native stack kept back below the guard: the caller's own frames above
+/// the entry point, the last level's overshoot past the check, and leaf
+/// work below the deepest check. Measured with `ConsList.size()`
+/// (`result = tail.size() + 1`, the recursion of `tests/stack_guard.rs`)
+/// on x86-64, one forward-call level costs about 2.8 KiB on the machine
+/// and 5.9 KiB on the tree walker in a release build, and 28–30 KiB on
+/// either in a debug build. On a 2 MiB thread the 1.5 MiB allowance so
+/// trips after about 560 machine or 260 walker levels in a release build
+/// and 50 in a debug build; a thread declared at 8 MiB reaches the default
+/// depth ceiling of 1,000 frames first.
+const STACK_RESERVE: usize = 512 << 10;
+
+thread_local! {
+    /// The current thread's native stack, as far as the runtime knows it.
+    static THREAD_STACK: std::cell::Cell<usize> =
+        const { std::cell::Cell::new(ASSUMED_THREAD_STACK) };
+}
+
+/// Records the stack size of a thread the runtime spawned (OR-parallel
+/// workers, serve workers, the tree-walker's producer), so evaluations on
+/// it may recurse further than on a thread of unknown size.
+pub(crate) fn declare_thread_stack(bytes: usize) {
+    THREAD_STACK.with(|s| s.set(bytes));
+}
+
+/// The native-stack guard of both engines: the address of a local at the
+/// entry point, and how far below it evaluation may recurse before a check
+/// reports `LimitExceeded` on `"depth"` instead of overflowing the stack
+/// and aborting the process. Stack use per level differs between debug
+/// and release builds and between engines, so the guard measures bytes,
+/// not levels.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StackGuard {
+    base: usize,
+    allowance: usize,
+}
+
+impl StackGuard {
+    /// A guard anchored at the caller's stack position.
+    #[inline(never)]
+    pub(crate) fn new() -> Self {
+        StackGuard {
+            base: stack_position(),
+            allowance: THREAD_STACK.with(|s| s.get()).saturating_sub(STACK_RESERVE),
+        }
+    }
+
+    /// Errors once the stack used since the anchor passes the allowance;
+    /// `max_depth` is reported as the configured depth ceiling.
+    pub(crate) fn check(&self, max_depth: usize) -> RtResult<()> {
+        let used = self.base.abs_diff(stack_position());
+        if used > self.allowance {
+            return Err(RtError::limit(
+                "depth",
+                max_depth as u64,
+                format!("native stack guard tripped after {used} bytes of nested evaluation"),
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// The address of a local in the caller's frame: how deep the native stack
+/// currently is.
+#[inline(always)]
+fn stack_position() -> usize {
+    let probe = 0u8;
+    std::hint::black_box(&probe) as *const u8 as usize
 }
 
 thread_local! {
     /// Recycled activation frames and register files. Thread-local rather
-    /// than per-session: the API constructs a fresh [`Ev`] per call, so
-    /// session-owned pools would start empty on every iteration of a hot
+    /// than per-machine: the API constructs a fresh [`Machine`] per call,
+    /// so machine-owned pools would start empty on every iteration of a hot
     /// caller loop and pay one heap allocation per call.
     static POOLS: std::cell::RefCell<(Vec<Frame>, Vec<Vec<Value>>)> =
         const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
 }
 
-/// Default bound on the solver's nesting depth (goal recursion plus nested
-/// invocations). Each level costs native stack, so the limit must trip well
-/// before the stack itself is exhausted — ~0.5KB per level against the 2MB
-/// stack of a Rust test thread puts exhaustion around depth 3–5k; 1_000
-/// leaves a comfortable margin while staying far above what any corpus
-/// program reaches.
-pub(crate) const MAX_DEPTH: usize = 1_000;
-
-impl<'p, 'b> Ev<'p, 'b> {
-    /// Creates an evaluation session over a plan, drawing on `budget`.
-    pub(crate) fn new(plan: &'p ProgramPlan, budget: &'b mut Budget) -> Self {
-        Ev {
-            plan,
-            table: plan.table(),
-            depth: 0,
-            budget,
+/// A zeroed frame of `n` slots, reusing a recycled allocation when one is
+/// available.
+pub(crate) fn take_frame(n: usize) -> Frame {
+    match POOLS.with(|p| p.borrow_mut().0.pop()) {
+        Some(mut f) => {
+            f.resize(n, None);
+            f
         }
+        None => vec![None; n],
     }
+}
 
-    /// A zeroed frame of `n` slots, reusing a recycled allocation when one
-    /// is available.
-    fn take_frame(&mut self, n: usize) -> Frame {
-        match POOLS.with(|p| p.borrow_mut().0.pop()) {
-            Some(mut f) => {
-                f.clear();
-                f.resize(n, None);
-                f
-            }
-            None => vec![None; n],
+/// Returns a finished activation frame to the pool.
+pub(crate) fn recycle_frame(mut f: Frame) {
+    f.clear();
+    POOLS.with(|p| {
+        let pool = &mut p.borrow_mut().0;
+        if pool.len() < 64 {
+            pool.push(f);
         }
-    }
+    });
+}
 
-    /// Returns a finished activation frame to the pool.
-    fn recycle_frame(&mut self, mut f: Frame) {
-        POOLS.with(|p| {
-            let pool = &mut p.borrow_mut().0;
-            if pool.len() < 64 {
-                f.clear();
-                pool.push(f);
-            }
-        });
-    }
-
-    /// A null-filled register file of `n` registers, reusing a recycled
-    /// allocation when one is available.
-    fn take_regs(&mut self, n: usize) -> Vec<Value> {
-        match POOLS.with(|p| p.borrow_mut().1.pop()) {
-            Some(mut r) => {
-                r.clear();
-                r.resize(n, Value::Null);
-                r
-            }
-            None => vec![Value::Null; n],
+/// A null-filled register file of `n` registers, reusing a recycled
+/// allocation when one is available.
+fn take_regs(n: usize) -> Vec<Value> {
+    match POOLS.with(|p| p.borrow_mut().1.pop()) {
+        Some(mut r) => {
+            r.resize(n, Value::Null);
+            r
         }
+        None => vec![Value::Null; n],
     }
+}
 
-    /// Returns a finished register file to the pool.
-    fn recycle_regs(&mut self, mut r: Vec<Value>) {
-        POOLS.with(|p| {
-            let pool = &mut p.borrow_mut().1;
-            if pool.len() < 64 {
-                r.clear();
-                pool.push(r);
-            }
-        });
-    }
+/// Returns a finished register file to the pool.
+fn recycle_regs(mut r: Vec<Value>) {
+    r.clear();
+    POOLS.with(|p| {
+        let pool = &mut p.borrow_mut().1;
+        if pool.len() < 64 {
+            pool.push(r);
+        }
+    });
+}
 
+impl<'g> Machine<'g> {
     // ------------------------------------------------------------------
     // Entry points
     // ------------------------------------------------------------------
@@ -370,57 +431,22 @@ impl<'p, 'b> Ev<'p, 'b> {
     pub(crate) fn deconstruct(&mut self, value: &Value, ctor: &str) -> RtResult<Vec<Vec<Value>>> {
         let class = value
             .class()
-            .ok_or_else(|| RtError::new("can only deconstruct objects"))?
-            .to_owned();
+            .ok_or_else(|| RtError::new("can only deconstruct objects"))?;
         let pid = self
             .plan
-            .lookup_impl(&class, ctor)
-            .ok_or_else(|| RtError::method_not_found(&class, ctor))?;
+            .lookup_impl(class, ctor)
+            .ok_or_else(|| RtError::method_not_found(class, ctor))?;
         if let Some(rows) = fast_deconstruct(self.plan, value, pid) {
             return Ok(rows);
         }
-        let plan = self.plan;
-        let table = self.table;
-        let params = &plan.method(pid).info.decl.params;
-        let mut solutions = Vec::new();
-        self.each_constructor_solution(value, pid, &mut |_, row| {
-            // Apply the declared parameter types as patterns, like matching
-            // `T name` against each solution value.
-            for (p, v) in params.iter().zip(row.iter()) {
-                if let Type::Named(t) = &p.ty {
-                    if let Some(class) = v.class() {
-                        if !table.is_subtype(class, t) {
-                            return Ok(true);
-                        }
-                    }
-                }
-            }
-            solutions.push(row.to_vec());
-            Ok(true)
-        })?;
-        Ok(solutions)
+        self.deconstruct_rows(value, pid)
     }
 
+    /// Predicate use of a named constructor: whether any solution row
+    /// survives (a zero-parameter constructor's row is empty, so any
+    /// solution counts).
     pub(crate) fn matches_constructor(&mut self, value: &Value, ctor: &str) -> RtResult<bool> {
-        Ok(!self.deconstruct(value, ctor)?.is_empty() || {
-            // Zero-parameter constructors produce an empty solution row set
-            // only when they fail; re-check via a direct predicate solve.
-            let class = value.class().unwrap_or_default().to_owned();
-            if let Some(pid) = self.plan.lookup_impl(&class, ctor) {
-                if self.plan.method(pid).info.decl.params.is_empty() {
-                    let mut found = false;
-                    self.each_constructor_solution(value, pid, &mut |_, _| {
-                        found = true;
-                        Ok(false)
-                    })?;
-                    found
-                } else {
-                    false
-                }
-            } else {
-                false
-            }
-        })
+        Ok(!self.deconstruct(value, ctor)?.is_empty())
     }
 
     /// The dense type index of an object's class in *this* plan's table.
@@ -464,8 +490,9 @@ impl<'p, 'b> Ev<'p, 'b> {
         self.plan.lookup_impl(o.class(), name)
     }
 
-    /// Like [`Ev::resolve_dispatch`] with the class-constructor fallback of
-    /// constructor-pattern positions (`lookup_impl(..).or(class_ctor(..))`).
+    /// Like [`Machine::resolve_dispatch`] with the class-constructor
+    /// fallback of constructor-pattern positions
+    /// (`lookup_impl(..).or(class_ctor(..))`).
     pub(crate) fn resolve_dispatch_or_ctor(
         &self,
         dispatch: Option<DispatchId>,
@@ -526,9 +553,9 @@ impl<'p, 'b> Ev<'p, 'b> {
                     return Ok(true);
                 }
                 // Different classes: try an equality constructor on either
-                // side, in its `this`-and-parameter-bound solved form. The
-                // `equals` implementation resolves through its dispatch
-                // table.
+                // side, in its `this`-and-parameter-bound solved form, as a
+                // nested run. The `equals` implementation resolves through
+                // its dispatch table.
                 let plan = self.plan;
                 let equals_dispatch = plan.equals_dispatch();
                 for (lhs, rhs) in [(a, b), (b, a)] {
@@ -539,16 +566,13 @@ impl<'p, 'b> Ev<'p, 'b> {
                             ..
                         } = &plan.method(pid).body
                         {
-                            let mut fr: Frame = vec![None; form.frame.len()];
+                            let mut fr = take_frame(form.frame.len());
                             if let Some(&ps) = form.param_slots.first() {
                                 fr[ps as usize] = Some(rhs.clone());
                             }
-                            let mut found = false;
-                            self.solve_form(&mut fr, Some(lhs), form, &mut |_, _| {
-                                found = true;
-                                Ok(false)
-                            })?;
-                            return Ok(found);
+                            let found =
+                                self.solve_fresh(fr, Some(lhs.clone()), form.code(), |_| ())?;
+                            return Ok(found.is_some());
                         }
                     }
                 }
@@ -568,10 +592,8 @@ impl<'p, 'b> Ev<'p, 'b> {
         this: Option<Value>,
         args: Vec<Value>,
     ) -> RtResult<Value> {
-        let mp = {
-            let plan = self.plan;
-            plan.method(pid)
-        };
+        let plan = self.plan;
+        let mp = plan.method(pid);
         if args.len() != mp.info.decl.params.len() {
             return Err(RtError::arity_mismatch(
                 &mp.info.qualified_name(),
@@ -602,10 +624,11 @@ impl<'p, 'b> Ev<'p, 'b> {
                         fields,
                     ))));
                 }
-                let mut fr = self.take_frame(forward.frame.len());
+                let mut fr = take_frame(forward.frame.len());
                 for (&s, v) in forward.param_slots.iter().zip(args) {
                     fr[s as usize] = Some(v);
                 }
+                let result_slot = forward.result_slot as usize;
                 if mp.info.constructs_owner() {
                     // Construction: the fields of the new object are unknowns
                     // solved by the body, read off into the owner layout's
@@ -614,38 +637,28 @@ impl<'p, 'b> Ev<'p, 'b> {
                         RtError::new(format!("unknown owner type {}", mp.info.owner))
                     })?;
                     debug_assert_eq!(layout.num_fields(), forward.field_slots.len());
-                    let field_slots = &forward.field_slots;
-                    let result_slot = forward.result_slot;
-                    let mut result = None;
-                    self.solve_form(&mut fr, this.as_ref(), forward, &mut |_, fr| {
+                    let result = self.solve_fresh(fr, this, forward.code(), |fr| {
                         // A `result = ...` equation (as in Figure 1) takes
                         // precedence over field solving.
-                        result = Some(fr[result_slot as usize].clone().unwrap_or_else(|| {
-                            let fields: Vec<Value> = field_slots
+                        fr[result_slot].clone().unwrap_or_else(|| {
+                            let fields: Vec<Value> = forward
+                                .field_slots
                                 .iter()
                                 .map(|(_, s)| fr[*s as usize].clone().unwrap_or(Value::Null))
                                 .collect();
                             Value::Obj(Arc::new(Object::new(Arc::clone(layout), fields)))
-                        }));
-                        Ok(false)
+                        })
                     })?;
-                    self.recycle_frame(fr);
                     result.ok_or_else(|| {
                         RtError::new(format!("{} failed to match", mp.info.qualified_name()))
                     })
                 } else {
                     // Ordinary method: solve for `result` (boolean methods
                     // default to "is the body satisfiable").
-                    let result_slot = forward.result_slot;
-                    let mut result = None;
-                    let mut any = false;
-                    self.solve_form(&mut fr, this.as_ref(), forward, &mut |_, fr| {
-                        any = true;
-                        result = fr[result_slot as usize].clone();
-                        Ok(false)
-                    })?;
-                    self.recycle_frame(fr);
-                    match (&mp.info.decl.return_type, result) {
+                    let solution =
+                        self.solve_fresh(fr, this, forward.code(), |fr| fr[result_slot].clone())?;
+                    let any = solution.is_some();
+                    match (&mp.info.decl.return_type, solution.flatten()) {
                         (Some(Type::Boolean), r) => Ok(r.unwrap_or(Value::Bool(any))),
                         (_, Some(r)) => Ok(r),
                         (Some(Type::Void), None) => Ok(Value::Null),
@@ -658,13 +671,14 @@ impl<'p, 'b> Ev<'p, 'b> {
                 }
             }
             BodyPlan::Block(bp) => {
-                let mut fr = self.take_frame(bp.frame.len());
+                let mut fr = take_frame(bp.frame.len());
                 for (&s, v) in bp.param_slots.iter().zip(args) {
                     fr[s as usize] = Some(v);
                 }
-                let flow = self.exec_bc_block(&mut fr, this.as_ref(), bp.code())?;
-                self.recycle_frame(fr);
-                match flow {
+                let fi = self.push_frame(fr, this)?;
+                let flow = self.exec_bc_block(fi, bp.code());
+                self.truncate_frames(fi);
+                match flow? {
                     Flow::Return(v) => Ok(v),
                     Flow::Normal => Ok(Value::Null),
                 }
@@ -672,423 +686,16 @@ impl<'p, 'b> Ev<'p, 'b> {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Constructor matching (backward / iterative modes)
-    // ------------------------------------------------------------------
-
-    /// Solves `pid`'s matching plan against `value` and feeds each
-    /// solution's parameter-value row to `each`.
-    fn each_constructor_solution(
-        &mut self,
-        value: &Value,
-        pid: PlanId,
-        each: &mut dyn FnMut(&mut Ev<'_, '_>, &[Value]) -> RtResult<bool>,
-    ) -> RtResult<()> {
-        let plan = self.plan;
-        let mp = plan.method(pid);
-        let BodyPlan::Formula { matching, .. } = &mp.body else {
-            return Err(RtError::mode_mismatch(
-                &mp.info.qualified_name(),
-                "backward (pattern-matching)",
-            ));
-        };
-        let param_slots = &matching.param_slots;
-        let mut fr = self.take_frame(matching.frame.len());
-        self.solve_form(&mut fr, Some(value), matching, &mut |ev, fr| {
-            let mut row = Vec::with_capacity(param_slots.len());
-            for &s in param_slots {
-                match &fr[s as usize] {
-                    Some(v) => row.push(v.clone()),
-                    // A parameter the solution left unbound: skip it, like
-                    // the tree-walker.
-                    None => return Ok(true),
-                }
-            }
-            each(ev, &row)
-        })?;
-        self.recycle_frame(fr);
-        Ok(())
-    }
-
-    /// Matches `value` against the constructor plan `pid` with argument
-    /// patterns in the caller's frame — the plan-level counterpart of the
-    /// walker's `match_constructor`.
-    fn match_constructor(
-        &mut self,
-        caller: &mut Frame,
-        value: &Value,
-        pid: PlanId,
-        args: &[PExpr],
-        emit: Emit<'_>,
-    ) -> RtResult<bool> {
-        let plan = self.plan;
-        let mp = plan.method(pid);
-        let BodyPlan::Formula { matching, .. } = &mp.body else {
-            return Err(RtError::mode_mismatch(
-                &mp.info.qualified_name(),
-                "backward (pattern-matching)",
-            ));
-        };
-        let param_slots = &matching.param_slots;
-        let mut fr = self.take_frame(matching.frame.len());
-        let keep = self.solve_form(&mut fr, Some(value), matching, &mut |ev, fr| {
-            let mut row = Vec::with_capacity(param_slots.len());
-            for &s in param_slots {
-                match &fr[s as usize] {
-                    Some(v) => row.push(v.clone()),
-                    None => return Ok(true),
-                }
-            }
-            ev.match_args_then(caller, args, &row, emit)
-        })?;
-        self.recycle_frame(fr);
-        Ok(keep)
-    }
-
-    /// Matches argument patterns against a solution row (first solution per
-    /// pattern, accumulating bindings left to right), runs `k`, and lets
-    /// the nested `bind_then` scopes undo the slot writes on the way out —
-    /// trail-style, with no whole-frame clone. Pattern-match errors skip
-    /// the row, like the tree-walker; errors raised by `k` propagate.
-    fn match_args_then(
-        &mut self,
-        fr: &mut Frame,
-        args: &[PExpr],
-        values: &[Value],
-        k: Emit<'_>,
-    ) -> RtResult<bool> {
-        self.match_args_from(fr, args, values, 0, k)
-    }
-
-    fn match_args_from(
-        &mut self,
-        fr: &mut Frame,
-        args: &[PExpr],
-        values: &[Value],
-        i: usize,
-        k: Emit<'_>,
-    ) -> RtResult<bool> {
-        let Some(v) = values.get(i) else {
-            return k(self, fr);
-        };
-        let Some(pat) = args.get(i) else {
-            return self.match_args_from(fr, args, values, i + 1, k);
-        };
-        let mut entered_rest = false;
-        let mut keep_going = true;
-        let r = self.match_pat(fr, None, pat, v, &mut |ev, fr| {
-            entered_rest = true;
-            keep_going = ev.match_args_from(fr, args, values, i + 1, &mut *k)?;
-            // First solution per pattern only.
-            Ok(false)
-        });
-        match r {
-            // An error from matching this pattern itself skips the row; an
-            // error from deeper work (the rest of the row or `k`) surfaces.
-            Err(e) if entered_rest => Err(e),
-            Err(_) => Ok(true),
-            Ok(_) if !entered_rest => Ok(true),
-            Ok(_) => Ok(keep_going),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Bytecode execution (threaded formula code)
-    // ------------------------------------------------------------------
-
-    /// Enumerates the solutions of a solved form through its threaded
-    /// bytecode.
-    ///
-    /// Forms the determinism analysis annotated `det` commit: after the
-    /// first solution the remaining search is abandoned, which the
-    /// analysis proved can neither emit nor error — so the observable
-    /// transcript is identical to the full (oracle) search.
-    pub(crate) fn solve_form(
-        &mut self,
-        fr: &mut Frame,
-        this: Option<&Value>,
-        form: &SolvedForm,
-        emit: Emit<'_>,
-    ) -> RtResult<bool> {
-        if form.det {
-            let mut emitted = false;
-            let mut keep = true;
-            let mut det_emit = |ev: &mut Ev<'_, '_>, fr: &mut Frame| -> RtResult<bool> {
-                emitted = true;
-                keep = emit(ev, fr)?;
-                Ok(false) // commit: the analysis proved no further solutions
-            };
-            self.solve_goal(fr, this, form.code(), &mut det_emit)?;
-            return Ok(if emitted { keep } else { true });
-        }
-        self.solve_goal(fr, this, form.code(), emit)
-    }
-
-    /// Enumerates the solutions of a compiled goal from its entry.
-    fn solve_goal(
-        &mut self,
-        fr: &mut Frame,
-        this: Option<&Value>,
-        bc: &BcBody,
-        emit: Emit<'_>,
-    ) -> RtResult<bool> {
-        self.solve_bc(fr, this, bc, bc.entry, emit)
-    }
-
-    /// Runs threaded bytecode from `pc`: one budget step and one depth
-    /// level per entry. Re-entered at continuation boundaries (choice
-    /// alternatives, pattern-match and callee continuations); deterministic
-    /// instructions thread through `next` pcs inline without recursing.
-    pub(crate) fn solve_bc(
-        &mut self,
-        fr: &mut Frame,
-        this: Option<&Value>,
-        bc: &BcBody,
-        pc: Pc,
-        emit: Emit<'_>,
-    ) -> RtResult<bool> {
-        self.budget.step()?;
-        self.depth += 1;
-        if self.depth > self.budget.max_depth {
-            self.depth -= 1;
-            return Err(RtError::limit(
-                "depth",
-                self.budget.max_depth as u64,
-                "solver recursion limit exceeded",
-            ));
-        }
-        let r = self.solve_bc_inner(fr, this, bc, pc, emit);
-        self.depth -= 1;
-        r
-    }
-
-    fn solve_bc_inner(
-        &mut self,
-        fr: &mut Frame,
-        this: Option<&Value>,
-        bc: &BcBody,
-        mut pc: Pc,
-        emit: Emit<'_>,
-    ) -> RtResult<bool> {
-        // Right-to-left emission makes every `next` / alternative pc
-        // strictly smaller than the pc of the instruction holding it, so
-        // this loop always terminates.
-        loop {
-            match &bc.instrs[pc as usize] {
-                Instr::Emit => return emit(self, fr),
-                Instr::Fail => return Ok(true),
-                Instr::Choice(alts) => {
-                    for &alt in alts.iter() {
-                        if !self.solve_bc(fr, this, bc, alt, &mut *emit)? {
-                            return Ok(false);
-                        }
-                    }
-                    return Ok(true);
-                }
-                Instr::Compare { op, lhs, rhs, next } => {
-                    let a = self.eval(fr, this, &bc.exprs[*lhs as usize])?;
-                    let b = self.eval(fr, this, &bc.exprs[*rhs as usize])?;
-                    let (x, y) = match (a.as_int(), b.as_int()) {
-                        (Some(x), Some(y)) => (x, y),
-                        _ => {
-                            if *op == CmpOp::Ne {
-                                if !self.values_equal(&a, &b)? {
-                                    pc = *next;
-                                    continue;
-                                }
-                                return Ok(true);
-                            }
-                            return Err(RtError::new("ordering comparison on non-integers"));
-                        }
-                    };
-                    let holds = match op {
-                        CmpOp::Le => x <= y,
-                        CmpOp::Lt => x < y,
-                        CmpOp::Ge => x >= y,
-                        CmpOp::Gt => x > y,
-                        CmpOp::Ne => x != y,
-                        CmpOp::Eq => x == y,
-                    };
-                    if holds {
-                        pc = *next;
-                        continue;
-                    }
-                    return Ok(true);
-                }
-                Instr::Test { expr, next } => {
-                    let v = self.eval(fr, this, &bc.exprs[*expr as usize])?;
-                    if v.as_bool() == Some(true) {
-                        pc = *next;
-                        continue;
-                    }
-                    return Ok(true);
-                }
-                Instr::Unify {
-                    lhs,
-                    rhs,
-                    mode,
-                    next,
-                } => {
-                    let l = &bc.exprs[*lhs as usize];
-                    let r = &bc.exprs[*rhs as usize];
-                    let next = *next;
-                    let mode = match mode {
-                        UnifyMode::Dynamic => {
-                            match (self.ground(fr, this, l), self.ground(fr, this, r)) {
-                                (true, true) => UnifyMode::EvalEval,
-                                (true, false) => UnifyMode::EvalMatch,
-                                (false, true) => UnifyMode::MatchEval,
-                                (false, false) => {
-                                    return Err(RtError::new(format!(
-                                        "equation with unknowns on both sides is not solvable: \
-                                         {l:?} = {r:?}"
-                                    )))
-                                }
-                            }
-                        }
-                        m => *m,
-                    };
-                    match mode {
-                        UnifyMode::EvalEval => {
-                            let a = self.eval(fr, this, l)?;
-                            let b = self.eval(fr, this, r)?;
-                            if self.values_equal(&a, &b)? {
-                                pc = next;
-                                continue;
-                            }
-                            return Ok(true);
-                        }
-                        UnifyMode::EvalMatch => {
-                            let v = self.eval(fr, this, l)?;
-                            return self.match_pat(fr, this, r, &v, &mut |ev, fr| {
-                                ev.solve_bc(fr, this, bc, next, &mut *emit)
-                            });
-                        }
-                        UnifyMode::MatchEval => {
-                            let v = self.eval(fr, this, r)?;
-                            return self.match_pat(fr, this, l, &v, &mut |ev, fr| {
-                                ev.solve_bc(fr, this, bc, next, &mut *emit)
-                            });
-                        }
-                        UnifyMode::Dynamic => unreachable!("dynamic mode resolved above"),
-                    }
-                }
-                Instr::Invoke {
-                    receiver,
-                    name,
-                    args_start,
-                    args_len,
-                    dispatch,
-                    next,
-                } => {
-                    let next = *next;
-                    let subject: Value = match receiver {
-                        Some(r) => {
-                            let r = &bc.exprs[*r as usize];
-                            if self.ground(fr, this, r) {
-                                self.eval(fr, this, r)?
-                            } else {
-                                return Err(RtError::new("predicate receiver is not ground"));
-                            }
-                        }
-                        None => this
-                            .cloned()
-                            .ok_or_else(|| RtError::new("predicate call without a receiver"))?,
-                    };
-                    match &subject {
-                        Value::Obj(o) => {
-                            let name = &bc.names[*name as usize];
-                            let Some(pid) = self.resolve_dispatch(*dispatch, o, name) else {
-                                return Err(RtError::method_not_found(o.class(), name));
-                            };
-                            let args = bc.args(*args_start, *args_len);
-                            return self.match_constructor(
-                                fr,
-                                &subject,
-                                pid,
-                                args,
-                                &mut |ev, fr| ev.solve_bc(fr, this, bc, next, &mut *emit),
-                            );
-                        }
-                        Value::Bool(true) => {
-                            pc = next;
-                            continue;
-                        }
-                        Value::Bool(false) => return Ok(true),
-                        other => {
-                            return Err(RtError::new(format!(
-                                "cannot use `{other}` as a predicate receiver"
-                            )))
-                        }
-                    }
-                }
-                Instr::Not { inner, next } => {
-                    let mut found = false;
-                    self.solve_bc(fr, this, bc, *inner, &mut |_, _| {
-                        found = true;
-                        Ok(false)
-                    })?;
-                    if !found {
-                        pc = *next;
-                        continue;
-                    }
-                    return Ok(true);
-                }
-                Instr::DynSeq { items, next } => {
-                    let remaining: Vec<usize> = (0..items.len()).collect();
-                    return self.run_ready(fr, this, bc, items, &remaining, *next, emit);
-                }
-            }
-        }
-    }
-
-    /// The run-time scheduling of an [`Instr::DynSeq`]: runs the first
-    /// remaining item whose readiness check holds on the *current*
-    /// bindings, re-selecting after every solution of it, and continues at
-    /// `next` once no item remains — exactly the tree-walker's "first ready
-    /// conjunct" rule.
-    #[allow(clippy::too_many_arguments)]
-    fn run_ready(
-        &mut self,
-        fr: &mut Frame,
-        this: Option<&Value>,
-        bc: &BcBody,
-        items: &[(ReadyCheck, Pc)],
-        remaining: &[usize],
-        next: Pc,
-        emit: Emit<'_>,
-    ) -> RtResult<bool> {
-        let Some(&chosen) = remaining
-            .iter()
-            .find(|&&i| self.check_ready(fr, this, &items[i].0))
-        else {
-            if remaining.is_empty() {
-                return self.solve_bc(fr, this, bc, next, emit);
-            }
-            return Err(RtError::new(
-                "formula is not solvable: no conjunct can run with the current bindings",
-            ));
-        };
-        let rest: Vec<usize> = remaining.iter().copied().filter(|&i| i != chosen).collect();
-        self.solve_bc(fr, this, bc, items[chosen].1, &mut |ev, fr| {
-            ev.run_ready(fr, this, bc, items, &rest, next, emit)
-        })
-    }
-
-    pub(crate) fn check_ready(&self, fr: &Frame, this: Option<&Value>, c: &ReadyCheck) -> bool {
+    pub(crate) fn check_ready(&self, fi: usize, c: &ReadyCheck) -> bool {
         match c {
             ReadyCheck::Always => true,
             ReadyCheck::Never => false,
-            ReadyCheck::Ground(e) => self.ground(fr, this, e),
-            ReadyCheck::EitherGround(a, b) => self.ground(fr, this, a) || self.ground(fr, this, b),
-            ReadyCheck::BothGround(a, b) => self.ground(fr, this, a) && self.ground(fr, this, b),
-            ReadyCheck::All(cs) => cs.iter().all(|c| self.check_ready(fr, this, c)),
+            ReadyCheck::Ground(e) => self.ground(fi, e),
+            ReadyCheck::EitherGround(a, b) => self.ground(fi, a) || self.ground(fi, b),
+            ReadyCheck::BothGround(a, b) => self.ground(fi, a) && self.ground(fi, b),
+            ReadyCheck::All(cs) => cs.iter().all(|c| self.check_ready(fi, c)),
         }
     }
-
-    // ------------------------------------------------------------------
-    // Pattern matching
-    // ------------------------------------------------------------------
 
     /// Whether a declaration pattern's class restriction admits `value`
     /// (non-objects are unrestricted, like the old string-keyed check).
@@ -1108,169 +715,6 @@ impl<'p, 'b> Ev<'p, 'b> {
                 (Type::Named(t), Some(class)) => self.table.is_subtype(class, t),
                 _ => true,
             },
-        }
-    }
-
-    /// Binds a slot around the continuation, restoring the old value after.
-    fn bind_then(
-        &mut self,
-        fr: &mut Frame,
-        slot: SlotId,
-        value: Value,
-        emit: Emit<'_>,
-    ) -> RtResult<bool> {
-        let old = fr[slot as usize].replace(value);
-        let r = emit(self, fr);
-        fr[slot as usize] = old;
-        r
-    }
-
-    pub(crate) fn match_pat(
-        &mut self,
-        fr: &mut Frame,
-        this: Option<&Value>,
-        pat: &PExpr,
-        value: &Value,
-        emit: Emit<'_>,
-    ) -> RtResult<bool> {
-        match pat {
-            PExpr::Wildcard => emit(self, fr),
-            PExpr::Decl(ty, slot, check) => {
-                if !self.class_admits(ty, check, value) {
-                    return Ok(true);
-                }
-                match slot {
-                    Some(s) => self.bind_then(fr, *s, value.clone(), emit),
-                    None => emit(self, fr),
-                }
-            }
-            PExpr::Name { slot, .. } => match fr[*slot as usize].clone() {
-                Some(bound) => {
-                    if self.values_equal(&bound, value)? {
-                        emit(self, fr)
-                    } else {
-                        Ok(true)
-                    }
-                }
-                None => self.bind_then(fr, *slot, value.clone(), emit),
-            },
-            PExpr::Result(slot) => match fr[*slot as usize].clone() {
-                Some(bound) => {
-                    if self.values_equal(&bound, value)? {
-                        emit(self, fr)
-                    } else {
-                        Ok(true)
-                    }
-                }
-                None => self.bind_then(fr, *slot, value.clone(), emit),
-            },
-            PExpr::As(a, b) => self.match_pat(fr, this, a, value, &mut |ev, fr| {
-                ev.match_pat(fr, this, b, value, emit)
-            }),
-            PExpr::OrPat(a, b) => {
-                if !self.match_pat(fr, this, a, value, emit)? {
-                    return Ok(false);
-                }
-                self.match_pat(fr, this, b, value, emit)
-            }
-            PExpr::Where(p, goal) => self.match_pat(fr, this, p, value, &mut |ev, fr| {
-                ev.solve_goal(fr, this, goal.code(), emit)
-            }),
-            PExpr::Call {
-                receiver,
-                name,
-                args,
-                kind,
-                dispatch,
-            } => {
-                // Constructor pattern: dispatch on the matched value's class
-                // (or the statically named class), through the resolutions
-                // precomputed at lowering time.
-                match (kind, receiver) {
-                    (CallKind::StaticConstruct(cr), _) | (CallKind::ClassCtor(cr), None) => {
-                        let Some(pid) = self.resolve_static_match(cr, name) else {
-                            return Err(RtError::method_not_found(&cr.name, name));
-                        };
-                        // If the runtime class differs and an equality
-                        // constructor exists, convert first.
-                        if let Some(vclass) = value.class() {
-                            if !self.table.is_subtype(vclass, &cr.name) {
-                                if let Some(converted) = self.convert_via_equals(&cr.name, value)? {
-                                    return self.match_constructor(fr, &converted, pid, args, emit);
-                                }
-                                return Ok(true);
-                            }
-                        }
-                        self.match_constructor(fr, value, pid, args, emit)
-                    }
-                    _ => {
-                        // Dynamic: the value's own class (trivially a
-                        // subtype of itself, so no conversion applies).
-                        let pid = match value {
-                            Value::Obj(o) => self.resolve_dispatch_or_ctor(*dispatch, o, name),
-                            _ => None,
-                        };
-                        let Some(pid) = pid else {
-                            return Err(RtError::method_not_found(
-                                value.class().unwrap_or_default(),
-                                name,
-                            ));
-                        };
-                        self.match_constructor(fr, value, pid, args, emit)
-                    }
-                }
-            }
-            PExpr::Binary(op, a, b) => {
-                // Invertible integer arithmetic: exactly one non-ground side.
-                let Some(target) = value.as_int() else {
-                    return Ok(true);
-                };
-                let a_ground = self.ground(fr, this, a);
-                let b_ground = self.ground(fr, this, b);
-                match (op, a_ground, b_ground) {
-                    (_, true, true) => {
-                        let v = self.eval(fr, this, pat)?;
-                        if self.values_equal(&v, value)? {
-                            emit(self, fr)
-                        } else {
-                            Ok(true)
-                        }
-                    }
-                    (BinOp::Add, true, false) => {
-                        let av = self.eval(fr, this, a)?.as_int().unwrap_or(0);
-                        self.match_pat(fr, this, b, &Value::Int(target - av), emit)
-                    }
-                    (BinOp::Add, false, true) => {
-                        let bv = self.eval(fr, this, b)?.as_int().unwrap_or(0);
-                        self.match_pat(fr, this, a, &Value::Int(target - bv), emit)
-                    }
-                    (BinOp::Sub, false, true) => {
-                        let bv = self.eval(fr, this, b)?.as_int().unwrap_or(0);
-                        self.match_pat(fr, this, a, &Value::Int(target + bv), emit)
-                    }
-                    (BinOp::Sub, true, false) => {
-                        let av = self.eval(fr, this, a)?.as_int().unwrap_or(0);
-                        self.match_pat(fr, this, b, &Value::Int(av - target), emit)
-                    }
-                    _ => Err(RtError::new(
-                        "cannot invert this arithmetic pattern at run time",
-                    )),
-                }
-            }
-            PExpr::Neg(a) => {
-                let Some(target) = value.as_int() else {
-                    return Ok(true);
-                };
-                self.match_pat(fr, this, a, &Value::Int(-target), emit)
-            }
-            other => {
-                let v = self.eval(fr, this, other)?;
-                if self.values_equal(&v, value)? {
-                    emit(self, fr)
-                } else {
-                    Ok(true)
-                }
-            }
         }
     }
 
@@ -1374,8 +818,14 @@ impl<'p, 'b> Ev<'p, 'b> {
     // Ground evaluation
     // ------------------------------------------------------------------
 
-    /// Whether every variable mentioned by the expression is bound.
-    pub(crate) fn ground(&self, fr: &Frame, this: Option<&Value>, e: &PExpr) -> bool {
+    /// Whether every variable the expression mentions is bound in frame
+    /// `fi`.
+    pub(crate) fn ground(&self, fi: usize, e: &PExpr) -> bool {
+        let f = &self.frames[fi];
+        self.ground_in(&f.slots, f.this.as_ref(), e)
+    }
+
+    fn ground_in(&self, fr: &Frame, this: Option<&Value>, e: &PExpr) -> bool {
         match e {
             PExpr::Int(_) | PExpr::Bool(_) | PExpr::Str(_) | PExpr::Null => true,
             PExpr::This => this.is_some(),
@@ -1401,30 +851,30 @@ impl<'p, 'b> Ev<'p, 'b> {
                     }
                     || *class_ref
             }
-            PExpr::Field(b, _, _) => self.ground(fr, this, b),
+            PExpr::Field(b, _, _) => self.ground_in(fr, this, b),
             PExpr::Call { receiver, args, .. } => {
                 receiver
                     .as_deref()
-                    .map(|r| self.ground(fr, this, r))
+                    .map(|r| self.ground_in(fr, this, r))
                     .unwrap_or(true)
-                    && args.iter().all(|a| self.ground(fr, this, a))
+                    && args.iter().all(|a| self.ground_in(fr, this, a))
             }
             PExpr::Index(a, b) | PExpr::Binary(_, a, b) => {
-                self.ground(fr, this, a) && self.ground(fr, this, b)
+                self.ground_in(fr, this, a) && self.ground_in(fr, this, b)
             }
-            PExpr::NewArray(_, a) | PExpr::Neg(a) => self.ground(fr, this, a),
-            PExpr::Tuple(xs) => xs.iter().all(|x| self.ground(fr, this, x)),
+            PExpr::NewArray(_, a) | PExpr::Neg(a) => self.ground_in(fr, this, a),
+            PExpr::Tuple(xs) => xs.iter().all(|x| self.ground_in(fr, this, x)),
             PExpr::As(a, b) | PExpr::OrPat(a, b) => {
-                self.ground(fr, this, a) && self.ground(fr, this, b)
+                self.ground_in(fr, this, a) && self.ground_in(fr, this, b)
             }
-            PExpr::Where(p, _) => self.ground(fr, this, p),
+            PExpr::Where(p, _) => self.ground_in(fr, this, p),
         }
     }
 
     /// Borrowing evaluation of *place* expressions (bound slots, `this`,
     /// fields of `this`): returns a reference into the frame / receiver
     /// instead of cloning, or `None` when the expression is not a bound
-    /// place (the caller falls back to [`Ev::eval`], preserving its error
+    /// place (the caller falls back to [`Machine::eval`], preserving its error
     /// messages).
     fn eval_place<'f>(
         &self,
@@ -1451,39 +901,31 @@ impl<'p, 'b> Ev<'p, 'b> {
         }
     }
 
-    /// Evaluates a ground expression.
-    pub(crate) fn eval(&mut self, fr: &Frame, this: Option<&Value>, e: &PExpr) -> RtResult<Value> {
+    /// Evaluates a ground expression in frame `fi`.
+    pub(crate) fn eval(&mut self, fi: usize, e: &PExpr) -> RtResult<Value> {
         match e {
             PExpr::Int(n) => Ok(Value::Int(*n)),
             PExpr::Bool(b) => Ok(Value::Bool(*b)),
             PExpr::Str(s) => Ok(Value::Str(s.clone())),
             PExpr::Null => Ok(Value::Null),
-            PExpr::This => this
-                .cloned()
+            PExpr::This => self.frames[fi]
+                .this
+                .clone()
                 .ok_or_else(|| RtError::new("`this` is not in scope")),
-            PExpr::Result(s) => fr[*s as usize]
+            PExpr::Result(s) => self.frames[fi].slots[*s as usize]
                 .clone()
                 .ok_or_else(|| RtError::new("`result` is not bound")),
-            PExpr::Name {
-                slot,
-                name,
-                field_sym,
-                ..
-            } => {
-                if let Some(v) = &fr[*slot as usize] {
-                    return Ok(v.clone());
-                }
-                if let Some(Value::Obj(o)) = this {
-                    if let Some(v) = self.obj_field(o, *field_sym, name) {
-                        return Ok(v.clone());
-                    }
-                }
-                Err(RtError::new(format!("unbound variable `{name}`")))
+            PExpr::Name { name, .. } => {
+                let f = &self.frames[fi];
+                self.eval_place(&f.slots, f.this.as_ref(), e)
+                    .cloned()
+                    .ok_or_else(|| RtError::new(format!("unbound variable `{name}`")))
             }
             PExpr::Field(base, field, sym) => {
                 // Borrowing fast path: a slot- or `this`-backed base needs
                 // no Value clone — one slot scan, one field clone.
-                match self.eval_place(fr, this, base) {
+                let f = &self.frames[fi];
+                match self.eval_place(&f.slots, f.this.as_ref(), base) {
                     Some(Value::Obj(o)) => {
                         return self
                             .obj_field(o, *sym, field)
@@ -1495,7 +937,7 @@ impl<'p, 'b> Ev<'p, 'b> {
                     }
                     None => {}
                 }
-                let b = self.eval(fr, this, base)?;
+                let b = self.eval(fi, base)?;
                 match &b {
                     Value::Obj(o) => self
                         .obj_field(o, *sym, field)
@@ -1506,35 +948,18 @@ impl<'p, 'b> Ev<'p, 'b> {
             }
             PExpr::Binary(op, a, b) => {
                 let x = self
-                    .eval(fr, this, a)?
+                    .eval(fi, a)?
                     .as_int()
                     .ok_or_else(|| RtError::new("arithmetic on non-integer"))?;
                 let y = self
-                    .eval(fr, this, b)?
+                    .eval(fi, b)?
                     .as_int()
                     .ok_or_else(|| RtError::new("arithmetic on non-integer"))?;
-                let v = match op {
-                    BinOp::Add => x + y,
-                    BinOp::Sub => x - y,
-                    BinOp::Mul => x * y,
-                    BinOp::Div => {
-                        if y == 0 {
-                            return Err(RtError::new("division by zero"));
-                        }
-                        x / y
-                    }
-                    BinOp::Rem => {
-                        if y == 0 {
-                            return Err(RtError::new("remainder by zero"));
-                        }
-                        x % y
-                    }
-                };
-                Ok(Value::Int(v))
+                Ok(Value::Int(bin_int(*op, x, y)?))
             }
             PExpr::Neg(a) => {
                 let x = self
-                    .eval(fr, this, a)?
+                    .eval(fi, a)?
                     .as_int()
                     .ok_or_else(|| RtError::new("negation of non-integer"))?;
                 Ok(Value::Int(-x))
@@ -1547,7 +972,7 @@ impl<'p, 'b> Ev<'p, 'b> {
                 dispatch,
             } => {
                 let arg_values: RtResult<Vec<Value>> =
-                    args.iter().map(|a| self.eval(fr, this, a)).collect();
+                    args.iter().map(|a| self.eval(fi, a)).collect();
                 let arg_values = arg_values?;
                 match kind {
                     CallKind::StaticConstruct(cr) => match cr.construct_pid {
@@ -1560,7 +985,7 @@ impl<'p, 'b> Ev<'p, 'b> {
                         let r = receiver
                             .as_deref()
                             .expect("instance call without a receiver");
-                        let recv = self.eval(fr, this, r)?;
+                        let recv = self.eval(fi, r)?;
                         self.dispatch_method(&recv, name, *dispatch, arg_values)
                     }
                     CallKind::ClassCtor(cr) => {
@@ -1573,11 +998,8 @@ impl<'p, 'b> Ev<'p, 'b> {
                         Some(pid) => self.run_forward(*pid, None, arg_values),
                         None => Err(RtError::method_not_found("<toplevel>", name)),
                     },
-                    CallKind::ThisMethod => match this {
-                        Some(t) => {
-                            let t = t.clone();
-                            self.dispatch_method(&t, name, *dispatch, arg_values)
-                        }
+                    CallKind::ThisMethod => match self.frames[fi].this.clone() {
+                        Some(t) => self.dispatch_method(&t, name, *dispatch, arg_values),
                         None => Err(RtError::new(format!("cannot resolve call `{name}`"))),
                     },
                     CallKind::Unresolved => {
@@ -1594,82 +1016,21 @@ impl<'p, 'b> Ev<'p, 'b> {
     // Statements
     // ------------------------------------------------------------------
 
-    /// Commits the first solution of a statement goal into `fr`, returning
-    /// whether one existed. Goals that bind nothing skip the frame
-    /// snapshot: the common `while (i < n)` shape costs no allocation.
-    fn commit_first(
-        &mut self,
-        fr: &mut Frame,
-        this: Option<&Value>,
-        goal: &BcBody,
-    ) -> RtResult<bool> {
-        let mut found = false;
-        let mut sol = None;
-        self.solve_goal(fr, this, goal, &mut |_, f| {
-            found = true;
-            if goal.binds {
-                sol = Some(f.clone());
-            }
-            Ok(false)
-        })?;
-        if let Some(sol) = sol {
-            *fr = sol;
-        }
-        Ok(found)
-    }
-
-    /// Runs an imperative body through its register bytecode.
-    fn exec_bc_block(
-        &mut self,
-        fr: &mut Frame,
-        this: Option<&Value>,
-        bc: &BcBlock,
-    ) -> RtResult<Flow> {
-        let mut regs = self.take_regs(bc.nregs as usize);
+    /// Runs an imperative body through its register bytecode in frame `fi`.
+    fn exec_bc_block(&mut self, fi: usize, bc: &'g BcBlock) -> RtResult<Flow> {
+        let mut regs = take_regs(bc.nregs as usize);
         let mut guards = vec![0u32; bc.nguards as usize];
-        let r = self.exec_bc_code(fr, this, bc, &mut regs, &mut guards, 0);
-        self.recycle_regs(regs);
+        let r = self.exec_bc_code(fi, bc, &mut regs, &mut guards, 0);
+        recycle_regs(regs);
         r
-    }
-
-    /// Matches one `switch` case's patterns left to right against the
-    /// scrutinee values (tag-dispatch guard first, first solution per
-    /// pattern only) and snapshots the frame of a full match into `sol`;
-    /// the nested `bind_then` scopes leave `fr` as they found it.
-    fn match_case(
-        &mut self,
-        fr: &mut Frame,
-        this: Option<&Value>,
-        patterns: &[PExpr],
-        guards: &[CaseGuard],
-        values: &[Value],
-        sol: &mut Option<Frame>,
-    ) -> RtResult<()> {
-        let (Some(pat), Some(value)) = (patterns.first(), values.first()) else {
-            *sol = Some(fr.clone());
-            return Ok(());
-        };
-        let index = match value {
-            Value::Obj(o) => self.obj_index(o),
-            _ => None,
-        };
-        if !guards[0].admits(index) {
-            return Ok(());
-        }
-        self.match_pat(fr, this, pat, value, &mut |ev, fr| {
-            ev.match_case(fr, this, &patterns[1..], &guards[1..], &values[1..], sol)?;
-            Ok(false)
-        })?;
-        Ok(())
     }
 
     /// Runs block code from `pc` to the first [`SInstr::End`] (the body's
     /// end or a sub-chain's) or `return`.
     fn exec_bc_code(
         &mut self,
-        fr: &mut Frame,
-        this: Option<&Value>,
-        bc: &BcBlock,
+        fi: usize,
+        bc: &'g BcBlock,
         regs: &mut [Value],
         guards: &mut [u32],
         pc: Pc,
@@ -1691,10 +1052,11 @@ impl<'p, 'b> Ev<'p, 'b> {
                     name,
                     field_sym,
                 } => {
-                    let v = match &fr[*slot as usize] {
+                    let f = &self.frames[fi];
+                    let v = match &f.slots[*slot as usize] {
                         Some(v) => v.clone(),
                         None => {
-                            let fallback = match this {
+                            let fallback = match &f.this {
                                 Some(Value::Obj(o)) => {
                                     self.obj_field(o, *field_sym, &bc.names[*name as usize])
                                 }
@@ -1714,8 +1076,9 @@ impl<'p, 'b> Ev<'p, 'b> {
                     regs[*dst as usize] = v;
                 }
                 SInstr::LoadThis { dst } => {
-                    regs[*dst as usize] = this
-                        .cloned()
+                    regs[*dst as usize] = self.frames[fi]
+                        .this
+                        .clone()
                         .ok_or_else(|| RtError::new("`this` is not in scope"))?;
                 }
                 SInstr::LoadField {
@@ -1745,7 +1108,7 @@ impl<'p, 'b> Ev<'p, 'b> {
                 } => {
                     // The specialized-statement guard: bound, native-layout,
                     // right class — or the generic compilation runs instead.
-                    match &fr[*slot as usize] {
+                    match &self.frames[fi].slots[*slot as usize] {
                         Some(v @ Value::Obj(o)) if self.obj_index(o) == Some(*type_index) => {
                             regs[*dst as usize] = v.clone();
                         }
@@ -1781,7 +1144,7 @@ impl<'p, 'b> Ev<'p, 'b> {
                     regs[*dst as usize] = Value::Int(-x);
                 }
                 SInstr::EvalExpr { dst, expr } => {
-                    regs[*dst as usize] = self.eval(fr, this, &bc.exprs[*expr as usize])?;
+                    regs[*dst as usize] = self.eval(fi, &bc.exprs[*expr as usize])?;
                 }
                 SInstr::CallStatic {
                     dst,
@@ -1814,13 +1177,14 @@ impl<'p, 'b> Ev<'p, 'b> {
                 } => {
                     let args = regs[*base as usize..*base as usize + *argc as usize].to_vec();
                     let name = &bc.names[*name as usize];
-                    let t = this
-                        .cloned()
+                    let t = self.frames[fi]
+                        .this
+                        .clone()
                         .ok_or_else(|| RtError::new(format!("cannot resolve call `{name}`")))?;
                     regs[*dst as usize] = self.dispatch_method(&t, name, *dispatch, args)?;
                 }
                 SInstr::Store { slot, src } => {
-                    fr[*slot as usize] = Some(regs[*src as usize].clone());
+                    self.frames[fi].slots[*slot as usize] = Some(regs[*src as usize].clone());
                 }
                 SInstr::Ret { src } => return Ok(Flow::Return(regs[*src as usize].clone())),
                 SInstr::RetNull => return Ok(Flow::Return(Value::Null)),
@@ -1904,7 +1268,7 @@ impl<'p, 'b> Ev<'p, 'b> {
                     continue;
                 }
                 SInstr::Solve { goal, if_false } => {
-                    if !self.commit_first(fr, this, &bc.goals[*goal as usize])? {
+                    if !self.solve_first(fi, &bc.goals[*goal as usize])? {
                         pc = *if_false as usize;
                         continue;
                     }
@@ -1914,15 +1278,15 @@ impl<'p, 'b> Ev<'p, 'b> {
                     if_false,
                     next,
                 } => {
-                    let unbound = unbound_slots(fr);
+                    let unbound = self.unbound_slots(fi);
                     if let Some(g) = goal {
-                        if !self.commit_first(fr, this, &bc.goals[*g as usize])? {
+                        if !self.solve_first(fi, &bc.goals[*g as usize])? {
                             pc = *if_false as usize;
                             continue;
                         }
                     }
-                    let flow = self.exec_bc_code(fr, this, bc, regs, guards, pc as Pc + 1)?;
-                    unbound.iter().for_each(|&s| fr[s] = None);
+                    let flow = self.exec_bc_code(fi, bc, regs, guards, pc as Pc + 1)?;
+                    self.unbind(fi, &unbound);
                     if let Flow::Return(v) = flow {
                         return Ok(Flow::Return(v));
                     }
@@ -1932,20 +1296,15 @@ impl<'p, 'b> Ev<'p, 'b> {
                 SInstr::Foreach { goal, next } => {
                     // Every solution is collected before the first iteration:
                     // its values of the slots unbound on entry, in one row.
-                    let unbound = unbound_slots(fr);
-                    let (mut rows, mut n) = (Vec::new(), 0);
-                    self.solve_goal(fr, this, &bc.goals[*goal as usize], &mut |_, f| {
-                        rows.extend(unbound.iter().map(|&s| f[s].clone()));
-                        n += 1;
-                        Ok(true)
-                    })?;
+                    let unbound = self.unbound_slots(fi);
+                    let (rows, n) = self.solve_all(fi, &bc.goals[*goal as usize], &unbound)?;
                     let mut rows = rows.into_iter();
                     for _ in 0..n {
                         for &s in &unbound {
-                            fr[s] = rows.next().flatten();
+                            self.frames[fi].slots[s] = rows.next().flatten();
                         }
-                        let flow = self.exec_bc_code(fr, this, bc, regs, guards, pc as Pc + 1)?;
-                        unbound.iter().for_each(|&s| fr[s] = None);
+                        let flow = self.exec_bc_code(fi, bc, regs, guards, pc as Pc + 1)?;
+                        self.unbind(fi, &unbound);
                         if let Flow::Return(v) = flow {
                             return Ok(Flow::Return(v));
                         }
@@ -1966,25 +1325,24 @@ impl<'p, 'b> Ev<'p, 'b> {
                         _ => None,
                     };
                     let cands = index.and_then(|i| tbl.by_type.get(i as usize));
-                    let (mut sol, mut body) = (None, tbl.default);
+                    // Only a matched case's body is a scope, entered with
+                    // the case's bindings.
+                    let mut unbound = self.unbound_slots(fi);
+                    let mut body = None;
                     for &c in cands.unwrap_or(&tbl.other).iter() {
                         let case = &tbl.cases[c as usize];
                         let patterns = &bc.exprs[case.patterns as usize..][..case.guards.len()];
-                        self.match_case(fr, this, patterns, &case.guards, values, &mut sol)?;
-                        if sol.is_some() {
-                            body = case.body;
+                        if self.match_case(fi, patterns, &case.guards, values)? {
+                            body = Some(case.body);
                             break;
                         }
                     }
-                    // Only a matched case's body is a scope, entered with
-                    // the case's bindings.
-                    let mut unbound = Vec::new();
-                    if let Some(sol) = sol {
-                        unbound = unbound_slots(fr);
-                        *fr = sol;
-                    }
-                    let flow = self.exec_bc_code(fr, this, bc, regs, guards, body)?;
-                    unbound.iter().for_each(|&s| fr[s] = None);
+                    let body = body.unwrap_or_else(|| {
+                        unbound.clear();
+                        tbl.default
+                    });
+                    let flow = self.exec_bc_code(fi, bc, regs, guards, body)?;
+                    self.unbind(fi, &unbound);
                     if let Flow::Return(v) = flow {
                         return Ok(Flow::Return(v));
                     }
@@ -1997,12 +1355,19 @@ impl<'p, 'b> Ev<'p, 'b> {
             pc += 1;
         }
     }
-}
 
-/// The slots a scope entered here unbinds on exit (see [`BcBlock`]):
-/// updates to every other slot persist.
-fn unbound_slots(fr: &Frame) -> Vec<usize> {
-    (0..fr.len()).filter(|&s| fr[s].is_none()).collect()
+    /// The slots of frame `fi` a scope entered here unbinds on exit (see
+    /// [`BcBlock`]): updates to every other slot persist.
+    fn unbound_slots(&self, fi: usize) -> Vec<usize> {
+        let fr = &self.frames[fi].slots;
+        (0..fr.len()).filter(|&s| fr[s].is_none()).collect()
+    }
+
+    /// Leaves a scope: unbinds the slots it entered with unbound.
+    fn unbind(&mut self, fi: usize, slots: &[usize]) {
+        let fr = &mut self.frames[fi].slots;
+        slots.iter().for_each(|&s| fr[s] = None);
+    }
 }
 
 /// Integer arithmetic shared by the `Bin` bytecode instruction and the

@@ -9,8 +9,10 @@
 //!    mode-specialized query plan and then into threaded bytecode
 //!    ([`jmatch_core::bytecode`]; one-time work per program), and
 //! 2. the **plan engine** runs that bytecode over flat slot frames with
-//!    explicit choice points — a recursive evaluator for calls and a
-//!    resumable stack machine behind [`Solutions`].
+//!    explicit choice points on one resumable stack machine: behind
+//!    [`Solutions`] as the outermost run, and for every other search — a
+//!    forward call's body, negation, a statement goal, a `switch` case —
+//!    as a nested run of the machine already running.
 //!
 //! The original **tree-walking interpreter** ([`TreeWalker`]) — which
 //! re-discovers the solving order for every formula at every call — remains

@@ -1,68 +1,75 @@
-//! The resumable solver: an explicit stack machine over threaded bytecode.
+//! The solver: an explicit stack machine over threaded bytecode, and the
+//! only code in the plan engine that enumerates solutions.
 //!
-//! The paper compiles JMatch to Java_yield — coroutines that *lazily* yield
-//! one solution at a time, so a `foreach` over a backward-mode method does
-//! O(1) work per element and can stop early (§2.3, §5). The recursive plan
-//! evaluator in [`crate::eval`] implements the same search as host-language
-//! recursion with an inverted `emit` callback, which cannot be suspended:
-//! the caller gets *pushed* solutions and the only way to stop is to refuse
-//! them after the work is done.
+//! The paper compiles every JMatch iteration — `foreach`, the backward and
+//! iterative modes, `switch` patterns — to Java_yield coroutines that
+//! *lazily* yield one solution at a time, so a `foreach` over a
+//! backward-mode method does O(1) work per element and can stop early
+//! (§2.3, §5). This machine is that mechanism. It runs the [`BcBody`]
+//! instruction streams of `jmatch_core::bytecode` with the search reified
+//! into explicit state:
 //!
-//! This module is the pull-based counterpart. It runs the same
-//! [`BcBody`] instruction streams, with the choice-point recursion of the
-//! evaluator reified into explicit machine state:
-//!
-//! * a **continuation stack** ([`Step`]s linked through persistent
-//!   [`Rc`] nodes, so choice points capture it in O(1)),
+//! * a **continuation stack**: a plain vector of [`Step`]s on top of
+//!   [`Step`]s linked through persistent [`Rc`] nodes. Pushes and pops use
+//!   the vector; a choice point moves it into the linked part and then
+//!   captures the whole continuation in O(1), so only search that branches
+//!   allocates;
 //! * a **choice-point stack** recording the untried alternatives of each
-//!   `Choice` instruction / or-pattern,
-//! * a **trail** of slot writes plus a frame-arena mark per choice point, so
-//!   backtracking undoes bindings without cloning frames, and
-//! * a **frame arena** holding one flat slot frame per active constructor
-//!   match (the machine's activation records).
+//!   `Choice` instruction / or-pattern;
+//! * a **trail** of slot writes plus a frame-arena mark per choice point,
+//!   so backtracking undoes bindings without cloning frames;
+//! * a **frame arena** holding one flat slot frame per activation: the
+//!   query's root, each constructor match, each forward call.
 //!
-//! [`Machine::next_solution`] runs the loop until the continuation stack
-//! empties (a solution — the machine *returns* with its state intact) or
-//! the choice points are exhausted. Calling it again backtracks into the
-//! most recent choice point and continues, so `query.take(1)` does exactly
-//! the work of the first solution: this is what [`crate::Solutions`] is
-//! built on, and what the `first_solution` bench and the laziness test in
-//! `tests/laziness.rs` measure.
+//! [`Machine::next_solution`] runs the loop until the continuation empties
+//! (a solution — the machine *returns* with its state intact) or the
+//! choice points are exhausted. Calling it again backtracks into the most
+//! recent choice point and continues, so `query.take(1)` does exactly the
+//! work of the first solution: this is what [`crate::Solutions`] is built
+//! on, and what `tests/laziness.rs` measures.
 //!
-//! Deterministic sub-computations — ground evaluation, forward calls,
-//! negation-as-failure existence checks, deep equality — run through the
-//! recursive evaluator ([`Ev`]) on the shared [`Budget`]: they produce a
-//! single answer and never need to be resumed, so reifying them would buy
-//! nothing. The enumeration *spine* (conjunction scheduling, disjunction
-//! branches, constructor matching, pattern disjunction, `where` goals) is
-//! what the machine makes resumable, and its observable behavior — values,
+//! **Nested runs.** Every other search — the body of a forward call, an
+//! equality constructor, negation, a statement goal, a `switch` case, a
+//! constructor-argument pattern, `Program::deconstruct` — runs as a
+//! *nested run* of the machine already running, like a call barrier in
+//! Warren's Abstract Machine (Aït-Kaci, *Warren's Abstract Machine: A
+//! Tutorial Reconstruction*, 1991). [`Machine::open`] saves the
+//! continuation and sets a floor at the current choice-stack height; the
+//! nested run then ends when its continuation empties (a solution) or when
+//! backtracking reaches the floor (no solution), and [`Machine::close`]
+//! cuts the choice points above the floor and restores the continuation.
+//! So there is one search implementation, one [`Budget`] and one depth
+//! measure (frames). Deterministic work — ground evaluation, structural
+//! equality, dispatch, imperative block code — lives in [`crate::eval`] as
+//! further methods of the same machine. The observable behavior — values,
 //! bindings, enumeration order, failures — is kept identical to the
-//! recursive evaluator's and the tree-walker's; `tests/differential.rs`
-//! asserts it.
+//! tree-walker's; `tests/differential.rs` asserts it.
 //!
 //! The explicit choice-point stack is also what the OR-parallel executor
-//! ([`crate::par`]) exploits: every multi-alternative choice point is
-//! identified by its absolute **choice path** (the alternative indices of
-//! the older choice points on the derivation, in creation order), so
-//! [`Machine::split_oldest`] can export untried alternatives as
-//! self-contained replay tasks and a fresh machine can claim one by
-//! replaying the path prefix through [`Machine::with_budget`]'s guide.
+//! ([`crate::par`]) exploits: every multi-alternative choice point of the
+//! outermost run is identified by its absolute **choice path** (the
+//! alternative indices of the older choice points on the derivation, in
+//! creation order), so [`Machine::split_oldest`] can export untried
+//! alternatives as self-contained replay tasks and a fresh machine can
+//! claim one by replaying the path prefix through [`Machine::with_guide`].
 //! Lexicographic order on choice paths is exactly the sequential
 //! enumeration order — the invariant ordered-mode parallel enumeration is
-//! built on.
+//! built on. Nested runs never pause and never leave choice points behind,
+//! so they stay out of the paths.
 
-use crate::eval::{Budget, Ev, Frame};
+use crate::eval::{recycle_frame, Budget, Frame};
 use crate::{RtError, RtResult, Value};
 use jmatch_core::bytecode::{BcBody, Instr, Pc, UnifyMode};
 use jmatch_core::lower::{
-    BodyPlan, CallKind, DispatchId, PExpr, PlanId, ProgramPlan, ReadyCheck, SlotId,
+    BodyPlan, CallKind, CaseGuard, PExpr, PlanId, ProgramPlan, ReadyCheck, SlotId,
 };
-use jmatch_syntax::ast::{BinOp, CmpOp};
+use jmatch_core::table::ClassTable;
+use jmatch_syntax::ast::{BinOp, CmpOp, Type};
 use std::rc::Rc;
 
 /// One pending unit of work on the continuation stack.
 #[derive(Clone)]
-enum Step<'g> {
+pub(crate) enum Step<'g> {
     /// Run threaded bytecode from `pc` in frame `fi`; reaching the pc-0
     /// `Emit` ends the step and hands over to the rest of the stack.
     Bc { fi: usize, body: &'g BcBody, pc: Pc },
@@ -83,7 +90,7 @@ enum Step<'g> {
     /// A constructor-match solution boundary: the callee frame holds one
     /// solution of the matching plan; collect the parameter row and match
     /// the caller's argument patterns against it (first solution per
-    /// pattern, errors skip the row — the evaluator's `match_args_then`).
+    /// pattern; an error inside a pattern skips the row).
     CollectRow {
         caller: usize,
         callee: usize,
@@ -149,13 +156,14 @@ struct TrailEntry {
     old: Option<Value>,
 }
 
-/// An activation frame: the slots of one solved form plus its `this`.
-struct FrameCtx {
-    slots: Frame,
-    this: Option<Value>,
+/// An activation frame: the slots of one solved form or block plus its
+/// `this`.
+pub(crate) struct FrameCtx {
+    pub(crate) slots: Frame,
+    pub(crate) this: Option<Value>,
 }
 
-/// Where the machine is in its run.
+/// Where the outermost run is.
 enum Phase {
     /// Steps or choice points remain.
     Running,
@@ -178,14 +186,55 @@ pub(crate) enum RunOutcome {
     Paused,
 }
 
+/// What [`Machine::close`] does with the bindings a nested run made.
+#[derive(Clone, Copy)]
+pub(crate) enum Close {
+    /// Keep them, and keep their trail entries for frames older than the
+    /// run, so choice points below the floor can still undo them
+    /// (constructor-argument patterns inside a running search).
+    Commit,
+    /// Keep them and drop their trail entries: no live choice point can
+    /// reach the frames they touched (forward calls, whose frames are
+    /// popped, and statement goals of the block that owns the frame).
+    Pop,
+    /// Undo every slot write the nested run made (negation, `foreach`
+    /// after the last solution, a match that failed or erred).
+    Undo,
+}
+
+/// The state a nested run interrupts, restored by [`Machine::close`].
+pub(crate) struct Barrier<'g> {
+    base: usize,
+    cont: ContRef<'g>,
+    floor: usize,
+    nest: usize,
+    trail: usize,
+    frames: usize,
+}
+
 /// The resumable bytecode machine. See the module docs.
 pub(crate) struct Machine<'g> {
-    plan: &'g ProgramPlan,
-    budget: Budget,
-    frames: Vec<FrameCtx>,
+    pub(crate) plan: &'g ProgramPlan,
+    pub(crate) table: &'g ClassTable,
+    pub(crate) budget: Budget,
+    pub(crate) frames: Vec<FrameCtx>,
+    /// The top of the continuation, above `base`: steps no choice point
+    /// has captured yet.
+    local: Vec<Step<'g>>,
+    /// Where the current run's part of `local` starts; the steps below
+    /// belong to the runs a nested run interrupted.
+    base: usize,
+    /// The rest of the current run's continuation, below `local[base..]`.
     cont: ContRef<'g>,
     choices: Vec<Choice<'g>>,
     trail: Vec<TrailEntry>,
+    /// Choice points at or below this height belong to the runs a nested
+    /// run interrupted: backtracking never reaches them.
+    floor: usize,
+    /// How many nested runs are open.
+    nest: usize,
+    /// Set when backtracking reached the floor; ends the current run.
+    exhausted: bool,
     phase: Phase,
     /// The absolute choice path of the current derivation: one decision
     /// (alternative index) per *multi-alternative* choice point between the
@@ -195,9 +244,9 @@ pub(crate) struct Machine<'g> {
     /// paths IS the sequential (DFS) enumeration order.
     path: Vec<u32>,
     /// Replay directives for OR-parallel task resumption: the first
-    /// `guide.len()` choice points this machine *would* create instead
-    /// take the given alternative directly (and create no choice point —
-    /// the untried siblings belong to other tasks).
+    /// `guide.len()` choice points this machine's outermost run *would*
+    /// create instead take the given alternative directly (and create no
+    /// choice point — the untried siblings belong to other tasks).
     guide: Vec<u32>,
     guide_pos: usize,
     /// Choice points donated away by [`Machine::split_oldest`]. Donations
@@ -205,8 +254,9 @@ pub(crate) struct Machine<'g> {
     /// as `donated + choices.len()` stays meaningful across donations:
     /// the local index is `mark - donated`.
     donated: usize,
-    /// Total choice points ever created (instrumentation for the
-    /// determinism-commit tests and `Solutions::choice_points`).
+    /// Total choice points ever created, nested runs included
+    /// (instrumentation for the determinism-commit tests and
+    /// `Solutions::choice_points_created`).
     created: u64,
     /// Whether the *root* form was proved `Det` by `jmatch_core::analysis`:
     /// its first solution is its only one, so reaching it clears the whole
@@ -215,54 +265,46 @@ pub(crate) struct Machine<'g> {
 }
 
 impl<'g> Machine<'g> {
-    /// Creates a machine that enumerates the solutions of `code` over a
-    /// root frame seeded by the caller, with `this` in scope.
-    pub(crate) fn new(
-        plan: &'g ProgramPlan,
-        code: &'g BcBody,
-        root: Frame,
-        this: Option<Value>,
-        max_depth: usize,
-        max_steps: u64,
-    ) -> Self {
-        Machine::with_budget(
+    /// A machine with no query of its own: the entry point of a forward
+    /// call, a construction, `matches` or deep equality, whose searches
+    /// all run as nested runs.
+    pub(crate) fn new(plan: &'g ProgramPlan, budget: Budget) -> Self {
+        let spare = SPARE.with(|s| s.take()).unwrap_or_default();
+        Machine {
             plan,
-            code,
-            root,
-            this,
-            Budget::new(max_depth, max_steps),
-            Vec::new(),
-        )
-    }
-
-    /// Creates a machine over an explicit [`Budget`] (possibly drawing on a
-    /// shared OR-parallel step pool) with a replay `guide`: the decision
-    /// prefix that routes this machine to its task's subtree. Execution is
-    /// deterministic between choice points, so replaying the prefix
-    /// reconstructs the donor's frames, trail, and bindings exactly.
-    pub(crate) fn with_budget(
-        plan: &'g ProgramPlan,
-        code: &'g BcBody,
-        root: Frame,
-        this: Option<Value>,
-        budget: Budget,
-        guide: Vec<u32>,
-    ) -> Self {
-        let mut m = Machine {
-            plan,
+            table: plan.table(),
             budget,
-            frames: vec![FrameCtx { slots: root, this }],
+            frames: spare.frames,
+            local: Vec::new(),
+            base: 0,
             cont: None,
             choices: Vec::new(),
-            trail: Vec::new(),
+            trail: spare.trail,
+            floor: 0,
+            nest: 0,
+            exhausted: false,
             phase: Phase::Running,
-            path: Vec::new(),
-            guide,
+            path: spare.path,
+            guide: Vec::new(),
             guide_pos: 0,
             donated: 0,
             created: 0,
             root_det: false,
-        };
+        }
+    }
+
+    /// A machine that enumerates the solutions of `code` over a root frame
+    /// seeded by the caller, with `this` in scope, drawing on `budget`
+    /// (possibly a shared OR-parallel step pool).
+    pub(crate) fn query(
+        plan: &'g ProgramPlan,
+        budget: Budget,
+        code: &'g BcBody,
+        root: Frame,
+        this: Option<Value>,
+    ) -> Self {
+        let mut m = Machine::new(plan, budget);
+        m.frames.push(FrameCtx { slots: root, this });
         m.push(Step::Bc {
             fi: 0,
             body: code,
@@ -271,12 +313,21 @@ impl<'g> Machine<'g> {
         m
     }
 
+    /// Installs a replay `guide`: the decision prefix that routes this
+    /// machine to its OR-parallel task's subtree. Execution is
+    /// deterministic between choice points, so replaying the prefix
+    /// reconstructs the donor's frames, trail, and bindings exactly.
+    pub(crate) fn with_guide(mut self, guide: Vec<u32>) -> Self {
+        self.guide = guide;
+        self
+    }
+
     /// The root frame (the query's own solved form).
     pub(crate) fn root_frame(&self) -> &Frame {
         &self.frames[0].slots
     }
 
-    /// Machine steps (plus recursive-evaluator steps) spent so far.
+    /// Machine steps spent so far.
     pub(crate) fn steps(&self) -> u64 {
         self.budget.steps
     }
@@ -319,48 +370,62 @@ impl<'g> Machine<'g> {
         }
     }
 
-    /// Runs for at most `fuel` machine steps or until the next solution /
-    /// exhaustion, whichever comes first. An error ends the enumeration.
+    /// Runs the outermost run for at most `fuel` machine steps or until the
+    /// next solution / exhaustion, whichever comes first. An error ends the
+    /// enumeration.
     pub(crate) fn run(&mut self, fuel: u64) -> RtResult<RunOutcome> {
+        // Nested runs recurse on the native stack from here.
+        self.budget.mark_stack();
         if matches!(self.phase, Phase::AtSolution) {
             self.phase = Phase::Running;
             if !self.backtrack() {
                 self.phase = Phase::Done;
             }
         }
+        if matches!(self.phase, Phase::Done) {
+            return Ok(RunOutcome::Exhausted);
+        }
+        match self.drive(fuel) {
+            Ok(RunOutcome::Solution) => {
+                if self.root_det {
+                    // The analysis proved the root form has at most one
+                    // solution: this is it, so every remaining choice
+                    // point is barren.
+                    self.cut(0);
+                }
+                self.phase = Phase::AtSolution;
+                Ok(RunOutcome::Solution)
+            }
+            Ok(RunOutcome::Exhausted) => {
+                self.phase = Phase::Done;
+                Ok(RunOutcome::Exhausted)
+            }
+            Ok(RunOutcome::Paused) => Ok(RunOutcome::Paused),
+            Err(e) => {
+                self.phase = Phase::Done;
+                Err(e)
+            }
+        }
+    }
+
+    /// The step loop shared by the outermost run and every nested one:
+    /// runs until the continuation empties (a solution), backtracking
+    /// reaches the floor, or `fuel` steps are spent.
+    fn drive(&mut self, fuel: u64) -> RtResult<RunOutcome> {
         let mut used: u64 = 0;
         loop {
-            if matches!(self.phase, Phase::Done) {
+            if self.exhausted {
+                self.exhausted = false;
                 return Ok(RunOutcome::Exhausted);
             }
             if used >= fuel {
                 return Ok(RunOutcome::Paused);
             }
             used += 1;
-            let Some(node) = self.cont.take() else {
-                if self.root_det {
-                    // The analysis proved the root form has at most one
-                    // solution: this is it, so every remaining choice
-                    // point is barren.
-                    self.choices.clear();
-                }
-                self.phase = Phase::AtSolution;
+            let Some(step) = self.pop() else {
                 return Ok(RunOutcome::Solution);
             };
-            let step = match Rc::try_unwrap(node) {
-                Ok(n) => {
-                    self.cont = n.next;
-                    n.step
-                }
-                Err(rc) => {
-                    self.cont = rc.next.clone();
-                    rc.step.clone()
-                }
-            };
-            if let Err(e) = self.exec(step) {
-                self.phase = Phase::Done;
-                return Err(e);
-            }
+            self.exec(step)?;
         }
     }
 
@@ -368,7 +433,8 @@ impl<'g> Machine<'g> {
     /// this machine's remaining search space — as replay tasks for other
     /// OR-parallel workers, removing it locally so this machine never
     /// explores the donated alternatives. Returns one absolute choice path
-    /// per untried alternative, in alternative order.
+    /// per untried alternative, in alternative order. Only called between
+    /// runs, when no nested run is open.
     ///
     /// Donating the oldest choice point (rather than the newest) keeps the
     /// donated grains as large as possible *and* upholds the ordering
@@ -382,25 +448,21 @@ impl<'g> Machine<'g> {
         if self.choices.is_empty() {
             return Vec::new();
         }
-        let ch = self.choices.remove(0);
+        let mut ch = self.choices.remove(0);
+        unlink(ch.cont.take());
         self.donated += 1;
         let prefix = &self.path[..ch.path_mark];
-        match ch.alt {
-            Alt::OrPat { .. } => {
-                let mut p = Vec::with_capacity(prefix.len() + 1);
-                p.extend_from_slice(prefix);
-                p.push(1);
-                vec![p]
-            }
-            Alt::BcChoice { alts, next, .. } => (next..alts.len())
-                .map(|k| {
-                    let mut p = Vec::with_capacity(prefix.len() + 1);
-                    p.extend_from_slice(prefix);
-                    p.push(k as u32);
-                    p
-                })
-                .collect(),
-        }
+        let alts = match ch.alt {
+            Alt::OrPat { .. } => 1..2,
+            Alt::BcChoice { alts, next, .. } => next..alts.len(),
+        };
+        alts.map(|k| {
+            let mut p = Vec::with_capacity(prefix.len() + 1);
+            p.extend_from_slice(prefix);
+            p.push(k as u32);
+            p
+        })
+        .collect()
     }
 
     /// Whether the machine still holds a splittable choice point.
@@ -418,17 +480,43 @@ impl<'g> Machine<'g> {
     // Machine infrastructure
     // ------------------------------------------------------------------
 
-    fn push(&mut self, step: Step<'g>) {
-        self.cont = Some(Rc::new(Cont {
-            step,
-            next: self.cont.take(),
-        }));
+    pub(crate) fn push(&mut self, step: Step<'g>) {
+        self.local.push(step);
+    }
+
+    fn pop(&mut self) -> Option<Step<'g>> {
+        if self.local.len() > self.base {
+            return self.local.pop();
+        }
+        let node = self.cont.take()?;
+        Some(match Rc::try_unwrap(node) {
+            Ok(n) => {
+                self.cont = n.next;
+                n.step
+            }
+            Err(rc) => {
+                self.cont = rc.next.clone();
+                rc.step.clone()
+            }
+        })
+    }
+
+    /// Drops the current run's continuation.
+    fn clear_cont(&mut self) {
+        self.local.truncate(self.base);
+        unlink(self.cont.take());
     }
 
     /// Records a choice point capturing the current continuation and marks,
     /// and pushes the initial decision (alternative 0) onto the choice
     /// path.
     fn choice(&mut self, alt: Alt<'g>) {
+        for step in self.local.drain(self.base..) {
+            self.cont = Some(Rc::new(Cont {
+                step,
+                next: self.cont.take(),
+            }));
+        }
         self.created += 1;
         self.choices.push(Choice {
             cont: self.cont.clone(),
@@ -437,13 +525,20 @@ impl<'g> Machine<'g> {
             path_mark: self.path.len(),
             alt,
         });
-        self.path.push(0);
+        // Nested runs stay out of the choice paths (see the module docs).
+        if self.nest == 0 {
+            self.path.push(0);
+        }
     }
 
-    /// Consumes the next replay directive, if the guide still has one: the
-    /// pending choice point takes alternative `d` directly and creates no
-    /// local choice point (its siblings belong to other tasks).
+    /// Consumes the next replay directive, if the outermost run's guide
+    /// still has one: the pending choice point takes alternative `d`
+    /// directly and creates no local choice point (its siblings belong to
+    /// other tasks).
     fn next_guide(&mut self) -> Option<u32> {
+        if self.nest > 0 {
+            return None;
+        }
         let d = *self.guide.get(self.guide_pos)?;
         self.guide_pos += 1;
         self.path.push(d);
@@ -451,27 +546,75 @@ impl<'g> Machine<'g> {
     }
 
     /// Binds a slot, recording the old value on the trail.
-    fn bind(&mut self, fi: usize, slot: SlotId, value: Option<Value>) {
-        let old = std::mem::replace(&mut self.frames[fi].slots[slot as usize], value);
+    fn bind(&mut self, fi: usize, slot: SlotId, value: Value) {
+        let old = self.frames[fi].slots[slot as usize].replace(value);
         self.trail.push(TrailEntry { fi, slot, old });
     }
 
-    /// The current goal failed: restore the most recent choice point and
-    /// install its next alternative, or end the run.
+    /// Drops the choice points above height `n`.
+    fn cut(&mut self, n: usize) {
+        while self.choices.len() > n {
+            if let Some(mut ch) = self.choices.pop() {
+                unlink(ch.cont.take());
+            }
+        }
+    }
+
+    /// Undoes the trail down to `mark`.
+    fn undo_to(&mut self, mark: usize) {
+        while self.trail.len() > mark {
+            let TrailEntry { fi, slot, old } = self.trail.pop().expect("trail underflow");
+            self.frames[fi].slots[slot as usize] = old;
+        }
+    }
+
+    /// Pushes an activation frame, enforcing the depth ceiling and the
+    /// native-stack guard (nested runs recurse natively).
+    pub(crate) fn push_frame(&mut self, slots: Frame, this: Option<Value>) -> RtResult<usize> {
+        if self.frames.len() >= self.budget.max_depth {
+            recycle_frame(slots);
+            return Err(RtError::limit(
+                "depth",
+                self.budget.max_depth as u64,
+                "solver recursion limit exceeded",
+            ));
+        }
+        if let Err(e) = self.budget.check_stack() {
+            recycle_frame(slots);
+            return Err(e);
+        }
+        self.frames.push(FrameCtx { slots, this });
+        Ok(self.frames.len() - 1)
+    }
+
+    /// Pops the frames above height `n`, recycling their slot vectors.
+    pub(crate) fn truncate_frames(&mut self, n: usize) {
+        while self.frames.len() > n {
+            if let Some(f) = self.frames.pop() {
+                recycle_frame(f.slots);
+            }
+        }
+    }
+
+    /// The current goal failed: restore the most recent choice point above
+    /// the floor and install its next alternative, or end the run.
     fn fail(&mut self) {
         if !self.backtrack() {
-            self.phase = Phase::Done;
+            self.clear_cont();
+            self.exhausted = true;
         }
     }
 
     fn backtrack(&mut self) -> bool {
+        if self.choices.len() <= self.floor {
+            return false;
+        }
         let Some(ch) = self.choices.last_mut() else {
             return false;
         };
         let trail_mark = ch.trail_mark;
         let frames_mark = ch.frames_mark;
         let path_mark = ch.path_mark;
-        let cont = ch.cont.clone();
         let (step, decision, exhausted) = match &mut ch.alt {
             Alt::OrPat { fi, pat, value } => (
                 Step::Match {
@@ -498,92 +641,269 @@ impl<'g> Machine<'g> {
                 (step, decision, *next >= alts.len())
             }
         };
-        if exhausted {
-            self.choices.pop();
-        }
-        while self.trail.len() > trail_mark {
-            let TrailEntry { fi, slot, old } = self.trail.pop().expect("trail underflow");
-            self.frames[fi].slots[slot as usize] = old;
-        }
-        self.frames.truncate(frames_mark);
+        let cont = if exhausted {
+            self.choices.pop().and_then(|mut ch| ch.cont.take())
+        } else {
+            ch.cont.clone()
+        };
+        self.undo_to(trail_mark);
+        self.truncate_frames(frames_mark);
         self.path.truncate(path_mark);
-        self.path.push(decision);
+        if self.nest == 0 {
+            self.path.push(decision);
+        }
+        self.clear_cont();
         self.cont = cont;
-        self.push(step);
+        self.local.push(step);
         true
     }
 
     // ------------------------------------------------------------------
-    // Deterministic helpers (delegated to the recursive evaluator)
+    // Nested runs
     // ------------------------------------------------------------------
 
-    fn ground(&mut self, fi: usize, e: &PExpr) -> bool {
-        let Machine {
-            plan,
-            budget,
-            frames,
-            ..
-        } = self;
-        let f = &frames[fi];
-        Ev::new(plan, budget).ground(&f.slots, f.this.as_ref(), e)
+    /// Opens a nested run: saves the continuation and sets the floor at the
+    /// current choice-stack height. Push the run's first step, then
+    /// [`Machine::pull`] its solutions and [`Machine::close`] it — also
+    /// after an error, when the caller goes on.
+    pub(crate) fn open(&mut self) -> Barrier<'g> {
+        let b = Barrier {
+            base: self.base,
+            cont: self.cont.take(),
+            floor: self.floor,
+            nest: self.nest,
+            trail: self.trail.len(),
+            frames: self.frames.len(),
+        };
+        self.base = self.local.len();
+        self.floor = self.choices.len();
+        self.nest += 1;
+        b
     }
 
-    fn eval_expr(&mut self, fi: usize, e: &PExpr) -> RtResult<Value> {
-        let Machine {
-            plan,
-            budget,
-            frames,
-            ..
-        } = self;
-        let f = &frames[fi];
-        Ev::new(plan, budget).eval(&f.slots, f.this.as_ref(), e)
-    }
-
-    fn values_equal(&mut self, a: &Value, b: &Value) -> RtResult<bool> {
-        Ev::new(self.plan, &mut self.budget).values_equal(a, b)
-    }
-
-    /// Resolves a runtime-class-dispatched name through the same dispatch
-    /// tables the recursive evaluator uses.
-    fn resolve_dispatch(
-        &mut self,
-        dispatch: Option<DispatchId>,
-        value: &Value,
-        name: &str,
-        with_ctor_fallback: bool,
-    ) -> Option<PlanId> {
-        let Value::Obj(o) = value else { return None };
-        let ev = Ev::new(self.plan, &mut self.budget);
-        if with_ctor_fallback {
-            ev.resolve_dispatch_or_ctor(dispatch, o, name)
-        } else {
-            ev.resolve_dispatch(dispatch, o, name)
+    /// Runs the open nested run to its next solution: `Ok(true)` when its
+    /// continuation empties, `Ok(false)` when backtracking reaches the
+    /// floor. `again` backtracks out of the previous solution first.
+    pub(crate) fn pull(&mut self, again: bool) -> RtResult<bool> {
+        if again && !self.backtrack() {
+            return Ok(false);
         }
+        Ok(matches!(self.drive(u64::MAX)?, RunOutcome::Solution))
     }
 
-    /// Existence check for negation-as-failure: runs the negated sub-chain
-    /// at `inner` on the recursive evaluator over a scratch copy of the
-    /// frame.
-    fn exists(&mut self, fi: usize, body: &BcBody, inner: Pc) -> RtResult<bool> {
-        let Machine {
-            plan,
-            budget,
-            frames,
-            ..
-        } = self;
-        let f = &frames[fi];
-        let mut scratch = f.slots.clone();
-        let this = f.this.clone();
-        let mut found = false;
-        Ev::new(plan, budget).solve_bc(&mut scratch, this.as_ref(), body, inner, &mut |_, _| {
-            found = true;
-            Ok(false)
-        })?;
-        Ok(found)
+    /// Closes a nested run: cuts the choice points above its floor, treats
+    /// its bindings as `how` says, pops the frames it pushed, and restores
+    /// the interrupted continuation.
+    pub(crate) fn close(&mut self, b: Barrier<'g>, how: Close) {
+        self.cut(self.floor);
+        match how {
+            Close::Undo => self.undo_to(b.trail),
+            Close::Pop => self.trail.truncate(b.trail),
+            Close::Commit => {
+                // Entries for frames the run pushed die with the frames.
+                let mut i = b.trail;
+                while i < self.trail.len() {
+                    if self.trail[i].fi >= b.frames {
+                        self.trail.swap_remove(i);
+                    } else {
+                        i += 1;
+                    }
+                }
+            }
+        }
+        self.truncate_frames(b.frames);
+        self.exhausted = false;
+        self.clear_cont();
+        self.base = b.base;
+        self.cont = b.cont;
+        self.floor = b.floor;
+        self.nest = b.nest;
     }
 
-    fn is_subtype(&self, class: &str, ty: &str) -> bool {
-        self.plan.table().is_subtype(class, ty)
+    /// Runs `body` over a fresh frame as a nested run and reads its first
+    /// solution's frame with `read`; `None` when there is none. The frame
+    /// is popped afterwards (forward calls, equality constructors).
+    pub(crate) fn solve_fresh<T>(
+        &mut self,
+        slots: Frame,
+        this: Option<Value>,
+        body: &'g BcBody,
+        read: impl FnOnce(&Frame) -> T,
+    ) -> RtResult<Option<T>> {
+        let b = self.open();
+        let r = self.push_frame(slots, this).and_then(|fi| {
+            self.push(Step::Bc {
+                fi,
+                body,
+                pc: body.entry,
+            });
+            Ok(self.pull(false)?.then(|| read(&self.frames[fi].slots)))
+        });
+        self.close(b, Close::Pop);
+        r
+    }
+
+    /// Commits the first solution of a statement goal into frame `fi`,
+    /// returning whether one existed.
+    pub(crate) fn solve_first(&mut self, fi: usize, goal: &'g BcBody) -> RtResult<bool> {
+        let b = self.open();
+        self.push(Step::Bc {
+            fi,
+            body: goal,
+            pc: goal.entry,
+        });
+        let r = self.pull(false);
+        let how = if matches!(r, Ok(true)) {
+            Close::Pop
+        } else {
+            Close::Undo
+        };
+        self.close(b, how);
+        r
+    }
+
+    /// Runs a `foreach` goal in frame `fi` to exhaustion, collecting each
+    /// solution's values of `slots` in one flat row per solution; the frame
+    /// is left as it was.
+    pub(crate) fn solve_all(
+        &mut self,
+        fi: usize,
+        goal: &'g BcBody,
+        slots: &[usize],
+    ) -> RtResult<(Vec<Option<Value>>, usize)> {
+        let b = self.open();
+        self.push(Step::Bc {
+            fi,
+            body: goal,
+            pc: goal.entry,
+        });
+        let (mut rows, mut n) = (Vec::new(), 0);
+        let mut r = self.pull(false);
+        while let Ok(true) = r {
+            let f = &self.frames[fi].slots;
+            rows.extend(slots.iter().map(|&s| f[s].clone()));
+            n += 1;
+            r = self.pull(true);
+        }
+        self.close(b, Close::Undo);
+        r.map(|_| (rows, n))
+    }
+
+    /// Matches one `switch` case's patterns left to right against the
+    /// scrutinee values in frame `fi` (tag-dispatch guard first, first
+    /// solution per pattern only). A full match keeps its bindings.
+    pub(crate) fn match_case(
+        &mut self,
+        fi: usize,
+        patterns: &'g [PExpr],
+        guards: &[CaseGuard],
+        values: &[Value],
+    ) -> RtResult<bool> {
+        let b = self.open();
+        let mut r = Ok(true);
+        for ((pat, guard), value) in patterns.iter().zip(guards).zip(values) {
+            let index = match value {
+                Value::Obj(o) => self.obj_index(o),
+                _ => None,
+            };
+            if !guard.admits(index) {
+                r = Ok(false);
+                break;
+            }
+            self.cut(self.floor);
+            self.push(Step::Match {
+                fi,
+                pat,
+                value: value.clone(),
+            });
+            r = self.pull(false);
+            if !matches!(r, Ok(true)) {
+                break;
+            }
+        }
+        let how = if matches!(r, Ok(true)) {
+            Close::Pop
+        } else {
+            Close::Undo
+        };
+        self.close(b, how);
+        r
+    }
+
+    /// Whether the negated sub-chain at `inner` has a solution in frame
+    /// `fi` (negation as failure); its bindings are undone.
+    fn exists(&mut self, fi: usize, body: &'g BcBody, inner: Pc) -> RtResult<bool> {
+        let b = self.open();
+        self.push(Step::Bc {
+            fi,
+            body,
+            pc: inner,
+        });
+        let r = self.pull(false);
+        self.close(b, Close::Undo);
+        r
+    }
+
+    /// Every solution row of `pid`'s matching plan against `value`: the
+    /// parameter values, rows that leave a parameter unbound or violate
+    /// its declared type skipped. A `Det` matching form stops after its
+    /// first solution.
+    pub(crate) fn deconstruct_rows(
+        &mut self,
+        value: &Value,
+        pid: PlanId,
+    ) -> RtResult<Vec<Vec<Value>>> {
+        let plan = self.plan;
+        let mp = plan.method(pid);
+        let BodyPlan::Formula { matching, .. } = &mp.body else {
+            return Err(RtError::mode_mismatch(
+                &mp.info.qualified_name(),
+                "backward (pattern-matching)",
+            ));
+        };
+        let params = &mp.info.decl.params;
+        let body = matching.code();
+        let b = self.open();
+        let slots = crate::eval::take_frame(matching.frame.len());
+        let mut rows = Vec::new();
+        let r = self.push_frame(slots, Some(value.clone())).and_then(|fi| {
+            self.push(Step::Bc {
+                fi,
+                body,
+                pc: body.entry,
+            });
+            let mut again = false;
+            while self.pull(again)? {
+                again = true;
+                let f = &self.frames[fi].slots;
+                let row: Option<Vec<Value>> = matching
+                    .param_slots
+                    .iter()
+                    .map(|&s| f[s as usize].clone())
+                    .collect();
+                // Apply the declared parameter types as patterns, like
+                // matching `T name` against each solution value.
+                if let Some(row) = row.filter(|row| self.row_admits(params, row)) {
+                    rows.push(row);
+                }
+                if matching.det {
+                    break;
+                }
+            }
+            Ok(())
+        });
+        self.close(b, Close::Pop);
+        r.map(|()| rows)
+    }
+
+    fn row_admits(&self, params: &[jmatch_syntax::ast::Param], row: &[Value]) -> bool {
+        params
+            .iter()
+            .zip(row)
+            .all(|(p, v)| match (&p.ty, v.class()) {
+                (Type::Named(t), Some(class)) => self.table.is_subtype(class, t),
+                _ => true,
+            })
     }
 
     // ------------------------------------------------------------------
@@ -612,12 +932,12 @@ impl<'g> Machine<'g> {
     }
 
     /// Threads the compiled instruction stream from `pc`. Deterministic
-    /// instructions (comparisons, tests, ground unifications, boolean
-    /// predicates, failed negations) continue inline at their compile-time
-    /// `next` pc without touching the continuation stack; only operations
-    /// that need a resumption boundary — pattern matches, constructor
-    /// entries, run-time scheduled conjunctions — push a [`Step::Bc`]
-    /// continuation.
+    /// instructions (comparisons, tests, ground unifications, flat pattern
+    /// bindings, boolean predicates, failed negations) continue inline at
+    /// their compile-time `next` pc without touching the continuation
+    /// stack; only operations that need a resumption boundary — branching
+    /// pattern matches, constructor entries, run-time scheduled
+    /// conjunctions — push a [`Step::Bc`] continuation.
     /// The inline loop terminates because bodies are emitted right-to-left:
     /// every `next` (and every `Choice` alternative) is strictly smaller
     /// than the pc of the instruction holding it. One budget step is
@@ -660,56 +980,51 @@ impl<'g> Machine<'g> {
                             (false, true) => UnifyMode::MatchEval,
                             (false, false) => {
                                 return Err(RtError::new(format!(
-                                        "equation with unknowns on both sides is not solvable: {l:?} = {r:?}"
-                                    )));
+                                    "equation with unknowns on both sides is not solvable: \
+                                     {l:?} = {r:?}"
+                                )));
                             }
                         },
                         m => *m,
                     };
-                    match mode {
+                    let (src, pat) = match mode {
                         UnifyMode::EvalEval => {
-                            let a = self.eval_expr(fi, l)?;
-                            let b = self.eval_expr(fi, r)?;
+                            let a = self.eval(fi, l)?;
+                            let b = self.eval(fi, r)?;
                             if !self.values_equal(&a, &b)? {
                                 self.fail();
                                 return Ok(());
                             }
                             pc = *next;
+                            continue;
                         }
-                        UnifyMode::EvalMatch => {
-                            let v = self.eval_expr(fi, l)?;
-                            self.push(Step::Bc {
-                                fi,
-                                body,
-                                pc: *next,
-                            });
-                            self.push(Step::Match {
-                                fi,
-                                pat: r,
-                                value: v,
-                            });
-                            return Ok(());
-                        }
-                        UnifyMode::MatchEval => {
-                            let v = self.eval_expr(fi, r)?;
-                            self.push(Step::Bc {
-                                fi,
-                                body,
-                                pc: *next,
-                            });
-                            self.push(Step::Match {
-                                fi,
-                                pat: l,
-                                value: v,
-                            });
-                            return Ok(());
-                        }
+                        UnifyMode::EvalMatch => (l, r),
+                        UnifyMode::MatchEval => (r, l),
                         UnifyMode::Dynamic => unreachable!("dynamic mode resolved above"),
+                    };
+                    let v = self.eval(fi, src)?;
+                    if !is_flat(pat) {
+                        self.push(Step::Bc {
+                            fi,
+                            body,
+                            pc: *next,
+                        });
+                        self.push(Step::Match { fi, pat, value: v });
+                        return Ok(());
                     }
+                    // A flat pattern binds inline; it is charged the two
+                    // steps its match and resumption would have cost.
+                    self.budget.step()?;
+                    self.budget.step()?;
+                    if !self.match_flat(fi, pat, v)? {
+                        self.fail();
+                        return Ok(());
+                    }
+                    pc = *next;
                 }
                 Instr::Compare { op, lhs, rhs, next } => {
-                    let a = self.eval_expr(fi, &body.exprs[*lhs as usize])?;
-                    let b = self.eval_expr(fi, &body.exprs[*rhs as usize])?;
+                    let a = self.eval(fi, &body.exprs[*lhs as usize])?;
+                    let b = self.eval(fi, &body.exprs[*rhs as usize])?;
                     let holds = match (a.as_int(), b.as_int()) {
                         (Some(x), Some(y)) => match op {
                             CmpOp::Le => x <= y,
@@ -733,7 +1048,7 @@ impl<'g> Machine<'g> {
                     pc = *next;
                 }
                 Instr::Test { expr, next } => {
-                    let v = self.eval_expr(fi, &body.exprs[*expr as usize])?;
+                    let v = self.eval(fi, &body.exprs[*expr as usize])?;
                     if v.as_bool() != Some(true) {
                         self.fail();
                         return Ok(());
@@ -754,7 +1069,7 @@ impl<'g> Machine<'g> {
                             if !self.ground(fi, r) {
                                 return Err(RtError::new("predicate receiver is not ground"));
                             }
-                            self.eval_expr(fi, r)?
+                            self.eval(fi, r)?
                         }
                         None => self.frames[fi]
                             .this
@@ -762,14 +1077,10 @@ impl<'g> Machine<'g> {
                             .ok_or_else(|| RtError::new("predicate call without a receiver"))?,
                     };
                     match &subject {
-                        Value::Obj(_) => {
+                        Value::Obj(o) => {
                             let name = &body.names[*name as usize];
-                            let Some(pid) = self.resolve_dispatch(*dispatch, &subject, name, false)
-                            else {
-                                return Err(RtError::method_not_found(
-                                    subject.class().unwrap_or_default(),
-                                    name,
-                                ));
+                            let Some(pid) = self.resolve_dispatch(*dispatch, o, name) else {
+                                return Err(RtError::method_not_found(o.class(), name));
                             };
                             let args = body.args(*args_start, *args_len);
                             self.push(Step::Bc {
@@ -777,7 +1088,7 @@ impl<'g> Machine<'g> {
                                 body,
                                 pc: *next,
                             });
-                            return self.enter_constructor(fi, subject.clone(), pid, args);
+                            return self.enter_constructor(fi, subject, pid, args);
                         }
                         Value::Bool(b) => {
                             if !*b {
@@ -815,7 +1126,7 @@ impl<'g> Machine<'g> {
     /// Selects the first ready item against the *current* bindings and
     /// re-queues the rest — the run-time scheduling of [`Instr::DynSeq`],
     /// re-evaluated after every solution of every earlier item exactly
-    /// like the recursive evaluator (and the tree-walker) do.
+    /// like the tree-walker does.
     fn exec_dynseq(
         &mut self,
         fi: usize,
@@ -826,21 +1137,11 @@ impl<'g> Machine<'g> {
         if remaining.is_empty() {
             return Ok(());
         }
-        let chosen = {
-            let Machine {
-                plan,
-                budget,
-                frames,
-                ..
-            } = self;
-            let f = &frames[fi];
-            let ev = Ev::new(plan, budget);
-            remaining
-                .iter()
-                .copied()
-                .find(|&i| ev.check_ready(&f.slots, f.this.as_ref(), &items[i].0))
-        };
-        let Some(chosen) = chosen else {
+        let Some(chosen) = remaining
+            .iter()
+            .copied()
+            .find(|&i| self.check_ready(fi, &items[i].0))
+        else {
             return Err(RtError::new(
                 "formula is not solvable: no conjunct can run with the current bindings",
             ));
@@ -862,34 +1163,45 @@ impl<'g> Machine<'g> {
         Ok(())
     }
 
-    fn exec_match(&mut self, fi: usize, pat: &'g PExpr, value: Value) -> RtResult<()> {
+    /// Matches a flat pattern — `_`, a declaration, a name or `result`,
+    /// none of which branch — against `value` in place: `Ok(false)` on a
+    /// mismatch.
+    fn match_flat(&mut self, fi: usize, pat: &PExpr, value: Value) -> RtResult<bool> {
         match pat {
-            PExpr::Wildcard => Ok(()),
+            PExpr::Wildcard => Ok(true),
             PExpr::Decl(ty, slot, check) => {
-                let admits = Ev::new(self.plan, &mut self.budget).class_admits(ty, check, &value);
-                if !admits {
-                    self.fail();
-                    return Ok(());
+                if !self.class_admits(ty, check, &value) {
+                    return Ok(false);
                 }
                 if let Some(s) = slot {
-                    self.bind(fi, *s, Some(value));
+                    self.bind(fi, *s, value);
                 }
-                Ok(())
+                Ok(true)
             }
             PExpr::Name { slot, .. } | PExpr::Result(slot) => {
-                match self.frames[fi].slots[*slot as usize].clone() {
+                match &self.frames[fi].slots[*slot as usize] {
                     Some(bound) => {
-                        if !self.values_equal(&bound, &value)? {
-                            self.fail();
-                        }
-                        Ok(())
+                        let bound = bound.clone();
+                        self.values_equal(&bound, &value)
                     }
                     None => {
-                        self.bind(fi, *slot, Some(value));
-                        Ok(())
+                        self.bind(fi, *slot, value);
+                        Ok(true)
                     }
                 }
             }
+            _ => unreachable!("not a flat pattern"),
+        }
+    }
+
+    fn exec_match(&mut self, fi: usize, pat: &'g PExpr, value: Value) -> RtResult<()> {
+        if is_flat(pat) {
+            if !self.match_flat(fi, pat, value)? {
+                self.fail();
+            }
+            return Ok(());
+        }
+        match pat {
             PExpr::As(a, b) => {
                 self.push(Step::Match {
                     fi,
@@ -931,20 +1243,19 @@ impl<'g> Machine<'g> {
                 kind,
                 dispatch,
             } => {
+                // Constructor pattern: dispatch on the matched value's class
+                // (or the statically named class), through the resolutions
+                // precomputed at lowering time.
                 match (kind, receiver) {
                     (CallKind::StaticConstruct(cr), _) | (CallKind::ClassCtor(cr), None) => {
-                        let resolved = {
-                            let ev = Ev::new(self.plan, &mut self.budget);
-                            ev.resolve_static_match(cr, name)
-                        };
-                        let Some(pid) = resolved else {
+                        let Some(pid) = self.resolve_static_match(cr, name) else {
                             return Err(RtError::method_not_found(&cr.name, name));
                         };
+                        // If the runtime class differs and an equality
+                        // constructor exists, convert first.
                         if let Some(vclass) = value.class() {
-                            if !self.is_subtype(vclass, &cr.name) {
-                                let converted = Ev::new(self.plan, &mut self.budget)
-                                    .convert_via_equals(&cr.name, &value)?;
-                                return match converted {
+                            if !self.table.is_subtype(vclass, &cr.name) {
+                                return match self.convert_via_equals(&cr.name, &value)? {
                                     Some(c) => self.enter_constructor(fi, c, pid, args),
                                     None => {
                                         self.fail();
@@ -956,9 +1267,13 @@ impl<'g> Machine<'g> {
                         self.enter_constructor(fi, value, pid, args)
                     }
                     _ => {
-                        // Dynamic: dispatch on the value's own runtime class
-                        // through the same table the recursive evaluator uses.
-                        let Some(pid) = self.resolve_dispatch(*dispatch, &value, name, true) else {
+                        // Dynamic: the value's own class (trivially a
+                        // subtype of itself, so no conversion applies).
+                        let pid = match &value {
+                            Value::Obj(o) => self.resolve_dispatch_or_ctor(*dispatch, o, name),
+                            _ => None,
+                        };
+                        let Some(pid) = pid else {
                             return Err(RtError::method_not_found(
                                 value.class().unwrap_or_default(),
                                 name,
@@ -968,82 +1283,58 @@ impl<'g> Machine<'g> {
                     }
                 }
             }
-            PExpr::Binary(op, a, b) => {
+            PExpr::Binary(..) | PExpr::Neg(_) => {
                 let Some(target) = value.as_int() else {
                     self.fail();
                     return Ok(());
                 };
-                let a_ground = self.ground(fi, a);
-                let b_ground = self.ground(fi, b);
-                match (op, a_ground, b_ground) {
-                    (_, true, true) => {
-                        let v = self.eval_expr(fi, pat)?;
-                        if !self.values_equal(&v, &value)? {
-                            self.fail();
-                        }
-                        Ok(())
-                    }
-                    (BinOp::Add, true, false) => {
-                        let av = self.eval_expr(fi, a)?.as_int().unwrap_or(0);
-                        self.push(Step::Match {
-                            fi,
-                            pat: b,
-                            value: Value::Int(target - av),
-                        });
-                        Ok(())
-                    }
-                    (BinOp::Add, false, true) => {
-                        let bv = self.eval_expr(fi, b)?.as_int().unwrap_or(0);
-                        self.push(Step::Match {
-                            fi,
-                            pat: a,
-                            value: Value::Int(target - bv),
-                        });
-                        Ok(())
-                    }
-                    (BinOp::Sub, false, true) => {
-                        let bv = self.eval_expr(fi, b)?.as_int().unwrap_or(0);
-                        self.push(Step::Match {
-                            fi,
-                            pat: a,
-                            value: Value::Int(target + bv),
-                        });
-                        Ok(())
-                    }
-                    (BinOp::Sub, true, false) => {
-                        let av = self.eval_expr(fi, a)?.as_int().unwrap_or(0);
-                        self.push(Step::Match {
-                            fi,
-                            pat: b,
-                            value: Value::Int(av - target),
-                        });
-                        Ok(())
-                    }
-                    _ => Err(RtError::new(
-                        "cannot invert this arithmetic pattern at run time",
-                    )),
+                match self.invert(fi, pat, target)? {
+                    Inverse::Holds(true) => {}
+                    Inverse::Holds(false) => self.fail(),
+                    Inverse::Match(pat, v) => self.push(Step::Match {
+                        fi,
+                        pat,
+                        value: Value::Int(v),
+                    }),
                 }
-            }
-            PExpr::Neg(a) => {
-                let Some(target) = value.as_int() else {
-                    self.fail();
-                    return Ok(());
-                };
-                self.push(Step::Match {
-                    fi,
-                    pat: a,
-                    value: Value::Int(-target),
-                });
                 Ok(())
             }
             other => {
-                let v = self.eval_expr(fi, other)?;
+                let v = self.eval(fi, other)?;
                 if !self.values_equal(&v, &value)? {
                     self.fail();
                 }
                 Ok(())
             }
         }
+    }
+
+    /// Inverts integer arithmetic against `target`: a ground pattern
+    /// compares, and a pattern with exactly one non-ground side yields that
+    /// side and the value it must match.
+    fn invert(&mut self, fi: usize, pat: &'g PExpr, target: i64) -> RtResult<Inverse<'g>> {
+        let (op, a, b) = match pat {
+            PExpr::Neg(a) => return Ok(Inverse::Match(a, -target)),
+            PExpr::Binary(op, a, b) => (op, a, b),
+            _ => unreachable!("not an arithmetic pattern"),
+        };
+        let int =
+            |m: &mut Self, e: &PExpr| -> RtResult<i64> { Ok(m.eval(fi, e)?.as_int().unwrap_or(0)) };
+        Ok(match (op, self.ground(fi, a), self.ground(fi, b)) {
+            (_, true, true) => {
+                let v = self.eval(fi, pat)?;
+                Inverse::Holds(self.values_equal(&v, &Value::Int(target))?)
+            }
+            (BinOp::Add, true, false) => Inverse::Match(b, target - int(self, a)?),
+            (BinOp::Add, false, true) => Inverse::Match(a, target - int(self, b)?),
+            (BinOp::Sub, false, true) => Inverse::Match(a, target + int(self, b)?),
+            (BinOp::Sub, true, false) => Inverse::Match(b, int(self, a)? - target),
+            _ => {
+                return Err(RtError::new(
+                    "cannot invert this arithmetic pattern at run time",
+                ))
+            }
+        })
     }
 
     /// Starts a constructor match: pushes the callee's activation frame
@@ -1066,18 +1357,7 @@ impl<'g> Machine<'g> {
                 "backward (pattern-matching)",
             ));
         };
-        if self.frames.len() >= self.budget.max_depth {
-            return Err(RtError::limit(
-                "depth",
-                self.budget.max_depth as u64,
-                "solver recursion limit exceeded",
-            ));
-        }
-        let callee = self.frames.len();
-        self.frames.push(FrameCtx {
-            slots: vec![None; matching.frame.len()],
-            this: Some(value),
-        });
+        let callee = self.push_frame(crate::eval::take_frame(matching.frame.len()), Some(value))?;
         // Determinism commit (`jmatch_core::analysis`): a `Det` matching
         // form yields at most one solution and cannot err, so once its
         // single solution reaches the row boundary every choice point it
@@ -1102,14 +1382,14 @@ impl<'g> Machine<'g> {
 
     /// One callee solution reached the row boundary: collect the parameter
     /// values and match the caller's argument patterns (first solution per
-    /// pattern, left to right; unbound parameters and pattern errors skip
-    /// the row, like the recursive evaluator).
+    /// pattern, left to right; unbound parameters, failed patterns and
+    /// errors raised inside a pattern skip the row).
     fn exec_collect(
         &mut self,
         caller: usize,
         callee: usize,
         param_slots: &[SlotId],
-        args: &[PExpr],
+        args: &'g [PExpr],
         commit: Option<usize>,
     ) -> RtResult<()> {
         if let Some(mark) = commit {
@@ -1119,108 +1399,132 @@ impl<'g> Machine<'g> {
             // dropped marks simply become permanent bindings, which is
             // exactly what committing means. `mark` is absolute; donations
             // since capture shift the local index down.
-            let keep = mark.saturating_sub(self.donated);
-            if self.choices.len() > keep {
-                self.choices.truncate(keep);
-            }
+            self.cut(mark.saturating_sub(self.donated));
         }
-        let mut row = Vec::with_capacity(param_slots.len());
-        for &s in param_slots {
-            match &self.frames[callee].slots[s as usize] {
-                Some(v) => row.push(v.clone()),
-                None => {
-                    self.fail();
-                    return Ok(());
-                }
-            }
-        }
-        let (work, failed) = {
-            let Machine {
-                plan,
-                budget,
-                frames,
-                ..
-            } = self;
-            let mut work = frames[caller].slots.clone();
-            let mut failed = false;
-            let mut ev = Ev::new(plan, budget);
-            for (i, v) in row.iter().enumerate() {
-                let Some(pat) = args.get(i) else {
-                    continue;
-                };
-                // Like the evaluator's `match_args_then`, argument patterns
-                // are matched without `this` in scope.
-                let mut sol: Option<Frame> = None;
-                let r = ev.match_pat(&mut work, None, pat, v, &mut |_, fr2| {
-                    sol = Some(fr2.clone());
-                    Ok(false)
-                });
-                if r.is_err() {
-                    failed = true;
-                    break;
-                }
-                match sol {
-                    Some(s) => work = s,
-                    None => {
-                        failed = true;
-                        break;
-                    }
-                }
-            }
-            (work, failed)
-        };
-        if failed {
+        let row: Option<Vec<Value>> = param_slots
+            .iter()
+            .map(|&s| self.frames[callee].slots[s as usize].clone())
+            .collect();
+        let Some(row) = row else {
             self.fail();
             return Ok(());
-        }
-        let changed: Vec<(usize, Option<Value>)> = work
-            .iter()
-            .enumerate()
-            .filter(|(i, w)| !slot_unchanged(&self.frames[caller].slots[*i], w))
-            .map(|(i, w)| (i, w.clone()))
-            .collect();
-        for (i, w) in changed {
-            self.bind(caller, i as SlotId, w);
+        };
+        for (pat, v) in args.iter().zip(row) {
+            if !self.match_arg(caller, pat, v) {
+                self.fail();
+                return Ok(());
+            }
         }
         Ok(())
     }
-}
 
-/// Cheap slot comparison for the `exec_collect` diff: object identity via
-/// `Arc::ptr_eq` instead of structural equality, so an unchanged list-valued
-/// slot costs O(1) per callee solution, not O(list). Distinct-but-equal
-/// objects read as "changed", which only records a redundant trail entry.
-fn slot_unchanged(old: &Option<Value>, new: &Option<Value>) -> bool {
-    match (old, new) {
-        (None, None) => true,
-        (Some(Value::Obj(a)), Some(Value::Obj(b))) => std::sync::Arc::ptr_eq(a, b),
-        (Some(a), Some(b)) => a == b,
-        _ => false,
-    }
-}
-
-/// Iterative teardown of the persistent continuation chains: `Cont` is a
-/// linked list whose derived drop would recurse once per uniquely-owned
-/// node, overflowing the native stack when a deep enumeration (raised
-/// `Limits::max_depth`) is abandoned mid-run. Unlink every chain — the
-/// machine's own and each choice point's — in a loop instead.
-impl Drop for Machine<'_> {
-    fn drop(&mut self) {
-        let mut chains: Vec<ContRef<'_>> = Vec::with_capacity(self.choices.len() + 1);
-        chains.push(self.cont.take());
-        for ch in &mut self.choices {
-            chains.push(ch.cont.take());
+    /// Matches one constructor-argument pattern in frame `fi` and commits
+    /// its first solution. Argument patterns are matched without `this` in
+    /// scope, like the tree-walker; an error inside the pattern reads as a
+    /// mismatch.
+    fn match_arg(&mut self, fi: usize, pat: &'g PExpr, value: Value) -> bool {
+        if is_flat(pat) {
+            return self.match_flat(fi, pat, value).unwrap_or(false);
         }
-        for chain in chains {
-            let mut cur = chain;
-            while let Some(rc) = cur {
-                match Rc::try_unwrap(rc) {
-                    Ok(mut node) => cur = node.next.take(),
-                    // Still shared by a chain later in the list; that chain
-                    // will continue the unlinking when its turn comes.
-                    Err(_) => break,
+        let this = self.frames[fi].this.take();
+        let found = matches!(self.match_arg_in(fi, pat, value), Ok(true));
+        self.frames[fi].this = this;
+        found
+    }
+
+    /// [`Machine::match_arg`] with `this` out of scope: arithmetic inverts
+    /// and ground patterns compare in place; patterns that can branch run
+    /// as a nested run.
+    fn match_arg_in(&mut self, fi: usize, pat: &'g PExpr, value: Value) -> RtResult<bool> {
+        match pat {
+            _ if is_flat(pat) => self.match_flat(fi, pat, value),
+            PExpr::Binary(..) | PExpr::Neg(_) => {
+                let Some(target) = value.as_int() else {
+                    return Ok(false);
+                };
+                match self.invert(fi, pat, target)? {
+                    Inverse::Holds(holds) => Ok(holds),
+                    Inverse::Match(pat, v) => self.match_arg_in(fi, pat, Value::Int(v)),
                 }
+            }
+            PExpr::As(..) | PExpr::OrPat(..) | PExpr::Where(..) | PExpr::Call { .. } => {
+                let b = self.open();
+                self.push(Step::Match { fi, pat, value });
+                let r = self.pull(false);
+                let how = if matches!(r, Ok(true)) {
+                    Close::Commit
+                } else {
+                    Close::Undo
+                };
+                self.close(b, how);
+                r
+            }
+            other => {
+                let v = self.eval(fi, other)?;
+                self.values_equal(&v, &value)
             }
         }
     }
+}
+
+/// What inverting an arithmetic pattern leaves to do.
+enum Inverse<'g> {
+    /// The pattern was ground: whether it equals the target.
+    Holds(bool),
+    /// Match this sub-pattern against this value.
+    Match(&'g PExpr, i64),
+}
+
+/// Whether a pattern binds or compares without branching or recursing:
+/// such patterns match inline instead of through a [`Step::Match`].
+fn is_flat(pat: &PExpr) -> bool {
+    matches!(
+        pat,
+        PExpr::Wildcard | PExpr::Decl(..) | PExpr::Name { .. } | PExpr::Result(_)
+    )
+}
+
+/// Frees a continuation chain iteratively: `Cont` is a linked list whose
+/// derived drop would recurse once per uniquely-owned node, overflowing
+/// the native stack when a deep enumeration (raised `Limits::max_depth`)
+/// is abandoned mid-run. Stops at the first node another chain still
+/// shares; that chain continues the unlinking when it goes.
+fn unlink(mut cur: ContRef<'_>) {
+    while let Some(rc) = cur {
+        match Rc::try_unwrap(rc) {
+            Ok(mut node) => cur = node.next.take(),
+            Err(_) => break,
+        }
+    }
+}
+
+impl Drop for Machine<'_> {
+    fn drop(&mut self) {
+        unlink(self.cont.take());
+        self.cut(0);
+        self.truncate_frames(0);
+        self.trail.clear();
+        self.path.clear();
+        let spare = Spare {
+            frames: std::mem::take(&mut self.frames),
+            trail: std::mem::take(&mut self.trail),
+            path: std::mem::take(&mut self.path),
+        };
+        SPARE.with(|s| s.set(Some(spare)));
+    }
+}
+
+/// The emptied vectors of a dropped machine, kept for the next machine on
+/// the same thread: the API builds a machine per call, and a fresh one
+/// would otherwise pay an allocation per vector on every call of a hot
+/// caller loop.
+#[derive(Default)]
+struct Spare {
+    frames: Vec<FrameCtx>,
+    trail: Vec<TrailEntry>,
+    path: Vec<u32>,
+}
+
+thread_local! {
+    static SPARE: std::cell::Cell<Option<Spare>> = const { std::cell::Cell::new(None) };
 }

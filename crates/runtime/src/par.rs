@@ -17,7 +17,7 @@
 //! prefix, and a worker claims one by building a fresh [`Machine`] over the
 //! shared `Arc<ProgramPlan>` — with its own trail, frame arena, and
 //! continuation stack — and replaying the prefix as a guide
-//! ([`Machine::with_budget`]). Guided choice points take the recorded
+//! ([`Machine::with_guide`]). Guided choice points take the recorded
 //! alternative directly and create no local choice point, so the worker
 //! then owns exactly the subtree under the prefix and enumerates it with
 //! plain sequential DFS. Nothing mutable is ever shared between workers;
@@ -138,11 +138,35 @@ enum Msg {
         parent: TaskId,
         children: Vec<TaskId>,
     },
-    /// `task` is finished; `error` is the failure that ended it, if any.
+    /// `task` is finished; `error` is the failure that ended it, if any,
+    /// and `work` the machine steps and choice points the task spent.
     Done {
         task: TaskId,
         error: Option<RtError>,
+        work: Work,
     },
+}
+
+/// Machine steps and choice points created, summed over finished tasks
+/// (replayed prefixes included).
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct Work {
+    pub(crate) steps: u64,
+    pub(crate) choice_points_created: u64,
+}
+
+impl Work {
+    fn of(machine: &Machine<'_>) -> Self {
+        Work {
+            steps: machine.steps(),
+            choice_points_created: machine.choices_created(),
+        }
+    }
+
+    fn add(&mut self, other: Work) {
+        self.steps += other.steps;
+        self.choice_points_created += other.choice_points_created;
+    }
 }
 
 /// The shared work queue: pending tasks plus the bookkeeping workers need
@@ -305,6 +329,7 @@ fn run_task(
                         &mp.info.qualified_name(),
                         "backward (pattern-matching)",
                     )),
+                    work: Work::default(),
                 });
                 return;
             };
@@ -323,8 +348,9 @@ fn run_task(
             (form.code(), root, this.clone(), form.det)
         }
     };
-    let mut machine =
-        Machine::with_budget(plan, code, root, this, budget, guide).with_root_det(root_det);
+    let mut machine = Machine::query(plan, budget, code, root, this)
+        .with_guide(guide)
+        .with_root_det(root_det);
     loop {
         if inj.is_cancelled() {
             machine.release_budget();
@@ -336,12 +362,17 @@ fn run_task(
                 let _ = tx.send(Msg::Done {
                     task,
                     error: Some(e),
+                    work: Work::of(&machine),
                 });
                 return;
             }
             Ok(RunOutcome::Exhausted) => {
                 machine.release_budget();
-                let _ = tx.send(Msg::Done { task, error: None });
+                let _ = tx.send(Msg::Done {
+                    task,
+                    error: None,
+                    work: Work::of(&machine),
+                });
                 return;
             }
             Ok(RunOutcome::Paused) => {
@@ -445,6 +476,8 @@ pub(crate) struct ParStream {
     stack: Vec<TaskId>,
     finished: bool,
     spawn_error: Option<RtError>,
+    /// The work of every task finished so far.
+    work: Work,
 }
 
 /// Starts an OR-parallel enumeration over `threads` workers
@@ -478,9 +511,10 @@ pub(crate) fn spawn(
         let builder = std::thread::Builder::new()
             .name(format!("jmatch-par-worker-{i}"))
             .stack_size(WORKER_STACK);
-        match builder
-            .spawn(move || worker_loop(&plan, &job, limits, &pool, &inj, &tx, interrupt.as_ref()))
-        {
+        match builder.spawn(move || {
+            crate::eval::declare_thread_stack(WORKER_STACK);
+            worker_loop(&plan, &job, limits, &pool, &inj, &tx, interrupt.as_ref())
+        }) {
             Ok(h) => workers.push(h),
             Err(e) => {
                 spawn_error = Some(RtError::new(format!(
@@ -503,10 +537,16 @@ pub(crate) fn spawn(
         stack: vec![ROOT_TASK],
         finished: false,
         spawn_error,
+        work: Work::default(),
     }
 }
 
 impl ParStream {
+    /// The machine steps and choice points of every task finished so far.
+    pub(crate) fn work(&self) -> Work {
+        self.work
+    }
+
     /// The next solution, an error ending the stream, or `None` when the
     /// enumeration is complete.
     pub(crate) fn next(&mut self) -> Option<RtResult<Bindings>> {
@@ -531,10 +571,13 @@ impl ParStream {
             };
             match rx.recv() {
                 Ok(Msg::Sol { bindings, .. }) => return Some(Ok(bindings)),
-                Ok(Msg::Spawn { .. }) | Ok(Msg::Done { error: None, .. }) => {}
-                Ok(Msg::Done { error: Some(e), .. }) => {
-                    self.end(true);
-                    return Some(Err(e));
+                Ok(Msg::Spawn { .. }) => {}
+                Ok(Msg::Done { error, work, .. }) => {
+                    self.work.add(work);
+                    if let Some(e) = error {
+                        self.end(true);
+                        return Some(Err(e));
+                    }
                 }
                 Err(_) => {
                     // Every worker exited: the enumeration is complete.
@@ -623,7 +666,8 @@ impl ParStream {
             Msg::Spawn { parent, children } => {
                 self.tasks.entry(parent).or_default().rounds.push(children);
             }
-            Msg::Done { task, error } => {
+            Msg::Done { task, error, work } => {
+                self.work.add(work);
                 let tb = self.tasks.entry(task).or_default();
                 tb.done = true;
                 tb.error = error;

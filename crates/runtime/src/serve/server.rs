@@ -814,7 +814,10 @@ fn spawn_worker(shared: &Arc<Shared>, index: usize) -> io::Result<JoinHandle<()>
     std::thread::Builder::new()
         .name(format!("jmatch-serve-worker-{index}"))
         .stack_size(SERVE_THREAD_STACK)
-        .spawn(move || worker_loop(&shared))
+        .spawn(move || {
+            crate::eval::declare_thread_stack(SERVE_THREAD_STACK);
+            worker_loop(&shared)
+        })
 }
 
 /// The supervisor: polls the worker pool and respawns any thread that

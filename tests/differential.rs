@@ -565,9 +565,10 @@ fn solutions_text(mut solutions: Solutions<'_>) -> String {
     rows.join(";")
 }
 
-/// One line per operation: forward calls (the recursive evaluator),
-/// iterative and raw-formula queries (the resumable machine), and the raw
-/// queries again through ordered `par_solutions` at every swept width.
+/// One line per operation: forward calls (nested runs of the machine),
+/// iterative and raw-formula queries (the machine's outermost run), and
+/// the raw queries again through ordered `par_solutions` at every swept
+/// width.
 fn goal_position_transcript(program: &Program) -> Vec<String> {
     let mut log = Vec::new();
     let lists = goal_position_lists(program);
@@ -592,7 +593,7 @@ fn goal_position_transcript(program: &Program) -> Vec<String> {
             continue;
         };
         // Forward mode: every parameter known, so `!` and nested `where`
-        // run on the recursive evaluator.
+        // run inside a forward call's nested run.
         for x in 0..10i64 {
             let odd = program.method(&class, "odd").unwrap();
             let r = odd.call(Some(l), args![x]);
@@ -601,7 +602,7 @@ fn goal_position_transcript(program: &Program) -> Vec<String> {
             let r = rising.call(Some(l), args![x, x + 3]);
             log.push(format!("rising #{i} {x} -> {}", outcome(r)));
         }
-        // Iterative mode: the same goals on the machine.
+        // Iterative mode: the same goals as the query itself.
         for name in ["has", "odd", "rising"] {
             let m = program.method(&class, name).unwrap();
             let query = m.iterate(Some(l), &Bindings::new()).unwrap();
@@ -674,4 +675,46 @@ fn goal_positions_agree_across_engines() {
     assert!(got
         .iter()
         .any(|l| l.starts_with("iterate rising #4") && l.contains("a=4,b=7")));
+}
+
+/// The constructor-argument pattern rules, in `switch` and query
+/// positions: an argument pattern commits to its first solution, and an
+/// error raised inside one (here: `y * 2` cannot be inverted) skips the
+/// row instead of failing the match.
+#[test]
+fn argument_pattern_rules_agree_across_engines() {
+    let src = r#"
+        class P {
+            int a;
+            int b;
+            constructor mk(int x, int y) returns(x, y) ( a = x && b = y )
+            boolean bad(int x) iterates(x) ( this = mk(x, int y * 2) )
+            boolean rows(int x) iterates(x) ( this = mk(x, 4 | 4) )
+        }
+        static int pick(P p) {
+            switch (p) {
+                case mk(int x, int y * 2): return 1;
+                case mk(_, _): return 2;
+            }
+        }
+    "#;
+    let (plan, tree) = engines_for(src);
+    let transcript = |program: &Program| -> Vec<String> {
+        let p = program
+            .ctor("P", "mk")
+            .unwrap()
+            .construct(args![3, 4])
+            .unwrap();
+        let pick = program.free_method("pick").unwrap();
+        let mut log = vec![format!("pick -> {:?}", pick.call(None, args![p.clone()]))];
+        for name in ["bad", "rows"] {
+            let m = program.method("P", name).unwrap();
+            let query = m.iterate(Some(&p), &Bindings::new()).unwrap();
+            log.push(format!("{name} -> [{}]", solutions_text(query.solutions())));
+        }
+        log
+    };
+    let got = transcript(&plan);
+    assert_eq!(got, transcript(&tree), "engines diverge");
+    assert_eq!(got, ["pick -> Ok(Int(2))", "bad -> []", "rows -> [x=3]"]);
 }

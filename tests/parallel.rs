@@ -236,6 +236,35 @@ fn tree_enumeration_is_faithful_at_every_thread_count() {
     assert_parallel_faithful(&query, "tree vals");
 }
 
+/// `par_solutions` reports work like the sequential stream: after
+/// exhaustion, the steps and choice points of every worker task, summed.
+/// Replaying a donated task's choice-path prefix repeats work, so the sums
+/// are at least the sequential counts.
+#[test]
+fn parallel_counters_sum_the_worker_tasks() {
+    let program = tree_program();
+    let vals = vals_method(&program);
+    let tree = complete_tree(&program, 8, 0);
+    let query = vals_query(&vals, &tree);
+    let mut seq = query.solutions();
+    assert_eq!(seq.by_ref().count(), 1 << 8);
+    let (steps, created) = (seq.steps().unwrap(), seq.choice_points_created().unwrap());
+    for t in thread_counts() {
+        for mut par in [query.par_solutions(t), query.par_solutions_unordered(t)] {
+            assert_eq!(par.by_ref().count(), 1 << 8, "{t} threads");
+            let par_steps = par.steps().expect("parallel steps are reported");
+            let par_created = par
+                .choice_points_created()
+                .expect("parallel choice points are reported");
+            assert!(par_steps >= steps, "{t} threads: {par_steps} < {steps}");
+            assert!(
+                par_created >= created,
+                "{t} threads: {par_created} < {created}"
+            );
+        }
+    }
+}
+
 /// Or-pattern (`#`) choice points split and replay correctly too: `pick`
 /// mixes formula disjunction with or-patterns.
 #[test]

@@ -296,7 +296,6 @@ pub(crate) struct StackGuard {
 
 impl StackGuard {
     /// A guard anchored at the caller's stack position.
-    #[inline(never)]
     pub(crate) fn new() -> Self {
         StackGuard {
             base: stack_position(),

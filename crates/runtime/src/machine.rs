@@ -269,22 +269,21 @@ impl<'g> Machine<'g> {
     /// call, a construction, `matches` or deep equality, whose searches
     /// all run as nested runs.
     pub(crate) fn new(plan: &'g ProgramPlan, budget: Budget) -> Self {
-        let spare = SPARE.with(|s| s.take()).unwrap_or_default();
         Machine {
             plan,
             table: plan.table(),
             budget,
-            frames: spare.frames,
+            frames: Vec::new(),
             local: Vec::new(),
             base: 0,
             cont: None,
             choices: Vec::new(),
-            trail: spare.trail,
+            trail: Vec::new(),
             floor: 0,
             nest: 0,
             exhausted: false,
             phase: Phase::Running,
-            path: spare.path,
+            path: Vec::new(),
             guide: Vec::new(),
             guide_pos: 0,
             donated: 0,
@@ -700,15 +699,16 @@ impl<'g> Machine<'g> {
             Close::Undo => self.undo_to(b.trail),
             Close::Pop => self.trail.truncate(b.trail),
             Close::Commit => {
-                // Entries for frames the run pushed die with the frames.
-                let mut i = b.trail;
-                while i < self.trail.len() {
-                    if self.trail[i].fi >= b.frames {
-                        self.trail.swap_remove(i);
-                    } else {
-                        i += 1;
+                // Entries for frames the run pushed die with the frames;
+                // the rest keep their order, which undoing relies on.
+                let mut kept = b.trail;
+                for i in b.trail..self.trail.len() {
+                    if self.trail[i].fi < b.frames {
+                        self.trail.swap(kept, i);
+                        kept += 1;
                     }
                 }
+                self.trail.truncate(kept);
             }
         }
         self.truncate_frames(b.frames);
@@ -1401,16 +1401,14 @@ impl<'g> Machine<'g> {
             // since capture shift the local index down.
             self.cut(mark.saturating_sub(self.donated));
         }
-        let row: Option<Vec<Value>> = param_slots
-            .iter()
-            .map(|&s| self.frames[callee].slots[s as usize].clone())
-            .collect();
-        let Some(row) = row else {
+        let slots = &self.frames[callee].slots;
+        if param_slots.iter().any(|&s| slots[s as usize].is_none()) {
             self.fail();
             return Ok(());
-        };
-        for (pat, v) in args.iter().zip(row) {
-            if !self.match_arg(caller, pat, v) {
+        }
+        for (pat, &s) in args.iter().zip(param_slots) {
+            let v = self.frames[callee].slots[s as usize].clone();
+            if !self.match_arg(caller, pat, v.expect("checked above")) {
                 self.fail();
                 return Ok(());
             }
@@ -1502,29 +1500,5 @@ impl Drop for Machine<'_> {
     fn drop(&mut self) {
         unlink(self.cont.take());
         self.cut(0);
-        self.truncate_frames(0);
-        self.trail.clear();
-        self.path.clear();
-        let spare = Spare {
-            frames: std::mem::take(&mut self.frames),
-            trail: std::mem::take(&mut self.trail),
-            path: std::mem::take(&mut self.path),
-        };
-        SPARE.with(|s| s.set(Some(spare)));
     }
-}
-
-/// The emptied vectors of a dropped machine, kept for the next machine on
-/// the same thread: the API builds a machine per call, and a fresh one
-/// would otherwise pay an allocation per vector on every call of a hot
-/// caller loop.
-#[derive(Default)]
-struct Spare {
-    frames: Vec<FrameCtx>,
-    trail: Vec<TrailEntry>,
-    path: Vec<u32>,
-}
-
-thread_local! {
-    static SPARE: std::cell::Cell<Option<Spare>> = const { std::cell::Cell::new(None) };
 }

@@ -1331,7 +1331,7 @@ impl<'g> Machine<'g> {
                     for &c in cands.unwrap_or(&tbl.other).iter() {
                         let case = &tbl.cases[c as usize];
                         let patterns = &bc.exprs[case.patterns as usize..][..case.guards.len()];
-                        if self.match_case(fi, patterns, &case.guards, values)? {
+                        if self.case_matches(fi, patterns, &case.guards, values)? {
                             body = Some(case.body);
                             break;
                         }

@@ -743,23 +743,32 @@ impl<'g> Machine<'g> {
         r
     }
 
+    /// Runs `step` as a nested run to its first solution, whose bindings
+    /// `found` treats; without a solution every binding is undone.
+    fn first_solution(&mut self, step: Step<'g>, found: Close) -> RtResult<bool> {
+        let b = self.open();
+        self.push(step);
+        let r = self.pull(false);
+        self.close(
+            b,
+            if matches!(r, Ok(true)) {
+                found
+            } else {
+                Close::Undo
+            },
+        );
+        r
+    }
+
     /// Commits the first solution of a statement goal into frame `fi`,
     /// returning whether one existed.
     pub(crate) fn solve_first(&mut self, fi: usize, goal: &'g BcBody) -> RtResult<bool> {
-        let b = self.open();
-        self.push(Step::Bc {
+        let step = Step::Bc {
             fi,
             body: goal,
             pc: goal.entry,
-        });
-        let r = self.pull(false);
-        let how = if matches!(r, Ok(true)) {
-            Close::Pop
-        } else {
-            Close::Undo
         };
-        self.close(b, how);
-        r
+        self.first_solution(step, Close::Pop)
     }
 
     /// Runs a `foreach` goal in frame `fi` to exhaustion, collecting each
@@ -792,7 +801,7 @@ impl<'g> Machine<'g> {
     /// Matches one `switch` case's patterns left to right against the
     /// scrutinee values in frame `fi` (tag-dispatch guard first, first
     /// solution per pattern only). A full match keeps its bindings.
-    pub(crate) fn match_case(
+    pub(crate) fn case_matches(
         &mut self,
         fi: usize,
         patterns: &'g [PExpr],
@@ -821,27 +830,26 @@ impl<'g> Machine<'g> {
                 break;
             }
         }
-        let how = if matches!(r, Ok(true)) {
-            Close::Pop
-        } else {
-            Close::Undo
-        };
-        self.close(b, how);
+        self.close(
+            b,
+            if matches!(r, Ok(true)) {
+                Close::Pop
+            } else {
+                Close::Undo
+            },
+        );
         r
     }
 
     /// Whether the negated sub-chain at `inner` has a solution in frame
     /// `fi` (negation as failure); its bindings are undone.
     fn exists(&mut self, fi: usize, body: &'g BcBody, inner: Pc) -> RtResult<bool> {
-        let b = self.open();
-        self.push(Step::Bc {
+        let step = Step::Bc {
             fi,
             body,
             pc: inner,
-        });
-        let r = self.pull(false);
-        self.close(b, Close::Undo);
-        r
+        };
+        self.first_solution(step, Close::Undo)
     }
 
     /// Every solution row of `pid`'s matching plan against `value`: the
@@ -1446,16 +1454,7 @@ impl<'g> Machine<'g> {
                 }
             }
             PExpr::As(..) | PExpr::OrPat(..) | PExpr::Where(..) | PExpr::Call { .. } => {
-                let b = self.open();
-                self.push(Step::Match { fi, pat, value });
-                let r = self.pull(false);
-                let how = if matches!(r, Ok(true)) {
-                    Close::Commit
-                } else {
-                    Close::Undo
-                };
-                self.close(b, how);
-                r
+                self.first_solution(Step::Match { fi, pat, value }, Close::Commit)
             }
             other => {
                 let v = self.eval(fi, other)?;

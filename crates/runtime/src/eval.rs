@@ -551,34 +551,37 @@ impl<'g> Machine<'g> {
                     }
                     return Ok(true);
                 }
-                // Different classes: try an equality constructor on either
-                // side, in its `this`-and-parameter-bound solved form, as a
-                // nested run. The `equals` implementation resolves through
-                // its dispatch table.
-                let plan = self.plan;
-                let equals_dispatch = plan.equals_dispatch();
-                for (lhs, rhs) in [(a, b), (b, a)] {
-                    let Value::Obj(o) = lhs else { continue };
-                    if let Some(pid) = self.resolve_dispatch(equals_dispatch, o, "equals") {
-                        if let BodyPlan::Formula {
-                            equals_bound: Some(form),
-                            ..
-                        } = &plan.method(pid).body
-                        {
-                            let mut fr = take_frame(form.frame.len());
-                            if let Some(&ps) = form.param_slots.first() {
-                                fr[ps as usize] = Some(rhs.clone());
-                            }
-                            let found =
-                                self.solve_fresh(fr, Some(lhs.clone()), form.code(), |_| ())?;
-                            return Ok(found.is_some());
-                        }
-                    }
-                }
-                Ok(false)
+                self.equal_by_constructor(a, b)
             }
             _ => Ok(a == b),
         }
+    }
+
+    /// Equality of objects of different classes: an equality constructor
+    /// on either side, in its `this`-and-parameter-bound solved form, run
+    /// as a nested run. The `equals` implementation resolves through its
+    /// dispatch table.
+    fn equal_by_constructor(&mut self, a: &Value, b: &Value) -> RtResult<bool> {
+        let plan = self.plan;
+        let equals_dispatch = plan.equals_dispatch();
+        for (lhs, rhs) in [(a, b), (b, a)] {
+            let Value::Obj(o) = lhs else { continue };
+            if let Some(pid) = self.resolve_dispatch(equals_dispatch, o, "equals") {
+                if let BodyPlan::Formula {
+                    equals_bound: Some(form),
+                    ..
+                } = &plan.method(pid).body
+                {
+                    let mut fr = take_frame(form.frame.len());
+                    if let Some(&ps) = form.param_slots.first() {
+                        fr[ps as usize] = Some(rhs.clone());
+                    }
+                    let found = self.solve_fresh(fr, Some(lhs.clone()), form.code(), |_| ())?;
+                    return Ok(found.is_some());
+                }
+            }
+        }
+        Ok(false)
     }
 
     // ------------------------------------------------------------------

@@ -207,6 +207,7 @@ pub(crate) struct Barrier<'g> {
     base: usize,
     cont: ContRef<'g>,
     floor: usize,
+    run_frames: usize,
     nest: usize,
     trail: usize,
     frames: usize,
@@ -231,6 +232,9 @@ pub(crate) struct Machine<'g> {
     /// Choice points at or below this height belong to the runs a nested
     /// run interrupted: backtracking never reaches them.
     floor: usize,
+    /// The frame-arena height when the open nested run started (0 for the
+    /// outermost run).
+    run_frames: usize,
     /// How many nested runs are open.
     nest: usize,
     /// Set when backtracking reached the floor; ends the current run.
@@ -280,6 +284,7 @@ impl<'g> Machine<'g> {
             choices: Vec::new(),
             trail: Vec::new(),
             floor: 0,
+            run_frames: 0,
             nest: 0,
             exhausted: false,
             phase: Phase::Running,
@@ -479,10 +484,12 @@ impl<'g> Machine<'g> {
     // Machine infrastructure
     // ------------------------------------------------------------------
 
+    #[inline]
     pub(crate) fn push(&mut self, step: Step<'g>) {
         self.local.push(step);
     }
 
+    #[inline]
     fn pop(&mut self) -> Option<Step<'g>> {
         if self.local.len() > self.base {
             return self.local.pop();
@@ -510,11 +517,13 @@ impl<'g> Machine<'g> {
     /// and pushes the initial decision (alternative 0) onto the choice
     /// path.
     fn choice(&mut self, alt: Alt<'g>) {
-        for step in self.local.drain(self.base..) {
-            self.cont = Some(Rc::new(Cont {
-                step,
-                next: self.cont.take(),
-            }));
+        if self.local.len() > self.base {
+            for step in self.local.drain(self.base..) {
+                self.cont = Some(Rc::new(Cont {
+                    step,
+                    next: self.cont.take(),
+                }));
+            }
         }
         self.created += 1;
         self.choices.push(Choice {
@@ -544,10 +553,20 @@ impl<'g> Machine<'g> {
         Some(d)
     }
 
-    /// Binds a slot, recording the old value on the trail.
+    /// Binds a slot, recording the old value on the trail only when
+    /// something could restore it: the newest choice point above the floor
+    /// if the frame is older than it, or else the open nested run if the
+    /// frame is older than the run (WAM-style conditional trailing). Frames
+    /// younger than every restore point are popped instead of restored.
     fn bind(&mut self, fi: usize, slot: SlotId, value: Value) {
         let old = self.frames[fi].slots[slot as usize].replace(value);
-        self.trail.push(TrailEntry { fi, slot, old });
+        let restore_mark = match self.choices.last() {
+            Some(ch) if self.choices.len() > self.floor => ch.frames_mark,
+            _ => self.run_frames,
+        };
+        if fi < restore_mark {
+            self.trail.push(TrailEntry { fi, slot, old });
+        }
     }
 
     /// Drops the choice points above height `n`.
@@ -662,29 +681,38 @@ impl<'g> Machine<'g> {
     // ------------------------------------------------------------------
 
     /// Opens a nested run: saves the continuation and sets the floor at the
-    /// current choice-stack height. Push the run's first step, then
-    /// [`Machine::pull`] its solutions and [`Machine::close`] it — also
+    /// current choice-stack height. [`Machine::start`] it, pull further
+    /// solutions with [`Machine::resume`], and [`Machine::close`] it — also
     /// after an error, when the caller goes on.
     pub(crate) fn open(&mut self) -> Barrier<'g> {
         let b = Barrier {
             base: self.base,
             cont: self.cont.take(),
             floor: self.floor,
+            run_frames: self.run_frames,
             nest: self.nest,
             trail: self.trail.len(),
             frames: self.frames.len(),
         };
         self.base = self.local.len();
         self.floor = self.choices.len();
+        self.run_frames = self.frames.len();
         self.nest += 1;
         b
     }
 
-    /// Runs the open nested run to its next solution: `Ok(true)` when its
-    /// continuation empties, `Ok(false)` when backtracking reaches the
-    /// floor. `again` backtracks out of the previous solution first.
-    pub(crate) fn pull(&mut self, again: bool) -> RtResult<bool> {
-        if again && !self.backtrack() {
+    /// Runs the open nested run from `step` to its first solution:
+    /// `Ok(true)` when its continuation empties, `Ok(false)` when
+    /// backtracking reaches the floor.
+    pub(crate) fn start(&mut self, step: Step<'g>) -> RtResult<bool> {
+        self.exec(step)?;
+        Ok(matches!(self.drive(u64::MAX)?, RunOutcome::Solution))
+    }
+
+    /// Backtracks out of the open nested run's last solution into its next
+    /// one, like [`Machine::start`].
+    pub(crate) fn resume(&mut self) -> RtResult<bool> {
+        if !self.backtrack() {
             return Ok(false);
         }
         Ok(matches!(self.drive(u64::MAX)?, RunOutcome::Solution))
@@ -717,6 +745,7 @@ impl<'g> Machine<'g> {
         self.base = b.base;
         self.cont = b.cont;
         self.floor = b.floor;
+        self.run_frames = b.run_frames;
         self.nest = b.nest;
     }
 
@@ -732,12 +761,12 @@ impl<'g> Machine<'g> {
     ) -> RtResult<Option<T>> {
         let b = self.open();
         let r = self.push_frame(slots, this).and_then(|fi| {
-            self.push(Step::Bc {
+            let found = self.start(Step::Bc {
                 fi,
                 body,
                 pc: body.entry,
-            });
-            Ok(self.pull(false)?.then(|| read(&self.frames[fi].slots)))
+            })?;
+            Ok(found.then(|| read(&self.frames[fi].slots)))
         });
         self.close(b, Close::Pop);
         r
@@ -747,8 +776,7 @@ impl<'g> Machine<'g> {
     /// `found` treats; without a solution every binding is undone.
     fn first_solution(&mut self, step: Step<'g>, found: Close) -> RtResult<bool> {
         let b = self.open();
-        self.push(step);
-        let r = self.pull(false);
+        let r = self.start(step);
         self.close(
             b,
             if matches!(r, Ok(true)) {
@@ -781,18 +809,17 @@ impl<'g> Machine<'g> {
         slots: &[usize],
     ) -> RtResult<(Vec<Option<Value>>, usize)> {
         let b = self.open();
-        self.push(Step::Bc {
+        let (mut rows, mut n) = (Vec::new(), 0);
+        let mut r = self.start(Step::Bc {
             fi,
             body: goal,
             pc: goal.entry,
         });
-        let (mut rows, mut n) = (Vec::new(), 0);
-        let mut r = self.pull(false);
         while let Ok(true) = r {
             let f = &self.frames[fi].slots;
             rows.extend(slots.iter().map(|&s| f[s].clone()));
             n += 1;
-            r = self.pull(true);
+            r = self.resume();
         }
         self.close(b, Close::Undo);
         r.map(|_| (rows, n))
@@ -820,12 +847,11 @@ impl<'g> Machine<'g> {
                 break;
             }
             self.cut(self.floor);
-            self.push(Step::Match {
+            r = self.start(Step::Match {
                 fi,
                 pat,
                 value: value.clone(),
             });
-            r = self.pull(false);
             if !matches!(r, Ok(true)) {
                 break;
             }
@@ -875,14 +901,12 @@ impl<'g> Machine<'g> {
         let slots = crate::eval::take_frame(matching.frame.len());
         let mut rows = Vec::new();
         let r = self.push_frame(slots, Some(value.clone())).and_then(|fi| {
-            self.push(Step::Bc {
+            let mut found = self.start(Step::Bc {
                 fi,
                 body,
                 pc: body.entry,
-            });
-            let mut again = false;
-            while self.pull(again)? {
-                again = true;
+            })?;
+            while found {
                 let f = &self.frames[fi].slots;
                 let row: Option<Vec<Value>> = matching
                     .param_slots
@@ -897,6 +921,7 @@ impl<'g> Machine<'g> {
                 if matching.det {
                     break;
                 }
+                found = self.resume()?;
             }
             Ok(())
         });

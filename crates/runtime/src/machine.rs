@@ -790,6 +790,9 @@ impl<'g> Machine<'g> {
 
     /// Commits the first solution of a statement goal into frame `fi`,
     /// returning whether one existed.
+    // This and the other statement entry points stay out of line: inlined,
+    // their nested-run set-up slows the register loop of `exec_bc_code`.
+    #[inline(never)]
     pub(crate) fn solve_first(&mut self, fi: usize, goal: &'g BcBody) -> RtResult<bool> {
         let step = Step::Bc {
             fi,
@@ -802,6 +805,7 @@ impl<'g> Machine<'g> {
     /// Runs a `foreach` goal in frame `fi` to exhaustion, collecting each
     /// solution's values of `slots` in one flat row per solution; the frame
     /// is left as it was.
+    #[inline(never)]
     pub(crate) fn solve_all(
         &mut self,
         fi: usize,
@@ -828,6 +832,7 @@ impl<'g> Machine<'g> {
     /// Matches one `switch` case's patterns left to right against the
     /// scrutinee values in frame `fi` (tag-dispatch guard first, first
     /// solution per pattern only). A full match keeps its bindings.
+    #[inline(never)]
     pub(crate) fn case_matches(
         &mut self,
         fi: usize,

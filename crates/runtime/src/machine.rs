@@ -69,7 +69,7 @@ use std::rc::Rc;
 
 /// One pending unit of work on the continuation stack.
 #[derive(Clone)]
-pub(crate) enum Step<'g> {
+enum Step<'g> {
     /// Run threaded bytecode from `pc` in frame `fi`; reaching the pc-0
     /// `Emit` ends the step and hands over to the rest of the stack.
     Bc { fi: usize, body: &'g BcBody, pc: Pc },
@@ -188,7 +188,7 @@ pub(crate) enum RunOutcome {
 
 /// What [`Machine::close`] does with the bindings a nested run made.
 #[derive(Clone, Copy)]
-pub(crate) enum Close {
+enum Close {
     /// Keep them, and keep their trail entries for frames older than the
     /// run, so choice points below the floor can still undo them
     /// (constructor-argument patterns inside a running search).
@@ -203,7 +203,7 @@ pub(crate) enum Close {
 }
 
 /// The state a nested run interrupts, restored by [`Machine::close`].
-pub(crate) struct Barrier<'g> {
+struct Barrier<'g> {
     base: usize,
     cont: ContRef<'g>,
     floor: usize,
@@ -485,7 +485,7 @@ impl<'g> Machine<'g> {
     // ------------------------------------------------------------------
 
     #[inline]
-    pub(crate) fn push(&mut self, step: Step<'g>) {
+    fn push(&mut self, step: Step<'g>) {
         self.local.push(step);
     }
 
@@ -684,7 +684,7 @@ impl<'g> Machine<'g> {
     /// current choice-stack height. [`Machine::start`] it, pull further
     /// solutions with [`Machine::resume`], and [`Machine::close`] it — also
     /// after an error, when the caller goes on.
-    pub(crate) fn open(&mut self) -> Barrier<'g> {
+    fn open(&mut self) -> Barrier<'g> {
         let b = Barrier {
             base: self.base,
             cont: self.cont.take(),
@@ -704,14 +704,14 @@ impl<'g> Machine<'g> {
     /// Runs the open nested run from `step` to its first solution:
     /// `Ok(true)` when its continuation empties, `Ok(false)` when
     /// backtracking reaches the floor.
-    pub(crate) fn start(&mut self, step: Step<'g>) -> RtResult<bool> {
+    fn start(&mut self, step: Step<'g>) -> RtResult<bool> {
         self.exec(step)?;
         Ok(matches!(self.drive(u64::MAX)?, RunOutcome::Solution))
     }
 
     /// Backtracks out of the open nested run's last solution into its next
     /// one, like [`Machine::start`].
-    pub(crate) fn resume(&mut self) -> RtResult<bool> {
+    fn resume(&mut self) -> RtResult<bool> {
         if !self.backtrack() {
             return Ok(false);
         }
@@ -721,7 +721,7 @@ impl<'g> Machine<'g> {
     /// Closes a nested run: cuts the choice points above its floor, treats
     /// its bindings as `how` says, pops the frames it pushed, and restores
     /// the interrupted continuation.
-    pub(crate) fn close(&mut self, b: Barrier<'g>, how: Close) {
+    fn close(&mut self, b: Barrier<'g>, how: Close) {
         self.cut(self.floor);
         match how {
             Close::Undo => self.undo_to(b.trail),

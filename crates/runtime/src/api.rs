@@ -61,12 +61,16 @@ use std::thread::JoinHandle;
 /// never bounded structural recursion at all); raise it with
 /// [`Program::with_limits`] / [`Query::limits`] for deeply recursive
 /// enumerations. The plan engine keeps the frames of a query's own search
-/// on the heap, so a large ceiling is safe for constructor matching;
-/// forward calls inside expressions (and every recursion of the
-/// tree-walker) also recurse on the native stack, and a fixed-size guard
-/// on both engines ends them with `LimitExceeded` on `"depth"` before the
-/// stack overflows — on a thread of unknown size (assumed to have the
-/// 2 MiB std default) after a few hundred release-build levels.
+/// on the heap, so a large ceiling is safe for constructor matching.
+/// Forward calls inside expressions (and every recursion of the
+/// tree-walker) also recurse on the native stack, so a raised ceiling
+/// takes them only as deep as the thread's stack allows: a guard on both
+/// engines ends them with `LimitExceeded` on `"depth"` before the stack
+/// overflows. A thread is assumed to have the 2 MiB std default — about
+/// 735 release-build levels of a simple recursive method on the plan
+/// engine and 340 on the tree-walker — unless it declares its real stack
+/// with [`crate::declare_thread_stack`]; on 8 MiB the default ceiling of
+/// 1,000 trips first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Limits {
     /// Ceiling on solver nesting depth.
@@ -475,7 +479,13 @@ impl Program {
     /// implementations of the same abstraction.
     pub fn values_equal(&self, a: &Value, b: &Value) -> RtResult<bool> {
         match self.engine {
-            Engine::Plan => Machine::new(&self.plan, self.budget()).values_equal(a, b),
+            // Only two objects can need an equality constructor's search.
+            Engine::Plan => match (a, b) {
+                (Value::Obj(_), Value::Obj(_)) => {
+                    Machine::new(&self.plan, self.budget()).values_equal(a, b)
+                }
+                _ => Ok(a == b),
+            },
             _ => self.walker().values_equal(a, b),
         }
     }
@@ -1113,8 +1123,7 @@ impl Query<'_> {
             .name("jmatch-tree-solutions".into())
             .stack_size(TREE_PRODUCER_STACK);
         let spawned = producer.spawn(move || {
-            crate::eval::declare_thread_stack(TREE_PRODUCER_STACK);
-            walker.mark_stack();
+            crate::declare_thread_stack(TREE_PRODUCER_STACK);
             let outcome = match job {
                 TreeJob::Formula { f, env, this } => {
                     walker.solve(&env, this.as_ref(), &f, 0, &mut |b| {

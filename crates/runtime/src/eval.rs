@@ -37,9 +37,9 @@ use std::sync::Arc;
 pub(crate) type Frame = Vec<Option<Value>>;
 
 /// The work budget of one evaluation: a step counter plus the depth / step
-/// ceilings and the native-stack guard, so every entry point (forward
-/// calls, constructions and [`crate::Solutions`] queries, all run on one
-/// [`Machine`]) honors the same [`crate::Limits`].
+/// ceilings, so every entry point (forward calls, constructions and
+/// [`crate::Solutions`] queries, all run on one [`Machine`]) honors the
+/// same [`crate::Limits`].
 ///
 /// A budget is either **private** (the sequential case: the whole
 /// `max_steps` allowance is granted up front, so `step()` is a plain
@@ -67,8 +67,6 @@ pub(crate) struct Budget {
     /// polled every [`INTERRUPT_POLL_MASK`]+1 steps so a stuck run can be
     /// stopped from outside without per-step atomic traffic.
     interrupt: Option<Arc<std::sync::atomic::AtomicBool>>,
-    /// Trips before nested runs exhaust the native stack.
-    stack: StackGuard,
 }
 
 impl Budget {
@@ -80,7 +78,6 @@ impl Budget {
             granted: max_steps,
             shared: None,
             interrupt: None,
-            stack: StackGuard::new(),
         }
     }
 
@@ -94,7 +91,6 @@ impl Budget {
             granted: 0,
             shared: Some(shared),
             interrupt: None,
-            stack: StackGuard::new(),
         }
     }
 
@@ -102,18 +98,6 @@ impl Budget {
     /// [`RtError::interrupted`] at the next poll boundary.
     pub(crate) fn set_interrupt(&mut self, token: Option<Arc<std::sync::atomic::AtomicBool>>) {
         self.interrupt = token;
-    }
-
-    /// Re-anchors the native-stack guard at the caller's stack position:
-    /// the entry of a run, from where nested runs recurse.
-    pub(crate) fn mark_stack(&mut self) {
-        self.stack = StackGuard::new();
-    }
-
-    /// Errors with `LimitExceeded` on `"depth"` once the native stack used
-    /// since the entry point passes the guard (see [`StackGuard`]).
-    pub(crate) fn check_stack(&self) -> RtResult<()> {
-        self.stack.check(self.max_depth)
     }
 
     /// One unit of solver work; errors when the step ceiling is hit or an
@@ -248,74 +232,118 @@ impl Default for Budget {
 /// outermost search live on the heap, so this bounds memory, not the
 /// native stack; the native recursion of nested runs (forward calls
 /// inside expressions, equality constructors, negation, statement goals)
-/// is bounded separately by [`StackGuard`].
+/// is bounded separately by [`check_stack`].
 pub(crate) const MAX_DEPTH: usize = 1_000;
 
-/// Native stack assumed for a thread the runtime did not spawn itself:
-/// the std default for spawned threads, which every `cargo test` thread
-/// also gets. Threads the runtime spawns with a larger stack declare it
-/// through [`declare_thread_stack`].
+/// Native stack assumed for a thread that did not declare its own through
+/// [`declare_thread_stack`]: the std default for spawned threads, which
+/// every `cargo test` thread also gets.
 const ASSUMED_THREAD_STACK: usize = 2 << 20;
 
-/// Native stack kept back below the guard: the caller's own frames above
-/// the entry point, the last level's overshoot past the check, and leaf
-/// work below the deepest check. Measured with `ConsList.size()`
-/// (`result = tail.size() + 1`, the recursion of `tests/stack_guard.rs`)
-/// on x86-64, one forward-call level costs about 2.8 KiB on the machine
-/// and 5.9 KiB on the tree walker in a release build, and 28–30 KiB on
-/// either in a debug build. On a 2 MiB thread the 1.5 MiB allowance so
-/// trips after about 560 machine or 260 walker levels in a release build
-/// and 50 in a debug build; a thread declared at 8 MiB reaches the default
+/// Native stack kept back below the guard: the frames above the first
+/// check that the guard cannot see (thread start-up, the thread library's
+/// own data at the top of the stack, the embedder's callers), the last
+/// level's overshoot past its check, and the work below the deepest check
+/// (the level's leaf expression, building the error).
+///
+/// Measured with `ConsList.size()` (`result = tail.size() + 1`, the
+/// recursion of `tests/stack_guard.rs`) on a 2 MiB x86-64 thread, one
+/// forward-call level costs about 2.8 KiB on the machine and 5.9 KiB on
+/// the tree walker in a release build, and 28–30 KiB on either in a debug
+/// build. The smallest reserve that still ended that recursion without
+/// overflowing was 12 KiB (release machine), 16 KiB (release walker),
+/// 20 KiB (debug walker) and 32 KiB (debug machine: one 28 KiB level of
+/// overshoot plus about 4 KiB above the first check and below the last);
+/// the reserve is twice the largest. On a 2 MiB thread the guard so trips
+/// after about 735 machine or 340 walker levels in a release build and
+/// 65–70 in a debug build; a thread declared at 8 MiB reaches the default
 /// depth ceiling of 1,000 frames first.
-const STACK_RESERVE: usize = 512 << 10;
+const STACK_RESERVE: usize = 64 << 10;
+
+/// The native-stack bounds of the current thread.
+#[derive(Clone, Copy)]
+struct StackBounds {
+    /// The highest stack address the guard knows of: the declaration point
+    /// of a declared thread, else the shallowest check seen so far.
+    top: usize,
+    /// Checks below this address trip the guard.
+    floor: usize,
+    /// Whether [`declare_thread_stack`] fixed the bounds.
+    declared: bool,
+}
 
 thread_local! {
-    /// The current thread's native stack, as far as the runtime knows it.
-    static THREAD_STACK: std::cell::Cell<usize> =
-        const { std::cell::Cell::new(ASSUMED_THREAD_STACK) };
+    static STACK: std::cell::Cell<StackBounds> = const {
+        std::cell::Cell::new(StackBounds {
+            top: 0,
+            floor: 0,
+            declared: false,
+        })
+    };
 }
 
-/// Records the stack size of a thread the runtime spawned (OR-parallel
-/// workers, serve workers, the tree-walker's producer), so evaluations on
-/// it may recurse further than on a thread of unknown size.
-pub(crate) fn declare_thread_stack(bytes: usize) {
-    THREAD_STACK.with(|s| s.set(bytes));
+/// Declares that the calling thread's native stack is `bytes` long and that
+/// the caller sits near its top, so evaluations on the thread may recurse
+/// as deep as that stack allows. Call it first thing in a thread spawned
+/// with [`std::thread::Builder::stack_size`] (or at the top of `main`, whose
+/// stack is the platform's); a thread that declares nothing is assumed to
+/// have the 2 MiB std default, measured from the shallowest point the
+/// runtime was entered from.
+///
+/// ```
+/// let worker = std::thread::Builder::new()
+///     .stack_size(16 << 20)
+///     .spawn(|| {
+///         jmatch_runtime::declare_thread_stack(16 << 20);
+///         // ... run deeply recursive calls ...
+///     })
+///     .unwrap();
+/// worker.join().unwrap();
+/// ```
+pub fn declare_thread_stack(bytes: usize) {
+    let top = stack_position();
+    STACK.with(|s| {
+        s.set(StackBounds {
+            top,
+            floor: top.saturating_sub(bytes.saturating_sub(STACK_RESERVE)),
+            declared: true,
+        })
+    });
 }
 
-/// The native-stack guard of both engines: the address of a local at the
-/// entry point, and how far below it evaluation may recurse before a check
-/// reports `LimitExceeded` on `"depth"` instead of overflowing the stack
-/// and aborting the process. Stack use per level differs between debug
-/// and release builds and between engines, so the guard measures bytes,
-/// not levels.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct StackGuard {
-    base: usize,
-    allowance: usize,
-}
-
-impl StackGuard {
-    /// A guard anchored at the caller's stack position.
-    pub(crate) fn new() -> Self {
-        StackGuard {
-            base: stack_position(),
-            allowance: THREAD_STACK.with(|s| s.get()).saturating_sub(STACK_RESERVE),
-        }
+/// The native-stack guard of both engines, checked wherever evaluation
+/// recurses natively (the machine's frame pushes, the tree walker's
+/// solving steps and forward calls): errors with `LimitExceeded` on
+/// `"depth"` (reporting `max_depth`, the configured ceiling) once the stack
+/// reaches the thread's floor, instead of overflowing and aborting the
+/// process. The bounds are per thread, so a walker or program built on one
+/// thread and run on another is measured where it runs. Stack use per
+/// level differs between debug and release builds and between engines, so
+/// the guard measures bytes, not levels; stacks grow downwards on every
+/// supported target.
+pub(crate) fn check_stack(max_depth: usize) -> RtResult<()> {
+    let pos = stack_position();
+    let bounds = STACK.with(|s| s.get());
+    if pos < bounds.floor {
+        return Err(RtError::limit(
+            "depth",
+            max_depth as u64,
+            format!(
+                "native stack guard tripped {} bytes below the thread's known top",
+                bounds.top - pos
+            ),
+        ));
     }
-
-    /// Errors once the stack used since the anchor passes the allowance;
-    /// `max_depth` is reported as the configured depth ceiling.
-    pub(crate) fn check(&self, max_depth: usize) -> RtResult<()> {
-        let used = self.base.abs_diff(stack_position());
-        if used > self.allowance {
-            return Err(RtError::limit(
-                "depth",
-                max_depth as u64,
-                format!("native stack guard tripped after {used} bytes of nested evaluation"),
-            ));
-        }
-        Ok(())
+    if pos > bounds.top && !bounds.declared {
+        STACK.with(|s| {
+            s.set(StackBounds {
+                top: pos,
+                floor: pos.saturating_sub(ASSUMED_THREAD_STACK - STACK_RESERVE),
+                declared: false,
+            })
+        });
     }
+    Ok(())
 }
 
 /// The address of a local in the caller's frame: how deep the native stack

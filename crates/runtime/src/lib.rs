@@ -105,6 +105,7 @@ pub mod tree;
 pub mod workspace;
 
 pub use api::{CtorRef, Limits, MethodRef, Program, Query, Solutions};
+pub use eval::declare_thread_stack;
 pub use tree::TreeWalker;
 pub use workspace::{Generation, RebuildReport, Workspace};
 

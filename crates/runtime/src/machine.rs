@@ -378,8 +378,6 @@ impl<'g> Machine<'g> {
     /// next solution / exhaustion, whichever comes first. An error ends the
     /// enumeration.
     pub(crate) fn run(&mut self, fuel: u64) -> RtResult<RunOutcome> {
-        // Nested runs recurse on the native stack from here.
-        self.budget.mark_stack();
         if matches!(self.phase, Phase::AtSolution) {
             self.phase = Phase::Running;
             if !self.backtrack() {
@@ -597,7 +595,7 @@ impl<'g> Machine<'g> {
                 "solver recursion limit exceeded",
             ));
         }
-        if let Err(e) = self.budget.check_stack() {
+        if let Err(e) = crate::eval::check_stack(self.budget.max_depth) {
             recycle_frame(slots);
             return Err(e);
         }
@@ -1455,42 +1453,18 @@ impl<'g> Machine<'g> {
     }
 
     /// Matches one constructor-argument pattern in frame `fi` and commits
-    /// its first solution. Argument patterns are matched without `this` in
-    /// scope, like the tree-walker; an error inside the pattern reads as a
+    /// its first solution: flat patterns in place, every other pattern as a
+    /// nested run. Argument patterns are matched without `this` in scope,
+    /// like the tree-walker; an error inside the pattern reads as a
     /// mismatch.
     fn match_arg(&mut self, fi: usize, pat: &'g PExpr, value: Value) -> bool {
         if is_flat(pat) {
             return self.match_flat(fi, pat, value).unwrap_or(false);
         }
         let this = self.frames[fi].this.take();
-        let found = matches!(self.match_arg_in(fi, pat, value), Ok(true));
+        let found = self.first_solution(Step::Match { fi, pat, value }, Close::Commit);
         self.frames[fi].this = this;
-        found
-    }
-
-    /// [`Machine::match_arg`] with `this` out of scope: arithmetic inverts
-    /// and ground patterns compare in place; patterns that can branch run
-    /// as a nested run.
-    fn match_arg_in(&mut self, fi: usize, pat: &'g PExpr, value: Value) -> RtResult<bool> {
-        match pat {
-            _ if is_flat(pat) => self.match_flat(fi, pat, value),
-            PExpr::Binary(..) | PExpr::Neg(_) => {
-                let Some(target) = value.as_int() else {
-                    return Ok(false);
-                };
-                match self.invert(fi, pat, target)? {
-                    Inverse::Holds(holds) => Ok(holds),
-                    Inverse::Match(pat, v) => self.match_arg_in(fi, pat, Value::Int(v)),
-                }
-            }
-            PExpr::As(..) | PExpr::OrPat(..) | PExpr::Where(..) | PExpr::Call { .. } => {
-                self.first_solution(Step::Match { fi, pat, value }, Close::Commit)
-            }
-            other => {
-                let v = self.eval(fi, other)?;
-                self.values_equal(&v, &value)
-            }
-        }
+        matches!(found, Ok(true))
     }
 }
 

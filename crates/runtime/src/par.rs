@@ -512,7 +512,7 @@ pub(crate) fn spawn(
             .name(format!("jmatch-par-worker-{i}"))
             .stack_size(WORKER_STACK);
         match builder.spawn(move || {
-            crate::eval::declare_thread_stack(WORKER_STACK);
+            crate::declare_thread_stack(WORKER_STACK);
             worker_loop(&plan, &job, limits, &pool, &inj, &tx, interrupt.as_ref())
         }) {
             Ok(h) => workers.push(h),

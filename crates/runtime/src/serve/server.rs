@@ -815,7 +815,7 @@ fn spawn_worker(shared: &Arc<Shared>, index: usize) -> io::Result<JoinHandle<()>
         .name(format!("jmatch-serve-worker-{index}"))
         .stack_size(SERVE_THREAD_STACK)
         .spawn(move || {
-            crate::eval::declare_thread_stack(SERVE_THREAD_STACK);
+            crate::declare_thread_stack(SERVE_THREAD_STACK);
             worker_loop(&shared)
         })
 }

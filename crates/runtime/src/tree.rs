@@ -9,7 +9,7 @@
 //! oracle — its behavior (values, bindings, enumeration order, failures) is
 //! the reference the plan engine is tested against.
 
-use crate::eval::StackGuard;
+use crate::eval::check_stack;
 use crate::{Bindings, Flow, Object, RtError, RtResult, Value};
 use jmatch_core::table::{ClassTable, MethodInfo};
 use jmatch_syntax::ast::*;
@@ -29,8 +29,6 @@ pub struct TreeWalker {
     /// External interrupt token (cancellation / request deadline), polled
     /// every 256 solver steps like the plan engines' fuel quantum.
     interrupt: Option<Arc<AtomicBool>>,
-    /// Trips before the walker's native recursion exhausts the stack.
-    stack: StackGuard,
 }
 
 impl Clone for TreeWalker {
@@ -41,7 +39,6 @@ impl Clone for TreeWalker {
             max_steps: self.max_steps,
             steps: AtomicU64::new(self.steps.load(Ordering::Relaxed)),
             interrupt: self.interrupt.clone(),
-            stack: self.stack,
         }
     }
 }
@@ -55,7 +52,6 @@ impl TreeWalker {
             max_steps: u64::MAX,
             steps: AtomicU64::new(0),
             interrupt: None,
-            stack: StackGuard::new(),
         }
     }
 
@@ -75,15 +71,7 @@ impl TreeWalker {
             max_steps,
             steps: AtomicU64::new(0),
             interrupt: None,
-            stack: StackGuard::new(),
         }
-    }
-
-    /// Re-anchors the native-stack guard at the caller's stack position:
-    /// a walker created on one thread and run on another (the
-    /// [`crate::Solutions`] producer) measures from where it runs.
-    pub(crate) fn mark_stack(&mut self) {
-        self.stack = StackGuard::new();
     }
 
     /// The class table the interpreter runs against.
@@ -213,7 +201,7 @@ impl TreeWalker {
                 "solver recursion limit exceeded",
             ));
         }
-        self.stack.check(self.max_depth)?;
+        check_stack(self.max_depth)?;
         match f {
             Formula::Bool(true) => Ok(emit(env)),
             Formula::Bool(false) => Ok(true),
@@ -363,7 +351,7 @@ impl TreeWalker {
                 args.len(),
             ));
         }
-        self.stack.check(self.max_depth)?;
+        check_stack(self.max_depth)?;
         let mut env = Bindings::new();
         for (p, v) in minfo.decl.params.iter().zip(args) {
             env.insert(p.name.clone(), v);

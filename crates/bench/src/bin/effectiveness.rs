@@ -1,10 +1,12 @@
 //! Prints the §7.3 effectiveness checks: the paper's positive examples stay
 //! warning-free and its negative examples (Figure 6, Figure 12, a missing
-//! case) produce the expected warnings.
+//! case) produce the expected warnings. Exits nonzero if any check deviates.
 //!
 //! Run with `cargo run -p jmatch-bench --bin effectiveness`.
 
-fn main() {
+use std::process::ExitCode;
+
+fn main() -> ExitCode {
     let report = jmatch_bench::effectiveness();
     println!("§7.3 effectiveness checks\n");
     for (description, expected, observed) in &report.checks {
@@ -15,12 +17,11 @@ fn main() {
         };
         println!("[{status}] {description} (expected warning: {expected}, observed: {observed})");
     }
-    println!(
-        "\n{}",
-        if report.all_pass() {
-            "all effectiveness checks reproduce the paper's reported behaviour"
-        } else {
-            "some checks deviate from the paper; see EXPERIMENTS.md"
-        }
-    );
+    if report.all_pass() {
+        println!("\nall effectiveness checks reproduce the paper's reported behaviour");
+        ExitCode::SUCCESS
+    } else {
+        println!("\nsome checks deviate from the paper; see the MISMATCH lines above");
+        ExitCode::FAILURE
+    }
 }

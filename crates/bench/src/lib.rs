@@ -1,7 +1,7 @@
 //! # jmatch-bench
 //!
-//! Measurement helpers behind the benchmark binaries and Criterion benches
-//! that regenerate the paper's evaluation artifacts:
+//! Measurement helpers behind the evaluation binaries (`table1`, `figure8`,
+//! `effectiveness`) that regenerate the paper's evaluation artifacts:
 //!
 //! * **Table 1** — token counts (JMatch 2.0 vs Java) and compilation time
 //!   with / without verification, per corpus row;
@@ -9,14 +9,17 @@
 //!   extracted from its `matches` clause in each mode;
 //! * the **§7.3 effectiveness** checks (which warnings fire on the paper's
 //!   positive and negative examples).
+//!
+//! It also holds the workload sources that the `perfbench` benchmark and
+//! the integration tests share, so each program text lives in one place.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 use jmatch_core::table::ClassTable;
-use jmatch_core::{extract, Diagnostics, Fingerprints, VerifyEngine, VerifyOptions};
+use jmatch_core::{extract, Diagnostics};
 use jmatch_corpus::CorpusEntry;
-use jmatch_runtime::{args, Bindings, Engine, Program, Query, Value, Workspace};
+use jmatch_runtime::{args, Program, Value, Workspace};
 use jmatch_syntax::ast::{CmpOp, Expr, Formula};
 use jmatch_syntax::{count_tokens, parse_formula, parse_program};
 use std::sync::Arc;
@@ -168,44 +171,9 @@ pub fn render_table1(rows: &[Table1Row]) -> String {
 /// # Panics
 ///
 /// If `source` fails to parse.
-pub fn resolve(source: &str) -> Arc<ClassTable> {
+fn resolve(source: &str) -> Arc<ClassTable> {
     let program = parse_program(source).expect("bench program parses");
     ClassTable::build(&program, &mut Diagnostics::new())
-}
-
-/// Verifies a resolved program the way a [`Workspace`] build does:
-/// [`VerifyEngine`] on one worker, one incremental solver session per
-/// method (`push`/`pop` per VC query, persistent term store, lemma replay,
-/// canonical-formula result cache).
-pub fn verify_incremental(table: &Arc<ClassTable>, max_expansion_depth: u32) -> Diagnostics {
-    verify_with(
-        table,
-        VerifyOptions {
-            max_expansion_depth,
-            ..VerifyOptions::default()
-        },
-    )
-}
-
-/// Verifies a resolved program rebuilding the solver and expander for
-/// **every individual VC query** — the pre-incremental architecture, and
-/// the baseline the `incremental_vs_fresh` bench measures the session
-/// against.
-pub fn verify_fresh_per_query(table: &Arc<ClassTable>, max_expansion_depth: u32) -> Diagnostics {
-    verify_with(
-        table,
-        VerifyOptions {
-            max_expansion_depth,
-            session_reuse: false,
-            ..VerifyOptions::default()
-        },
-    )
-}
-
-fn verify_with(table: &Arc<ClassTable>, options: VerifyOptions) -> Diagnostics {
-    VerifyEngine::new(options)
-        .verify(table, &Fingerprints::of(table), 1)
-        .0
 }
 
 /// A point of Figure 8: whether `(n, result)` is in the relation / region.
@@ -359,12 +327,11 @@ pub fn effectiveness() -> EffectivenessReport {
 }
 
 // ---------------------------------------------------------------------------
-// Runtime workloads (the `plan_vs_interp` bench)
+// Workload sources shared with perfbench and the tests
 // ---------------------------------------------------------------------------
 
-/// The iterator-heavy program behind the `plan_vs_interp` bench: Figure 1's
-/// `ZNat` naturals (recursive `succ` matching), the cons-list family, and a
-/// loop-heavy imperative grinder.
+/// An iterator-heavy program: Figure 1's `ZNat` naturals (recursive `succ`
+/// matching), the cons-list family, and a loop-heavy imperative grinder.
 pub fn runtime_workload_source() -> String {
     let mut src = String::new();
     src.push_str(jmatch_corpus::jmatch::NAT_INTERFACE);
@@ -392,95 +359,6 @@ pub fn runtime_workload_source() -> String {
     src
 }
 
-/// Builds a [`Program`] over [`runtime_workload_source`] with the given
-/// engine. For the plan engine this includes the one-time lowering cost,
-/// which the per-call workloads then amortize.
-pub fn runtime_program(engine: Engine) -> Program {
-    let program = Workspace::new()
-        .verify(false)
-        .max_expansion_depth(2)
-        .engine(engine)
-        .compile(&runtime_workload_source())
-        .expect("runtime workload program parses");
-    assert!(
-        program.diagnostics().errors.is_empty(),
-        "{:?}",
-        program.diagnostics().errors
-    );
-    program
-}
-
-/// Peano addition over `ZNat`: builds the naturals `0..=n` and sums
-/// `plus(a, b)` over every pair. Each recursive `plus` step pattern-matches
-/// `succ` backwards, so the work is dominated by declarative solving.
-pub fn nat_plus_workload(program: &Program, n: i64) -> i64 {
-    let zero = program.ctor("ZNat", "zero").unwrap();
-    let succ = program.ctor("ZNat", "succ").unwrap();
-    let plus = program.free_method("plus").unwrap();
-    let to_int = program.method("ZNat", "toInt").unwrap();
-    let mut nats = Vec::new();
-    let mut v = zero.construct(args![]).unwrap();
-    nats.push(v.clone());
-    for _ in 0..n {
-        v = succ.construct(args![v]).unwrap();
-        nats.push(v.clone());
-    }
-    let mut total = 0;
-    for a in &nats {
-        for b in &nats {
-            let s = plus.call(None, args![a.clone(), b.clone()]).unwrap();
-            total += to_int.call(Some(&s), args![]).unwrap().as_int().unwrap();
-        }
-    }
-    total
-}
-
-/// Cons-list traversal: `size`, the iterative `contains`, and deep equality
-/// over two structurally equal lists of length `n`.
-pub fn list_workload(program: &Program, n: i64) -> i64 {
-    let nil = program.ctor("EmptyList", "nil").unwrap();
-    let cons = program.ctor("ConsList", "cons").unwrap();
-    let size = program.method("ConsList", "size").unwrap();
-    let contains = program.method("ConsList", "contains").unwrap();
-    let mk = || {
-        let mut l = nil.construct(args![]).unwrap();
-        for i in 0..n {
-            l = cons.construct(args![i, l]).unwrap();
-        }
-        l
-    };
-    let a = mk();
-    let b = mk();
-    let mut total = size.call(Some(&a), args![]).unwrap().as_int().unwrap();
-    for i in 0..n {
-        let hit = contains.call(Some(&a), args![i]).unwrap();
-        if hit.as_bool() == Some(true) {
-            total += 1;
-        }
-    }
-    if program.values_equal(&a, &b).unwrap() {
-        total += 1;
-    }
-    total
-}
-
-/// `while` + `foreach` over an 8-way pattern disjunction: pure enumeration
-/// of formula solutions inside an imperative body.
-pub fn enumeration_workload(program: &Program, rounds: i64) -> i64 {
-    let gen = program.instance("Gen").unwrap();
-    program
-        .method("Gen", "burn")
-        .unwrap()
-        .call(Some(&gen), args![rounds])
-        .unwrap()
-        .as_int()
-        .unwrap()
-}
-
-// ---------------------------------------------------------------------------
-// First-solution workloads (the `first_solution` bench)
-// ---------------------------------------------------------------------------
-
 /// A balanced `x = 0 | x = 1 | ... | x = n-1` disjunction: `n` solutions,
 /// constant work per solution — the enumeration shape that separates lazy
 /// pulling from eager materialization most cleanly.
@@ -496,63 +374,10 @@ pub fn balanced_disjunction(lo: i64, hi: i64) -> Formula {
     }
 }
 
-/// Early exit: pull exactly one solution of a prepared query through the
-/// lazy [`jmatch_runtime::Solutions`] iterator. O(first solution) work —
-/// query preparation (lowering, handle resolution) happened once, outside.
-pub fn first_solution_lazy(query: &Query<'_>) -> i64 {
-    query.first().and_then(|b| b["x"].as_int()).unwrap()
-}
-
-/// The pre-redesign shape: materialize *every* solution (what the eager
-/// `Interp::deconstruct` / callback `solve` API forced on embedders), then
-/// read the first. O(n) work on the same prepared query.
-pub fn first_solution_eager(query: &Query<'_>) -> i64 {
-    let all = query.try_collect().unwrap();
-    all.first().and_then(|b| b["x"].as_int()).unwrap()
-}
-
-/// Builds a `Cons`/`Nil` integer list of length `n` from the corpus cons
-/// classes, most-recently-consed head first.
-pub fn int_list(program: &Program, n: i64) -> Value {
-    let nil = program.ctor("EmptyList", "nil").unwrap();
-    let cons = program.ctor("ConsList", "cons").unwrap();
-    let mut l = nil.construct(args![]).unwrap();
-    for i in (0..n).rev() {
-        l = cons.construct(args![i, l]).unwrap();
-    }
-    l
-}
-
-/// First solution of a prepared iterative `contains` query over a list —
-/// O(first element), independent of list length.
-pub fn first_element_lazy(query: &Query<'_>) -> i64 {
-    query
-        .first()
-        .and_then(|b| b.get("elem").and_then(Value::as_int))
-        .unwrap()
-}
-
-// ---------------------------------------------------------------------------
-// Value-representation workloads (the `repr_hot_paths` bench)
-// ---------------------------------------------------------------------------
-
 /// A field-heavy program: an eight-field `Point` read back in full both
 /// through field-of-`this` names (method bodies) and through explicit
 /// `p.f` field expressions, driven by an imperative loop. Dominated by
-/// field resolution — the hot path the slot-indexed object layout
-/// replaces per-field hash lookups on.
-pub fn repr_field_program(engine: Engine) -> Program {
-    let program = Workspace::new()
-        .verify(false)
-        .engine(engine)
-        .compile(REPR_FIELD_SOURCE)
-        .expect("repr field program parses");
-    assert!(program.diagnostics().errors.is_empty());
-    program
-}
-
-/// The source of [`repr_field_program`], public so other harnesses can
-/// compile it with their own settings.
+/// field resolution, the hot path the slot-indexed object layout serves.
 pub const REPR_FIELD_SOURCE: &str = r#"
         class Point {
             int x0;
@@ -614,43 +439,6 @@ pub const DET_TREE_SOURCE: &str = r#"
     }
 "#;
 
-/// Runs `min` over a `depth`-deep left chain and returns the (single)
-/// solution plus the machine's live / created choice-point counters at the
-/// solution — the quantity the determinism commit exists to shrink.
-pub fn det_tree_workload(program: &Program, depth: i64) -> (i64, usize, u64) {
-    let leaf = program.ctor("Leaf", "leaf").unwrap();
-    let node = program.ctor("Node", "node").unwrap();
-    let mut t = leaf.construct(args![]).unwrap();
-    for i in (0..depth).rev() {
-        let sibling = leaf.construct(args![]).unwrap();
-        t = node.construct(args![i + 1000, t, sibling]).unwrap();
-    }
-    let min = program.method("Node", "min").unwrap();
-    let query = min.iterate(Some(&t), &Bindings::new()).unwrap();
-    let mut solutions = query.solutions();
-    let m = solutions.next().expect("min has a solution")["m"]
-        .as_int()
-        .unwrap();
-    (
-        m,
-        solutions.choice_points().unwrap(),
-        solutions.choice_points_created().unwrap(),
-    )
-}
-
-/// Field-access workload: `rounds` iterations of two methods that each
-/// read all four `Point` fields.
-pub fn repr_field_workload(program: &Program, rounds: i64) -> i64 {
-    let at = program.ctor("Point", "at").unwrap();
-    let churn = program.free_method("churn").unwrap();
-    let p = at.construct(args![3, 5, 7, 11]).unwrap();
-    churn
-        .call(None, args![p, rounds])
-        .unwrap()
-        .as_int()
-        .unwrap()
-}
-
 /// How many classes / switch arms the dispatch workload uses.
 pub const REPR_DISPATCH_ARMS: usize = 64;
 
@@ -674,72 +462,10 @@ pub fn repr_dispatch_source() -> String {
     src
 }
 
-/// Builds the dispatch program on the given engine.
-pub fn repr_dispatch_program(engine: Engine) -> Program {
-    let program = Workspace::new()
-        .verify(false)
-        .engine(engine)
-        .compile(&repr_dispatch_source())
-        .expect("repr dispatch program parses");
-    assert!(
-        program.diagnostics().errors.is_empty(),
-        "{:?}",
-        program.diagnostics().errors
-    );
-    program
-}
-
-/// Constructor-dispatch workload: routes one instance of every class
-/// through the 64-arm switch.
-pub fn repr_dispatch_workload(program: &Program) -> i64 {
-    let route = program.free_method("route").unwrap();
-    let mut total = 0;
-    for k in 0..REPR_DISPATCH_ARMS {
-        let class = format!("C{k}");
-        let v = program
-            .ctor(&class, &class)
-            .unwrap()
-            .construct(args![k as i64])
-            .unwrap();
-        total += route.call(None, args![v]).unwrap().as_int().unwrap();
-    }
-    total
-}
-
-/// Deconstruction fan-out workload: walks the spine of an `n`-element cons
-/// list by repeated backward-mode `cons` queries, probing the `nil`
-/// predicate at every cell. Dominated by constructor matching and solution
-/// row extraction.
-pub fn repr_deconstruct_workload(program: &Program, n: i64) -> i64 {
-    let list = int_list(program, n);
-    let mut total = 0;
-    let mut cur = list;
-    loop {
-        if program.matches(&cur, "nil").unwrap() {
-            break;
-        }
-        let rows = program
-            .deconstruct(&cur, "cons")
-            .unwrap()
-            .try_collect_rows()
-            .unwrap();
-        let row = &rows[0];
-        total += row[0].as_int().unwrap();
-        cur = row[1].clone();
-    }
-    total
-}
-
-// ---------------------------------------------------------------------------
-// Parallel-scaling workload (`parallel_scaling` bench, BENCH_par.json)
-// ---------------------------------------------------------------------------
-
 /// The OR-parallel scaling workload: a complete binary tree whose `vals`
 /// method enumerates every leaf left-to-right, one two-way choice point
 /// per `Node`, so the choice tree is a full binary tree — maximally
-/// branchy, the shape work stealing splits best. Identical to the
-/// `tests/parallel.rs` workload; public so tests can compile it on either
-/// engine.
+/// branchy, the shape work stealing splits best.
 pub const PARALLEL_TREE_SOURCE: &str = r#"
     interface Tree {
         constructor leaf(int v) returns(v);
@@ -761,7 +487,7 @@ pub const PARALLEL_TREE_SOURCE: &str = r#"
     }
 "#;
 
-/// Compiles the parallel-scaling program on the plan engine.
+/// Compiles [`PARALLEL_TREE_SOURCE`] on the plan engine.
 pub fn parallel_program() -> Program {
     let program = Workspace::new()
         .verify(false)
@@ -775,14 +501,9 @@ pub fn parallel_program() -> Program {
     program
 }
 
-/// Builds a complete binary tree of the given depth with leaves numbered
-/// from 0 in order.
-pub fn parallel_tree(program: &Program, depth: u32) -> Value {
-    parallel_tree_from(program, depth, 0)
-}
-
-/// Like [`parallel_tree`] with leaves numbered from `base` (so a batch of
-/// trees can carry disjoint leaf values).
+/// Builds a complete binary tree of the given depth over
+/// [`parallel_program`], with leaves numbered in order from `base` (so a
+/// batch of trees can carry disjoint leaf values).
 pub fn parallel_tree_from(program: &Program, depth: u32, base: i64) -> Value {
     fn build(
         leaf: &jmatch_runtime::CtorRef,
@@ -806,47 +527,10 @@ pub fn parallel_tree_from(program: &Program, depth: u32, base: i64) -> Value {
     build(&leaf, &node, depth, &mut next)
 }
 
-/// Full sequential enumeration of the tree's leaves; returns the leaf
-/// values in sequential (in-order) enumeration order.
-pub fn parallel_enumerate_seq(program: &Program, tree: &Value) -> Vec<i64> {
-    let vals = program.method("Node", "vals").unwrap();
-    let query = vals.iterate(Some(tree), &Bindings::new()).unwrap();
-    let mut solutions = query.solutions();
-    let out: Vec<i64> = solutions
-        .by_ref()
-        .map(|b| b["x"].as_int().unwrap())
-        .collect();
-    assert!(solutions.error().is_none(), "{:?}", solutions.error());
-    out
-}
-
-/// Full OR-parallel enumeration over `threads` workers; `ordered` selects
-/// the sequential-order reorder buffer, otherwise solutions are merged as
-/// produced.
-pub fn parallel_enumerate_par(
-    program: &Program,
-    tree: &Value,
-    threads: usize,
-    ordered: bool,
-) -> Vec<i64> {
-    let vals = program.method("Node", "vals").unwrap();
-    let query = vals.iterate(Some(tree), &Bindings::new()).unwrap();
-    let mut solutions = if ordered {
-        query.par_solutions(threads)
-    } else {
-        query.par_solutions_unordered(threads)
-    };
-    let out: Vec<i64> = solutions
-        .by_ref()
-        .map(|b| b["x"].as_int().unwrap())
-        .collect();
-    assert!(solutions.error().is_none(), "{:?}", solutions.error());
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jmatch_core::{Fingerprints, VerifyEngine, VerifyOptions};
 
     #[test]
     fn figure8_relation_matches_paper_shape() {
@@ -891,18 +575,33 @@ mod tests {
         measure_entry(&e, 2);
     }
 
+    /// Verifies a resolved program at expansion depth 2 on one worker, with
+    /// or without the per-method incremental sessions.
+    fn verify(table: &Arc<ClassTable>, session_reuse: bool) -> Diagnostics {
+        let options = VerifyOptions {
+            max_expansion_depth: 2,
+            session_reuse,
+            ..VerifyOptions::default()
+        };
+        VerifyEngine::new(options)
+            .verify(table, &Fingerprints::of(table), 1)
+            .0
+    }
+
     /// Asserting inside `push`/`pop` scopes, popping, and re-asserting must
     /// give the same verdicts as fresh solvers on the same formulas — here
-    /// checked end-to-end: incremental sessions and fresh-per-query
-    /// verification produce identical diagnostics.
+    /// checked end-to-end on every corpus row: per-method incremental
+    /// sessions and a fresh solver per VC query produce identical
+    /// diagnostics.
     #[test]
     fn session_modes_agree_on_the_corpus() {
-        for name in ["Nat", "ZNat", "List", "ConsList", "TreeLeaf"] {
-            let table = resolve(&jmatch_corpus::entry(name).unwrap().combined_jmatch());
+        for entry in jmatch_corpus::entries() {
+            let table = resolve(&entry.combined_jmatch());
             assert_eq!(
-                verify_incremental(&table, 2),
-                verify_fresh_per_query(&table, 2),
-                "{name}"
+                verify(&table, true),
+                verify(&table, false),
+                "{}",
+                entry.name
             );
         }
     }

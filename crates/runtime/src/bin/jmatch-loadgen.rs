@@ -19,7 +19,11 @@
 //!   source), cached-compile latency (every request re-compiles the same
 //!   source — a cache hit after the first), and cached-query latency,
 //!   recording p50/p99 microseconds and throughput into a JSON report
-//!   (`--out BENCH_serve.json`).
+//!   (`--out`, default `BENCH_serve.json` in the working directory; the CI
+//!   `serve-smoke` job uploads it as an artifact). It fails unless the
+//!   cached-compile p50 beats the cold p50 by at least 10x at every level,
+//!   so a zero request count or concurrency level, which would measure
+//!   nothing, is a usage error.
 
 use jmatch_runtime::serve::json::Json;
 use jmatch_runtime::serve::proto::bindings_to_json;
@@ -69,7 +73,7 @@ struct Flags {
     shutdown: bool,
 }
 
-fn parse_flags() -> Result<Flags, String> {
+fn parse_flags(args: impl IntoIterator<Item = String>) -> Result<Flags, String> {
     let mut addr = None;
     let mut flags = Flags {
         addr: "127.0.0.1:7733".parse().expect("literal addr"),
@@ -82,7 +86,7 @@ fn parse_flags() -> Result<Flags, String> {
         out: "BENCH_serve.json".into(),
         shutdown: false,
     };
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(flag) = args.next() {
         let mut value = |what: &str| {
             args.next()
@@ -134,11 +138,20 @@ fn parse_flags() -> Result<Flags, String> {
     } else {
         return Err(format!("--addr is required\n\n{USAGE}"));
     }
+    for (flag, zero) in [
+        ("--clients", flags.clients.contains(&0)),
+        ("--cold-requests", flags.cold_requests == 0),
+        ("--cached-requests", flags.cached_requests == 0),
+    ] {
+        if zero {
+            return Err(format!("{flag} must be at least 1\n\n{USAGE}"));
+        }
+    }
     Ok(flags)
 }
 
 fn main() -> ExitCode {
-    let flags = match parse_flags() {
+    let flags = match parse_flags(std::env::args().skip(1)) {
         Ok(flags) => flags,
         Err(message) => {
             eprintln!("jmatch-loadgen: {message}");
@@ -718,7 +731,7 @@ fn run_bench(flags: &Flags) -> Result<(), String> {
     }
 
     let report = Json::obj(vec![
-        ("bench", Json::Str("serve_latency".into())),
+        ("bench", Json::Str("jmatch-loadgen".into())),
         ("unit", Json::Str("microseconds".into())),
         (
             "scenarios",
@@ -745,4 +758,45 @@ fn run_bench(flags: &Flags) -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Flags, String> {
+        parse_flags(args.iter().map(|a| a.to_string()))
+    }
+
+    /// A zero count or concurrency level would pass the speedup check
+    /// without measuring anything, so each is rejected up front.
+    #[test]
+    fn zero_counts_are_usage_errors() {
+        for (flag, value) in [
+            ("--clients", "1,0,8"),
+            ("--cold-requests", "0"),
+            ("--cached-requests", "0"),
+        ] {
+            let err = parse(&["--addr", "127.0.0.1:7733", flag, value])
+                .err()
+                .expect("a zero must be rejected");
+            assert!(
+                err.starts_with(&format!("{flag} must be at least 1")),
+                "{err}"
+            );
+        }
+        let flags = parse(&[
+            "--addr",
+            "127.0.0.1:7733",
+            "--clients",
+            "1,2",
+            "--cold-requests",
+            "1",
+            "--cached-requests",
+            "1",
+        ])
+        .expect("counts of one are valid");
+        assert_eq!(flags.clients, [1, 2]);
+        assert_eq!((flags.cold_requests, flags.cached_requests), (1, 1));
+    }
 }

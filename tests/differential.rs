@@ -9,7 +9,8 @@
 //! (values, solution rows, enumeration order, and failures) must be
 //! identical line by line. A separate test pins that both engines honor
 //! the same `Limits` (the legacy `Interp::solve` honored `depth` on one
-//! engine and ignored it on the other).
+//! engine and ignored it on the other). Another runs the programs the
+//! benchmark's `query_exec` workload times and compares every result.
 
 use jmatch::{args, Bindings, Engine, Limits, Program, Solutions, Value, Workspace};
 
@@ -717,4 +718,130 @@ fn argument_pattern_rules_agree_across_engines() {
     let got = transcript(&plan);
     assert_eq!(got, transcript(&tree), "engines diverge");
     assert_eq!(got, ["pick -> Ok(Int(2))", "bad -> []", "rows -> [x=3]"]);
+}
+
+/// A benchmark workload: drives a compiled program, returns its results.
+type Workload = fn(&Program) -> Vec<i64>;
+
+/// The programs the benchmark's `query_exec` workload times, run on both
+/// engines at fixed sizes: every result must agree.
+#[test]
+fn benchmark_workloads_agree_across_engines() {
+    let runtime = jmatch_bench::runtime_workload_source();
+    let dispatch = jmatch_bench::repr_dispatch_source();
+    let workloads: [(&str, &str, Workload); 6] = [
+        ("nat_plus", &runtime, nat_plus),
+        ("list_ops", &runtime, list_ops),
+        ("enumeration", &runtime, enumeration),
+        ("deconstruct", &runtime, deconstruct),
+        (
+            "field_access",
+            jmatch_bench::REPR_FIELD_SOURCE,
+            field_access,
+        ),
+        ("ctor_dispatch", &dispatch, ctor_dispatch),
+    ];
+    for (name, src, workload) in workloads {
+        let (plan, tree) = engines_for(src);
+        assert_eq!(workload(&plan), workload(&tree), "{name}: engines diverge");
+    }
+}
+
+/// `plus(a, b).toInt()` for every pair of `ZNat` naturals `0..=6`: each
+/// recursive step matches `succ` backwards.
+fn nat_plus(p: &Program) -> Vec<i64> {
+    let succ = p.ctor("ZNat", "succ").unwrap();
+    let plus = p.free_method("plus").unwrap();
+    let to_int = p.method("ZNat", "toInt").unwrap();
+    let mut nats = vec![p.ctor("ZNat", "zero").unwrap().construct(args![]).unwrap()];
+    for _ in 0..6 {
+        let next = succ.construct(args![nats[nats.len() - 1].clone()]).unwrap();
+        nats.push(next);
+    }
+    let mut out = Vec::new();
+    for a in &nats {
+        for b in &nats {
+            let sum = plus.call(None, args![a.clone(), b.clone()]).unwrap();
+            out.push(to_int.call(Some(&sum), args![]).unwrap().as_int().unwrap());
+        }
+    }
+    out
+}
+
+/// A 12-element cons list: its `size`, the iterative `contains` called as
+/// a predicate on each element, and deep equality with an equal list.
+fn list_ops(p: &Program) -> Vec<i64> {
+    let (a, b) = (cons_list(p, 12), cons_list(p, 12));
+    let size = p.method("ConsList", "size").unwrap();
+    let contains = p.method("ConsList", "contains").unwrap();
+    let mut out = vec![size.call(Some(&a), args![]).unwrap().as_int().unwrap()];
+    for i in 0..12 {
+        let hit = contains.call(Some(&a), args![i]).unwrap();
+        out.push(i64::from(hit.as_bool() == Some(true)));
+    }
+    out.push(i64::from(p.values_equal(&a, &b).unwrap()));
+    out
+}
+
+/// `Gen.burn(40)`: a `while` loop around a `foreach` over an eight-way
+/// or-pattern.
+fn enumeration(p: &Program) -> Vec<i64> {
+    let gen = p.instance("Gen").unwrap();
+    let burn = p.method("Gen", "burn").unwrap();
+    vec![burn.call(Some(&gen), args![40]).unwrap().as_int().unwrap()]
+}
+
+/// Walks a 64-element cons list by backward-mode `cons` queries, probing
+/// the `nil` predicate at every cell.
+fn deconstruct(p: &Program) -> Vec<i64> {
+    let mut cur = cons_list(p, 64);
+    let mut out = Vec::new();
+    while !p.matches(&cur, "nil").unwrap() {
+        let rows = p
+            .deconstruct(&cur, "cons")
+            .unwrap()
+            .try_collect_rows()
+            .unwrap();
+        out.push(rows[0][0].as_int().unwrap());
+        cur = rows[0][1].clone();
+    }
+    out
+}
+
+/// `churn(at(3, 5, 7, 11), 100)`: a hundred rounds of field reads.
+fn field_access(p: &Program) -> Vec<i64> {
+    let at = p.ctor("Point", "at").unwrap();
+    let point = at.construct(args![3, 5, 7, 11]).unwrap();
+    let churn = p.free_method("churn").unwrap();
+    vec![churn
+        .call(None, args![point, 100])
+        .unwrap()
+        .as_int()
+        .unwrap()]
+}
+
+/// `route` over one instance of each of the 64 `Tag` classes.
+fn ctor_dispatch(p: &Program) -> Vec<i64> {
+    let route = p.free_method("route").unwrap();
+    (0..jmatch_bench::REPR_DISPATCH_ARMS as i64)
+        .map(|k| {
+            let class = format!("C{k}");
+            let v = p.ctor(&class, &class).unwrap().construct(args![k]).unwrap();
+            route.call(None, args![v]).unwrap().as_int().unwrap()
+        })
+        .collect()
+}
+
+/// A corpus `ConsList` holding `0..n`, head first.
+fn cons_list(p: &Program, n: i64) -> Value {
+    let cons = p.ctor("ConsList", "cons").unwrap();
+    let mut l = p
+        .ctor("EmptyList", "nil")
+        .unwrap()
+        .construct(args![])
+        .unwrap();
+    for i in (0..n).rev() {
+        l = cons.construct(args![i, l]).unwrap();
+    }
+    l
 }

@@ -8,9 +8,11 @@
 //!
 //! The scripted edits cover the red/green matrix: body-only change,
 //! signature change, method add and remove, and an edit that introduces
-//! and then fixes a verification warning. A final test pins that parallel
-//! verification is deterministic: 1, 2, and 8 workers produce the same
-//! diagnostics in the same order.
+//! and then fixes a verification warning; a probe-method edit on every
+//! corpus row must re-verify only the probe. A final test pins that
+//! parallel verification is deterministic on the fixture and the whole
+//! corpus: 1, 2, and 8 workers produce the same diagnostics in the same
+//! order.
 
 use jmatch::{Engine, Generation, Program, Workspace};
 
@@ -202,32 +204,60 @@ fn corpus_generations_survive_noop_edits_on_both_engines() {
     }
 }
 
+/// Every corpus row with an appended probe method: a body edit of the
+/// probe stays on the incremental path, re-verifies only the probe, and
+/// gives the diagnostics of a scratch build.
+#[test]
+fn corpus_body_edits_reverify_only_the_edited_method() {
+    for entry in jmatch::corpus::entries() {
+        let src = entry.combined_jmatch();
+        let base = format!("{src}\nstatic int probe() {{ return 1; }}");
+        let edited = format!("{src}\nstatic int probe() {{ return 2; }}");
+        let mut ws = Workspace::new().verify(true);
+        ws.load(&base).unwrap();
+        let g = ws.update_source(&edited).unwrap();
+        assert!(!g.report().full, "{}: body edit rebuilt fully", entry.name);
+        assert_eq!(
+            g.report().reverified,
+            ["<toplevel>.probe"],
+            "{}: a one-method edit re-verified more than the method",
+            entry.name
+        );
+        assert_eq!(
+            diag_lines(g.program()),
+            diag_lines(&scratch(&edited, true)),
+            "{}: diagnostics diverge from a full rebuild",
+            entry.name
+        );
+    }
+}
+
+/// The scripted fixture, its broken edit and every corpus row: 1, 2 and 8
+/// verify workers give the same diagnostics in the same order.
 #[test]
 fn parallel_verification_is_deterministic_across_worker_counts() {
     let broken = BASE.replace("case zero(): return m;\n", "");
     let mut sources = vec![BASE.to_owned(), broken];
-    // A corpus entry with real verification output, for breadth.
-    if let Some(entry) = jmatch::corpus::entries().first() {
-        sources.push(entry.combined_jmatch());
-    }
-    for src in &sources {
-        let baseline = diag_lines(
+    sources.extend(
+        jmatch::corpus::entries()
+            .iter()
+            .map(|e| e.combined_jmatch()),
+    );
+    let verify = |src: &str, workers| {
+        diag_lines(
             &Workspace::new()
                 .verify(true)
-                .verify_threads(1)
+                .verify_threads(workers)
                 .compile(src)
                 .unwrap(),
-        );
+        )
+    };
+    for src in &sources {
+        let baseline = verify(src, 1);
         for workers in [2, 8] {
-            let got = diag_lines(
-                &Workspace::new()
-                    .verify(true)
-                    .verify_threads(workers)
-                    .compile(src)
-                    .unwrap(),
-            );
             assert_eq!(
-                got, baseline,
+                verify(src, workers),
+                baseline,
                 "{workers}-worker verification diverges from 1 worker"
             );
         }

@@ -113,19 +113,8 @@ fn first_solution_of_a_large_enumeration_is_o1_body() {
 /// constructor match — so they cannot distinguish O(1) from O(n) cleanly.)
 #[test]
 fn full_drain_is_linear_and_first_solution_constant() {
-    use jmatch::syntax::ast::{CmpOp, Expr, Formula};
-
-    fn balanced(lo: i64, hi: i64) -> Formula {
-        if lo == hi {
-            Formula::Cmp(CmpOp::Eq, Expr::Var("x".into()), Expr::IntLit(lo))
-        } else {
-            let mid = lo + (hi - lo) / 2;
-            Formula::Or(Box::new(balanced(lo, mid)), Box::new(balanced(mid + 1, hi)))
-        }
-    }
-
     let program = program();
-    let f = balanced(0, N - 1);
+    let f = jmatch_bench::balanced_disjunction(0, N - 1);
     let query = program.solve(&f, &Bindings::new(), None);
 
     let mut one = query.solutions();
@@ -136,6 +125,8 @@ fn full_drain_is_linear_and_first_solution_constant() {
         "first solution took {first_steps} steps over a 10k-way disjunction"
     );
     drop(one);
+    // An eager collect starts where the lazy pull did.
+    assert_eq!(query.try_collect().unwrap()[0]["x"], Value::Int(0));
 
     let mut all = query.solutions();
     let count = all.by_ref().count();
@@ -150,6 +141,27 @@ fn full_drain_is_linear_and_first_solution_constant() {
         first_steps * 50 < full_steps,
         "first={first_steps} vs full={full_steps}: not O(1) vs O(n)"
     );
+}
+
+/// The iterative `contains` mode of the corpus `ConsList` yields the head
+/// first, whether pulled lazily or collected eagerly.
+#[test]
+fn contains_starts_at_the_head_lazily_and_eagerly() {
+    let program = Workspace::new()
+        .verify(false)
+        .compile(&jmatch_bench::runtime_workload_source())
+        .unwrap();
+    let nil = program.ctor("EmptyList", "nil").unwrap();
+    let cons = program.ctor("ConsList", "cons").unwrap();
+    let mut list = nil.construct(args![]).unwrap();
+    for i in (0..192).rev() {
+        list = cons.construct(args![i, list]).unwrap();
+    }
+    let contains = program.method("ConsList", "contains").unwrap();
+    let elements = contains.iterate(Some(&list), &Bindings::new()).unwrap();
+    let first = elements.first().expect("a first element");
+    assert_eq!(first["elem"], Value::Int(0));
+    assert_eq!(elements.try_collect().unwrap()[0]["elem"], Value::Int(0));
 }
 
 #[test]

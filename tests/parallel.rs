@@ -196,8 +196,8 @@ fn named_constructors(program: &Program) -> Vec<String> {
 // Branchy workloads
 // ---------------------------------------------------------------------------
 
-/// The balanced binary enumeration workload, shared with the
-/// `parallel_scaling` bench (`jmatch_bench::parallel_program`): `vals`
+/// The balanced binary enumeration workload, shared with the benchmark's
+/// two-worker enumeration (`jmatch_bench::PARALLEL_TREE_SOURCE`): `vals`
 /// yields every leaf left-to-right, so the choice tree is a complete
 /// binary tree — the shape work stealing splits best.
 fn tree_program() -> Program {

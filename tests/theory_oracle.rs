@@ -21,12 +21,18 @@
 //!   congruence-closed partition.
 //! * The solver's model of `a = b ∧ p(f(a)) ∧ p(f(b))` puts `f(a)` and
 //!   `f(b)` in one object class.
+//! * The CDCL [`SatSolver`] is driven through random clause sets over at
+//!   most ten variables, mixing permanent clauses, `push` /
+//!   `add_scoped_clause` / `pop` scopes and `solve_with_assumptions`.
+//!   Every answer must match a scan of all assignments over the active
+//!   clauses, and every `Sat` model must satisfy them.
 //!
 //! The generator is a fixed-seed xorshift, so every run checks the same
 //! instances.
 
 use jmatch::smt::euf::{self, Closure, EufResult};
 use jmatch::smt::lia::{self, LiaResult};
+use jmatch::smt::sat::{Lit, SatOutcome, SatSolver};
 use jmatch::smt::{SatResult, Solver, Sort, TermData, TermId, TermStore};
 use std::collections::HashMap;
 
@@ -632,4 +638,110 @@ fn model_object_classes_respect_congruence() {
         model.display_for(&s, &[fa, fb]),
         "f(a) = obj#1, f(b) = obj#1"
     );
+}
+
+// ---------------------------------------------------------------------------
+// SAT
+// ---------------------------------------------------------------------------
+
+/// A clause of 1..=3 literals over distinct variables of `0..n`.
+fn random_clause(rng: &mut XorShift, n: u32) -> Vec<Lit> {
+    let mut clause: Vec<Lit> = Vec::new();
+    for _ in 0..rng.range(1, 3) {
+        let var = rng.range(0, i64::from(n) - 1) as u32;
+        if clause.iter().all(|l| l.var() != var) {
+            clause.push(Lit::new(var, rng.chance(50)));
+        }
+    }
+    clause
+}
+
+/// Whether a literal holds under the assignment `mask` (bit `v` is `v`).
+fn lit_holds(lit: Lit, mask: u32) -> bool {
+    (mask >> lit.var() & 1 == 1) == lit.is_positive()
+}
+
+/// Brute force: whether some assignment of `0..n` satisfies every clause
+/// and every assumption.
+fn brute_force_sat(n: u32, clauses: &[&Vec<Lit>], assumptions: &[Lit]) -> bool {
+    (0..1u32 << n).any(|mask| {
+        assumptions.iter().all(|&a| lit_holds(a, mask))
+            && clauses
+                .iter()
+                .all(|c| c.iter().any(|&l| lit_holds(l, mask)))
+    })
+}
+
+#[test]
+fn cdcl_agrees_with_brute_force_under_scopes_and_assumptions() {
+    let mut rng = XorShift(0x5a7_c0de);
+    let (mut sat, mut unsat) = (0, 0);
+    for _ in 0..300 {
+        let n = rng.range(1, 10) as u32;
+        let mut solver = SatSolver::new();
+        for v in 0..n {
+            assert_eq!(solver.new_var(), v);
+        }
+        // `scopes[0]` holds the permanent clauses, `scopes[k]` those of
+        // the k-th open scope.
+        let mut scopes: Vec<Vec<Vec<Lit>>> = vec![Vec::new()];
+        for _ in 0..24 {
+            match rng.range(0, 9) {
+                0..=2 => {
+                    let clause = random_clause(&mut rng, n);
+                    solver.add_clause(&clause);
+                    scopes[0].push(clause);
+                }
+                3 | 4 => {
+                    let clause = random_clause(&mut rng, n);
+                    solver.add_scoped_clause(&clause);
+                    scopes.last_mut().unwrap().push(clause);
+                }
+                5 => {
+                    solver.push();
+                    scopes.push(Vec::new());
+                }
+                6 if scopes.len() > 1 => {
+                    solver.pop();
+                    scopes.pop();
+                }
+                _ => {
+                    let assumptions = if rng.chance(50) {
+                        Vec::new()
+                    } else {
+                        let mut lits = random_clause(&mut rng, n);
+                        lits.truncate(2);
+                        lits
+                    };
+                    let outcome = if assumptions.is_empty() {
+                        solver.solve()
+                    } else {
+                        solver.solve_with_assumptions(&assumptions)
+                    };
+                    let active: Vec<&Vec<Lit>> = scopes.iter().flatten().collect();
+                    let want = brute_force_sat(n, &active, &assumptions);
+                    assert_eq!(
+                        outcome == SatOutcome::Sat,
+                        want,
+                        "{n} variables, clauses {active:?}, assumptions {assumptions:?}"
+                    );
+                    if outcome == SatOutcome::Unsat {
+                        unsat += 1;
+                        continue;
+                    }
+                    sat += 1;
+                    let holds = |l: &Lit| solver.value(l.var()) == Some(l.is_positive());
+                    for clause in &active {
+                        assert!(clause.iter().any(holds), "the model falsifies {clause:?}");
+                    }
+                    assert!(
+                        assumptions.iter().all(holds),
+                        "the model falsifies an assumption of {assumptions:?}"
+                    );
+                }
+            }
+        }
+    }
+    // The instances must exercise both answers.
+    assert!(sat > 100 && unsat > 100, "{sat} sat, {unsat} unsat");
 }

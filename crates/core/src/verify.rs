@@ -57,8 +57,10 @@ pub struct VerifyOptions {
     /// Whether a method's VC queries share one incremental solver session
     /// (the default, mirroring the paper's single Z3 process). Turning this
     /// off rebuilds a solver and expander for every individual query — the
-    /// pre-incremental architecture — and exists as the baseline for the
-    /// `incremental_vs_fresh` bench.
+    /// pre-incremental architecture. Its one use off the default is
+    /// `jmatch-bench`'s `session_modes_agree_on_the_corpus` test, which
+    /// checks that both settings give the same diagnostics on every corpus
+    /// row.
     pub session_reuse: bool,
 }
 

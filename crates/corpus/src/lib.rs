@@ -11,8 +11,10 @@
 //! compiled and verified by `jmatch-core` (their verdicts are pinned by the
 //! facade's `tests/corpus_diagnostics.rs`); the Java sources exist only for
 //! token counting (the conciseness comparison of §7.2) and are equivalent
-//! hand-written implementations, not the paper's original files — see
-//! `EXPERIMENTS.md` for how this substitution is accounted for.
+//! hand-written implementations, not the paper's original files. The
+//! `table1` binary of `jmatch-bench` prints their token counts beside the
+//! paper's JMatch/Java ratio, and the README's description of that binary
+//! states the substitution.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -264,9 +266,9 @@ pub fn entry(name: &str) -> Option<CorpusEntry> {
 
 /// The Table 1 rows the paper evaluates that are *not* reproduced by this
 /// corpus (the typed lambda calculus / type inference classes and the Java
-/// collections-framework conversions). They are listed here so the benchmark
-/// harness and `EXPERIMENTS.md` can report the gap explicitly instead of
-/// padding the corpus with stubs.
+/// collections-framework conversions). They are listed here so the `table1`
+/// binary of `jmatch-bench` can report the gap explicitly (it prints them
+/// after the table) instead of padding the corpus with stubs.
 pub const UNREPRODUCED_ROWS: &[&str] = &[
     "TypedLambda",
     "Type",

@@ -18,10 +18,11 @@
 //! [`Program`] is cheap to clone and `Send + Sync`, so one compilation can
 //! serve any number of threads; the per-query state lives in the
 //! [`Solutions`] iterator. With [`Engine::Plan`] (the default) iteration is
-//! driven by the resumable stack machine of [`crate::machine`]; with
-//! [`Engine::TreeWalk`] the legacy callback engine runs on a worker thread
-//! behind a bounded (rendezvous) channel, so it can never race more than
-//! one solution ahead of the consumer.
+//! driven by the resumable stack machine of [`crate::machine`].
+//! [`Engine::TreeWalk`], which only [`Program::with_engine`] selects, is
+//! the test oracle: it collects a query's solutions eagerly before the
+//! iterator yields the first one, so its enumerations must be finite
+//! within the query's [`Limits`].
 
 use crate::eval::{Budget, Frame, MAX_DEPTH};
 use crate::machine::Machine;
@@ -35,8 +36,7 @@ use jmatch_core::Warning;
 use jmatch_syntax::ast::{Formula, MethodBody, Param, Type};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------------
 // Limits
@@ -106,17 +106,16 @@ pub struct Program {
 }
 
 impl Program {
-    /// Assembles a program from already-compiled parts (the
-    /// [`Workspace`](crate::Workspace) rebuild path).
+    /// Assembles a program on the plan engine from already-compiled parts
+    /// (the [`Workspace`](crate::Workspace) rebuild path).
     pub(crate) fn assemble(
         plan: Arc<ProgramPlan>,
-        engine: Engine,
         limits: Limits,
         diagnostics: Arc<Diagnostics>,
     ) -> Self {
         Program {
             plan,
-            engine,
+            engine: Engine::Plan,
             limits,
             diagnostics,
         }
@@ -130,11 +129,6 @@ impl Program {
     /// The lowered program plan.
     pub fn plan(&self) -> &Arc<ProgramPlan> {
         &self.plan
-    }
-
-    /// The engine queries and calls run on.
-    pub fn engine(&self) -> Engine {
-        self.engine
     }
 
     /// The default work ceilings of this program's queries and calls.
@@ -166,7 +160,8 @@ impl Program {
             .expect("every Workspace build runs the analysis pass")
     }
 
-    /// The same program on a different engine (cheap).
+    /// The same program on a different engine (cheap): the only way to
+    /// select [`Engine::TreeWalk`], the oracle tests compare plans against.
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
         self
@@ -394,7 +389,7 @@ impl Program {
 
     /// Like [`Program::query_many`], but each result slot also reports the
     /// solver steps the query spent (when the engine can count them — the
-    /// plan engine's stack machine; `None` on the tree-walker).
+    /// plan engine's stack machine; `None` on the tree-walker oracle).
     ///
     /// This is the accounting shape a multi-tenant server needs: run a
     /// coalesced batch on one pool, then settle each request's step grant
@@ -471,7 +466,7 @@ impl Program {
             Engine::Plan => {
                 Machine::new(&self.plan, self.budget()).matches_constructor(value, ctor)
             }
-            _ => self.walker().matches_constructor(value, ctor),
+            Engine::TreeWalk => self.walker().matches_constructor(value, ctor),
         }
     }
 
@@ -486,7 +481,7 @@ impl Program {
                 }
                 _ => Ok(a == b),
             },
-            _ => self.walker().values_equal(a, b),
+            Engine::TreeWalk => self.walker().values_equal(a, b),
         }
     }
 
@@ -586,7 +581,7 @@ impl MethodRef {
                     args,
                 )
             }
-            _ => self.program.walker_with(limits).run_forward(
+            Engine::TreeWalk => self.program.walker_with(limits).run_forward(
                 &self.program.plan.method(self.pid).info,
                 receiver.cloned(),
                 args,
@@ -609,8 +604,9 @@ impl MethodRef {
 
     /// Like [`MethodRef::call_counted`], with an optional external
     /// interrupt token: a fired token (cancellation, request deadline)
-    /// stops the call at the next fuel-poll boundary with an
+    /// stops a plan-engine call at the next fuel-poll boundary with an
     /// [`RtErrorKind::Interrupted`](crate::RtErrorKind::Interrupted) error.
+    /// The tree-walker oracle ignores the token.
     pub fn call_counted_interruptible(
         &self,
         receiver: Option<&Value>,
@@ -626,10 +622,8 @@ impl MethodRef {
                 let outcome = machine.run_forward(self.pid, receiver.cloned(), args);
                 (outcome, Some(machine.steps()))
             }
-            _ => {
-                let mut walker = self.program.walker_with(limits);
-                walker.set_interrupt(interrupt);
-                let outcome = walker.run_forward(
+            Engine::TreeWalk => {
+                let outcome = self.program.walker_with(limits).run_forward(
                     &self.program.plan.method(self.pid).info,
                     receiver.cloned(),
                     args,
@@ -757,7 +751,7 @@ impl CtorRef {
                 None,
                 args,
             ),
-            _ => self.program.walker().run_forward(
+            Engine::TreeWalk => self.program.walker().run_forward(
                 &self.program.plan.method(self.construct_pid).info,
                 None,
                 args,
@@ -799,11 +793,11 @@ impl CtorRef {
 // Query
 // ---------------------------------------------------------------------------
 
-/// Stack of the tree-walker's producer thread behind [`Query::solutions`]:
-/// the walker's native recursion is deep (one Rust frame chain per
-/// constructor match, fat in debug builds), so the producer gets the stack
-/// the main thread of a binary would have, times a margin.
-const TREE_PRODUCER_STACK: usize = 64 << 20;
+/// Stack of the thread a query's tree walk runs on: the walker's native
+/// recursion is deep (one Rust frame chain per constructor match, fat in
+/// debug builds), so the walk gets the stack the main thread of a binary
+/// would have, times a margin.
+const WALKER_STACK: usize = 64 << 20;
 
 /// What a query enumerates.
 enum Source {
@@ -845,10 +839,11 @@ impl Query<'_> {
     }
 
     /// Attaches an external interrupt token: when another thread stores
-    /// `true` into it (a cancellation request or a deadline watchdog), the
-    /// enumeration stops at the next fuel-poll boundary (every 256 solver
-    /// steps, on every engine) with an
+    /// `true` into it (a cancellation request or a deadline watchdog), a
+    /// plan-engine enumeration stops at the next fuel-poll boundary (every
+    /// 256 solver steps) with an
     /// [`RtErrorKind::Interrupted`](crate::RtErrorKind::Interrupted) error.
+    /// The tree-walker oracle ignores the token; [`Limits`] bound its walk.
     pub fn interrupt(mut self, token: Arc<AtomicBool>) -> Self {
         self.interrupt = Some(token);
         self
@@ -866,9 +861,10 @@ impl Query<'_> {
     ///
     /// Propagates the runtime error that ended the enumeration, if any.
     pub fn try_first(&self) -> RtResult<Option<Bindings>> {
-        if !matches!(self.program.engine, Engine::Plan) {
+        if self.program.engine == Engine::TreeWalk {
+            // Stop the walk at the first solution instead of collecting all.
             let mut first = None;
-            self.tree_run_inline(&mut |b| {
+            self.walk(&mut |b| {
                 first = Some(b);
                 false
             })?;
@@ -884,22 +880,10 @@ impl Query<'_> {
 
     /// Collects every solution, surfacing enumeration errors.
     ///
-    /// On the tree-walk engine this runs the callback engine directly on
-    /// the caller's thread — eager collection has no laziness to preserve,
-    /// so it skips the producer thread entirely.
-    ///
     /// # Errors
     ///
     /// Propagates the runtime error that ended the enumeration, if any.
     pub fn try_collect(&self) -> RtResult<Vec<Bindings>> {
-        if !matches!(self.program.engine, Engine::Plan) {
-            let mut all = Vec::new();
-            self.tree_run_inline(&mut |b| {
-                all.push(b);
-                true
-            })?;
-            return Ok(all);
-        }
         let mut solutions = self.solutions();
         let all: Vec<Bindings> = solutions.by_ref().collect();
         match solutions.take_error() {
@@ -910,16 +894,8 @@ impl Query<'_> {
 
     /// Like [`Query::try_collect`], but also reports the solver steps the
     /// enumeration spent, when the engine can count them (the plan
-    /// engine's stack machine; `None` on the tree-walker adapter).
+    /// engine's stack machine; `None` on the tree-walker oracle).
     pub fn try_collect_counted(&self) -> (RtResult<Vec<Bindings>>, Option<u64>) {
-        if !matches!(self.program.engine, Engine::Plan) {
-            let mut all = Vec::new();
-            let outcome = self.tree_run_inline(&mut |b| {
-                all.push(b);
-                true
-            });
-            return (outcome.map(|()| all), None);
-        }
         let mut solutions = self.solutions();
         let all: Vec<Bindings> = solutions.by_ref().collect();
         let steps = solutions.steps();
@@ -996,44 +972,50 @@ impl Query<'_> {
         self.try_collect_rows()
     }
 
-    /// Runs the tree-walker's callback engine on the caller's thread,
-    /// feeding each solution to `emit` (return `false` to stop) — the
-    /// eager / legacy-shim path that needs no producer thread.
-    pub(crate) fn tree_run_inline(&self, emit: &mut dyn FnMut(Bindings) -> bool) -> RtResult<()> {
-        let mut walker = self.program.walker_with(self.limits);
-        walker.set_interrupt(self.interrupt.clone());
-        match &self.source {
-            Source::Formula { ast, env, this, .. } => {
-                walker.solve(env, this.as_ref(), ast, 0, &mut |b| emit(b.clone()))
-            }
-            Source::Deconstruct { pid, ctor, value } => {
-                let params: Vec<String> = self
-                    .program
-                    .plan
-                    .method(*pid)
-                    .info
-                    .decl
-                    .params
-                    .iter()
-                    .map(|p| p.name.clone())
-                    .collect();
-                walker.deconstruct_each(value, ctor, &mut |row| {
-                    let mut b = Bindings::new();
-                    for (p, v) in params.iter().zip(row) {
-                        b.insert(p.clone(), v.clone());
+    /// Runs the tree walker over the query, feeding each solution to `emit`
+    /// (return `false` to stop). The walk runs on a scoped thread that
+    /// declares [`WALKER_STACK`], joined before this returns.
+    fn walk(&self, emit: &mut (dyn FnMut(Bindings) -> bool + Send)) -> RtResult<()> {
+        std::thread::scope(|scope| {
+            let handle = std::thread::Builder::new()
+                .name("jmatch-tree-walk".into())
+                .stack_size(WALKER_STACK)
+                .spawn_scoped(scope, || {
+                    crate::declare_thread_stack(WALKER_STACK);
+                    let walker = self.program.walker_with(self.limits);
+                    match &self.source {
+                        Source::Formula { ast, env, this, .. } => {
+                            walker.solve(env, this.as_ref(), ast, 0, &mut |b| emit(b.clone()))
+                        }
+                        Source::Deconstruct { pid, ctor, value } => {
+                            let params = &self.program.plan.method(*pid).info.decl.params;
+                            walker.deconstruct_each(value, ctor, &mut |row| {
+                                emit(
+                                    params
+                                        .iter()
+                                        .map(|p| p.name.clone())
+                                        .zip(row.iter().cloned())
+                                        .collect(),
+                                )
+                            })
+                        }
                     }
-                    emit(b)
                 })
-            }
-        }
+                .map_err(|e| RtError::new(format!("could not start the tree-walk thread: {e}")))?;
+            handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        })
     }
 
     /// Starts the enumeration: a pull-based iterator over the query's
-    /// solutions. Work happens inside `next()`, one solution at a time.
+    /// solutions. On the plan engine, work happens inside `next()`, one
+    /// solution at a time; the tree-walker oracle collects every solution
+    /// here, before this returns.
     pub fn solutions(&self) -> Solutions<'_> {
         match self.program.engine {
             Engine::Plan => self.plan_solutions(),
-            _ => self.tree_solutions(),
+            Engine::TreeWalk => self.tree_solutions(),
         }
     }
 
@@ -1089,80 +1071,23 @@ impl Query<'_> {
         }
     }
 
-    /// The legacy engine behind the same iterator: the callback-based
-    /// tree-walker runs on a worker thread and hands solutions through a
-    /// **bounded (rendezvous) channel**, so the producer can never be more
-    /// than one solution ahead of the consumer; dropping the iterator
-    /// disconnects the channel and unwinds the producer.
+    /// The tree-walker oracle behind the same iterator: the walk runs to
+    /// its end here, and the iterator yields the stored solutions, then the
+    /// error that ended the walk.
     fn tree_solutions(&self) -> Solutions<'_> {
-        let mut walker = self.program.walker_with(self.limits);
-        walker.set_interrupt(self.interrupt.clone());
-        let (tx, rx) = mpsc::sync_channel::<RtResult<Bindings>>(1);
-        let job = match &self.source {
-            Source::Deconstruct { pid, ctor, value } => TreeJob::Deconstruct {
-                value: value.clone(),
-                ctor: ctor.clone(),
-                params: self
-                    .program
-                    .plan
-                    .method(*pid)
-                    .info
-                    .decl
-                    .params
-                    .iter()
-                    .map(|p| p.name.clone())
-                    .collect(),
+        let mut rows = Vec::new();
+        let error = self
+            .walk(&mut |b| {
+                rows.push(b);
+                true
+            })
+            .err();
+        Solutions {
+            inner: Inner::Walked {
+                rows: rows.into_iter(),
+                error,
             },
-            Source::Formula { ast, env, this, .. } => TreeJob::Formula {
-                f: ast.clone(),
-                env: env.clone(),
-                this: this.clone(),
-            },
-        };
-        let producer = std::thread::Builder::new()
-            .name("jmatch-tree-solutions".into())
-            .stack_size(TREE_PRODUCER_STACK);
-        let spawned = producer.spawn(move || {
-            crate::declare_thread_stack(TREE_PRODUCER_STACK);
-            let outcome = match job {
-                TreeJob::Formula { f, env, this } => {
-                    walker.solve(&env, this.as_ref(), &f, 0, &mut |b| {
-                        tx.send(Ok(b.clone())).is_ok()
-                    })
-                }
-                TreeJob::Deconstruct {
-                    value,
-                    ctor,
-                    params,
-                } => walker.deconstruct_each(&value, &ctor, &mut |row| {
-                    let mut b = Bindings::new();
-                    for (p, v) in params.iter().zip(row) {
-                        b.insert(p.clone(), v.clone());
-                    }
-                    tx.send(Ok(b)).is_ok()
-                }),
-            };
-            if let Err(e) = outcome {
-                let _ = tx.send(Err(e));
-            }
-        });
-        match spawned {
-            Ok(handle) => Solutions {
-                inner: Inner::Channel {
-                    rx: Some(rx),
-                    producer: Some(handle),
-                },
-                error: None,
-            },
-            Err(e) => Solutions {
-                inner: Inner::Channel {
-                    rx: Some(rx),
-                    producer: None,
-                },
-                error: Some(RtError::new(format!(
-                    "could not start the tree-walker producer thread: {e}"
-                ))),
-            },
+            error: None,
         }
     }
 
@@ -1211,7 +1136,7 @@ impl Query<'_> {
     }
 
     fn par_with(&self, threads: usize, mode: ParMode) -> Solutions<'_> {
-        if !matches!(self.program.engine, Engine::Plan) {
+        if self.program.engine == Engine::TreeWalk {
             return self.solutions();
         }
         let job = match &self.source {
@@ -1246,20 +1171,6 @@ impl Query<'_> {
             error: None,
         }
     }
-}
-
-/// Work shipped to the tree-walker's producer thread.
-enum TreeJob {
-    Formula {
-        f: Formula,
-        env: Bindings,
-        this: Option<Value>,
-    },
-    Deconstruct {
-        value: Value,
-        ctor: String,
-        params: Vec<String>,
-    },
 }
 
 // ---------------------------------------------------------------------------
@@ -1324,13 +1235,11 @@ enum Inner<'q> {
         machine: Box<Machine<'q>>,
         extract: Extract<'q>,
     },
-    /// The bounded adapter over the tree-walker's callback engine. The
-    /// producer's `JoinHandle` is kept so exhausting or dropping the
-    /// iterator deterministically joins the worker thread (disconnecting
-    /// the rendezvous channel first, so a blocked `send` always unblocks).
-    Channel {
-        rx: Option<mpsc::Receiver<RtResult<Bindings>>>,
-        producer: Option<JoinHandle<()>>,
+    /// The tree walker's solutions, collected before the first `next()`,
+    /// and the error that ended the walk.
+    Walked {
+        rows: std::vec::IntoIter<Bindings>,
+        error: Option<RtError>,
     },
     /// The OR-parallel worker pool (see [`crate::par`]).
     Par(Box<par::ParStream>),
@@ -1338,10 +1247,13 @@ enum Inner<'q> {
 
 /// A lazy, pull-based stream of query solutions.
 ///
-/// `Solutions` is a true [`Iterator`]: each `next()` performs only the
-/// solver work needed to reach the next solution, so `take(1)` on a large
-/// enumeration does O(first solution) work — the laziness the paper gets
-/// from compiling to Java_yield coroutines.
+/// `Solutions` is a true [`Iterator`]: on the plan engine each `next()`
+/// performs only the solver work needed to reach the next solution, so
+/// `take(1)` on a large enumeration does O(first solution) work — the
+/// laziness the paper gets from compiling to Java_yield coroutines. The
+/// [`Engine::TreeWalk`] oracle is eager: [`Query::solutions`] collects
+/// the whole enumeration first, so it must be finite within the query's
+/// [`Limits`] (use [`Query::try_first`] to stop the walk early).
 ///
 /// A runtime error ends the stream; inspect it with [`Solutions::error`] /
 /// [`Solutions::take_error`].
@@ -1384,7 +1296,7 @@ impl Solutions<'_> {
     }
 
     /// Solver steps spent so far, when the engine can report them (the
-    /// plan engine's stack machine; `None` on the tree-walker adapter).
+    /// plan engine's stack machine; `None` on the tree-walker oracle).
     /// On a parallel enumeration this is the sum over the worker tasks
     /// finished so far, replayed choice-path prefixes included — so after
     /// exhaustion it is at least the sequential count. This is what the
@@ -1393,7 +1305,7 @@ impl Solutions<'_> {
         match &self.inner {
             Inner::Machine { machine, .. } => Some(machine.steps()),
             Inner::Par(stream) => Some(stream.work().steps),
-            Inner::Channel { .. } => None,
+            Inner::Walked { .. } => None,
         }
     }
 
@@ -1404,7 +1316,7 @@ impl Solutions<'_> {
     pub fn choice_points(&self) -> Option<usize> {
         match &self.inner {
             Inner::Machine { machine, .. } => Some(machine.live_choices()),
-            Inner::Channel { .. } | Inner::Par(_) => None,
+            Inner::Walked { .. } | Inner::Par(_) => None,
         }
     }
 
@@ -1416,34 +1328,8 @@ impl Solutions<'_> {
         match &self.inner {
             Inner::Machine { machine, .. } => Some(machine.choices_created()),
             Inner::Par(stream) => Some(stream.work().choice_points_created),
-            Inner::Channel { .. } => None,
+            Inner::Walked { .. } => None,
         }
-    }
-
-    /// Disconnects the tree-walker channel and joins its producer thread.
-    /// Idempotent; a no-op for the other engines (the parallel pool joins
-    /// its own workers).
-    fn join_producer(&mut self) {
-        if let Inner::Channel { rx, producer } = &mut self.inner {
-            // Disconnect first: a producer parked in `send` on the
-            // rendezvous channel unblocks with an error and unwinds.
-            rx.take();
-            if let Some(h) = producer.take() {
-                let _ = h.join();
-            }
-        }
-    }
-}
-
-/// Dropping a `Solutions` mid-enumeration must not leak its producer: the
-/// tree-walker engine's worker thread is blocked in a rendezvous `send`
-/// whenever the consumer stops early, so the drop disconnects the channel
-/// (unblocking the send) and joins the thread before returning. The
-/// OR-parallel pool behind [`Query::par_solutions`] does the same through
-/// `ParStream`'s own `Drop`.
-impl Drop for Solutions<'_> {
-    fn drop(&mut self) {
-        self.join_producer();
     }
 }
 
@@ -1482,26 +1368,12 @@ impl Iterator for Solutions<'_> {
                     }
                 }
             },
-            Inner::Channel { rx, producer } => {
-                let next = match rx.as_ref() {
-                    Some(r) => r.recv(),
-                    None => return None,
-                };
-                match next {
-                    Ok(Ok(b)) => Some(b),
-                    other => {
-                        if let Ok(Err(e)) = other {
-                            self.error = Some(e);
-                        }
-                        // The stream ended (error or disconnect): the
-                        // producer is done, so join it deterministically.
-                        rx.take();
-                        if let Some(h) = producer.take() {
-                            let _ = h.join();
-                        }
-                        None
-                    }
+            Inner::Walked { rows, error } => {
+                let next = rows.next();
+                if next.is_none() {
+                    self.error = error.take();
                 }
+                next
             }
             Inner::Par(stream) => match stream.next() {
                 Some(Ok(b)) => Some(b),

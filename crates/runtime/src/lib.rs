@@ -16,7 +16,8 @@
 //!
 //! The original **tree-walking interpreter** ([`TreeWalker`]) — which
 //! re-discovers the solving order for every formula at every call — remains
-//! callable behind [`Engine::TreeWalk`] as a differential-testing oracle;
+//! callable behind [`Engine::TreeWalk`] (selected only by
+//! [`Program::with_engine`]) as a differential-testing oracle;
 //! `tests/differential.rs` runs every corpus program through both engines
 //! and asserts identical values, bindings, and enumeration order.
 //!
@@ -555,17 +556,13 @@ pub(crate) enum Flow {
 pub(crate) const MAX_WHILE_CONDITIONS: u32 = 1_000_000;
 
 /// Which execution engine a [`Program`] uses.
-///
-/// `#[non_exhaustive]`: future engines (e.g. a compiled backend) may be
-/// added without a semver break.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
 pub enum Engine {
     /// The plan evaluator over lowered query plans (the default).
     #[default]
     Plan,
     /// The legacy tree-walking interpreter, kept as a differential-testing
-    /// oracle.
+    /// oracle; only [`Program::with_engine`] selects it.
     TreeWalk,
 }
 
@@ -576,9 +573,9 @@ mod tests {
     fn program_for(src: &str, engine: Engine) -> Program {
         Workspace::new()
             .verify(false)
-            .engine(engine)
             .compile(src)
             .unwrap()
+            .with_engine(engine)
     }
 
     fn both_engines(src: &str) -> [Program; 2] {

@@ -9,7 +9,7 @@
 //! a condvar, so a thundering herd of identical cold compiles does the
 //! work exactly once.
 
-use crate::{Engine, Program, Workspace};
+use crate::{Program, Workspace};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -112,7 +112,6 @@ pub struct ProgramCache {
     inner: Mutex<Inner>,
     done: Condvar,
     capacity: usize,
-    engine: Engine,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -120,12 +119,11 @@ pub struct ProgramCache {
 
 impl ProgramCache {
     /// A cache holding at most `capacity` compiled programs (at least 1).
-    pub fn new(capacity: usize, engine: Engine) -> Self {
+    pub fn new(capacity: usize) -> Self {
         ProgramCache {
             inner: Mutex::new(Inner::default()),
             done: Condvar::new(),
             capacity: capacity.max(1),
-            engine,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -189,7 +187,7 @@ impl ProgramCache {
         // workspace itself is kept resident so a later `reload` of this
         // entry recompiles only what the edit touched.
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut ws = Workspace::new().verify(verify).engine(self.engine);
+        let mut ws = Workspace::new().verify(verify);
         let compiled = ws.load(source);
         let mut inner = self.inner.lock().expect("cache lock poisoned");
         inner.pending.remove(&hash);
@@ -395,7 +393,7 @@ mod tests {
 
     #[test]
     fn compiles_once_then_hits() {
-        let cache = ProgramCache::new(4, Engine::Plan);
+        let cache = ProgramCache::new(4);
         let CacheOutcome::Ready { key, cached, .. } = cache.get_or_compile(SRC_A, false) else {
             panic!("compile failed");
         };
@@ -424,7 +422,7 @@ mod tests {
 
     #[test]
     fn lru_bound_evicts_least_recently_used() {
-        let cache = ProgramCache::new(2, Engine::Plan);
+        let cache = ProgramCache::new(2);
         let key_of = |outcome: CacheOutcome| match outcome {
             CacheOutcome::Ready { key, .. } => key,
             CacheOutcome::Failed(e) => panic!("compile failed: {e:?}"),
@@ -443,7 +441,7 @@ mod tests {
 
     #[test]
     fn single_flight_compiles_concurrently_requested_source_once() {
-        let cache = Arc::new(ProgramCache::new(4, Engine::Plan));
+        let cache = Arc::new(ProgramCache::new(4));
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 let cache = Arc::clone(&cache);
@@ -464,7 +462,7 @@ mod tests {
 
     #[test]
     fn reload_unchanged_recompiled_and_rejected() {
-        let cache = ProgramCache::new(4, Engine::Plan);
+        let cache = ProgramCache::new(4);
         let CacheOutcome::Ready { key, .. } = cache.get_or_compile(SRC_A, false) else {
             panic!("compile failed");
         };
@@ -504,7 +502,7 @@ mod tests {
 
     #[test]
     fn compile_failures_are_reported_not_cached() {
-        let cache = ProgramCache::new(4, Engine::Plan);
+        let cache = ProgramCache::new(4);
         let CacheOutcome::Failed(errors) = cache.get_or_compile("static int ((", false) else {
             panic!("expected failure");
         };

@@ -53,7 +53,7 @@ use super::proto::{
     QuerySpec, Request,
 };
 use super::quota::{Grant, QuotaConfig, TenantQuotas, TenantSnapshot};
-use crate::{Bindings, Engine, Limits, MethodRef, Program, Query, RtErrorKind, RtResult, Value};
+use crate::{Bindings, Limits, MethodRef, Program, Query, RtErrorKind, RtResult, Value};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -114,8 +114,6 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// Cap on a single frame's payload bytes.
     pub max_frame: usize,
-    /// The engine cached programs run on.
-    pub engine: Engine,
     /// The quota profile handed to tenants without an override.
     pub quota: QuotaConfig,
     /// Per-tenant quota overrides, applied at startup.
@@ -147,7 +145,6 @@ impl Default for ServeConfig {
             max_connections: 256,
             cache_capacity: 64,
             max_frame: proto::DEFAULT_MAX_FRAME,
-            engine: Engine::Plan,
             quota: QuotaConfig::default(),
             tenant_overrides: Vec::new(),
             allow_remote_shutdown: false,
@@ -652,7 +649,7 @@ impl Server {
             .filter(|f| f.is_active())
             .map(|f| FaultInjector::new(f.clone()));
         let shared = Arc::new(Shared {
-            cache: ProgramCache::new(config.cache_capacity, config.engine),
+            cache: ProgramCache::new(config.cache_capacity),
             quotas,
             sched: Sched {
                 state: Mutex::new(SchedState::default()),
@@ -1675,9 +1672,9 @@ fn run_call(shared: &Arc<Shared>, job: Job) {
             let (outcome, steps) =
                 mref.call_counted_interruptible(None, args, limits, Some(Arc::clone(&cancel)));
             conn.forget_cancel(id);
-            // steps=None (tree engine) settles the whole grant, matching
-            // the query/stream paths: unmeterable work is charged at its
-            // ceiling, never given away free.
+            // Cached programs run on the plan engine, which always counts
+            // its steps; the ceiling fallback, as on the query/stream
+            // paths, charges unmetered work in full, never for free.
             grant.settle(steps.unwrap_or(limits.max_steps));
             match outcome {
                 Ok(value) => conn.send(&proto::resp_value(id, &value)),
@@ -1782,8 +1779,8 @@ fn run_query_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
     for (r, result) in ready.into_iter().zip(results) {
         let (outcome, steps) = result.expect("every ready slot is filled");
         r.conn.forget_cancel(r.id);
-        // steps=None (tree engine) settles the whole grant: unmeterable
-        // work is charged at its ceiling, never given away free.
+        // Cached programs run on the plan engine, which always counts its
+        // steps; the ceiling fallback charges unmetered work in full.
         r.grant.settle(steps.unwrap_or(r.limits.max_steps));
         match outcome {
             Ok(solutions) => {

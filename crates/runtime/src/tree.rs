@@ -5,15 +5,17 @@
 //! AST with cloned `HashMap` environments. Since the lowering layer
 //! ([`jmatch_core::lower`]) landed, the bytecode-running plan engine is
 //! the default; the walker is kept callable behind
-//! [`Engine::TreeWalk`](crate::Engine::TreeWalk) as a differential-testing
-//! oracle — its behavior (values, bindings, enumeration order, failures) is
-//! the reference the plan engine is tested against.
+//! [`Engine::TreeWalk`](crate::Engine::TreeWalk), which only
+//! [`Program::with_engine`](crate::Program::with_engine) selects, as a
+//! differential-testing oracle — its behavior (values, bindings,
+//! enumeration order, failures) is the reference the plan engine is tested
+//! against.
 
 use crate::eval::check_stack;
 use crate::{Bindings, Flow, Object, RtError, RtResult, Value};
 use jmatch_core::table::{ClassTable, MethodInfo};
 use jmatch_syntax::ast::*;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The tree-walking interpreter (the legacy engine).
@@ -26,9 +28,6 @@ pub struct TreeWalker {
     max_steps: u64,
     /// Solver steps spent so far across this walker's queries.
     steps: AtomicU64,
-    /// External interrupt token (cancellation / request deadline), polled
-    /// every 256 solver steps like the plan engines' fuel quantum.
-    interrupt: Option<Arc<AtomicBool>>,
 }
 
 impl Clone for TreeWalker {
@@ -38,7 +37,6 @@ impl Clone for TreeWalker {
             max_depth: self.max_depth,
             max_steps: self.max_steps,
             steps: AtomicU64::new(self.steps.load(Ordering::Relaxed)),
-            interrupt: self.interrupt.clone(),
         }
     }
 }
@@ -51,15 +49,7 @@ impl TreeWalker {
             max_depth: 10_000,
             max_steps: u64::MAX,
             steps: AtomicU64::new(0),
-            interrupt: None,
         }
-    }
-
-    /// Attaches an external interrupt token; a fired token surfaces as an
-    /// [`RtErrorKind::Interrupted`](crate::RtErrorKind::Interrupted) error
-    /// at the next poll boundary.
-    pub(crate) fn set_interrupt(&mut self, token: Option<Arc<AtomicBool>>) {
-        self.interrupt = token;
     }
 
     /// A walker with explicit depth / step ceilings (the [`crate::Limits`]
@@ -70,7 +60,6 @@ impl TreeWalker {
             max_depth,
             max_steps,
             steps: AtomicU64::new(0),
-            interrupt: None,
         }
     }
 
@@ -138,7 +127,7 @@ impl TreeWalker {
 
     /// Streaming variant of [`TreeWalker::deconstruct`]: feeds each solution
     /// row to `each` as it is found; `each` returns `false` to stop early.
-    /// This is what the pull-based [`crate::Solutions`] adapter drives.
+    /// This is what a deconstruction [`crate::Query`] on the walker drives.
     pub(crate) fn deconstruct_each(
         &self,
         value: &Value,
@@ -186,13 +175,6 @@ impl TreeWalker {
                 self.max_steps,
                 "solver step budget exceeded",
             ));
-        }
-        if spent & 0xFF == 0 {
-            if let Some(token) = &self.interrupt {
-                if token.load(Ordering::Relaxed) {
-                    return Err(RtError::interrupted());
-                }
-            }
         }
         if depth > self.max_depth {
             return Err(RtError::limit(
@@ -500,6 +482,10 @@ impl TreeWalker {
         depth: usize,
         emit: &mut dyn FnMut(&Bindings) -> bool,
     ) -> RtResult<bool> {
+        // A solution found at depth d returns here through d continuation
+        // and constructor-match frames that `solve_kg` never sees, so the
+        // stack is checked on this path too.
+        check_stack(self.max_depth)?;
         if conjuncts.is_empty() {
             return Ok(emit(env));
         }

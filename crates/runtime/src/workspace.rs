@@ -91,7 +91,7 @@
 //! ```
 
 use crate::api::Limits;
-use crate::{Engine, Program, RtError, RtResult};
+use crate::{Program, RtError, RtResult};
 use jmatch_core::diag::Diagnostics;
 use jmatch_core::incremental::Fingerprints;
 use jmatch_core::lower::ProgramPlan;
@@ -191,7 +191,6 @@ struct State {
 #[derive(Debug)]
 pub struct Workspace {
     options: CompileOptions,
-    engine: Engine,
     limits: Limits,
     verify_threads: usize,
     state: Option<State>,
@@ -199,12 +198,11 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// A workspace with verification on, the plan engine, and default
-    /// limits.
+    /// A workspace with verification on and default limits; its programs
+    /// run on the plan engine.
     pub fn new() -> Self {
         Workspace {
             options: CompileOptions::default(),
-            engine: Engine::Plan,
             limits: Limits::default(),
             verify_threads: 0,
             state: None,
@@ -216,12 +214,6 @@ impl Workspace {
     /// redundancy, totality, disjointness, multiplicity).
     pub fn verify(mut self, on: bool) -> Self {
         self.options.verify = on;
-        self
-    }
-
-    /// Which execution engine queries and calls run on.
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -399,12 +391,7 @@ impl Workspace {
             }
         };
 
-        let program = Program::assemble(
-            Arc::clone(&plan),
-            self.engine,
-            self.limits,
-            Arc::new(diagnostics),
-        );
+        let program = Program::assemble(Arc::clone(&plan), self.limits, Arc::new(diagnostics));
         self.state = Some(State {
             ast,
             table,

@@ -34,8 +34,10 @@
 //! compiles every method body — declarative formulas, `switch` dispatch,
 //! `foreach` enumeration, imperative blocks — into a mode-specialized query
 //! plan, and [`runtime::Program`] executes those plans over flat slot frames.
-//! The pre-lowering tree-walking interpreter stays available behind
-//! [`runtime::Engine::TreeWalk`] as a differential-testing oracle.
+//! The pre-lowering tree-walking interpreter stays as a differential-testing
+//! oracle, which only [`runtime::Program::with_engine`] selects
+//! ([`runtime::Engine::TreeWalk`]); it collects each query's solutions
+//! eagerly.
 //!
 //! ## Quick start
 //!

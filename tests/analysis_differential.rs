@@ -31,9 +31,9 @@ fn thread_counts() -> Vec<usize> {
 fn program_with(src: &str, engine: Engine) -> Program {
     let program = Workspace::new()
         .verify(false)
-        .engine(engine)
         .compile(src)
-        .unwrap();
+        .unwrap()
+        .with_engine(engine);
     assert!(program.diagnostics().errors.is_empty());
     program
 }

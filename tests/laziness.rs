@@ -47,7 +47,6 @@ const DEEP: Limits = Limits {
 fn program() -> Program {
     Workspace::new()
         .verify(false)
-        .engine(Engine::Plan)
         .limits(DEEP)
         .compile(LIST)
         .unwrap()
@@ -191,23 +190,6 @@ fn early_exit_stops_the_enumeration_midway_body() {
     );
 }
 
-/// The bounded tree-walker adapter is lazy too (it can only run one
-/// solution ahead of the consumer), it just cannot report step counts.
-#[test]
-fn tree_adapter_streams_without_draining() {
-    let program = program().with_engine(Engine::TreeWalk);
-    // Keep the list small: the legacy engine recurses natively per cell.
-    let list = big_list(&program, 500);
-    let elem = program.method("Cons", "elem").unwrap();
-    let query = elem.iterate(Some(&list), &Bindings::new()).unwrap();
-    let first: Vec<i64> = query
-        .solutions()
-        .take(3)
-        .map(|b| b["x"].as_int().unwrap())
-        .collect();
-    assert_eq!(first, vec![0, 1, 2]);
-}
-
 /// Re-pins the first-solution step count on the bytecode machine: the
 /// threaded form chases deterministic continuations inline within one
 /// machine step, so it must reach the first `elem` solution within the
@@ -237,7 +219,7 @@ fn bytecode_machine_first_solution_matches_the_pin_body() {
     let walker = program.clone().with_engine(Engine::TreeWalk);
     let elem = walker.method("Cons", "elem").unwrap();
     let query = elem.iterate(Some(&list), &Bindings::new()).unwrap();
-    let oracle = query.solutions().next().expect("the oracle yields too");
+    let oracle = query.try_first().unwrap().expect("the oracle yields too");
     assert_eq!(first["x"], Value::Int(0));
     assert_eq!(
         first["x"], oracle["x"],
@@ -290,7 +272,6 @@ fn det_modes_commit_their_choice_points() {
     let (live, created, steps) = {
         let program = Workspace::new()
             .verify(false)
-            .engine(Engine::Plan)
             .limits(DEEP)
             .compile(TREE)
             .unwrap();

@@ -11,8 +11,8 @@
 //! * the shared step budget makes parallel runs error with
 //!   `LimitExceeded` whenever the sequential run does, and generous
 //!   budgets change nothing;
-//! * dropping a stream mid-enumeration (parallel pool or the tree
-//!   engine's producer thread) deterministically joins its workers.
+//! * dropping a parallel stream mid-enumeration deterministically joins
+//!   its workers.
 //!
 //! The thread counts swept come from `JMATCH_PAR_THREADS` when set (the
 //! CI `parallel-stress` matrix pins 1, 2, and 8), defaulting to all of
@@ -443,35 +443,6 @@ fn dropping_parallel_solutions_early_joins_the_pool() {
     }
     #[cfg(target_os = "linux")]
     assert_threads_settle(baseline, "parallel pool drop");
-}
-
-/// The satellite fix: dropping a *tree-engine* `Solutions` mid-enumeration
-/// must deterministically shut down and join the producer thread — the
-/// bounded rendezvous channel used to leave it parked in `send` with its
-/// `JoinHandle` dropped.
-#[test]
-fn dropping_tree_solutions_early_joins_the_producer() {
-    let program = tree_program().with_engine(Engine::TreeWalk);
-    let vals = vals_method(&program);
-    let tree = complete_tree(&program, 10, 0);
-    #[cfg(target_os = "linux")]
-    let baseline = live_threads();
-    for _ in 0..25 {
-        let query = vals_query(&vals, &tree);
-        let mut s = query.solutions();
-        assert!(s.next().is_some());
-        // Drop with the producer mid-enumeration (blocked in the
-        // rendezvous send): this must unblock and join it.
-        drop(s);
-    }
-    #[cfg(target_os = "linux")]
-    assert_threads_settle(baseline, "tree-walker producer drop");
-    // Exhausted streams join too.
-    let small = complete_tree(&program, 3, 0);
-    let query = vals_query(&vals, &small);
-    let (seq, err) = drain(query.solutions());
-    assert_eq!(seq.len(), 8);
-    assert!(err.is_none());
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@
 use jmatch::runtime::serve::json::Json;
 use jmatch::runtime::serve::proto::{self, bindings_to_json, read_frame, FrameError};
 use jmatch::runtime::serve::{Client, QueryOptions, QuotaConfig, ServeConfig, Server};
-use jmatch::{Bindings, Engine, Limits, Value, Workspace};
+use jmatch::{Bindings, Limits, Value, Workspace};
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
@@ -505,38 +505,6 @@ fn quota_exhaustion_rejects_with_retry_and_spares_other_tenants() {
 }
 
 #[test]
-fn tree_engine_calls_charge_their_step_ceiling() {
-    // The tree engine reports no step count for forward calls; they must
-    // settle at their ceiling like the query/stream paths, not refund the
-    // whole grant as if the work were free.
-    let config = ServeConfig {
-        engine: Engine::TreeWalk,
-        quota: QuotaConfig {
-            limits: Limits {
-                max_steps: 50,
-                ..Limits::default()
-            },
-            steps_per_window: 50,
-            window: Duration::from_secs(600),
-            ..QuotaConfig::default()
-        },
-        ..test_config()
-    };
-    let (server, mut client) = boot(config);
-    let key = compile_ok(&mut client, SMALL_SRC);
-    let reply = client
-        .call("default", &key, "add", &[Value::Int(1), Value::Int(2)])
-        .expect("first call");
-    assert_eq!(reply.get("value"), Some(&Json::Int(3)));
-    // The unmeterable call consumed the whole 50-step pool.
-    let reply = client
-        .call("default", &key, "add", &[Value::Int(1), Value::Int(2)])
-        .expect("second call");
-    assert_eq!(error_kind_of(&reply), "quota-exhausted");
-    server.shutdown();
-}
-
-#[test]
 fn metered_compiles_draw_from_the_tenant_pool() {
     let config = ServeConfig {
         quota: QuotaConfig {
@@ -668,37 +636,6 @@ fn mid_stream_disconnect_reclaims_worker_and_refunds_grant() {
 
     server.shutdown();
     assert_threads_settle(baseline, "serve disconnect");
-}
-
-/// The tree-walk engine's `Solutions` carries a producer thread; a wire
-/// disconnect mid-stream must join it (the serve-level counterpart of
-/// the embedding API's drop-early guarantee).
-#[cfg(target_os = "linux")]
-#[test]
-fn tree_engine_disconnect_joins_producer_threads() {
-    let baseline = live_threads();
-    let config = ServeConfig {
-        workers: 1,
-        engine: Engine::TreeWalk,
-        ..test_config()
-    };
-    let (server, mut client) = boot(config);
-    let key = compile_ok(&mut client, &wide_src(600));
-    {
-        let mut victim = Client::connect(server.local_addr()).expect("victim connect");
-        let mut options = QueryOptions::new(&key, "wide");
-        options.known = vec![("tag".into(), Value::Str("t".repeat(2048)))];
-        victim.start_stream(&options, 1).expect("start stream");
-        let first = victim.recv().expect("first batch");
-        assert_eq!(first.get("done"), Some(&Json::Bool(false)));
-    }
-    // The sole worker must come back (joining the producer on the way).
-    let mut options = QueryOptions::new(&key, "wide");
-    options.known = vec![("tag".into(), Value::Str("s".into()))];
-    let reply = client.query(&options).expect("post-disconnect query");
-    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
-    server.shutdown();
-    assert_threads_settle(baseline, "tree-engine serve disconnect");
 }
 
 #[test]

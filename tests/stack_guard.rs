@@ -1,7 +1,8 @@
 //! The native-stack guard: forward recursion deeper than the stack of the
 //! thread it runs on ends with `LimitExceeded` on `"depth"` instead of
 //! overflowing the stack and aborting the process — on both engines, in
-//! debug and release builds alike.
+//! debug and release builds alike — and so does a tree walk whose
+//! enumeration goes deeper than the walk's own thread allows.
 //!
 //! `ConsList.size()` (`result = tail.size() + 1`) recurses natively once
 //! per cell on both engines. The depth ceiling is raised out of the way,
@@ -10,7 +11,7 @@
 
 use jmatch::corpus::jmatch::{CONS_LIST, EMPTY_LIST, LIST_INTERFACE};
 use jmatch::runtime::{RtErrorKind, RtResult, TreeWalker};
-use jmatch::{args, Engine, Limits, Program, Value, Workspace};
+use jmatch::{args, Bindings, Engine, Limits, Program, Value, Workspace};
 use std::sync::Arc;
 
 /// The stack of a thread spawned without an explicit size (and of every
@@ -22,16 +23,19 @@ const SMALL_STACK: usize = 2 << 20;
 /// of KiB in a debug build.
 const DEEP: i64 = 3_000;
 
+/// Raised out of the way, so only the guard can stop a recursion.
+const NO_DEPTH_CEILING: Limits = Limits {
+    max_depth: 1_000_000,
+    max_steps: u64::MAX,
+};
+
 fn program(engine: Engine) -> Program {
     Workspace::new()
         .verify(false)
-        .engine(engine)
-        .limits(Limits {
-            max_depth: 1_000_000,
-            max_steps: u64::MAX,
-        })
+        .limits(NO_DEPTH_CEILING)
         .compile(&format!("{LIST_INTERFACE}{EMPTY_LIST}{CONS_LIST}"))
         .unwrap()
+        .with_engine(engine)
 }
 
 fn on_stack<T: Send + 'static>(bytes: usize, f: impl FnOnce() -> T + Send + 'static) -> T {
@@ -142,4 +146,92 @@ fn a_declared_stack_gives_the_depth_back() {
             }
         }
     }
+}
+
+/// An integer list whose iterative `marked` mode yields the list's
+/// non-negative elements, the one in cell d from inside d nested
+/// constructor matches.
+const INT_LIST: &str = r#"
+    interface IntList {
+        constructor nil() returns();
+        constructor cons(int h, IntList t) returns(h, t);
+        boolean marked(int x) iterates(x);
+    }
+    class Nil implements IntList {
+        constructor nil() returns() ( true )
+        constructor cons(int h, IntList t) returns(h, t) ( false )
+        boolean marked(int x) iterates(x) ( false )
+    }
+    class Cons implements IntList {
+        int head;
+        IntList tail;
+        constructor nil() returns() ( false )
+        constructor cons(int h, IntList t) returns(h, t) ( head = h && tail = t )
+        boolean marked(int x) iterates(x)
+            ( cons(x, _) && x >= 0 || cons(_, IntList t) && t.marked(x) )
+    }
+"#;
+
+/// The cells of an `n`-cell list that hold a non-negative element: every
+/// cell near the head, then cells spaced at about 1/64 of their depth.
+/// Each solution climbs back through every cell above it, so marking every
+/// cell would make the walk quadratic; but an unguarded walk overflows
+/// only in a band a few dozen cells wide (in a debug build) just short of
+/// the depth where the descent itself trips the guard, so the marks must
+/// stay denser than that band.
+fn marked_cells(n: i64) -> Vec<i64> {
+    std::iter::successors(Some(0), |&i| Some(i + i / 64 + 1))
+        .take_while(|&i| i < n)
+        .collect()
+}
+
+/// A solution the walker finds at depth d returns through d continuation
+/// frames before the walk goes on, so draining `marked` over a list longer
+/// than the walk's stack holds must end in the guard's error after a
+/// prefix of the solutions, not in a stack overflow.
+#[test]
+fn a_deep_walker_enumeration_trips_the_guard() {
+    // Past the walk's 64 MiB stack in every profile.
+    const N: i64 = 10_000;
+    let program = Workspace::new()
+        .verify(false)
+        .limits(NO_DEPTH_CEILING)
+        .compile(INT_LIST)
+        .unwrap()
+        .with_engine(Engine::TreeWalk);
+    let all = marked_cells(N);
+    let cells = all.clone();
+    let (marked, err) = on_stack(64 << 20, move || {
+        let nil = program.ctor("Nil", "nil").unwrap();
+        let cons = program.ctor("Cons", "cons").unwrap();
+        let mut list = nil.construct(args![]).unwrap();
+        for i in (0..N).rev() {
+            let head = if cells.binary_search(&i).is_ok() {
+                i
+            } else {
+                -1
+            };
+            list = cons.construct(args![head, list]).unwrap();
+        }
+        let marked = program.method("Cons", "marked").unwrap();
+        let query = marked.iterate(Some(&list), &Bindings::new()).unwrap();
+        let mut solutions = query.solutions();
+        let marked: Vec<i64> = solutions
+            .by_ref()
+            .map(|b| b["x"].as_int().unwrap())
+            .collect();
+        (marked, solutions.take_error())
+    });
+    assert!(
+        !marked.is_empty() && marked.len() < all.len(),
+        "{} of {} solutions",
+        marked.len(),
+        all.len()
+    );
+    assert_eq!(marked, all[..marked.len()]);
+    let err = err.expect("the walk ends with the guard's error");
+    assert!(
+        matches!(&err.kind, RtErrorKind::LimitExceeded { resource, .. } if resource == "depth"),
+        "{err:?}"
+    );
 }

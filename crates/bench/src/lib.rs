@@ -462,10 +462,12 @@ pub fn repr_dispatch_source() -> String {
     src
 }
 
-/// The OR-parallel scaling workload: a complete binary tree whose `vals`
+/// The tree-enumeration workload: a complete binary tree whose `vals`
 /// method enumerates every leaf left-to-right, one two-way choice point
 /// per `Node`, so the choice tree is a full binary tree — maximally
-/// branchy, the shape work stealing splits best.
+/// branchy. perfbench's `query_exec` times its enumeration (the `par.*`
+/// rows), and `tests/parallel.rs` checks enumeration, batching and walker
+/// parity on it.
 pub const PARALLEL_TREE_SOURCE: &str = r#"
     interface Tree {
         constructor leaf(int v) returns(v);

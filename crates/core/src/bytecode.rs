@@ -41,16 +41,18 @@
 //! The compiler resolves everything a choice point needs *at compile time*:
 //! a [`Instr::Choice`]'s alternatives are instruction addresses, so the
 //! machine saves `(pc, alternative index)` instead of a boxed continuation
-//! chain, and a `par.rs` task prefix is a dense `Vec<u32>` path of
-//! alternative indices. Two invariants keep those paths meaningful and are
-//! load bearing:
+//! chain. Two invariants are load bearing:
 //!
 //! 1. **Choice arity follows the source disjunctions exactly.** `Any([])`
 //!    compiles to `Fail`, `Any([g])` inlines `g` with *no* choice
 //!    instruction (the machine creates no choice point for single
 //!    branches), and `Any(n ≥ 2)` compiles to one `Choice` with exactly `n`
-//!    alternatives in source order, so a recorded guide replays on any
-//!    machine over the same plan.
+//!    alternatives in source order. So the machine's choice-point counters
+//!    are a property of the source program, not of the compiler, and the
+//!    pins on them hold: `tests/laziness.rs` pins 0 live choice points
+//!    after the determinism commit on its 200-deep chain (199 without the
+//!    commit) with 200 created, and perfbench's `query_exec` reports
+//!    `exec.choice_points_created` 2,940.
 //! 2. **Trail discipline is uniform.** The bytecode binds frame slots
 //!    through the machine's trail; an alternative's `trail_mark` /
 //!    `frames_mark` rollback needs no bytecode-specific state beyond the
@@ -2735,8 +2737,9 @@ mod tests {
         // `||` parses right-associated, so `x = 0 || x = 1 || x = 2` lowers
         // to `Any[x = 0, Any[x = 1, x = 2]]` — the bytecode must mirror that
         // choice-point structure exactly (two nested binary Choices), so
-        // machine guides/paths line up instruction-for-instruction with the
-        // plan engines.
+        // the machine creates one choice point per source disjunction and
+        // its pinned choice-point counters (`tests/laziness.rs`, perfbench's
+        // `exec.choice_points_created`) count the program, not the compiler.
         let plan =
             plan_for("class R { boolean below(int x) iterates(x) ( x = 0 || x = 1 || x = 2 ) }");
         let m = plan.method(plan.lookup_impl("R", "below").unwrap());

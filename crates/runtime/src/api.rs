@@ -26,7 +26,6 @@
 
 use crate::eval::{Budget, Frame, MAX_DEPTH};
 use crate::machine::Machine;
-use crate::par::{self, ParJob, ParMode};
 use crate::tree::TreeWalker;
 use crate::{Bindings, Engine, RtError, RtResult, Value};
 use jmatch_core::diag::Diagnostics;
@@ -373,9 +372,10 @@ impl Program {
     /// whole batch, with per-query results independent (a limit error in
     /// one query does not affect the others).
     ///
-    /// Each query runs sequentially on one worker (query-level
-    /// parallelism); use [`Query::par_solutions`] to parallelize *within*
-    /// a single large enumeration instead.
+    /// Each query runs whole on one worker. A batch of two or more gets
+    /// threads with the native stack the calling thread declared through
+    /// [`crate::declare_thread_stack`] (the 2 MiB std default if it
+    /// declared none), so a query reaches the same depth batched as alone.
     pub fn query_many(
         &self,
         queries: &[Query<'_>],
@@ -415,16 +415,23 @@ impl Program {
         type CountedOutcome = (RtResult<Vec<Bindings>>, Option<u64>);
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<CountedOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let stack = crate::eval::thread_stack();
         std::thread::scope(|scope| {
             for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let outcome = queries[i].try_collect_counted();
-                    *slots[i].lock().expect("query_many slot poisoned") = Some(outcome);
-                });
+                std::thread::Builder::new()
+                    .stack_size(stack)
+                    .spawn_scoped(scope, || {
+                        crate::declare_thread_stack(stack);
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= n {
+                                break;
+                            }
+                            let outcome = queries[i].try_collect_counted();
+                            *slots[i].lock().expect("query_many slot poisoned") = Some(outcome);
+                        }
+                    })
+                    .expect("could not start a query_many thread");
             }
         });
         slots
@@ -604,8 +611,8 @@ impl MethodRef {
 
     /// Like [`MethodRef::call_counted`], with an optional external
     /// interrupt token: a fired token (cancellation, request deadline)
-    /// stops a plan-engine call at the next fuel-poll boundary with an
-    /// [`RtErrorKind::Interrupted`](crate::RtErrorKind::Interrupted) error.
+    /// stops a plan-engine call at the next interrupt-poll boundary with
+    /// an [`RtErrorKind::Interrupted`](crate::RtErrorKind::Interrupted) error.
     /// The tree-walker oracle ignores the token.
     pub fn call_counted_interruptible(
         &self,
@@ -683,8 +690,8 @@ impl MethodRef {
 
     /// Runs a batch of iterative-mode calls — one `(receiver, known
     /// bindings)` pair per call — on one pool of `threads` worker threads
-    /// (`0` = available parallelism), returning each call's full solution
-    /// set in sequential enumeration order.
+    /// (`0` = the `JMATCH_PAR_THREADS` default), returning each call's
+    /// full solution set in sequential enumeration order.
     ///
     /// Building every [`Query`] up front amortizes lowering through the
     /// per-binding-shape solved-form cache, and the batch shares one
@@ -840,8 +847,8 @@ impl Query<'_> {
 
     /// Attaches an external interrupt token: when another thread stores
     /// `true` into it (a cancellation request or a deadline watchdog), a
-    /// plan-engine enumeration stops at the next fuel-poll boundary (every
-    /// 256 solver steps) with an
+    /// plan-engine enumeration stops at the next interrupt-poll boundary
+    /// (every 256 solver steps) with an
     /// [`RtErrorKind::Interrupted`](crate::RtErrorKind::Interrupted) error.
     /// The tree-walker oracle ignores the token; [`Limits`] bound its walk.
     pub fn interrupt(mut self, token: Arc<AtomicBool>) -> Self {
@@ -1091,85 +1098,12 @@ impl Query<'_> {
         }
     }
 
-    // -- parallel enumeration ------------------------------------------------
-
-    /// Starts an **OR-parallel** enumeration over `threads` worker threads
-    /// (`0` = available parallelism), preserving the sequential engine's
-    /// exact solution order: workers race over disjoint subtrees of the
-    /// choice tree and a reorder buffer merges their streams back into
-    /// lexicographic choice-path order, so the solution sequence is
-    /// identical to [`Query::solutions`] — including where a
-    /// *deterministic* runtime error cuts the stream — just faster on
-    /// branchy enumerations.
-    ///
-    /// [`Limits::max_steps`] becomes a budget *shared by all workers*
-    /// (debited in batches from one atomic pool): the ceiling bounds the
-    /// combined work, so a budget the sequential run exceeds is exceeded
-    /// in parallel too — but because workers drain the pool concurrently
-    /// (and replaying task prefixes costs extra steps), *where* a
-    /// `LimitExceeded` error lands in the stream can differ from the
-    /// sequential run. `max_depth` bounds each derivation exactly as in
-    /// sequential runs. Parallelism is a plan-engine feature; on
-    /// [`Engine::TreeWalk`] programs this falls back to the sequential
-    /// iterator.
-    ///
-    /// Unlike the sequential iterator's O(1) buffering, ordered mode holds
-    /// completed-but-not-yet-due solutions in memory: while the
-    /// lexicographically-least task is still running, other workers'
-    /// finished solutions accumulate in the reorder buffer — up to
-    /// O(total solutions) on adversarial shapes (a slow first subtree
-    /// behind fast later ones). Use [`Query::par_solutions_unordered`]
-    /// when order does not matter, or [`Query::solutions`] when streaming
-    /// memory matters more than throughput.
-    pub fn par_solutions(&self, threads: usize) -> Solutions<'_> {
-        self.par_with(threads, ParMode::Ordered)
-    }
-
-    /// Like [`Query::par_solutions`] but merging solutions **as produced**
-    /// (no reorder buffer): maximal throughput, with the solution
-    /// *multiset* — but not its order — identical to the sequential
-    /// enumeration. A worker error ends the stream with that error, which
-    /// may arrive before solutions the sequential engine would have
-    /// emitted first.
-    pub fn par_solutions_unordered(&self, threads: usize) -> Solutions<'_> {
-        self.par_with(threads, ParMode::Unordered)
-    }
-
-    fn par_with(&self, threads: usize, mode: ParMode) -> Solutions<'_> {
-        if self.program.engine == Engine::TreeWalk {
-            return self.solutions();
-        }
-        let job = match &self.source {
-            Source::Deconstruct { pid, value, .. } => ParJob::Deconstruct {
-                pid: *pid,
-                value: value.clone(),
-            },
-            Source::Formula {
-                form, env, this, ..
-            } => {
-                let seed: Vec<(SlotId, Value)> = env
-                    .iter()
-                    .filter_map(|(name, v)| form.frame.slot_of(name).map(|s| (s, v.clone())))
-                    .collect();
-                ParJob::Formula {
-                    form: Arc::clone(form),
-                    seed,
-                    this: this.clone(),
-                }
-            }
-        };
-        let stream = par::spawn(
-            Arc::clone(&self.program.plan),
-            job,
-            self.limits,
-            threads,
-            mode,
-            self.interrupt.clone(),
-        );
-        Solutions {
-            inner: Inner::Par(Box::new(stream)),
-            error: None,
-        }
+    /// The sequential enumeration, [`Query::solutions`]; `threads` is
+    /// ignored. It is kept only because the repository benchmark's
+    /// `query_exec` workload calls it, and the next change to that
+    /// benchmark deletes it together with its `par.*` rows.
+    pub fn par_solutions(&self, _threads: usize) -> Solutions<'_> {
+        self.solutions()
     }
 }
 
@@ -1192,9 +1126,8 @@ enum Extract<'q> {
 }
 
 /// Bindings of every bound, named slot of a solved form's root frame — the
-/// formula-query extraction, shared by the sequential iterator and the
-/// OR-parallel workers.
-pub(crate) fn frame_bindings(layout: &FrameLayout, frame: &Frame) -> Bindings {
+/// formula-query extraction.
+fn frame_bindings(layout: &FrameLayout, frame: &Frame) -> Bindings {
     let mut out = Bindings::new();
     for (i, v) in frame.iter().enumerate() {
         if let Some(v) = v {
@@ -1206,9 +1139,8 @@ pub(crate) fn frame_bindings(layout: &FrameLayout, frame: &Frame) -> Bindings {
 
 /// Bindings of a deconstruction solution's parameter row, or `None` when
 /// the row leaves a declared parameter unbound or ill-typed (filtered like
-/// both recursive engines). Shared by the sequential iterator and the
-/// OR-parallel workers.
-pub(crate) fn param_row_bindings(
+/// both recursive engines).
+fn param_row_bindings(
     params: &[Param],
     slots: &[SlotId],
     table: &ClassTable,
@@ -1241,8 +1173,6 @@ enum Inner<'q> {
         rows: std::vec::IntoIter<Bindings>,
         error: Option<RtError>,
     },
-    /// The OR-parallel worker pool (see [`crate::par`]).
-    Par(Box<par::ParStream>),
 }
 
 /// A lazy, pull-based stream of query solutions.
@@ -1297,37 +1227,29 @@ impl Solutions<'_> {
 
     /// Solver steps spent so far, when the engine can report them (the
     /// plan engine's stack machine; `None` on the tree-walker oracle).
-    /// On a parallel enumeration this is the sum over the worker tasks
-    /// finished so far, replayed choice-path prefixes included — so after
-    /// exhaustion it is at least the sequential count. This is what the
-    /// O(1)-first-solution laziness test measures.
+    /// This is what the O(1)-first-solution laziness test measures.
     pub fn steps(&self) -> Option<u64> {
         match &self.inner {
             Inner::Machine { machine, .. } => Some(machine.steps()),
-            Inner::Par(stream) => Some(stream.work().steps),
             Inner::Walked { .. } => None,
         }
     }
 
     /// Choice points currently live on the solver's choice stack, when the
-    /// engine can report them ([`Engine::Plan`], sequential enumerations
-    /// only). At a solution of a `Det`-analyzed mode this is `Some(0)`: the
+    /// engine can report them ([`Engine::Plan`] only). At a solution of a `Det`-analyzed mode this is `Some(0)`: the
     /// determinism commit left nothing to backtrack into.
     pub fn choice_points(&self) -> Option<usize> {
         match &self.inner {
             Inner::Machine { machine, .. } => Some(machine.live_choices()),
-            Inner::Walked { .. } | Inner::Par(_) => None,
+            Inner::Walked { .. } => None,
         }
     }
 
     /// Total choice points the solver created so far, when the engine can
-    /// report them ([`Engine::Plan`] only; on a parallel enumeration, the
-    /// sum over the worker tasks finished so far, like
-    /// [`Solutions::steps`]).
+    /// report them ([`Engine::Plan`] only).
     pub fn choice_points_created(&self) -> Option<u64> {
         match &self.inner {
             Inner::Machine { machine, .. } => Some(machine.choices_created()),
-            Inner::Par(stream) => Some(stream.work().choice_points_created),
             Inner::Walked { .. } => None,
         }
     }
@@ -1375,14 +1297,6 @@ impl Iterator for Solutions<'_> {
                 }
                 next
             }
-            Inner::Par(stream) => match stream.next() {
-                Some(Ok(b)) => Some(b),
-                Some(Err(e)) => {
-                    self.error = Some(e);
-                    None
-                }
-                None => None,
-            },
         }
     }
 }

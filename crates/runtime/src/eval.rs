@@ -40,29 +40,14 @@ pub(crate) type Frame = Vec<Option<Value>>;
 /// ceilings, so every entry point (forward calls, constructions and
 /// [`crate::Solutions`] queries, all run on one [`Machine`]) honors the
 /// same [`crate::Limits`].
-///
-/// A budget is either **private** (the sequential case: the whole
-/// `max_steps` allowance is granted up front, so `step()` is a plain
-/// compare) or **shared** (the OR-parallel case of [`crate::par`]: every
-/// worker draws batches of steps from one [`SharedBudget`] pool, so the
-/// configured ceiling bounds the *combined* work of all workers exactly
-/// like it bounds a sequential run).
 #[derive(Debug, Clone)]
 pub(crate) struct Budget {
     /// Machine steps spent so far.
     pub(crate) steps: u64,
-    /// Ceiling on `steps` (the configured [`crate::Limits::max_steps`];
-    /// with a shared pool this is the pool's combined ceiling, kept here
-    /// for error messages).
+    /// Ceiling on `steps` (the configured [`crate::Limits::max_steps`]).
     pub(crate) max_steps: u64,
     /// Ceiling on the machine's activation frames.
     pub(crate) max_depth: usize,
-    /// Steps this budget may spend before drawing on the shared pool
-    /// again. Equals `max_steps` for a private budget.
-    granted: u64,
-    /// The shared step pool, when this budget belongs to a parallel
-    /// worker.
-    shared: Option<Arc<SharedBudget>>,
     /// An external interrupt token (cancellation / request deadline),
     /// polled every [`INTERRUPT_POLL_MASK`]+1 steps so a stuck run can be
     /// stopped from outside without per-step atomic traffic.
@@ -75,21 +60,6 @@ impl Budget {
             steps: 0,
             max_steps,
             max_depth,
-            granted: max_steps,
-            shared: None,
-            interrupt: None,
-        }
-    }
-
-    /// A budget that debits a shared step pool in batches: nothing is
-    /// granted up front, so the first `step()` draws the first batch.
-    pub(crate) fn new_shared(max_depth: usize, shared: Arc<SharedBudget>) -> Self {
-        Budget {
-            steps: 0,
-            max_steps: shared.ceiling,
-            max_depth,
-            granted: 0,
-            shared: Some(shared),
             interrupt: None,
         }
     }
@@ -111,114 +81,22 @@ impl Budget {
                 }
             }
         }
-        if self.steps > self.granted {
-            return self.refill();
+        if self.steps > self.max_steps {
+            return Err(RtError::limit(
+                "steps",
+                self.max_steps,
+                "solver step budget exceeded",
+            ));
         }
         Ok(())
     }
-
-    /// Draws the next batch from the shared pool (or fails: a private
-    /// budget that outruns its grant has hit the configured ceiling).
-    fn refill(&mut self) -> RtResult<()> {
-        if let Some(pool) = &self.shared {
-            let got = pool.take(SHARED_STEP_BATCH);
-            if got > 0 {
-                self.granted += got;
-                return Ok(());
-            }
-        }
-        Err(RtError::limit(
-            "steps",
-            self.max_steps,
-            "solver step budget exceeded",
-        ))
-    }
-
-    /// Returns the unspent part of the current grant to the shared pool,
-    /// so a worker going idle does not strand steps other workers need.
-    /// No-op on private budgets.
-    pub(crate) fn release_unused(&mut self) {
-        if let Some(pool) = &self.shared {
-            // `steps` can be one past the grant when the last refill failed.
-            pool.give(self.granted.saturating_sub(self.steps));
-            self.granted = self.granted.min(self.steps);
-        }
-    }
 }
 
-/// How many steps a parallel worker reserves from the shared pool per
-/// refill. Small enough that a near-exhausted pool still spreads across
-/// workers, large enough that the atomic is off the per-step hot path.
-const SHARED_STEP_BATCH: u64 = 64;
-
-/// Interrupt tokens are polled when `steps & MASK == 0` — every 256 steps,
-/// matching the fuel quantum of [`crate::par`] workers, so cancellation
-/// latency stays bounded without putting an atomic load on every step.
+/// Interrupt tokens are polled when `steps & MASK == 0`, every 256 steps:
+/// a served request's cancel or deadline stops a runaway enumeration within
+/// 256 machine steps, while the step loop pays one atomic load per 256
+/// steps instead of one per step.
 const INTERRUPT_POLL_MASK: u64 = 0xFF;
-
-/// An atomic step pool shared by the workers of one parallel enumeration:
-/// [`Budget::new_shared`] budgets debit it in [`SHARED_STEP_BATCH`]-sized
-/// reservations, so the configured [`crate::Limits::max_steps`] ceiling
-/// bounds the combined work of the whole pool.
-#[derive(Debug)]
-pub(crate) struct SharedBudget {
-    remaining: std::sync::atomic::AtomicU64,
-    /// The configured ceiling, kept for error messages.
-    ceiling: u64,
-}
-
-impl SharedBudget {
-    pub(crate) fn new(ceiling: u64) -> Self {
-        SharedBudget {
-            remaining: std::sync::atomic::AtomicU64::new(ceiling),
-            ceiling,
-        }
-    }
-
-    /// Takes up to `want` steps from the pool; returns how many were
-    /// actually granted (0 when the pool is empty).
-    pub(crate) fn take(&self, want: u64) -> u64 {
-        use std::sync::atomic::Ordering;
-        self.remaining
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |r| {
-                if r == 0 {
-                    None
-                } else {
-                    Some(r - r.min(want))
-                }
-            })
-            .map(|r| r.min(want))
-            .unwrap_or(0)
-    }
-
-    /// Returns unspent steps to the pool.
-    pub(crate) fn give(&self, n: u64) {
-        if n > 0 {
-            self.remaining
-                .fetch_add(n, std::sync::atomic::Ordering::Relaxed);
-        }
-    }
-
-    /// Steps currently left in the pool (racy snapshot; exact only when no
-    /// worker is drawing concurrently).
-    pub(crate) fn remaining(&self) -> u64 {
-        self.remaining.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// The ceiling the pool was created with.
-    pub(crate) fn ceiling(&self) -> u64 {
-        self.ceiling
-    }
-
-    /// Resets the pool to `n` steps, clamped to the ceiling (the serve
-    /// layer's per-tenant quota window refill, which discounts
-    /// reservations still in flight so their later refunds cannot push
-    /// the pool past its ceiling).
-    pub(crate) fn refill_to(&self, n: u64) {
-        self.remaining
-            .store(n.min(self.ceiling), std::sync::atomic::Ordering::Relaxed);
-    }
-}
 
 impl Default for Budget {
     /// Matches [`crate::Limits::default`].
@@ -268,8 +146,8 @@ struct StackBounds {
     top: usize,
     /// Checks below this address trip the guard.
     floor: usize,
-    /// Whether [`declare_thread_stack`] fixed the bounds.
-    declared: bool,
+    /// The stack size [`declare_thread_stack`] fixed the bounds with.
+    declared: Option<usize>,
 }
 
 thread_local! {
@@ -277,7 +155,7 @@ thread_local! {
         std::cell::Cell::new(StackBounds {
             top: 0,
             floor: 0,
-            declared: false,
+            declared: None,
         })
     };
 }
@@ -306,9 +184,16 @@ pub fn declare_thread_stack(bytes: usize) {
         s.set(StackBounds {
             top,
             floor: top.saturating_sub(bytes.saturating_sub(STACK_RESERVE)),
-            declared: true,
+            declared: Some(bytes),
         })
     });
+}
+
+/// The native stack the calling thread declared through
+/// [`declare_thread_stack`], else the assumed std default: the stack to
+/// give threads that run work on the caller's behalf.
+pub(crate) fn thread_stack() -> usize {
+    STACK.with(|s| s.get().declared.unwrap_or(ASSUMED_THREAD_STACK))
 }
 
 /// The native-stack guard of both engines, checked wherever evaluation
@@ -334,12 +219,12 @@ pub(crate) fn check_stack(max_depth: usize) -> RtResult<()> {
             ),
         ));
     }
-    if pos > bounds.top && !bounds.declared {
+    if pos > bounds.top && bounds.declared.is_none() {
         STACK.with(|s| {
             s.set(StackBounds {
                 top: pos,
                 floor: pos.saturating_sub(ASSUMED_THREAD_STACK - STACK_RESERVE),
-                declared: false,
+                declared: None,
             })
         });
     }

@@ -73,17 +73,12 @@
 //! with the previous generation by `Arc` (see the [`workspace`] module
 //! docs for the red/green rules).
 //!
-//! ## OR-parallel enumeration
+//! ## Batches
 //!
-//! The stack machine's explicit choice points are splittable:
-//! [`Query::par_solutions`] runs one enumeration across a work-stealing
-//! pool of workers (each replaying a choice-path prefix on its own
-//! machine over the shared plan), with a reorder buffer restoring the
-//! exact sequential solution order — or
-//! [`Query::par_solutions_unordered`] for raw throughput. One shared
-//! atomic step pool makes [`Limits::max_steps`] bound the combined work
-//! of the pool, and [`Program::query_many`] /
-//! [`MethodRef::iterate_many`] batch many queries over one pool.
+//! Every enumeration runs on one sequential machine.
+//! [`Program::query_many`] / [`MethodRef::iterate_many`] run a batch of
+//! whole queries on scoped worker threads, one query per worker at a time
+//! (`JMATCH_PAR_THREADS` sets the default width).
 //!
 //! ## Serving
 //!
@@ -100,7 +95,6 @@
 mod api;
 mod eval;
 mod machine;
-mod par;
 pub mod serve;
 pub mod tree;
 pub mod workspace;

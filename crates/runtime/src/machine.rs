@@ -44,18 +44,6 @@
 //! further methods of the same machine. The observable behavior — values,
 //! bindings, enumeration order, failures — is kept identical to the
 //! tree-walker's; `tests/differential.rs` asserts it.
-//!
-//! The explicit choice-point stack is also what the OR-parallel executor
-//! ([`crate::par`]) exploits: every multi-alternative choice point of the
-//! outermost run is identified by its absolute **choice path** (the
-//! alternative indices of the older choice points on the derivation, in
-//! creation order), so [`Machine::split_oldest`] can export untried
-//! alternatives as self-contained replay tasks and a fresh machine can
-//! claim one by replaying the path prefix through [`Machine::with_guide`].
-//! Lexicographic order on choice paths is exactly the sequential
-//! enumeration order — the invariant ordered-mode parallel enumeration is
-//! built on. Nested runs never pause and never leave choice points behind,
-//! so they stay out of the paths.
 
 use crate::eval::{recycle_frame, Budget, Frame};
 use crate::{RtError, RtResult, Value};
@@ -97,8 +85,8 @@ enum Step<'g> {
         param_slots: &'g [SlotId],
         args: &'g [PExpr],
         /// Determinism commit: when the callee's matching form was proved
-        /// `Det` by `jmatch_core::analysis`, this is the absolute choice
-        /// mark (`donated + choices.len()`) captured at call entry.
+        /// `Det` by `jmatch_core::analysis`, this is the choice-stack
+        /// height captured at call entry.
         /// Reaching the row boundary truncates the choice stack back to it,
         /// discarding the callee's leftover choice points — the analysis
         /// guarantees they hold no further solutions.
@@ -140,12 +128,6 @@ struct Choice<'g> {
     cont: ContRef<'g>,
     trail_mark: usize,
     frames_mark: usize,
-    /// Length of [`Machine::path`] when this choice point was created: the
-    /// decisions of every older choice point on the current derivation.
-    /// `path[..path_mark] ++ [k]` is the absolute choice path of this
-    /// point's alternative `k` — the task descriptor
-    /// [`Machine::split_oldest`] exports for OR-parallel replay.
-    path_mark: usize,
     alt: Alt<'g>,
 }
 
@@ -173,19 +155,6 @@ enum Phase {
     Done,
 }
 
-/// What a bounded [`Machine::run`] stopped on.
-pub(crate) enum RunOutcome {
-    /// A solution is ready in [`Machine::root_frame`]; the next `run`
-    /// backtracks and continues.
-    Solution,
-    /// Every choice point is exhausted; the enumeration is over.
-    Exhausted,
-    /// The fuel ran out before a solution or exhaustion; call `run` again
-    /// to continue. This is the OR-parallel workers' scheduling point:
-    /// between runs they poll for cancellation and donate choice points.
-    Paused,
-}
-
 /// What [`Machine::close`] does with the bindings a nested run made.
 #[derive(Clone, Copy)]
 enum Close {
@@ -208,7 +177,6 @@ struct Barrier<'g> {
     cont: ContRef<'g>,
     floor: usize,
     run_frames: usize,
-    nest: usize,
     trail: usize,
     frames: usize,
 }
@@ -235,29 +203,9 @@ pub(crate) struct Machine<'g> {
     /// The frame-arena height when the open nested run started (0 for the
     /// outermost run).
     run_frames: usize,
-    /// How many nested runs are open.
-    nest: usize,
     /// Set when backtracking reached the floor; ends the current run.
     exhausted: bool,
     phase: Phase,
-    /// The absolute choice path of the current derivation: one decision
-    /// (alternative index) per *multi-alternative* choice point between the
-    /// root and the machine's current position, in creation order. Guided
-    /// prefix decisions are included, so the path is comparable across the
-    /// workers of one OR-parallel enumeration: lexicographic order on
-    /// paths IS the sequential (DFS) enumeration order.
-    path: Vec<u32>,
-    /// Replay directives for OR-parallel task resumption: the first
-    /// `guide.len()` choice points this machine's outermost run *would*
-    /// create instead take the given alternative directly (and create no
-    /// choice point — the untried siblings belong to other tasks).
-    guide: Vec<u32>,
-    guide_pos: usize,
-    /// Choice points donated away by [`Machine::split_oldest`]. Donations
-    /// pop from the *front* of `choices`, so an absolute commit mark taken
-    /// as `donated + choices.len()` stays meaningful across donations:
-    /// the local index is `mark - donated`.
-    donated: usize,
     /// Total choice points ever created, nested runs included
     /// (instrumentation for the determinism-commit tests and
     /// `Solutions::choice_points_created`).
@@ -285,21 +233,15 @@ impl<'g> Machine<'g> {
             trail: Vec::new(),
             floor: 0,
             run_frames: 0,
-            nest: 0,
             exhausted: false,
             phase: Phase::Running,
-            path: Vec::new(),
-            guide: Vec::new(),
-            guide_pos: 0,
-            donated: 0,
             created: 0,
             root_det: false,
         }
     }
 
     /// A machine that enumerates the solutions of `code` over a root frame
-    /// seeded by the caller, with `this` in scope, drawing on `budget`
-    /// (possibly a shared OR-parallel step pool).
+    /// seeded by the caller, with `this` in scope, drawing on `budget`.
     pub(crate) fn query(
         plan: &'g ProgramPlan,
         budget: Budget,
@@ -317,15 +259,6 @@ impl<'g> Machine<'g> {
         m
     }
 
-    /// Installs a replay `guide`: the decision prefix that routes this
-    /// machine to its OR-parallel task's subtree. Execution is
-    /// deterministic between choice points, so replaying the prefix
-    /// reconstructs the donor's frames, trail, and bindings exactly.
-    pub(crate) fn with_guide(mut self, guide: Vec<u32>) -> Self {
-        self.guide = guide;
-        self
-    }
-
     /// The root frame (the query's own solved form).
     pub(crate) fn root_frame(&self) -> &Frame {
         &self.frames[0].slots
@@ -339,7 +272,7 @@ impl<'g> Machine<'g> {
     /// Attaches an external interrupt token to the machine's budget; a
     /// fired token stops the run with an
     /// [`RtErrorKind::Interrupted`](crate::RtErrorKind::Interrupted) error
-    /// at the next fuel-poll boundary.
+    /// at the next interrupt-poll boundary.
     pub(crate) fn with_interrupt(
         mut self,
         token: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
@@ -368,16 +301,6 @@ impl<'g> Machine<'g> {
     /// bindings readable through [`Machine::root_frame`], `Ok(false)` when
     /// the enumeration is exhausted. An error ends the enumeration.
     pub(crate) fn next_solution(&mut self) -> RtResult<bool> {
-        match self.run(u64::MAX)? {
-            RunOutcome::Solution => Ok(true),
-            RunOutcome::Exhausted | RunOutcome::Paused => Ok(false),
-        }
-    }
-
-    /// Runs the outermost run for at most `fuel` machine steps or until the
-    /// next solution / exhaustion, whichever comes first. An error ends the
-    /// enumeration.
-    pub(crate) fn run(&mut self, fuel: u64) -> RtResult<RunOutcome> {
         if matches!(self.phase, Phase::AtSolution) {
             self.phase = Phase::Running;
             if !self.backtrack() {
@@ -385,97 +308,37 @@ impl<'g> Machine<'g> {
             }
         }
         if matches!(self.phase, Phase::Done) {
-            return Ok(RunOutcome::Exhausted);
+            return Ok(false);
         }
-        match self.drive(fuel) {
-            Ok(RunOutcome::Solution) => {
-                if self.root_det {
-                    // The analysis proved the root form has at most one
-                    // solution: this is it, so every remaining choice
-                    // point is barren.
-                    self.cut(0);
-                }
-                self.phase = Phase::AtSolution;
-                Ok(RunOutcome::Solution)
+        let found = self.drive();
+        if matches!(found, Ok(true)) {
+            if self.root_det {
+                // The analysis proved the root form has at most one
+                // solution: this is it, so every remaining choice point is
+                // barren.
+                self.cut(0);
             }
-            Ok(RunOutcome::Exhausted) => {
-                self.phase = Phase::Done;
-                Ok(RunOutcome::Exhausted)
-            }
-            Ok(RunOutcome::Paused) => Ok(RunOutcome::Paused),
-            Err(e) => {
-                self.phase = Phase::Done;
-                Err(e)
-            }
+            self.phase = Phase::AtSolution;
+        } else {
+            self.phase = Phase::Done;
         }
+        found
     }
 
     /// The step loop shared by the outermost run and every nested one:
-    /// runs until the continuation empties (a solution), backtracking
-    /// reaches the floor, or `fuel` steps are spent.
-    fn drive(&mut self, fuel: u64) -> RtResult<RunOutcome> {
-        let mut used: u64 = 0;
+    /// runs until the continuation empties (`Ok(true)`, a solution) or
+    /// backtracking reaches the floor (`Ok(false)`).
+    fn drive(&mut self) -> RtResult<bool> {
         loop {
             if self.exhausted {
                 self.exhausted = false;
-                return Ok(RunOutcome::Exhausted);
+                return Ok(false);
             }
-            if used >= fuel {
-                return Ok(RunOutcome::Paused);
-            }
-            used += 1;
             let Some(step) = self.pop() else {
-                return Ok(RunOutcome::Solution);
+                return Ok(true);
             };
             self.exec(step)?;
         }
-    }
-
-    /// Splits off the *oldest* choice point — the root-most branching of
-    /// this machine's remaining search space — as replay tasks for other
-    /// OR-parallel workers, removing it locally so this machine never
-    /// explores the donated alternatives. Returns one absolute choice path
-    /// per untried alternative, in alternative order. Only called between
-    /// runs, when no nested run is open.
-    ///
-    /// Donating the oldest choice point (rather than the newest) keeps the
-    /// donated grains as large as possible *and* upholds the ordering
-    /// invariant the ordered-mode collector relies on: every solution this
-    /// machine emits after the donation lies lexicographically **before**
-    /// every donated subtree, because the machine's remaining work sits
-    /// under smaller alternative indices of the same (or an older-donated)
-    /// branching. Later donations are likewise entirely before earlier
-    /// ones.
-    pub(crate) fn split_oldest(&mut self) -> Vec<Vec<u32>> {
-        if self.choices.is_empty() {
-            return Vec::new();
-        }
-        let mut ch = self.choices.remove(0);
-        unlink(ch.cont.take());
-        self.donated += 1;
-        let prefix = &self.path[..ch.path_mark];
-        let alts = match ch.alt {
-            Alt::OrPat { .. } => 1..2,
-            Alt::BcChoice { alts, next, .. } => next..alts.len(),
-        };
-        alts.map(|k| {
-            let mut p = Vec::with_capacity(prefix.len() + 1);
-            p.extend_from_slice(prefix);
-            p.push(k as u32);
-            p
-        })
-        .collect()
-    }
-
-    /// Whether the machine still holds a splittable choice point.
-    pub(crate) fn can_split(&self) -> bool {
-        !self.choices.is_empty()
-    }
-
-    /// Returns the unspent part of a shared-budget grant to the pool (see
-    /// [`Budget::release_unused`]); call when the machine goes idle.
-    pub(crate) fn release_budget(&mut self) {
-        self.budget.release_unused();
     }
 
     // ------------------------------------------------------------------
@@ -511,9 +374,7 @@ impl<'g> Machine<'g> {
         unlink(self.cont.take());
     }
 
-    /// Records a choice point capturing the current continuation and marks,
-    /// and pushes the initial decision (alternative 0) onto the choice
-    /// path.
+    /// Records a choice point capturing the current continuation and marks.
     fn choice(&mut self, alt: Alt<'g>) {
         if self.local.len() > self.base {
             for step in self.local.drain(self.base..) {
@@ -528,27 +389,8 @@ impl<'g> Machine<'g> {
             cont: self.cont.clone(),
             trail_mark: self.trail.len(),
             frames_mark: self.frames.len(),
-            path_mark: self.path.len(),
             alt,
         });
-        // Nested runs stay out of the choice paths (see the module docs).
-        if self.nest == 0 {
-            self.path.push(0);
-        }
-    }
-
-    /// Consumes the next replay directive, if the outermost run's guide
-    /// still has one: the pending choice point takes alternative `d`
-    /// directly and creates no local choice point (its siblings belong to
-    /// other tasks).
-    fn next_guide(&mut self) -> Option<u32> {
-        if self.nest > 0 {
-            return None;
-        }
-        let d = *self.guide.get(self.guide_pos)?;
-        self.guide_pos += 1;
-        self.path.push(d);
-        Some(d)
     }
 
     /// Binds a slot, recording the old value on the trail only when
@@ -630,15 +472,13 @@ impl<'g> Machine<'g> {
         };
         let trail_mark = ch.trail_mark;
         let frames_mark = ch.frames_mark;
-        let path_mark = ch.path_mark;
-        let (step, decision, exhausted) = match &mut ch.alt {
+        let (step, exhausted) = match &mut ch.alt {
             Alt::OrPat { fi, pat, value } => (
                 Step::Match {
                     fi: *fi,
                     pat,
                     value: value.clone(),
                 },
-                1,
                 true,
             ),
             Alt::BcChoice {
@@ -652,9 +492,8 @@ impl<'g> Machine<'g> {
                     body,
                     pc: alts[*next],
                 };
-                let decision = *next as u32;
                 *next += 1;
-                (step, decision, *next >= alts.len())
+                (step, *next >= alts.len())
             }
         };
         let cont = if exhausted {
@@ -664,10 +503,6 @@ impl<'g> Machine<'g> {
         };
         self.undo_to(trail_mark);
         self.truncate_frames(frames_mark);
-        self.path.truncate(path_mark);
-        if self.nest == 0 {
-            self.path.push(decision);
-        }
         self.clear_cont();
         self.cont = cont;
         self.local.push(step);
@@ -688,14 +523,12 @@ impl<'g> Machine<'g> {
             cont: self.cont.take(),
             floor: self.floor,
             run_frames: self.run_frames,
-            nest: self.nest,
             trail: self.trail.len(),
             frames: self.frames.len(),
         };
         self.base = self.local.len();
         self.floor = self.choices.len();
         self.run_frames = self.frames.len();
-        self.nest += 1;
         b
     }
 
@@ -704,7 +537,7 @@ impl<'g> Machine<'g> {
     /// backtracking reaches the floor.
     fn start(&mut self, step: Step<'g>) -> RtResult<bool> {
         self.exec(step)?;
-        Ok(matches!(self.drive(u64::MAX)?, RunOutcome::Solution))
+        self.drive()
     }
 
     /// Backtracks out of the open nested run's last solution into its next
@@ -713,7 +546,7 @@ impl<'g> Machine<'g> {
         if !self.backtrack() {
             return Ok(false);
         }
-        Ok(matches!(self.drive(u64::MAX)?, RunOutcome::Solution))
+        self.drive()
     }
 
     /// Closes a nested run: cuts the choice points above its floor, treats
@@ -744,7 +577,6 @@ impl<'g> Machine<'g> {
         self.cont = b.cont;
         self.floor = b.floor;
         self.run_frames = b.run_frames;
-        self.nest = b.nest;
     }
 
     /// Runs `body` over a fresh frame as a nested run and reads its first
@@ -988,18 +820,13 @@ impl<'g> Machine<'g> {
                     return Ok(());
                 }
                 Instr::Choice(alts) => {
-                    if let Some(d) = self.next_guide() {
-                        debug_assert!((d as usize) < alts.len(), "bad replay guide");
-                        pc = alts[d as usize];
-                    } else {
-                        self.choice(Alt::BcChoice {
-                            fi,
-                            body,
-                            alts,
-                            next: 1,
-                        });
-                        pc = alts[0];
-                    }
+                    self.choice(Alt::BcChoice {
+                        fi,
+                        body,
+                        alts,
+                        next: 1,
+                    });
+                    pc = alts[0];
                 }
                 Instr::Unify {
                     lhs,
@@ -1248,18 +1075,12 @@ impl<'g> Machine<'g> {
                 Ok(())
             }
             PExpr::OrPat(a, b) => {
-                if let Some(d) = self.next_guide() {
-                    debug_assert!(d < 2, "bad replay guide");
-                    let pat = if d == 0 { a } else { b };
-                    self.push(Step::Match { fi, pat, value });
-                } else {
-                    self.choice(Alt::OrPat {
-                        fi,
-                        pat: b,
-                        value: value.clone(),
-                    });
-                    self.push(Step::Match { fi, pat: a, value });
-                }
+                self.choice(Alt::OrPat {
+                    fi,
+                    pat: b,
+                    value: value.clone(),
+                });
+                self.push(Step::Match { fi, pat: a, value });
                 Ok(())
             }
             PExpr::Where(p, goal) => {
@@ -1397,9 +1218,9 @@ impl<'g> Machine<'g> {
         // Determinism commit (`jmatch_core::analysis`): a `Det` matching
         // form yields at most one solution and cannot err, so once its
         // single solution reaches the row boundary every choice point it
-        // created is provably barren. Capture the absolute choice mark now;
+        // created is provably barren. Capture the choice-stack height now;
         // `exec_collect` truncates back to it.
-        let commit = matching.det.then(|| self.donated + self.choices.len());
+        let commit = matching.det.then_some(self.choices.len());
         self.push(Step::CollectRow {
             caller,
             callee,
@@ -1433,9 +1254,8 @@ impl<'g> Machine<'g> {
             // solution, so its leftover choice points (everything above the
             // entry mark) are barren — drop them. Trail entries above the
             // dropped marks simply become permanent bindings, which is
-            // exactly what committing means. `mark` is absolute; donations
-            // since capture shift the local index down.
-            self.cut(mark.saturating_sub(self.donated));
+            // exactly what committing means.
+            self.cut(mark);
         }
         let slots = &self.frames[callee].slots;
         if param_slots.iter().any(|&s| slots[s as usize].is_none()) {

@@ -1,8 +1,7 @@
 //! Per-tenant work quotas.
 //!
-//! Every tenant id maps to a [`Limits`] profile plus a windowed step pool
-//! backed by the same atomic `SharedBudget` the OR-parallel
-//! workers meter themselves with: admission **reserves** a request's whole
+//! Every tenant id maps to a [`Limits`] profile plus a windowed atomic step
+//! pool (`SharedBudget`): admission **reserves** a request's whole
 //! step ceiling from the tenant's pool up front, execution runs under that
 //! grant, and settlement returns whatever the enumeration did not use —
 //! including when a client disconnects mid-stream, so an abandoned query
@@ -13,7 +12,6 @@
 //! [`crate::serve::server`]); the quota layer's job is that one tenant's
 //! spend can never draw down another's pool.
 
-use crate::eval::SharedBudget;
 use crate::Limits;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,6 +49,60 @@ impl Default for QuotaConfig {
             window: Duration::from_secs(1),
             compile_steps: 0,
         }
+    }
+}
+
+/// A tenant's atomic step pool: admission takes a request's reservation
+/// from it, settlement and dropped grants give the unspent part back, and
+/// each window refills it.
+#[derive(Debug)]
+struct SharedBudget {
+    remaining: AtomicU64,
+    /// The configured ceiling: steps per window.
+    ceiling: u64,
+}
+
+impl SharedBudget {
+    fn new(ceiling: u64) -> Self {
+        SharedBudget {
+            remaining: AtomicU64::new(ceiling),
+            ceiling,
+        }
+    }
+
+    /// Takes up to `want` steps from the pool; returns how many were
+    /// actually granted (0 when the pool is empty).
+    fn take(&self, want: u64) -> u64 {
+        self.remaining
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |r| {
+                if r == 0 {
+                    None
+                } else {
+                    Some(r - r.min(want))
+                }
+            })
+            .map(|r| r.min(want))
+            .unwrap_or(0)
+    }
+
+    /// Returns unspent steps to the pool.
+    fn give(&self, n: u64) {
+        if n > 0 {
+            self.remaining.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    /// Steps currently left in the pool (racy snapshot; exact only when no
+    /// request is drawing concurrently).
+    fn remaining(&self) -> u64 {
+        self.remaining.load(Ordering::Relaxed)
+    }
+
+    /// Resets the pool to `n` steps, clamped to the ceiling (the window
+    /// refill, which discounts reservations still in flight so their later
+    /// refunds cannot push the pool past its ceiling).
+    fn refill_to(&self, n: u64) {
+        self.remaining.store(n.min(self.ceiling), Ordering::Relaxed);
     }
 }
 
@@ -250,7 +302,7 @@ impl TenantQuotas {
                 let outstanding = inner.outstanding.load(Ordering::Relaxed);
                 inner
                     .pool
-                    .refill_to(inner.pool.ceiling().saturating_sub(outstanding));
+                    .refill_to(inner.pool.ceiling.saturating_sub(outstanding));
             }
             // Take and reserve under the window lock, so a concurrent
             // refill always sees a consistent (pool, outstanding) pair.
@@ -295,7 +347,7 @@ impl TenantQuotas {
             .map(|(id, state)| TenantSnapshot {
                 tenant: id.clone(),
                 pool_remaining: state.0.pool.remaining(),
-                pool_ceiling: state.0.pool.ceiling(),
+                pool_ceiling: state.0.pool.ceiling,
                 spent: state.0.spent.load(Ordering::Relaxed),
                 reserved: state.0.reserved.load(Ordering::Relaxed),
                 refunded: state.0.refunded.load(Ordering::Relaxed),

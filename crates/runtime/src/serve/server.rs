@@ -37,8 +37,8 @@
 //!   supervisor thread respawns any worker that dies anyway (e.g. an
 //!   injected between-jobs panic).
 //! * **Deadlines** — requests may carry `deadline_ms`; a watchdog thread
-//!   fires the request's cancel token past its deadline and the engines'
-//!   256-step fuel polling surfaces it as a retryable `deadline-exceeded`
+//!   fires the request's cancel token past its deadline and the plan
+//!   engine's 256-step interrupt polling surfaces it as a retryable `deadline-exceeded`
 //!   frame.
 //! * **Backpressure** — responses go through a bounded per-connection send
 //!   queue drained by a dedicated writer thread; a queue that stays full
@@ -1666,7 +1666,7 @@ fn run_call(shared: &Arc<Shared>, job: Job) {
             conn.send(&ErrorFrame::from_rt(&e).into_frame(Some(id)));
         }
         Ok(mref) => {
-            // The cancel token rides into the engine's fuel polling, so a
+            // The cancel token rides into the engine's interrupt polling, so a
             // fired deadline (or an explicit cancel) interrupts the run
             // within ~256 steps.
             let (outcome, steps) =

@@ -61,8 +61,8 @@
 //! are reassembled in declaration order, so diagnostics are deterministic
 //! and **identical at any worker count**. The worker count comes from
 //! [`Workspace::verify_threads`], defaulting to the `JMATCH_PAR_THREADS`
-//! environment variable — the same knob the OR-parallel query pool and
-//! [`Program::query_many`](crate::Program::query_many) honor (see
+//! environment variable — the same knob that sets the default width of
+//! [`Program::query_many`](crate::Program::query_many) batches (see
 //! [`jmatch_smt::pool::configured_threads`], the single source of truth).
 //!
 //! # Example
@@ -233,7 +233,7 @@ impl Workspace {
     /// Worker threads for parallel verification of red units. `0` (the
     /// default) defers to the `JMATCH_PAR_THREADS` environment variable
     /// via [`jmatch_smt::pool::configured_threads`] — the same
-    /// configuration the OR-parallel query pool uses. Any worker count
+    /// configuration `Program::query_many` batches use. Any worker count
     /// produces identical diagnostics in identical order.
     pub fn verify_threads(mut self, threads: usize) -> Self {
         self.verify_threads = threads;

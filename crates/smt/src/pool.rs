@@ -2,15 +2,14 @@
 //!
 //! Verification of distinct methods is embarrassingly parallel: each method
 //! owns its solver session, so the only coordination needed is handing out
-//! work items and putting the results back in input order. This module is
-//! the generalization of the runtime's `par.rs` pool *shape* (scoped
-//! threads, an atomic next-index dispenser, slot-per-item result storage)
-//! for that solver-side sharding, and the **one place** worker-count
-//! configuration lives:
+//! work items and putting the results back in input order (scoped
+//! threads, an atomic next-index dispenser, slot-per-item result storage).
+//! This module is also the **one place** worker-count configuration lives:
 //!
 //! * [`configured_threads`] reads `JMATCH_PAR_THREADS` — the same variable
-//!   the runtime's OR-parallel enumeration pool and the CI parallel-stress
-//!   matrix pin — and falls back to the machine's available parallelism;
+//!   that sets the default width of the runtime's `Program::query_many`
+//!   batches and that the CI parallel-stress matrix pins — and falls back
+//!   to the machine's available parallelism;
 //! * [`map_ordered`] runs a closure over every item on up to `threads`
 //!   workers and returns the results **in input order**, so callers get
 //!   deterministic output (identical at any worker count) by construction.
@@ -19,7 +18,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// The environment variable that pins the worker count for every pool in
-/// the workspace (this one and the runtime's OR-parallel enumerator).
+/// the workspace: the verify workers (this pool) and the runtime's
+/// `Program::query_many` batches.
 pub const THREADS_ENV: &str = "JMATCH_PAR_THREADS";
 
 /// The worker count to use when a caller passes `0` ("configured"):

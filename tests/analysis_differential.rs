@@ -4,9 +4,8 @@
 //! (`Det` commits), so its correctness contract is differential: the
 //! tree-walking engine (`Engine::TreeWalk`), which runs no plan at all, is
 //! the oracle, and the analyzed plan must produce an identical transcript —
-//! same values, same solution rows, same enumeration order, same failures —
-//! sequentially and across OR-parallel thread counts. Whole-corpus
-//! agreement is `tests/differential.rs`.
+//! same values, same solution rows, same enumeration order, same failures.
+//! Whole-corpus agreement is `tests/differential.rs`.
 //!
 //! The pruning side is additionally cross-checked against the paper's §5
 //! verifier: every arm the analysis removes as `CatchAllDominated` or
@@ -18,15 +17,6 @@
 use jmatch::core::lower::{PlanOptions, ProgramPlan};
 use jmatch::core::{ClassTable, Diagnostics, Justification, WarningKind};
 use jmatch::{args, Bindings, Engine, Limits, Program, Value, Workspace};
-
-fn thread_counts() -> Vec<usize> {
-    match std::env::var("JMATCH_PAR_THREADS") {
-        Ok(v) => vec![v
-            .parse()
-            .expect("JMATCH_PAR_THREADS must be a thread count")],
-        Err(_) => vec![1, 2, 8],
-    }
-}
 
 fn program_with(src: &str, engine: Engine) -> Program {
     let program = Workspace::new()
@@ -226,16 +216,15 @@ fn determinism_facts_are_inferred_where_expected() {
     );
 }
 
-/// The determinism commit must not change what a query returns, in any
-/// execution mode: sequential, and OR-parallel at every swept thread
-/// count, compared against the tree-walking oracle.
+/// The determinism commit must not change what a query returns, compared
+/// against the tree-walking oracle.
 #[test]
-fn det_workload_agrees_across_analysis_and_thread_counts() {
+fn det_workload_agrees_with_the_tree_walker() {
     let deep = Limits {
         max_depth: 1_000_000,
         max_steps: u64::MAX,
     };
-    let run = |engine: Engine| -> (Vec<String>, Vec<Vec<String>>) {
+    let run = |engine: Engine| -> Vec<String> {
         let program = program_with(TREE, engine).with_limits(deep);
         let t = left_chain(&program, 300);
         let min = program.method("Node", "min").unwrap();
@@ -245,28 +234,16 @@ fn det_workload_agrees_across_analysis_and_thread_counts() {
             pairs.sort();
             pairs.join(",")
         };
-        let seq: Vec<String> = query.solutions().map(|b| fmt(&b)).collect();
-        let par: Vec<Vec<String>> = thread_counts()
-            .into_iter()
-            .map(|t| query.par_solutions(t).map(|b| fmt(&b)).collect())
-            .collect();
-        (seq, par)
+        query.solutions().map(|b| fmt(&b)).collect()
     };
-    let (seq_plan, par_plan) = run(Engine::Plan);
-    let (seq_tree, par_tree) = run(Engine::TreeWalk);
+    let seq_plan = run(Engine::Plan);
+    let seq_tree = run(Engine::TreeWalk);
     // `min` tries the recursive branch first, so it walks the left spine to
     // the deepest node (key 1299) — one solution, found after a full spine
     // of committed-away choice points. The local `lm` of the outermost call
     // is part of the solution row.
     assert_eq!(seq_plan, vec!["lm=1299,m=1299".to_owned()]);
-    assert_eq!(seq_plan, seq_tree, "sequential transcripts diverge");
-    for (t, (a, b)) in thread_counts()
-        .into_iter()
-        .zip(par_plan.iter().zip(&par_tree))
-    {
-        assert_eq!(&seq_plan, a, "analyzed parallel ({t} threads) diverges");
-        assert_eq!(a, b, "parallel transcripts diverge at {t} threads");
-    }
+    assert_eq!(seq_plan, seq_tree, "transcripts diverge");
 }
 
 /// The built-in corpus is lint-clean: the CI `lint-corpus` golden pins the

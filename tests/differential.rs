@@ -566,10 +566,8 @@ fn solutions_text(mut solutions: Solutions<'_>) -> String {
     rows.join(";")
 }
 
-/// One line per operation: forward calls (nested runs of the machine),
-/// iterative and raw-formula queries (the machine's outermost run), and
-/// the raw queries again through ordered `par_solutions` at every swept
-/// width.
+/// One line per operation: forward calls (nested runs of the machine) and
+/// iterative and raw-formula queries (the machine's outermost run).
 fn goal_position_transcript(program: &Program) -> Vec<String> {
     let mut log = Vec::new();
     let lists = goal_position_lists(program);
@@ -626,27 +624,11 @@ fn goal_position_transcript(program: &Program) -> Vec<String> {
                 env.insert("l".into(), l.clone());
                 let query = program.solve(&formula, &env, None);
                 let seq = solutions_text(query.solutions());
-                for t in thread_counts() {
-                    assert_eq!(
-                        solutions_text(query.par_solutions(t)),
-                        seq,
-                        "query {qi} on #{i} (k={k}): ordered parallel at {t} threads diverges"
-                    );
-                }
                 log.push(format!("query {qi} #{i} k={k} -> {seq}"));
             }
         }
     }
     log
-}
-
-fn thread_counts() -> Vec<usize> {
-    match std::env::var("JMATCH_PAR_THREADS") {
-        Ok(v) => vec![v
-            .parse()
-            .expect("JMATCH_PAR_THREADS must be a thread count")],
-        Err(_) => vec![1, 2, 8],
-    }
 }
 
 #[test]

@@ -94,15 +94,25 @@ impl Default for Limits {
 /// A compiled JMatch program: the resolved class table plus the lowered
 /// query plans, ready to be queried from any thread.
 ///
-/// `Program` is cheap to clone (two `Arc`s and two small copies) and
-/// `Send + Sync`: compile once, hand clones to every worker.
+/// `Program` is cheap to clone (three `Arc`s and two small copies) and
+/// `Send + Sync`: compile once, hand clones to every worker. Clones,
+/// [`Program::with_limits`] / [`Program::with_engine`] copies and handles
+/// share one memo of iterative-mode solved forms (see
+/// [`MethodRef::iterate`]).
 #[derive(Debug, Clone)]
 pub struct Program {
     plan: Arc<ProgramPlan>,
     engine: Engine,
     limits: Limits,
     diagnostics: Arc<Diagnostics>,
+    iterate_forms: Arc<IterateForms>,
 }
+
+/// The memoized iterative-mode solved forms of one compiled generation,
+/// keyed by the method and the binding shape lowering depends on: the
+/// sorted bound names and the receiver's class (`None` = no receiver at
+/// all).
+type IterateForms = Mutex<HashMap<(PlanId, Vec<String>, Option<String>), Arc<SolvedForm>>>;
 
 impl Program {
     /// Assembles a program on the plan engine from already-compiled parts
@@ -117,6 +127,7 @@ impl Program {
             engine: Engine::Plan,
             limits,
             diagnostics,
+            iterate_forms: Arc::default(),
         }
     }
 
@@ -193,7 +204,6 @@ impl Program {
         Ok(MethodRef {
             program: self.clone(),
             pid,
-            iterate_cache: Arc::new(Mutex::new(HashMap::new())),
         })
     }
 
@@ -211,7 +221,6 @@ impl Program {
         Ok(MethodRef {
             program: self.clone(),
             pid,
-            iterate_cache: Arc::new(Mutex::new(HashMap::new())),
         })
     }
 
@@ -361,6 +370,46 @@ impl Program {
         let bound: Vec<&str> = env.keys().map(String::as_str).collect();
         let this_class = this.map(|t| t.class().unwrap_or(""));
         jmatch_core::lower::lower_standalone(&self.plan, f, &bound, this_class)
+    }
+
+    /// The iterative-mode solved form of method `pid`'s body `f` with the
+    /// names of `known` bound and `receiver` as `this`, from the program's
+    /// memo. Only shapes that bind nothing but the method's own relation
+    /// variables (its parameters and `result`) are memoized, so the memo
+    /// stays bounded by the declarations whatever names callers pass; any
+    /// other shape is lowered for this call alone.
+    fn iterate_form(
+        &self,
+        pid: PlanId,
+        f: &Formula,
+        known: &Bindings,
+        receiver: Option<&Value>,
+    ) -> Arc<SolvedForm> {
+        let params = &self.plan.method(pid).info.decl.params;
+        if !known
+            .keys()
+            .all(|k| k == "result" || params.iter().any(|p| p.name == *k))
+        {
+            return Arc::new(self.lower_formula(f, known, receiver));
+        }
+        let mut names: Vec<String> = known.keys().cloned().collect();
+        names.sort_unstable();
+        // Mirrors lower_formula: a non-object receiver still puts `this` in
+        // scope (with an empty class), distinct from no receiver.
+        let key = (
+            pid,
+            names,
+            receiver.map(|r| r.class().unwrap_or("").to_owned()),
+        );
+        let memo = || self.iterate_forms.lock().expect("iterate memo poisoned");
+        if let Some(form) = memo().get(&key) {
+            return Arc::clone(form);
+        }
+        // Lowered outside the lock, so a cold shape never stalls another
+        // thread's hits. Threads racing on one cold shape each lower it;
+        // the first insert wins and every caller gets that one form.
+        let form = Arc::new(self.lower_formula(f, known, receiver));
+        Arc::clone(memo().entry(key).or_insert(form))
     }
 
     /// Runs a batch of queries on one pool of `threads` worker threads
@@ -534,20 +583,16 @@ impl Program {
 /// }
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
+///
+/// A handle holds no per-handle state: the solved forms
+/// [`MethodRef::iterate`] lowers live in the [`Program`]'s per-program
+/// memo, so a fresh handle per request (as a server builds one) reuses
+/// every binding shape an earlier handle lowered.
 #[derive(Debug, Clone)]
 pub struct MethodRef {
     program: Program,
     pid: PlanId,
-    /// Iterative-mode solved forms, memoized per (bound-name set, `this`
-    /// class) so hot loops calling [`MethodRef::iterate`] with the same
-    /// binding shape never re-lower the body.
-    iterate_cache: Arc<Mutex<IterateCache>>,
 }
-
-/// Memoized iterative-mode solved forms, keyed by the binding shape that
-/// lowering depends on: the sorted bound names and the receiver's class
-/// (`None` = no receiver at all).
-type IterateCache = HashMap<(Vec<String>, Option<String>), Arc<SolvedForm>>;
 
 impl MethodRef {
     /// The method's name.
@@ -645,6 +690,14 @@ impl MethodRef {
     /// every other relation variable solved for — the `foreach`-driving
     /// mode the paper compiles to Java_yield iterators.
     ///
+    /// The body is lowered once per binding shape — the sorted bound names
+    /// and the receiver's class — into the [`Program`]'s per-program memo,
+    /// which every handle, clone and thread of one compiled generation
+    /// shares; a later call with the same shape only enumerates. Shapes
+    /// that bind a name other than the method's parameters and `result`
+    /// are lowered per call and never memoized, so callers cannot grow the
+    /// memo past the method's declarations.
+    ///
     /// # Errors
     ///
     /// [`RtErrorKind::ModeMismatch`](crate::RtErrorKind::ModeMismatch) when
@@ -657,24 +710,7 @@ impl MethodRef {
                 "iterative",
             ));
         };
-        // Lowering depends only on which names are bound and the receiver's
-        // class, so the solved form is memoized per binding shape: repeated
-        // iterate() calls in a hot loop do no per-call lowering.
-        let mut key: (Vec<String>, Option<String>) = (
-            known.keys().cloned().collect(),
-            // Mirrors lower_formula: a non-object receiver still puts `this`
-            // in scope (with an empty class), distinct from no receiver.
-            receiver.map(|r| r.class().unwrap_or("").to_owned()),
-        );
-        key.0.sort_unstable();
-        let form = {
-            let mut cache = self.iterate_cache.lock().expect("iterate cache poisoned");
-            Arc::clone(
-                cache
-                    .entry(key)
-                    .or_insert_with(|| Arc::new(self.program.lower_formula(f, known, receiver))),
-            )
-        };
+        let form = self.program.iterate_form(self.pid, f, known, receiver);
         Ok(Query {
             program: &self.program,
             limits: self.program.limits,
@@ -693,9 +729,11 @@ impl MethodRef {
     /// (`0` = the `JMATCH_PAR_THREADS` default), returning each call's
     /// full solution set in sequential enumeration order.
     ///
-    /// Building every [`Query`] up front amortizes lowering through the
-    /// per-binding-shape solved-form cache, and the batch shares one
-    /// thread pool via [`Program::query_many`]; calls that fail to build
+    /// Every call's [`Query`] is built up front through
+    /// [`MethodRef::iterate`], so each binding shape comes from the
+    /// [`Program`]'s per-program memo of solved forms and is lowered at
+    /// most once per compiled generation; the batch shares one thread
+    /// pool via [`Program::query_many`]. Calls that fail to build
     /// (e.g. [`RtErrorKind::ModeMismatch`](crate::RtErrorKind::ModeMismatch))
     /// report their error in their result slot without disturbing the
     /// rest.
@@ -1313,6 +1351,112 @@ mod tests {
         assert_send_sync_clone::<MethodRef>();
         assert_send_sync_clone::<CtorRef>();
         assert_send_sync_clone::<Limits>();
+    }
+
+    const GEN_SRC: &str = "\
+class A { boolean pick(int n, int x) iterates(x) ( x = n || x = n + 1 ) }
+class B { }
+static boolean pick(int n, int x) iterates(x) ( x = n || x = n + 1 )
+";
+
+    fn compile(src: &str) -> Program {
+        crate::Workspace::new().verify(false).compile(src).unwrap()
+    }
+
+    fn bindings(pairs: &[(&str, i64)]) -> Bindings {
+        pairs
+            .iter()
+            .map(|&(name, v)| (name.to_owned(), Value::Int(v)))
+            .collect()
+    }
+
+    /// The solved form an iterative query runs.
+    fn form_of(query: &Query<'_>) -> Arc<SolvedForm> {
+        match &query.source {
+            Source::Formula { form, .. } => Arc::clone(form),
+            Source::Deconstruct { .. } => panic!("not an iterative query"),
+        }
+    }
+
+    fn memo_len(program: &Program) -> usize {
+        program.iterate_forms.lock().unwrap().len()
+    }
+
+    #[test]
+    fn iterate_forms_are_shared_by_every_handle_of_one_program() {
+        let program = compile(GEN_SRC);
+        let first = program.free_method("pick").unwrap();
+        let second = program.free_method("pick").unwrap();
+        let limited = program
+            .clone()
+            .with_limits(Limits {
+                max_depth: 10,
+                max_steps: 1_000,
+            })
+            .free_method("pick")
+            .unwrap();
+        let n = bindings(&[("n", 1)]);
+        let form = form_of(&first.iterate(None, &n).unwrap());
+        // Same shape, other values, other handles: one lowered form.
+        for handle in [&first, &second, &limited] {
+            let q = handle.iterate(None, &bindings(&[("n", 7)])).unwrap();
+            assert!(Arc::ptr_eq(&form, &form_of(&q)));
+        }
+        assert_eq!(memo_len(&program), 1);
+
+        // Another binding shape is another form.
+        let x = form_of(&first.iterate(None, &bindings(&[("x", 2)])).unwrap());
+        let both = form_of(
+            &second
+                .iterate(None, &bindings(&[("n", 1), ("x", 2)]))
+                .unwrap(),
+        );
+        assert!(!Arc::ptr_eq(&form, &x));
+        assert!(!Arc::ptr_eq(&form, &both));
+        assert!(!Arc::ptr_eq(&x, &both));
+
+        // Another method or receiver class is another form, each memoized.
+        let method = program.method("A", "pick").unwrap();
+        let a = program.instance("A").unwrap();
+        let b = program.instance("B").unwrap();
+        let on_a = form_of(&method.iterate(Some(&a), &n).unwrap());
+        let on_b = form_of(&method.iterate(Some(&b), &n).unwrap());
+        let on_int = form_of(&method.iterate(Some(&Value::Int(0)), &n).unwrap());
+        let forms = [&form, &on_a, &on_b, &on_int];
+        for (i, f) in forms.iter().enumerate() {
+            for g in &forms[i + 1..] {
+                assert!(!Arc::ptr_eq(f, g));
+            }
+        }
+        let again = program.method("A", "pick").unwrap();
+        assert!(Arc::ptr_eq(
+            &on_a,
+            &form_of(&again.iterate(Some(&a), &n).unwrap())
+        ));
+        assert_eq!(memo_len(&program), 6);
+    }
+
+    #[test]
+    fn non_parameter_names_never_grow_the_iterate_memo() {
+        let program = compile(GEN_SRC);
+        let pick = program.free_method("pick").unwrap();
+        let n = bindings(&[("n", 3)]);
+        pick.iterate(None, &n).unwrap();
+        assert_eq!(memo_len(&program), 1);
+        for i in 0..1_000 {
+            let mut known = n.clone();
+            known.insert(format!("zzz{i}"), Value::Int(9));
+            let rows = pick.iterate(None, &known).unwrap().try_collect().unwrap();
+            // The extra name is still an input, echoed in every solution.
+            assert_eq!(rows.len(), 2);
+            assert!(rows.iter().all(|r| r[&format!("zzz{i}")] == Value::Int(9)));
+        }
+        assert_eq!(memo_len(&program), 1);
+        // `result` is the method's own relation variable: memoized.
+        let mut with_result = n.clone();
+        with_result.insert("result".to_owned(), Value::Bool(true));
+        pick.iterate(None, &with_result).unwrap();
+        assert_eq!(memo_len(&program), 2);
     }
 
     #[test]

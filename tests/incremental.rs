@@ -14,7 +14,7 @@
 //! corpus: 1, 2, and 8 workers produce the same diagnostics in the same
 //! order.
 
-use jmatch::{Engine, Generation, Program, Workspace};
+use jmatch::{Bindings, Engine, Generation, Program, Value, Workspace};
 
 mod harness;
 use harness::transcript;
@@ -81,6 +81,34 @@ fn assert_matches_scratch(generation: &Generation, source: &str, verify: bool, l
             "{label}: {name}-engine transcript diverges from a full rebuild"
         );
     }
+}
+
+/// Iterative-mode solved forms are memoized per program, so an edit must
+/// reach a new handle even after the old generation lowered the shape.
+#[test]
+fn iterative_body_edit_reaches_new_handles() {
+    let source = "static boolean pick(int n, int x) iterates(x) ( x = n || x = n + 1 )";
+    let xs = |program: &Program| -> Vec<i64> {
+        let known: Bindings = [("n".to_owned(), Value::Int(10))].into_iter().collect();
+        let pick = program.free_method("pick").unwrap();
+        let rows = pick.iterate(None, &known).unwrap().try_collect().unwrap();
+        rows.iter()
+            .map(|row| match row["x"] {
+                Value::Int(x) => x,
+                ref other => panic!("x bound to {other:?}"),
+            })
+            .collect()
+    };
+    let mut ws = Workspace::new().verify(false);
+    let old = ws.load(source).unwrap().into_program();
+    assert_eq!(xs(&old), [10, 11]);
+
+    let g = ws.update_source(&source.replace("n + 1", "n + 5")).unwrap();
+    assert_eq!(g.report().recompiled, ["<toplevel>.pick"]);
+    let new = g.into_program();
+    assert_eq!(xs(&new), [10, 15]);
+    // The previous generation keeps serving its own body.
+    assert_eq!(xs(&old), [10, 11]);
 }
 
 #[test]

@@ -764,6 +764,48 @@ fn reload_recompiles_in_place_and_keeps_both_generations_resident() {
     server.shutdown();
 }
 
+/// Each generation memoizes its own iterative forms: after a reload that
+/// edits an iterative body, a query on the new key enumerates the new
+/// body even though the same shape was just served from the old one.
+#[test]
+fn reload_of_an_iterative_body_serves_the_new_solutions() {
+    let (server, mut client) = boot(test_config());
+    let key = compile_ok(&mut client, SMALL_SRC);
+    let xs = |client: &mut Client, key: &str| -> Vec<i64> {
+        let mut options = QueryOptions::new(key, "below");
+        options.known = vec![("n".into(), Value::Int(3))];
+        let reply = client.query(&options).expect("query");
+        reply
+            .get("solutions")
+            .and_then(Json::as_arr)
+            .unwrap_or_else(|| panic!("no solutions: {reply}"))
+            .iter()
+            .map(|s| s.get("x").and_then(Json::as_i64).expect("x binding"))
+            .collect()
+    };
+    assert_eq!(xs(&mut client, &key), [0, 1, 2]);
+
+    let edited = SMALL_SRC.replace(
+        "static boolean below(int n, int x) iterates(x) ( x = 0 || x = 1 || x = 2 )",
+        "static boolean below(int n, int x) iterates(x) ( x = n || x = n + 1 )",
+    );
+    assert_ne!(edited, SMALL_SRC);
+    let reply = client.reload("default", &key, &edited).expect("reload");
+    assert_eq!(
+        reply.get("status").and_then(Json::as_str),
+        Some("recompiled"),
+        "{reply}"
+    );
+    let new_key = reply
+        .get("program")
+        .and_then(Json::as_str)
+        .expect("recompiled replies carry the new key")
+        .to_owned();
+    assert_eq!(xs(&mut client, &new_key), [3, 4]);
+    assert_eq!(xs(&mut client, &key), [0, 1, 2]);
+    server.shutdown();
+}
+
 #[test]
 fn rejected_reloads_keep_the_previous_program_active() {
     let (server, mut client) = boot(test_config());

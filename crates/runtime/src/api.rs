@@ -34,7 +34,7 @@ use jmatch_core::table::ClassTable;
 use jmatch_core::Warning;
 use jmatch_syntax::ast::{Formula, MethodBody, Param, Type};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------------
@@ -412,87 +412,6 @@ impl Program {
         Arc::clone(memo().entry(key).or_insert(form))
     }
 
-    /// Runs a batch of queries on one pool of `threads` worker threads
-    /// (`0` = the `JMATCH_PAR_THREADS` default of
-    /// [`jmatch_smt::pool::configured_threads`], like every other pool in
-    /// the workspace) and collects every query's full
-    /// solution set **in sequential enumeration order** — the shape a
-    /// query server needs: one thread-pool setup amortized across the
-    /// whole batch, with per-query results independent (a limit error in
-    /// one query does not affect the others).
-    ///
-    /// Each query runs whole on one worker. A batch of two or more gets
-    /// threads with the native stack the calling thread declared through
-    /// [`crate::declare_thread_stack`] (the 2 MiB std default if it
-    /// declared none), so a query reaches the same depth batched as alone.
-    pub fn query_many(
-        &self,
-        queries: &[Query<'_>],
-        threads: usize,
-    ) -> Vec<RtResult<Vec<Bindings>>> {
-        self.query_many_counted(queries, threads)
-            .into_iter()
-            .map(|(outcome, _steps)| outcome)
-            .collect()
-    }
-
-    /// Like [`Program::query_many`], but each result slot also reports the
-    /// solver steps the query spent (when the engine can count them — the
-    /// plan engine's stack machine; `None` on the tree-walker oracle).
-    ///
-    /// This is the accounting shape a multi-tenant server needs: run a
-    /// coalesced batch on one pool, then settle each request's step grant
-    /// against what the enumeration actually used.
-    pub fn query_many_counted(
-        &self,
-        queries: &[Query<'_>],
-        threads: usize,
-    ) -> Vec<(RtResult<Vec<Bindings>>, Option<u64>)> {
-        let n = queries.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let threads = if threads == 0 {
-            jmatch_smt::configured_threads()
-        } else {
-            threads
-        }
-        .min(n);
-        if threads <= 1 {
-            return queries.iter().map(Query::try_collect_counted).collect();
-        }
-        type CountedOutcome = (RtResult<Vec<Bindings>>, Option<u64>);
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<CountedOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let stack = crate::eval::thread_stack();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                std::thread::Builder::new()
-                    .stack_size(stack)
-                    .spawn_scoped(scope, || {
-                        crate::declare_thread_stack(stack);
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            let outcome = queries[i].try_collect_counted();
-                            *slots[i].lock().expect("query_many slot poisoned") = Some(outcome);
-                        }
-                    })
-                    .expect("could not start a query_many thread");
-            }
-        });
-        slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("query_many slot poisoned")
-                    .expect("query_many worker skipped a slot")
-            })
-            .collect()
-    }
-
     // -- whole-value operations ---------------------------------------------
 
     /// Creates a bare instance of `class` with every field `Null` —
@@ -722,47 +641,6 @@ impl MethodRef {
                 this: receiver.cloned(),
             },
         })
-    }
-
-    /// Runs a batch of iterative-mode calls — one `(receiver, known
-    /// bindings)` pair per call — on one pool of `threads` worker threads
-    /// (`0` = the `JMATCH_PAR_THREADS` default), returning each call's
-    /// full solution set in sequential enumeration order.
-    ///
-    /// Every call's [`Query`] is built up front through
-    /// [`MethodRef::iterate`], so each binding shape comes from the
-    /// [`Program`]'s per-program memo of solved forms and is lowered at
-    /// most once per compiled generation; the batch shares one thread
-    /// pool via [`Program::query_many`]. Calls that fail to build
-    /// (e.g. [`RtErrorKind::ModeMismatch`](crate::RtErrorKind::ModeMismatch))
-    /// report their error in their result slot without disturbing the
-    /// rest.
-    pub fn iterate_many(
-        &self,
-        calls: &[(Option<Value>, Bindings)],
-        threads: usize,
-    ) -> Vec<RtResult<Vec<Bindings>>> {
-        let mut slots: Vec<Option<RtResult<Vec<Bindings>>>> = Vec::with_capacity(calls.len());
-        let mut queries: Vec<Query<'_>> = Vec::new();
-        let mut query_slot: Vec<usize> = Vec::new();
-        for (i, (receiver, known)) in calls.iter().enumerate() {
-            match self.iterate(receiver.as_ref(), known) {
-                Ok(q) => {
-                    queries.push(q);
-                    query_slot.push(i);
-                    slots.push(None);
-                }
-                Err(e) => slots.push(Some(Err(e))),
-            }
-        }
-        let outcomes = self.program.query_many(&queries, threads);
-        for (i, outcome) in query_slot.into_iter().zip(outcomes) {
-            slots[i] = Some(outcome);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("iterate_many left a slot unfilled"))
-            .collect()
     }
 }
 

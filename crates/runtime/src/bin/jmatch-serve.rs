@@ -19,8 +19,6 @@ USAGE:
 OPTIONS:
     --addr HOST:PORT          listen address        [default: 127.0.0.1:7733]
     --workers N               query worker threads  [default: 4]
-    --inner-threads N         threads per coalesced query batch [default: 2]
-    --batch-max N             max queries coalesced per batch   [default: 16]
     --queue-depth N           per-tenant admission queue bound  [default: 64]
     --max-connections N       concurrent connection cap         [default: 256]
     --cache-capacity N        max cached programs (LRU)         [default: 64]
@@ -53,8 +51,6 @@ fn parse_flags() -> Result<ServeConfig, String> {
         match flag.as_str() {
             "--addr" => config.addr = value("--addr")?,
             "--workers" => config.workers = parse(&value("--workers")?)?,
-            "--inner-threads" => config.inner_threads = parse(&value("--inner-threads")?)?,
-            "--batch-max" => config.batch_max = parse(&value("--batch-max")?)?,
             "--queue-depth" => config.queue_depth = parse(&value("--queue-depth")?)?,
             "--max-connections" => config.max_connections = parse(&value("--max-connections")?)?,
             "--cache-capacity" => config.cache_capacity = parse(&value("--cache-capacity")?)?,

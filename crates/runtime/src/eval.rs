@@ -146,7 +146,8 @@ struct StackBounds {
     top: usize,
     /// Checks below this address trip the guard.
     floor: usize,
-    /// The stack size [`declare_thread_stack`] fixed the bounds with.
+    /// The stack size [`declare_thread_stack`] fixed the bounds with; the
+    /// bounds of an undeclared thread follow its shallowest check.
     declared: Option<usize>,
 }
 
@@ -187,13 +188,6 @@ pub fn declare_thread_stack(bytes: usize) {
             declared: Some(bytes),
         })
     });
-}
-
-/// The native stack the calling thread declared through
-/// [`declare_thread_stack`], else the assumed std default: the stack to
-/// give threads that run work on the caller's behalf.
-pub(crate) fn thread_stack() -> usize {
-    STACK.with(|s| s.get().declared.unwrap_or(ASSUMED_THREAD_STACK))
 }
 
 /// The native-stack guard of both engines, checked wherever evaluation

@@ -73,12 +73,12 @@
 //! with the previous generation by `Arc` (see the [`workspace`] module
 //! docs for the red/green rules).
 //!
-//! ## Batches
+//! ## One machine per query
 //!
-//! Every enumeration runs on one sequential machine.
-//! [`Program::query_many`] / [`MethodRef::iterate_many`] run a batch of
-//! whole queries on scoped worker threads, one query per worker at a time
-//! (`JMATCH_PAR_THREADS` sets the default width).
+//! Every enumeration runs on one sequential machine, on the thread that
+//! pulls its [`Solutions`]. There is no parallel search and no batch
+//! entry point: run independent queries on threads of your own, declaring
+//! each thread's stack with [`declare_thread_stack`] if it recurses deep.
 //!
 //! ## Serving
 //!

@@ -12,9 +12,8 @@
 //!   pools, with a reserve → run → settle grant lifecycle that refunds
 //!   unused (or abandoned) work;
 //! * [`server`] — the [`server::Server`]: bounded admission queues drained
-//!   round-robin across tenants, workers that coalesce concurrent collect
-//!   queries into one [`crate::Program::query_many`] batch, and streamed
-//!   solution batches with cancellation;
+//!   round-robin across tenants, workers that run one job at a time on
+//!   their own thread, and streamed solution batches with cancellation;
 //! * [`proto`] — the length-prefixed JSON wire protocol (see the
 //!   repository's `PROTOCOL.md` for the normative spec);
 //! * [`json`] — the std-only JSON document type the protocol rides on;

@@ -11,9 +11,9 @@
 //!                   │                   ▼                                                 │
 //!                   │            Scheduler: bounded per-tenant FIFOs,                     │
 //!                   │            round-robin draining ──▶ worker threads                  │
-//!                   │                                      │ coalesce ready queries      │
+//!                   │                                      │ one job at a time:          │
 //!                   │                                      ▼                             │
-//!                   │                         Program::query_many_counted                │
+//!                   │                         pickup check → run → settle → reply         │
 //!                   └───────────────────────────────────────────────────────────────────┘
 //! ```
 //!
@@ -53,7 +53,7 @@ use super::proto::{
     QuerySpec, Request,
 };
 use super::quota::{Grant, QuotaConfig, TenantQuotas, TenantSnapshot};
-use crate::{Bindings, Limits, MethodRef, Program, Query, RtErrorKind, RtResult, Value};
+use crate::{Bindings, Limits, MethodRef, Program, RtError, RtErrorKind, RtResult, Value};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -79,14 +79,12 @@ fn lock_ok<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// A collected enumeration plus the steps it spent (when countable) —
-/// the per-query shape `Program::query_many_counted` returns.
-type QueryOutcome = (RtResult<Vec<Bindings>>, Option<u64>);
-
 /// Stack size for reader and worker threads. Compilation runs inline on
 /// reader threads and query lowering on workers; both recurse over ASTs
 /// whose depth is client-controlled (e.g. a wide `||` chain), so these
 /// threads get a main-thread-sized stack instead of the spawn default.
+/// Workers declare it to the stack guard, so every request they run
+/// recurses as deep as 8 MiB allows.
 const SERVE_THREAD_STACK: usize = 8 << 20;
 
 /// Everything the server's behavior is parameterized on.
@@ -97,12 +95,12 @@ pub struct ServeConfig {
     /// Query worker threads draining the admission queue. `0` is a
     /// test-only mode: jobs are admitted and queued but never drained.
     pub workers: usize,
-    /// Threads each coalesced [`Program::query_many`] batch fans out to.
+    /// Not read: every job runs whole on the worker that popped it. Kept
+    /// only because the repository benchmark (`perfbench/src/serve_mix.rs`)
+    /// sets it; it goes with that benchmark's next change.
     pub inner_threads: usize,
-    /// Most queries one worker coalesces into a single batch.
-    pub batch_max: usize,
-    /// Bound on each tenant's admission queue; the (workers × batch)
-    /// in-flight work rides on top of this.
+    /// Bound on each tenant's admission queue; the one job each worker
+    /// has in flight rides on top of this.
     pub queue_depth: usize,
     /// Most concurrent connections the server accepts. Each connection
     /// holds a reader thread, so an uncapped flood would exhaust
@@ -140,7 +138,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".into(),
             workers: 4,
             inner_threads: 2,
-            batch_max: 16,
             queue_depth: 64,
             max_connections: 256,
             cache_capacity: 64,
@@ -166,8 +163,15 @@ enum JobKind {
 }
 
 struct Job {
-    id: i64,
     tenant: String,
+    kind: JobKind,
+    run: Run,
+}
+
+/// What a worker needs to run and answer one admitted request, whatever
+/// its kind.
+struct Run {
+    id: i64,
     conn: Arc<ConnShared>,
     program: Arc<Program>,
     limits: Limits,
@@ -176,7 +180,6 @@ struct Job {
     /// Absolute wall-clock deadline (from the request's `deadline_ms`);
     /// the watchdog fires `cancel` past it.
     deadline: Option<Instant>,
-    kind: JobKind,
 }
 
 #[derive(Default)]
@@ -229,34 +232,6 @@ impl SchedState {
                 }
             }
             self.order.remove(self.cursor);
-        }
-        None
-    }
-
-    /// Pops another *collect-type query* job for batching, continuing the
-    /// same round-robin rotation (fairness extends into the batch).
-    fn pop_query(&mut self) -> Option<Job> {
-        let before = self.queued;
-        if before == 0 {
-            return None;
-        }
-        // Only take a job when the head of some tenant's rotation turn is
-        // a collect query; peeking without popping keeps this simple:
-        // scan tenants in rotation order for a query at the front.
-        for _ in 0..self.order.len() {
-            if self.cursor >= self.order.len() {
-                self.cursor = 0;
-            }
-            let tenant = self.order[self.cursor].clone();
-            let is_query = self
-                .queues
-                .get(&tenant)
-                .and_then(|q| q.front())
-                .is_some_and(|j| matches!(j.kind, JobKind::Query { .. }));
-            if is_query {
-                return self.pop();
-            }
-            self.cursor += 1;
         }
         None
     }
@@ -556,11 +531,13 @@ pub struct Metrics {
     pub frames: u64,
     /// Frames rejected as protocol violations.
     pub protocol_errors: u64,
-    /// Forward calls executed.
+    /// Forward calls executed. Like `queries` and `streams`, this counts
+    /// the jobs a worker ran: a job cancelled or expired while queued is
+    /// not counted.
     pub calls: u64,
     /// Collect queries executed.
     pub queries: u64,
-    /// Streams started.
+    /// Streams executed.
     pub streams: u64,
     /// Admissions rejected for a full queue.
     pub rejected_capacity: u64,
@@ -568,7 +545,9 @@ pub struct Metrics {
     pub rejected_quota: u64,
     /// Connections refused at the `max_connections` cap.
     pub rejected_connections: u64,
-    /// Streams that ended by cancellation (explicit or disconnect).
+    /// Executed requests that ended by cancellation (an explicit `cancel`
+    /// frame or a disconnect): interrupted calls and queries, and streams
+    /// cut short. A deadline is counted in `deadline_exceeded` instead.
     pub cancelled: u64,
     /// Request executions that panicked; each was caught, answered with an
     /// `internal-error` frame, and its grant refunded.
@@ -1415,20 +1394,23 @@ fn admit(
         lock_ok(&shared.deadlines).push((deadline, Arc::downgrade(&cancel)));
     }
     let job = Job {
-        id,
         tenant,
-        conn: Arc::clone(conn),
-        program,
-        limits: Limits {
-            max_depth: effective.max_depth,
-            // The grant may be smaller than asked when the pool is nearly
-            // dry; the enumeration then trips `limit-exceeded` honestly.
-            max_steps: grant.granted(),
-        },
-        grant,
-        cancel,
-        deadline,
         kind,
+        run: Run {
+            id,
+            conn: Arc::clone(conn),
+            program,
+            limits: Limits {
+                max_depth: effective.max_depth,
+                // The grant may be smaller than asked when the pool is
+                // nearly dry; the enumeration then trips `limit-exceeded`
+                // honestly.
+                max_steps: grant.granted(),
+            },
+            grant,
+            cancel,
+            deadline,
+        },
     };
     let mut state = lock_ok(&shared.sched.state);
     match state.push(job, shared.config.queue_depth) {
@@ -1442,7 +1424,7 @@ fn admit(
                 .counters
                 .rejected_capacity
                 .fetch_add(1, Ordering::Relaxed);
-            job.conn.forget_cancel(job.id);
+            conn.forget_cancel(id);
             let frame = ErrorFrame::new(
                 error_kind::OVER_CAPACITY,
                 format!(
@@ -1451,8 +1433,8 @@ fn admit(
                 ),
             )
             .retry_after(CAPACITY_RETRY_MS)
-            .into_frame(Some(job.id));
-            job.conn.send(&frame);
+            .into_frame(Some(id));
+            conn.send(&frame);
             // Dropping the job refunds its grant.
         }
     }
@@ -1495,67 +1477,66 @@ fn worker_loop(shared: &Arc<Shared>) {
                 std::thread::sleep(Duration::from_millis(faults.stall_ms()));
             }
         }
-        let batch = match job.kind {
-            JobKind::Query { .. } => {
-                // Coalesce whatever collect queries are ready *right now*
-                // into one batch on the shared pool (no waiting: batching
-                // must never add latency to a lone query).
-                let mut batch = vec![job];
-                if shared.config.batch_max > 1 {
-                    let mut state = lock_ok(&shared.sched.state);
-                    while batch.len() < shared.config.batch_max {
-                        match state.pop_query() {
-                            Some(next) => batch.push(next),
-                            None => break,
-                        }
-                    }
-                }
-                batch
-            }
-            _ => vec![job],
-        };
-        dispatch(shared, batch);
+        dispatch(shared, job);
     }
 }
 
-/// Runs one popped unit of work — a call, a stream, or a coalesced query
-/// batch — under `catch_unwind`: a panicking request answers
-/// `internal-error` instead of killing the worker. Grants held by the
-/// panicking scope refund through the unwind (`Grant::drop` runs), so
-/// quota conservation survives the panic.
-fn dispatch(shared: &Arc<Shared>, batch: Vec<Job>) {
-    let ctx: Vec<(i64, Arc<ConnShared>)> = batch
-        .iter()
-        .map(|job| (job.id, Arc::clone(&job.conn)))
-        .collect();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut batch = batch;
-        if matches!(batch[0].kind, JobKind::Query { .. }) {
-            run_query_batch(shared, batch);
-        } else {
-            let job = batch.pop().expect("dispatch batch is never empty");
-            match job.kind {
-                JobKind::Call { .. } => run_call(shared, job),
-                JobKind::Stream { .. } => run_stream(shared, job),
-                JobKind::Query { .. } => unreachable!("query handled above"),
-            }
-        }
-    }));
-    if outcome.is_err() {
+/// Runs one popped job under `catch_unwind`: a panicking request answers
+/// one `internal-error` frame, for its own id, instead of killing the
+/// worker. The grant held by the panicking scope refunds through the
+/// unwind (`Grant::drop` runs), so quota conservation survives the panic.
+fn dispatch(shared: &Arc<Shared>, job: Job) {
+    let (id, conn) = (job.run.id, Arc::clone(&job.run.conn));
+    if catch_unwind(AssertUnwindSafe(|| run_job(shared, job))).is_err() {
         shared.counters.panics.fetch_add(1, Ordering::Relaxed);
-        for (id, conn) in ctx {
-            conn.forget_cancel(id);
-            // A panic mid-batch answers every member: at worst a client
-            // whose reply already went out sees a duplicate id and drops
-            // it; a client still waiting must not hang forever.
-            conn.send(
+        conn.forget_cancel(id);
+        conn.send(
+            &ErrorFrame::new(
+                error_kind::INTERNAL,
+                "the request hit an internal error; its work was abandoned",
+            )
+            .into_frame(Some(id)),
+        );
+    }
+}
+
+/// The start every job shares. A job whose cancel token fired while it
+/// was queued does not run: past its deadline it answers a retryable
+/// `deadline-exceeded`; an explicit cancel or a disconnect gets no reply
+/// (the client stopped waiting for one); dropping its grant refunds it.
+/// Any other job counts as executed in its kind's counter and runs.
+fn run_job(shared: &Arc<Shared>, job: Job) {
+    let Job { kind, run, .. } = job;
+    if run.cancel.load(Ordering::Acquire) {
+        run.conn.forget_cancel(run.id);
+        if run.deadline.is_some_and(|d| Instant::now() >= d) {
+            shared
+                .counters
+                .deadline_exceeded
+                .fetch_add(1, Ordering::Relaxed);
+            run.conn.send(
                 &ErrorFrame::new(
-                    error_kind::INTERNAL,
-                    "the request hit an internal error; its work was abandoned",
+                    error_kind::DEADLINE_EXCEEDED,
+                    "request deadline exceeded while queued",
                 )
-                .into_frame(Some(id)),
+                .retry_after(CAPACITY_RETRY_MS)
+                .into_frame(Some(run.id)),
             );
         }
+        return;
+    }
+    let counters = &shared.counters;
+    let executed = match kind {
+        JobKind::Call { .. } => &counters.calls,
+        JobKind::Query { .. } => &counters.queries,
+        JobKind::Stream { .. } => &counters.streams,
+    };
+    executed.fetch_add(1, Ordering::Relaxed);
+    fire_panic_request(shared);
+    match kind {
+        JobKind::Call { method, args } => run_call(shared, run, &method, args),
+        JobKind::Query { spec } => run_query(shared, run, &spec),
+        JobKind::Stream { spec, batch } => run_stream(shared, run, &spec, batch),
     }
 }
 
@@ -1569,41 +1550,11 @@ fn fire_panic_request(shared: &Arc<Shared>) {
     }
 }
 
-/// Answers a request whose cancel token had already fired when a worker
-/// picked it up: past its deadline that is a retryable
-/// `deadline-exceeded`; an explicit cancel or a disconnect gets no reply
-/// (the client stopped waiting for one).
-fn report_expired_pickup(
-    shared: &Arc<Shared>,
-    conn: &Arc<ConnShared>,
-    id: i64,
-    deadline: Option<Instant>,
-) {
-    if deadline.is_some_and(|d| Instant::now() >= d) {
-        shared
-            .counters
-            .deadline_exceeded
-            .fetch_add(1, Ordering::Relaxed);
-        conn.send(
-            &ErrorFrame::new(
-                error_kind::DEADLINE_EXCEEDED,
-                "request deadline exceeded while queued",
-            )
-            .retry_after(CAPACITY_RETRY_MS)
-            .into_frame(Some(id)),
-        );
-    }
-}
-
 /// Maps a failed run onto the wire, classifying an engine `Interrupted`
 /// by *why* the token fired: past the request's deadline it is a
 /// retryable `deadline-exceeded`; otherwise an explicit `cancel` frame or
 /// a disconnect, reported as `cancelled`.
-fn rt_error_frame(
-    shared: &Arc<Shared>,
-    e: &crate::RtError,
-    deadline: Option<Instant>,
-) -> ErrorFrame {
+fn rt_error_frame(shared: &Arc<Shared>, e: &RtError, deadline: Option<Instant>) -> ErrorFrame {
     if matches!(e.kind, RtErrorKind::Interrupted) {
         if deadline.is_some_and(|d| Instant::now() >= d) {
             shared
@@ -1636,206 +1587,86 @@ fn known_bindings(spec: &QuerySpec) -> Bindings {
     spec.known.iter().cloned().collect()
 }
 
-fn run_call(shared: &Arc<Shared>, job: Job) {
-    let Job {
-        id,
-        conn,
-        program,
-        limits,
-        grant,
-        cancel,
-        deadline,
-        kind,
-        ..
-    } = job;
-    let JobKind::Call { method, args } = kind else {
-        unreachable!("run_call on a non-call job");
-    };
-    if cancel.load(Ordering::Acquire) {
+impl Run {
+    /// Answers a request that failed before it ran (an unknown method, a
+    /// mode mismatch): it spent no steps, so its grant refunds whole.
+    fn refuse(self, e: &RtError) {
+        let Run {
+            id, conn, grant, ..
+        } = self;
         conn.forget_cancel(id);
-        report_expired_pickup(shared, &conn, id, deadline);
         drop(grant);
-        return;
+        conn.send(&ErrorFrame::from_rt(e).into_frame(Some(id)));
     }
-    shared.counters.calls.fetch_add(1, Ordering::Relaxed);
-    fire_panic_request(shared);
-    match program.free_method(&method) {
-        Err(e) => {
-            conn.forget_cancel(id);
-            drop(grant);
-            conn.send(&ErrorFrame::from_rt(&e).into_frame(Some(id)));
-        }
-        Ok(mref) => {
-            // The cancel token rides into the engine's interrupt polling, so a
-            // fired deadline (or an explicit cancel) interrupts the run
-            // within ~256 steps.
-            let (outcome, steps) =
-                mref.call_counted_interruptible(None, args, limits, Some(Arc::clone(&cancel)));
-            conn.forget_cancel(id);
-            // Cached programs run on the plan engine, which always counts
-            // its steps; the ceiling fallback, as on the query/stream
-            // paths, charges unmetered work in full, never for free.
-            grant.settle(steps.unwrap_or(limits.max_steps));
-            match outcome {
-                Ok(value) => conn.send(&proto::resp_value(id, &value)),
-                Err(e) => conn.send(&rt_error_frame(shared, &e, deadline).into_frame(Some(id))),
-            };
-        }
-    }
-}
 
-/// Runs a coalesced batch of collect queries as one
-/// [`Program::query_many_counted`] call over the configured inner pool.
-fn run_query_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
-    shared
-        .counters
-        .queries
-        .fetch_add(batch.len() as u64, Ordering::Relaxed);
-    fire_panic_request(shared);
-    // Build every query target first; jobs whose resolution fails answer
-    // immediately and drop out of the batch.
-    struct Ready {
-        id: i64,
-        conn: Arc<ConnShared>,
-        grant: Grant,
-        program: Arc<Program>,
-        mref: MethodRef,
-        receiver: Option<Value>,
-        known: Bindings,
-        limits: Limits,
-        cancel: Arc<AtomicBool>,
-        deadline: Option<Instant>,
-    }
-    let mut ready: Vec<Ready> = Vec::with_capacity(batch.len());
-    for job in batch {
-        let Job {
-            id,
-            conn,
-            program,
-            limits,
-            grant,
-            cancel,
-            deadline,
-            kind,
-            ..
-        } = job;
-        let JobKind::Query { spec } = kind else {
-            unreachable!("non-query job in a query batch");
+    /// Settles the grant against the steps the run spent and answers:
+    /// `ok` renders a success, and an error is classified by
+    /// [`rt_error_frame`]. Cached programs run on the plan engine, which
+    /// always counts its steps; the ceiling fallback charges unmetered
+    /// work in full, never for free.
+    fn reply<T>(
+        self,
+        shared: &Arc<Shared>,
+        outcome: RtResult<T>,
+        steps: Option<u64>,
+        ok: impl FnOnce(i64, &T) -> Json,
+    ) {
+        self.conn.forget_cancel(self.id);
+        self.grant.settle(steps.unwrap_or(self.limits.max_steps));
+        let frame = match outcome {
+            Ok(value) => ok(self.id, &value),
+            Err(e) => rt_error_frame(shared, &e, self.deadline).into_frame(Some(self.id)),
         };
-        if cancel.load(Ordering::Acquire) {
-            conn.forget_cancel(id);
-            report_expired_pickup(shared, &conn, id, deadline);
-            drop(grant);
-            continue;
-        }
-        match resolve_target(&program, &spec) {
-            Err(e) => {
-                conn.forget_cancel(id);
-                drop(grant);
-                conn.send(&ErrorFrame::from_rt(&e).into_frame(Some(id)));
-            }
-            Ok((mref, receiver)) => ready.push(Ready {
-                id,
-                conn,
-                grant,
-                program,
-                mref,
-                receiver,
-                known: known_bindings(&spec),
-                limits,
-                cancel,
-                deadline,
-            }),
-        }
-    }
-    if ready.is_empty() {
-        return;
-    }
-    // One result slot per ready job, filled either by a build failure or
-    // by the batch run.
-    let mut results: Vec<Option<QueryOutcome>> = (0..ready.len()).map(|_| None).collect();
-    {
-        let mut queries: Vec<Query<'_>> = Vec::with_capacity(ready.len());
-        let mut slots: Vec<usize> = Vec::with_capacity(ready.len());
-        for (i, r) in ready.iter().enumerate() {
-            match r.mref.iterate(r.receiver.as_ref(), &r.known) {
-                Ok(q) => {
-                    queries.push(q.limits(r.limits).interrupt(Arc::clone(&r.cancel)));
-                    slots.push(i);
-                }
-                // A build failure (e.g. mode mismatch) did no solver work.
-                Err(e) => results[i] = Some((Err(e), Some(0))),
-            }
-        }
-        // One scoped pool for the whole coalesced batch — each query
-        // carries its own program reference, so N tenants' queries over
-        // different programs ride the same workers.
-        let host = Arc::clone(&ready[0].program);
-        let outcomes = host.query_many_counted(&queries, shared.config.inner_threads);
-        for (i, outcome) in slots.into_iter().zip(outcomes) {
-            results[i] = Some(outcome);
-        }
-    }
-    for (r, result) in ready.into_iter().zip(results) {
-        let (outcome, steps) = result.expect("every ready slot is filled");
-        r.conn.forget_cancel(r.id);
-        // Cached programs run on the plan engine, which always counts its
-        // steps; the ceiling fallback charges unmetered work in full.
-        r.grant.settle(steps.unwrap_or(r.limits.max_steps));
-        match outcome {
-            Ok(solutions) => {
-                r.conn.send(&proto::resp_solutions(r.id, &solutions, steps));
-            }
-            Err(e) => {
-                r.conn
-                    .send(&rt_error_frame(shared, &e, r.deadline).into_frame(Some(r.id)));
-            }
-        }
+        self.conn.send(&frame);
     }
 }
 
-fn run_stream(shared: &Arc<Shared>, job: Job) {
-    let Job {
+fn run_call(shared: &Arc<Shared>, run: Run, method: &str, args: Vec<Value>) {
+    let mref = match run.program.free_method(method) {
+        Ok(mref) => mref,
+        Err(e) => return run.refuse(&e),
+    };
+    // The cancel token rides into the engine's interrupt polling, so a
+    // fired deadline (or an explicit cancel) interrupts the run within
+    // ~256 steps.
+    let (outcome, steps) =
+        mref.call_counted_interruptible(None, args, run.limits, Some(Arc::clone(&run.cancel)));
+    run.reply(shared, outcome, steps, proto::resp_value);
+}
+
+fn run_query(shared: &Arc<Shared>, run: Run, spec: &QuerySpec) {
+    let (mref, receiver) = match resolve_target(&run.program, spec) {
+        Ok(pair) => pair,
+        Err(e) => return run.refuse(&e),
+    };
+    let query = match mref.iterate(receiver.as_ref(), &known_bindings(spec)) {
+        Ok(q) => q.limits(run.limits).interrupt(Arc::clone(&run.cancel)),
+        Err(e) => return run.refuse(&e),
+    };
+    let (outcome, steps) = query.try_collect_counted();
+    run.reply(shared, outcome, steps, |id, solutions| {
+        proto::resp_solutions(id, solutions, steps)
+    });
+}
+
+fn run_stream(shared: &Arc<Shared>, run: Run, spec: &QuerySpec, batch: usize) {
+    let (mref, receiver) = match resolve_target(&run.program, spec) {
+        Ok(pair) => pair,
+        Err(e) => return run.refuse(&e),
+    };
+    let query = match mref.iterate(receiver.as_ref(), &known_bindings(spec)) {
+        Ok(q) => q.limits(run.limits).interrupt(Arc::clone(&run.cancel)),
+        Err(e) => return run.refuse(&e),
+    };
+    let Run {
         id,
         conn,
-        program,
         limits,
         grant,
         cancel,
         deadline,
-        kind,
         ..
-    } = job;
-    let JobKind::Stream { spec, batch } = kind else {
-        unreachable!("run_stream on a non-stream job");
-    };
-    shared.counters.streams.fetch_add(1, Ordering::Relaxed);
-    if cancel.load(Ordering::Acquire) {
-        conn.forget_cancel(id);
-        report_expired_pickup(shared, &conn, id, deadline);
-        drop(grant);
-        return;
-    }
-    fire_panic_request(shared);
-    let (mref, receiver) = match resolve_target(&program, &spec) {
-        Ok(pair) => pair,
-        Err(e) => {
-            conn.forget_cancel(id);
-            drop(grant);
-            conn.send(&ErrorFrame::from_rt(&e).into_frame(Some(id)));
-            return;
-        }
-    };
-    let known = known_bindings(&spec);
-    let query = match mref.iterate(receiver.as_ref(), &known) {
-        Ok(q) => q.limits(limits).interrupt(Arc::clone(&cancel)),
-        Err(e) => {
-            conn.forget_cancel(id);
-            drop(grant);
-            conn.send(&ErrorFrame::from_rt(&e).into_frame(Some(id)));
-            return;
-        }
-    };
+    } = run;
     let mut solutions = query.solutions();
     let mut count: u64 = 0;
     let mut seq: u64 = 0;

@@ -61,9 +61,8 @@
 //! are reassembled in declaration order, so diagnostics are deterministic
 //! and **identical at any worker count**. The worker count comes from
 //! [`Workspace::verify_threads`], defaulting to the `JMATCH_PAR_THREADS`
-//! environment variable — the same knob that sets the default width of
-//! [`Program::query_many`](crate::Program::query_many) batches (see
-//! [`jmatch_smt::pool::configured_threads`], the single source of truth).
+//! environment variable (see [`jmatch_smt::pool::configured_threads`]).
+//! Queries take no worker count: every enumeration runs on one machine.
 //!
 //! # Example
 //!
@@ -232,8 +231,7 @@ impl Workspace {
 
     /// Worker threads for parallel verification of red units. `0` (the
     /// default) defers to the `JMATCH_PAR_THREADS` environment variable
-    /// via [`jmatch_smt::pool::configured_threads`] — the same
-    /// configuration `Program::query_many` batches use. Any worker count
+    /// via [`jmatch_smt::pool::configured_threads`]. Any worker count
     /// produces identical diagnostics in identical order.
     pub fn verify_threads(mut self, threads: usize) -> Self {
         self.verify_threads = threads;

@@ -6,10 +6,9 @@
 //! threads, an atomic next-index dispenser, slot-per-item result storage).
 //! This module is also the **one place** worker-count configuration lives:
 //!
-//! * [`configured_threads`] reads `JMATCH_PAR_THREADS` — the same variable
-//!   that sets the default width of the runtime's `Program::query_many`
-//!   batches and that the CI parallel-stress matrix pins — and falls back
-//!   to the machine's available parallelism;
+//! * [`configured_threads`] reads `JMATCH_PAR_THREADS` — the variable the
+//!   CI parallel-stress matrix pins — and falls back to the machine's
+//!   available parallelism;
 //! * [`map_ordered`] runs a closure over every item on up to `threads`
 //!   workers and returns the results **in input order**, so callers get
 //!   deterministic output (identical at any worker count) by construction.
@@ -17,9 +16,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// The environment variable that pins the worker count for every pool in
-/// the workspace: the verify workers (this pool) and the runtime's
-/// `Program::query_many` batches.
+/// The environment variable that pins the worker count of the verify
+/// workers (this pool), the workspace's only pool.
 pub const THREADS_ENV: &str = "JMATCH_PAR_THREADS";
 
 /// The worker count to use when a caller passes `0` ("configured"):

@@ -167,7 +167,6 @@ fn panicking_requests_become_error_frames_and_clean_replies_match_the_oracle() {
     let baseline = live_threads();
     let config = ServeConfig {
         workers: 2,
-        batch_max: 1,
         faults: Some(FaultConfig {
             seed: 0xC4A0_57E5,
             panic_request: 0.3,
@@ -300,7 +299,15 @@ fn deadlines_fire_under_stall_and_answer_retryable_deadline_exceeded() {
     let reply = client.query(&options).expect("query round-trip");
     assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
 
-    assert!(server.metrics().deadline_exceeded >= 3);
+    // A job that expired in the queue never ran: only the clean query
+    // counts as executed.
+    let metrics = server.metrics();
+    assert!(metrics.deadline_exceeded >= 3);
+    assert_eq!(
+        (metrics.calls, metrics.queries, metrics.streams),
+        (0, 1, 0),
+        "expired jobs must not count as executed"
+    );
     assert_quota_conserved(&server);
     server.shutdown();
     #[cfg(target_os = "linux")]
@@ -379,7 +386,6 @@ fn chaos_mix_preserves_transcripts_and_conserves_quota() {
     let baseline = live_threads();
     let config = ServeConfig {
         workers: 3,
-        batch_max: 1,
         faults: Some(FaultConfig {
             seed: 0xD15E_A5E0,
             panic_request: 0.08,

@@ -1,11 +1,9 @@
-//! What stays of the parallel entry points: whole queries in parallel.
+//! What stays of the parallel entry points.
 //!
 //! Every enumeration runs on one sequential machine. `Query::par_solutions`
 //! is kept only for the repository benchmark and is the sequential
-//! enumeration, counters included; `Program::query_many` /
-//! `MethodRef::iterate_many` run whole queries on worker threads and must
-//! return exactly what the queries give one by one. The large-tree
-//! enumeration is also checked against the tree-walking oracle.
+//! enumeration, counters included. The large-tree enumeration is also
+//! checked against the tree-walking oracle.
 //!
 //! The thread counts swept come from `JMATCH_PAR_THREADS` when set (the
 //! CI `parallel-stress` matrix pins 1, 2, and 8), defaulting to all of
@@ -148,57 +146,6 @@ fn transcript(mut s: Solutions<'_>) -> (Vec<String>, Vec<Counts>, Option<RtError
         );
     }
     (items, seen, s.take_error())
-}
-
-// ---------------------------------------------------------------------------
-// Batched entry points
-// ---------------------------------------------------------------------------
-
-/// `Program::query_many` / `MethodRef::iterate_many` return exactly what
-/// the queries produce one by one, at every pool width.
-#[test]
-fn batched_queries_match_individual_runs() {
-    let program = tree_program();
-    let vals = vals_method(&program);
-    let trees: Vec<Value> = (0..12)
-        .map(|i| complete_tree(&program, 5, i * 100))
-        .collect();
-    let queries: Vec<Query<'_>> = trees.iter().map(|t| vals_query(&vals, t)).collect();
-    let expected: Vec<Vec<String>> = queries
-        .iter()
-        .map(|q| q.try_collect().unwrap().iter().map(fmt_bindings).collect())
-        .collect();
-    for t in thread_counts() {
-        let got = program.query_many(&queries, t);
-        assert_eq!(got.len(), expected.len());
-        for (g, want) in got.iter().zip(&expected) {
-            let g: Vec<String> = g.as_ref().unwrap().iter().map(fmt_bindings).collect();
-            assert_eq!(&g, want, "query_many diverges at {t} threads");
-        }
-
-        let calls: Vec<(Option<Value>, Bindings)> = trees
-            .iter()
-            .map(|tree| (Some(tree.clone()), Bindings::new()))
-            .collect();
-        let got = vals.iterate_many(&calls, t);
-        for (g, want) in got.iter().zip(&expected) {
-            let g: Vec<String> = g.as_ref().unwrap().iter().map(fmt_bindings).collect();
-            assert_eq!(&g, want, "iterate_many diverges at {t} threads");
-        }
-    }
-
-    // Per-call errors stay in their slot: a non-declarative method cannot
-    // iterate, and the failure must not disturb the batch.
-    let bad = program.method("Node", "vals").unwrap();
-    let mut calls: Vec<(Option<Value>, Bindings)> = trees
-        .iter()
-        .take(2)
-        .map(|tree| (Some(tree.clone()), Bindings::new()))
-        .collect();
-    calls.push((None, Bindings::new())); // no receiver: lowering still works, solving fails
-    let got = bad.iterate_many(&calls, 2);
-    assert_eq!(got.len(), 3);
-    assert!(got[0].is_ok() && got[1].is_ok());
 }
 
 /// On the tree-walker oracle too, `par_solutions` is the sequential

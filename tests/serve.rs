@@ -806,6 +806,71 @@ fn reload_of_an_iterative_body_serves_the_new_solutions() {
     server.shutdown();
 }
 
+/// A served query recurses as deep as the worker's declared 8 MiB stack
+/// allows, not the 2 MiB std default: `size()` over a list longer than a
+/// default thread can hold (about 735 levels in a release build, 70 in a
+/// debug build, where a level costs ten times the stack) answers with
+/// the right count on two connections at once.
+#[test]
+fn deep_queries_run_on_the_workers_declared_stack() {
+    use jmatch::corpus::jmatch::{CONS_LIST, EMPTY_LIST, LIST_INTERFACE};
+    // Past the 2 MiB default and within 8 MiB in either profile.
+    const N: i64 = if cfg!(debug_assertions) { 200 } else { 1_500 };
+    let source = format!(
+        "{LIST_INTERFACE}{EMPTY_LIST}{CONS_LIST}
+static List build(int n) {{
+    List l = EmptyList.nil();
+    int i = n;
+    while (i > 0) {{ l = ConsList.cons(i, l); i = i - 1; }}
+    return l;
+}}
+static boolean deep(int n, int k) iterates(k) ( k = build(n).size() )
+"
+    );
+    let config = ServeConfig {
+        workers: 2,
+        quota: QuotaConfig {
+            // Raised out of the way, so only the stack guard could stop
+            // the recursion.
+            limits: Limits {
+                max_depth: 1_000_000,
+                max_steps: 1_000_000,
+            },
+            ..QuotaConfig::default()
+        },
+        ..test_config()
+    };
+    let (server, mut client) = boot(config);
+    let key = compile_ok(&mut client, &source);
+    let addr = server.local_addr();
+    let connections: Vec<_> = (0..2)
+        .map(|_| {
+            let key = key.clone();
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).expect("client connect");
+                let mut options = QueryOptions::new(&key, "deep");
+                options.known = vec![("n".into(), Value::Int(N))];
+                (0..3)
+                    .map(|_| client.query(&options).expect("query round-trip"))
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    for connection in connections {
+        for reply in connection.join().expect("connection thread") {
+            let ks: Vec<i64> = reply
+                .get("solutions")
+                .and_then(Json::as_arr)
+                .unwrap_or_else(|| panic!("no solutions: {reply}"))
+                .iter()
+                .map(|s| s.get("k").and_then(Json::as_i64).expect("k binding"))
+                .collect();
+            assert_eq!(ks, [N]);
+        }
+    }
+    server.shutdown();
+}
+
 #[test]
 fn rejected_reloads_keep_the_previous_program_active() {
     let (server, mut client) = boot(test_config());

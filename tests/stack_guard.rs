@@ -235,36 +235,3 @@ fn a_deep_walker_enumeration_trips_the_guard() {
         "{err:?}"
     );
 }
-
-/// `Program::query_many` runs a batch on threads with the native stack the
-/// calling thread declared, so a query that recurses deep on that stack
-/// gives the same result batched as alone.
-#[test]
-fn batched_queries_keep_the_declared_stack() {
-    const BIG_STACK: usize = 64 << 20;
-    // Past the 2 MiB default in every profile, like
-    // `a_declared_stack_gives_the_depth_back`.
-    const N: i64 = 1_500;
-    let program = program(Engine::Plan);
-    let (alone, batched) = on_stack(BIG_STACK, move || {
-        jmatch::runtime::declare_thread_stack(BIG_STACK);
-        let mut env = Bindings::new();
-        env.insert("l".into(), list_of(&program, N));
-        let formula = jmatch::syntax::parse_formula("k = l.size()").unwrap();
-        let query = || program.solve(&formula, &env, None);
-        let sizes = |rows: RtResult<Vec<Bindings>>| -> RtResult<Vec<Value>> {
-            rows.map(|rows| rows.iter().map(|b| b["k"].clone()).collect())
-        };
-        let alone = sizes(query().try_collect());
-        let batched: Vec<_> = program
-            .query_many(&[query(), query()], 2)
-            .into_iter()
-            .map(sizes)
-            .collect();
-        (alone, batched)
-    });
-    assert_eq!(alone, Ok(vec![Value::Int(N)]));
-    for got in batched {
-        assert_eq!(got, alone, "a batched query lost the declared stack");
-    }
-}

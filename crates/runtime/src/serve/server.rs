@@ -11,8 +11,8 @@
 //!                   │                   ▼                                                 │
 //!                   │            Scheduler: bounded per-tenant FIFOs,                     │
 //!                   │            round-robin draining ──▶ worker threads                  │
-//!                   │                                      │ one job at a time:          │
-//!                   │                                      ▼                             │
+//!                   │                                      │ one job at a time:           │
+//!                   │                                      ▼                              │
 //!                   │                         pickup check → run → settle → reply         │
 //!                   └───────────────────────────────────────────────────────────────────┘
 //! ```

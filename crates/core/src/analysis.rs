@@ -1,11 +1,12 @@
 //! Post-lowering static analysis over query plans: determinism inference,
 //! dead-alternative pruning, and IR-level lints.
 //!
-//! This module is pass 3.5 of [`ProgramPlan::compile`]: it runs after the
-//! dispatch tables are materialized (so inter-procedural facts can flow
-//! through them) and before bytecode emission (so the bytecode of pass 4 is
-//! compiled from the *pruned* plans and stays a mirror image of the goal
-//! trees). It produces two kinds of output:
+//! This module is pass 3.5 of the plan builder ([`ProgramPlan::compile`],
+//! or [`ProgramPlan::recompile`], which re-prunes only the edited plans):
+//! it runs after the dispatch tables are materialized (so inter-procedural
+//! facts can flow through them) and before bytecode emission (so the
+//! bytecode of pass 4 is compiled from the *pruned* plans and stays a
+//! mirror image of the goal trees). It produces two kinds of output:
 //!
 //! * **Facts** consumed by the runtimes — today a single bit per
 //!   mode-specialized solved form, [`SolvedForm::det`], meaning *this form
@@ -80,6 +81,7 @@
 //! imprecision is a missed commit, never a wrong answer.
 //!
 //! [`ProgramPlan::compile`]: crate::lower::ProgramPlan::compile
+//! [`ProgramPlan::recompile`]: crate::lower::ProgramPlan::recompile
 //! [`SolvedForm::det`]: crate::lower::SolvedForm
 
 use crate::diag::{Diagnostics, Warning, WarningKind};
@@ -240,25 +242,18 @@ impl AnalysisReport {
 /// Runs the full pass pipeline over a lowered program: prune, determinism
 /// fixpoint, lints. Mutates the plans in place (pruned goals, `det` flags)
 /// and returns the report.
+///
+/// `prev` carries a rebuild's previous report forward: when it is
+/// `Some((report, dirty))`, pass A (pruning, the potentially solver-backed
+/// rewrite) runs only on plans with `dirty[pid]`, copying the previous
+/// report's prune records for clean plans — whose goals are already the
+/// pruned ones, shared by `Arc` from the previous generation. The
+/// determinism fixpoint (pass B) and the lints (pass C) are cheap and
+/// inter-procedural, so they re-run globally; a clean plan's `det` bits
+/// are rewritten (via [`Arc::make_mut`]) only when they actually changed,
+/// preserving pointer equality — and therefore bytecode reuse — for plans
+/// the edit did not affect.
 pub fn analyze(
-    table: &Arc<ClassTable>,
-    methods: &mut [Arc<MethodPlan>],
-    dispatch: &[DispatchTable],
-    opts: &AnalysisOptions,
-) -> AnalysisReport {
-    analyze_incremental(table, methods, dispatch, opts, None)
-}
-
-/// [`analyze`] with carry-forward: when `prev` is `Some((report, dirty))`,
-/// pass A (pruning, the potentially solver-backed rewrite) runs only on
-/// plans with `dirty[pid]`, copying the previous report's prune records for
-/// clean plans — whose goals are already the pruned ones, shared by `Arc`
-/// from the previous generation. The determinism fixpoint (pass B) and the
-/// lints (pass C) are cheap and inter-procedural, so they re-run globally;
-/// a clean plan's `det` bits are rewritten (via [`Arc::make_mut`]) only
-/// when they actually changed, preserving pointer equality — and therefore
-/// bytecode reuse — for plans the edit did not affect.
-pub fn analyze_incremental(
     table: &Arc<ClassTable>,
     methods: &mut [Arc<MethodPlan>],
     dispatch: &[DispatchTable],

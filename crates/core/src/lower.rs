@@ -29,6 +29,10 @@
 //!    indices, and `switch` fall-through targets are resolved into a
 //!    [`CaseTarget`] jump table.
 //!
+//! One builder does this work for a first build and for a rebuild after an
+//! edit: [`ProgramPlan::recompile`] is the same passes with a previous
+//! generation to share from, lowering only the bodies the edit changed.
+//!
 //! # Worked example
 //!
 //! `ZNat.succ` from Figure 1 of the paper has the declarative body
@@ -232,10 +236,20 @@ impl CaseGuard {
 // ---------------------------------------------------------------------------
 
 /// The slot layout of one lowered frame: which variable lives in which slot.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct FrameLayout {
     names: Vec<String>,
     index: HashMap<String, SlotId>,
+}
+
+/// Prints the slot names only: `index` is derived from them, and a hash
+/// map's order would make two equal layouts print differently.
+impl std::fmt::Debug for FrameLayout {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FrameLayout")
+            .field("names", &self.names)
+            .finish_non_exhaustive()
+    }
 }
 
 impl FrameLayout {
@@ -827,128 +841,87 @@ impl ProgramPlan {
 
     /// [`ProgramPlan::compile`] with every optional pass switchable.
     pub fn compile_with(table: Arc<ClassTable>, opts: PlanOptions) -> Arc<ProgramPlan> {
-        let bytecode = opts.bytecode;
-        // Pass 1: resolution maps, no lowering yet.
-        let (maps, infos) = Self::build_maps(&table);
-        // Every declared name gets a table up front so standalone-lowered
-        // formulas (built after compile) dispatch through them too.
-        let mut registry = DispatchRegistry::default();
-        for m in &infos {
-            registry.id_for(&m.decl.name);
-        }
-        // Pass 2: lower bodies against the complete maps.
-        let mut methods: Vec<Arc<MethodPlan>> = infos
-            .iter()
-            .map(|m| Arc::new(lower_method(&table, &maps, &mut registry, m)))
-            .collect();
-        // Pass 3: materialize the dispatch tables.
-        let n = table.num_types();
-        let type_names: Vec<&str> = table.types().map(|t| t.name.as_str()).collect();
-        let dispatch: Arc<[DispatchTable]> = registry
-            .names
-            .iter()
-            .map(|name| DispatchTable {
-                name: name.clone(),
-                by_type: type_names
-                    .iter()
-                    .map(|ty| maps.lookup_impl(&table, ty, name))
-                    .collect(),
-            })
-            .collect();
-        // Pass 3.5: static analysis — prune dead alternatives, infer
-        // determinism, collect lints. Runs after dispatch materialization
-        // (inter-procedural facts flow through the tables) and before
-        // bytecode emission (pass 4 compiles the *pruned* plans, so goal
-        // trees and bytecode stay mirror images).
-        let analysis = if opts.analysis {
-            Some(crate::analysis::analyze(
-                &table,
-                &mut methods,
-                &dispatch,
-                &crate::analysis::AnalysisOptions {
-                    smt: opts.smt_prune_check,
-                },
-            ))
-        } else {
-            None
-        };
-        // Pass 4: emit the flat bytecode of every lowered body.
-        if bytecode {
-            Self::emit_bytecode(&mut methods, &dispatch, None);
-        }
-        let class_ctor_by_type: Box<[Option<PlanId>]> = type_names
-            .iter()
-            .map(|ty| maps.class_ctor(&table, ty))
-            .collect();
-        debug_assert_eq!(class_ctor_by_type.len(), n);
-        let equals_dispatch = registry.ids.get("equals").copied();
-        Arc::new(ProgramPlan {
-            table,
-            methods,
-            maps,
-            dispatch_ids: registry.ids,
-            dispatch,
-            class_ctor_by_type,
-            equals_dispatch,
-            bc_enabled: bytecode,
-            analysis,
-        })
+        Self::build(table, opts, None)
     }
 
-    /// Recompiles after an edit whose [`structure`](crate::incremental::structure_hash)
-    /// is unchanged, sharing every clean plan with the previous generation.
+    /// [`ProgramPlan::compile`] after an edit, sharing every clean plan
+    /// with the previous generation; `prev = None` is a first build.
     ///
-    /// `dirty[pid]` must be true exactly for the plans whose body
-    /// fingerprint changed (with an unchanged structure, signatures are
-    /// constant, so bodies are the only thing that can differ). The caller
-    /// guarantees plan ids, interned symbols and dispatched names line up
-    /// with `prev` — which is what an unchanged structure hash certifies.
+    /// With `prev = Some((plan, dirty))` the edit left the
+    /// [`structure`](crate::incremental::structure_hash) unchanged, and
+    /// `dirty[pid]` is true exactly for the plans whose body fingerprint
+    /// changed (with an unchanged structure, signatures are constant, so
+    /// bodies are the only thing that can differ). The caller guarantees
+    /// plan ids, interned symbols and dispatched names line up with `plan`
+    /// — which is what an unchanged structure hash certifies.
     ///
     /// Sharing is by `Arc`: clean plans are cloned pointers, the dispatch
-    /// block is reused wholesale when no new name was registered, and
-    /// bytecode is re-emitted only for changed plans and for plans whose
-    /// recorded [`MethodPlan::bc_deps`] intersect the changed set. Every
-    /// pass runs as under the default [`PlanOptions`].
+    /// block is reused wholesale when no new name was registered, dead-arm
+    /// pruning runs only on dirty plans, and bytecode is re-emitted only
+    /// for changed plans and for plans whose recorded
+    /// [`MethodPlan::bc_deps`] intersect the changed set. Every pass runs
+    /// as under the default [`PlanOptions`].
     pub fn recompile(
-        prev: &ProgramPlan,
         table: Arc<ClassTable>,
-        dirty: &[bool],
+        prev: Option<(&ProgramPlan, &[bool])>,
     ) -> Arc<ProgramPlan> {
+        Self::build(table, PlanOptions::default(), prev)
+    }
+
+    /// The one plan builder behind [`ProgramPlan::compile_with`] and
+    /// [`ProgramPlan::recompile`]: a first build is a rebuild with nothing
+    /// to reuse.
+    fn build(
+        table: Arc<ClassTable>,
+        opts: PlanOptions,
+        prev: Option<(&ProgramPlan, &[bool])>,
+    ) -> Arc<ProgramPlan> {
+        // Pass 1: resolution maps, no lowering yet.
         let (maps, infos) = Self::build_maps(&table);
-        assert_eq!(
-            infos.len(),
-            prev.methods.len(),
-            "recompile requires an unchanged program structure"
-        );
-        assert_eq!(dirty.len(), prev.methods.len());
-        // Seed the registry from the previous generation's dispatch names,
-        // in order: every DispatchId embedded in a reused plan's goals (and
-        // bytecode) keeps meaning the same name; new names append.
         let mut registry = DispatchRegistry::default();
-        for t in prev.dispatch.iter() {
-            registry.id_for(&t.name);
+        match prev {
+            // Seed the registry from the previous generation's dispatch
+            // names, in order: every DispatchId embedded in a reused plan's
+            // goals (and bytecode) keeps meaning the same name; new names
+            // append.
+            Some((p, dirty)) => {
+                assert_eq!(
+                    infos.len(),
+                    p.methods.len(),
+                    "a rebuild requires an unchanged program structure"
+                );
+                assert_eq!(dirty.len(), p.methods.len());
+                for t in p.dispatch.iter() {
+                    registry.id_for(&t.name);
+                }
+            }
+            // Every declared name gets a table up front so
+            // standalone-lowered formulas (built after compile) dispatch
+            // through them too.
+            None => {
+                for m in &infos {
+                    registry.id_for(&m.decl.name);
+                }
+            }
         }
-        let prev_names = registry.names.len();
-        // Pass 2': re-lower dirty bodies only; clean plans are shared.
+        let seeded = registry.names.len();
+        // Pass 2: lower (dirty) bodies against the complete maps; clean
+        // plans are shared.
         let mut methods: Vec<Arc<MethodPlan>> = infos
             .iter()
             .enumerate()
-            .map(|(pid, m)| {
-                if dirty[pid] {
-                    Arc::new(lower_method(&table, &maps, &mut registry, m))
-                } else {
-                    Arc::clone(&prev.methods[pid])
-                }
+            .map(|(pid, m)| match prev {
+                Some((p, dirty)) if !dirty[pid] => Arc::clone(&p.methods[pid]),
+                _ => Arc::new(lower_method(&table, &maps, &mut registry, m)),
             })
             .collect();
-        // Pass 3': dispatch tables are structurally determined, so they can
-        // only grow — share the whole block unless a dirty body dispatched
-        // a name never seen before.
+        // Pass 3: materialize the dispatch tables. They are structurally
+        // determined, so they can only grow: a rebuild shares the whole
+        // block unless a dirty body dispatched a name never seen before.
         let type_names: Vec<&str> = table.types().map(|t| t.name.as_str()).collect();
-        let dispatch: Arc<[DispatchTable]> = if registry.names.len() == prev_names {
-            Arc::clone(&prev.dispatch)
-        } else {
-            registry
+        let dispatch: Arc<[DispatchTable]> = match prev {
+            Some((p, _)) if registry.names.len() == seeded => Arc::clone(&p.dispatch),
+            _ => registry
                 .names
                 .iter()
                 .map(|name| DispatchTable {
@@ -958,36 +931,46 @@ impl ProgramPlan {
                         .map(|ty| maps.lookup_impl(&table, ty, name))
                         .collect(),
                 })
-                .collect()
+                .collect(),
         };
-        // Pass 3.5': analysis with carry-forward — pruning (the potentially
-        // solver-backed pass) runs only on dirty plans, reusing the previous
-        // report's prune records for clean ones; the cheap inter-procedural
-        // fact fixpoint and lints re-run globally, rewriting a clean plan's
-        // determinism bits only when they actually changed (which marks it
-        // changed for the bytecode pass below).
-        let analysis = crate::analysis::analyze_incremental(
-            &table,
-            &mut methods,
-            &dispatch,
-            &crate::analysis::AnalysisOptions::default(),
-            prev.analysis.as_ref().map(|a| (a, dirty)),
-        );
-        // Pass 4': re-emit bytecode for changed plans and for plans whose
-        // bytecode specialized against a changed plan's body.
-        let changed: Vec<bool> = methods
-            .iter()
-            .zip(&prev.methods)
-            .map(|(a, b)| !Arc::ptr_eq(a, b))
-            .collect();
-        let need: Vec<bool> = (0..methods.len())
-            .map(|pid| changed[pid] || prev.methods[pid].bc_deps.iter().any(|&d| changed[d]))
-            .collect();
-        Self::emit_bytecode(&mut methods, &dispatch, Some(&need));
+        // Pass 3.5: static analysis — prune dead alternatives, infer
+        // determinism, collect lints. Runs after dispatch materialization
+        // (inter-procedural facts flow through the tables) and before
+        // bytecode emission (pass 4 compiles the *pruned* plans, so goal
+        // trees and bytecode stay mirror images). A rebuild prunes only
+        // dirty plans and carries the previous report's records forward
+        // for clean ones.
+        let analysis = opts.analysis.then(|| {
+            crate::analysis::analyze(
+                &table,
+                &mut methods,
+                &dispatch,
+                &crate::analysis::AnalysisOptions {
+                    smt: opts.smt_prune_check,
+                },
+                prev.and_then(|(p, dirty)| Some((p.analysis.as_ref()?, dirty))),
+            )
+        });
+        // Pass 4: emit the flat bytecode of every changed body and of every
+        // body whose bytecode specialized against a changed plan's body.
+        if opts.bytecode {
+            let need: Option<Vec<bool>> = prev.map(|(p, _)| {
+                let changed: Vec<bool> = methods
+                    .iter()
+                    .zip(&p.methods)
+                    .map(|(a, b)| !Arc::ptr_eq(a, b))
+                    .collect();
+                (0..methods.len())
+                    .map(|pid| changed[pid] || p.methods[pid].bc_deps.iter().any(|&d| changed[d]))
+                    .collect()
+            });
+            Self::emit_bytecode(&mut methods, &dispatch, need.as_deref());
+        }
         let class_ctor_by_type: Box<[Option<PlanId>]> = type_names
             .iter()
             .map(|ty| maps.class_ctor(&table, ty))
             .collect();
+        debug_assert_eq!(class_ctor_by_type.len(), table.num_types());
         let equals_dispatch = registry.ids.get("equals").copied();
         Arc::new(ProgramPlan {
             table,
@@ -997,8 +980,8 @@ impl ProgramPlan {
             dispatch,
             class_ctor_by_type,
             equals_dispatch,
-            bc_enabled: true,
-            analysis: Some(analysis),
+            bc_enabled: opts.bytecode,
+            analysis,
         })
     }
 
@@ -2462,7 +2445,7 @@ mod tests {
             .map(|(a, b)| a.body != b.body)
             .collect();
         assert_eq!(dirty.iter().filter(|&&d| d).count(), 1);
-        let next = ProgramPlan::recompile(&prev, table, &dirty);
+        let next = ProgramPlan::recompile(table, Some((&prev, &dirty)));
 
         // Every untouched plan is the same allocation; the edited method and
         // its bytecode dependents (`quad` inlines `twice`) are fresh.

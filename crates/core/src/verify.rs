@@ -221,7 +221,6 @@ impl Verifier {
             store: TermStore::new(),
             solver: Solver::with_config(SolverConfig {
                 max_expansion_depth: self.options.max_expansion_depth,
-                ..SolverConfig::default()
             }),
             expander: JMatchExpander::new(self.gen.clone()),
             cache: IdMap::default(),
@@ -272,7 +271,6 @@ impl Verifier {
             sess.stats.solver_queries += 1;
             let mut solver = Solver::with_config(SolverConfig {
                 max_expansion_depth: self.options.max_expansion_depth,
-                ..SolverConfig::default()
             });
             for &f in &key {
                 solver.assert_formula(&sess.store, f);

@@ -25,14 +25,14 @@
 //! within the query's [`Limits`].
 
 use crate::eval::{Budget, Frame, MAX_DEPTH};
-use crate::machine::Machine;
+use crate::machine::{row_admits, Machine};
 use crate::tree::TreeWalker;
 use crate::{Bindings, Engine, RtError, RtResult, Value};
 use jmatch_core::diag::Diagnostics;
 use jmatch_core::lower::{BodyPlan, FrameLayout, PlanId, ProgramPlan, SlotId, SolvedForm};
 use jmatch_core::table::ClassTable;
 use jmatch_core::Warning;
-use jmatch_syntax::ast::{Formula, MethodBody, Param, Type};
+use jmatch_syntax::ast::{Formula, MethodBody, Param};
 use std::collections::HashMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
@@ -829,105 +829,76 @@ impl Query<'_> {
     }
 
     /// Collects every solution of a *deconstruction* query as ordered rows
-    /// (the constructor's parameters in declaration order, `Null` for
-    /// parameters a solution left unbound), surfacing enumeration errors.
+    /// (the constructor's parameters in declaration order), surfacing
+    /// enumeration errors. The rows are the ones [`Query::solutions`]
+    /// yields, without building a [`Bindings`] map per solution.
     ///
     /// # Errors
     ///
     /// Fails on non-deconstruction queries and propagates the runtime
     /// error that ended the enumeration, if any.
     pub fn try_collect_rows(&self) -> RtResult<Vec<Vec<Value>>> {
-        let Source::Deconstruct { pid, value, .. } = &self.source else {
+        let Source::Deconstruct { pid, ctor, value } = &self.source else {
             return Err(RtError::new(
                 "try_collect_rows applies to deconstruction queries only",
             ));
         };
-        if matches!(self.program.engine, Engine::Plan) {
-            if let Some(rows) = crate::eval::fast_deconstruct(&self.program.plan, value, *pid) {
-                return Ok(rows);
-            }
+        match self.program.engine {
+            Engine::Plan => Machine::new(&self.program.plan, self.budget())
+                .with_interrupt(self.interrupt.clone())
+                .deconstruct_rows(value, *pid),
+            Engine::TreeWalk => self.on_walk_thread(|walker| {
+                let mut rows = Vec::new();
+                walker.deconstruct_each(value, ctor, &mut |row| {
+                    rows.push(row.to_vec());
+                    true
+                })?;
+                Ok(rows)
+            }),
         }
-        let params: Vec<String> = self
-            .program
-            .plan
-            .method(*pid)
-            .info
-            .decl
-            .params
-            .iter()
-            .map(|p| p.name.clone())
-            .collect();
-        let all = self.try_collect()?;
-        Ok(all
-            .into_iter()
-            .map(|b| {
-                params
-                    .iter()
-                    .map(|p| b.get(p).cloned().unwrap_or(Value::Null))
-                    .collect()
-            })
-            .collect())
     }
 
-    /// Like [`Query::try_collect_rows`], but consumes the query: when the
-    /// caller holds no other reference to the deconstructed value and the
-    /// constructor is a pure field permutation, the solution row takes
-    /// over the object's own field storage in place instead of cloning it
-    /// — the first slice of Perceus-style memory reuse (see ROADMAP).
-    ///
-    /// # Errors
-    ///
-    /// Fails on non-deconstruction queries and propagates the runtime
-    /// error that ended the enumeration, if any.
-    pub fn try_into_rows(mut self) -> RtResult<Vec<Vec<Value>>> {
-        if matches!(self.program.engine, Engine::Plan) {
-            if let Source::Deconstruct { pid, value, .. } = &mut self.source {
-                let pid = *pid;
-                let v = std::mem::replace(value, Value::Null);
-                match crate::eval::fast_deconstruct_owned(&self.program.plan, v, pid) {
-                    Ok(rows) => return Ok(rows),
-                    // Not a fast-path shape: restore the value and fall
-                    // back to the borrowing collector.
-                    Err(v) => *value = v,
-                }
-            }
-        }
-        self.try_collect_rows()
-    }
-
-    /// Runs the tree walker over the query, feeding each solution to `emit`
-    /// (return `false` to stop). The walk runs on a scoped thread that
-    /// declares [`WALKER_STACK`], joined before this returns.
-    fn walk(&self, emit: &mut (dyn FnMut(Bindings) -> bool + Send)) -> RtResult<()> {
+    /// Runs `f` with a tree walker over the query's limits, on a scoped
+    /// thread that declares [`WALKER_STACK`], joined before this returns.
+    fn on_walk_thread<R: Send>(
+        &self,
+        f: impl FnOnce(&TreeWalker) -> RtResult<R> + Send,
+    ) -> RtResult<R> {
         std::thread::scope(|scope| {
             let handle = std::thread::Builder::new()
                 .name("jmatch-tree-walk".into())
                 .stack_size(WALKER_STACK)
                 .spawn_scoped(scope, || {
                     crate::declare_thread_stack(WALKER_STACK);
-                    let walker = self.program.walker_with(self.limits);
-                    match &self.source {
-                        Source::Formula { ast, env, this, .. } => {
-                            walker.solve(env, this.as_ref(), ast, 0, &mut |b| emit(b.clone()))
-                        }
-                        Source::Deconstruct { pid, ctor, value } => {
-                            let params = &self.program.plan.method(*pid).info.decl.params;
-                            walker.deconstruct_each(value, ctor, &mut |row| {
-                                emit(
-                                    params
-                                        .iter()
-                                        .map(|p| p.name.clone())
-                                        .zip(row.iter().cloned())
-                                        .collect(),
-                                )
-                            })
-                        }
-                    }
+                    f(&self.program.walker_with(self.limits))
                 })
                 .map_err(|e| RtError::new(format!("could not start the tree-walk thread: {e}")))?;
             handle
                 .join()
                 .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        })
+    }
+
+    /// Runs the tree walker over the query on its own thread (see
+    /// [`Query::on_walk_thread`]), feeding each solution to `emit` (return
+    /// `false` to stop).
+    fn walk(&self, emit: &mut (dyn FnMut(Bindings) -> bool + Send)) -> RtResult<()> {
+        self.on_walk_thread(|walker| match &self.source {
+            Source::Formula { ast, env, this, .. } => {
+                walker.solve(env, this.as_ref(), ast, 0, &mut |b| emit(b.clone()))
+            }
+            Source::Deconstruct { pid, ctor, value } => {
+                let params = &self.program.plan.method(*pid).info.decl.params;
+                walker.deconstruct_each(value, ctor, &mut |row| {
+                    emit(
+                        params
+                            .iter()
+                            .map(|p| p.name.clone())
+                            .zip(row.iter().cloned())
+                            .collect(),
+                    )
+                })
+            }
         })
     }
 
@@ -1054,27 +1025,25 @@ fn frame_bindings(layout: &FrameLayout, frame: &Frame) -> Bindings {
 }
 
 /// Bindings of a deconstruction solution's parameter row, or `None` when
-/// the row leaves a declared parameter unbound or ill-typed (filtered like
-/// both recursive engines).
+/// the row leaves a declared parameter unbound or ill-typed (filtered by
+/// [`row_admits`], like every other producer of rows).
 fn param_row_bindings(
     params: &[Param],
     slots: &[SlotId],
     table: &ClassTable,
     frame: &Frame,
 ) -> Option<Bindings> {
-    let mut out = Bindings::new();
-    for (p, &s) in params.iter().zip(slots.iter()) {
-        let v = frame[s as usize].as_ref()?;
-        if let Type::Named(t) = &p.ty {
-            if let Some(class) = v.class() {
-                if !table.is_subtype(class, t) {
-                    return None;
-                }
-            }
-        }
-        out.insert(p.name.clone(), v.clone());
+    let row = || slots.iter().flat_map(|&s| &frame[s as usize]);
+    if slots.iter().any(|&s| frame[s as usize].is_none()) || !row_admits(table, params, row()) {
+        return None;
     }
-    Some(out)
+    Some(
+        params
+            .iter()
+            .map(|p| p.name.clone())
+            .zip(row().cloned())
+            .collect(),
+    )
 }
 
 enum Inner<'q> {

@@ -27,7 +27,7 @@ use crate::{Bindings, Flow, Object, RtError, RtResult, Value};
 use jmatch_core::bytecode::{BcBlock, Const as BcConst, Pc, SInstr};
 use jmatch_core::intern::Sym;
 use jmatch_core::lower::{
-    BodyPlan, CallKind, ClassCheck, ClassRef, DispatchId, PExpr, PlanId, ProgramPlan, ReadyCheck,
+    BodyPlan, CallKind, ClassCheck, ClassRef, DispatchId, MethodPlan, PExpr, PlanId, ReadyCheck,
     SlotId,
 };
 use jmatch_syntax::ast::{BinOp, CmpOp, Expr, Formula, MethodBody, Type};
@@ -342,9 +342,6 @@ impl<'g> Machine<'g> {
             .plan
             .lookup_impl(class, ctor)
             .ok_or_else(|| RtError::method_not_found(class, ctor))?;
-        if let Some(rows) = fast_deconstruct(self.plan, value, pid) {
-            return Ok(rows);
-        }
         self.deconstruct_rows(value, pid)
     }
 
@@ -1340,20 +1337,13 @@ fn fast_ctor_field(e: &PExpr, params: &[SlotId], args: &[Value]) -> RtResult<Val
 /// Backward-mode twin of the fast-construct path: a pure-permutation
 /// constructor ([`FastCtor::projection`](jmatch_core::bytecode::FastCtor))
 /// deconstructs by reading the parameter values straight off the object's
-/// field storage — no matching form, no solver frame, no per-solution
-/// binding maps. Applies only to native-layout objects of the
-/// constructor's own class; foreign layouts fall back to the solver,
-/// which projects fields by name.
+/// field storage — no matching form, no solver frame. Applies only to
+/// native-layout objects of the constructor's own class; foreign layouts
+/// fall back to the solver, which projects fields by name.
 ///
-/// Returns `None` when the fast path does not apply, `Some(vec![])` when
-/// it applies but the declared parameter types reject the one solution
-/// (matching the solver's row filter).
-pub(crate) fn fast_deconstruct(
-    plan: &ProgramPlan,
-    value: &Value,
-    pid: PlanId,
-) -> Option<Vec<Vec<Value>>> {
-    let mp = plan.method(pid);
+/// Returns the one solution row, before the declared parameter types
+/// filter it, or `None` when the fast path does not apply.
+pub(crate) fn fast_deconstruct(mp: &MethodPlan, value: &Value) -> Option<Vec<Value>> {
     let proj = mp.fast_ctor.as_ref()?.projection.as_deref()?;
     let layout = mp.owner_layout.as_ref()?;
     let Value::Obj(o) = value else {
@@ -1362,63 +1352,9 @@ pub(crate) fn fast_deconstruct(
     if !Arc::ptr_eq(o.layout(), layout) {
         return None;
     }
-    let row: Vec<Value> = proj
-        .iter()
-        .map(|&i| o.fields()[i as usize].clone())
-        .collect();
-    Some(filter_projection_row(plan, pid, row))
-}
-
-/// [`fast_deconstruct`] over an owned scrutinee — the first slice of
-/// Perceus-style memory reuse: when the `Arc` is uniquely held and the
-/// permutation is the identity, the solution row takes over the object's
-/// own `Box<[Value]>` in place (`Arc::get_mut`, then `Box::into_vec` —
-/// no allocation, no refcount traffic on the field values). Shared or
-/// permuted scrutinees clone per field, like the borrowed path.
-///
-/// `Err` hands the value back when the fast path does not apply.
-pub(crate) fn fast_deconstruct_owned(
-    plan: &ProgramPlan,
-    value: Value,
-    pid: PlanId,
-) -> Result<Vec<Vec<Value>>, Value> {
-    let mp = plan.method(pid);
-    let (Some(fc), Some(layout)) = (&mp.fast_ctor, &mp.owner_layout) else {
-        return Err(value);
-    };
-    let Some(proj) = fc.projection.as_deref() else {
-        return Err(value);
-    };
-    match value {
-        Value::Obj(mut o) if Arc::ptr_eq(o.layout(), layout) => {
-            let identity = proj.iter().enumerate().all(|(i, &s)| s as usize == i);
-            let row: Vec<Value> = match (identity, Arc::get_mut(&mut o)) {
-                (true, Some(obj)) => obj.take_fields().into_vec(),
-                _ => proj
-                    .iter()
-                    .map(|&i| o.fields()[i as usize].clone())
-                    .collect(),
-            };
-            Ok(filter_projection_row(plan, pid, row))
-        }
-        v => Err(v),
-    }
-}
-
-/// Applies the declared parameter types to a projected row, like the
-/// solver does to each solution: a typed parameter holding an object of
-/// a non-subtype class rejects the row.
-fn filter_projection_row(plan: &ProgramPlan, pid: PlanId, row: Vec<Value>) -> Vec<Vec<Value>> {
-    let table = plan.table();
-    let params = &plan.method(pid).info.decl.params;
-    for (p, v) in params.iter().zip(row.iter()) {
-        if let Type::Named(t) = &p.ty {
-            if let Some(class) = v.class() {
-                if !table.is_subtype(class, t) {
-                    return Vec::new();
-                }
-            }
-        }
-    }
-    vec![row]
+    Some(
+        proj.iter()
+            .map(|&i| o.fields()[i as usize].clone())
+            .collect(),
+    )
 }

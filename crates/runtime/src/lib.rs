@@ -14,10 +14,10 @@
 //!    forward call's body, negation, a statement goal, a `switch` case —
 //!    as a nested run of the machine already running.
 //!
-//! The original **tree-walking interpreter** ([`TreeWalker`]) — which
-//! re-discovers the solving order for every formula at every call — remains
-//! callable behind [`Engine::TreeWalk`] (selected only by
-//! [`Program::with_engine`]) as a differential-testing oracle;
+//! The original **tree-walking interpreter** — which re-discovers the
+//! solving order for every formula at every call — remains callable behind
+//! [`Engine::TreeWalk`] (selected only by [`Program::with_engine`]; it has
+//! no public type of its own) as a differential-testing oracle;
 //! `tests/differential.rs` runs every corpus program through both engines
 //! and asserts identical values, bindings, and enumeration order.
 //!
@@ -96,12 +96,11 @@ mod api;
 mod eval;
 mod machine;
 pub mod serve;
-pub mod tree;
+mod tree;
 pub mod workspace;
 
 pub use api::{CtorRef, Limits, MethodRef, Program, Query, Solutions};
 pub use eval::declare_thread_stack;
-pub use tree::TreeWalker;
 pub use workspace::{Generation, RebuildReport, Workspace};
 
 use jmatch_core::intern::Sym;
@@ -210,14 +209,6 @@ impl Object {
     /// layout).
     pub fn get(&self, name: &str) -> Option<&Value> {
         self.layout.slot_of(name).map(|s| &self.fields[s])
-    }
-
-    /// Moves the field storage out, leaving an empty husk. Callers hold
-    /// the only reference (via [`Arc::get_mut`]) and drop the husk
-    /// immediately, so the broken `len == num_fields` invariant never
-    /// escapes.
-    pub(crate) fn take_fields(&mut self) -> Box<[Value]> {
-        std::mem::take(&mut self.fields)
     }
 
     /// A field by interned symbol — the hot path. The symbol must come

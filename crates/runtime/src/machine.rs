@@ -715,8 +715,11 @@ impl<'g> Machine<'g> {
 
     /// Every solution row of `pid`'s matching plan against `value`: the
     /// parameter values, rows that leave a parameter unbound or violate
-    /// its declared type skipped. A `Det` matching form stops after its
-    /// first solution.
+    /// its declared type skipped. A pure-permutation constructor reads its
+    /// one row off the object's fields
+    /// ([`fast_deconstruct`](crate::eval::fast_deconstruct)); a `Det`
+    /// matching form stops after its first solution. This is the plan
+    /// engine's only producer of deconstruction rows.
     pub(crate) fn deconstruct_rows(
         &mut self,
         value: &Value,
@@ -724,13 +727,17 @@ impl<'g> Machine<'g> {
     ) -> RtResult<Vec<Vec<Value>>> {
         let plan = self.plan;
         let mp = plan.method(pid);
+        let params = &mp.info.decl.params;
+        if let Some(row) = crate::eval::fast_deconstruct(mp, value) {
+            let admitted = row_admits(self.table, params, &row);
+            return Ok(admitted.then_some(row).into_iter().collect());
+        }
         let BodyPlan::Formula { matching, .. } = &mp.body else {
             return Err(RtError::mode_mismatch(
                 &mp.info.qualified_name(),
                 "backward (pattern-matching)",
             ));
         };
-        let params = &mp.info.decl.params;
         let body = matching.code();
         let b = self.open();
         let slots = crate::eval::take_frame(matching.frame.len());
@@ -748,9 +755,7 @@ impl<'g> Machine<'g> {
                     .iter()
                     .map(|&s| f[s as usize].clone())
                     .collect();
-                // Apply the declared parameter types as patterns, like
-                // matching `T name` against each solution value.
-                if let Some(row) = row.filter(|row| self.row_admits(params, row)) {
+                if let Some(row) = row.filter(|row| row_admits(self.table, params, row)) {
                     rows.push(row);
                 }
                 if matching.det {
@@ -762,16 +767,6 @@ impl<'g> Machine<'g> {
         });
         self.close(b, Close::Pop);
         r.map(|()| rows)
-    }
-
-    fn row_admits(&self, params: &[jmatch_syntax::ast::Param], row: &[Value]) -> bool {
-        params
-            .iter()
-            .zip(row)
-            .all(|(p, v)| match (&p.ty, v.class()) {
-                (Type::Named(t), Some(class)) => self.table.is_subtype(class, t),
-                _ => true,
-            })
     }
 
     // ------------------------------------------------------------------
@@ -1324,4 +1319,22 @@ impl Drop for Machine<'_> {
         unlink(self.cont.take());
         self.cut(0);
     }
+}
+
+/// Whether a constructor's solution row passes its declared parameter
+/// types, applied as patterns like matching `T name` against each value: a
+/// typed parameter holding an object of a non-subtype class rejects the
+/// row. Every producer of deconstruction rows filters through this.
+pub(crate) fn row_admits<'v>(
+    table: &ClassTable,
+    params: &[jmatch_syntax::ast::Param],
+    row: impl IntoIterator<Item = &'v Value>,
+) -> bool {
+    params
+        .iter()
+        .zip(row)
+        .all(|(p, v)| match (&p.ty, v.class()) {
+            (Type::Named(t), Some(class)) => table.is_subtype(class, t),
+            _ => true,
+        })
 }

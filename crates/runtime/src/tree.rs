@@ -30,28 +30,7 @@ pub struct TreeWalker {
     steps: AtomicU64,
 }
 
-impl Clone for TreeWalker {
-    fn clone(&self) -> Self {
-        TreeWalker {
-            table: Arc::clone(&self.table),
-            max_depth: self.max_depth,
-            max_steps: self.max_steps,
-            steps: AtomicU64::new(self.steps.load(Ordering::Relaxed)),
-        }
-    }
-}
-
 impl TreeWalker {
-    /// Creates a tree-walking interpreter over a resolved program.
-    pub fn new(table: Arc<ClassTable>) -> Self {
-        TreeWalker {
-            table,
-            max_depth: 10_000,
-            max_steps: u64::MAX,
-            steps: AtomicU64::new(0),
-        }
-    }
-
     /// A walker with explicit depth / step ceilings (the [`crate::Limits`]
     /// of a [`crate::Query`]).
     pub(crate) fn with_limits(table: Arc<ClassTable>, max_depth: usize, max_steps: u64) -> Self {
@@ -63,17 +42,12 @@ impl TreeWalker {
         }
     }
 
-    /// The class table the interpreter runs against.
-    pub fn table(&self) -> &ClassTable {
-        &self.table
-    }
-
     // ------------------------------------------------------------------
-    // Public entry points
+    // Entry points
     // ------------------------------------------------------------------
 
     /// Invokes a named or class constructor of `class` in the forward mode.
-    pub fn construct(&self, class: &str, ctor: &str, args: Vec<Value>) -> RtResult<Value> {
+    fn construct(&self, class: &str, ctor: &str, args: Vec<Value>) -> RtResult<Value> {
         let minfo = self
             .table
             .lookup_method(class, ctor)
@@ -92,7 +66,7 @@ impl TreeWalker {
     }
 
     /// Calls a free-standing (top-level) method.
-    pub fn call_free(&self, name: &str, args: Vec<Value>) -> RtResult<Value> {
+    fn call_free(&self, name: &str, args: Vec<Value>) -> RtResult<Value> {
         let minfo = self
             .table
             .lookup_free_method(name)
@@ -102,7 +76,7 @@ impl TreeWalker {
     }
 
     /// Calls an instance method in the forward mode.
-    pub fn call_method(&self, receiver: &Value, name: &str, args: Vec<Value>) -> RtResult<Value> {
+    fn call_method(&self, receiver: &Value, name: &str, args: Vec<Value>) -> RtResult<Value> {
         let class = receiver
             .class()
             .ok_or_else(|| RtError::new("receiver is not an object"))?
@@ -113,10 +87,8 @@ impl TreeWalker {
         self.run_forward(&minfo, Some(receiver.clone()), args)
     }
 
-    /// Enumerates the solutions of matching `value` against the named
-    /// constructor `ctor` (the backward mode): each solution is the vector of
-    /// values bound to the constructor's parameters.
-    pub fn deconstruct(&self, value: &Value, ctor: &str) -> RtResult<Vec<Vec<Value>>> {
+    /// Every solution row of [`TreeWalker::deconstruct_each`], collected.
+    fn deconstruct(&self, value: &Value, ctor: &str) -> RtResult<Vec<Vec<Value>>> {
         let mut solutions = Vec::new();
         self.deconstruct_each(value, ctor, &mut |row| {
             solutions.push(row.to_vec());
@@ -125,9 +97,11 @@ impl TreeWalker {
         Ok(solutions)
     }
 
-    /// Streaming variant of [`TreeWalker::deconstruct`]: feeds each solution
-    /// row to `each` as it is found; `each` returns `false` to stop early.
-    /// This is what a deconstruction [`crate::Query`] on the walker drives.
+    /// Enumerates the solutions of matching `value` against the named
+    /// constructor `ctor` (the backward mode), feeding each solution row —
+    /// the values bound to the constructor's parameters — to `each` as it
+    /// is found; `each` returns `false` to stop early. This is what a
+    /// deconstruction [`crate::Query`] on the walker drives.
     pub(crate) fn deconstruct_each(
         &self,
         value: &Value,
@@ -218,25 +192,12 @@ impl TreeWalker {
     /// Tests whether `value` matches the named constructor `ctor` (predicate
     /// use of a named constructor, e.g. `ZNat(0).zero()`).
     pub fn matches_constructor(&self, value: &Value, ctor: &str) -> RtResult<bool> {
-        Ok(!self.deconstruct(value, ctor)?.is_empty() || {
-            // Zero-parameter constructors produce an empty solution row set
-            // only when they fail; re-check via a direct predicate solve.
-            let class = value.class().unwrap_or_default().to_owned();
-            if let Some(minfo) = self.find_impl(&class, ctor) {
-                if minfo.decl.params.is_empty() {
-                    let mut found = false;
-                    self.match_constructor(value, &minfo, &[], &Bindings::new(), 0, &mut |_| {
-                        found = true;
-                        false
-                    })?;
-                    found
-                } else {
-                    false
-                }
-            } else {
-                false
-            }
-        })
+        let mut found = false;
+        self.deconstruct_each(value, ctor, &mut |_| {
+            found = true;
+            true
+        })?;
+        Ok(found)
     }
 
     /// Deep equality, using equality constructors (§3.2) across different

@@ -46,13 +46,17 @@
 //! even the re-verification of an edited body replays cached VC verdicts
 //! for the parts of the method that did not change.
 //!
-//! Plans, analysis and bytecode follow the same discipline one level up:
-//! when the **structure hash** (type shapes plus every unit's signature)
-//! survived, plan ids, interned symbols and dispatch tables are stable, so
-//! clean plans are `Arc`-shared, dead-arm analysis carries forward, and
-//! bytecode is re-emitted only for changed plans and for plans whose
-//! recorded [`jmatch_core::MethodPlan::bc_deps`] (inlining and
-//! constructor-match dependencies) intersect the changed set.
+//! Plans, analysis and bytecode follow the same discipline one level up,
+//! through one plan builder ([`ProgramPlan::recompile`]) for every
+//! generation: when the **structure hash** (type shapes plus every unit's
+//! signature) survived, plan ids, interned symbols and dispatch tables are
+//! stable, so the builder is handed the previous plans: clean plans are
+//! `Arc`-shared, dead-arm analysis carries forward, and bytecode is
+//! re-emitted only for changed plans and for plans whose recorded
+//! [`jmatch_core::MethodPlan::bc_deps`] (inlining and constructor-match
+//! dependencies) intersect the changed set. Otherwise it builds from
+//! nothing, as on a first load. Either way [`RebuildReport::recompiled`]
+//! names every plan that is not the previous generation's own.
 //!
 //! # Parallel verification
 //!
@@ -357,9 +361,13 @@ impl Workspace {
             self.verifier = None;
         }
 
-        let incremental = prev.as_ref().filter(|st| st.fps.structure == fps.structure);
-        let plan = match incremental {
-            Some(st) => {
+        // An unchanged structure hash keeps plan ids, symbols and dispatched
+        // names stable, so the previous plans can be shared; otherwise the
+        // plans build from nothing and every one counts as recompiled.
+        let reuse = prev
+            .as_ref()
+            .filter(|st| st.fps.structure == fps.structure)
+            .map(|st| {
                 let dirty: Vec<bool> = st
                     .fps
                     .units
@@ -367,27 +375,23 @@ impl Workspace {
                     .zip(&fps.units)
                     .map(|(old, new)| old.body != new.body)
                     .collect();
-                let next = ProgramPlan::recompile(&st.plan, Arc::clone(&table), &dirty);
-                for (pid, mp) in next.methods().iter().enumerate() {
-                    if Arc::ptr_eq(mp, &st.plan.methods()[pid]) {
-                        report.reused_plans += 1;
-                    } else {
-                        report.recompiled.push(mp.info.qualified_name());
-                    }
-                }
-                next
+                (&*st.plan, dirty)
+            });
+        let plan = ProgramPlan::recompile(
+            Arc::clone(&table),
+            reuse.as_ref().map(|(p, dirty)| (*p, &dirty[..])),
+        );
+        report.full = reuse.is_none();
+        for (pid, mp) in plan.methods().iter().enumerate() {
+            if reuse
+                .as_ref()
+                .is_some_and(|(p, _)| Arc::ptr_eq(mp, &p.methods()[pid]))
+            {
+                report.reused_plans += 1;
+            } else {
+                report.recompiled.push(mp.info.qualified_name());
             }
-            None => {
-                report.full = true;
-                let plan = ProgramPlan::compile(Arc::clone(&table));
-                report.recompiled = plan
-                    .methods()
-                    .iter()
-                    .map(|mp| mp.info.qualified_name())
-                    .collect();
-                plan
-            }
-        };
+        }
 
         let program = Program::assemble(Arc::clone(&plan), self.limits, Arc::new(diagnostics));
         self.state = Some(State {

@@ -600,52 +600,7 @@ impl SatSolver {
     /// clause mentions may remain unassigned (`None`): they are
     /// unconstrained, so any value completes the model.
     pub fn solve(&mut self) -> SatOutcome {
-        if self.scope_selectors.is_empty() {
-            self.solve_plain()
-        } else {
-            let assumptions: Vec<Lit> = self.scope_selectors.iter().map(|&v| Lit::pos(v)).collect();
-            self.solve_under(&assumptions)
-        }
-    }
-
-    fn solve_plain(&mut self) -> SatOutcome {
-        if self.unsat {
-            return SatOutcome::Unsat;
-        }
-        self.cancel_until(0);
-        if self.propagate() != INVALID_CLAUSE {
-            self.unsat = true;
-            return SatOutcome::Unsat;
-        }
-        loop {
-            let confl = self.propagate();
-            if confl != INVALID_CLAUSE {
-                self.conflicts += 1;
-                if self.decision_level() == 0 {
-                    self.unsat = true;
-                    return SatOutcome::Unsat;
-                }
-                let (learnt, backjump) = self.analyze(confl);
-                self.cancel_until(backjump);
-                if learnt.len() == 1 {
-                    self.enqueue(learnt[0], INVALID_CLAUSE);
-                } else {
-                    let ci = self.attach_clause(learnt.clone(), true);
-                    self.enqueue(learnt[0], ci);
-                }
-                self.decay_activity();
-            } else {
-                match self.pick_branch_var() {
-                    None => return SatOutcome::Sat,
-                    Some(v) => {
-                        self.decisions += 1;
-                        self.trail_lim.push(self.trail.len());
-                        let phase = self.phase[v as usize];
-                        self.enqueue(Lit::new(v, phase), INVALID_CLAUSE);
-                    }
-                }
-            }
-        }
+        self.solve_with_assumptions(&[])
     }
 
     /// Solves under the given assumption literals (in addition to the
@@ -653,22 +608,19 @@ impl SatSolver {
     ///
     /// Returns `Sat` if the clause set together with the assumptions is
     /// satisfiable. Unlike incremental SAT solvers this implementation does
-    /// not produce a final conflict clause over the assumptions; it is only
-    /// used by tests and the core-minimization helper in the SMT layer.
+    /// not produce a final conflict clause over the assumptions.
+    /// [`SatSolver::solve`] is this with no extra assumptions; besides it,
+    /// only this module's tests call it.
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SatOutcome {
-        if self.scope_selectors.is_empty() {
-            self.solve_under(assumptions)
-        } else {
-            let mut all: Vec<Lit> = self.scope_selectors.iter().map(|&v| Lit::pos(v)).collect();
-            all.extend_from_slice(assumptions);
-            self.solve_under(&all)
-        }
+        let mut all: Vec<Lit> = self.scope_selectors.iter().map(|&v| Lit::pos(v)).collect();
+        all.extend_from_slice(assumptions);
+        self.solve_under(&all)
     }
 
+    /// The one CDCL loop. With no assumptions a conflict at level 0 makes
+    /// the clause set permanently unsatisfiable; under assumptions it only
+    /// refutes them.
     fn solve_under(&mut self, assumptions: &[Lit]) -> SatOutcome {
-        if assumptions.is_empty() {
-            return self.solve_plain();
-        }
         if self.unsat {
             return SatOutcome::Unsat;
         }
@@ -701,6 +653,9 @@ impl SatSolver {
             if confl != INVALID_CLAUSE {
                 self.conflicts += 1;
                 if self.decision_level() <= assumption_level {
+                    if assumptions.is_empty() {
+                        self.unsat = true;
+                    }
                     self.cancel_until(0);
                     return SatOutcome::Unsat;
                 }

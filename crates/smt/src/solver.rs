@@ -122,23 +122,21 @@ impl SatResult {
     }
 }
 
+/// Maximum number of SAT-model/theory-check rounds per expansion depth
+/// before a check answers [`SatResult::Unknown`].
+const MAX_ROUNDS: u64 = 20_000;
+
 /// Tuning knobs for the solving loop.
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
     /// Maximum lazy-expansion depth reached by iterative deepening.
     pub max_expansion_depth: u32,
-    /// Maximum number of SAT-model/theory-check rounds per depth.
-    pub max_rounds: u64,
-    /// Whether theory conflicts are greedily minimized before blocking.
-    pub minimize_conflicts: bool,
 }
 
 impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
             max_expansion_depth: 3,
-            max_rounds: 20_000,
-            minimize_conflicts: true,
         }
     }
 }
@@ -237,16 +235,6 @@ impl Solver {
             lemma_atoms: IdMap::default(),
             closure: Closure::new(),
         }
-    }
-
-    /// The solver configuration.
-    pub fn config(&self) -> &SolverConfig {
-        &self.config
-    }
-
-    /// Mutable access to the configuration (before calling `check`).
-    pub fn config_mut(&mut self) -> &mut SolverConfig {
-        &mut self.config
     }
 
     /// Statistics from the most recent `check` call.
@@ -387,7 +375,7 @@ impl Solver {
         loop {
             rounds += 1;
             self.stats.rounds += 1;
-            if rounds > self.config.max_rounds {
+            if rounds > MAX_ROUNDS {
                 return SatResult::Unknown;
             }
             let clock = Instant::now();
@@ -583,9 +571,6 @@ impl Solver {
         still_conflicting: impl Fn(&TermStore, &[(TermId, bool)]) -> bool,
     ) -> Vec<(TermId, bool)> {
         let mut core: Vec<(TermId, bool)> = assignments.to_vec();
-        if !self.config.minimize_conflicts {
-            return core;
-        }
         let mut i = 0;
         while i < core.len() {
             if core.len() <= 1 {

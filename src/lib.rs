@@ -10,8 +10,8 @@
 //! |---|---|
 //! | [`syntax`] | lexer, AST, parser, token counter for the JMatch 2.0 dialect |
 //! | [`smt`] | the from-scratch incremental SMT solver standing in for Z3 |
-//! | [`core`] | class table, modes, `ExtractM`, VC generation, the verifier, and the [`core::lower`] plan compiler |
-//! | [`runtime`] | dynamic semantics: the plan evaluator plus the legacy tree-walking oracle |
+//! | [`core`] | class table, modes, `ExtractM`, VC generation, the verifier, and the [`core::lower`] plan builder (first builds and incremental rebuilds) |
+//! | [`runtime`] | dynamic semantics: the plan engine, [`Workspace`], the serve layer, and the tree-walking oracle behind [`runtime::Program::with_engine`] |
 //! | [`corpus`] | the paper's Table 1 evaluation programs |
 //!
 //! ## One build path, one verification driver

@@ -15,7 +15,7 @@
 use jmatch::{args, Bindings, Engine, Limits, Program, Solutions, Value, Workspace};
 
 mod harness;
-use harness::transcript;
+use harness::{construct_pool, named_ctors, transcript};
 
 fn engines_for(src: &str) -> (Program, Program) {
     let program = Workspace::new().verify(false).compile(src).unwrap();
@@ -62,6 +62,75 @@ fn every_corpus_program_agrees_across_engines() {
             assert_eq!(g, w, "{}: engines diverge", entry.name);
         }
     }
+}
+
+/// On the plan engine, `try_collect_rows` gives the rows `solutions()`
+/// yields, read off each solution by parameter name, errors included: for
+/// every pooled value of every corpus program and every named
+/// constructor, on objects of the program's own layout and on objects of a
+/// second compile of the same source, whose foreign layout misses the
+/// projection fast path, as guarded constructors do.
+#[test]
+fn collected_rows_equal_the_rows_of_the_solutions() {
+    // Cases that take the projection fast path, and cases that run the
+    // matching form because the constructor is guarded (not a pure field
+    // permutation) or because the object's layout is foreign.
+    let (mut fast, mut guarded, mut foreign_layout) = (0, 0, 0);
+    for entry in jmatch::corpus::entries() {
+        let src = entry.combined_jmatch();
+        let compile = || Workspace::new().verify(false).compile(&src).unwrap();
+        let (program, foreign) = (compile(), compile());
+        let plan = program.plan();
+        let pools = [
+            (true, construct_pool(&program, &mut Vec::new())),
+            (false, construct_pool(&foreign, &mut Vec::new())),
+        ];
+        for (own_layout, pool) in &pools {
+            for v in pool {
+                for name in named_ctors(program.table()) {
+                    let Ok(query) = program.deconstruct(v, &name) else {
+                        continue;
+                    };
+                    let mp = plan.method(plan.lookup_impl(v.class().unwrap(), &name).unwrap());
+                    let projects = mp
+                        .fast_ctor
+                        .as_ref()
+                        .is_some_and(|f| f.projection.is_some());
+                    match (projects, own_layout) {
+                        (true, true) => fast += 1,
+                        (false, true) => guarded += 1,
+                        (_, false) => foreign_layout += 1,
+                    }
+                    let mut solutions = query.solutions();
+                    let rows: Vec<Vec<Value>> = solutions
+                        .by_ref()
+                        .map(|b| {
+                            mp.info
+                                .decl
+                                .params
+                                .iter()
+                                .map(|p| b[&p.name].clone())
+                                .collect()
+                        })
+                        .collect();
+                    let want = match solutions.take_error() {
+                        Some(e) => Err(e),
+                        None => Ok(rows),
+                    };
+                    assert_eq!(
+                        format!("{:?}", query.try_collect_rows()),
+                        format!("{want:?}"),
+                        "{}: {v}.{name}",
+                        entry.name
+                    );
+                }
+            }
+        }
+    }
+    assert!(
+        fast > 0 && guarded > 0 && foreign_layout > 0,
+        "fast {fast}, guarded {guarded}, foreign {foreign_layout}"
+    );
 }
 
 #[test]

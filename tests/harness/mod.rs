@@ -49,14 +49,13 @@ fn deconstruct_rows(program: &Program, v: &Value, ctor: &str) -> Result<Vec<Vec<
         .map_err(|_| ())
 }
 
-/// Runs the generic workload, recording every operation and its outcome.
-pub fn transcript(program: &Program) -> Vec<String> {
+/// Phase 1 of the workload: constructs instances of every concrete class
+/// with every constructor, three rounds deep so recursive structures build
+/// up, logging each construction. Returns the pool of constructed objects
+/// the later phases drive.
+pub fn construct_pool(program: &Program, log: &mut Vec<String>) -> Vec<Value> {
     let table = &**program.table();
-    let mut log = Vec::new();
     let mut pool: Vec<Value> = Vec::new();
-
-    // Phase 1: construct instances of every concrete class with every
-    // constructor, three rounds deep so recursive structures build up.
     let classes: Vec<String> = table
         .types()
         .filter(|t| !t.is_interface && !t.is_abstract)
@@ -92,18 +91,33 @@ pub fn transcript(program: &Program) -> Vec<String> {
             }
         }
     }
+    pool
+}
+
+/// Every named constructor of the program, each name once, in
+/// declaration order.
+pub fn named_ctors(table: &ClassTable) -> Vec<String> {
+    let mut names: Vec<String> = Vec::new();
+    for t in table.types() {
+        for m in &t.methods {
+            if m.decl.kind == MethodKind::NamedConstructor && !names.contains(&m.decl.name) {
+                names.push(m.decl.name.clone());
+            }
+        }
+    }
+    names
+}
+
+/// Runs the generic workload, recording every operation and its outcome.
+pub fn transcript(program: &Program) -> Vec<String> {
+    let table = &**program.table();
+    let mut log = Vec::new();
+    let pool = construct_pool(program, &mut log);
+    let ctor_names = named_ctors(table);
 
     // Phase 2: backward mode — deconstruct every pooled value with every
     // named constructor through the lazy query API, capturing solution rows
     // in enumeration order, and probe the constructor predicates.
-    let mut ctor_names: Vec<String> = Vec::new();
-    for t in table.types() {
-        for m in &t.methods {
-            if m.decl.kind == MethodKind::NamedConstructor && !ctor_names.contains(&m.decl.name) {
-                ctor_names.push(m.decl.name.clone());
-            }
-        }
-    }
     for (i, v) in pool.iter().enumerate() {
         for name in &ctor_names {
             match deconstruct_rows(program, v, name) {

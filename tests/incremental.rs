@@ -232,6 +232,59 @@ fn corpus_generations_survive_noop_edits_on_both_engines() {
     }
 }
 
+/// The plan layout a fresh compile fixes: every method body (goals and
+/// bytecode), its bytecode dependencies, and the dispatch tables.
+fn plan_layout(program: &Program) -> Vec<String> {
+    let plan = program.plan();
+    let mut out: Vec<String> = plan
+        .methods()
+        .iter()
+        .map(|mp| {
+            format!(
+                "{} {:?} deps {:?}",
+                mp.info.qualified_name(),
+                mp.body,
+                mp.bc_deps
+            )
+        })
+        .collect();
+    out.push(format!("{:?}", plan.dispatch_tables()));
+    out
+}
+
+/// Every corpus row, with a probe method and a caller that inlines it: a
+/// rebuild that reloads the same text, and one that edits the probe's
+/// body, give the plans a fresh compile of the same text gives.
+#[test]
+fn corpus_rebuilds_give_the_plans_of_a_fresh_compile() {
+    for entry in jmatch::corpus::entries() {
+        let src = entry.combined_jmatch();
+        let probe = |n: i64| {
+            format!(
+                "{src}\nstatic int probe() {{ return {n}; }}\n\
+                 static int probe_twice() {{ return probe() + probe(); }}"
+            )
+        };
+        let (base, edited) = (probe(1), probe(2));
+        let mut ws = Workspace::new().verify(false);
+        ws.load(&base).unwrap();
+        for (label, source) in [("reload", &base), ("probe edit", &edited)] {
+            let g = ws.update_source(source).unwrap();
+            assert!(!g.report().full, "{} {label}: rebuilt fully", entry.name);
+            let got = plan_layout(g.program());
+            let want = plan_layout(&scratch(source, false));
+            assert_eq!(got.len(), want.len(), "{} {label}", entry.name);
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(
+                    g, w,
+                    "{} {label}: plans diverge from a fresh compile",
+                    entry.name
+                );
+            }
+        }
+    }
+}
+
 /// Every corpus row with an appended probe method: a body edit of the
 /// probe stays on the incremental path, re-verifies only the probe, and
 /// gives the diagnostics of a scratch build.

@@ -8,7 +8,7 @@
 //! the string-keyed representation before interning landed — so a
 //! representation bug cannot hide by breaking both engines the same way.
 
-use jmatch::{args, Bindings, Engine, Program, Value, Workspace};
+use jmatch::{args, Bindings, Engine, Program, Workspace};
 
 fn engines_for(src: &str) -> (Program, Program) {
     let program = Workspace::new().verify(false).compile(src).unwrap();
@@ -387,45 +387,4 @@ fn foreign_objects_resolve_fields_and_equality_by_name() {
     let pb2 = b.ctor("P", "of").unwrap().construct(args![9, 1]).unwrap();
     assert_ne!(pa, pb2);
     assert!(!a.values_equal(&pa, &pb2).unwrap());
-}
-
-#[test]
-fn unique_deconstruct_reuses_field_storage_in_place() {
-    let program = Workspace::new()
-        .verify(false)
-        .compile(
-            "class Pair { int a; int b; \
-             constructor of(int x, int y) returns(x, y) ( a = x && b = y ) }",
-        )
-        .unwrap()
-        .with_engine(Engine::Plan);
-    let pair = program
-        .ctor("Pair", "of")
-        .unwrap()
-        .construct(args![7, 9])
-        .unwrap();
-    let Value::Obj(o) = &pair else {
-        panic!("constructed a non-object")
-    };
-    let storage = o.fields().as_ptr();
-    // Shared scrutinee: the caller still holds `pair`, so the row must be
-    // a fresh clone of the field values.
-    let shared = program
-        .deconstruct(&pair, "of")
-        .unwrap()
-        .try_into_rows()
-        .unwrap();
-    assert_eq!(shared, vec![vec![Value::Int(7), Value::Int(9)]]);
-    assert_ne!(shared[0].as_ptr(), storage);
-    // Unique scrutinee: dropping the caller's handle before collecting
-    // lets the row take over the object's own field storage in place.
-    let query = program.deconstruct(&pair, "of").unwrap();
-    drop(pair);
-    let rows = query.try_into_rows().unwrap();
-    assert_eq!(rows, vec![vec![Value::Int(7), Value::Int(9)]]);
-    assert_eq!(
-        rows[0].as_ptr(),
-        storage,
-        "unique deconstruct must reuse the object's Box<[Value]> allocation"
-    );
 }

@@ -10,9 +10,8 @@
 //! on a large stack, because dropping a long `Arc` chain recurses too.
 
 use jmatch::corpus::jmatch::{CONS_LIST, EMPTY_LIST, LIST_INTERFACE};
-use jmatch::runtime::{RtErrorKind, RtResult, TreeWalker};
+use jmatch::runtime::{RtErrorKind, RtResult};
 use jmatch::{args, Bindings, Engine, Limits, Program, Value, Workspace};
-use std::sync::Arc;
 
 /// The stack of a thread spawned without an explicit size (and of every
 /// `cargo test` thread): the smallest stack the guard must protect.
@@ -99,19 +98,22 @@ fn deep_forward_recursion_trips_the_guard_on_both_engines() {
 }
 
 /// The guard's bounds belong to the thread a call runs on, not to the
-/// walker: a walker built on one thread runs on another, and one built
-/// near the top of a stack runs from deep inside it.
+/// thread that built the program: a walker program built on one thread
+/// runs on another, and runs from deep inside a large stack.
 #[test]
 fn the_guard_measures_the_thread_a_walker_runs_on() {
     let program = program(Engine::TreeWalk);
     let list = list_of(&program, 20);
-    let walker = Arc::new(TreeWalker::new(Arc::clone(program.table())));
-    let (w, l) = (Arc::clone(&walker), list.clone());
-    let elsewhere = on_stack(SMALL_STACK, move || w.call_method(&l, "size", args![]));
+    let (p, l) = (program.clone(), list.clone());
+    let elsewhere = on_stack(SMALL_STACK, move || {
+        p.method("ConsList", "size")
+            .unwrap()
+            .call(Some(&l), args![])
+    });
     assert_eq!(elsewhere.unwrap(), Value::Int(20));
     let deep = on_stack(8 << 20, move || {
-        let walker = TreeWalker::new(Arc::clone(program.table()));
-        deep_in_stack(3 << 20, || walker.call_method(&list, "size", args![]))
+        let size = program.method("ConsList", "size").unwrap();
+        deep_in_stack(3 << 20, || size.call(Some(&list), args![]))
     });
     assert_eq!(deep.unwrap(), Value::Int(20));
 }

@@ -572,6 +572,7 @@ fn stats_delta(after: SessionStats, before: SessionStats) -> SessionStats {
         lia_ns: after.lia_ns.saturating_sub(before.lia_ns),
         euf_ns: after.euf_ns.saturating_sub(before.euf_ns),
         expand_ns: after.expand_ns.saturating_sub(before.expand_ns),
+        plugin_ns: after.plugin_ns.saturating_sub(before.plugin_ns),
     }
 }
 

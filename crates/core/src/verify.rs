@@ -130,8 +130,12 @@ pub struct SessionStats {
     pub lia_ns: u64,
     /// Wall-clock nanoseconds in congruence-closure checks.
     pub euf_ns: u64,
-    /// Wall-clock nanoseconds in lazy expansion.
+    /// Wall-clock nanoseconds in lazy expansion
+    /// ([`jmatch_smt::SolverStats::expand_ns`]).
     pub expand_ns: u64,
+    /// Of `expand_ns`, the wall-clock nanoseconds inside the expander
+    /// plugin ([`jmatch_smt::SolverStats::plugin_ns`]).
+    pub plugin_ns: u64,
 }
 
 impl SessionStats {
@@ -151,6 +155,7 @@ impl SessionStats {
         self.lia_ns += other.lia_ns;
         self.euf_ns += other.euf_ns;
         self.expand_ns += other.expand_ns;
+        self.plugin_ns += other.plugin_ns;
     }
 
     /// Folds in one solver query's statistics.
@@ -163,6 +168,7 @@ impl SessionStats {
         self.lia_ns += qs.lia_ns;
         self.euf_ns += qs.euf_ns;
         self.expand_ns += qs.expand_ns;
+        self.plugin_ns += qs.plugin_ns;
     }
 }
 
@@ -176,7 +182,8 @@ impl Session {
     /// signature, same spec closure, same type hierarchy — see
     /// [`crate::incremental`]) keeps its session across rebuilds, and only the
     /// expander — whose [`VcGen`] captures the class table of the new
-    /// generation — must be swapped. Because the expander only ever unrolls
+    /// generation — must be swapped, and with it the expansion templates
+    /// derived from the old table. Because the expander only ever unrolls
     /// *specs* (`is$T` invariants, `matches`/`ensures` clauses), never bodies,
     /// an unchanged environment means every cached VC verdict and learned
     /// clause is still sound for the new generation; the persistent

@@ -172,10 +172,18 @@ pub struct SolverStats {
     /// Wall-clock nanoseconds in congruence-closure checks, conflict
     /// minimization and model classes included.
     pub euf_ns: u64,
-    /// Wall-clock nanoseconds in lazy expansion: plugin calls, lemma replay,
-    /// and encoding the lemmas into the SAT core.
+    /// Wall-clock nanoseconds in the lazy-expansion layer of the loop:
+    /// [`SolverStats::plugin_ns`], plus guarding, caching and replaying
+    /// lemmas, encoding them into the SAT core and extending the relevant
+    /// atoms.
     pub expand_ns: u64,
+    /// Of `expand_ns`, the wall-clock nanoseconds inside
+    /// [`LazyExpander::expand`], the plugin deriving new lemmas.
+    pub plugin_ns: u64,
 }
+
+/// A polarity-guarded lemma of the replay cache with the atoms it contains.
+type CachedLemma = (TermId, Vec<TermId>);
 
 /// An incremental SMT solver session.
 ///
@@ -195,9 +203,10 @@ pub struct Solver {
     sat: SatSolver,
     encoder: Encoder,
     /// Polarity-guarded lemmas previously derived for each `(atom, polarity)`
-    /// pair. Later queries replay these directly instead of calling the
-    /// expander again — the session's semantic learning.
-    lemma_cache: IdMap<(TermId, bool), Vec<TermId>>,
+    /// pair, each with its atoms. Later queries replay these directly
+    /// instead of calling the expander again or re-walking the lemmas — the
+    /// session's semantic learning.
+    lemma_cache: IdMap<(TermId, bool), Vec<CachedLemma>>,
     /// Iterative-deepening depth at which each atom first appeared (0 for
     /// atoms of directly asserted formulas).
     atom_depth: IdMap<TermId, u32>,
@@ -450,7 +459,9 @@ impl Solver {
             // the plugin; new guards are expanded and their (polarity-
             // guarded) lemmas cached for the rest of the session.
             let clock = Instant::now();
-            let mut new_lemmas: Vec<(TermId, TermId, u32, bool)> = Vec::new();
+            // The guards expanded in this round, in assignment order, each
+            // with its depth and whether its lemmas are replayed.
+            let mut new_guards: Vec<((TermId, bool), u32, bool)> = Vec::new();
             let mut beyond_depth = false;
             for &(atom, value) in &assignment {
                 if !matches!(store.data(atom), TermData::App(_, _, Sort::Bool)) {
@@ -471,12 +482,15 @@ impl Solver {
                 if cached {
                     expanded.insert((atom, value));
                     self.stats.max_depth_reached = self.stats.max_depth_reached.max(depth + 1);
-                    for &g in &self.lemma_cache[&(atom, value)] {
-                        new_lemmas.push((atom, g, depth + 1, true));
+                    if !self.lemma_cache[&(atom, value)].is_empty() {
+                        new_guards.push(((atom, value), depth + 1, true));
                     }
                     continue;
                 }
-                match expander.expand(store, atom, value, depth) {
+                let plugin_clock = Instant::now();
+                let expansion = expander.expand(store, atom, value, depth);
+                self.stats.plugin_ns += elapsed_ns(plugin_clock);
+                match expansion {
                     Expansion::NotApplicable => {}
                     Expansion::Lemmas(lemmas) => {
                         expanded.insert((atom, value));
@@ -487,46 +501,50 @@ impl Solver {
                         // implication is a valid fact in every context and
                         // can be replayed by any later query.
                         let antecedent = if value { atom } else { store.not(atom) };
-                        let guarded: Vec<TermId> = lemmas
+                        let guarded: Vec<CachedLemma> = lemmas
                             .into_iter()
-                            .map(|l| store.implies(antecedent, l))
+                            .map(|l| {
+                                let g = store.implies(antecedent, l);
+                                (g, store.atoms(g))
+                            })
                             .collect();
-                        for &g in &guarded {
-                            new_lemmas.push((atom, g, depth + 1, false));
+                        if !guarded.is_empty() {
+                            new_guards.push(((atom, value), depth + 1, false));
                         }
                         self.lemma_cache.insert((atom, value), guarded);
                     }
                 }
             }
-            if !new_lemmas.is_empty() {
-                for (guard, guarded, depth, replayed) in new_lemmas {
-                    self.stats.lemmas += 1;
-                    if replayed {
-                        self.stats.lemmas_replayed += 1;
-                    }
-                    // Lemma instantiations are scoped: they retire with the
-                    // query and are re-asserted from the cache when a later
-                    // query needs them, so the SAT core only ever carries the
-                    // clauses of the query at hand.
-                    self.encoder
-                        .assert_scoped_formula(store, &mut self.sat, guarded);
-                    let introduced = store.atoms(guarded);
-                    let mut newly: Vec<TermId> = Vec::new();
-                    for &a in &introduced {
-                        self.atom_depth
-                            .entry(a)
-                            .and_modify(|d| *d = (*d).min(depth))
-                            .or_insert(depth);
-                        if relevant.insert(a) {
-                            newly.push(a);
+            if !new_guards.is_empty() {
+                for (key, depth, replayed) in new_guards {
+                    for (guarded, introduced) in &self.lemma_cache[&key] {
+                        self.stats.lemmas += 1;
+                        if replayed {
+                            self.stats.lemmas_replayed += 1;
                         }
-                    }
-                    close_over_lemmas(&self.lemma_atoms, &mut relevant, newly);
-                    if !replayed {
-                        self.lemma_atoms
-                            .entry(guard)
-                            .or_default()
-                            .extend(introduced);
+                        // Lemma instantiations are scoped: they retire with
+                        // the query and are re-asserted from the cache when a
+                        // later query needs them, so the SAT core only ever
+                        // carries the clauses of the query at hand.
+                        self.encoder
+                            .assert_scoped_formula(store, &mut self.sat, *guarded);
+                        let mut newly: Vec<TermId> = Vec::new();
+                        for &a in introduced {
+                            self.atom_depth
+                                .entry(a)
+                                .and_modify(|d| *d = (*d).min(depth))
+                                .or_insert(depth);
+                            if relevant.insert(a) {
+                                newly.push(a);
+                            }
+                        }
+                        close_over_lemmas(&self.lemma_atoms, &mut relevant, newly);
+                        if !replayed {
+                            self.lemma_atoms
+                                .entry(key.0)
+                                .or_default()
+                                .extend_from_slice(introduced);
+                        }
                     }
                 }
                 // Lemmas may have introduced new relevant atoms.

@@ -9,7 +9,7 @@
 use crate::hash::{IdMap, IdSet};
 use crate::sorts::Sort;
 use crate::sym::{Interner, Symbol};
-use std::collections::hash_map::{Entry, HashMap, RandomState};
+use std::collections::hash_map::{Entry, RandomState};
 use std::fmt;
 use std::hash::BuildHasher;
 
@@ -82,6 +82,8 @@ pub struct TermStore {
     same_hash: Vec<Option<TermId>>,
     interner: Interner,
     fresh_counter: u64,
+    /// Every variable [`TermStore::fresh_var`] created, oldest first.
+    fresh: Vec<TermId>,
 }
 
 impl TermStore {
@@ -177,9 +179,17 @@ impl TermStore {
             let before = self.data.len();
             let t = self.mk(TermData::Var(sym, sort), sort);
             if self.data.len() > before {
+                self.fresh.push(t);
                 return t;
             }
         }
+    }
+
+    /// Every variable [`TermStore::fresh_var`] has created, oldest first.
+    /// A caller that notes the length before a computation finds the fresh
+    /// variables it created in the tail.
+    pub fn fresh_vars(&self) -> &[TermId] {
+        &self.fresh
     }
 
     /// Application of an uninterpreted function (or predicate if `sort` is
@@ -485,66 +495,86 @@ impl TermStore {
     }
 
     /// Substitutes terms for variables: every occurrence of a key of `map`
-    /// (which must be a `Var`) is replaced by its value.
-    pub fn substitute(&mut self, t: TermId, map: &HashMap<TermId, TermId>) -> TermId {
+    /// (which must be a `Var`) is replaced by its value, and the result is
+    /// rebuilt through the builders, so it folds as if built directly.
+    ///
+    /// The substitution is memoized in place: `map` gains the image of every
+    /// subterm visited, so a node shared within `t`, or with the terms of
+    /// earlier calls on the same map, is visited once. A subterm whose
+    /// children are all unchanged is its own image.
+    pub fn substitute(&mut self, t: TermId, map: &mut IdMap<TermId, TermId>) -> TermId {
         if let Some(&r) = map.get(&t) {
             return r;
         }
-        match self.data(t).clone() {
+        let r = match self.data(t) {
             TermData::BoolConst(_) | TermData::IntConst(_) | TermData::Var(..) => t,
             TermData::App(sym, args, sort) => {
-                let args: Vec<_> = args.iter().map(|a| self.substitute(*a, map)).collect();
-                let name = self.symbol_name(sym).to_owned();
-                self.app(&name, args, sort)
+                let (sym, sort) = (*sym, *sort);
+                let old = args.clone();
+                let args: Vec<_> = old.iter().map(|&a| self.substitute(a, map)).collect();
+                if args == old {
+                    t
+                } else {
+                    self.mk(TermData::App(sym, args, sort), sort)
+                }
             }
-            TermData::Add(a, b) => {
-                let (a, b) = (self.substitute(a, map), self.substitute(b, map));
-                self.add(a, b)
+            TermData::And(xs) | TermData::Or(xs) => {
+                let is_and = matches!(self.data(t), TermData::And(_));
+                let old = xs.clone();
+                let xs: Vec<_> = old.iter().map(|&x| self.substitute(x, map)).collect();
+                if xs == old {
+                    t
+                } else if is_and {
+                    self.and(xs)
+                } else {
+                    self.or(xs)
+                }
             }
-            TermData::Sub(a, b) => {
-                let (a, b) = (self.substitute(a, map), self.substitute(b, map));
-                self.sub(a, b)
-            }
-            TermData::Neg(a) => {
-                let a = self.substitute(a, map);
-                self.neg(a)
-            }
-            TermData::MulConst(c, a) => {
-                let a = self.substitute(a, map);
-                self.mul_const(c, a)
-            }
-            TermData::Le(a, b) => {
-                let (a, b) = (self.substitute(a, map), self.substitute(b, map));
-                self.le(a, b)
-            }
-            TermData::Lt(a, b) => {
-                let (a, b) = (self.substitute(a, map), self.substitute(b, map));
-                self.lt(a, b)
-            }
-            TermData::Eq(a, b) => {
-                let (a, b) = (self.substitute(a, map), self.substitute(b, map));
-                self.eq(a, b)
-            }
-            TermData::Not(a) => {
-                let a = self.substitute(a, map);
-                self.not(a)
-            }
-            TermData::And(xs) => {
-                let xs: Vec<_> = xs.iter().map(|x| self.substitute(*x, map)).collect();
-                self.and(xs)
-            }
-            TermData::Or(xs) => {
-                let xs: Vec<_> = xs.iter().map(|x| self.substitute(*x, map)).collect();
-                self.or(xs)
-            }
-            TermData::Implies(a, b) => {
-                let (a, b) = (self.substitute(a, map), self.substitute(b, map));
-                self.implies(a, b)
-            }
-            TermData::Iff(a, b) => {
-                let (a, b) = (self.substitute(a, map), self.substitute(b, map));
-                self.iff(a, b)
-            }
+            &TermData::Neg(a) => self.substitute1(t, a, map, Self::neg),
+            &TermData::Not(a) => self.substitute1(t, a, map, Self::not),
+            &TermData::MulConst(c, a) => self.substitute1(t, a, map, |s, a| s.mul_const(c, a)),
+            &TermData::Add(a, b) => self.substitute2(t, a, b, map, Self::add),
+            &TermData::Sub(a, b) => self.substitute2(t, a, b, map, Self::sub),
+            &TermData::Le(a, b) => self.substitute2(t, a, b, map, Self::le),
+            &TermData::Lt(a, b) => self.substitute2(t, a, b, map, Self::lt),
+            &TermData::Eq(a, b) => self.substitute2(t, a, b, map, Self::eq),
+            &TermData::Implies(a, b) => self.substitute2(t, a, b, map, Self::implies),
+            &TermData::Iff(a, b) => self.substitute2(t, a, b, map, Self::iff),
+        };
+        map.insert(t, r);
+        r
+    }
+
+    /// [`TermStore::substitute`] at a node `t` with one child `a`.
+    fn substitute1(
+        &mut self,
+        t: TermId,
+        a: TermId,
+        map: &mut IdMap<TermId, TermId>,
+        build: impl FnOnce(&mut Self, TermId) -> TermId,
+    ) -> TermId {
+        let x = self.substitute(a, map);
+        if x == a {
+            t
+        } else {
+            build(self, x)
+        }
+    }
+
+    /// [`TermStore::substitute`] at a node `t` with children `a` and `b`.
+    fn substitute2(
+        &mut self,
+        t: TermId,
+        a: TermId,
+        b: TermId,
+        map: &mut IdMap<TermId, TermId>,
+        build: fn(&mut Self, TermId, TermId) -> TermId,
+    ) -> TermId {
+        let (x, y) = (self.substitute(a, map), self.substitute(b, map));
+        if (x, y) == (a, b) {
+            t
+        } else {
+            build(self, x, y)
         }
     }
 
@@ -695,11 +725,61 @@ mod tests {
         let y = s.var("y", Sort::Int);
         let zero = s.int(0);
         let f = s.le(zero, x);
-        let mut map = HashMap::new();
+        let mut map = IdMap::default();
         map.insert(x, y);
-        let g = s.substitute(f, &map);
+        let g = s.substitute(f, &mut map);
         let expected = s.le(zero, y);
         assert_eq!(g, expected);
+    }
+
+    #[test]
+    fn substitution_visits_shared_nodes_once() {
+        // Level i is `f(d, d)` over level i-1 `d`: 60 nodes, but 2^60 paths
+        // from the root, so only a memoized walk finishes. The substituted
+        // DAG must be the one built directly over the replacement.
+        let mut s = TermStore::new();
+        let obj = Sort::Obj(s.symbol("O"));
+        let x = s.var("x", obj);
+        let y = s.var("y", obj);
+        let z = s.var("z", obj);
+        let build = |s: &mut TermStore, leaf: TermId| {
+            let mut d = leaf;
+            for _ in 0..60 {
+                d = s.app("f", vec![d, d], obj);
+            }
+            let p = s.app("p", vec![d, z], Sort::Bool);
+            let q = s.eq(d, leaf);
+            s.and2(p, q)
+        };
+        let over_x = build(&mut s, x);
+        let over_y = build(&mut s, y);
+        let mut map = IdMap::default();
+        map.insert(x, y);
+        assert_eq!(s.substitute(over_x, &mut map), over_y);
+        // Every visited node is memoized (60 levels plus x, z, p, q and the
+        // conjunction), and the untouched `z` maps to itself.
+        assert_eq!(map.len(), 65);
+        assert_eq!(map[&z], z);
+        let len = s.len();
+        assert_eq!(s.substitute(over_x, &mut map), over_y);
+        assert_eq!(s.len(), len, "a repeated substitution builds nothing");
+    }
+
+    #[test]
+    fn substitution_refolds_like_the_builders() {
+        let mut s = TermStore::new();
+        let x = s.var("x", Sort::Int);
+        let y = s.var("y", Sort::Int);
+        let p = s.var("p", Sort::Bool);
+        let eq = s.eq(x, y);
+        let ne = s.not(eq);
+        let f = s.and2(ne, p);
+        let mut map = IdMap::default();
+        map.insert(y, x);
+        // `x = x` folds to true, its negation to false, the conjunction to
+        // false.
+        let ff = s.ff();
+        assert_eq!(s.substitute(f, &mut map), ff);
     }
 
     #[test]

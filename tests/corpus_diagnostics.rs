@@ -144,6 +144,8 @@ fn per_theory_times_are_reported_within_wall_time() {
     let layers = [s.sat_ns, s.lia_ns, s.euf_ns, s.expand_ns];
     assert!(layers.iter().all(|&ns| ns > 0), "{s:?}");
     assert!(layers.iter().sum::<u64>() <= wall, "{s:?} vs {wall} ns");
+    // The plugin's share is a part of the expansion layer.
+    assert!(s.plugin_ns > 0 && s.plugin_ns <= s.expand_ns, "{s:?}");
 }
 
 #[test]

@@ -27,8 +27,7 @@ OPTIONS:
     --steps-per-window N      per-tenant step pool per window   [default: 10000000]
     --window-ms MS            quota window length               [default: 1000]
     --compile-steps N         step price of a compile (0 = unmetered) [default: 0]
-    --send-queue-depth N      per-connection response queue bound     [default: 64]
-    --send-queue-wait-ms MS   slow-consumer high-water timeout        [default: 2000]
+    --write-timeout-ms MS     slow-consumer reply write timeout [default: 2000]
     --faults SPEC             deterministic fault injection, e.g.
                               seed=42,panic_request=0.05,slow_write=0.1:20
                               (also read from JMATCH_FAULTS when unset)
@@ -70,11 +69,8 @@ fn parse_flags() -> Result<ServeConfig, String> {
             "--compile-steps" => {
                 quota.compile_steps = parse(&value("--compile-steps")?)?;
             }
-            "--send-queue-depth" => {
-                config.send_queue_depth = parse(&value("--send-queue-depth")?)?;
-            }
-            "--send-queue-wait-ms" => {
-                config.send_queue_wait_ms = parse(&value("--send-queue-wait-ms")?)?;
+            "--write-timeout-ms" => {
+                config.write_timeout_ms = parse(&value("--write-timeout-ms")?)?;
             }
             "--faults" => {
                 config.faults = Some(

@@ -17,7 +17,7 @@ use super::proto::{
     error_kind, read_frame, value_to_json, write_frame, FrameError, DEFAULT_MAX_FRAME,
 };
 use crate::Value;
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -201,7 +201,9 @@ impl RetryPolicy {
 /// One connection to a `jmatch-serve` server.
 #[derive(Debug)]
 pub struct Client {
-    stream: TcpStream,
+    /// Frames are read through the buffer and written straight to the
+    /// socket underneath it.
+    stream: BufReader<TcpStream>,
     next_id: i64,
     max_frame: usize,
 }
@@ -216,7 +218,7 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         Ok(Client {
-            stream,
+            stream: BufReader::new(stream),
             next_id: 0,
             max_frame: DEFAULT_MAX_FRAME,
         })
@@ -239,7 +241,7 @@ impl Client {
     ///
     /// Propagates socket failures.
     pub fn send(&mut self, doc: &Json) -> io::Result<()> {
-        write_frame(&mut self.stream, doc)
+        write_frame(&mut self.stream.get_ref(), doc)
     }
 
     /// Receives one raw frame.

@@ -22,9 +22,10 @@
 //! * `panic_worker` — panic a worker *between* jobs (uncaught: the thread
 //!   dies and the supervisor must respawn it; no request is lost because
 //!   the job queue is untouched).
-//! * `slow_write` — sleep `ms` in the connection writer thread before a
-//!   frame goes out (exercises the bounded send queue / slow-consumer
-//!   detection).
+//! * `slow_write` — sleep `ms` on the thread writing a reply (a worker, or
+//!   the connection's reader for inline replies), holding the connection's
+//!   send lock, before the frame goes out (exercises producers queueing on
+//!   the lock and slow-consumer detection).
 //! * `truncate` — write only the frame's length prefix, then hard-close
 //!   the connection (the client sees a truncated frame).
 //! * `stall` — sleep `ms` in the worker before running a request

@@ -80,9 +80,8 @@ pub fn write_frame(w: &mut impl Write, doc: &Json) -> io::Result<()> {
 }
 
 /// Serializes one frame — 4-byte big-endian length prefix plus the JSON
-/// bytes — without writing it anywhere: the shape the server's bounded
-/// per-connection send queues enqueue, so serialization happens on the
-/// producing thread and the writer thread only does I/O.
+/// bytes — without writing it anywhere. The server serializes before it
+/// takes a connection's send lock, so the lock covers only the write.
 pub fn frame_bytes(doc: &Json) -> io::Result<Vec<u8>> {
     let body = doc.to_string().into_bytes();
     let len = u32::try_from(body.len())
@@ -95,7 +94,10 @@ pub fn frame_bytes(doc: &Json) -> io::Result<Vec<u8>> {
 
 /// Reads one frame, enforcing the payload cap. On [`FrameError::TooLarge`]
 /// the caller decides whether to [`drain`] the declared payload (keeping
-/// the connection) or drop the connection.
+/// the connection) or drop the connection. It makes three reads per frame
+/// (one byte, three bytes, the body), so socket readers pass a
+/// [`std::io::BufReader`]: the server's connection readers and the
+/// client both do.
 pub fn read_frame(r: &mut impl Read, max_frame: usize) -> Result<Json, FrameError> {
     let mut len_buf = [0u8; 4];
     // A clean EOF before any length byte is a normal close; anything
@@ -561,10 +563,10 @@ pub mod error_kind {
     /// refunded. Not retryable by default — the same input likely crashes
     /// again.
     pub const INTERNAL: &str = "internal-error";
-    /// The connection's bounded send queue stayed full past the high-water
-    /// timeout (a slow consumer); the server disconnects instead of
-    /// blocking workers. Only ever observed as a closed connection — kept
-    /// here to name the metric.
+    /// A reply frame was not taken whole within the server's write
+    /// timeout (a slow consumer); the server disconnects, freeing the
+    /// thread that was writing to it. Only ever observed as a closed
+    /// connection — kept here to name the metric.
     pub const SLOW_CONSUMER: &str = "slow-consumer";
 }
 

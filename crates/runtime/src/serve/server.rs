@@ -17,6 +17,12 @@
 //!                   └───────────────────────────────────────────────────────────────────┘
 //! ```
 //!
+//! Every reply is written to its socket by the thread that made it — the
+//! worker for call/query/stream, the reader for everything answered
+//! inline — so a connection costs one thread and a reply crosses no
+//! handoff on its way out. The accept loop blocks in `accept`;
+//! [`Server::shutdown`] wakes it with one loopback connect.
+//!
 //! The shape is compile-once/serve-forever: compilation (parse + resolve +
 //! verify + lower) happens exactly once per distinct source in the
 //! [`ProgramCache`], and every query runs over the shared, immutable
@@ -40,10 +46,14 @@
 //!   fires the request's cancel token past its deadline and the plan
 //!   engine's 256-step interrupt polling surfaces it as a retryable `deadline-exceeded`
 //!   frame.
-//! * **Backpressure** — responses go through a bounded per-connection send
-//!   queue drained by a dedicated writer thread; a queue that stays full
-//!   past the high-water timeout marks the client a slow consumer and the
-//!   connection is dropped, so a worker never blocks on a client socket.
+//! * **Backpressure** — a reply's producer writes its whole frame under
+//!   the connection's send lock, so frames never tear or interleave. The
+//!   kernel's send buffer absorbs a client that reads late; once it is
+//!   full, the write blocks, and a frame the client does not take whole
+//!   within `write_timeout_ms` (also the socket write timeout, set once at
+//!   accept) convicts it as a slow consumer and drops the connection. A
+//!   client that stops reading therefore parks only the threads replying
+//!   on its own connection, for about that timeout.
 
 use super::cache::{CacheOutcome, CacheStats, ProgramCache, ReloadOutcome};
 use super::fault::{FaultConfig, FaultInjector, Site};
@@ -55,8 +65,8 @@ use super::proto::{
 use super::quota::{Grant, QuotaConfig, TenantQuotas, TenantSnapshot};
 use crate::{Bindings, Limits, MethodRef, Program, RtError, RtErrorKind, RtResult, Value};
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufReader, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
@@ -119,14 +129,11 @@ pub struct ServeConfig {
     /// Whether a `shutdown` frame may stop the server (CI harnesses; keep
     /// off for real deployments).
     pub allow_remote_shutdown: bool,
-    /// Bound on each connection's response send queue (frames). Workers
-    /// enqueue; a dedicated writer thread drains.
-    pub send_queue_depth: usize,
-    /// High-water timeout: how long a sender waits on a full send queue
-    /// before declaring the client a slow consumer and dropping the
-    /// connection. Also bounds each socket write (the writer thread's
-    /// write timeout).
-    pub send_queue_wait_ms: u64,
+    /// How long the client may take to accept one whole reply frame;
+    /// past it the client is convicted as a slow consumer and the
+    /// connection is dropped. Also the socket write timeout, set once per
+    /// connection at accept.
+    pub write_timeout_ms: u64,
     /// Deterministic fault injection (chaos testing); `None` in
     /// production.
     pub faults: Option<FaultConfig>,
@@ -145,8 +152,7 @@ impl Default for ServeConfig {
             quota: QuotaConfig::default(),
             tenant_overrides: Vec::new(),
             allow_remote_shutdown: false,
-            send_queue_depth: 64,
-            send_queue_wait_ms: 2_000,
+            write_timeout_ms: 2_000,
             faults: None,
         }
     }
@@ -246,71 +252,52 @@ struct Sched {
 // Connections
 // ---------------------------------------------------------------------------
 
-/// The bounded response queue between producers (workers, the reader's
-/// inline replies) and the connection's dedicated writer thread.
-struct SendQueue {
-    /// Pre-framed (length-prefixed) response bytes, oldest first.
-    frames: VecDeque<Vec<u8>>,
-    /// The reader finished: flush what is queued, then close. New sends
-    /// are refused.
-    draining: bool,
-    /// Hard close: the writer discards everything and exits now.
-    dead: bool,
-}
-
-/// The half of a connection shared between its reader thread, the workers
-/// producing responses, and its writer thread: the bounded send queue,
+/// The half of a connection shared between its reader thread and the
+/// workers producing its replies: the socket's write half, the send lock,
 /// the open flag, and the in-flight cancel tokens.
 ///
-/// Workers never write to the socket. They serialize the frame and
-/// enqueue it; the writer thread does the blocking I/O. A full queue
-/// makes the producer wait at most `high_water`; past that the client is
-/// a slow consumer and the connection is dropped — the worker moves on
-/// either way.
+/// Whoever produces a reply writes it: [`ConnShared::send`] serializes
+/// the frame on the producing thread and writes it whole under the send
+/// lock. A frame the client does not take within the write timeout makes
+/// it a slow consumer and the connection is dropped — the producer moves
+/// on either way.
 struct ConnShared {
-    /// The socket (write half). The writer thread writes through it
-    /// (`&TcpStream` is `Write`); everyone else only uses it to
-    /// `shutdown`, which is what unblocks a reader parked in `read`.
+    /// The socket's write half (`&TcpStream` is `Write`). Shutting it down
+    /// also unblocks the reader parked in `read` and a producer parked in
+    /// `write`.
     sock: TcpStream,
-    sendq: Mutex<SendQueue>,
-    /// Writer waits here for frames (or a drain/close verdict).
-    frames_ready: Condvar,
-    /// Producers wait here for queue space.
-    space_ready: Condvar,
+    /// Held for the whole of one frame's write, so frames never interleave.
+    send_lock: Mutex<()>,
     open: AtomicBool,
     cancels: Mutex<HashMap<i64, Arc<AtomicBool>>>,
-    /// Queue bound, in frames.
-    depth: usize,
-    /// How long a producer waits on a full queue before the slow-consumer
-    /// verdict.
-    high_water: Duration,
     /// Server counters (slow-consumer disconnects are detected here,
     /// inside `send`).
     counters: Arc<Counters>,
+    /// The server's fault injector: `SlowWrite` and `Truncate` fire inside
+    /// `send`.
+    faults: Option<Arc<FaultInjector>>,
+    /// How long one frame's write may take; also the socket's write
+    /// timeout, so no single `write` call outlasts it.
+    write_timeout: Duration,
 }
 
 impl ConnShared {
-    fn new(sock: TcpStream, config: &ServeConfig, counters: Arc<Counters>) -> Self {
+    fn new(sock: TcpStream, shared: &Shared, write_timeout: Duration) -> Self {
         ConnShared {
             sock,
-            sendq: Mutex::new(SendQueue {
-                frames: VecDeque::new(),
-                draining: false,
-                dead: false,
-            }),
-            frames_ready: Condvar::new(),
-            space_ready: Condvar::new(),
+            send_lock: Mutex::new(()),
             open: AtomicBool::new(true),
             cancels: Mutex::new(HashMap::new()),
-            depth: config.send_queue_depth.max(1),
-            high_water: Duration::from_millis(config.send_queue_wait_ms.max(1)),
-            counters,
+            counters: Arc::clone(&shared.counters),
+            faults: shared.faults.clone(),
+            write_timeout,
         }
     }
 
-    /// Serializes and enqueues one frame; `false` means the connection is
-    /// gone (closed, draining, or just now convicted as a slow consumer —
-    /// in every case the in-flight requests on it are cancelled).
+    /// Serializes one frame and writes it to the socket under the send
+    /// lock; `false` means the connection is gone (closed, finished, or
+    /// just now convicted as a slow consumer — in every case the in-flight
+    /// requests on it are cancelled).
     fn send(&self, doc: &Json) -> bool {
         if !self.open.load(Ordering::Acquire) {
             return false;
@@ -321,70 +308,86 @@ impl ConnShared {
             self.close();
             return false;
         };
-        let give_up_at = Instant::now() + self.high_water;
-        let mut q = lock_ok(&self.sendq);
-        while q.frames.len() >= self.depth {
-            if q.dead || q.draining {
-                return false;
+        let sending = lock_ok(&self.send_lock);
+        // Closed or finished while this producer waited for the lock.
+        if !self.open.load(Ordering::Acquire) {
+            return false;
+        }
+        if let Some(faults) = &self.faults {
+            if faults.fire(Site::SlowWrite) {
+                std::thread::sleep(Duration::from_millis(faults.slow_write_ms()));
             }
-            let now = Instant::now();
-            if now >= give_up_at {
-                // Slow consumer: the queue stayed full for the whole
-                // high-water window. Drop the connection rather than
-                // stall this worker (or buffer without bound).
-                drop(q);
-                self.counters
-                    .slow_consumer_disconnects
-                    .fetch_add(1, Ordering::Relaxed);
+            if faults.fire(Site::Truncate) {
+                // Write only the length prefix, then kill the connection:
+                // the client sees a truncated frame.
+                let _ = (&self.sock).write_all(&bytes[..4.min(bytes.len())]);
+                drop(sending);
                 self.close();
                 return false;
             }
-            let (guard, _timeout) =
-                self.sendq
-                    .wait_timeout_on(&self.space_ready, q, give_up_at - now);
-            q = guard;
         }
-        if q.dead || q.draining {
-            return false;
+        let written = self.write_by_deadline(&bytes);
+        drop(sending);
+        let Err(e) = written else {
+            return true;
+        };
+        if matches!(
+            e.kind(),
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+        ) {
+            // Slow consumer: the client did not take the frame within the
+            // write timeout.
+            self.counters
+                .slow_consumer_disconnects
+                .fetch_add(1, Ordering::Relaxed);
         }
-        q.frames.push_back(bytes);
-        drop(q);
-        self.frames_ready.notify_one();
-        true
+        self.close();
+        false
     }
 
-    /// Marks the connection dead, cancels everything in flight on it,
-    /// tells the writer to discard and exit, and shuts the socket down
-    /// (which also unblocks a reader parked in `read` and a writer parked
-    /// in `write`).
+    /// Writes one whole frame, failing with `TimedOut` once the write
+    /// timeout has passed with part of it still unsent. The deadline is
+    /// per frame, not per `write` call: a client that stops reading still
+    /// reopens its window a little now and then, and each such trickle
+    /// would restart a per-call timeout.
+    fn write_by_deadline(&self, mut rest: &[u8]) -> io::Result<()> {
+        let deadline = Instant::now() + self.write_timeout;
+        while !rest.is_empty() {
+            match (&self.sock).write(rest) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => rest = &rest[n..],
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+            if !rest.is_empty() && Instant::now() >= deadline {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+        }
+        Ok(())
+    }
+
+    /// Marks the connection dead, cancels everything in flight on it, and
+    /// shuts the socket down (which unblocks the reader parked in `read`
+    /// and a producer parked in `write`). It never takes the send lock, so
+    /// it never waits behind a stalled write.
     fn close(&self) {
         if self.open.swap(false, Ordering::AcqRel) {
             self.fire_cancels();
         }
-        // Past the first close the verdict only hardens (a graceful drain
-        // can be upgraded to a hard close, never the reverse), so this
-        // part runs unconditionally.
-        {
-            let mut q = lock_ok(&self.sendq);
-            q.dead = true;
-            q.draining = true;
-        }
-        self.frames_ready.notify_all();
-        self.space_ready.notify_all();
         let _ = self.sock.shutdown(Shutdown::Both);
     }
 
-    /// The graceful end of a connection (reader saw EOF / a hostile
-    /// frame): refuse new work, cancel what is in flight, but let the
-    /// writer *flush* the queued frames — a protocol-error reply must
-    /// still reach the client — before it closes the socket.
+    /// The graceful end of a connection (the reader saw EOF / a hostile
+    /// frame): refuse new replies and cancel what is in flight, but take
+    /// the send lock before shutting the socket down, so a reply already
+    /// being written — a protocol-error reply among them — still reaches
+    /// the client whole.
     fn finish(&self) {
         if self.open.swap(false, Ordering::AcqRel) {
             self.fire_cancels();
         }
-        lock_ok(&self.sendq).draining = true;
-        self.frames_ready.notify_all();
-        self.space_ready.notify_all();
+        let _sending = lock_ok(&self.send_lock);
+        let _ = self.sock.shutdown(Shutdown::Both);
     }
 
     fn fire_cancels(&self) {
@@ -401,97 +404,6 @@ impl ConnShared {
 
     fn forget_cancel(&self, id: i64) {
         lock_ok(&self.cancels).remove(&id);
-    }
-}
-
-/// `Condvar::wait_timeout` with the lock/condvar pairing inverted so the
-/// call site reads naturally; also poison-tolerant like [`lock_ok`].
-trait WaitTimeoutOn<T> {
-    fn wait_timeout_on<'a>(
-        &'a self,
-        cv: &Condvar,
-        guard: MutexGuard<'a, T>,
-        dur: Duration,
-    ) -> (MutexGuard<'a, T>, bool);
-}
-
-impl<T> WaitTimeoutOn<T> for Mutex<T> {
-    fn wait_timeout_on<'a>(
-        &'a self,
-        cv: &Condvar,
-        guard: MutexGuard<'a, T>,
-        dur: Duration,
-    ) -> (MutexGuard<'a, T>, bool) {
-        match cv.wait_timeout(guard, dur) {
-            Ok((g, t)) => (g, t.timed_out()),
-            Err(poisoned) => {
-                let (g, t) = poisoned.into_inner();
-                (g, t.timed_out())
-            }
-        }
-    }
-}
-
-/// The per-connection writer thread: drains the send queue to the socket
-/// so producers never block on client I/O. Exits when the queue is hard
-/// closed, when draining finishes, or when a write fails / times out
-/// (a never-reading client counts as a slow consumer here too).
-fn writer_loop(conn: &Arc<ConnShared>, shared: &Arc<Shared>) {
-    // Bound every socket write: a client that stops reading eventually
-    // zeroes its receive window and `write` would park forever.
-    let _ = conn.sock.set_write_timeout(Some(conn.high_water));
-    loop {
-        let frame = {
-            let mut q = lock_ok(&conn.sendq);
-            loop {
-                if q.dead {
-                    return;
-                }
-                if let Some(frame) = q.frames.pop_front() {
-                    conn.space_ready.notify_all();
-                    break frame;
-                }
-                if q.draining {
-                    // Flushed everything the reader's lifetime produced.
-                    let _ = conn.sock.shutdown(Shutdown::Both);
-                    return;
-                }
-                q = conn
-                    .sendq
-                    .wait_timeout_on(&conn.frames_ready, q, conn.high_water)
-                    .0;
-            }
-        };
-        if let Some(faults) = &shared.faults {
-            if faults.fire(Site::SlowWrite) {
-                std::thread::sleep(Duration::from_millis(faults.slow_write_ms()));
-            }
-            if faults.fire(Site::Truncate) {
-                // Write only the length prefix, then kill the connection:
-                // the client sees a truncated frame.
-                let _ = (&conn.sock).write_all(&frame[..4.min(frame.len())]);
-                conn.close();
-                return;
-            }
-        }
-        match (&conn.sock).write_all(&frame) {
-            Ok(()) => {
-                let _ = (&conn.sock).flush();
-            }
-            Err(e) => {
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) {
-                    shared
-                        .counters
-                        .slow_consumer_disconnects
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                conn.close();
-                return;
-            }
-        }
     }
 }
 
@@ -517,8 +429,8 @@ struct Counters {
     worker_respawns: AtomicU64,
     /// Requests answered `deadline-exceeded`.
     deadline_exceeded: AtomicU64,
-    /// Connections dropped because their send queue stayed full past the
-    /// high-water timeout (or a socket write timed out).
+    /// Connections dropped because a reply frame was not taken whole
+    /// within the write timeout.
     slow_consumer_disconnects: AtomicU64,
 }
 
@@ -557,8 +469,8 @@ pub struct Metrics {
     /// Requests answered `deadline-exceeded` (their `deadline_ms` elapsed
     /// in queue or mid-run).
     pub deadline_exceeded: u64,
-    /// Connections dropped as slow consumers (send queue full past the
-    /// high-water timeout, or a socket write timed out).
+    /// Connections dropped as slow consumers (a reply frame not taken
+    /// whole within `write_timeout_ms`).
     pub slow_consumer_disconnects: u64,
     /// Jobs currently queued (not yet picked up by a worker).
     pub queued: usize,
@@ -588,13 +500,13 @@ struct Shared {
     /// so a finished request leaves nothing to collect but a dead pointer.
     deadlines: Mutex<Vec<(Instant, Weak<AtomicBool>)>>,
     /// Seeded fault injection, when chaos-testing; `None` in production.
-    faults: Option<FaultInjector>,
+    /// Shared with every connection, whose `send` fires the write sites.
+    faults: Option<Arc<FaultInjector>>,
 }
 
 struct ConnEntry {
     shared: Arc<ConnShared>,
-    reader: Option<JoinHandle<()>>,
-    writer: Option<JoinHandle<()>>,
+    reader: JoinHandle<()>,
 }
 
 /// A running `jmatch-serve` instance. Dropping (or [`Server::shutdown`])
@@ -616,7 +528,6 @@ impl Server {
     /// Propagates the bind failure.
     pub fn start(config: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let quotas = TenantQuotas::new(config.quota);
         for (tenant, quota) in &config.tenant_overrides {
@@ -626,7 +537,7 @@ impl Server {
             .faults
             .as_ref()
             .filter(|f| f.is_active())
-            .map(|f| FaultInjector::new(f.clone()));
+            .map(|f| Arc::new(FaultInjector::new(f.clone())));
         let shared = Arc::new(Shared {
             cache: ProgramCache::new(config.cache_capacity),
             quotas,
@@ -734,7 +645,16 @@ impl Server {
     fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         self.shared.sched.ready.notify_all();
-        // Supervisor and watchdog first: once shutdown is set neither will
+        // The accept thread first, so no connection is added behind the
+        // drain below. It is parked in `accept`; one loopback connect
+        // wakes it to see the flag. Should that connect fail, the thread
+        // cannot be woken, so it is detached instead of joined.
+        if let Some(accept) = self.accept.take() {
+            if accept.is_finished() || wake_accept(self.addr).is_ok() {
+                let _ = accept.join();
+            }
+        }
+        // Then supervisor and watchdog: once shutdown is set neither will
         // respawn or cancel anything, and stopping them here means the
         // worker set is stable for the joins below.
         if let Some(supervisor) = self.supervisor.take() {
@@ -744,7 +664,7 @@ impl Server {
             let _ = watchdog.join();
         }
         // Closing the sockets unblocks readers parked in `read` and
-        // writers parked in `write`.
+        // producers parked in `write`.
         let entries: Vec<ConnEntry> = {
             let mut conns = lock_ok(&self.shared.conns);
             conns.drain().map(|(_, e)| e).collect()
@@ -752,16 +672,8 @@ impl Server {
         for entry in &entries {
             entry.shared.close();
         }
-        for mut entry in entries {
-            if let Some(handle) = entry.reader.take() {
-                let _ = handle.join();
-            }
-            if let Some(handle) = entry.writer.take() {
-                let _ = handle.join();
-            }
-        }
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
+        for entry in entries {
+            let _ = entry.reader.join();
         }
         let workers: Vec<JoinHandle<()>> = lock_ok(&self.shared.workers).drain(..).collect();
         for worker in workers {
@@ -858,115 +770,121 @@ fn watchdog_loop(shared: &Arc<Shared>) {
 // ---------------------------------------------------------------------------
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    while !shared.shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((mut stream, _peer)) => {
-                if stream.set_nonblocking(false).is_err() {
-                    continue;
+    loop {
+        let stream = match listener.accept() {
+            Ok((stream, _peer)) => stream,
+            // Out of descriptors or memory: back off instead of spinning.
+            Err(_) => {
+                if shared.shutdown.load(Ordering::Acquire) {
+                    return;
                 }
-                // Responses are single small frames; waiting for ACKs
-                // (Nagle) would serialize the whole protocol at ~40ms RTT.
-                let _ = stream.set_nodelay(true);
-                // Every connection holds an 8 MiB-stack reader thread (and
-                // a writer thread), so the count must be bounded: at the
-                // cap, answer with a structured rejection and close
-                // instead of spawning.
-                let live = lock_ok(&shared.conns).len();
-                if live >= shared.config.max_connections {
-                    shared
-                        .counters
-                        .rejected_connections
-                        .fetch_add(1, Ordering::Relaxed);
-                    let frame = ErrorFrame::new(
-                        error_kind::OVER_CAPACITY,
-                        format!(
-                            "server is at its {}-connection limit; retry shortly",
-                            shared.config.max_connections
-                        ),
-                    )
-                    .retry_after(CAPACITY_RETRY_MS)
-                    .into_frame(None);
-                    let _ = write_frame(&mut stream, &frame);
-                    let _ = stream.shutdown(Shutdown::Both);
-                    continue;
-                }
-                let Ok(write_half) = stream.try_clone() else {
-                    continue;
-                };
-                shared.counters.connections.fetch_add(1, Ordering::Relaxed);
-                let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
-                let conn = Arc::new(ConnShared::new(
-                    write_half,
-                    &shared.config,
-                    Arc::clone(&shared.counters),
-                ));
-                let writer = {
-                    let shared = Arc::clone(shared);
-                    let conn = Arc::clone(&conn);
-                    std::thread::Builder::new()
-                        .name(format!("jmatch-serve-writer-{conn_id}"))
-                        .spawn(move || writer_loop(&conn, &shared))
-                };
-                let Ok(writer) = writer else {
-                    conn.close();
-                    continue;
-                };
-                let reader = {
-                    let shared = Arc::clone(shared);
-                    let conn = Arc::clone(&conn);
-                    std::thread::Builder::new()
-                        .name(format!("jmatch-serve-conn-{conn_id}"))
-                        .stack_size(SERVE_THREAD_STACK)
-                        .spawn(move || {
-                            reader_loop(stream, &conn, &shared);
-                            // Graceful end: queued replies (e.g. the
-                            // protocol-error frame for a hostile request)
-                            // still flush before the socket closes.
-                            conn.finish();
-                            // Detach ourselves from the table (drop of our
-                            // own JoinHandle just detaches) and reap our
-                            // writer.
-                            let entry = lock_ok(&shared.conns).remove(&conn_id);
-                            if let Some(mut entry) = entry {
-                                if let Some(writer) = entry.writer.take() {
-                                    let _ = writer.join();
-                                }
-                            }
-                        })
-                };
-                let Ok(reader) = reader else {
-                    conn.close();
-                    let _ = writer.join();
-                    continue;
-                };
-                let mut conns = lock_ok(&shared.conns);
-                if conn.open.load(Ordering::Acquire) {
-                    conns.insert(
-                        conn_id,
-                        ConnEntry {
-                            shared: conn,
-                            reader: Some(reader),
-                            writer: Some(writer),
-                        },
-                    );
-                } else {
-                    // The reader already finished (and found no table
-                    // entry to reap); join both threads here so nothing
-                    // dangles.
-                    drop(conns);
-                    let _ = reader.join();
-                    let _ = writer.join();
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(10));
+                continue;
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+        };
+        // Past shutdown every accepted connection is dropped unserved;
+        // one of them is `Server::stop`'s wake connect.
+        if shared.shutdown.load(Ordering::Acquire) {
+            return;
         }
+        serve_connection(stream, shared);
     }
 }
 
-fn reader_loop(mut stream: TcpStream, conn: &Arc<ConnShared>, shared: &Arc<Shared>) {
+/// Wakes an accept thread parked in `accept` by connecting to its
+/// listener, over loopback when the listener is bound to every interface.
+fn wake_accept(mut addr: SocketAddr) -> io::Result<TcpStream> {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    TcpStream::connect_timeout(&addr, Duration::from_secs(1))
+}
+
+/// Sets an accepted connection up and spawns its reader thread, or
+/// refuses it at the `max_connections` cap.
+fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
+    // Responses are single small frames; waiting for ACKs (Nagle) would
+    // serialize the whole protocol at ~40ms RTT.
+    let _ = stream.set_nodelay(true);
+    // Bound every reply write: a client that stops reading eventually
+    // zeroes its receive window and `write` would park forever.
+    let write_timeout = Duration::from_millis(shared.config.write_timeout_ms.max(1));
+    if stream.set_write_timeout(Some(write_timeout)).is_err() {
+        return;
+    }
+    // Every connection holds an 8 MiB-stack reader thread, so the count
+    // must be bounded: at the cap, answer with a structured rejection and
+    // close instead of spawning.
+    let live = lock_ok(&shared.conns).len();
+    if live >= shared.config.max_connections {
+        shared
+            .counters
+            .rejected_connections
+            .fetch_add(1, Ordering::Relaxed);
+        let frame = ErrorFrame::new(
+            error_kind::OVER_CAPACITY,
+            format!(
+                "server is at its {}-connection limit; retry shortly",
+                shared.config.max_connections
+            ),
+        )
+        .retry_after(CAPACITY_RETRY_MS)
+        .into_frame(None);
+        let _ = write_frame(&mut stream, &frame);
+        let _ = stream.shutdown(Shutdown::Both);
+        return;
+    }
+    let Ok(write_half) = stream.try_clone() else {
+        return;
+    };
+    shared.counters.connections.fetch_add(1, Ordering::Relaxed);
+    let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
+    let conn = Arc::new(ConnShared::new(write_half, shared, write_timeout));
+    let reader = {
+        let shared = Arc::clone(shared);
+        let conn = Arc::clone(&conn);
+        std::thread::Builder::new()
+            .name(format!("jmatch-serve-conn-{conn_id}"))
+            .stack_size(SERVE_THREAD_STACK)
+            .spawn(move || {
+                reader_loop(stream, &conn, &shared);
+                // Graceful end: a reply being written (e.g. the
+                // protocol-error frame for a hostile request) completes
+                // before the socket closes.
+                conn.finish();
+                // Detach ourselves from the table (dropping our own
+                // JoinHandle just detaches).
+                lock_ok(&shared.conns).remove(&conn_id);
+            })
+    };
+    let Ok(reader) = reader else {
+        conn.close();
+        return;
+    };
+    let mut conns = lock_ok(&shared.conns);
+    if conn.open.load(Ordering::Acquire) {
+        conns.insert(
+            conn_id,
+            ConnEntry {
+                shared: conn,
+                reader,
+            },
+        );
+    } else {
+        // The reader already finished (and found no table entry to
+        // remove); join it here so nothing dangles.
+        drop(conns);
+        let _ = reader.join();
+    }
+}
+
+fn reader_loop(stream: TcpStream, conn: &Arc<ConnShared>, shared: &Arc<Shared>) {
+    // Buffered: a frame's length prefix and body usually arrive together,
+    // and one `read` then serves both (often several pipelined frames).
+    let mut stream = BufReader::new(stream);
     loop {
         if shared.shutdown.load(Ordering::Acquire) || !conn.open.load(Ordering::Acquire) {
             return;

@@ -6,7 +6,7 @@
 //! 1. **no hangs**: every request is answered (a result frame or a
 //!    structured error frame), and the server shuts down cleanly;
 //! 2. **no leaks**: all server threads (workers, respawned workers,
-//!    readers, writers, supervisor, watchdog) are joined on shutdown;
+//!    readers, supervisor, watchdog) are joined on shutdown;
 //! 3. **quota conservation**: once no grants are in flight, every
 //!    tenant satisfies `reserved == spent + refunded` — each admission
 //!    settles or refunds exactly once, even when the request panicked,
@@ -24,8 +24,8 @@ static int add(int a, int b) { return a + b; }
 ";
 
 /// A generator with `n` solutions, each echoing the `tag` input binding —
-/// with a fat tag, enough wire bytes to park a writer behind a consumer
-/// that never reads.
+/// with a fat tag, enough wire bytes to park the worker writing them
+/// behind a consumer that never reads.
 fn wide_src(n: usize) -> String {
     let opts: Vec<String> = (0..n).map(|i| format!("x = {i}")).collect();
     format!(
@@ -318,23 +318,21 @@ fn deadlines_fire_under_stall_and_answer_retryable_deadline_exceeded() {
 // Backpressure: slow consumers
 // ---------------------------------------------------------------------------
 
-/// A consumer that never reads its stream is convicted at the send-queue
-/// high-water mark and disconnected; other connections stay served, and
-/// the convicted stream's grant settles.
+/// A consumer that never reads its stream is convicted when a reply write
+/// times out and is disconnected; other connections stay served, and the
+/// convicted stream's grant settles.
 #[test]
 fn slow_consumers_are_disconnected_and_spare_other_connections() {
     #[cfg(target_os = "linux")]
     let baseline = live_threads();
     let config = ServeConfig {
         workers: 2,
-        send_queue_depth: 2,
-        send_queue_wait_ms: 50,
+        write_timeout_ms: 50,
         ..test_config()
     };
     let (server, mut client) = boot(config);
     // ~1200 solutions, each echoing a 16 KiB binding (~20 MB of wire
-    // bytes): far more than the loopback socket buffers plus a 2-frame
-    // send queue can absorb.
+    // bytes): far more than the loopback socket buffers can absorb.
     let key = compile_ok(&mut client, &wide_src(1200));
 
     let victim = {
@@ -343,10 +341,10 @@ fn slow_consumers_are_disconnected_and_spare_other_connections() {
         opts.tenant = "sluggish".into();
         opts.known = vec![("tag".into(), Value::Str("t".repeat(16 * 1024)))];
         victim.start_stream(&opts, 1).expect("start stream");
-        victim // held open, never read: the writer must convict it.
+        victim // held open, never read: the worker's write must convict it.
     };
 
-    // The server convicts the slow consumer within the high-water window.
+    // The server convicts the slow consumer once a write times out.
     let mut convicted = false;
     for _ in 0..400 {
         if server.metrics().slow_consumer_disconnects >= 1 {

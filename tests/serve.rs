@@ -9,8 +9,8 @@ use jmatch::runtime::serve::proto::{self, bindings_to_json, read_frame, FrameErr
 use jmatch::runtime::serve::{Client, QueryOptions, QuotaConfig, ServeConfig, Server};
 use jmatch::{Bindings, Limits, Value, Workspace};
 use std::io::Write;
-use std::net::TcpStream;
-use std::time::Duration;
+use std::net::{SocketAddr, TcpStream};
+use std::time::{Duration, Instant};
 
 /// A tiny program with a free generator, a class generator, and a
 /// forward function.
@@ -685,6 +685,69 @@ fn cancel_frames_stop_streams_and_leave_the_connection_usable() {
     server.shutdown();
 }
 
+/// Two threads write to one connection at once — the worker streaming
+/// batches and the reader answering pings inline — and the send lock keeps
+/// every frame whole and each producer's frames in order.
+#[test]
+fn concurrent_producers_never_tear_or_reorder_frames() {
+    let (server, mut client) = boot(test_config());
+    let key = compile_ok(&mut client, &wide_src(300));
+    let mut options = QueryOptions::new(&key, "wide");
+    options.known = vec![("tag".into(), Value::Str("t".into()))];
+
+    // Pipeline the stream and 50 pings without reading a reply.
+    let stream_id = client.start_stream(&options, 1).expect("start stream");
+    let ping_ids: Vec<i64> = (1_000..1_050).collect();
+    for &id in &ping_ids {
+        let ping = Json::obj(vec![
+            ("op", Json::Str("ping".into())),
+            ("id", Json::Int(id)),
+        ]);
+        client.send(&ping).expect("pipelined ping");
+    }
+
+    let mut pongs = Vec::new();
+    let mut next_seq = 0i64;
+    let mut terminal = None;
+    while terminal.is_none() || pongs.len() < ping_ids.len() {
+        // `recv` fails on any torn or interleaved frame.
+        let frame = client.recv().expect("every frame parses");
+        assert_eq!(frame.get("ok"), Some(&Json::Bool(true)), "{frame}");
+        let id = frame.get("id").and_then(Json::as_i64).expect("frame id");
+        if id != stream_id {
+            assert_eq!(frame.get("pong"), Some(&Json::Bool(true)), "{frame}");
+            pongs.push(id);
+            continue;
+        }
+        assert!(
+            terminal.is_none(),
+            "a stream frame after the final one: {frame}"
+        );
+        if frame.get("done") == Some(&Json::Bool(true)) {
+            terminal = Some(frame);
+            continue;
+        }
+        assert_eq!(frame.get("seq").and_then(Json::as_i64), Some(next_seq));
+        let solutions = frame
+            .get("solutions")
+            .and_then(Json::as_arr)
+            .expect("batch");
+        assert_eq!(solutions.len(), 1);
+        assert_eq!(
+            solutions[0].get("x"),
+            Some(&Json::Int(next_seq)),
+            "batches arrived out of order: {frame}"
+        );
+        next_seq += 1;
+    }
+    assert_eq!(pongs, ping_ids, "the reader's pongs arrived out of order");
+    let terminal = terminal.expect("the stream's final frame");
+    assert_eq!(terminal.get("cancelled"), Some(&Json::Bool(false)));
+    assert_eq!(terminal.get("count"), Some(&Json::Int(300)));
+    assert_eq!(next_seq, 300);
+    server.shutdown();
+}
+
 #[cfg(target_os = "linux")]
 #[test]
 fn shutdown_joins_accept_workers_and_connection_readers() {
@@ -698,6 +761,34 @@ fn shutdown_joins_accept_workers_and_connection_readers() {
     assert!(key.starts_with("p:"));
     server.shutdown();
     assert_threads_settle(baseline, "server shutdown");
+}
+
+/// The accept thread blocks in `accept`, and shutdown wakes it with one
+/// connect to the listener's port. A listener bound to every interface
+/// has no address to connect to, so the wake goes over loopback.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_server_bound_to_every_interface_wakes_its_blocking_accept() {
+    let baseline = live_threads();
+    let server = Server::start(ServeConfig {
+        addr: "0.0.0.0:0".into(),
+        ..test_config()
+    })
+    .expect("server start");
+    let loopback = SocketAddr::from(([127, 0, 0, 1], server.local_addr().port()));
+    let mut client = Client::connect(loopback).expect("client connect");
+    let pong = client.ping().expect("ping");
+    assert_eq!(pong.get("pong"), Some(&Json::Bool(true)), "{pong}");
+
+    let stopping = Instant::now();
+    server.shutdown();
+    assert!(
+        stopping.elapsed() < Duration::from_secs(1),
+        "shutdown took {:?}: the blocking accept was not woken",
+        stopping.elapsed()
+    );
+    drop(client);
+    assert_threads_settle(baseline, "wildcard-bound server shutdown");
 }
 
 // ---------------------------------------------------------------------------

@@ -573,6 +573,7 @@ fn stats_delta(after: SessionStats, before: SessionStats) -> SessionStats {
         euf_ns: after.euf_ns.saturating_sub(before.euf_ns),
         expand_ns: after.expand_ns.saturating_sub(before.expand_ns),
         plugin_ns: after.plugin_ns.saturating_sub(before.plugin_ns),
+        scope_ns: after.scope_ns.saturating_sub(before.scope_ns),
     }
 }
 

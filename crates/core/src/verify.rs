@@ -45,6 +45,7 @@ use jmatch_smt::{SatResult, Solver, SolverConfig, SolverStats, TermId, TermStore
 use jmatch_syntax::ast::*;
 use std::collections::HashSet;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Options controlling verification.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -136,6 +137,10 @@ pub struct SessionStats {
     /// Of `expand_ns`, the wall-clock nanoseconds inside the expander
     /// plugin ([`jmatch_smt::SolverStats::plugin_ns`]).
     pub plugin_ns: u64,
+    /// Wall-clock nanoseconds around the solver's checks: opening each
+    /// query's scope and asserting its facts, then popping the scope,
+    /// which garbage-collects the scope's clauses.
+    pub scope_ns: u64,
 }
 
 impl SessionStats {
@@ -156,6 +161,7 @@ impl SessionStats {
         self.euf_ns += other.euf_ns;
         self.expand_ns += other.expand_ns;
         self.plugin_ns += other.plugin_ns;
+        self.scope_ns += other.scope_ns;
     }
 
     /// Folds in one solver query's statistics.
@@ -296,14 +302,19 @@ impl Verifier {
             return hit.clone();
         }
         sess.stats.solver_queries += 1;
+        let clock = Instant::now();
         sess.solver.push();
         for &f in &key {
             sess.solver.assert_formula(&sess.store, f);
         }
+        let mut scope = clock.elapsed();
         let result = sess
             .solver
             .check_with_expander(&mut sess.store, &mut sess.expander);
+        let clock = Instant::now();
         sess.solver.pop();
+        scope += clock.elapsed();
+        sess.stats.scope_ns += u64::try_from(scope.as_nanos()).unwrap_or(u64::MAX);
         sess.stats.absorb_query(sess.solver.stats());
         sess.cache.insert(key, result.clone());
         result

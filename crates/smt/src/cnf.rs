@@ -29,7 +29,11 @@
 //! Term ids and propositional variables are dense, so the literal cache and
 //! the atom-of-variable map are plain vectors indexed by [`TermId`] and
 //! [`PVar`] rather than hash maps, and the encoder reads each formula's
-//! operands in place instead of cloning them.
+//! operands in place instead of cloning them. The literals of an n-ary
+//! conjunction or disjunction are encoded onto one reusable operand stack,
+//! and its defining clauses are passed to the SAT core as slices of it, so
+//! encoding a formula allocates nothing beyond the clauses the SAT core
+//! stores.
 
 use crate::sat::{Lit, PVar, SatSolver};
 use crate::term::{TermData, TermId, TermStore};
@@ -49,6 +53,9 @@ pub struct Encoder {
     true_lit: Option<Lit>,
     /// Composite formulas encoded per open scope (for cache purging).
     scope_log: Vec<Vec<TermId>>,
+    /// The operand literals of the n-ary connectives being encoded, one
+    /// segment per connective, innermost last.
+    operands: Vec<Lit>,
 }
 
 impl Encoder {
@@ -187,30 +194,32 @@ impl Encoder {
                 lit
             }
             TermData::And(xs) => {
-                let mut ls = self.encode_all(store, sat, xs);
+                let start = self.encode_all(store, sat, xs);
                 let p = Lit::pos(sat.new_var());
                 // p -> each x
-                for &l in &ls {
-                    self.def_clause(sat, &[p.negate(), l]);
+                for i in start..self.operands.len() {
+                    self.def_clause(sat, &[p.negate(), self.operands[i]]);
                 }
                 // all x -> p
-                for l in &mut ls {
+                for l in &mut self.operands[start..] {
                     *l = l.negate();
                 }
-                ls.push(p);
-                self.def_clause(sat, &ls);
+                self.operands.push(p);
+                self.def_clause(sat, &self.operands[start..]);
+                self.operands.truncate(start);
                 self.remember(t, p)
             }
             TermData::Or(xs) => {
-                let mut ls = self.encode_all(store, sat, xs);
+                let start = self.encode_all(store, sat, xs);
                 let p = Lit::pos(sat.new_var());
                 // each x -> p
-                for &l in &ls {
-                    self.def_clause(sat, &[l.negate(), p]);
+                for i in start..self.operands.len() {
+                    self.def_clause(sat, &[self.operands[i].negate(), p]);
                 }
                 // p -> some x
-                ls.push(p.negate());
-                self.def_clause(sat, &ls);
+                self.operands.push(p.negate());
+                self.def_clause(sat, &self.operands[start..]);
+                self.operands.truncate(start);
                 self.remember(t, p)
             }
             TermData::Implies(a, b) => {
@@ -242,14 +251,17 @@ impl Encoder {
         }
     }
 
-    /// Encodes every operand of an n-ary connective, leaving room for the
-    /// defining literal.
-    fn encode_all(&mut self, store: &TermStore, sat: &mut SatSolver, xs: &[TermId]) -> Vec<Lit> {
-        let mut ls = Vec::with_capacity(xs.len() + 1);
+    /// Encodes every operand of an n-ary connective onto the end of
+    /// `operands` and returns where they start. A nested connective's
+    /// operands are pushed and truncated above them, so the buffer is a
+    /// stack that the caller truncates back to the returned start.
+    fn encode_all(&mut self, store: &TermStore, sat: &mut SatSolver, xs: &[TermId]) -> usize {
+        let start = self.operands.len();
         for &x in xs {
-            ls.push(self.encode(store, sat, x));
+            let l = self.encode(store, sat, x);
+            self.operands.push(l);
         }
-        ls
+        start
     }
 
     /// Encodes `t` and asserts it as a permanent unit clause. Outside any

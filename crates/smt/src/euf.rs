@@ -33,10 +33,14 @@
 //! rebuilds it. Closure is confluent, so both paths reach the same
 //! partition. The disequality, constant and predicate checks run over the
 //! full assignment on every call, and an `Inconsistent` answer drops the
-//! base. The solver owns one closure for its whole session; [`check`] is a
-//! fresh closure's check, used for conflict minimization.
+//! base. The solver owns one closure for its whole session, and a second
+//! one for conflict minimization, which runs [`Closure::check_fresh`] (the
+//! answer of [`check`], a fresh closure) per candidate subset.
 //!
-//! The tables are keyed by solver-assigned ids and use [`IdMap`].
+//! The tables are keyed by solver-assigned ids and use [`IdMap`]. A
+//! signature keeps up to four argument classes inline, and a
+//! check's scratch vectors live in the closure, so a round allocates only
+//! when a table outgrows its capacity.
 
 use crate::hash::IdMap;
 use crate::sym::Symbol;
@@ -55,8 +59,29 @@ pub enum EufResult {
 /// An assignment of a truth value to an equality or predicate atom.
 pub type AtomAssignment = (TermId, bool);
 
+/// Arguments a [`Signature`] holds inline; longer applications spill to
+/// the heap.
+const INLINE_ARGS: usize = 4;
+
 /// A congruence signature: function symbol and the class of each argument.
-type Signature = (Symbol, Vec<u32>);
+/// Up to [`INLINE_ARGS`] classes are stored inline (unused slots stay 0), so
+/// building and hashing the signature of a typical application allocates
+/// nothing.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Signature {
+    Inline(Symbol, u8, [u32; INLINE_ARGS]),
+    Heap(Symbol, Box<[u32]>),
+}
+
+impl Signature {
+    /// The argument classes.
+    fn classes(&self) -> &[u32] {
+        match self {
+            Signature::Inline(_, arity, classes) => &classes[..usize::from(*arity)],
+            Signature::Heap(_, classes) => classes,
+        }
+    }
+}
 
 /// What the closure needs to know about a numbered subterm.
 #[derive(Debug, Clone, Copy)]
@@ -96,6 +121,13 @@ pub struct Closure {
     /// The base's disequalities and predicate literals, numbered.
     disequalities: Vec<(u32, u32)>,
     predicates: Vec<(u32, bool)>,
+    /// Scratch buffers of one check: the sorted assignment (the next base),
+    /// its atoms beyond the base, and the constant and truth value of each
+    /// class.
+    sorted: Vec<AtomAssignment>,
+    added: Vec<AtomAssignment>,
+    constant: Vec<Option<i64>>,
+    truth: Vec<Option<bool>>,
     /// Whether the last check extended a non-empty base.
     reused: bool,
 }
@@ -117,20 +149,23 @@ impl Closure {
     /// Other atoms are ignored so the caller can pass its full atom
     /// assignment.
     pub fn check(&mut self, store: &TermStore, assignments: &[AtomAssignment]) -> EufResult {
-        let mut sorted: Vec<AtomAssignment> = assignments
-            .iter()
-            .copied()
-            .filter(|&(atom, _)| matches!(store.data(atom), TermData::Eq(..) | TermData::App(..)))
-            .collect();
+        let mut sorted = std::mem::take(&mut self.sorted);
+        sorted.clear();
+        sorted.extend(
+            assignments.iter().copied().filter(|&(atom, _)| {
+                matches!(store.data(atom), TermData::Eq(..) | TermData::App(..))
+            }),
+        );
         sorted.sort_unstable();
         sorted.dedup();
-        let added = self.added_to_base(&sorted);
-        self.reused = added.is_some() && !self.base.is_empty();
-        if added.is_none() {
+        let extends = self.added_to_base(&sorted);
+        self.reused = extends && !self.base.is_empty();
+        if !extends {
             self.clear();
         }
         let first_new = self.nodes.len();
-        for &(atom, value) in added.as_deref().unwrap_or(&sorted) {
+        let added = std::mem::take(&mut self.added);
+        for &(atom, value) in if extends { &added } else { &sorted } {
             match store.data(atom) {
                 TermData::Eq(a, b) => {
                     let pair = (self.collect(store, *a), self.collect(store, *b));
@@ -146,11 +181,12 @@ impl Closure {
                 }
             }
         }
+        self.added = added;
         for app in first_new as u32..self.nodes.len() as u32 {
             let Some(sig) = self.signature(app) else {
                 continue;
             };
-            for &c in &sig.1 {
+            for &c in sig.classes() {
                 self.uses[c as usize].push(app);
             }
             if let Some(&other) = self.table.get(&sig) {
@@ -160,7 +196,7 @@ impl Closure {
             }
         }
         self.close();
-        self.base = sorted;
+        self.sorted = std::mem::replace(&mut self.base, sorted);
 
         if self.consistent() {
             EufResult::Consistent
@@ -168,6 +204,14 @@ impl Closure {
             self.clear();
             EufResult::Inconsistent(assignments.iter().map(|&(a, _)| a).collect())
         }
+    }
+
+    /// [`Closure::check`] on a cleared closure: the answer of a fresh
+    /// closure, reusing this one's allocations. Conflict minimization runs
+    /// one such check per candidate subset.
+    pub fn check_fresh(&mut self, store: &TermStore, assignments: &[AtomAssignment]) -> EufResult {
+        self.clear();
+        self.check(store, assignments)
     }
 
     /// Whether the last [`Closure::check`] extended the closure of an
@@ -214,19 +258,19 @@ impl Closure {
         self.predicates.clear();
     }
 
-    /// The atoms of `sorted` beyond the base, if `sorted` holds every base
-    /// atom with its base value.
-    fn added_to_base(&self, sorted: &[AtomAssignment]) -> Option<Vec<AtomAssignment>> {
+    /// Whether `sorted` holds every base atom with its base value; if so,
+    /// `self.added` holds the atoms of `sorted` beyond the base.
+    fn added_to_base(&mut self, sorted: &[AtomAssignment]) -> bool {
         let mut matched = 0;
-        let mut added = Vec::new();
+        self.added.clear();
         for &a in sorted {
             if self.base.get(matched) == Some(&a) {
                 matched += 1;
             } else {
-                added.push(a);
+                self.added.push(a);
             }
         }
-        (matched == self.base.len()).then_some(added)
+        matched == self.base.len()
     }
 
     /// Numbers `t` and, transitively, its subterms (children first);
@@ -298,13 +342,16 @@ impl Closure {
         let Kind::App(sym, start, arity) = self.nodes[app as usize].1 else {
             return None;
         };
-        let classes = (start..start + arity)
-            .map(|i| {
-                let arg = self.args[i as usize];
-                self.find(arg)
-            })
-            .collect();
-        Some((sym, classes))
+        let args = start as usize..(start + arity) as usize;
+        if args.len() <= INLINE_ARGS {
+            let mut classes = [0; INLINE_ARGS];
+            for (slot, i) in classes.iter_mut().zip(args) {
+                *slot = self.find(self.args[i]);
+            }
+            return Some(Signature::Inline(sym, arity as u8, classes));
+        }
+        let classes = args.map(|i| self.find(self.args[i])).collect();
+        Some(Signature::Heap(sym, classes))
     }
 
     /// Closes the pending merges under congruence.
@@ -353,20 +400,24 @@ impl Closure {
         }
         let n = self.nodes.len();
         // Distinct integer constants are never equal: at most one per class.
-        let mut constant: Vec<Option<i64>> = vec![None; n];
+        self.constant.clear();
+        self.constant.resize(n, None);
         for i in 0..n as u32 {
             if let Kind::Const(c) = self.nodes[i as usize].1 {
-                if *constant[self.find(i) as usize].get_or_insert(c) != c {
+                let root = self.find(i) as usize;
+                if *self.constant[root].get_or_insert(c) != c {
                     return false;
                 }
             }
         }
         // Congruent predicate applications share a class and must not
         // carry opposite truth values.
-        let mut truth: Vec<Option<bool>> = vec![None; n];
+        self.truth.clear();
+        self.truth.resize(n, None);
         for i in 0..self.predicates.len() {
             let (p, value) = self.predicates[i];
-            if *truth[self.find(p) as usize].get_or_insert(value) != value {
+            let root = self.find(p) as usize;
+            if *self.truth[root].get_or_insert(value) != value {
                 return false;
             }
         }

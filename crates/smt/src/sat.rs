@@ -20,6 +20,26 @@
 //! scope's clauses — sound for later queries. This is what lets the SMT layer
 //! keep one session (and its learned knowledge) alive across an entire
 //! verification run instead of rebuilding a solver per query.
+//!
+//! ## Clause storage
+//!
+//! A session adds and retires hundreds of thousands of short clauses, so no
+//! clause owns an allocation. Every clause's literals sit back to back in
+//! one arena (a `Vec<Lit>`), and the clause itself is a `(start, len,
+//! learnt)` header; a clause's index is its header's position, which is what
+//! watch lists and reasons hold. Clauses are normalized in a reusable
+//! scratch buffer before they are copied into the arena, and conflict
+//! analysis reads the conflicting and reason clauses in place, marking
+//! variables in a `seen` buffer that it leaves all-`false`.
+//!
+//! Clauses older than a scope's mark cannot mention its selector, so a
+//! [`SatSolver::pop`] only scans the clauses added since the matching push:
+//! it compacts that tail of the header table and of the arena in place,
+//! keeping the survivors (learnt clauses that do not depend on the scope) in
+//! their order. A variable left with no occurrence returns its two (empty)
+//! watch-list buffers to a pool that [`SatSolver::new_var`] draws from.
+//! [`SatSolver::check_invariants`] checks the store against its watch lists
+//! and occurrence counts.
 
 use std::fmt;
 
@@ -86,22 +106,43 @@ pub enum SatOutcome {
     Unsat,
 }
 
-#[derive(Debug, Clone)]
-struct Clause {
-    lits: Vec<Lit>,
+/// Where a stored clause's literals sit in the solver's literal arena.
+#[derive(Debug, Clone, Copy)]
+struct ClauseHeader {
+    /// Arena index of the first literal.
+    start: u32,
+    /// Number of literals.
+    len: u32,
     learnt: bool,
 }
 
-const INVALID_CLAUSE: usize = usize::MAX;
+impl ClauseHeader {
+    /// The arena index range of the clause's literals.
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// A clause index: a position in the header table, as held by watch lists
+/// and reasons.
+type ClauseIdx = u32;
+
+const INVALID_CLAUSE: ClauseIdx = ClauseIdx::MAX;
 
 /// The CDCL solver.
 #[derive(Debug, Default)]
 pub struct SatSolver {
-    clauses: Vec<Clause>,
-    watches: Vec<Vec<usize>>,
+    /// One header per stored clause, in clause-index order.
+    clauses: Vec<ClauseHeader>,
+    /// The literals of every stored clause, back to back in clause order.
+    arena: Vec<Lit>,
+    watches: Vec<Vec<ClauseIdx>>,
+    /// Empty watch-list buffers of variables that lost their last
+    /// occurrence at a pop, for [`SatSolver::new_var`] to reuse.
+    watch_pool: Vec<Vec<ClauseIdx>>,
     assign: Vec<Option<bool>>,
     level: Vec<u32>,
-    reason: Vec<usize>,
+    reason: Vec<ClauseIdx>,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
@@ -129,6 +170,15 @@ pub struct SatSolver {
     /// clause, and gating them keeps long-lived sessions from re-deciding
     /// every variable retired scopes left behind.
     occs: Vec<u32>,
+    /// Where `add_clause` normalizes a clause before storing it.
+    scratch: Vec<Lit>,
+    /// Where `analyze` builds the learnt clause.
+    learnt: Vec<Lit>,
+    /// `analyze`'s per-variable marks, all `false` between conflicts.
+    seen: Vec<bool>,
+    /// The assumptions of the current solve: the scope selectors, then the
+    /// caller's literals.
+    assumed: Vec<Lit>,
 }
 
 const NOT_IN_HEAP: usize = usize::MAX;
@@ -150,8 +200,11 @@ impl SatSolver {
         self.reason.push(INVALID_CLAUSE);
         self.activity.push(0.0);
         self.phase.push(false);
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
+        for _ in 0..2 {
+            let list = self.watch_pool.pop().unwrap_or_default();
+            self.watches.push(list);
+        }
+        self.seen.push(false);
         self.heap_pos.push(NOT_IN_HEAP);
         self.occs.push(0);
         self.heap_insert(v);
@@ -263,6 +316,58 @@ impl SatSolver {
         self.assign[var as usize]
     }
 
+    /// The literals of stored clause `ci`.
+    fn lits(&self, ci: ClauseIdx) -> &[Lit] {
+        &self.arena[self.clauses[ci as usize].range()]
+    }
+
+    /// Checks the clause store against the watch lists and occurrence
+    /// counts, panicking on the first violation:
+    ///
+    /// * every stored clause has at least two literals and is watched by
+    ///   exactly its first two, once each (a padded unit `[l, l]` twice on
+    ///   `l`'s list), and no watch list holds anything else;
+    /// * the arena holds exactly the stored clauses' literals, back to back;
+    /// * each variable's occurrence count is the number of its literal
+    ///   occurrences in the arena.
+    pub fn check_invariants(&self) {
+        let mut start = 0;
+        for (ci, h) in self.clauses.iter().enumerate() {
+            assert_eq!(h.start, start, "clause {ci} is not packed");
+            assert!(h.len >= 2, "clause {ci} has {} literals", h.len);
+            start += h.len;
+        }
+        assert_eq!(start as usize, self.arena.len(), "arena length");
+        let mut watched = vec![0u32; self.clauses.len()];
+        for (w, list) in self.watches.iter().enumerate() {
+            for &ci in list {
+                let lits = self.lits(ci);
+                assert!(
+                    lits[0].negate().index() == w || lits[1].negate().index() == w,
+                    "clause {ci} {lits:?} is watched on list {w}"
+                );
+                watched[ci as usize] += 1;
+            }
+        }
+        for (ci, &n) in watched.iter().enumerate() {
+            assert_eq!(n, 2, "clause {ci} has {n} watch entries");
+            let lits = self.lits(ci as ClauseIdx);
+            for &w in &lits[..2] {
+                let on_list = self.watches[w.negate().index()]
+                    .iter()
+                    .filter(|&&c| c as usize == ci)
+                    .count();
+                let want = if lits[0] == lits[1] { 2 } else { 1 };
+                assert_eq!(on_list, want, "clause {ci} {lits:?} watch on {w}");
+            }
+        }
+        let mut occs = vec![0u32; self.num_vars()];
+        for &l in &self.arena {
+            occs[l.var() as usize] += 1;
+        }
+        assert_eq!(occs, self.occs, "occurrence counts");
+    }
+
     /// Opens a new assertion scope: clauses added with
     /// [`SatSolver::add_scoped_clause`] from now on live until the matching
     /// [`SatSolver::pop`].
@@ -301,10 +406,11 @@ impl SatSolver {
     }
 
     /// Removes every clause at index `from` or later that contains
-    /// `dead_lit` and compacts the tail. Clauses older than `from` cannot
-    /// mention the popped scope's selector (it did not exist yet), so the
-    /// pop cost is proportional to what the scope added — not to the
-    /// session's whole clause database.
+    /// `dead_lit` and compacts the tail of the header table and the arena
+    /// in place. Clauses older than `from` cannot mention the popped
+    /// scope's selector (it did not exist yet), so the pop cost is
+    /// proportional to what the scope added — not to the session's whole
+    /// clause database.
     fn collect_garbage(&mut self, dead_lit: Lit, from: usize) {
         if self.unsat || from >= self.clauses.len() {
             return;
@@ -313,32 +419,61 @@ impl SatSolver {
         // Purge the tail's watch entries. Watch lists may interleave entries
         // for older clauses, which keep their indices and stay put.
         for i in from..self.clauses.len() {
-            let w0 = self.clauses[i].lits[0].negate().index();
-            let w1 = self.clauses[i].lits[1].negate().index();
-            self.watches[w0].retain(|&idx| idx < from);
-            self.watches[w1].retain(|&idx| idx < from);
-        }
-        // Drop dead tail clauses; survivors (e.g. learnt clauses that do not
-        // depend on the scope) are re-attached at their new indices.
-        let tail: Vec<Clause> = self.clauses.drain(from..).collect();
-        for c in tail {
-            if c.lits.contains(&dead_lit) {
-                for &l in &c.lits {
-                    self.occs[l.var() as usize] -= 1;
-                }
-            } else {
-                let idx = self.clauses.len();
-                self.watches[c.lits[0].negate().index()].push(idx);
-                self.watches[c.lits[1].negate().index()].push(idx);
-                self.clauses.push(c);
+            let start = self.clauses[i].start as usize;
+            for k in 0..2 {
+                let w = self.arena[start + k].negate().index();
+                self.watches[w].retain(|&ci| (ci as usize) < from);
             }
         }
+        // Drop dead tail clauses; survivors (e.g. learnt clauses that do not
+        // depend on the scope) slide down, keeping their order, and are
+        // re-attached at their new indices.
+        let mut kept = from;
+        let mut end = self.clauses[from].start as usize;
+        for i in from..self.clauses.len() {
+            let header = self.clauses[i];
+            let range = header.range();
+            if self.arena[range.clone()].contains(&dead_lit) {
+                for k in range {
+                    let v = self.arena[k].var() as usize;
+                    self.occs[v] -= 1;
+                    if self.occs[v] == 0 {
+                        self.pool_watches(v);
+                    }
+                }
+            } else {
+                let len = header.len as usize;
+                self.arena.copy_within(range, end);
+                self.clauses[kept] = ClauseHeader {
+                    start: end as u32,
+                    ..header
+                };
+                self.watches[self.arena[end].negate().index()].push(kept as ClauseIdx);
+                self.watches[self.arena[end + 1].negate().index()].push(kept as ClauseIdx);
+                kept += 1;
+                end += len;
+            }
+        }
+        self.clauses.truncate(kept);
+        self.arena.truncate(end);
         // Tail indices moved; stale reasons would be unsound to resolve on.
         // Only trail variables can hold one (everything else was reset when
         // it was unassigned), they all sit at level 0 now, and conflict
         // analysis never resolves at level 0 — so drop them.
         for i in 0..self.trail.len() {
             self.reason[self.trail[i].var() as usize] = INVALID_CLAUSE;
+        }
+    }
+
+    /// Moves variable `v`'s watch-list buffers to the pool. No clause
+    /// mentions `v`, so both lists are empty.
+    fn pool_watches(&mut self, v: usize) {
+        for w in [2 * v, 2 * v + 1] {
+            debug_assert!(self.watches[w].is_empty());
+            if self.watches[w].capacity() > 0 {
+                let list = std::mem::take(&mut self.watches[w]);
+                self.watch_pool.push(list);
+            }
         }
     }
 
@@ -352,12 +487,15 @@ impl SatSolver {
     /// Outside any scope this is identical to [`SatSolver::add_clause`].
     /// Returns `false` if the clause set became trivially unsatisfiable.
     pub fn add_scoped_clause(&mut self, lits: &[Lit]) -> bool {
-        let mut buf = Vec::with_capacity(lits.len() + 1);
+        let mut buf = std::mem::take(&mut self.scratch);
+        buf.clear();
         buf.extend_from_slice(lits);
         if let Some(&selector) = self.scope_selectors.last() {
             buf.push(Lit::neg(selector));
         }
-        self.add_clause_buf(buf)
+        let ok = self.add_normalized(&mut buf);
+        self.scratch = buf;
+        ok
     }
 
     fn lit_value(&self, lit: Lit) -> Option<bool> {
@@ -374,12 +512,16 @@ impl SatSolver {
     /// Clauses may be added between calls to [`SatSolver::solve`]; the solver
     /// backtracks to decision level zero first.
     pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
-        self.add_clause_buf(lits.to_vec())
+        let mut buf = std::mem::take(&mut self.scratch);
+        buf.clear();
+        buf.extend_from_slice(lits);
+        let ok = self.add_normalized(&mut buf);
+        self.scratch = buf;
+        ok
     }
 
-    /// [`SatSolver::add_clause`] over an owned buffer, which is normalized
-    /// in place and becomes the stored clause.
-    fn add_clause_buf(&mut self, mut ls: Vec<Lit>) -> bool {
+    /// Normalizes the clause in `ls` in place and stores what is left.
+    fn add_normalized(&mut self, ls: &mut Vec<Lit>) -> bool {
         if self.unsat {
             return false;
         }
@@ -413,22 +555,28 @@ impl SatSolver {
         }
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool) -> usize {
-        let idx = self.clauses.len();
+    /// Stores a clause of at least two literals, watched by its first two.
+    fn attach_clause(&mut self, lits: &[Lit], learnt: bool) -> ClauseIdx {
+        let idx = self.clauses.len() as ClauseIdx;
         self.watches[lits[0].negate().index()].push(idx);
         self.watches[lits[1].negate().index()].push(idx);
-        for &l in &lits {
+        for &l in lits {
             self.occs[l.var() as usize] += 1;
             // A variable gaining its first occurrence becomes decidable again.
             if self.assign[l.var() as usize].is_none() {
                 self.heap_insert(l.var());
             }
         }
-        self.clauses.push(Clause { lits, learnt });
+        self.clauses.push(ClauseHeader {
+            start: self.arena.len() as u32,
+            len: lits.len() as u32,
+            learnt,
+        });
+        self.arena.extend_from_slice(lits);
         idx
     }
 
-    fn enqueue(&mut self, lit: Lit, reason: usize) {
+    fn enqueue(&mut self, lit: Lit, reason: ClauseIdx) {
         debug_assert!(self.lit_value(lit).is_none());
         let v = lit.var() as usize;
         self.assign[v] = Some(lit.is_positive());
@@ -440,7 +588,7 @@ impl SatSolver {
 
     /// Unit propagation. Returns the index of a conflicting clause, or
     /// `INVALID_CLAUSE` if no conflict arose.
-    fn propagate(&mut self) -> usize {
+    fn propagate(&mut self) -> ClauseIdx {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
@@ -451,24 +599,25 @@ impl SatSolver {
             let mut i = 0;
             'clauses: while i < self.watches[watch_idx].len() {
                 let ci = self.watches[watch_idx][i];
+                let range = self.clauses[ci as usize].range();
+                let base = range.start;
                 // Make sure the false literal is at position 1.
-                if self.clauses[ci].lits[0] == false_lit {
-                    self.clauses[ci].lits.swap(0, 1);
+                if self.arena[base] == false_lit {
+                    self.arena.swap(base, base + 1);
                 }
-                debug_assert_eq!(self.clauses[ci].lits[1], false_lit);
-                let first = self.clauses[ci].lits[0];
+                debug_assert_eq!(self.arena[base + 1], false_lit);
+                let first = self.arena[base];
                 if self.lit_value(first) == Some(true) {
                     i += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                for k in 2..self.clauses[ci].lits.len() {
-                    let lk = self.clauses[ci].lits[k];
+                for k in base + 2..range.end {
+                    let lk = self.arena[k];
                     if self.lit_value(lk) != Some(false) {
-                        self.clauses[ci].lits.swap(1, k);
+                        self.arena.swap(base + 1, k);
                         self.watches[watch_idx].swap_remove(i);
-                        let new_watch = self.clauses[ci].lits[1].negate().index();
-                        self.watches[new_watch].push(ci);
+                        self.watches[lk.negate().index()].push(ci);
                         continue 'clauses;
                     }
                 }
@@ -503,11 +652,11 @@ impl SatSolver {
         self.var_inc /= 0.95;
     }
 
-    /// First-UIP conflict analysis. Returns the learnt clause (asserting
-    /// literal first) and the backjump level.
-    fn analyze(&mut self, confl: usize) -> (Vec<Lit>, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit::pos(0)]; // placeholder for the asserting literal
-        let mut seen = vec![false; self.num_vars()];
+    /// First-UIP conflict analysis. Leaves the learnt clause (asserting
+    /// literal first) in `self.learnt` and returns the backjump level.
+    fn analyze(&mut self, confl: ClauseIdx) -> u32 {
+        self.learnt.clear();
+        self.learnt.push(Lit::pos(0)); // placeholder for the asserting literal
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut confl = confl;
@@ -515,17 +664,18 @@ impl SatSolver {
 
         loop {
             debug_assert_ne!(confl, INVALID_CLAUSE);
-            let start = usize::from(p.is_some());
-            let clause_lits = self.clauses[confl].lits.clone();
-            for &q in clause_lits.iter().skip(start) {
+            let range = self.clauses[confl as usize].range();
+            let skip = usize::from(p.is_some());
+            for k in range.start + skip..range.end {
+                let q = self.arena[k];
                 let v = q.var() as usize;
-                if !seen[v] && self.level[v] > 0 {
-                    seen[v] = true;
+                if !self.seen[v] && self.level[v] > 0 {
+                    self.seen[v] = true;
                     self.bump_var(q.var());
                     if self.level[v] == self.decision_level() {
                         counter += 1;
                     } else {
-                        learnt.push(q);
+                        self.learnt.push(q);
                     }
                 }
             }
@@ -533,25 +683,31 @@ impl SatSolver {
             loop {
                 trail_idx -= 1;
                 let l = self.trail[trail_idx];
-                if seen[l.var() as usize] {
+                if self.seen[l.var() as usize] {
                     p = Some(l);
                     break;
                 }
             }
             let pv = p.unwrap().var() as usize;
-            seen[pv] = false;
+            self.seen[pv] = false;
             counter -= 1;
             if counter == 0 {
                 break;
             }
             confl = self.reason[pv];
         }
-        learnt[0] = p.unwrap().negate();
+        self.learnt[0] = p.unwrap().negate();
+        // The current level's marks were cleared as they were resolved; the
+        // learnt clause's lower-level literals hold the rest.
+        for i in 1..self.learnt.len() {
+            self.seen[self.learnt[i].var() as usize] = false;
+        }
 
         // Compute the backjump level: the second-highest level in the clause.
-        let backjump = if learnt.len() == 1 {
+        if self.learnt.len() == 1 {
             0
         } else {
+            let learnt = &mut self.learnt;
             let mut max_i = 1;
             for i in 2..learnt.len() {
                 if self.level[learnt[i].var() as usize] > self.level[learnt[max_i].var() as usize] {
@@ -560,8 +716,7 @@ impl SatSolver {
             }
             learnt.swap(1, max_i);
             self.level[learnt[1].var() as usize]
-        };
-        (learnt, backjump)
+        }
     }
 
     fn cancel_until(&mut self, target: u32) {
@@ -610,11 +765,15 @@ impl SatSolver {
     /// satisfiable. Unlike incremental SAT solvers this implementation does
     /// not produce a final conflict clause over the assumptions.
     /// [`SatSolver::solve`] is this with no extra assumptions; besides it,
-    /// only this module's tests call it.
+    /// only tests call it.
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SatOutcome {
-        let mut all: Vec<Lit> = self.scope_selectors.iter().map(|&v| Lit::pos(v)).collect();
+        let mut all = std::mem::take(&mut self.assumed);
+        all.clear();
+        all.extend(self.scope_selectors.iter().map(|&v| Lit::pos(v)));
         all.extend_from_slice(assumptions);
-        self.solve_under(&all)
+        let outcome = self.solve_under(&all);
+        self.assumed = all;
+        outcome
     }
 
     /// The one CDCL loop. With no assumptions a conflict at level 0 makes
@@ -659,25 +818,30 @@ impl SatSolver {
                     self.cancel_until(0);
                     return SatOutcome::Unsat;
                 }
-                let (learnt, backjump) = self.analyze(confl);
-                let backjump = backjump.max(assumption_level);
+                let backjump = self.analyze(confl).max(assumption_level);
                 self.cancel_until(backjump);
+                let learnt = std::mem::take(&mut self.learnt);
+                let asserting = learnt[0];
                 if learnt.len() == 1 {
                     if self.decision_level() == 0 {
-                        self.enqueue(learnt[0], INVALID_CLAUSE);
-                    } else if self.lit_value(learnt[0]).is_none() {
-                        let ci = self.attach_clause_unit_guard(learnt.clone());
-                        self.enqueue(learnt[0], ci);
-                    } else if self.lit_value(learnt[0]) == Some(false) {
+                        self.enqueue(asserting, INVALID_CLAUSE);
+                    } else if self.lit_value(asserting).is_none() {
+                        // A learnt unit under assumptions cannot be watched
+                        // twice; pad it with a duplicate literal.
+                        let ci = self.attach_clause(&[asserting, asserting], true);
+                        self.enqueue(asserting, ci);
+                    } else if self.lit_value(asserting) == Some(false) {
+                        self.learnt = learnt;
                         self.cancel_until(0);
                         return SatOutcome::Unsat;
                     }
                 } else {
-                    let ci = self.attach_clause(learnt.clone(), true);
-                    if self.lit_value(learnt[0]).is_none() {
-                        self.enqueue(learnt[0], ci);
+                    let ci = self.attach_clause(&learnt, true);
+                    if self.lit_value(asserting).is_none() {
+                        self.enqueue(asserting, ci);
                     }
                 }
+                self.learnt = learnt;
                 self.decay_activity();
             } else {
                 match self.pick_branch_var() {
@@ -691,15 +855,6 @@ impl SatSolver {
                 }
             }
         }
-    }
-
-    fn attach_clause_unit_guard(&mut self, mut lits: Vec<Lit>) -> usize {
-        // A learnt unit clause under assumptions cannot be attached with two
-        // watches; pad it with a duplicate literal so the watch scheme holds.
-        if lits.len() == 1 {
-            lits.push(lits[0]);
-        }
-        self.attach_clause(lits, true)
     }
 }
 

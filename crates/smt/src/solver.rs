@@ -68,7 +68,9 @@
 //! inconsistent round drops it. The partition, and so every answer and
 //! model, is the one a fresh closure computes.
 //! [`SolverStats::euf_reused`] counts the extended checks. Conflict
-//! minimization still runs [`euf::check`], a fresh closure per subset.
+//! minimization needs a fresh closure's answer per candidate subset: it
+//! clears and refills a second closure the session keeps for the purpose
+//! ([`Closure::check_fresh`]).
 //!
 //! Debug builds check every `Sat` model: each active assertion must
 //! evaluate to true under [`Model::eval_bool`].
@@ -78,7 +80,7 @@
 //! integer hasher of [`crate::hash`].
 
 use crate::cnf::Encoder;
-use crate::euf::{self, Closure, EufResult};
+use crate::euf::{Closure, EufResult};
 use crate::hash::{IdMap, IdSet};
 use crate::lia::{self, LiaResult};
 use crate::model::Model;
@@ -216,6 +218,9 @@ pub struct Solver {
     /// The congruence closure of the last consistent EUF assignment, kept
     /// across rounds and queries.
     closure: Closure,
+    /// The closure that EUF conflict minimization clears and refills for
+    /// each candidate subset.
+    minimizer: Closure,
 }
 
 impl Default for Solver {
@@ -243,6 +248,7 @@ impl Solver {
             atom_depth: IdMap::default(),
             lemma_atoms: IdMap::default(),
             closure: Closure::new(),
+            minimizer: Closure::new(),
         }
     }
 
@@ -422,8 +428,8 @@ impl Solver {
             match lia::check(store, &arith) {
                 LiaResult::Infeasible(_) => {
                     self.stats.theory_conflicts += 1;
-                    let core = self.minimize(store, &arith, |s, sub| {
-                        matches!(lia::check(s, sub), LiaResult::Infeasible(_))
+                    let core = minimize(&arith, |sub| {
+                        matches!(lia::check(store, sub), LiaResult::Infeasible(_))
                     });
                     self.block(store, &core);
                     self.stats.lia_ns += elapsed_ns(clock);
@@ -443,8 +449,12 @@ impl Solver {
             match result {
                 EufResult::Inconsistent(_) => {
                     self.stats.theory_conflicts += 1;
-                    let core = self.minimize(store, &equality, |s, sub| {
-                        matches!(euf::check(s, sub), EufResult::Inconsistent(_))
+                    let minimizer = &mut self.minimizer;
+                    let core = minimize(&equality, |sub| {
+                        matches!(
+                            minimizer.check_fresh(store, sub),
+                            EufResult::Inconsistent(_)
+                        )
                     });
                     self.block(store, &core);
                     self.stats.euf_ns += elapsed_ns(clock);
@@ -581,30 +591,6 @@ impl Solver {
         }
     }
 
-    /// Greedy deletion-based minimization of a theory conflict.
-    fn minimize(
-        &self,
-        store: &TermStore,
-        assignments: &[(TermId, bool)],
-        still_conflicting: impl Fn(&TermStore, &[(TermId, bool)]) -> bool,
-    ) -> Vec<(TermId, bool)> {
-        let mut core: Vec<(TermId, bool)> = assignments.to_vec();
-        let mut i = 0;
-        while i < core.len() {
-            if core.len() <= 1 {
-                break;
-            }
-            let mut candidate = core.clone();
-            candidate.remove(i);
-            if still_conflicting(store, &candidate) {
-                core = candidate;
-            } else {
-                i += 1;
-            }
-        }
-        core
-    }
-
     /// Adds a permanent blocking clause ruling out the given theory-
     /// inconsistent partial atom assignment (valid in every context, so it
     /// survives scope pops).
@@ -622,6 +608,28 @@ impl Solver {
             .collect();
         self.sat.add_clause(&clause);
     }
+}
+
+/// Greedy deletion-based minimization of a theory conflict: drops each
+/// assignment in turn while the rest still conflicts.
+fn minimize(
+    assignments: &[(TermId, bool)],
+    mut still_conflicting: impl FnMut(&[(TermId, bool)]) -> bool,
+) -> Vec<(TermId, bool)> {
+    let mut core: Vec<(TermId, bool)> = assignments.to_vec();
+    let mut candidate: Vec<(TermId, bool)> = Vec::with_capacity(core.len());
+    let mut i = 0;
+    while i < core.len() && core.len() > 1 {
+        candidate.clear();
+        candidate.extend_from_slice(&core[..i]);
+        candidate.extend_from_slice(&core[i + 1..]);
+        if still_conflicting(&candidate) {
+            std::mem::swap(&mut core, &mut candidate);
+        } else {
+            i += 1;
+        }
+    }
+    core
 }
 
 /// Nanoseconds since `clock`, saturated to `u64`.

@@ -174,8 +174,9 @@ impl TermStore {
     pub fn fresh_var(&mut self, prefix: &str, sort: Sort) -> TermId {
         loop {
             self.fresh_counter += 1;
-            let name = format!("{prefix}!{}", self.fresh_counter);
-            let sym = self.interner.intern(&name);
+            let sym = self
+                .interner
+                .intern_fmt(format_args!("{prefix}!{}", self.fresh_counter));
             let before = self.data.len();
             let t = self.mk(TermData::Var(sym, sort), sort);
             if self.data.len() > before {

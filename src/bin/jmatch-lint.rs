@@ -8,7 +8,8 @@
 //! `--verify`) verifies with one worker and reports, per input, the
 //! solver's deterministic counters and the wall-clock time of each solver
 //! layer (SAT, LIA, EUF, lazy expansion, and within expansion the plugin
-//! deriving lemmas): the one-worker verification profile.
+//! deriving lemmas) plus the scope layer around the checks (push, query
+//! assertions, pop): the one-worker verification profile.
 //!
 //! Output is human-readable by default; `--json` emits one stable JSON
 //! document for the whole run (the CI `lint-corpus` golden uses this).
@@ -32,7 +33,8 @@ OPTIONS:
                      warnings are folded into the report)
     --timings        with --verify: verify with one worker and report each
                      input's solver counters and SAT/LIA/EUF/expansion ms
-                     (plugin ms: the part of expansion inside the plugin)
+                     (plugin ms: the part of expansion inside the plugin;
+                     scope ms: push, query assertions and pop)
     -h, --help       print this help
 
 EXIT STATUS:
@@ -144,6 +146,7 @@ fn timings_json(s: &SessionStats) -> Json {
         ("euf_ms", ms(s.euf_ns)),
         ("expand_ms", ms(s.expand_ns)),
         ("plugin_ms", ms(s.plugin_ns)),
+        ("scope_ms", ms(s.scope_ns)),
     ])
 }
 

@@ -141,7 +141,7 @@ fn per_theory_times_are_reported_within_wall_time() {
     let generation = Workspace::new().verify_threads(1).load(&source).unwrap();
     let wall = clock.elapsed().as_nanos() as u64;
     let s = generation.report().verify_stats;
-    let layers = [s.sat_ns, s.lia_ns, s.euf_ns, s.expand_ns];
+    let layers = [s.sat_ns, s.lia_ns, s.euf_ns, s.expand_ns, s.scope_ns];
     assert!(layers.iter().all(|&ns| ns > 0), "{s:?}");
     assert!(layers.iter().sum::<u64>() <= wall, "{s:?} vs {wall} ns");
     // The plugin's share is a part of the expansion layer.

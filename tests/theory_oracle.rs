@@ -25,7 +25,13 @@
 //!   most ten variables, mixing permanent clauses, `push` /
 //!   `add_scoped_clause` / `pop` scopes and `solve_with_assumptions`.
 //!   Every answer must match a scan of all assignments over the active
-//!   clauses, and every `Sat` model must satisfy them.
+//!   clauses, and every `Sat` model must satisfy them. After every
+//!   operation [`SatSolver::check_invariants`] checks the clause store
+//!   against its watch lists and occurrence counts. Some `Sat` answers are
+//!   followed at once by new clauses and a second solve, which resumes the
+//!   previous trail; a second driver runs long scopes of 3-literal clauses,
+//!   so that learnt clauses survive pops and the pop-time compaction moves
+//!   them.
 //!
 //! The generator is a fixed-seed xorshift, so every run checks the same
 //! instances.
@@ -672,76 +678,196 @@ fn brute_force_sat(n: u32, clauses: &[&Vec<Lit>], assumptions: &[Lit]) -> bool {
     })
 }
 
-#[test]
-fn cdcl_agrees_with_brute_force_under_scopes_and_assumptions() {
-    let mut rng = XorShift(0x5a7_c0de);
-    let (mut sat, mut unsat) = (0, 0);
-    for _ in 0..300 {
-        let n = rng.range(1, 10) as u32;
-        let mut solver = SatSolver::new();
-        for v in 0..n {
-            assert_eq!(solver.new_var(), v);
+/// A clause of exactly three literals over distinct variables of `0..n`.
+fn random_3_clause(rng: &mut XorShift, n: u32) -> Vec<Lit> {
+    let mut clause: Vec<Lit> = Vec::new();
+    while clause.len() < 3 {
+        let var = rng.range(0, i64::from(n) - 1) as u32;
+        if clause.iter().all(|l| l.var() != var) {
+            clause.push(Lit::new(var, rng.chance(50)));
         }
-        // `scopes[0]` holds the permanent clauses, `scopes[k]` those of
-        // the k-th open scope.
-        let mut scopes: Vec<Vec<Vec<Lit>>> = vec![Vec::new()];
-        for _ in 0..24 {
-            match rng.range(0, 9) {
-                0..=2 => {
-                    let clause = random_clause(&mut rng, n);
-                    solver.add_clause(&clause);
-                    scopes[0].push(clause);
+    }
+    clause
+}
+
+/// The weights of a random SAT session's operations, in percent of the
+/// draws: permanent clause, scoped clause, push, pop; the rest solve.
+struct OpMix {
+    permanent: i64,
+    scoped: i64,
+    push: i64,
+    pop: i64,
+}
+
+/// What a random SAT session saw.
+#[derive(Default)]
+struct SessionTally {
+    sat: u32,
+    unsat: u32,
+    /// `Sat` answers followed at once by new clauses and a second solve.
+    resumed: u32,
+    /// Pops after which learnt clauses were left in the store.
+    learnt_survived_pop: u32,
+}
+
+/// Drives one solver through `ops` random operations over `n` variables,
+/// checking every answer against brute force and the clause store's
+/// invariants after every operation.
+fn random_session(
+    rng: &mut XorShift,
+    n: u32,
+    ops: usize,
+    mix: &OpMix,
+    clause: fn(&mut XorShift, u32) -> Vec<Lit>,
+    tally: &mut SessionTally,
+) {
+    let mut solver = SatSolver::new();
+    for v in 0..n {
+        assert_eq!(solver.new_var(), v);
+    }
+    // `scopes[0]` holds the permanent clauses, `scopes[k]` those of the
+    // k-th open scope.
+    let mut scopes: Vec<Vec<Vec<Lit>>> = vec![Vec::new()];
+    let solve_and_check =
+        |solver: &mut SatSolver, scopes: &[Vec<Vec<Lit>>], assumptions: &[Lit]| -> bool {
+            let outcome = if assumptions.is_empty() {
+                solver.solve()
+            } else {
+                solver.solve_with_assumptions(assumptions)
+            };
+            solver.check_invariants();
+            let active: Vec<&Vec<Lit>> = scopes.iter().flatten().collect();
+            let want = brute_force_sat(n, &active, assumptions);
+            assert_eq!(
+                outcome == SatOutcome::Sat,
+                want,
+                "{n} variables, clauses {active:?}, assumptions {assumptions:?}"
+            );
+            if outcome == SatOutcome::Unsat {
+                return false;
+            }
+            let holds = |l: &Lit| solver.value(l.var()) == Some(l.is_positive());
+            for clause in &active {
+                assert!(clause.iter().any(holds), "the model falsifies {clause:?}");
+            }
+            assert!(
+                assumptions.iter().all(holds),
+                "the model falsifies an assumption of {assumptions:?}"
+            );
+            true
+        };
+    for _ in 0..ops {
+        let draw = rng.range(0, 99);
+        if draw < mix.permanent {
+            let c = clause(rng, n);
+            solver.add_clause(&c);
+            scopes[0].push(c);
+        } else if draw < mix.permanent + mix.scoped {
+            let c = clause(rng, n);
+            solver.add_scoped_clause(&c);
+            scopes.last_mut().unwrap().push(c);
+        } else if draw < mix.permanent + mix.scoped + mix.push {
+            solver.push();
+            scopes.push(Vec::new());
+        } else if draw < mix.permanent + mix.scoped + mix.push + mix.pop {
+            if scopes.len() > 1 {
+                solver.pop();
+                scopes.pop();
+                if solver.num_learnt() > 0 {
+                    tally.learnt_survived_pop += 1;
                 }
-                3 | 4 => {
-                    let clause = random_clause(&mut rng, n);
-                    solver.add_scoped_clause(&clause);
-                    scopes.last_mut().unwrap().push(clause);
-                }
-                5 => {
-                    solver.push();
-                    scopes.push(Vec::new());
-                }
-                6 if scopes.len() > 1 => {
-                    solver.pop();
-                    scopes.pop();
-                }
-                _ => {
-                    let assumptions = if rng.chance(50) {
-                        Vec::new()
+            }
+        } else {
+            let assumptions = if rng.chance(50) {
+                Vec::new()
+            } else {
+                let mut lits = random_clause(rng, n);
+                lits.truncate(2);
+                lits
+            };
+            if !solve_and_check(&mut solver, &scopes, &assumptions) {
+                tally.unsat += 1;
+                continue;
+            }
+            tally.sat += 1;
+            if rng.chance(50) {
+                // Add clauses under the model's trail, without a pop, and
+                // solve again under the same assumptions: the resume path.
+                for _ in 0..rng.range(1, 2) {
+                    let c = clause(rng, n);
+                    if rng.chance(50) {
+                        solver.add_clause(&c);
+                        scopes[0].push(c);
                     } else {
-                        let mut lits = random_clause(&mut rng, n);
-                        lits.truncate(2);
-                        lits
-                    };
-                    let outcome = if assumptions.is_empty() {
-                        solver.solve()
-                    } else {
-                        solver.solve_with_assumptions(&assumptions)
-                    };
-                    let active: Vec<&Vec<Lit>> = scopes.iter().flatten().collect();
-                    let want = brute_force_sat(n, &active, &assumptions);
-                    assert_eq!(
-                        outcome == SatOutcome::Sat,
-                        want,
-                        "{n} variables, clauses {active:?}, assumptions {assumptions:?}"
-                    );
-                    if outcome == SatOutcome::Unsat {
-                        unsat += 1;
-                        continue;
+                        solver.add_scoped_clause(&c);
+                        scopes.last_mut().unwrap().push(c);
                     }
-                    sat += 1;
-                    let holds = |l: &Lit| solver.value(l.var()) == Some(l.is_positive());
-                    for clause in &active {
-                        assert!(clause.iter().any(holds), "the model falsifies {clause:?}");
-                    }
-                    assert!(
-                        assumptions.iter().all(holds),
-                        "the model falsifies an assumption of {assumptions:?}"
-                    );
+                    solver.check_invariants();
+                }
+                tally.resumed += 1;
+                if solve_and_check(&mut solver, &scopes, &assumptions) {
+                    tally.sat += 1;
+                } else {
+                    tally.unsat += 1;
                 }
             }
         }
+        solver.check_invariants();
     }
-    // The instances must exercise both answers.
+}
+
+#[test]
+fn cdcl_agrees_with_brute_force_under_scopes_and_assumptions() {
+    let mut rng = XorShift(0x5a7_c0de);
+    let mut tally = SessionTally::default();
+    let mix = OpMix {
+        permanent: 30,
+        scoped: 20,
+        push: 10,
+        pop: 10,
+    };
+    for _ in 0..300 {
+        let n = rng.range(1, 10) as u32;
+        random_session(&mut rng, n, 24, &mix, random_clause, &mut tally);
+    }
+    // The instances must exercise both answers and the resume path.
+    let SessionTally {
+        sat,
+        unsat,
+        resumed,
+        ..
+    } = tally;
     assert!(sat > 100 && unsat > 100, "{sat} sat, {unsat} unsat");
+    assert!(resumed > 100, "{resumed} resumed solves");
+}
+
+#[test]
+fn cdcl_clause_store_survives_long_scopes_with_learnt_clauses() {
+    // Long scopes of 3-literal clauses near the satisfiability threshold
+    // make the solver learn, so that pops compact tails that hold learnt
+    // clauses and keep those that do not depend on the scope.
+    let mut rng = XorShift(0x10a9_5c0e);
+    let mut tally = SessionTally::default();
+    let mix = OpMix {
+        permanent: 15,
+        scoped: 55,
+        push: 4,
+        pop: 4,
+    };
+    for _ in 0..60 {
+        let n = rng.range(8, 12) as u32;
+        random_session(&mut rng, n, 160, &mix, random_3_clause, &mut tally);
+    }
+    let SessionTally {
+        sat,
+        unsat,
+        resumed,
+        learnt_survived_pop,
+    } = tally;
+    assert!(sat > 50 && unsat > 50, "{sat} sat, {unsat} unsat");
+    assert!(resumed > 50, "{resumed} resumed solves");
+    assert!(
+        learnt_survived_pop > 20,
+        "{learnt_survived_pop} pops kept learnt clauses"
+    );
 }

@@ -4,7 +4,10 @@
 //! propositional core with the theory solvers:
 //!
 //! 1. the boolean abstraction of the asserted formulas is solved by the CDCL
-//!    core ([`crate::sat`]);
+//!    core ([`crate::sat`]). The core keeps its trail between rounds: the
+//!    blocking clause or lemmas a round adds backjump only as far as they
+//!    need, and the next solve continues from the decisions that survived,
+//!    so a round does not re-decide the whole query;
 //! 2. the resulting atom assignment is checked against linear integer
 //!    arithmetic ([`crate::lia`]) and congruence closure ([`crate::euf`]);
 //!    inconsistencies are turned into (greedily minimized) blocking clauses;
@@ -42,11 +45,13 @@
 //! Tseitin definitions of its (typically one-off) composite formulas, its
 //! lemma instantiations, and CDCL clauses learned from any of those — the
 //! selector literal that conflict analysis threads through them lets the pop
-//! garbage-collect the lot. The SAT core therefore only ever carries the
-//! clauses of the query at hand, while decisions are further gated to
-//! variables that still occur in live clauses. This is what makes a
-//! long-lived session strictly cheaper than rebuilding a solver per query,
-//! instead of drowning in its own history.
+//! garbage-collect the lot, compacting the SAT core's clause arena in place.
+//! The SAT core therefore only ever carries the clauses of the query at hand,
+//! while decisions are further gated to variables that still occur in live
+//! clauses. Within a query the rounds share one CDCL trail (step 1 above);
+//! a new query, whose scope selector differs, starts from level 0. This is
+//! what makes a long-lived session strictly cheaper than rebuilding a
+//! solver per query, instead of drowning in its own history.
 //!
 //! Each query theory-checks and expands only the atoms reachable from its own
 //! active assertions (closed over the lemmas previously attached to them), so

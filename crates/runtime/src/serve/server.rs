@@ -89,6 +89,54 @@ fn lock_ok<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
+/// The server's stop flag. The threads that wait between periodic scans
+/// (supervisor, watchdog) and [`Server::wait_for_shutdown`] sleep on its
+/// condvar, so setting the flag wakes them at once instead of at their
+/// next tick.
+#[derive(Default)]
+struct StopSignal {
+    stopped: AtomicBool,
+    lock: Mutex<()>,
+    wake: Condvar,
+}
+
+impl StopSignal {
+    fn is_set(&self) -> bool {
+        self.stopped.load(Ordering::Acquire)
+    }
+
+    fn set(&self) {
+        self.stopped.store(true, Ordering::Release);
+        // Taking the lock orders the store before any waiter's check.
+        let _guard = lock_ok(&self.lock);
+        self.wake.notify_all();
+    }
+
+    /// Sleeps until the flag is set or `timeout` (if any) passes; returns
+    /// whether the flag is set.
+    fn wait(&self, timeout: Option<Duration>) -> bool {
+        let deadline = timeout.map(|t| Instant::now() + t);
+        let mut guard = lock_ok(&self.lock);
+        while !self.is_set() {
+            guard = match deadline {
+                None => self.wake.wait(guard).unwrap_or_else(|p| p.into_inner()),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return false;
+                    }
+                    let (guard, _) = self
+                        .wake
+                        .wait_timeout(guard, left)
+                        .unwrap_or_else(|p| p.into_inner());
+                    guard
+                }
+            };
+        }
+        true
+    }
+}
+
 /// Stack size for reader and worker threads. Compilation runs inline on
 /// reader threads and query lowering on workers; both recurse over ASTs
 /// whose depth is client-controlled (e.g. a wide `||` chain), so these
@@ -489,7 +537,7 @@ struct Shared {
     cache: ProgramCache,
     quotas: TenantQuotas,
     sched: Sched,
-    shutdown: AtomicBool,
+    shutdown: StopSignal,
     counters: Arc<Counters>,
     conns: Mutex<HashMap<u64, ConnEntry>>,
     next_conn: AtomicU64,
@@ -545,7 +593,7 @@ impl Server {
                 state: Mutex::new(SchedState::default()),
                 ready: Condvar::new(),
             },
-            shutdown: AtomicBool::new(false),
+            shutdown: StopSignal::default(),
             counters: Arc::new(Counters::default()),
             conns: Mutex::new(HashMap::new()),
             next_conn: AtomicU64::new(0),
@@ -624,16 +672,14 @@ impl Server {
     /// Whether a `shutdown` frame (or a prior [`Server::shutdown`]) has
     /// stopped the server.
     pub fn is_shut_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::Acquire)
+        self.shared.shutdown.is_set()
     }
 
     /// Blocks until something requests shutdown (a `shutdown` frame with
     /// remote shutdown enabled, or another thread calling
     /// [`Server::shutdown`] via a clone — the bin's main-thread wait).
     pub fn wait_for_shutdown(&self) {
-        while !self.is_shut_down() {
-            std::thread::sleep(Duration::from_millis(50));
-        }
+        self.shared.shutdown.wait(None);
     }
 
     /// Stops accepting, closes every connection, joins every thread.
@@ -643,7 +689,7 @@ impl Server {
     }
 
     fn stop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        self.shared.shutdown.set();
         self.shared.sched.ready.notify_all();
         // The accept thread first, so no connection is added behind the
         // drain below. It is parked in `accept`; one loopback connect
@@ -708,16 +754,16 @@ fn spawn_worker(shared: &Arc<Shared>, index: usize) -> io::Result<JoinHandle<()>
         })
 }
 
-/// The supervisor: polls the worker pool and respawns any thread that
-/// died. Request panics are caught inside the worker, so in practice only
+/// The supervisor: polls the worker pool every 10 ms and respawns any
+/// thread that died. Request panics are caught inside the worker, so in practice only
 /// an *uncaught* panic (an injected between-jobs fault, or a bug in the
 /// worker loop itself) gets here — but the server must outlive those too.
 fn supervisor_loop(shared: &Arc<Shared>) {
-    while !shared.shutdown.load(Ordering::Acquire) {
+    while !shared.shutdown.is_set() {
         {
             let mut workers = lock_ok(&shared.workers);
             for i in 0..workers.len() {
-                if !workers[i].is_finished() || shared.shutdown.load(Ordering::Acquire) {
+                if !workers[i].is_finished() || shared.shutdown.is_set() {
                     continue;
                 }
                 match spawn_worker(shared, i) {
@@ -735,16 +781,17 @@ fn supervisor_loop(shared: &Arc<Shared>) {
                 }
             }
         }
-        std::thread::sleep(Duration::from_millis(10));
+        // Sleeps a tick; a stop wakes it at once.
+        shared.shutdown.wait(Some(Duration::from_millis(10)));
     }
 }
 
-/// The deadline watchdog: scans the registry and fires the cancel token
-/// of every request past its deadline. The engines poll the token every
+/// The deadline watchdog: scans the registry every 5 ms and fires the
+/// cancel token of every request past its deadline. The engines poll the token every
 /// 256 steps, so enforcement lag is bounded by poll granularity plus the
 /// scan interval.
 fn watchdog_loop(shared: &Arc<Shared>) {
-    while !shared.shutdown.load(Ordering::Acquire) {
+    while !shared.shutdown.is_set() {
         {
             let now = Instant::now();
             let mut deadlines = lock_ok(&shared.deadlines);
@@ -761,7 +808,8 @@ fn watchdog_loop(shared: &Arc<Shared>) {
                 }
             });
         }
-        std::thread::sleep(Duration::from_millis(5));
+        // Sleeps a tick; a stop wakes it at once.
+        shared.shutdown.wait(Some(Duration::from_millis(5)));
     }
 }
 
@@ -775,7 +823,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             Ok((stream, _peer)) => stream,
             // Out of descriptors or memory: back off instead of spinning.
             Err(_) => {
-                if shared.shutdown.load(Ordering::Acquire) {
+                if shared.shutdown.is_set() {
                     return;
                 }
                 std::thread::sleep(Duration::from_millis(10));
@@ -784,7 +832,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         };
         // Past shutdown every accepted connection is dropped unserved;
         // one of them is `Server::stop`'s wake connect.
-        if shared.shutdown.load(Ordering::Acquire) {
+        if shared.shutdown.is_set() {
             return;
         }
         serve_connection(stream, shared);
@@ -886,7 +934,7 @@ fn reader_loop(stream: TcpStream, conn: &Arc<ConnShared>, shared: &Arc<Shared>) 
     // and one `read` then serves both (often several pipelined frames).
     let mut stream = BufReader::new(stream);
     loop {
-        if shared.shutdown.load(Ordering::Acquire) || !conn.open.load(Ordering::Acquire) {
+        if shared.shutdown.is_set() || !conn.open.load(Ordering::Acquire) {
             return;
         }
         match read_frame(&mut stream, shared.config.max_frame) {
@@ -967,7 +1015,7 @@ fn handle_frame(doc: &Json, conn: &Arc<ConnShared>, shared: &Arc<Shared>) {
         Request::Shutdown { id } => {
             if shared.config.allow_remote_shutdown {
                 conn.send(&proto::resp_ack(id));
-                shared.shutdown.store(true, Ordering::Release);
+                shared.shutdown.set();
                 shared.sched.ready.notify_all();
             } else {
                 conn.send(
@@ -1376,7 +1424,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         let job = {
             let mut state = lock_ok(&shared.sched.state);
             loop {
-                if shared.shutdown.load(Ordering::Acquire) {
+                if shared.shutdown.is_set() {
                     return;
                 }
                 if let Some(job) = state.pop() {

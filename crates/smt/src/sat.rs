@@ -470,6 +470,7 @@ impl SatSolver {
             } else {
                 let len = header.len as usize;
                 self.arena.copy_within(range, end);
+                // Survivors only move down, so indices still fit in u32.
                 self.clauses[kept] = ClauseHeader {
                     start: end as u32,
                     ..header
@@ -645,7 +646,11 @@ impl SatSolver {
 
     /// Stores a clause of at least two literals, watched by its first two.
     fn attach_clause(&mut self, lits: &[Lit], learnt: bool) -> ClauseIdx {
-        let idx = self.clauses.len() as ClauseIdx;
+        let idx = ClauseIdx::try_from(self.clauses.len())
+            .ok()
+            .filter(|&i| i != INVALID_CLAUSE)
+            .expect("clause indices fit in u32");
+        let end = u32::try_from(self.arena.len() + lits.len()).expect("arena indices fit in u32");
         self.watches[lits[0].negate().index()].push(idx);
         self.watches[lits[1].negate().index()].push(idx);
         for &l in lits {
@@ -655,9 +660,10 @@ impl SatSolver {
                 self.heap_insert(l.var());
             }
         }
+        let len = lits.len() as u32; // at most `end`
         self.clauses.push(ClauseHeader {
-            start: self.arena.len() as u32,
-            len: lits.len() as u32,
+            start: end - len,
+            len,
             learnt,
         });
         self.arena.extend_from_slice(lits);

@@ -57,7 +57,7 @@ impl Interner {
 
     /// Interns the name `args` formats to, writing it straight into the
     /// text buffer (no intermediate `String`).
-    pub fn intern_fmt(&mut self, args: fmt::Arguments<'_>) -> Symbol {
+    pub(crate) fn intern_fmt(&mut self, args: fmt::Arguments<'_>) -> Symbol {
         let start = self.text.len();
         self.text
             .write_fmt(args)

@@ -514,15 +514,8 @@ impl SatSolver {
     /// Outside any scope this is identical to [`SatSolver::add_clause`].
     /// Returns `false` if the clause set became trivially unsatisfiable.
     pub fn add_scoped_clause(&mut self, lits: &[Lit]) -> bool {
-        let mut buf = std::mem::take(&mut self.scratch);
-        buf.clear();
-        buf.extend_from_slice(lits);
-        if let Some(&selector) = self.scope_selectors.last() {
-            buf.push(Lit::neg(selector));
-        }
-        let ok = self.add_normalized(&mut buf);
-        self.scratch = buf;
-        ok
+        let guard = self.scope_selectors.last().map(|&s| Lit::neg(s));
+        self.add_to_scratch(lits, guard)
     }
 
     fn lit_value(&self, lit: Lit) -> Option<bool> {
@@ -540,9 +533,16 @@ impl SatSolver {
     /// the trail the last solve left: the solver backjumps only as far as
     /// the clause needs (see the [module documentation](self)).
     pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
+        self.add_to_scratch(lits, None)
+    }
+
+    /// Copies `lits` and `extra` into the scratch buffer and adds them as
+    /// one clause.
+    fn add_to_scratch(&mut self, lits: &[Lit], extra: Option<Lit>) -> bool {
         let mut buf = std::mem::take(&mut self.scratch);
         buf.clear();
         buf.extend_from_slice(lits);
+        buf.extend(extra);
         let ok = self.add_normalized(&mut buf);
         self.scratch = buf;
         ok

@@ -41,28 +41,15 @@
 //! [`SatSolver::check_invariants`] checks the store against its watch lists
 //! and occurrence counts.
 //!
-//! ## Resuming the trail across rounds
+//! ## Between solves
 //!
-//! The DPLL(T) loop solves, adds a blocking clause or expansion lemmas, and
-//! solves again, under the same scope selectors. Neither the clause
-//! additions nor the next solve go back to level 0:
-//!
-//! * a clause is normalized against the level-0 facts only (a literal fixed
-//!   at level 0 is dropped or satisfies the clause) and then attached under
-//!   the live trail, watched by the two literals that became false last. If
-//!   the clause has been unit or conflicting since some level, the solver
-//!   backjumps to that level — and no further — and implies the clause's
-//!   remaining literal there (see `attach_under_trail`); a unit clause is a
-//!   level-0 fact and backjumps to level 0;
-//! * [`SatSolver::solve`] keeps the trail when its assumptions (the scope
-//!   selectors plus the caller's literals) equal the previous call's. The
-//!   assumption decisions still on the trail stay, any lost to a backjump
-//!   are re-made, and the search continues from the decisions that
-//!   survived the clause additions. Other assumptions start over from level
-//!   0, as does every pop.
-//!
-//! So a round that only added lemmas or a blocking clause re-decides only
-//! what those clauses undid, not the whole query.
+//! Adding a clause backtracks to level 0, and every solve starts there, so
+//! a clause addition never has to repair watches under a partial trail.
+//! After [`SatOutcome::Sat`] the model stays on the trail until the next
+//! clause addition, pop or solve; the DPLL(T) loop in
+//! [`crate::solver`] reads it from there, and re-reads it instead of
+//! solving again when it raises the expansion depth without having added a
+//! clause.
 
 use std::fmt;
 
@@ -199,12 +186,9 @@ pub struct SatSolver {
     learnt: Vec<Lit>,
     /// `analyze`'s per-variable marks, all `false` between conflicts.
     seen: Vec<bool>,
-    /// The assumptions the trail was built for: the scope selectors, then
-    /// the caller's literals.
+    /// The assumptions of the current solve: the scope selectors, then the
+    /// caller's literals.
     assumed: Vec<Lit>,
-    /// How many decision levels, from level 1 up, hold assumptions of
-    /// `assumed`; any level above them holds a search decision.
-    assumption_levels: u32,
 }
 
 const NOT_IN_HEAP: usize = usize::MAX;
@@ -529,9 +513,8 @@ impl SatSolver {
     /// Adds a clause. Returns `false` if the clause set became trivially
     /// unsatisfiable (an empty clause was derived at level 0).
     ///
-    /// Clauses may be added between calls to [`SatSolver::solve`], under
-    /// the trail the last solve left: the solver backjumps only as far as
-    /// the clause needs (see the [module documentation](self)).
+    /// Clauses may be added between calls to [`SatSolver::solve`]; the solver
+    /// backtracks to decision level zero first.
     pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
         self.add_to_scratch(lits, None)
     }
@@ -553,23 +536,22 @@ impl SatSolver {
         if self.unsat {
             return false;
         }
+        self.cancel_until(0);
         // Normalize: sort, dedup, drop tautologies and false literals at level 0.
         ls.sort();
         ls.dedup();
         // After sorting, `l` and `~l` are neighbours.
         let tautology = ls.windows(2).any(|w| w[1] == w[0].negate());
-        if tautology || ls.iter().any(|&l| self.fixed_value(l) == Some(true)) {
+        if tautology || ls.iter().any(|&l| self.lit_value(l) == Some(true)) {
             return true; // contains l and ~l, or already satisfied at level 0
         }
-        ls.retain(|&l| self.fixed_value(l).is_none());
+        ls.retain(|&l| self.lit_value(l).is_none());
         match ls.len() {
             0 => {
                 self.unsat = true;
                 false
             }
             1 => {
-                // A unit is a level-0 fact.
-                self.cancel_until(0);
                 self.enqueue(ls[0], INVALID_CLAUSE);
                 if self.propagate() != INVALID_CLAUSE {
                     self.unsat = true;
@@ -578,68 +560,8 @@ impl SatSolver {
                 true
             }
             _ => {
-                self.attach_under_trail(ls);
+                self.attach_clause(ls, false);
                 true
-            }
-        }
-    }
-
-    /// A literal's value if it is fixed at level 0.
-    fn fixed_value(&self, lit: Lit) -> Option<bool> {
-        self.lit_value(lit)
-            .filter(|_| self.level[lit.var() as usize] == 0)
-    }
-
-    /// Stores a normalized clause of at least two literals under the live
-    /// trail. It is watched by the two literals that became false last (an
-    /// unassigned or true literal counts as never false), and the trail is
-    /// cut back only as far as the watches need:
-    ///
-    /// * two literals not false: nothing to cut;
-    /// * one literal `l` not false, the next false at level `b`: if `l` is
-    ///   true at level `b` or below, nothing to cut; otherwise the clause
-    ///   has been unit since level `b`, so the solver backjumps to `b` and
-    ///   implies `l` there;
-    /// * every literal false, the last two at levels `a >= b`: if `a > b`,
-    ///   the clause became unit at level `b` (backjump to `b`, imply the
-    ///   first literal); if `a == b`, it became conflicting with two
-    ///   literals at level `a`, so the solver backjumps to `a - 1`, where
-    ///   both are unassigned.
-    ///
-    /// So every false watch keeps its partner true at a level no higher
-    /// than its own, or unassigned, as propagation leaves it.
-    fn attach_under_trail(&mut self, ls: &mut [Lit]) {
-        // Rank: not false above every false literal, false ones by level.
-        let rank = |s: &SatSolver, l: Lit| match s.lit_value(l) {
-            Some(false) => s.level[l.var() as usize],
-            _ => u32::MAX,
-        };
-        for slot in 0..2 {
-            let mut best = slot;
-            for k in slot + 1..ls.len() {
-                if rank(self, ls[k]) > rank(self, ls[best]) {
-                    best = k;
-                }
-            }
-            ls.swap(slot, best);
-        }
-        let (first, second) = (ls[0], ls[1]);
-        let level_of = |s: &SatSolver, l: Lit| s.level[l.var() as usize];
-        match (self.lit_value(first), self.lit_value(second)) {
-            (_, None | Some(true)) => {
-                self.attach_clause(ls, false);
-            }
-            (Some(true), Some(false)) if level_of(self, first) <= level_of(self, second) => {
-                self.attach_clause(ls, false);
-            }
-            (Some(false), Some(false)) if level_of(self, first) == level_of(self, second) => {
-                self.cancel_until(level_of(self, first) - 1);
-                self.attach_clause(ls, false);
-            }
-            (_, Some(false)) => {
-                self.cancel_until(level_of(self, second));
-                let ci = self.attach_clause(ls, false);
-                self.enqueue(first, ci);
             }
         }
     }
@@ -826,10 +748,7 @@ impl SatSolver {
             self.heap_insert(l.var());
         }
         self.trail_lim.truncate(target as usize);
-        // Literals a clause addition implied at `target` may still wait for
-        // propagation.
-        self.qhead = self.qhead.min(self.trail.len());
-        self.assumption_levels = self.assumption_levels.min(target);
+        self.qhead = self.trail.len();
     }
 
     fn pick_branch_var(&mut self) -> Option<PVar> {
@@ -864,39 +783,46 @@ impl SatSolver {
     /// [`SatSolver::solve`] is this with no extra assumptions; besides it,
     /// only tests call it.
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SatOutcome {
-        let selectors = self.scope_selectors.iter().map(|&v| Lit::pos(v));
-        let same = self
-            .assumed
-            .iter()
-            .copied()
-            .eq(selectors.chain(assumptions.iter().copied()));
-        if !same {
-            // The trail's assumption levels were made for other
-            // assumptions: start over from level 0.
-            self.cancel_until(0);
-            self.assumed.clear();
-            let selectors = self.scope_selectors.iter().map(|&v| Lit::pos(v));
-            self.assumed.extend(selectors);
-            self.assumed.extend_from_slice(assumptions);
-        }
-        let assumed = std::mem::take(&mut self.assumed);
-        let outcome = self.solve_under(&assumed);
-        self.assumed = assumed;
+        let mut all = std::mem::take(&mut self.assumed);
+        all.clear();
+        all.extend(self.scope_selectors.iter().map(|&v| Lit::pos(v)));
+        all.extend_from_slice(assumptions);
+        let outcome = self.solve_under(&all);
+        self.assumed = all;
         outcome
     }
 
-    /// The one CDCL loop, resumed from the live trail. With no assumptions
-    /// a conflict at level 0 makes the clause set permanently
-    /// unsatisfiable; under assumptions it only refutes them.
+    /// The one CDCL loop. With no assumptions a conflict at level 0 makes
+    /// the clause set permanently unsatisfiable; under assumptions it only
+    /// refutes them.
     fn solve_under(&mut self, assumptions: &[Lit]) -> SatOutcome {
         if self.unsat {
             return SatOutcome::Unsat;
         }
-        if self.decision_level() <= self.assumption_levels && !self.establish(assumptions) {
-            self.cancel_until(0);
+        self.cancel_until(0);
+        if self.propagate() != INVALID_CLAUSE {
+            self.unsat = true;
             return SatOutcome::Unsat;
         }
-        let assumption_level = self.assumption_levels;
+        // Enqueue assumptions as decisions.
+        for &a in assumptions {
+            match self.lit_value(a) {
+                Some(true) => continue,
+                Some(false) => {
+                    self.cancel_until(0);
+                    return SatOutcome::Unsat;
+                }
+                None => {
+                    self.trail_lim.push(self.trail.len());
+                    self.enqueue(a, INVALID_CLAUSE);
+                    if self.propagate() != INVALID_CLAUSE {
+                        self.cancel_until(0);
+                        return SatOutcome::Unsat;
+                    }
+                }
+            }
+        }
+        let assumption_level = self.decision_level();
         loop {
             let confl = self.propagate();
             if confl != INVALID_CLAUSE {
@@ -945,33 +871,6 @@ impl SatSolver {
                 }
             }
         }
-    }
-
-    /// Called with no search decision on the trail: propagates what is
-    /// pending and enqueues each assumption not yet true as the decision
-    /// of a level of its own, on top of the assumption levels still on the
-    /// trail. Returns `false` on a conflict (which at level 0 makes the
-    /// clause set unsatisfiable) or a false assumption.
-    fn establish(&mut self, assumptions: &[Lit]) -> bool {
-        if self.propagate() != INVALID_CLAUSE {
-            self.unsat |= self.decision_level() == 0;
-            return false;
-        }
-        for &a in assumptions {
-            match self.lit_value(a) {
-                Some(true) => continue,
-                Some(false) => return false,
-                None => {
-                    self.trail_lim.push(self.trail.len());
-                    self.enqueue(a, INVALID_CLAUSE);
-                    if self.propagate() != INVALID_CLAUSE {
-                        return false;
-                    }
-                }
-            }
-        }
-        self.assumption_levels = self.decision_level();
-        true
     }
 }
 

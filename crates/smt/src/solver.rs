@@ -4,10 +4,12 @@
 //! propositional core with the theory solvers:
 //!
 //! 1. the boolean abstraction of the asserted formulas is solved by the CDCL
-//!    core ([`crate::sat`]). The core keeps its trail between rounds: the
-//!    blocking clause or lemmas a round adds backjump only as far as they
-//!    need, and the next solve continues from the decisions that survived,
-//!    so a round does not re-decide the whole query;
+//!    core ([`crate::sat`]), from decision level 0 after each round's
+//!    blocking clause or lemmas. When a run ends `Unknown` on a candidate
+//!    model (a fact beyond the depth bound, or arithmetic gave up), the
+//!    next, deeper run adds no clause before its first round, so that
+//!    round takes the model still on the core's trail instead of solving
+//!    again;
 //! 2. the resulting atom assignment is checked against linear integer
 //!    arithmetic ([`crate::lia`]) and congruence closure ([`crate::euf`]);
 //!    inconsistencies are turned into (greedily minimized) blocking clauses;
@@ -48,10 +50,8 @@
 //! garbage-collect the lot, compacting the SAT core's clause arena in place.
 //! The SAT core therefore only ever carries the clauses of the query at hand,
 //! while decisions are further gated to variables that still occur in live
-//! clauses. Within a query the rounds share one CDCL trail (step 1 above);
-//! a new query, whose scope selector differs, starts from level 0. This is
-//! what makes a long-lived session strictly cheaper than rebuilding a
-//! solver per query, instead of drowning in its own history.
+//! clauses. This is what makes a long-lived session strictly cheaper than
+//! rebuilding a solver per query, instead of drowning in its own history.
 //!
 //! Each query theory-checks and expands only the atoms reachable from its own
 //! active assertions (closed over the lemmas previously attached to them), so
@@ -351,9 +351,12 @@ impl Solver {
         // assertions are scoped, so the set is per-check: a later check in
         // the same session re-asserts them (cheaply, via the replay cache).
         let mut expanded: IdSet<(TermId, bool)> = IdSet::default();
+        // Whether the SAT core's trail still holds the model the last
+        // `Unknown` round ended on.
+        let mut model_kept = false;
         let mut last = SatResult::Unknown;
         for depth in 1..=self.config.max_expansion_depth.max(1) {
-            last = self.solve_round(store, expander, &mut expanded, depth);
+            last = self.solve_round(store, expander, &mut expanded, &mut model_kept, depth);
             match last {
                 SatResult::Sat(_) | SatResult::Unsat => return last,
                 SatResult::Unknown => continue,
@@ -363,12 +366,15 @@ impl Solver {
     }
 
     /// One run of the DPLL(T) loop with a fixed expansion-depth bound,
-    /// against the persistent session state.
+    /// against the persistent session state. `model_kept` says on entry
+    /// whether the SAT core still holds the model of the previous run's
+    /// `Unknown` answer, and on exit whether it holds this run's.
     fn solve_round(
         &mut self,
         store: &mut TermStore,
         expander: &mut dyn LazyExpander,
         expanded: &mut IdSet<(TermId, bool)>,
+        model_kept: &mut bool,
         max_depth: u32,
     ) -> SatResult {
         // The atoms this query is about: those of the active assertions,
@@ -398,11 +404,17 @@ impl Solver {
             if rounds > MAX_ROUNDS {
                 return SatResult::Unknown;
             }
-            let clock = Instant::now();
-            let outcome = self.sat.solve();
-            self.stats.sat_ns += elapsed_ns(clock);
-            if let SatOutcome::Unsat = outcome {
-                return SatResult::Unsat;
+            // A deeper run that starts right after an `Unknown` added no
+            // clause since that model was found, and a new solve would
+            // re-decide the same model (no conflict can arise, and every
+            // decision takes its saved phase), so it takes the model as is.
+            if !std::mem::take(model_kept) {
+                let clock = Instant::now();
+                let outcome = self.sat.solve();
+                self.stats.sat_ns += elapsed_ns(clock);
+                if let SatOutcome::Unsat = outcome {
+                    return SatResult::Unsat;
+                }
             }
 
             // Gather the relevant part of the atom assignment chosen by the
@@ -575,6 +587,7 @@ impl Solver {
             if beyond_depth || lia_unknown {
                 // Some fact could not be expanded within the depth budget (or
                 // arithmetic gave up): the candidate model may be spurious.
+                *model_kept = true;
                 return SatResult::Unknown;
             }
 

@@ -28,10 +28,10 @@
 //!   clauses, and every `Sat` model must satisfy them. After every
 //!   operation [`SatSolver::check_invariants`] checks the clause store
 //!   against its watch lists and occurrence counts. Some `Sat` answers are
-//!   followed at once by new clauses and a second solve, which resumes the
-//!   previous trail; a second driver runs long scopes of 3-literal clauses,
-//!   so that learnt clauses survive pops and the pop-time compaction moves
-//!   them.
+//!   followed at once by new clauses and a second solve, added while the
+//!   model is still on the trail; a second driver runs long scopes of
+//!   3-literal clauses, so that the pop-time compaction runs over tails
+//!   where clauses learnt inside the scope survive.
 //!
 //! The generator is a fixed-seed xorshift, so every run checks the same
 //! instances.
@@ -705,8 +705,9 @@ struct SessionTally {
     sat: u32,
     unsat: u32,
     /// `Sat` answers followed at once by new clauses and a second solve.
-    resumed: u32,
-    /// Pops after which learnt clauses were left in the store.
+    extended: u32,
+    /// Pops that removed clauses and kept a clause learnt inside the
+    /// scope: the pop-time compaction ran over a tail with survivors.
     learnt_survived_pop: u32,
 }
 
@@ -728,6 +729,9 @@ fn random_session(
     // `scopes[0]` holds the permanent clauses, `scopes[k]` those of the
     // k-th open scope.
     let mut scopes: Vec<Vec<Vec<Lit>>> = vec![Vec::new()];
+    // `num_learnt()` at each open scope's push. Only a pop removes
+    // clauses, and it leaves those older than its scope alone.
+    let mut learnt_at_push: Vec<usize> = Vec::new();
     let solve_and_check =
         |solver: &mut SatSolver, scopes: &[Vec<Vec<Lit>>], assumptions: &[Lit]| -> bool {
             let outcome = if assumptions.is_empty() {
@@ -769,13 +773,14 @@ fn random_session(
         } else if draw < mix.permanent + mix.scoped + mix.push {
             solver.push();
             scopes.push(Vec::new());
-        } else if draw < mix.permanent + mix.scoped + mix.push + mix.pop {
-            if scopes.len() > 1 {
-                solver.pop();
-                scopes.pop();
-                if solver.num_learnt() > 0 {
-                    tally.learnt_survived_pop += 1;
-                }
+            learnt_at_push.push(solver.num_learnt());
+        } else if draw < mix.permanent + mix.scoped + mix.push + mix.pop && scopes.len() > 1 {
+            let clauses = solver.num_clauses();
+            solver.pop();
+            scopes.pop();
+            let learnt = learnt_at_push.pop().expect("a mark per open scope");
+            if solver.num_clauses() < clauses && solver.num_learnt() > learnt {
+                tally.learnt_survived_pop += 1;
             }
         } else {
             let assumptions = if rng.chance(50) {
@@ -791,8 +796,8 @@ fn random_session(
             }
             tally.sat += 1;
             if rng.chance(50) {
-                // Add clauses under the model's trail, without a pop, and
-                // solve again under the same assumptions: the resume path.
+                // Add clauses while the model is on the trail, without a
+                // pop, and solve again under the same assumptions.
                 for _ in 0..rng.range(1, 2) {
                     let c = clause(rng, n);
                     if rng.chance(50) {
@@ -804,7 +809,7 @@ fn random_session(
                     }
                     solver.check_invariants();
                 }
-                tally.resumed += 1;
+                tally.extended += 1;
                 if solve_and_check(&mut solver, &scopes, &assumptions) {
                     tally.sat += 1;
                 } else {
@@ -830,15 +835,16 @@ fn cdcl_agrees_with_brute_force_under_scopes_and_assumptions() {
         let n = rng.range(1, 10) as u32;
         random_session(&mut rng, n, 24, &mix, random_clause, &mut tally);
     }
-    // The instances must exercise both answers and the resume path.
+    // The instances must exercise both answers and clauses added right
+    // after a model.
     let SessionTally {
         sat,
         unsat,
-        resumed,
+        extended,
         ..
     } = tally;
     assert!(sat > 100 && unsat > 100, "{sat} sat, {unsat} unsat");
-    assert!(resumed > 100, "{resumed} resumed solves");
+    assert!(extended > 100, "{extended} models followed by clauses");
 }
 
 #[test]
@@ -861,13 +867,13 @@ fn cdcl_clause_store_survives_long_scopes_with_learnt_clauses() {
     let SessionTally {
         sat,
         unsat,
-        resumed,
+        extended,
         learnt_survived_pop,
     } = tally;
     assert!(sat > 50 && unsat > 50, "{sat} sat, {unsat} unsat");
-    assert!(resumed > 50, "{resumed} resumed solves");
+    assert!(extended > 50, "{extended} models followed by clauses");
     assert!(
         learnt_survived_pop > 20,
-        "{learnt_survived_pop} pops kept learnt clauses"
+        "{learnt_survived_pop} pops kept a clause learnt inside the scope"
     );
 }

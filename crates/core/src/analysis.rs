@@ -548,7 +548,7 @@ fn simplify_goal(g: &mut Goal, out: &mut Vec<Prune>) {
 
 /// Whether a case pattern matches every value without failing or erroring.
 fn irrefutable_pattern(p: &PExpr) -> bool {
-    matches!(p, PExpr::Wildcard | PExpr::Decl(_, _, ClassCheck::Any))
+    matches!(p, PExpr::Wildcard | PExpr::Decl(_, _, ClassCheck::Any, _))
 }
 
 /// Whether a case pattern is a primitive literal (so matching it against a
@@ -732,8 +732,8 @@ fn collect_slot_types(form: &SolvedForm, method: Option<&MethodPlan>) -> Vec<Opt
     }
     fn walk_expr(e: &PExpr, put: &mut dyn FnMut(SlotId, &Type)) {
         match e {
-            PExpr::Decl(ty, Some(slot), _) => put(*slot, ty),
-            PExpr::Decl(_, None, _) => {}
+            PExpr::Decl(ty, Some(slot), _, _) => put(*slot, ty),
+            PExpr::Decl(_, None, _, _) => {}
             PExpr::Field(inner, _, _) | PExpr::Neg(inner) => walk_expr(inner, put),
             PExpr::Call { receiver, args, .. } => {
                 if let Some(r) = receiver {
@@ -850,7 +850,7 @@ impl FormCx<'_> {
                 None if field_sym.is_some() => self.field_ty_on_owner(e),
                 None => None,
             },
-            PExpr::Result(slot) | PExpr::Decl(_, Some(slot), _) => {
+            PExpr::Result(slot) | PExpr::Decl(_, Some(slot), _, _) => {
                 self.slot_ty[*slot as usize].clone()
             }
             PExpr::Field(recv, fname, _) => {
@@ -969,7 +969,7 @@ impl FormCx<'_> {
                 // statically primitive.
                 no_err: matches!(val_ty, Some(Type::Int | Type::Boolean)),
             },
-            PExpr::Decl(_, slot, check) => {
+            PExpr::Decl(_, slot, check, _) => {
                 if let Some(s) = slot {
                     env.bind_must(*s);
                 }
@@ -1480,7 +1480,7 @@ fn cmp_ops_disjoint(a: CmpOp, b: CmpOp) -> bool {
 fn mark_may(g: &Goal, env: &mut Env) {
     fn expr(e: &PExpr, env: &mut Env) {
         match e {
-            PExpr::Name { slot, .. } | PExpr::Result(slot) | PExpr::Decl(_, Some(slot), _) => {
+            PExpr::Name { slot, .. } | PExpr::Result(slot) | PExpr::Decl(_, Some(slot), _, _) => {
                 env.bind_may(*slot)
             }
             PExpr::Field(a, _, _) | PExpr::Neg(a) | PExpr::NewArray(_, a) => expr(a, env),
@@ -1540,7 +1540,7 @@ fn lint(kind: WarningKind, context: &str, message: String) -> Warning {
 fn count_slots(g: &Goal, intro: &mut HashMap<SlotId, usize>, uses: &mut HashMap<SlotId, usize>) {
     fn expr(e: &PExpr, intro: &mut HashMap<SlotId, usize>, uses: &mut HashMap<SlotId, usize>) {
         match e {
-            PExpr::Decl(_, Some(slot), _) => *intro.entry(*slot).or_default() += 1,
+            PExpr::Decl(_, Some(slot), _, _) => *intro.entry(*slot).or_default() += 1,
             PExpr::Name { slot, .. } | PExpr::Result(slot) => *uses.entry(*slot).or_default() += 1,
             PExpr::Field(a, _, _) | PExpr::Neg(a) | PExpr::NewArray(_, a) => expr(a, intro, uses),
             PExpr::Call { receiver, args, .. } => {

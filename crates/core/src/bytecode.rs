@@ -58,23 +58,12 @@
 //!    `frames_mark` rollback needs no bytecode-specific state beyond the
 //!    saved pc.
 //!
-//! # Unify modes
+//! # Equation direction
 //!
-//! A tree walk decides the direction of every equation at run time with
-//! two [`ground`]-tree walks. The bytecode compiler runs a must-bound
-//! dataflow analysis over the goal (seeded with the mode's bound parameter
-//! slots) and bakes the direction into the instruction as a [`UnifyMode`]
-//! when it is statically forced; only equations whose direction genuinely
-//! depends on run-time values keep the dynamic check. The analysis is
-//! sound, not complete: `must ⊆ bound ⊆ may` always holds, and anything
-//! unprovable degrades to [`UnifyMode::Dynamic`]. Sub-chains stay sound on
-//! the same terms — a negated chain starts from the facts at its position,
-//! every run-time scheduled item starts from the outer must-set with every
-//! item's binders added to its may-set, and a `where` or statement goal,
-//! whose entry bindings are unknown, starts with nothing must-bound and
-//! everything may-bound.
-//!
-//! [`ground`]: crate::lower::PExpr
+//! An [`Instr::Unify`] decides its direction when it runs, by the tree
+//! walker's groundness rule: both sides ground compare, one side ground is
+//! evaluated and the other matched against it. No compile-time analysis
+//! fixes directions: one was measured to buy nothing (see `CHANGES.md`).
 
 use crate::intern::Sym;
 use crate::lower::{
@@ -83,7 +72,6 @@ use crate::lower::{
 };
 use crate::table::ClassLayout;
 use jmatch_syntax::ast::{BinOp, CmpOp};
-use std::collections::HashSet;
 use std::fmt;
 
 /// An instruction address in a [`BcBody`] / [`BcBlock`] stream.
@@ -92,20 +80,6 @@ pub type Pc = u32;
 pub type ExprId = u32;
 /// A register in a [`BcBlock`]'s register file.
 pub type Reg = u16;
-
-/// The statically decided direction of one equation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnifyMode {
-    /// Both sides are provably ground: evaluate both, compare.
-    EvalEval,
-    /// Left provably ground, right provably not: evaluate left, match right.
-    EvalMatch,
-    /// Right provably ground, left provably not: evaluate right, match left.
-    MatchEval,
-    /// Direction depends on run-time bindings: check `ground` like the
-    /// tree walker.
-    Dynamic,
-}
 
 /// One threaded-code instruction of a solved form's [`BcBody`].
 ///
@@ -119,15 +93,14 @@ pub enum Instr {
     /// Disjunction: try each alternative entry pc in order. Always ≥ 2
     /// alternatives — smaller disjunctions never produce a `Choice`.
     Choice(Box<[Pc]>),
-    /// An equation with its direction resolved at compile time where
-    /// possible.
+    /// An equation. Its direction is decided when it runs: a ground side is
+    /// evaluated, and the other side is compared with it when also ground,
+    /// matched against it otherwise.
     Unify {
         /// Left-hand side (pool index).
         lhs: ExprId,
         /// Right-hand side (pool index).
         rhs: ExprId,
-        /// Statically decided direction.
-        mode: UnifyMode,
         /// Continuation.
         next: Pc,
     },
@@ -214,282 +187,41 @@ impl BcBody {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Must-bound analysis (pass A: execution order)
-// ---------------------------------------------------------------------------
-
-/// Slots certainly bound after a successful match of `pat`. `OrPat` takes
-/// the branch intersection (only the matching branch's binders are
-/// guaranteed), invertible `Binary` likewise (exactly one side matches).
-fn binders(pat: &PExpr, out: &mut HashSet<SlotId>) {
+/// Whether a successful match of `pat` can bind a frame slot, including
+/// through its `where` goals.
+fn may_bind(pat: &PExpr) -> bool {
     match pat {
-        PExpr::Name { slot, .. } => {
-            out.insert(*slot);
-        }
-        PExpr::Result(s) => {
-            out.insert(*s);
-        }
-        PExpr::Decl(_, Some(s), _) => {
-            out.insert(*s);
-        }
-        PExpr::As(a, b) => {
-            binders(a, out);
-            binders(b, out);
-        }
-        PExpr::OrPat(a, b) | PExpr::Binary(_, a, b) => {
-            let mut ba = HashSet::new();
-            let mut bb = HashSet::new();
-            binders(a, &mut ba);
-            binders(b, &mut bb);
-            out.extend(ba.intersection(&bb));
-        }
-        PExpr::Where(p, _) => binders(p, out),
-        PExpr::Call { args, .. } => {
-            for a in args {
-                binders(a, out);
-            }
-        }
-        PExpr::Neg(a) => binders(a, out),
-        PExpr::Tuple(xs) => {
-            for x in xs {
-                binders(x, out);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Conservative "provably ground here": `true` only when the run-time
-/// [`ground`](crate::lower) walk is guaranteed to say `true`. The
-/// field-of-`this` fallback is deliberately excluded — it depends on the
-/// receiver's run-time class — so equations relying on it stay `Dynamic`.
-fn must_ground(e: &PExpr, must: &HashSet<SlotId>, this_must: bool) -> bool {
-    match e {
-        PExpr::Int(_) | PExpr::Bool(_) | PExpr::Str(_) | PExpr::Null => true,
-        PExpr::This => this_must,
-        PExpr::Result(s) => must.contains(s),
-        PExpr::Name {
-            slot, class_ref, ..
-        } => must.contains(slot) || *class_ref,
-        PExpr::Field(b, _, _) => must_ground(b, must, this_must),
-        PExpr::Call { receiver, args, .. } => {
-            receiver
-                .as_deref()
-                .map(|r| must_ground(r, must, this_must))
-                .unwrap_or(true)
-                && args.iter().all(|a| must_ground(a, must, this_must))
-        }
-        PExpr::Index(a, b) | PExpr::Binary(_, a, b) => {
-            must_ground(a, must, this_must) && must_ground(b, must, this_must)
-        }
-        PExpr::NewArray(_, a) | PExpr::Neg(a) => must_ground(a, must, this_must),
-        PExpr::Tuple(xs) => xs.iter().all(|x| must_ground(x, must, this_must)),
-        PExpr::Wildcard | PExpr::Decl(..) | PExpr::As(..) | PExpr::OrPat(..) | PExpr::Where(..) => {
-            false
-        }
-    }
-}
-
-/// Slots a successful match of `pat` *might* bind — the union closure of
-/// [`binders`], including `where`-goal bindings, used to maintain the
-/// may-bound superset.
-fn may_binders(pat: &PExpr, out: &mut HashSet<SlotId>) {
-    match pat {
-        PExpr::Name { slot, .. } => {
-            out.insert(*slot);
-        }
-        PExpr::Result(s) => {
-            out.insert(*s);
-        }
-        PExpr::Decl(_, Some(s), _) => {
-            out.insert(*s);
-        }
-        PExpr::As(a, b) | PExpr::OrPat(a, b) | PExpr::Binary(_, a, b) => {
-            may_binders(a, out);
-            may_binders(b, out);
-        }
-        PExpr::Where(p, g) => {
-            may_binders(p, out);
-            goal_may(&g.goal, out);
-        }
-        PExpr::Call { args, .. } => {
-            for a in args {
-                may_binders(a, out);
-            }
-        }
-        PExpr::Neg(a) => may_binders(a, out),
-        PExpr::Tuple(xs) => {
-            for x in xs {
-                may_binders(x, out);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Slots a goal might leave bound on success (`Not` restores its inner
-/// bindings, so it contributes nothing).
-fn goal_may(goal: &Goal, out: &mut HashSet<SlotId>) {
-    match goal {
-        Goal::True | Goal::Trivial | Goal::Fail | Goal::Test(_) | Goal::Compare(..) => {}
-        Goal::Not(_) => {}
-        Goal::Seq(gs) | Goal::Any(gs) => {
-            for g in gs {
-                goal_may(g, out);
-            }
-        }
-        Goal::DynSeq(items) => {
-            for (_, g) in items {
-                goal_may(g, out);
-            }
-        }
-        Goal::Unify(l, r) => {
-            may_binders(l, out);
-            may_binders(r, out);
-        }
-        Goal::Invoke { args, .. } => {
-            for a in args {
-                may_binders(a, out);
-            }
-        }
-    }
-}
-
-/// What is known about `this` where a goal runs: `must` when it is
-/// certainly in scope, `may` when it possibly is. A solved form knows
-/// exactly; a `where` or statement goal does not (argument patterns are
-/// matched without `this`), so it assumes the weakest facts.
-#[derive(Clone, Copy)]
-struct ThisScope {
-    must: bool,
-    may: bool,
-}
-
-/// Conservative "provably never ground": `true` only when the run-time walk
-/// is guaranteed to say `false` — a `_`/declaration in a conjunctive
-/// position, or a variable no earlier goal can possibly have bound whose
-/// field-of-`this` fallback is statically dead (`this` absent, or the name
-/// is no declared field anywhere).
-fn never_ground(e: &PExpr, may: &HashSet<SlotId>, this_may: bool) -> bool {
-    match e {
-        PExpr::Wildcard | PExpr::Decl(..) => true,
-        PExpr::This => !this_may,
-        PExpr::Name {
-            slot,
-            field_sym,
-            class_ref,
-            ..
-        } => !*class_ref && !may.contains(slot) && (!this_may || field_sym.is_none()),
-        PExpr::Result(s) => !may.contains(s),
-        PExpr::Field(b, _, _) => never_ground(b, may, this_may),
-        PExpr::Call { receiver, args, .. } => {
-            receiver
-                .as_deref()
-                .is_some_and(|r| never_ground(r, may, this_may))
-                || args.iter().any(|a| never_ground(a, may, this_may))
-        }
-        PExpr::Index(a, b) | PExpr::Binary(_, a, b) | PExpr::As(a, b) | PExpr::OrPat(a, b) => {
-            never_ground(a, may, this_may) || never_ground(b, may, this_may)
-        }
-        PExpr::NewArray(_, a) | PExpr::Neg(a) => never_ground(a, may, this_may),
-        PExpr::Tuple(xs) => xs.iter().any(|x| never_ground(x, may, this_may)),
-        PExpr::Where(p, _) => never_ground(p, may, this_may),
+        PExpr::Name { .. } | PExpr::Result(_) | PExpr::Decl(_, Some(_), _, _) => true,
+        PExpr::As(a, b) | PExpr::OrPat(a, b) | PExpr::Binary(_, a, b) => may_bind(a) || may_bind(b),
+        PExpr::Where(p, g) => may_bind(p) || goal_may_bind(&g.goal),
+        PExpr::Call { args, .. } => args.iter().any(may_bind),
+        PExpr::Neg(a) => may_bind(a),
+        PExpr::Tuple(xs) => xs.iter().any(may_bind),
         _ => false,
     }
 }
 
-/// Pass A: walk the goal in execution order, threading the must-bound set
-/// (`must ⊆ bound`) and the may-bound set (`bound ⊆ may`), recording one
-/// [`UnifyMode`] per `Unify` leaf in visit order. The right-to-left
-/// emission pass pops the modes from the back — the two traversals are
-/// exact mirrors, so the orders line up.
-fn analyze(
-    goal: &Goal,
-    must: &mut HashSet<SlotId>,
-    may: &mut HashSet<SlotId>,
-    this: ThisScope,
-    modes: &mut Vec<UnifyMode>,
-) {
+/// Whether a goal can leave a frame slot bound on success (`Not` restores
+/// its inner bindings, so it binds nothing).
+fn goal_may_bind(goal: &Goal) -> bool {
     match goal {
-        Goal::True | Goal::Trivial | Goal::Fail | Goal::Test(_) | Goal::Compare(..) => {}
-        // The inner chain runs at this point and its bindings are undone
-        // afterwards: analyze it on copies.
-        Goal::Not(inner) => analyze(inner, &mut must.clone(), &mut may.clone(), this, modes),
-        // The items run in a run-time order: each starts from the outer
-        // must-set (whatever ran before it only adds bindings) and sees
-        // every item's possible bindings in its may-set. Afterwards no
-        // binding is claimed as certain.
-        Goal::DynSeq(items) => {
-            goal_may(goal, may);
-            for (_, g) in items {
-                analyze(g, &mut must.clone(), &mut may.clone(), this, modes);
-            }
-        }
-        Goal::Seq(gs) => {
-            for g in gs {
-                analyze(g, must, may, this, modes);
-            }
-        }
-        Goal::Any(gs) => {
-            let entry_must = must.clone();
-            let entry_may = may.clone();
-            let mut exit: Option<HashSet<SlotId>> = None;
-            for g in gs {
-                let mut bmust = entry_must.clone();
-                let mut bmay = entry_may.clone();
-                analyze(g, &mut bmust, &mut bmay, this, modes);
-                may.extend(bmay);
-                exit = Some(match exit {
-                    None => bmust,
-                    Some(prev) => prev.intersection(&bmust).copied().collect(),
-                });
-            }
-            if let Some(exit) = exit {
-                *must = exit;
-            }
-        }
-        Goal::Unify(l, r) => {
-            let lg = must_ground(l, must, this.must);
-            let rg = must_ground(r, must, this.must);
-            let mode = if lg && rg {
-                UnifyMode::EvalEval
-            } else if lg && never_ground(r, may, this.may) {
-                UnifyMode::EvalMatch
-            } else if rg && never_ground(l, may, this.may) {
-                UnifyMode::MatchEval
-            } else {
-                UnifyMode::Dynamic
-            };
-            match mode {
-                UnifyMode::EvalMatch => binders(r, must),
-                UnifyMode::MatchEval => binders(l, must),
-                _ => {}
-            }
-            may_binders(l, may);
-            may_binders(r, may);
-            modes.push(mode);
-        }
-        Goal::Invoke { args, .. } => {
-            // Every argument pattern is matched on success, so its binders
-            // are certainly bound afterwards.
-            for a in args {
-                binders(a, must);
-                may_binders(a, may);
-            }
-        }
+        Goal::True | Goal::Trivial | Goal::Fail | Goal::Test(_) | Goal::Compare(..) => false,
+        Goal::Not(_) => false,
+        Goal::Seq(gs) | Goal::Any(gs) => gs.iter().any(goal_may_bind),
+        Goal::DynSeq(items) => items.iter().any(|(_, g)| goal_may_bind(g)),
+        Goal::Unify(l, r) => may_bind(l) || may_bind(r),
+        Goal::Invoke { args, .. } => args.iter().any(may_bind),
     }
 }
 
 // ---------------------------------------------------------------------------
-// Goal-body compiler (pass B: right-to-left emission)
+// Goal-body compiler (right-to-left emission)
 // ---------------------------------------------------------------------------
 
 struct BodyCompiler {
     instrs: Vec<Instr>,
     exprs: Vec<PExpr>,
     names: Vec<String>,
-    /// Modes from pass A, popped from the back.
-    modes: Vec<UnifyMode>,
 }
 
 impl BodyCompiler {
@@ -541,15 +273,9 @@ impl BodyCompiler {
                 }
             },
             Goal::Unify(l, r) => {
-                let mode = self.modes.pop().expect("unify mode analysis out of sync");
                 let lhs = self.expr(l);
                 let rhs = self.expr(r);
-                self.push(Instr::Unify {
-                    lhs,
-                    rhs,
-                    mode,
-                    next,
-                })
+                self.push(Instr::Unify { lhs, rhs, next })
             }
             Goal::Compare(op, l, r) => {
                 let lhs = self.expr(l);
@@ -608,86 +334,59 @@ impl BodyCompiler {
     }
 }
 
-/// Compiles one goal under the given entry facts.
-fn compile(
-    goal: &Goal,
-    mut must: HashSet<SlotId>,
-    mut may: HashSet<SlotId>,
-    this: ThisScope,
-) -> BcBody {
-    let mut modes = Vec::new();
-    analyze(goal, &mut must, &mut may, this, &mut modes);
+/// Compiles one goal to threaded bytecode.
+fn compile(goal: &Goal) -> BcBody {
     let mut c = BodyCompiler {
         instrs: Vec::new(),
         exprs: Vec::new(),
         names: Vec::new(),
-        modes,
     };
     c.push(Instr::Emit);
     let entry = c.emit(goal, 0);
-    debug_assert!(c.modes.is_empty(), "unify modes left over after emission");
-    let mut bound = HashSet::new();
-    goal_may(goal, &mut bound);
     BcBody {
         entry,
         instrs: c.instrs,
         exprs: c.exprs,
         names: c.names,
-        binds: !bound.is_empty(),
+        binds: goal_may_bind(goal),
     }
 }
 
-/// Compiles one solved form's goal to threaded bytecode. `entry_must` are
-/// the slots the mode seeds as bound (parameters for the forward mode, the
-/// first parameter for `equals_bound`, the caller-bound names for a
-/// standalone form, nothing for the matching mode).
-pub fn compile_body(form: &SolvedForm, entry_must: &[SlotId]) -> BcBody {
-    let must: HashSet<SlotId> = entry_must.iter().copied().collect();
-    let this = ThisScope {
-        must: form.this_present,
-        may: form.this_present,
-    };
-    compile(&form.goal, must.clone(), must, this)
+/// Compiles one solved form's goal to threaded bytecode.
+pub fn compile_body(form: &SolvedForm) -> BcBody {
+    compile(&form.goal)
 }
 
 // ---------------------------------------------------------------------------
 // Goal positions outside a solved form's stream
 // ---------------------------------------------------------------------------
 
-/// Compiles a `where` or statement goal running in a frame of `nslots`
-/// slots, with the `where` goals inside it compiled on a copy. Nothing is
-/// known about the frame on entry, so every slot may be bound, none must
-/// be, and `this` may or may not be in scope: directions the analysis
-/// cannot prove stay [`UnifyMode::Dynamic`].
-fn compile_goal(goal: &Goal, nslots: usize) -> BcBody {
+/// Compiles a `where` or statement goal, with the `where` goals inside it
+/// compiled on a copy.
+fn compile_goal(goal: &Goal) -> BcBody {
     let mut goal = goal.clone();
-    goal_wheres(&mut goal, nslots);
-    let may = (0..nslots as SlotId).collect();
-    let this = ThisScope {
-        must: false,
-        may: true,
-    };
-    compile(&goal, HashSet::new(), may, this)
+    goal_wheres(&mut goal);
+    compile(&goal)
 }
 
 /// Compiles every `where` goal inside `e`, innermost first.
-fn expr_wheres(e: &mut PExpr, nslots: usize) {
+fn expr_wheres(e: &mut PExpr) {
     match e {
         PExpr::Where(p, g) => {
-            expr_wheres(p, nslots);
-            g.bc = Some(compile_goal(&g.goal, nslots));
+            expr_wheres(p);
+            g.bc = Some(compile_goal(&g.goal));
         }
-        PExpr::Field(a, _, _) | PExpr::NewArray(_, a) | PExpr::Neg(a) => expr_wheres(a, nslots),
+        PExpr::Field(a, _, _) | PExpr::NewArray(_, a) | PExpr::Neg(a) => expr_wheres(a),
         PExpr::Index(a, b) | PExpr::Binary(_, a, b) | PExpr::As(a, b) | PExpr::OrPat(a, b) => {
-            expr_wheres(a, nslots);
-            expr_wheres(b, nslots);
+            expr_wheres(a);
+            expr_wheres(b);
         }
         PExpr::Call { receiver, args, .. } => {
             for e in receiver.iter_mut().map(|r| &mut **r).chain(args) {
-                expr_wheres(e, nslots);
+                expr_wheres(e);
             }
         }
-        PExpr::Tuple(xs) => xs.iter_mut().for_each(|x| expr_wheres(x, nslots)),
+        PExpr::Tuple(xs) => xs.iter_mut().for_each(expr_wheres),
         _ => {}
     }
 }
@@ -695,21 +394,21 @@ fn expr_wheres(e: &mut PExpr, nslots: usize) {
 /// Compiles every `where` goal inside a goal's expressions. Readiness
 /// checks only test groundness and never run a `where`, so they are left
 /// alone.
-fn goal_wheres(g: &mut Goal, nslots: usize) {
+fn goal_wheres(g: &mut Goal) {
     match g {
-        Goal::Seq(gs) | Goal::Any(gs) => gs.iter_mut().for_each(|g| goal_wheres(g, nslots)),
-        Goal::DynSeq(items) => items.iter_mut().for_each(|(_, g)| goal_wheres(g, nslots)),
-        Goal::Not(g) => goal_wheres(g, nslots),
+        Goal::Seq(gs) | Goal::Any(gs) => gs.iter_mut().for_each(goal_wheres),
+        Goal::DynSeq(items) => items.iter_mut().for_each(|(_, g)| goal_wheres(g)),
+        Goal::Not(g) => goal_wheres(g),
         Goal::Unify(a, b) | Goal::Compare(_, a, b) => {
-            expr_wheres(a, nslots);
-            expr_wheres(b, nslots);
+            expr_wheres(a);
+            expr_wheres(b);
         }
         Goal::Invoke { receiver, args, .. } => {
             for e in receiver.iter_mut().chain(args) {
-                expr_wheres(e, nslots);
+                expr_wheres(e);
             }
         }
-        Goal::Test(e) => expr_wheres(e, nslots),
+        Goal::Test(e) => expr_wheres(e),
         Goal::True | Goal::Fail | Goal::Trivial => {}
     }
 }
@@ -717,7 +416,7 @@ fn goal_wheres(g: &mut Goal, nslots: usize) {
 /// Compiles the `where` goals of a solved form's goal in place, so the
 /// form's own stream (compiled next) pools expressions that carry them.
 pub(crate) fn compile_form_goals(form: &mut SolvedForm) {
-    goal_wheres(&mut form.goal, form.frame.len());
+    goal_wheres(&mut form.goal);
 }
 
 /// The first step of pass 4 for one body: every `where` goal of a solved
@@ -1144,8 +843,6 @@ pub struct BcBlock {
 
 struct BlockCompiler<'a> {
     ctx: &'a BcCtx<'a>,
-    /// Frame size, for compiling goals.
-    nslots: usize,
     code: Vec<SInstr>,
     nregs: u16,
     next_reg: u16,
@@ -1220,14 +917,14 @@ impl<'a> BlockCompiler<'a> {
     fn pool_expr(&mut self, e: &PExpr) -> ExprId {
         let id = self.exprs.len() as ExprId;
         let mut e = e.clone();
-        expr_wheres(&mut e, self.nslots);
+        expr_wheres(&mut e);
         self.exprs.push(e);
         id
     }
 
     fn pool_goal(&mut self, g: &Goal) -> u32 {
         let id = self.goals.len() as u32;
-        self.goals.push(compile_goal(g, self.nslots));
+        self.goals.push(compile_goal(g));
         id
     }
 
@@ -1728,7 +1425,7 @@ impl<'a> BlockCompiler<'a> {
             for (arg, (sym, _)) in args.iter().zip(proj) {
                 let idx = layout.slot_of_sym(sym)? as u32;
                 match arg {
-                    PExpr::Decl(_, slot, ClassCheck::Any) => binds.push((idx, *slot)),
+                    PExpr::Decl(_, slot, ClassCheck::Any, _) => binds.push((idx, *slot)),
                     PExpr::Wildcard => binds.push((idx, None)),
                     _ => return None,
                 }
@@ -2280,7 +1977,6 @@ fn fast_expr_ok(e: &PExpr, params: &[SlotId]) -> bool {
 pub fn compile_block(bp: &BlockPlan, ctx: &BcCtx<'_>) -> BcBlock {
     let mut c = BlockCompiler {
         ctx,
-        nslots: bp.frame.len(),
         code: Vec::new(),
         nregs: 0,
         next_reg: 0,
@@ -2330,8 +2026,8 @@ fn fmt_pexpr(f: &mut fmt::Formatter<'_>, e: &PExpr) -> fmt::Result {
         PExpr::Result(s) => write!(f, "result@{s}"),
         PExpr::Wildcard => write!(f, "_"),
         PExpr::Name { slot, name, .. } => write!(f, "{name}@{slot}"),
-        PExpr::Decl(_, Some(s), _) => write!(f, "decl@{s}"),
-        PExpr::Decl(_, None, _) => write!(f, "decl@_"),
+        PExpr::Decl(_, Some(s), _, _) => write!(f, "decl@{s}"),
+        PExpr::Decl(_, None, _, _) => write!(f, "decl@_"),
         PExpr::Field(b, name, _) => {
             fmt_pexpr(f, b)?;
             write!(f, ".{name}")
@@ -2430,25 +2126,12 @@ impl fmt::Display for BcBody {
                     }
                     writeln!(f, "]")?;
                 }
-                Instr::Unify {
-                    lhs,
-                    rhs,
-                    mode,
-                    next,
-                } => {
-                    let m = match mode {
-                        UnifyMode::EvalEval => "ee",
-                        UnifyMode::EvalMatch => "em",
-                        UnifyMode::MatchEval => "me",
-                        UnifyMode::Dynamic => "dyn",
-                    };
-                    writeln!(
-                        f,
-                        "unify.{m} {} = {} -> {next}",
-                        PE(&self.exprs[*lhs as usize]),
-                        PE(&self.exprs[*rhs as usize]),
-                    )?;
-                }
+                Instr::Unify { lhs, rhs, next } => writeln!(
+                    f,
+                    "unify {} = {} -> {next}",
+                    PE(&self.exprs[*lhs as usize]),
+                    PE(&self.exprs[*rhs as usize]),
+                )?,
                 Instr::Compare { op, lhs, rhs, next } => writeln!(
                     f,
                     "cmp {} {op} {} -> {next}",
@@ -2707,29 +2390,6 @@ mod tests {
             assert_eq!(bc.instrs[0], Instr::Emit);
             assert!((bc.entry as usize) < bc.instrs.len());
         }
-    }
-
-    #[test]
-    fn forward_mode_resolves_unify_directions_statically() {
-        let plan = plan_for(ZNAT);
-        let succ = plan.method(plan.lookup_impl("ZNat", "succ").unwrap());
-        let (forward, _) = succ.body.solved_forms().unwrap();
-        let bc = forward.bc.as_ref().unwrap();
-        // Forward succ: `ZNat(val - 1) = n` with `n` a bound parameter and
-        // the left a constructor pattern over the unbound field `val`: the
-        // analysis must flip it to match-left/eval-right.
-        let modes: Vec<UnifyMode> = bc
-            .instrs
-            .iter()
-            .filter_map(|i| match i {
-                Instr::Unify { mode, .. } => Some(*mode),
-                _ => None,
-            })
-            .collect();
-        assert!(
-            modes.contains(&UnifyMode::MatchEval),
-            "expected a statically flipped equation, got {modes:?}"
-        );
     }
 
     #[test]

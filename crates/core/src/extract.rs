@@ -33,15 +33,6 @@ pub struct Extracted {
 }
 
 impl Extracted {
-    /// An extraction that is identically `true` (e.g. an absent clause in a
-    /// mode where nothing constrains the knowns).
-    pub fn trivially_true() -> Self {
-        Extracted {
-            formula: Formula::Bool(true),
-            remaining_unknowns: Vec::new(),
-        }
-    }
-
     /// An extraction that is identically `false` (the default `matches(false)`
     /// of a method without a clause).
     pub fn trivially_false() -> Self {

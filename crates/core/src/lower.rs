@@ -340,8 +340,9 @@ pub enum PExpr {
         class_ref: bool,
     },
     /// A declaration pattern `T x` (`None` slot for `T _`), with the class
-    /// restriction of a named type resolved to a [`ClassCheck`].
-    Decl(Type, Option<SlotId>, ClassCheck),
+    /// restriction of a named type resolved to a [`ClassCheck`], and the
+    /// source name (for error messages).
+    Decl(Type, Option<SlotId>, ClassCheck, String),
     /// Field access `e.f`, the field name interned at lowering time
     /// (`None` when no class declares the field — a guaranteed runtime
     /// "no field" error, like the old string miss).
@@ -379,6 +380,50 @@ pub enum PExpr {
     /// `p where (f)` — the formula is lowered to a goal that runs, in the
     /// pattern's frame, after the pattern matched.
     Where(Box<PExpr>, Box<GoalPlan>),
+}
+
+/// Source form, byte-identical to the `Display` of the [`Expr`] it was
+/// lowered from, so both engines quote an expression alike in errors.
+impl std::fmt::Display for PExpr {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PExpr::Int(i) => write!(f, "{i}"),
+            PExpr::Bool(b) => write!(f, "{b}"),
+            PExpr::Str(s) => write!(f, "{s:?}"),
+            PExpr::Null => write!(f, "null"),
+            PExpr::This => write!(f, "this"),
+            PExpr::Result(_) => write!(f, "result"),
+            PExpr::Wildcard => write!(f, "_"),
+            PExpr::Name { name, .. } => write!(f, "{name}"),
+            PExpr::Decl(ty, _, _, name) => write!(f, "{ty} {name}"),
+            PExpr::Field(b, name, _) => write!(f, "{b}.{name}"),
+            PExpr::Call {
+                receiver,
+                name,
+                args,
+                ..
+            } => {
+                if let Some(r) = receiver {
+                    write!(f, "{r}.")?;
+                }
+                write!(f, "{name}(")?;
+                write_list(f, args)?;
+                write!(f, ")")
+            }
+            PExpr::Index(a, i) => write!(f, "{a}[{i}]"),
+            PExpr::NewArray(ty, n) => write!(f, "new {ty}[{n}]"),
+            PExpr::Binary(op, a, b) => write!(f, "({a} {op} {b})"),
+            PExpr::Neg(a) => write!(f, "-{a}"),
+            PExpr::Tuple(xs) => {
+                write!(f, "(")?;
+                write_list(f, xs)?;
+                write!(f, ")")
+            }
+            PExpr::As(a, b) => write!(f, "{a} as {b}"),
+            PExpr::OrPat(a, b) => write!(f, "{a} | {b}"),
+            PExpr::Where(p, _) => write!(f, "{p} where (..)"),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1079,15 +1124,10 @@ impl ProgramPlan {
                     matching,
                     equals_bound,
                 } => {
-                    forward.bc = Some(crate::bytecode::compile_body(forward, &forward.param_slots));
-                    matching.bc = Some(crate::bytecode::compile_body(matching, &[]));
+                    forward.bc = Some(crate::bytecode::compile_body(forward));
+                    matching.bc = Some(crate::bytecode::compile_body(matching));
                     if let Some(eb) = equals_bound {
-                        // The runtime's deep-equality bridge seeds only
-                        // the first parameter (the other side of the
-                        // equation), so only it is must-bound.
-                        let seed: Vec<SlotId> =
-                            eb.param_slots.first().copied().into_iter().collect();
-                        eb.bc = Some(crate::bytecode::compile_body(eb, &seed));
+                        eb.bc = Some(crate::bytecode::compile_body(eb));
                     }
                 }
                 BodyPlan::Block(bp) => {
@@ -1438,7 +1478,7 @@ impl<'t> Lowerer<'t> {
             | PExpr::Null
             | PExpr::Binary(..)
             | PExpr::Neg(_) => CaseGuard::Classes(vec![false; self.table.num_types()].into()),
-            PExpr::Decl(_, _, check) => match check {
+            PExpr::Decl(_, _, check, _) => match check {
                 ClassCheck::Subtype(i) => self.subtype_mask(*i),
                 // `Dynamic` falls back to the string walk at run time (it
                 // can admit classes with erroneous supertype chains), so it
@@ -1509,7 +1549,7 @@ impl<'t> Lowerer<'t> {
                 } else {
                     Some(self.slot(name))
                 };
-                PExpr::Decl(ty.clone(), slot, self.class_check(ty))
+                PExpr::Decl(ty.clone(), slot, self.class_check(ty), name.clone())
             }
             Expr::Field(b, f) => PExpr::Field(
                 Box::new(self.lower_expr(b, st)),
@@ -2292,7 +2332,7 @@ pub fn lower_standalone(
     }
     if plan.bytecode_enabled() {
         crate::bytecode::compile_form_goals(&mut form);
-        form.bc = Some(crate::bytecode::compile_body(&form, &bound_slots));
+        form.bc = Some(crate::bytecode::compile_body(&form));
     }
     form
 }
@@ -2323,6 +2363,36 @@ mod tests {
             constructor succ(Nat n) returns(n) ( val >= 1 && ZNat(val - 1) = n )
         }
     "#;
+
+    /// Both engines quote expressions in errors; the lowered form must
+    /// print exactly like the source it came from.
+    #[test]
+    fn lowered_expressions_print_like_their_source() {
+        let plan = plan_for(ZNAT);
+        let mut lo = Lowerer::new(plan.table(), Some("ZNat".into()), Res::Frozen(&plan));
+        for text in [
+            "elems[count - 1]",
+            "-(a * 2) + -b % 3",
+            "this.val",
+            "result",
+            "new int[n + 1]",
+            "\"s\\\"q\"",
+            "null",
+            "true",
+            "Nat.zero()",
+            "succ(ZNat(int n), _)",
+            "(a, b)",
+            "ZNat(int n) where (n > 0)",
+            "ZNat(int n) # ZNat(_) | x as Nat m",
+        ] {
+            let formula = jmatch_syntax::parse_formula(&format!("_ = {text}")).unwrap();
+            let Formula::Cmp(_, _, e) = formula else {
+                panic!("`{text}` is not an equation")
+            };
+            let lowered = lo.lower_expr(&e, &SlotState::default());
+            assert_eq!(lowered.to_string(), e.to_string(), "`{text}`");
+        }
+    }
 
     #[test]
     fn succ_solved_forms_differ_by_mode() {

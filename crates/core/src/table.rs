@@ -36,11 +36,6 @@ impl Mode {
     pub fn param_is_known(&self, name: &str) -> bool {
         !self.unknown_params.iter().any(|p| p == name)
     }
-
-    /// Whether the mode has no unknowns at all (a pure predicate mode).
-    pub fn is_predicate(&self) -> bool {
-        self.unknown_params.is_empty() && !self.result_unknown
-    }
 }
 
 /// A method (or constructor) together with its owner and resolved modes.

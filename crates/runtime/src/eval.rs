@@ -914,7 +914,7 @@ impl<'g> Machine<'g> {
                 }
             }
             PExpr::Tuple(_) => Err(RtError::new("tuples are not first-class values")),
-            other => Err(RtError::new(format!("cannot evaluate {other:?}"))),
+            other => Err(RtError::new(format!("cannot evaluate {other}"))),
         }
     }
 

@@ -190,11 +190,6 @@ impl Object {
         self.layout.name()
     }
 
-    /// The interned runtime class symbol.
-    pub fn class_sym(&self) -> Sym {
-        self.layout.sym()
-    }
-
     /// The class layout this object is laid out by.
     pub fn layout(&self) -> &Arc<ClassLayout> {
         &self.layout

@@ -47,7 +47,7 @@
 
 use crate::eval::{recycle_frame, Budget, Frame};
 use crate::{RtError, RtResult, Value};
-use jmatch_core::bytecode::{BcBody, Instr, Pc, UnifyMode};
+use jmatch_core::bytecode::{BcBody, Instr, Pc};
 use jmatch_core::lower::{
     BodyPlan, CallKind, CaseGuard, PExpr, PlanId, ProgramPlan, ReadyCheck, SlotId,
 };
@@ -823,30 +823,11 @@ impl<'g> Machine<'g> {
                     });
                     pc = alts[0];
                 }
-                Instr::Unify {
-                    lhs,
-                    rhs,
-                    mode,
-                    next,
-                } => {
+                Instr::Unify { lhs, rhs, next } => {
                     let l = &body.exprs[*lhs as usize];
                     let r = &body.exprs[*rhs as usize];
-                    let mode = match mode {
-                        UnifyMode::Dynamic => match (self.ground(fi, l), self.ground(fi, r)) {
-                            (true, true) => UnifyMode::EvalEval,
-                            (true, false) => UnifyMode::EvalMatch,
-                            (false, true) => UnifyMode::MatchEval,
-                            (false, false) => {
-                                return Err(RtError::new(format!(
-                                    "equation with unknowns on both sides is not solvable: \
-                                     {l:?} = {r:?}"
-                                )));
-                            }
-                        },
-                        m => *m,
-                    };
-                    let (src, pat) = match mode {
-                        UnifyMode::EvalEval => {
+                    let (src, pat) = match (self.ground(fi, l), self.ground(fi, r)) {
+                        (true, true) => {
                             let a = self.eval(fi, l)?;
                             let b = self.eval(fi, r)?;
                             if !self.values_equal(&a, &b)? {
@@ -856,9 +837,13 @@ impl<'g> Machine<'g> {
                             pc = *next;
                             continue;
                         }
-                        UnifyMode::EvalMatch => (l, r),
-                        UnifyMode::MatchEval => (r, l),
-                        UnifyMode::Dynamic => unreachable!("dynamic mode resolved above"),
+                        (true, false) => (l, r),
+                        (false, true) => (r, l),
+                        (false, false) => {
+                            return Err(RtError::new(format!(
+                                "equation with unknowns on both sides is not solvable: {l} = {r}"
+                            )));
+                        }
                     };
                     let v = self.eval(fi, src)?;
                     if !is_flat(pat) {
@@ -1027,7 +1012,7 @@ impl<'g> Machine<'g> {
     fn match_flat(&mut self, fi: usize, pat: &PExpr, value: Value) -> RtResult<bool> {
         match pat {
             PExpr::Wildcard => Ok(true),
-            PExpr::Decl(ty, slot, check) => {
+            PExpr::Decl(ty, slot, check, _) => {
                 if !self.class_admits(ty, check, &value) {
                     return Ok(false);
                 }

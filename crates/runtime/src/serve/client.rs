@@ -224,11 +224,6 @@ impl Client {
         })
     }
 
-    /// The id the next request will carry.
-    pub fn peek_id(&self) -> i64 {
-        self.next_id
-    }
-
     fn fresh_id(&mut self) -> i64 {
         let id = self.next_id;
         self.next_id += 1;

@@ -669,12 +669,6 @@ impl Server {
         &self.shared.quotas
     }
 
-    /// Whether a `shutdown` frame (or a prior [`Server::shutdown`]) has
-    /// stopped the server.
-    pub fn is_shut_down(&self) -> bool {
-        self.shared.shutdown.is_set()
-    }
-
     /// Blocks until something requests shutdown (a `shutdown` frame with
     /// remote shutdown enabled, or another thread calling
     /// [`Server::shutdown`] via a clone — the bin's main-thread wait).

@@ -562,7 +562,7 @@ impl TreeWalker {
                     self.match_pattern(env, this, lhs, &v, depth, emit)
                 }
                 (false, false) => Err(RtError::new(format!(
-                    "equation with unknowns on both sides is not solvable: {lhs:?} = {rhs:?}"
+                    "equation with unknowns on both sides is not solvable: {lhs} = {rhs}"
                 ))),
             };
         }
@@ -1097,7 +1097,7 @@ impl TreeWalker {
                 }
             }
             Expr::Tuple(_) => Err(RtError::new("tuples are not first-class values")),
-            other => Err(RtError::new(format!("cannot evaluate {other:?}"))),
+            other => Err(RtError::new(format!("cannot evaluate {other}"))),
         }
     }
 

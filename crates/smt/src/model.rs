@@ -26,16 +26,6 @@ impl Model {
         Self::default()
     }
 
-    /// Truth value assigned to a boolean atom, if any.
-    pub fn bool_value(&self, t: TermId) -> Option<bool> {
-        self.bools.get(&t).copied()
-    }
-
-    /// Integer value assigned to an atomic integer term, if any.
-    pub fn int_value(&self, t: TermId) -> Option<i64> {
-        self.ints.get(&t).copied()
-    }
-
     /// Evaluates an integer term under the model (missing atoms default to 0).
     pub fn eval_int(&self, store: &TermStore, t: TermId) -> i64 {
         match store.data(t) {

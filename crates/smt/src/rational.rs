@@ -77,11 +77,6 @@ impl Rat {
         self.den == 1
     }
 
-    /// Whether the value is strictly negative.
-    pub fn is_negative(self) -> bool {
-        self.num < 0
-    }
-
     /// Whether the value is strictly positive.
     pub fn is_positive(self) -> bool {
         self.num > 0
@@ -101,26 +96,12 @@ impl Rat {
         -(-self).floor()
     }
 
-    /// Returns the reciprocal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value is zero.
-    pub fn recip(self) -> Rat {
-        Rat::new(self.den, self.num)
-    }
-
     /// Absolute value.
     pub fn abs(self) -> Rat {
         Rat {
             num: self.num.abs(),
             den: self.den,
         }
-    }
-
-    /// Conversion to `f64`, used only for diagnostics.
-    pub fn to_f64(self) -> f64 {
-        self.num as f64 / self.den as f64
     }
 
     /// Returns the integer value if the rational is integral.

@@ -219,11 +219,6 @@ impl MethodDecl {
     pub fn is_equality_constructor(&self) -> bool {
         self.kind == MethodKind::NamedConstructor && self.name == "equals"
     }
-
-    /// Whether the method has a declarative (formula) body.
-    pub fn is_declarative(&self) -> bool {
-        matches!(self.body, MethodBody::Formula(_))
-    }
 }
 
 /// A method body.
@@ -506,6 +501,63 @@ impl Expr {
             _ => {}
         }
     }
+}
+
+/// Source form, as run-time errors quote an expression: binary operations
+/// are parenthesized, both or-pattern forms print as `|` (they run alike),
+/// and a `where` formula prints as `(..)`. `PExpr`'s `Display` in
+/// `jmatch-core` prints the lowered form of the same expression
+/// byte-identically.
+impl fmt::Display for Expr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Expr::IntLit(i) => write!(f, "{i}"),
+            Expr::BoolLit(b) => write!(f, "{b}"),
+            Expr::StrLit(s) => write!(f, "{s:?}"),
+            Expr::Null => write!(f, "null"),
+            Expr::This => write!(f, "this"),
+            Expr::Result => write!(f, "result"),
+            Expr::Wildcard => write!(f, "_"),
+            Expr::Var(name) => write!(f, "{name}"),
+            Expr::Decl(ty, name) => write!(f, "{ty} {name}"),
+            Expr::Field(b, name) => write!(f, "{b}.{name}"),
+            Expr::Call {
+                receiver,
+                name,
+                args,
+            } => {
+                if let Some(r) = receiver {
+                    write!(f, "{r}.")?;
+                }
+                write!(f, "{name}(")?;
+                write_list(f, args)?;
+                write!(f, ")")
+            }
+            Expr::Index(a, i) => write!(f, "{a}[{i}]"),
+            Expr::NewArray(ty, n) => write!(f, "new {ty}[{n}]"),
+            Expr::Binary(op, a, b) => write!(f, "({a} {op} {b})"),
+            Expr::Neg(a) => write!(f, "-{a}"),
+            Expr::Tuple(xs) => {
+                write!(f, "(")?;
+                write_list(f, xs)?;
+                write!(f, ")")
+            }
+            Expr::As(a, b) => write!(f, "{a} as {b}"),
+            Expr::OrPat(a, b) | Expr::DisjointOr(a, b) => write!(f, "{a} | {b}"),
+            Expr::Where(p, _) => write!(f, "{p} where (..)"),
+        }
+    }
+}
+
+/// Writes `xs` separated by `, `.
+pub fn write_list<T: fmt::Display>(f: &mut fmt::Formatter<'_>, xs: &[T]) -> fmt::Result {
+    for (i, x) in xs.iter().enumerate() {
+        if i > 0 {
+            write!(f, ", ")?;
+        }
+        write!(f, "{x}")?;
+    }
+    Ok(())
 }
 
 impl Formula {

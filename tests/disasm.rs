@@ -2,7 +2,7 @@
 //!
 //! The disassembly is a public, stable surface (`Program::disasm`): these
 //! pins catch accidental changes to instruction selection — a lost
-//! superinstruction, a regressed unify-mode analysis, or a switch that
+//! superinstruction, a reordered or rescheduled goal, or a switch that
 //! stopped compiling to a jump table shows up as a text diff here long
 //! before it shows up on a benchmark.
 
@@ -14,11 +14,9 @@ fn program(src: &str) -> jmatch::Program {
 }
 
 /// `ZNat.succ` is Figure 3's binary-representation successor: one body,
-/// two mode-specialized forms. The pins document what the static unify-mode
-/// analysis is expected to prove — forward mode knows `val` and emits a
-/// match-eval unification (`me`: solve the pattern side against the
-/// evaluated right side); matching mode cannot direct the same equation
-/// statically and keeps it dynamic (`dyn`).
+/// two mode-specialized forms. Both hold the same equation; each `unify`
+/// picks its direction when it runs (forward mode finds `n` ground and
+/// solves the constructor pattern against it).
 #[test]
 fn znat_succ_disassembles_to_pinned_text() {
     let entry = corpus::entry("ZNat").unwrap();
@@ -32,11 +30,11 @@ fn znat_succ_disassembles_to_pinned_text() {
 entry: 2
    0: emit
    1: cmp val@2 >= 1 -> 0
-   2: unify.me ZNat((val@2 - 1)) = n@0 -> 1
+   2: unify ZNat((val@2 - 1)) = n@0 -> 1
 ; ZNat.succ [matching]
 entry: 2
    0: emit
-   1: unify.dyn ZNat((val@2 - 1)) = n@0 -> 0
+   1: unify ZNat((val@2 - 1)) = n@0 -> 0
    2: cmp val@2 >= 1 -> 1
 ";
     assert_eq!(text, expected, "ZNat.succ bytecode drifted:\n{text}");
@@ -82,10 +80,10 @@ regs: 3  guards: 1
   18: fail \"let statement failed to match\"
 goal#0 entry: 1
    0: emit
-   1: unify.me decl@0 = EmptyList@1.nil() -> 0
+   1: unify decl@0 = EmptyList@1.nil() -> 0
 goal#1 entry: 1
    0: emit
-   1: unify.me decl@2 = 0 -> 0
+   1: unify decl@2 = 0 -> 0
 ";
     assert_eq!(text, expected, "ArrList.toCons bytecode drifted:\n{text}");
 }
@@ -107,41 +105,40 @@ fn negation_and_dynamic_conjunctions_disassemble_to_inline_chains() {
 ; S.odd [forward]
 entry: 3
    0: emit
-   1: unify.ee x@0 = (2 * (x@0 / 2)) -> 0
+   1: unify x@0 = (2 * (x@0 / 2)) -> 0
    2: not 1 -> 0
-   3: unify.dyn x@0 = v@2 -> 2
+   3: unify x@0 = v@2 -> 2
 ; S.odd [matching]
 entry: 3
    0: emit
-   1: unify.dyn x@0 = (2 * (x@0 / 2)) -> 0
+   1: unify x@0 = (2 * (x@0 / 2)) -> 0
    2: not 1 -> 0
-   3: unify.dyn x@0 = v@2 -> 2
+   3: unify x@0 = v@2 -> 2
 ";
     assert_eq!(text, expected, "S.odd bytecode drifted:\n{text}");
     // Forward mode cannot pin the order (`y` is bound on one branch of the
     // disjunction only), so the conjunction is scheduled at run time: four
-    // item chains, the first holding the disjunction's own choice, and
-    // every unification inside them left dynamic. Matching mode schedules
-    // statically.
+    // item chains, the first holding the disjunction's own choice.
+    // Matching mode schedules statically.
     let text = program.disasm(Some("S"), "sched").unwrap();
     let expected = "\
 ; S.sched [forward]
 entry: 6
    0: emit
-   1: unify.dyn x@1 = z@5 -> 0
-   2: unify.dyn y@4 = 5 -> 0
-   3: unify.dyn decl@5 = (y@4 + 1) -> 0
-   4: unify.dyn y@4 = k@0 -> 0
+   1: unify x@1 = z@5 -> 0
+   2: unify y@4 = 5 -> 0
+   3: unify decl@5 = (y@4 + 1) -> 0
+   4: unify y@4 = k@0 -> 0
    5: choice [4, 0]
    6: dynseq [5, 3, 2, 1] -> 0
 ; S.sched [matching]
 entry: 5
    0: emit
-   1: unify.me x@1 = z@5 -> 0
-   2: unify.me decl@5 = (y@4 + 1) -> 1
-   3: unify.em y@4 = k@0 -> 2
+   1: unify x@1 = z@5 -> 0
+   2: unify decl@5 = (y@4 + 1) -> 1
+   3: unify y@4 = k@0 -> 2
    4: choice [3, 2]
-   5: unify.me y@4 = 5 -> 4
+   5: unify y@4 = 5 -> 4
 ";
     assert_eq!(text, expected, "S.sched bytecode drifted:\n{text}");
 }
@@ -185,7 +182,7 @@ regs: 3  guards: 0
 table#0: cases -> [2, 5] default -> 20
 goal#0 entry: 1
    0: emit
-   1: unify.dyn x@1 = v@3 -> 0
+   1: unify x@1 = v@3 -> 0
 goal#1 entry: 1
    0: emit
    1: cmp x@1 < v@3 -> 0

@@ -8,6 +8,7 @@
 //! incremental generations with scratch builds.
 
 use jmatch::core::table::ClassTable;
+use jmatch::runtime::RtResult;
 use jmatch::syntax::ast::{MethodKind, Type};
 use jmatch::{Program, Value};
 
@@ -42,11 +43,10 @@ fn row_text(rows: &[Vec<Value>]) -> String {
 }
 
 /// Deconstructs `v` through the query API, as ordered rows.
-fn deconstruct_rows(program: &Program, v: &Value, ctor: &str) -> Result<Vec<Vec<Value>>, ()> {
+fn deconstruct_rows(program: &Program, v: &Value, ctor: &str) -> RtResult<Vec<Vec<Value>>> {
     program
         .deconstruct(v, ctor)
         .and_then(|q| q.try_collect_rows())
-        .map_err(|_| ())
 }
 
 /// Phase 1 of the workload: constructs instances of every concrete class
@@ -86,7 +86,7 @@ pub fn construct_pool(program: &Program, log: &mut Vec<String>) -> Vec<Value> {
                             pool.push(v);
                         }
                     }
-                    Err(_) => log.push(format!("construct {class}.{ctor} r{round} -> err")),
+                    Err(e) => log.push(format!("construct {class}.{ctor} r{round} -> err {e}")),
                 }
             }
         }
@@ -122,11 +122,11 @@ pub fn transcript(program: &Program) -> Vec<String> {
         for name in &ctor_names {
             match deconstruct_rows(program, v, name) {
                 Ok(rows) => log.push(format!("deconstruct #{i} {name} -> {}", row_text(&rows))),
-                Err(()) => log.push(format!("deconstruct #{i} {name} -> err")),
+                Err(e) => log.push(format!("deconstruct #{i} {name} -> err {e}")),
             }
             match program.matches(v, name) {
                 Ok(b) => log.push(format!("matches #{i} {name} -> {b}")),
-                Err(_) => log.push(format!("matches #{i} {name} -> err")),
+                Err(e) => log.push(format!("matches #{i} {name} -> err {e}")),
             }
         }
     }
@@ -137,7 +137,7 @@ pub fn transcript(program: &Program) -> Vec<String> {
         for j in 0..pool.len() {
             match program.values_equal(&pool[i], &pool[j]) {
                 Ok(b) => log.push(format!("equal #{i} #{j} -> {b}")),
-                Err(_) => log.push(format!("equal #{i} #{j} -> err")),
+                Err(e) => log.push(format!("equal #{i} #{j} -> err {e}")),
             }
         }
     }
@@ -162,7 +162,7 @@ pub fn transcript(program: &Program) -> Vec<String> {
                     .and_then(|m| m.call(Some(v), arg_values));
                 match outcome {
                     Ok(out) => log.push(format!("call #{i}.{name} r{round} -> {out}")),
-                    Err(_) => log.push(format!("call #{i}.{name} r{round} -> err")),
+                    Err(e) => log.push(format!("call #{i}.{name} r{round} -> err {e}")),
                 }
             }
         }
@@ -190,7 +190,7 @@ pub fn transcript(program: &Program) -> Vec<String> {
                 .and_then(|m| m.call(None, arg_values));
             match outcome {
                 Ok(out) => log.push(format!("free {name} r{round} -> {out}")),
-                Err(_) => log.push(format!("free {name} r{round} -> err")),
+                Err(e) => log.push(format!("free {name} r{round} -> err {e}")),
             }
         }
     }
